@@ -6,9 +6,9 @@ __version__ = "0.1.0"
 
 from .cones import (Cone, comparable, cone_contains, cone_interior_contains,
                     positive_decompose, standard_cone, type_k_cone)
-from .drivers import IidShift, MarkovShift, TorusRotation, advance, sample_initial
+from .drivers import IidShift, MarkovShift, TorusRotation
 from .errors import ConfigError, EstimationError, PositivityViolation
-from .estimators import (BirkhoffEstimate, DivergenceDiagnostic, FloquetTrack,
+from .estimators import (AdjointCocycle, BirkhoffEstimate, DivergenceDiagnostic, FloquetTrack,
                          MatrixCocycle, OdeCocycle, SeparationEstimate,
                          backward_entire_orbit, birkhoff_average, divergence_diagnostic,
                          dual_floquet, forward_floquet, lambda1_via_kappa, oseledets_qr,
@@ -16,14 +16,13 @@ from .estimators import (BirkhoffEstimate, DivergenceDiagnostic, FloquetTrack,
 from .matrices import (AssumptionReport, ConstantMatrixModel, FocusingCertificate,
                        IidChoiceModel, LeslieModel, MarkovMatrixModel, MatrixModel,
                        MatrixStats, SampledMatrixModel, check_D1, check_D2, check_D3,
-                       cocycle_product, dual_step, focusing_certificate, leslie_matrix,
+                       cocycle_product, focusing_certificate, leslie_matrix,
                        leslie_model, matrix_from_csv, matrix_stats, uniform_entries_model,
                        verify_nstep_positivity)
 from .odes import (CallableOdeModel, ConstantOdeModel, IrreducibilityQuantities,
                    OdeModel, PiecewiseConstantOdeModel, check_O1, check_O2,
-                   cooperative_sampler, fundamental_matrix, integrate,
+                   cooperative_sampler, integrate,
                    irreducibility_quantities, kappa_functional, l1_growth_bound,
                    propagate, typek_to_cooperative)
 from .torus import (FOCUSING_RATIO_BOUND, PRINCIPAL_DIRECTION, SEPARATION_RATE,
-                    TorusExampleModel, closed_form_propagator,
-                    validate_against_closed_form)
+                    TorusExampleModel, validate_against_closed_form)

@@ -3,7 +3,7 @@
 Subcommands: check, estimate, separate, orbit, oseledets, example-torus,
 leslie-demo.  Exit codes: 0 success, 1 configuration error, 2 model
 assumption hard failure (a trajectory violated positivity), 3 numerical
-failure.
+failure, including an example-torus validation item that failed.
 """
 
 from __future__ import annotations
@@ -59,6 +59,9 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     _print_summary(doc)
+    if args.command == "example-torus" and not doc["results"]["passed"]:
+        print("numerical failure: a torus validation item failed", file=sys.stderr)
+        return 3
     return 0
 
 

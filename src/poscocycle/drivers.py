@@ -232,13 +232,3 @@ class TorusRotation:
         ts = ts[(ts > 0.0) & (ts <= t)]
         ts.sort()
         return ts
-
-
-def sample_initial(system, seed: int):
-    """Deterministic initial base point for (system, seed)."""
-    return system.initial(seed)
-
-
-def advance(system, state, t):
-    """Evolve the base point by time t (negative t allowed; the shift is invertible)."""
-    return system.advance(state, t)

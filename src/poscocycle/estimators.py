@@ -4,7 +4,7 @@ a QR Lyapunov-spectrum oracle, and ergodic (Birkhoff) averaging.
 
 Estimators operate on a small cocycle protocol that wraps either a matrix
 model (one step = one matrix multiply) or an ODE model (one step = adaptive
-integration over a fixed dt).  All step maps are returned scale-separated as
+integration over a fixed dt); ``AdjointCocycle`` is the dual of either.  All step maps are returned scale-separated as
 (array, log_scale), so arbitrarily fast decay or growth never leaves
 floating-point range.
 """
@@ -30,12 +30,11 @@ from .stats import batch_means
 class MatrixCocycle:
     """Discrete cocycle: one step applies the emitted matrix."""
 
-    def __init__(self, model: MatrixModel, cone: Cone | None = None):
+    def __init__(self, model: MatrixModel):
         self.model = model
         self.n = model.n
         self.dt = 1
-        self.discrete = True
-        self.cone = cone or standard_cone(model.n)
+        self.cone = standard_cone(model.n)
         self.cone_tol = 1e-12
 
     def step(self, state, U):
@@ -48,69 +47,43 @@ class MatrixCocycle:
         return state.advance(steps * self.dt)
 
     def dual(self):
-        return DualMatrixCocycle(self.model, self.cone)
-
-
-class DualMatrixCocycle:
-    """Adjoint cocycle: covers the reversed driver; one step is the transpose
-    of the emission at the previous base point."""
-
-    def __init__(self, model: MatrixModel, cone: Cone | None = None):
-        self.model = model
-        self.n = model.n
-        self.dt = 1
-        self.discrete = True
-        self.cone = cone or standard_cone(model.n)
-        self.cone_tol = 1e-12
-
-    def step(self, state, U):
-        return self.model.emit(state.advance(-1)).T @ U, 0.0
-
-    def step_matrix(self, state):
-        return self.model.emit(state.advance(-1)).T.copy(), 0.0
-
-    def advance(self, state, steps=1):
-        return state.advance(-steps)
-
-    def dual(self):
-        return MatrixCocycle(self.model, self.cone)
+        return AdjointCocycle(self)
 
 
 class OdeCocycle:
     """Continuous cocycle sampled at a fixed step dt via adaptive integration."""
 
-    def __init__(self, model: OdeModel, dt: float = 0.1, rtol: float = 1e-10,
-                 atol: float = 1e-12, cone: Cone | None = None):
+    def __init__(self, model: OdeModel, dt: float = 0.1, rtol: float = 1e-10):
         self.model = model
         self.n = model.n
         self.dt = float(dt)
-        self.discrete = False
         self.rtol = rtol
-        self.atol = atol
-        self.cone = cone or standard_cone(model.n)
+        self.cone = standard_cone(model.n)
         self.cone_tol = 1e-9
 
     def step(self, state, U):
-        return propagate(self.model, state, U, self.dt, rtol=self.rtol, atol=self.atol)
+        return propagate(self.model, state, U, self.dt, rtol=self.rtol)
 
     def step_matrix(self, state):
-        return propagate(self.model, state, np.eye(self.n), self.dt,
-                         rtol=self.rtol, atol=self.atol)
+        return propagate(self.model, state, np.eye(self.n), self.dt, rtol=self.rtol)
 
     def advance(self, state, steps=1):
         return state.advance(steps * self.dt)
 
     def dual(self):
-        return DualOdeCocycle(self)
+        return AdjointCocycle(self)
 
 
-class DualOdeCocycle:
-    def __init__(self, primal: OdeCocycle):
+class AdjointCocycle:
+    """Dual of a primal cocycle over the reversed driver: one step at omega is
+    the transpose of the primal step at the previous base point, so that
+    <S(theta_-1 omega) u, u*> = <u, S*(omega) u*>."""
+
+    def __init__(self, primal):
         self.primal = primal
         self.model = primal.model
         self.n = primal.n
         self.dt = primal.dt
-        self.discrete = False
         self.cone = primal.cone
         self.cone_tol = primal.cone_tol
 
@@ -119,9 +92,7 @@ class DualOdeCocycle:
         return M @ U, ls
 
     def step_matrix(self, state):
-        prev = state.advance(-self.dt)
-        M, ls = propagate(self.primal.model, prev, np.eye(self.n), self.dt,
-                          rtol=self.primal.rtol, atol=self.primal.atol)
+        M, ls = self.primal.step_matrix(state.advance(-self.dt))
         return M.T.copy(), ls
 
     def advance(self, state, steps=1):
@@ -218,9 +189,7 @@ def dual_floquet(cocycle, omega, horizon):
     The adjoint covers the time-reversed driver, so its pullback warm-up uses
     base points in the primal's forward orbit.
     """
-    dual = cocycle.dual()
-    steps = int(round(horizon / cocycle.dt)) if not getattr(cocycle, "discrete", True) else int(horizon)
-    return warmup_direction(dual, omega, steps)
+    return warmup_direction(cocycle.dual(), omega, int(round(horizon / cocycle.dt)))
 
 
 # ---------------------------------------------------------------------------
@@ -249,26 +218,19 @@ def backward_entire_orbit(cocycle, omega, depth, probe=None) -> EntireOrbit:
     """Push a probe from depth steps in the past up to ``omega``, recording the
     normalized directions; under focusing this approximates the unique entire
     positive orbit through the current base point."""
+    depth = int(depth)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if probe is None:
         probe = np.full(cocycle.n, 1.0 / math.sqrt(cocycle.n))
-    u = np.asarray(probe, dtype=float).copy()
-    u /= np.linalg.norm(u)
-    state = cocycle.advance(omega, -int(depth))
-    ns = [-int(depth)]
-    directions = [u.copy()]
-    log_rhos = []
-    for k in range(int(depth)):
-        v, ls = cocycle.step(state, u)
-        r = float(np.linalg.norm(v))
-        if r == 0.0:
-            raise EstimationError("pullback probe was annihilated; model is not positivity-preserving")
-        u = v / r
-        log_rhos.append(math.log(r) + ls)
-        state = cocycle.advance(state)
-        ns.append(-int(depth) + k + 1)
-        directions.append(u.copy())
+    u0 = np.asarray(probe, dtype=float)
+    track = forward_floquet(cocycle, cocycle.advance(omega, -depth), u0, depth * cocycle.dt,
+                            record_every=1, check_cone=False)
+    if track.log_growth == -math.inf:
+        raise EstimationError("pullback probe was annihilated; model is not positivity-preserving")
+    ns = list(range(-depth, 1))
+    directions = [u0 / np.linalg.norm(u0)] + [u for _, _, u in track.history]
+    log_rhos = [ln_rho for _, ln_rho, _ in track.history]
     # normalize so that the time-0 value is the unit direction
     log_norms = [0.0] * len(ns)
     acc = 0.0
@@ -357,25 +319,22 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0,
         maps.append((M, ls))
         state = cocycle.advance(state)
 
-    # forward sweep: warmed principal direction at every step time
+    # forward sweep: warm up, then record the principal direction at every step time
     w = np.full(cocycle.n, 1.0 / math.sqrt(cocycle.n))
-    for k in range(warmup):
-        v = maps[k][0] @ w
-        r = float(np.linalg.norm(v))
-        if r == 0.0:
-            raise EstimationError("principal probe annihilated during warm-up")
-        w = v / r
-    w_path = [w.copy()]
+    w_path = []
     log_growth = 0.0
-    for k in range(n_steps):
-        M, ls = maps[warmup + k]
+    for k in range(warmup + n_steps):
+        if k == warmup:
+            w_path.append(w.copy())
+        M, ls = maps[k]
         v = M @ w
         r = float(np.linalg.norm(v))
         if r == 0.0:
             raise EstimationError("principal direction annihilated; no positive growth to separate")
         w = v / r
-        log_growth += math.log(r) + ls
-        w_path.append(w.copy())
+        if k >= warmup:
+            log_growth += math.log(r) + ls
+            w_path.append(w.copy())
 
     # backward adjoint sweep: dual direction at step times 0..n_steps
     z = np.full(cocycle.n, 1.0 / math.sqrt(cocycle.n))
@@ -414,11 +373,7 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0,
             break
         zk = z_path[k + 1]
         V -= np.outer(zk, zk @ V)  # re-anchor to the dual-null hyperplane
-        Q, R = np.linalg.qr(V)
-        signs = np.sign(np.diag(R))
-        signs[signs == 0] = 1.0
-        Q = Q * signs
-        R = signs[:, None] * R
+        Q, R = _qr_positive(V)
         R_acc = R @ R_acc
         s = float(np.linalg.norm(R_acc, 2))
         if s == 0.0:
@@ -447,13 +402,16 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0,
                               projection_norm_history=proj_history, horizon=T)
 
 
-def dual_direction_at(cocycle, state, depth):
-    """Dual principal direction at an arbitrary base point (pullback depth)."""
-    return dual_floquet(cocycle, state, depth * cocycle.dt)
-
-
 # ---------------------------------------------------------------------------
 # QR spectrum oracle
+
+
+def _qr_positive(V):
+    """QR factors of V with the diagonal of R made nonnegative."""
+    Q, R = np.linalg.qr(V)
+    signs = np.sign(np.diag(R))
+    signs[signs == 0] = 1.0
+    return Q * signs, signs[:, None] * R
 
 
 def oseledets_qr(cocycle, omega, horizon):
@@ -472,12 +430,9 @@ def oseledets_qr(cocycle, omega, horizon):
     with np.errstate(divide="ignore"):
         for _ in range(n_steps):
             V, ls = cocycle.step(state, Q)
-            Q, R = np.linalg.qr(V)
-            d = np.abs(np.diag(R))
+            Q, R = _qr_positive(V)
+            d = np.diag(R)
             sums += np.where(d > 0, np.log(np.maximum(d, 1e-300)), -np.inf) + ls
-            signs = np.sign(np.diag(R))
-            signs[signs == 0] = 1.0
-            Q = Q * signs
             state = cocycle.advance(state)
     T = n_steps * cocycle.dt
     return np.sort(sums / T)[::-1]
@@ -496,26 +451,31 @@ class BirkhoffEstimate:
     dt: float
 
 
-def birkhoff_average(observable, omega, horizon, batches=8, dt=None) -> BirkhoffEstimate:
-    """Time average of observable(state) over [0, horizon] with a batch-means CI.
+def _orbit_samples(observable, omega, horizon, dt):
+    """observable(state) along the orbit over [0, horizon], as (samples, dt).
 
     Discrete drivers sample every step; continuous drivers sample the
     midpoint of each dt-cell (dt defaults to 0.05).
     """
-    if batches < 2:
-        raise ValueError("batches must be >= 2")
-    system = omega.system
-    if getattr(system, "time", "discrete") == "discrete":
+    discrete = getattr(omega.system, "time", "discrete") == "discrete"
+    if discrete:
         dt = 1.0
-        n = int(horizon)
-        samples = np.array([observable(omega.advance(k)) for k in range(n)])
     else:
         dt = 0.05 if dt is None else float(dt)
-        n = int(round(horizon / dt))
-        samples = np.array([observable(omega.advance((k + 0.5) * dt)) for k in range(n)])
+    n = int(round(horizon / dt))
+    return np.array([observable(omega.advance(k if discrete else (k + 0.5) * dt))
+                     for k in range(n)]), dt
+
+
+def birkhoff_average(observable, omega, horizon, batches=8, dt=None) -> BirkhoffEstimate:
+    """Time average of observable(state) over [0, horizon] with a batch-means CI,
+    sampled as in ``_orbit_samples``."""
+    if batches < 2:
+        raise ValueError("batches must be >= 2")
+    samples, dt = _orbit_samples(observable, omega, horizon, dt)
     m, hw, blocks = batch_means(samples, batches)
     return BirkhoffEstimate(mean=float(samples.mean()), ci=hw, batch_means=blocks,
-                            n_samples=n, dt=dt)
+                            n_samples=samples.size, dt=dt)
 
 
 @dataclass
@@ -552,18 +512,7 @@ def divergence_diagnostic(observable, omega, horizons, threshold=-10.0, dt=None)
     horizons = sorted(float(T) for T in horizons)
     if len(horizons) < 2:
         raise ValueError("need at least two horizons")
-    system = omega.system
-    discrete = getattr(system, "time", "discrete") == "discrete"
-    if discrete:
-        dt = 1.0
-    else:
-        dt = 0.05 if dt is None else float(dt)
-    t_max = horizons[-1]
-    n = int(round(t_max / dt))
-    samples = np.empty(n)
-    for k in range(n):
-        tk = k if discrete else (k + 0.5) * dt
-        samples[k] = observable(omega.advance(tk))
+    samples, dt = _orbit_samples(observable, omega, horizons[-1], dt)
     cums = np.cumsum(samples)
     means = []
     for T in horizons:
@@ -598,17 +547,17 @@ def lambda1_via_kappa(cocycle: OdeCocycle, omega, horizon, warmup=50, batches=8)
     if n_steps < batches:
         raise ValueError("horizon too short for the requested batch count")
     w = warmup_direction(cocycle, omega, warmup)
+    track = forward_floquet(cocycle, omega, w, horizon, record_every=1, check_cone=False)
+    ws = [w] + [u for _, _, u in track.history]
     nudge = 1e-9 * dt
     state = omega
     model = cocycle.model
 
     cell_integrals = np.empty(n_steps)
     for k in range(n_steps):
-        kappa_right = float(w @ model.field(state, nudge) @ w)       # right limit at t_k
-        v, _ = cocycle.step(state, w)
-        w = v / np.linalg.norm(v)
+        kappa_right = float(ws[k] @ model.field(state, nudge) @ ws[k])          # right limit at t_k
         state = cocycle.advance(state)
-        kappa_left = float(w @ model.field(state, -nudge) @ w)       # left limit at t_{k+1}
+        kappa_left = float(ws[k + 1] @ model.field(state, -nudge) @ ws[k + 1])  # left limit at t_{k+1}
         cell_integrals[k] = 0.5 * (kappa_right + kappa_left) * dt
     total = float(cell_integrals.sum())
     _, hw, _ = batch_means(cell_integrals / dt, batches)

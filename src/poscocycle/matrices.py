@@ -205,12 +205,6 @@ def cocycle_product(model: MatrixModel, omega, n: int):
     return P, log_scale
 
 
-def dual_step(model: MatrixModel, omega) -> np.ndarray:
-    """One-step map of the adjoint system: transpose of the emission at the
-    previous base point, so that <u, S*(w) u*> = <S(w^-) u, u*> exactly."""
-    return model.emit(omega.advance(-1)).T.copy()
-
-
 # ---------------------------------------------------------------------------
 # statistics and assumption checks
 

@@ -260,12 +260,6 @@ def integrate(model: OdeModel, omega, u0, t, rtol=1e-10, atol=1e-12):
     return v / nv, ls + math.log(nv) - math.log(n0)
 
 
-def fundamental_matrix(model: OdeModel, omega, t, rtol=1e-10, atol=1e-12):
-    """Time-t propagator as (matrix, log_scale): U_w(t) = exp(log_scale) * matrix."""
-    M, ls = propagate(model, omega, np.eye(model.n), t, rtol=rtol, atol=atol)
-    return M, ls
-
-
 # ---------------------------------------------------------------------------
 # structure checks
 

@@ -3,6 +3,7 @@ estimate, and assemble the (deterministic) result document."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from pathlib import Path
@@ -14,8 +15,7 @@ from .config import build_driver, build_model
 from .errors import ConfigError
 from .estimators import (DivergenceDiagnostic, MatrixCocycle, OdeCocycle,
                          backward_entire_orbit, forward_floquet, lambda1_via_kappa,
-                         oseledets_qr, pullback_convergence, separation_estimate,
-                         warmup_direction)
+                         oseledets_qr, separation_estimate, warmup_direction)
 from .matrices import check_D1, check_D2, check_D3, verify_nstep_positivity
 from .odes import check_O1, check_O2
 from .reporting import emit_plot_data, report_to_dict, write_result, write_series
@@ -24,12 +24,18 @@ from .stats import batch_means
 COMMANDS = ("check", "estimate", "separate", "orbit", "oseledets", "example-torus", "leslie-demo")
 
 
-def _build_cocycle(kind, model, cfg):
+def _setup(cfg):
+    """The configured (kind, cocycle, initial base point, estimator block, seed)."""
+    kind, model = build_model(cfg)
+    driver = build_driver(cfg)
     est = cfg["estimator"]
+    seed = cfg["seed"]
     if kind == "matrix":
-        return MatrixCocycle(model)
-    ode_model = model.ode_model if kind == "torus" else model
-    return OdeCocycle(ode_model, dt=float(est["dt"]), rtol=float(est["rtol"]))
+        cocycle = MatrixCocycle(model)
+    else:
+        ode_model = model.ode_model if kind == "torus" else model
+        cocycle = OdeCocycle(ode_model, dt=float(est["dt"]), rtol=float(est["rtol"]))
+    return kind, cocycle, driver.initial(seed), est, seed
 
 
 def _estimate_doc(value, ci, horizon, seed, **extra):
@@ -100,12 +106,7 @@ def _run_check(cfg):
 
 
 def _run_estimate(cfg):
-    kind, model = build_model(cfg)
-    driver = build_driver(cfg)
-    est = cfg["estimator"]
-    seed = cfg["seed"]
-    omega = driver.initial(seed)
-    cocycle = _build_cocycle(kind, model, cfg)
+    kind, cocycle, omega, est, seed = _setup(cfg)
     horizon = float(est["horizon"])
     warmup = int(est["warmup"])
 
@@ -133,13 +134,7 @@ def _run_estimate(cfg):
         "log_growth": track.log_growth,
     }
     if divergence:
-        results["divergence"] = {
-            "horizons": divergence.horizons, "means": divergence.means,
-            "threshold": divergence.threshold,
-            "strictly_decreasing": divergence.strictly_decreasing,
-            "below_threshold": divergence.below_threshold,
-            "diverging": divergence.diverging,
-        }
+        results["divergence"] = dataclasses.asdict(divergence)
     if kind == "ode":
         kr = lambda1_via_kappa(cocycle, omega, horizon, warmup=warmup, batches=int(est["batches"]))
         results["lambda1_kappa_route"] = _estimate_doc(kr.estimate, kr.ci, horizon, seed)
@@ -158,12 +153,7 @@ def _run_estimate(cfg):
 
 
 def _run_separate(cfg):
-    kind, model = build_model(cfg)
-    driver = build_driver(cfg)
-    est = cfg["estimator"]
-    seed = cfg["seed"]
-    omega = driver.initial(seed)
-    cocycle = _build_cocycle(kind, model, cfg)
+    _, cocycle, omega, est, seed = _setup(cfg)
     horizon = float(est["horizon"])
     proj_samples = int(est["proj_samples"]) or min(64, int(round(horizon / cocycle.dt)))
     sep = separation_estimate(cocycle, omega, horizon, warmup=int(est["warmup"]),
@@ -183,15 +173,12 @@ def _run_separate(cfg):
 
 
 def _run_orbit(cfg):
-    kind, model = build_model(cfg)
-    driver = build_driver(cfg)
-    est = cfg["estimator"]
-    seed = cfg["seed"]
-    omega = driver.initial(seed)
-    cocycle = _build_cocycle(kind, model, cfg)
+    _, cocycle, omega, est, seed = _setup(cfg)
     depth = int(est["depth"])
     orbit = backward_entire_orbit(cocycle, omega, depth)
-    conv = pullback_convergence(cocycle, omega, depth)
+    # the depth-doubling drift of estimators.pullback_convergence, reusing ``orbit``
+    deeper = backward_entire_orbit(cocycle, omega, 2 * depth)
+    conv = float(np.linalg.norm(orbit.directions[-1] - deeper.directions[-1]))
     results = {
         "depth": depth,
         "ns": orbit.ns,
@@ -205,12 +192,7 @@ def _run_orbit(cfg):
 
 
 def _run_oseledets(cfg):
-    kind, model = build_model(cfg)
-    driver = build_driver(cfg)
-    est = cfg["estimator"]
-    seed = cfg["seed"]
-    omega = driver.initial(seed)
-    cocycle = _build_cocycle(kind, model, cfg)
+    _, cocycle, omega, est, seed = _setup(cfg)
     horizon = float(est["horizon"])
     exps = oseledets_qr(cocycle, omega, horizon)
     return {"exponents": exps, "horizon": horizon, "seed": seed}, None
@@ -237,14 +219,7 @@ def _run_torus(cfg):
         "items": [{"name": n, "passed": ok, "detail": d} for n, ok, d in report.items],
         "sigma_estimates": report.sigma_estimates,
         "direction_errors": report.direction_errors,
-        "divergence": {
-            "horizons": report.divergence.horizons,
-            "means": report.divergence.means,
-            "threshold": report.divergence.threshold,
-            "strictly_decreasing": report.divergence.strictly_decreasing,
-            "below_threshold": report.divergence.below_threshold,
-            "diverging": report.divergence.diverging,
-        },
+        "divergence": dataclasses.asdict(report.divergence),
         "seed": cfg["seed"],
     }
     return results, None

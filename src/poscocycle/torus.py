@@ -171,11 +171,6 @@ class TorusExampleModel:
         return 2.0 - np.euler_gamma - rho * math.log(rho) / (1.0 + rho) - math.log(horizon)
 
 
-def closed_form_propagator(model: TorusExampleModel, state: TorusState, t: float):
-    """Module-level alias for the closed-form propagator (direction, log_scale)."""
-    return model.propagator(state, t)
-
-
 # ---------------------------------------------------------------------------
 # validation against the generic pipeline
 

@@ -221,6 +221,26 @@ class TestCliProcess:
         assert items["separation-rate"]
         assert doc["results"]["passed"]
 
+    def test_failed_torus_item_exit_3(self, tmp_path, monkeypatch, capsys):
+        # in process, with the battery replaced by a report that fails one item
+        from poscocycle import cli, torus
+        from poscocycle.estimators import DivergenceDiagnostic
+
+        def failing_battery(**kwargs):
+            rep = torus.TorusValidationReport(rho=0.5, kappa_bound=torus.FOCUSING_RATIO_BOUND)
+            rep.add("propagator-agreement", True, "ok")
+            rep.add("separation-rate", False, "sigma outside the window")
+            rep.divergence = DivergenceDiagnostic.from_means([1.0, 2.0], [0.0, -1.0], -10.0)
+            return rep
+
+        monkeypatch.setattr(torus, "validate_against_closed_form", failing_battery)
+        assert cli.main(["example-torus", "--out", str(tmp_path)]) == 3
+        doc = json.loads((tmp_path / "results.json").read_text())
+        assert doc["results"]["passed"] is False
+        captured = capsys.readouterr()
+        assert "[FAIL] separation-rate" in captured.out
+        assert "numerical failure" in captured.err
+
     def test_leslie_demo_defaults(self, tmp_path):
         r = self.run_cli("leslie-demo", "--out", str(tmp_path))
         assert r.returncode == 0

@@ -2,27 +2,27 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from poscocycle.drivers import IidShift, MarkovShift, TorusRotation, advance, sample_initial
+from poscocycle.drivers import IidShift, MarkovShift, TorusRotation
 
 
 class TestIidShift:
     def test_determinism(self):
         sys = IidShift()
-        a = sample_initial(sys, 7)
-        b = sample_initial(sys, 7)
+        a = sys.initial(7)
+        b = sys.initial(7)
         assert a.rng().random(3).tolist() == b.rng().random(3).tolist()
 
     def test_distinct_seeds_distinct_streams(self):
         sys = IidShift()
-        a = sample_initial(sys, 1).rng().random(8)
-        b = sample_initial(sys, 2).rng().random(8)
+        a = sys.initial(1).rng().random(8)
+        b = sys.initial(2).rng().random(8)
         assert not np.array_equal(a, b)
 
     def test_semigroup_exact(self):
         sys = IidShift()
         st0 = sys.initial(3)
         for s, t in [(5, 7), (-4, 9), (100, -250)]:
-            assert advance(sys, advance(sys, st0, s), t).index == advance(sys, st0, s + t).index
+            assert sys.advance(sys.advance(st0, s), t).index == sys.advance(st0, s + t).index
 
     def test_negative_time_exact_inverse(self):
         sys = IidShift()

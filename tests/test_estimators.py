@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+
 from poscocycle.drivers import IidShift, TorusRotation
 from poscocycle.errors import PositivityViolation
 from poscocycle.estimators import (MatrixCocycle, OdeCocycle, backward_entire_orbit,
@@ -238,6 +240,44 @@ class TestOseledetsQr:
         # the adjoint over the matching window re-uses the same matrices transposed
         dual = oseledets_qr(coc.dual(), omega.advance(horizon), horizon)
         assert abs(primal[0] - dual[0]) < 2e-3
+
+
+unit_floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+class TestAdjointCocycle:
+    """<S(theta_-1 omega) u, u*> = <u, S*(omega) u*>, and the dual of the dual
+    is the primal itself."""
+
+    @staticmethod
+    def check_pairing(coc, omega, u, u_star, rel):
+        dual = coc.dual()
+        assert dual.dual() is coc
+        prev = coc.advance(omega, -1)
+        v, ls = coc.step(prev, u)
+        v_star, ls_star = dual.step(omega, u_star)
+        lhs = math.exp(ls) * float(v @ u_star)
+        rhs = math.exp(ls_star) * float(u @ v_star)
+        M, ls_m = coc.step_matrix(prev)
+        scale = math.exp(ls_m) * np.linalg.norm(M, 2) * np.linalg.norm(u) * np.linalg.norm(u_star)
+        assert abs(lhs - rhs) <= rel * scale
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 5), st.integers(0, 10**6), st.data())
+    def test_matrix_pairing(self, n, seed, data):
+        u = np.array(data.draw(st.lists(unit_floats, min_size=n, max_size=n)))
+        u_star = np.array(data.draw(st.lists(unit_floats, min_size=n, max_size=n)))
+        self.check_pairing(iid_positive_cocycle(n), disc_state(seed), u, u_star, 1e-13)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(2, 3), st.integers(0, 10**6), st.data())
+    def test_ode_pairing(self, n, seed, data):
+        u = np.array(data.draw(st.lists(unit_floats, min_size=n, max_size=n)))
+        u_star = np.array(data.draw(st.lists(unit_floats, min_size=n, max_size=n)))
+        assume(np.any(u))
+        model = PiecewiseConstantOdeModel(n, cooperative_sampler(n, -1.0, 1.0, 0.0, 1.0))
+        # dt = 0.3 makes some steps straddle a unit-cell breakpoint
+        self.check_pairing(OdeCocycle(model, dt=0.3), cont_state(seed), u, u_star, 1e-8)
 
 
 class TestBirkhoff:

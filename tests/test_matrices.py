@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from poscocycle.drivers import IidShift, MarkovShift
+from poscocycle.estimators import MatrixCocycle
 from poscocycle.matrices import (ConstantMatrixModel, IidChoiceModel, LeslieModel,
                                  MarkovMatrixModel, check_D1, check_D2, check_D3,
-                                 cocycle_product, dual_step, focusing_certificate,
+                                 cocycle_product, focusing_certificate,
                                  leslie_matrix, leslie_model, matrix_from_csv,
                                  matrix_stats, opnorm1, uniform_entries_model,
                                  verify_nstep_positivity)
@@ -70,11 +71,11 @@ class TestDualStep:
     def test_symmetric_constant(self):
         S = np.array([[2.0, 1.0], [1.0, 3.0]])
         model = ConstantMatrixModel(S)
-        assert np.array_equal(dual_step(model, IidShift().initial(0)), S)
+        assert np.array_equal(MatrixCocycle(model).dual().step_matrix(IidShift().initial(0))[0], S)
 
     def test_transpose(self):
         model = ConstantMatrixModel([[1.0, 2.0], [0.0, 1.0]])
-        assert np.array_equal(dual_step(model, IidShift().initial(0)),
+        assert np.array_equal(MatrixCocycle(model).dual().step_matrix(IidShift().initial(0))[0],
                               np.array([[1.0, 0.0], [2.0, 1.0]]))
 
     def test_pairing_identity(self):
@@ -82,7 +83,7 @@ class TestDualStep:
         mats = [rng.uniform(0.1, 2.0, (4, 4)) for _ in range(3)]
         model = IidChoiceModel(mats)
         omega = IidShift().initial(8)
-        S_star = dual_step(model, omega)
+        S_star, _ = MatrixCocycle(model).dual().step_matrix(omega)
         S_prev = model.emit(omega.advance(-1))
         for _ in range(50):
             u = rng.normal(size=4)

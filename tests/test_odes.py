@@ -6,9 +6,9 @@ from poscocycle.cones import standard_cone, cone_contains
 from poscocycle.drivers import IidShift
 from poscocycle.odes import (CallableOdeModel, ConstantOdeModel,
                              PiecewiseConstantOdeModel, check_O1, check_O2,
-                             cooperative_sampler, fundamental_matrix, integrate,
+                             cooperative_sampler, integrate,
                              irreducibility_quantities, kappa_functional,
-                             l1_growth_bound, typek_to_cooperative)
+                             l1_growth_bound, propagate, typek_to_cooperative)
 from poscocycle.torus import TorusExampleModel
 
 
@@ -97,7 +97,7 @@ class TestGrowthBound:
         assert abs(bound - np.exp(2.0)) < 1e-8
         # realized growth of the l1 norm is e for the Perron direction
         u0 = np.array([0.5, 0.5])
-        M, ls = fundamental_matrix(model, cont_state(), 1.0)
+        M, ls = propagate(model, cont_state(), np.eye(2), 1.0)
         u1 = np.exp(ls) * (M @ u0)
         assert np.abs(u1).sum() <= bound * u0.sum() * (1 + 1e-6)
 
@@ -196,7 +196,7 @@ class TestIrreducibility:
         model = ConstantOdeModel(A)
         st = cont_state()
         q = irreducibility_quantities(model, st)
-        M, ls = fundamental_matrix(model, st, 1.0)
+        M, ls = propagate(model, st, np.eye(model.n), 1.0)
         U = np.exp(ls) * M
         assert U.min() >= q.beta_lower * (1 - 1e-8)
         assert U.max() <= q.beta_upper * (1 + 1e-8)
@@ -209,7 +209,7 @@ class TestIrreducibility:
         model = ConstantOdeModel(A)
         st = cont_state()
         q = irreducibility_quantities(model, st)
-        M, ls = fundamental_matrix(model, st, 1.0)
+        M, ls = propagate(model, st, np.eye(model.n), 1.0)
         U = np.exp(ls) * M
         col_mins = U.min(axis=0)
         assert np.all(col_mins >= q.beta_tilde_i * (1 - 1e-8))

@@ -141,11 +141,3 @@ class TestValidationReport:
             expected = 1.0 - 1.0 / (w1 + w2) ** 2
             assert abs(kappa_functional(A, PRINCIPAL_DIRECTION) - expected) < 1e-12 * abs(expected)
             assert abs(m.kappa_observable(st) - expected) < 1e-12 * abs(expected)
-
-    def test_module_level_propagator_alias(self):
-        from poscocycle.torus import closed_form_propagator
-        m = TorusExampleModel()
-        st = m.initial(2)
-        D1, l1 = closed_form_propagator(m, st, 1.5)
-        D2, l2 = m.propagator(st, 1.5)
-        assert np.array_equal(D1, D2) and l1 == l2
