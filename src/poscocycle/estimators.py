@@ -3,10 +3,11 @@ iteration, backward pullback orbits, dual directions, exponential separation,
 a QR Lyapunov-spectrum oracle, and ergodic (Birkhoff) averaging.
 
 Estimators operate on a small cocycle protocol that wraps either a matrix
-model (one step = one matrix multiply) or an ODE model (one step = adaptive
-integration over a fixed dt); ``AdjointCocycle`` is the dual of either.  All step maps are returned scale-separated as
-(array, log_scale), so arbitrarily fast decay or growth never leaves
-floating-point range.
+model (one step = one matrix multiply) or an ODE model (one step = the flow
+over a fixed dt: exact on pieces where the coefficient is constant,
+adaptive integration elsewhere); ``AdjointCocycle`` is the dual of either.
+All step maps are returned scale-separated as (array, log_scale), so
+arbitrarily fast decay or growth never leaves floating-point range.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ class MatrixCocycle:
 
 
 class OdeCocycle:
-    """Continuous cocycle sampled at a fixed step dt via adaptive integration."""
+    """Continuous cocycle sampled at a fixed step dt: ``propagate`` takes the
+    exact flow on constant pieces and adaptive DP5(4) at ``rtol`` elsewhere."""
 
     def __init__(self, model: OdeModel, dt: float = 0.1, rtol: float = 1e-10):
         self.model = model
@@ -336,9 +338,10 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0,
             log_growth += math.log(r) + ls
             w_path.append(w.copy())
 
-    # backward adjoint sweep: dual direction at step times 0..n_steps
+    # backward adjoint sweep: dual direction at step times 0..n_steps; with
+    # no warm-up the probe itself is the dual direction at n_steps
     z = np.full(cocycle.n, 1.0 / math.sqrt(cocycle.n))
-    z_path = [None] * (n_steps + 1)
+    z_path = [None] * n_steps + [z.copy()]
     for k in range(len(maps) - 1, warmup - 1, -1):
         z = maps[k][0].T @ z
         nrm = float(np.linalg.norm(z))

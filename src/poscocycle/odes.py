@@ -2,11 +2,13 @@
 continuous coefficients, cooperative / type-K structure checks, and the
 constructive irreducibility quantities.
 
-Trajectories are Caratheodory solutions: the integrator never steps across a
-coefficient discontinuity; inside each smooth piece it uses an embedded
-adaptive Dormand-Prince 5(4) pair and renormalizes the state after every
-accepted step, accumulating the log of the extracted scale, so decaying or
-exploding trajectories never leave floating-point range.
+Trajectories are Caratheodory solutions: ``propagate`` never steps across a
+coefficient discontinuity.  A piece on which the coefficient is constant
+(``OdeModel.piece_matrix``) gets the exact flow expm(h A), by scaling and
+squaring; every other piece is integrated with an embedded adaptive
+Dormand-Prince 5(4) pair.  Both renormalize the state as they go,
+accumulating the log of the extracted scale, so decaying or exploding
+trajectories never leave floating-point range.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
+from scipy.linalg import expm
 
 from .errors import EstimationError
 from .stats import mean_ci
@@ -45,6 +48,7 @@ class OdeModel:
 
     def __init__(self, n: int):
         self.n = int(n)
+        self._last_flow = None  # (A, h, unit flow, log scale) of the last exact piece
 
     def field(self, state, t: float) -> np.ndarray:
         """Coefficient matrix at local time t past the base point."""
@@ -55,28 +59,31 @@ class OdeModel:
         return np.empty(0)
 
     def piece_field(self, state, t0: float, t1: float):
-        """Callable tau -> A valid on the smooth piece (t0, t1).
-
-        Models whose coefficient is constant between breakpoints override
-        this to evaluate once.
-        """
+        """Callable tau -> A valid on the smooth piece (t0, t1)."""
         return lambda tau: self.field(state, tau)
+
+    def piece_matrix(self, state, t0: float, t1: float):
+        """The coefficient on the piece (t0, t1) when it is constant there,
+        else None.  A constant piece is propagated exactly.  Return a
+        read-only array: the model keeps the flow of its last piece keyed on
+        the identity of this matrix, and only for read-only ones."""
+        return None
 
 
 class ConstantOdeModel(OdeModel):
     def __init__(self, matrix):
-        A = np.asarray(matrix, dtype=float)
+        A = np.array(matrix, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("matrix must be square")
         super().__init__(A.shape[0])
+        A.flags.writeable = False
         self.matrix = A
 
     def field(self, state, t: float) -> np.ndarray:
         return self.matrix
 
-    def piece_field(self, state, t0, t1):
-        A = self.matrix
-        return lambda tau: A
+    def piece_matrix(self, state, t0, t1):
+        return self.matrix
 
 
 class PiecewiseConstantOdeModel(OdeModel):
@@ -84,18 +91,27 @@ class PiecewiseConstantOdeModel(OdeModel):
 
     Pair with a continuous-time ``IidShift`` driver; the draw for the
     interval containing local time t comes from the stream cell at
-    floor(position + t).
+    floor(position + t).  The last cell's matrix is kept (read-only), so
+    the steps and field evaluations of one sweep through a cell share one
+    draw.
     """
 
     def __init__(self, n, sampler):
         super().__init__(n)
         self.sampler = sampler
+        self._last = None  # ((seed, cell index), matrix)
 
     def _matrix_at(self, state, t: float) -> np.ndarray:
         cell = state.advance(t)
-        A = np.asarray(self.sampler(cell.rng()), dtype=float)
+        key = (cell.seed, cell.index)
+        last = self._last
+        if last is not None and last[0] == key:
+            return last[1]
+        A = np.array(self.sampler(cell.rng()), dtype=float)
         if A.shape != (self.n, self.n):
             raise ValueError(f"sampler returned shape {A.shape}, expected {(self.n, self.n)}")
+        A.flags.writeable = False
+        self._last = (key, A)
         return A
 
     def field(self, state, t: float) -> np.ndarray:
@@ -107,9 +123,8 @@ class PiecewiseConstantOdeModel(OdeModel):
         ts = ks - p
         return ts[(ts > t0) & (ts < t1)]
 
-    def piece_field(self, state, t0, t1):
-        A = self._matrix_at(state, 0.5 * (t0 + t1))
-        return lambda tau: A
+    def piece_matrix(self, state, t0, t1):
+        return self._matrix_at(state, 0.5 * (t0 + t1))
 
 
 def cooperative_sampler(n, diag_lo, diag_hi, off_lo, off_hi):
@@ -212,9 +227,54 @@ def _integrate_piece(fieldfn, t0, t1, Y, rtol, atol):
     return Y, log_scale, n_steps
 
 
+def _exact_flow(A, t0, t1):
+    """expm(h A) over the piece (t0, t1) as (unit max-abs matrix, log scale).
+
+    E = expm(h A / 2^s) with the smallest s making |h A / 2^s|_1 <= 4, then
+    s squarings, each preceded by pulling out the max-abs scale: the work is
+    logarithmic in |A| h and no entry overflows or underflows.
+    """
+    h = t1 - t0
+    norm = h * float(np.abs(A).sum(axis=0).max())
+    if not math.isfinite(norm):
+        raise EstimationError(f"non-finite coefficient on the piece ({t0:.6g}, {t1:.6g})")
+    s = math.ceil(math.log2(norm / 4.0)) if norm > 4.0 else 0
+    E = expm((h / 2.0 ** s) * A)
+    log_scale = 0.0
+    for squaring in range(s + 1):
+        m = float(np.abs(E).max())
+        E /= m
+        log_scale += math.log(m)
+        if squaring < s:
+            E = E @ E
+            log_scale *= 2.0
+    return E, log_scale
+
+
+def _exact_piece(model, A, t0, t1, Y):
+    """Exact flow of the constant piece (t0, t1) applied to Y; returns
+    (Y_unit, log_scale).  The model keeps the flow for its last read-only A
+    and length, so the dt-steps through one constant piece share one expm."""
+    h = t1 - t0
+    last = model._last_flow
+    if last is not None and last[0] is A and last[1] == h:
+        E, log_scale = last[2], last[3]
+    else:
+        E, log_scale = _exact_flow(A, t0, t1)
+        if not A.flags.writeable:
+            model._last_flow = (A, h, E, log_scale)
+    Y = E @ Y
+    s = float(np.abs(Y).max())
+    if s == 0.0:
+        return Y, -np.inf
+    return Y / s, log_scale + math.log(s)
+
+
 def propagate(model: OdeModel, omega, Y, t, rtol=1e-10, atol=1e-12):
     """Evolve the columns of Y over [0, t], splitting at coefficient breakpoints.
 
+    Pieces with a constant coefficient (``model.piece_matrix``) take the
+    exact flow; the rest take adaptive DP5(4) at ``rtol``/``atol``.
     Returns (Y_out, log_scale) with max-abs(Y_out) = 1 and the true solution
     equal to exp(log_scale) * Y_out.
     """
@@ -236,8 +296,11 @@ def propagate(model: OdeModel, omega, Y, t, rtol=1e-10, atol=1e-12):
     for a, b in zip(knots[:-1], knots[1:]):
         if b - a <= 0:
             continue
-        fieldfn = model.piece_field(omega, a, b)
-        Y, ls, _ = _integrate_piece(fieldfn, a, b, Y, rtol, atol)
+        A = model.piece_matrix(omega, a, b)
+        if A is not None:
+            Y, ls = _exact_piece(model, A, a, b, Y)
+        else:
+            Y, ls, _ = _integrate_piece(model.piece_field(omega, a, b), a, b, Y, rtol, atol)
         log_scale += ls
         if not np.isfinite(ls):
             break
@@ -519,26 +582,24 @@ class TypeKFlipModel(OdeModel):
         self.flip = np.concatenate([np.ones(k), -np.ones(l)])
         self.validate = validate
 
-    def field(self, state, t: float) -> np.ndarray:
-        B = self.b_model.field(state, t)
+    def _flipped(self, B):
         if self.validate:
             _check_type_k(B, self.k)
         return (self.flip[:, None] * B) * self.flip[None, :]
+
+    def field(self, state, t: float) -> np.ndarray:
+        return self._flipped(self.b_model.field(state, t))
 
     def breakpoints(self, state, t0, t1):
         return self.b_model.breakpoints(state, t0, t1)
 
     def piece_field(self, state, t0, t1):
         inner = self.b_model.piece_field(state, t0, t1)
-        flip = self.flip
+        return lambda tau: self._flipped(inner(tau))
 
-        def fieldfn(tau):
-            B = inner(tau)
-            if self.validate:
-                _check_type_k(B, self.k)
-            return (flip[:, None] * B) * flip[None, :]
-
-        return fieldfn
+    def piece_matrix(self, state, t0, t1):
+        B = self.b_model.piece_matrix(state, t0, t1)
+        return None if B is None else self._flipped(B)
 
     def flip_vector(self, u):
         """Map a state vector between the two systems (an involution)."""

@@ -212,6 +212,23 @@ class TestCliProcess:
         assert r.returncode == 3
         assert "annihilated" in r.stderr
 
+    def test_nonfinite_coefficient_exit_3(self, tmp_path):
+        p = tmp_path / "inf.json"
+        # Python's json reads the bare token Infinity
+        p.write_text('{"model": {"kind": "ode-constant", "matrix": [[-1.0, Infinity], [1.0, -1.0]]},'
+                     ' "estimator": {"horizon": 1, "warmup": 0}}')
+        r = self.run_cli("estimate", "--config", str(p), "--out", str(tmp_path))
+        assert r.returncode == 3
+        assert "non-finite coefficient on the piece (0, 0.1)" in r.stderr
+
+    def test_separate_without_warmup(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(base_cfg(estimator={"horizon": 50, "warmup": 0})))
+        r = self.run_cli("separate", "--config", str(p), "--out", str(tmp_path))
+        assert r.returncode == 0, r.stderr
+        doc = json.loads((tmp_path / "results.json").read_text())
+        assert math.isfinite(doc["results"]["sigma"]["value"])
+
     def test_torus_flags(self, tmp_path):
         r = self.run_cli("example-torus", "--seed", "1", "--sigma-lo", "1.8",
                          "--sigma-hi", "2.2", "--out", str(tmp_path))

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from poscocycle import odes
 from poscocycle.cones import standard_cone, cone_contains
 from poscocycle.drivers import IidShift
+from poscocycle.errors import EstimationError
+from poscocycle.estimators import OdeCocycle, forward_floquet
 from poscocycle.odes import (CallableOdeModel, ConstantOdeModel,
                              PiecewiseConstantOdeModel, check_O1, check_O2,
                              cooperative_sampler, integrate,
@@ -82,6 +87,107 @@ class TestIntegrate:
                 d, _ = integrate(model, st, u0, t)
                 assert d.min() > -1e-9
                 assert cone_contains(np.maximum(d, 0.0), cone)
+
+
+def dp5_twin(model):
+    """The same field and breakpoints with no piece_matrix: every piece takes DP5."""
+    return CallableOdeModel(model.n, model.field, model.breakpoints)
+
+
+def flow_gap(exact, dp5):
+    """Max-abs gap of two scale-separated flows, relative to the first."""
+    (Me, le), (Md, ld) = exact, dp5
+    return float(np.abs(Me - math.exp(ld - le) * Md).max() / np.abs(Me).max())
+
+
+def typek_sampler(rng):
+    M = rng.uniform(0.0, 1.0, (4, 4))
+    M[np.diag_indices(4)] = rng.uniform(-1.0, 1.0, 4)
+    M[:2, 2:] *= -1
+    M[2:, :2] *= -1
+    return M
+
+
+class TestExactFlow:
+    """Constant pieces take expm(h A); DP5 over the same field is the oracle."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_dp5_on_cooperative_cells(self, n):
+        model = PiecewiseConstantOdeModel(n, cooperative_sampler(n, -2.0, 1.0, 0.0, 1.5))
+        twin = dp5_twin(model)
+        for seed in (0, 5, 11):
+            # base points off the integer grid, so pieces straddle cell breakpoints
+            st = cont_state(seed).advance(0.37 + 0.21 * seed)
+            for t in (0.1, 0.3, 2.5):
+                exact = propagate(model, st, np.eye(n), t)
+                dp5 = propagate(twin, st, np.eye(n), t, rtol=1e-10)
+                assert flow_gap(exact, dp5) <= 1e-8, (n, seed, t)
+
+    def test_typek_matches_dp5_twin(self):
+        b_model = PiecewiseConstantOdeModel(4, typek_sampler)
+        a_model = typek_to_cooperative(b_model, 2, 2)
+        twin = typek_to_cooperative(dp5_twin(b_model), 2, 2)
+        assert a_model.piece_matrix(cont_state(), 0.0, 0.5) is not None
+        assert twin.piece_matrix(cont_state(), 0.0, 0.5) is None
+        for seed in (1, 8):
+            st = cont_state(seed).advance(0.62)
+            for t in (0.3, 2.5):
+                exact = propagate(a_model, st, np.eye(4), t)
+                dp5 = propagate(twin, st, np.eye(4), t, rtol=1e-10)
+                assert flow_gap(exact, dp5) <= 1e-8, (seed, t)
+
+    def test_one_draw_and_one_expm_per_cell(self, monkeypatch):
+        draws, expms = [], []
+        inner = cooperative_sampler(3, -1.0, 0.5, 0.0, 1.0)
+
+        def sampler(rng):
+            draws.append(1)
+            return inner(rng)
+
+        def counted_expm(M):
+            expms.append(1)
+            return expm(M)
+
+        monkeypatch.setattr(odes, "expm", counted_expm)
+        model = PiecewiseConstantOdeModel(3, sampler)
+        forward_floquet(OdeCocycle(model, dt=0.1), cont_state(4), np.ones(3), 10.0)
+        # cells 0..9, each crossed by ten dt-steps of one length, except that
+        # a cell boundary landing a rounding error inside a step splits it
+        # into a sliver and a shortened remainder: two more flows
+        state, split = cont_state(4), 0
+        for _ in range(100):
+            split += model.breakpoints(state, 0.0, 0.1).size
+            state = state.advance(0.1)
+        assert len(draws) == 10
+        assert split <= 2 and len(expms) == 10 + 2 * split
+
+    def test_field_read_only(self):
+        pw = coop_pw_model()
+        const = ConstantOdeModel(np.eye(2))
+        for model in (pw, const):
+            A = model.field(cont_state(2), 0.5)
+            assert not A.flags.writeable
+            with pytest.raises(ValueError):
+                A[0, 0] = 1.0
+
+    def test_stiff_constant_needs_no_integration(self, monkeypatch):
+        def no_dp5(*args, **kwargs):
+            raise AssertionError("a constant piece reached the DP5 integrator")
+
+        monkeypatch.setattr(odes, "_integrate_piece", no_dp5)
+        Y, ls = propagate(ConstantOdeModel(np.diag([-1e6, -2e6])), cont_state(), np.ones(2), 10.0)
+        assert abs(ls - (-1e7)) <= 1e-12 * 1e7
+        assert Y.tolist() == [1.0, 0.0]
+
+    def test_nonfinite_coefficient_names_piece(self):
+        def sampler(rng):
+            A = rng.uniform(0.0, 1.0, (2, 2))
+            A[0, 1] = np.nan
+            return A
+
+        model = PiecewiseConstantOdeModel(2, sampler)
+        with pytest.raises(EstimationError, match=r"non-finite coefficient on the piece \(0, 0\.6\)"):
+            propagate(model, cont_state().advance(0.4), np.eye(2), 1.0)
 
 
 class TestGrowthBound:
