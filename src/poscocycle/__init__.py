@@ -15,7 +15,8 @@ from .estimators import (AdjointCocycle, BirkhoffEstimate, DivergenceDiagnostic,
                          pullback_convergence, separation_estimate, warmup_direction)
 from .matrices import (AssumptionReport, ConstantMatrixModel, FocusingCertificate,
                        IidChoiceModel, LeslieModel, MarkovMatrixModel, MatrixModel,
-                       MatrixStats, SampledMatrixModel, check_D1, check_D2, check_D3,
+                       MatrixStats, SampledMatrixModel, UniformEntriesModel,
+                       check_D1, check_D2, check_D3,
                        cocycle_product, focusing_certificate, leslie_matrix,
                        leslie_model, matrix_from_csv, matrix_stats, uniform_entries_model,
                        verify_nstep_positivity)

@@ -3,10 +3,10 @@
 Three drivers are provided:
 
 * ``IidShift`` -- a two-sided i.i.d. stream.  Randomness at integer index n
-  is a counter-mode PRF (Philox keyed on (seed, purpose, n)), so the shift
-  is exactly invertible and any index can be queried in O(1) without
-  storing history.  Discrete by default; the continuous variant suspends
-  the stream over unit intervals (the emission index is floor(time)).
+  is a pure function of (seed, purpose, n), so the shift is exactly
+  invertible and any index can be queried in O(1) without storing history.
+  Discrete by default; the continuous variant suspends the stream over unit
+  intervals (the emission index is floor(time)).
 * ``MarkovShift`` -- a stationary two-sided Markov chain.  Forward steps use
   the transition matrix, negative indices use the time-reversed chain, so
   the extension to negative time is exactly stationary.
@@ -14,12 +14,27 @@ Three drivers are provided:
   Elapsed time is accumulated with compensated (two-sum) arithmetic so the
   semigroup law drifts by well under 1e-12 over |t| <= 1e3.
 
+A stream cell is served in one of two ways:
+
+* ``cell_uniforms`` (``ShiftState.uniforms``) keys Philox4x64 once per
+  (seed, purpose) and gives cell n the fixed counter block
+  [(n + 2^62) s, (n + 2^62 + 1) s) of s = ceil(width / 4) outputs, in the
+  counter-based design of Salmon et al. (SC'11, "Parallel random numbers: as
+  easy as 1, 2, 3").  Consecutive cells are consecutive counters, so a block
+  of cells is one vectorised draw, and row j of a block is bit-identical to
+  cell n + j drawn alone.  The uniform-entries, iid-list and Markov matrix
+  families and the Markov chain use it.
+* ``_prf`` (``ShiftState.rng``) builds a Generator keyed on (seed, purpose,
+  n) for one cell.  User samplers (sampled, Leslie and piecewise-constant
+  ODE models) draw from it, and so does the torus base point.
+
 States are immutable values carrying a reference to their system; advancing
 returns a new state.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -27,6 +42,10 @@ import numpy as np
 
 _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
+# third entropy word of a cell_uniforms key; _prf's third word is
+# index + 2^62, which stays below 2^63 for |index| < 2^62
+_CELL_TAG = _MASK64
+BLOCK_CELLS = 256  # cells per block draw of the block-emitting families
 
 
 def _prf(seed: int, purpose: int, index: int) -> np.random.Generator:
@@ -34,6 +53,29 @@ def _prf(seed: int, purpose: int, index: int) -> np.random.Generator:
     entropy = [int(seed) & _MASK64, purpose, (int(index) + (1 << 62)) & _MASK64]
     key = np.random.SeedSequence(entropy).generate_state(2, _U64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+@functools.lru_cache(maxsize=1024)
+def _cell_key(seed: int, purpose: int) -> np.ndarray:
+    key = np.random.SeedSequence([seed, purpose, _CELL_TAG]).generate_state(2, _U64)
+    key.flags.writeable = False
+    return key
+
+
+def cell_uniforms(seed: int, purpose: int, index: int, count: int, width: int) -> np.ndarray:
+    """Uniforms on [0, 1) of the cells index .. index + count - 1, as a
+    (count, width) array whose row j is cell index + j.
+
+    Philox is keyed once per (seed, purpose); cell i owns the counter block
+    [(i + 2^62) s, (i + 2^62 + 1) s) with s = ceil(width / 4), so a cell's
+    values do not depend on the block it is drawn in.
+    """
+    s = -(-int(width) // 4)
+    key = _cell_key(int(seed) & _MASK64, int(purpose))
+    # Philox increments its counter before each output block
+    counter = (int(index) + (1 << 62)) * s - 1
+    gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
+    return gen.random(int(count) * s * 4).reshape(int(count), s * 4)[:, :width]
 
 
 def _two_sum(hi: float, lo: float, t: float) -> tuple[float, float]:
@@ -77,6 +119,10 @@ class ShiftState:
     def rng(self, purpose: int = 0) -> np.random.Generator:
         return _prf(self.seed, purpose, self.index)
 
+    def uniforms(self, purpose: int, width: int, count: int = 1) -> np.ndarray:
+        """``cell_uniforms`` of this state's cell and the count - 1 after it."""
+        return cell_uniforms(self.seed, purpose, self.index, count, width)
+
 
 @dataclass(frozen=True)
 class TorusState:
@@ -112,9 +158,9 @@ class IidShift:
             ti = int(t)
             if ti != t:
                 raise ValueError(f"discrete driver requires integer time, got {t!r}")
-            return replace(state, pos=state.pos + ti)
+            return ShiftState(state.system, state.seed, state.pos + ti)
         hi, lo = _two_sum(state.pos, state.pos_lo, float(t))
-        return replace(state, pos=hi, pos_lo=lo)
+        return ShiftState(state.system, state.seed, hi, lo)
 
 
 class MarkovShift:
@@ -124,7 +170,18 @@ class MarkovShift:
     time-0 state is drawn from the stationary distribution; negative
     indices extend the chain with the time-reversed transition matrix,
     which keeps the two-sided process exactly stationary.
+
+    Each step inverts the row's cdf at one cell uniform, as
+    ``Generator.choice(p=row)`` does (purpose 1: the time-0 state, 2: the
+    forward chain, 3: the reversed chain).  The chain is walked outward from
+    0 in segments of ``checkpoint_every`` steps, one block draw each, and
+    the state at every multiple of ``checkpoint_every`` is kept per seed and
+    side.  A query walks from the last checkpoint between 0 and its first
+    index, so memory is O(|range| / checkpoint_every) per seed and a sweep
+    walks each segment once.
     """
+
+    checkpoint_every = BLOCK_CELLS
 
     def __init__(self, transition: np.ndarray):
         P = np.asarray(transition, dtype=float)
@@ -139,7 +196,10 @@ class MarkovShift:
         # reversed chain: P_rev[i, j] = pi[j] P[j, i] / pi[i]
         self.reversed_transition = (P.T * pi[None, :]) / pi[:, None]
         self.time = "discrete"
-        self._cache: dict[tuple[int, int], int] = {}
+        self._cdf_start = choice_cdf(pi)
+        self._cdfs = {1: choice_cdf(P), -1: choice_cdf(self.reversed_transition)}
+        # (seed, side) -> chain states at distances 0, K, 2K, ... from index 0
+        self._checkpoints: dict[tuple[int, int], list[int]] = {}
 
     @staticmethod
     def _stationary(P: np.ndarray) -> np.ndarray:
@@ -159,36 +219,67 @@ class MarkovShift:
         ti = int(t)
         if ti != t:
             raise ValueError(f"discrete driver requires integer time, got {t!r}")
-        return replace(state, pos=state.pos + ti)
+        return ShiftState(state.system, state.seed, state.pos + ti)
 
     def chain_state(self, state: ShiftState) -> int:
         """Chain state at the stream position of ``state``."""
-        seed, n = state.seed, state.index
-        key = (seed, n)
-        if key in self._cache:
-            return self._cache[key]
-        # nearest cached index toward 0 on the same side
-        c = int(_prf(seed, 1, 0).choice(self.n_states, p=self.stationary))
-        self._cache[(seed, 0)] = c
-        if n >= 0:
-            k0, c0 = 0, c
-            for k in range(n, 0, -1):
-                if (seed, k) in self._cache:
-                    k0, c0 = k, self._cache[(seed, k)]
-                    break
-            for k in range(k0, n):
-                c0 = int(_prf(seed, 2, k).choice(self.n_states, p=self.transition[c0]))
-                self._cache[(seed, k + 1)] = c0
-            return c0
-        k0, c0 = 0, c
-        for k in range(n, 0):
-            if (seed, k) in self._cache:
-                k0, c0 = k, self._cache[(seed, k)]
-                break
-        for k in range(k0, n, -1):
-            c0 = int(_prf(seed, 3, k).choice(self.n_states, p=self.reversed_transition[c0]))
-            self._cache[(seed, k - 1)] = c0
-        return c0
+        return int(self.chain_states(state, 1)[0])
+
+    def chain_states(self, state: ShiftState, count: int) -> np.ndarray:
+        """Chain states at the positions index .. index + count - 1 of ``state``."""
+        seed, a = state.seed, state.index
+        b = a + int(count)
+        # indices a..min(b, 0)-1 are distances 1-min(b, 0)..-a on the reversed side
+        back = self._side_states(seed, -1, 1 - min(b, 0), 1 - a)[::-1] if a < 0 else []
+        ahead = self._side_states(seed, 1, max(a, 0), b) if b > 0 else []
+        return np.array(back + ahead, dtype=np.intp)
+
+    def _side_states(self, seed, side, lo, hi) -> list[int]:
+        """States at distances lo..hi-1 from index 0 on one side (side 1:
+        indices lo..hi-1, side -1: indices -lo..-(hi-1))."""
+        K = self.checkpoint_every
+        cps = self._checkpoints.get((seed, side))
+        if cps is None:
+            u0 = cell_uniforms(seed, 1, 0, 1, 1)[0, 0]
+            cps = self._checkpoints[(seed, side)] = [int(np.searchsorted(self._cdf_start, u0, side="right"))]
+        out = []
+        m = lo
+        j = min(lo // K, len(cps) - 1)
+        while m < hi:
+            m0 = j * K
+            seg = self._walk(seed, side, m0, cps[j], min(K, hi - 1 - m0))
+            if len(seg) == K + 1 and len(cps) == j + 1:
+                cps.append(seg[-1])
+            if m - m0 < len(seg):
+                out.extend(seg[m - m0:])
+                m = m0 + len(seg)
+            j += 1
+        return out
+
+    def _walk(self, seed, side, m0, c, steps) -> list[int]:
+        """States at distances m0..m0+steps on one side, from state c at m0."""
+        if steps == 0:
+            return [c]
+        if side > 0:
+            u = cell_uniforms(seed, 2, m0, steps, 1)[:, 0]
+        else:  # the step from index -m to -m - 1 uses cell -m
+            u = cell_uniforms(seed, 3, 1 - m0 - steps, steps, 1)[::-1, 0]
+        # nxt[k][i]: the state after step k from state i
+        nxt = np.stack([np.searchsorted(row, u, side="right") for row in self._cdfs[side]],
+                       axis=1).tolist()
+        out = [c]
+        for row in nxt:
+            c = row[c]
+            out.append(c)
+        return out
+
+
+def choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The cdf ``Generator.choice(p=...)`` inverts with
+    ``searchsorted(cdf, u, side="right")``: cumulative sums along the last
+    axis, each normalised to end at 1."""
+    cdf = np.cumsum(p, axis=-1)
+    return cdf / cdf[..., -1:]
 
 
 class TorusRotation:

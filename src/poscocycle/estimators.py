@@ -29,7 +29,12 @@ from .stats import batch_means
 
 
 class MatrixCocycle:
-    """Discrete cocycle: one step applies the emitted matrix."""
+    """Discrete cocycle: one step applies the emitted matrix.
+
+    For a model that draws blocks (``cells_per_draw`` > 1) the cocycle keeps
+    the last block, aligned to a multiple of ``cells_per_draw`` and read-only,
+    so forward and backward sweeps fetch each block once.
+    """
 
     def __init__(self, model: MatrixModel):
         self.model = model
@@ -37,12 +42,26 @@ class MatrixCocycle:
         self.dt = 1
         self.cone = standard_cone(model.n)
         self.cone_tol = 1e-12
+        self._block = (None, None)  # ((system, seed, first index), maps)
+
+    def _emit(self, state):
+        K = self.model.cells_per_draw
+        if K == 1:
+            return self.model.emit(state)
+        i = state.index
+        start = i - i % K
+        key = (state.system, state.seed, start)
+        if self._block[0] != key:
+            maps = self.model.emit_block(state.advance(start - i), K)
+            maps.flags.writeable = False
+            self._block = (key, maps)
+        return self._block[1][i - start]
 
     def step(self, state, U):
-        return self.model.emit(state) @ U, 0.0
+        return self._emit(state) @ U, 0.0
 
     def step_matrix(self, state):
-        return self.model.emit(state), 0.0
+        return self._emit(state), 0.0
 
     def advance(self, state, steps=1):
         return state.advance(steps * self.dt)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .drivers import BLOCK_CELLS, choice_cdf
 from .stats import mean_ci
 
 RCOND_THRESHOLD = 1e-12  # reciprocal-condition cutoff for the injectivity check
@@ -25,11 +26,29 @@ RCOND_THRESHOLD = 1e-12  # reciprocal-condition cutoff for the injectivity check
 class MatrixModel:
     """Base class: a family of N x N matrices indexed by driver states."""
 
+    # cells one ``emit_block`` draw is sized for; ``MatrixCocycle`` fetches
+    # blocks aligned to it, and emits one state at a time when it is 1
+    cells_per_draw = 1
+
     def __init__(self, n: int):
         self.n = int(n)
 
     def emit(self, state) -> np.ndarray:
         raise NotImplementedError
+
+    def emit_block(self, state, count: int) -> np.ndarray:
+        """The maps at state, state.advance(1), ..., as a (count, N, N) array."""
+        return np.stack([self.emit(state.advance(j)) for j in range(count)])
+
+
+class BlockMatrixModel(MatrixModel):
+    """A family whose ``emit_block`` is one counter-addressed draw for the
+    whole block (``drivers.cell_uniforms``); ``emit`` is its one-cell case."""
+
+    cells_per_draw = BLOCK_CELLS
+
+    def emit(self, state) -> np.ndarray:
+        return self.emit_block(state, 1)[0]
 
 
 class ConstantMatrixModel(MatrixModel):
@@ -44,45 +63,46 @@ class ConstantMatrixModel(MatrixModel):
         return self.matrix
 
 
-class IidChoiceModel(MatrixModel):
+def _matrix_list(matrices) -> tuple[list, np.ndarray]:
+    mats = [np.asarray(S, dtype=float) for S in matrices]
+    n = mats[0].shape[0]
+    if any(S.shape != (n, n) for S in mats):
+        raise ValueError("all matrices must share the same square shape")
+    return mats, np.stack(mats)
+
+
+class IidChoiceModel(BlockMatrixModel):
     """Draw one matrix per step from a finite list, i.i.d. with given weights."""
 
     def __init__(self, matrices, weights=None):
-        mats = [np.asarray(S, dtype=float) for S in matrices]
-        n = mats[0].shape[0]
-        if any(S.shape != (n, n) for S in mats):
-            raise ValueError("all matrices must share the same square shape")
-        super().__init__(n)
-        self.matrices = mats
+        self.matrices, self._stack = _matrix_list(matrices)
+        super().__init__(self._stack.shape[1])
         if weights is None:
-            self.weights = np.full(len(mats), 1.0 / len(mats))
+            self.weights = np.full(len(self.matrices), 1.0 / len(self.matrices))
         else:
             w = np.asarray(weights, dtype=float)
-            if w.shape != (len(mats),) or np.any(w < 0) or w.sum() <= 0:
+            if w.shape != (len(self.matrices),) or np.any(w < 0) or w.sum() <= 0:
                 raise ValueError("weights must be nonnegative, one per matrix")
             self.weights = w / w.sum()
+        self._cdf = choice_cdf(self.weights)
 
-    def emit(self, state) -> np.ndarray:
-        k = int(state.rng().choice(len(self.matrices), p=self.weights))
-        return self.matrices[k]
+    def emit_block(self, state, count: int) -> np.ndarray:
+        u = state.uniforms(0, 1, count)[:, 0]
+        return self._stack[np.searchsorted(self._cdf, u, side="right")]
 
 
-class MarkovMatrixModel(MatrixModel):
+class MarkovMatrixModel(BlockMatrixModel):
     """Emit matrices[c] where c is the Markov driver's chain state."""
 
     def __init__(self, matrices):
-        mats = [np.asarray(S, dtype=float) for S in matrices]
-        n = mats[0].shape[0]
-        if any(S.shape != (n, n) for S in mats):
-            raise ValueError("all matrices must share the same square shape")
-        super().__init__(n)
-        self.matrices = mats
+        self.matrices, self._stack = _matrix_list(matrices)
+        super().__init__(self._stack.shape[1])
 
-    def emit(self, state) -> np.ndarray:
-        c = state.system.chain_state(state)
-        if c >= len(self.matrices):
-            raise ValueError(f"driver chain state {c} has no matrix (have {len(self.matrices)})")
-        return self.matrices[c]
+    def emit_block(self, state, count: int) -> np.ndarray:
+        c = state.system.chain_states(state, count)
+        if c.max() >= len(self.matrices):
+            raise ValueError(f"driver chain state {int(c.max())} has no matrix (have {len(self.matrices)})")
+        return self._stack[c]
 
 
 class SampledMatrixModel(MatrixModel):
@@ -99,11 +119,27 @@ class SampledMatrixModel(MatrixModel):
         return S
 
 
-def uniform_entries_model(n: int, lo: float, hi: float) -> SampledMatrixModel:
+class UniformEntriesModel(BlockMatrixModel):
     """All N^2 entries i.i.d. Uniform(lo, hi) per step."""
-    if not 0 <= lo < hi:
-        raise ValueError("need 0 <= lo < hi")
-    return SampledMatrixModel(n, lambda rng: rng.uniform(lo, hi, size=(n, n)))
+
+    def __init__(self, n: int, lo: float, hi: float):
+        if not 0 <= lo < hi:
+            raise ValueError("need 0 <= lo < hi")
+        super().__init__(n)
+        self.lo = float(lo)
+        self.hi = float(hi)
+
+    def emit_block(self, state, count: int) -> np.ndarray:
+        U = state.uniforms(0, self.n * self.n, count)
+        # lo + (hi - lo) U, as Generator.uniform maps each uniform, in place
+        U *= self.hi - self.lo
+        U += self.lo
+        return U.reshape(count, self.n, self.n)
+
+
+def uniform_entries_model(n: int, lo: float, hi: float) -> UniformEntriesModel:
+    """All N^2 entries i.i.d. Uniform(lo, hi) per step."""
+    return UniformEntriesModel(n, lo, hi)
 
 
 def leslie_matrix(m, b) -> np.ndarray:
@@ -193,15 +229,15 @@ def cocycle_product(model: MatrixModel, omega, n: int):
         raise ValueError("n must be >= 0")
     P = np.eye(model.n)
     log_scale = 0.0
-    state = omega
-    for _ in range(int(n)):
-        P = model.emit(state) @ P
-        s = opnorm1(P)
-        if s == 0.0:
-            return P, -np.inf
-        P /= s
-        log_scale += np.log(s)
-        state = state.advance(1)
+    # maps in blocks of BLOCK_CELLS, so memory stays O(BLOCK_CELLS N^2)
+    for k0 in range(0, int(n), BLOCK_CELLS):
+        for S in model.emit_block(omega.advance(k0), min(BLOCK_CELLS, int(n) - k0)):
+            P = S @ P
+            s = opnorm1(P)
+            if s == 0.0:
+                return P, -np.inf
+            P /= s
+            log_scale += np.log(s)
     return P, log_scale
 
 

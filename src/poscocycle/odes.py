@@ -581,6 +581,7 @@ class TypeKFlipModel(OdeModel):
         self.l = l
         self.flip = np.concatenate([np.ones(k), -np.ones(l)])
         self.validate = validate
+        self._last_flip = None  # (read-only inner matrix, its read-only flip)
 
     def _flipped(self, B):
         if self.validate:
@@ -599,7 +600,17 @@ class TypeKFlipModel(OdeModel):
 
     def piece_matrix(self, state, t0, t1):
         B = self.b_model.piece_matrix(state, t0, t1)
-        return None if B is None else self._flipped(B)
+        if B is None:
+            return None
+        last = self._last_flip
+        if last is not None and last[0] is B:
+            return last[1]
+        A = self._flipped(B)
+        if not B.flags.writeable:
+            # one flipped matrix per inner matrix, so the flow memo can hit
+            A.flags.writeable = False
+            self._last_flip = (B, A)
+        return A
 
     def flip_vector(self, u):
         """Map a state vector between the two systems (an involution)."""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from poscocycle.drivers import IidShift, MarkovShift, TorusRotation
+from poscocycle.drivers import IidShift, MarkovShift, TorusRotation, cell_uniforms
 
 
 class TestIidShift:
@@ -37,15 +37,26 @@ class TestIidShift:
             sys.initial(0).advance(0.5)
 
     def test_emissions_independent_chi_square(self):
-        # first uniform at index n vs index n+1, binned 4x4
-        sys = IidShift()
-        st0 = sys.initial(123)
-        xs = np.array([st0.advance(n).rng().random() for n in range(2001)])
-        a, b = np.digitize(xs[:-1], [0.25, 0.5, 0.75]), np.digitize(xs[1:], [0.25, 0.5, 0.75])
-        table = np.zeros((4, 4))
-        np.add.at(table, (a, b), 1)
-        _, p, _, _ = sps.chi2_contingency(table)
-        assert p > 1e-3
+        # first uniform at index n vs index n+1, binned 4x4, for the per-cell
+        # generators and for one block draw
+        st0 = IidShift().initial(123)
+        per_cell = np.array([st0.advance(n).rng().random() for n in range(2001)])
+        block = cell_uniforms(123, 0, 0, 2001, 1)[:, 0]
+        for xs in (per_cell, block):
+            a, b = np.digitize(xs[:-1], [0.25, 0.5, 0.75]), np.digitize(xs[1:], [0.25, 0.5, 0.75])
+            table = np.zeros((4, 4))
+            np.add.at(table, (a, b), 1)
+            _, p, _, _ = sps.chi2_contingency(table)
+            assert p > 1e-3
+
+    def test_block_rows_are_cells(self):
+        # row j of a block is the cell index + j drawn alone, whatever the width
+        st0 = IidShift().initial(31).advance(-300)
+        for width in (1, 4, 9):
+            block = st0.uniforms(2, width, 600)
+            assert block.shape == (600, width)
+            for j in (0, 1, 255, 299, 300, 511, 599):
+                assert np.array_equal(block[j], st0.advance(j).uniforms(2, width)[0])
 
     def test_continuous_suspension_index(self):
         sys = IidShift(time="continuous")
@@ -56,6 +67,7 @@ class TestIidShift:
 
 class TestMarkovShift:
     P = [[0.9, 0.1], [0.4, 0.6]]
+    P3 = [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.4, 0.1, 0.5]]
 
     def test_single_state_constant(self):
         sys = MarkovShift([[1.0]])
@@ -83,6 +95,41 @@ class TestMarkovShift:
         states = [sys.chain_state(st0.advance(n)) for n in range(-1500, 1500)]
         freq = np.bincount(states, minlength=2) / len(states)
         assert np.abs(freq - sys.stationary).max() < 0.05
+
+
+    def test_chain_states_match_per_index(self):
+        # one walk per seed and side, whatever the query order; blocks
+        # straddle 0 and checkpoints
+        ref, blk = MarkovShift(self.P3), MarkovShift(self.P3)
+        st0 = ref.initial(21)
+        per_index = [ref.chain_state(st0.advance(n)) for n in range(699, -701, -1)][::-1]
+        K = blk.checkpoint_every
+        for start in (-700, 0, -300, 44):
+            got = blk.chain_states(blk.initial(21).advance(start), K)
+            assert got.tolist() == per_index[start + 700:start + 700 + K]
+        whole = blk.chain_states(blk.initial(21).advance(-700), 1400)
+        assert whole.tolist() == per_index
+
+    def test_transitions_chi_square(self):
+        # forward transitions follow P, backward ones the reversed chain
+        sys = MarkovShift(self.P3)
+        n = 20000
+        path = sys.chain_states(sys.initial(6).advance(-n), 2 * n + 1)
+        ahead, back = path[n:], path[n::-1]
+        for states, P in ((ahead, sys.transition), (back, sys.reversed_transition)):
+            counts = np.zeros((3, 3))
+            np.add.at(counts, (states[:-1], states[1:]), 1)
+            stat = float((((counts - counts.sum(1, keepdims=True) * P) ** 2)
+                          / (counts.sum(1, keepdims=True) * P)).sum())
+            assert sps.chi2.sf(stat, 3 * 2) > 1e-3
+
+    def test_checkpoints_bounded(self):
+        sys = MarkovShift(self.P3)
+        K, n = sys.checkpoint_every, 100_000
+        st0 = sys.initial(2)
+        for start in range(-n, n, K):
+            sys.chain_states(st0.advance(start), min(K, n - start))
+        assert sum(len(c) for c in sys._checkpoints.values()) <= 2 * n / K + 2
 
 
 class TestTorusRotation:

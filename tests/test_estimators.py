@@ -11,7 +11,7 @@ from poscocycle.estimators import (MatrixCocycle, OdeCocycle, backward_entire_or
                                    DivergenceDiagnostic, dual_floquet, forward_floquet,
                                    lambda1_via_kappa, oseledets_qr, pullback_convergence,
                                    separation_estimate, warmup_direction)
-from poscocycle.matrices import (ConstantMatrixModel, leslie_model,
+from poscocycle.matrices import (ConstantMatrixModel, SampledMatrixModel, leslie_model,
                                  uniform_entries_model)
 from poscocycle.odes import ConstantOdeModel, PiecewiseConstantOdeModel, cooperative_sampler
 
@@ -63,6 +63,29 @@ class TestForwardFloquet:
         track = forward_floquet(coc, disc_state(3), np.ones(3), 20, record_every=1)
         assert len(track.history) == 20
         assert abs(sum(h[1] for h in track.history) - track.log_growth) < 1e-12
+
+
+    def test_sampler_called_once_per_step(self):
+        # a model without block draws is emitted one state at a time
+        calls = []
+
+        def sampler(rng):
+            calls.append(1)
+            return rng.uniform(0.5, 2.0, (3, 3))
+
+        forward_floquet(MatrixCocycle(SampledMatrixModel(3, sampler)), disc_state(4), np.ones(3), 50)
+        assert len(calls) == 50
+
+    def test_block_memo_matches_emit(self):
+        # primal and adjoint steps through the block memo see the emitted
+        # maps, with queries jumping across blocks and between seeds
+        coc, driver = iid_positive_cocycle(), IidShift()
+        for j in (0, 255, 44, 555, 256, -1):
+            for seed in (8, 9):
+                omega = driver.initial(seed).advance(-300 + j)
+                assert np.array_equal(coc.step_matrix(omega)[0], coc.model.emit(omega))
+                assert np.array_equal(coc.dual().step_matrix(omega.advance(1))[0],
+                                      coc.model.emit(omega).T)
 
 
 class TestBackwardOrbit:

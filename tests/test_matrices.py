@@ -231,6 +231,44 @@ class TestLeslie:
         assert verify_nstep_positivity(model, IidShift(), 3, 25) == []
 
 
+class TestBlockEmission:
+    """emit_block row j is the map at index + j, bit for bit."""
+
+    def _families(self):
+        rng = np.random.default_rng(4)
+        mats = [rng.uniform(0.1, 2.0, (3, 3)) for _ in range(3)]
+        markov = MarkovShift([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.4, 0.1, 0.5]])
+        return [(uniform_entries_model(3, 0.5, 2.0), IidShift()),
+                (IidChoiceModel(mats, [0.2, 0.5, 0.3]), IidShift()),
+                (MarkovMatrixModel(mats), markov)]
+
+    @pytest.mark.parametrize("start", [-300, -128, 0, 200])
+    def test_block_rows_match_emit(self, start):
+        for model, driver in self._families():
+            K = model.cells_per_draw
+            st = driver.initial(9).advance(start)
+            block = model.emit_block(st, K)
+            assert block.shape == (K, 3, 3)
+            for j in range(K):
+                assert np.array_equal(block[j], model.emit(st.advance(j))), (type(model), j)
+
+    def test_uniform_entries_range(self):
+        # distinct values: neighbouring cells' counter blocks do not overlap
+        S = uniform_entries_model(4, 0.5, 2.0).emit_block(IidShift().initial(1), 256)
+        assert S.min() >= 0.5 and S.max() < 2.0 and len(np.unique(S)) == S.size
+
+    def test_cocycle_product_across_blocks(self):
+        # one product over 600 maps equals the direct product of emitted maps
+        model = uniform_entries_model(3, 0.5, 2.0)
+        omega = IidShift().initial(3).advance(-250)
+        P = np.eye(3)
+        for k in range(600):
+            P = model.emit(omega.advance(k)) @ P
+            P /= opnorm1(P)
+        D, _ = cocycle_product(model, omega, 600)
+        assert np.allclose(D, P, rtol=1e-12, atol=0)
+
+
 class TestModelsAndIo:
     def test_markov_model_emits_by_chain_state(self):
         driver = MarkovShift([[0.0, 1.0], [1.0, 0.0]])

@@ -161,6 +161,23 @@ class TestExactFlow:
         assert len(draws) == 10
         assert split <= 2 and len(expms) == 10 + 2 * split
 
+    def test_typek_flip_shares_expm(self, monkeypatch):
+        expms = []
+
+        def counted_expm(M):
+            expms.append(1)
+            return expm(M)
+
+        monkeypatch.setattr(odes, "expm", counted_expm)
+        counts = []
+        for model in (PiecewiseConstantOdeModel(4, typek_sampler),
+                      typek_to_cooperative(PiecewiseConstantOdeModel(4, typek_sampler), 2, 2)):
+            expms.clear()
+            forward_floquet(OdeCocycle(model, dt=0.1), cont_state(4), np.ones(4), 10.0,
+                            check_cone=False)
+            counts.append(len(expms))
+        assert counts[1] == counts[0] <= 14
+
     def test_field_read_only(self):
         pw = coop_pw_model()
         const = ConstantOdeModel(np.eye(2))
