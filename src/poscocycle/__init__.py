@@ -4,8 +4,6 @@ directions, top Lyapunov exponents, and exponential-separation rates."""
 
 __version__ = "0.1.0"
 
-from .cones import (Cone, comparable, cone_contains, cone_interior_contains,
-                    positive_decompose, standard_cone, type_k_cone)
 from .drivers import IidShift, MarkovShift, TorusRotation
 from .errors import ConfigError, EstimationError, PositivityViolation
 from .estimators import (AdjointCocycle, BirkhoffEstimate, DivergenceDiagnostic, FloquetTrack,

@@ -12,6 +12,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .config import load_config, validate_config
 from .errors import ConfigError, EstimationError, PositivityViolation
 from .pipelines import COMMANDS, run_command
@@ -49,15 +51,16 @@ def main(argv=None) -> int:
     try:
         cfg = _config_for(args)
         doc = run_command(args.command, cfg, out_dir=args.out)
+    # LinAlgError is a ValueError, so the numerical branch comes first
+    except (EstimationError, np.linalg.LinAlgError, FloatingPointError, ArithmeticError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except PositivityViolation as exc:
         print(f"model assumption failure: {exc}", file=sys.stderr)
         return 2
-    except (EstimationError, FloatingPointError, ArithmeticError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     _print_summary(doc)
     if args.command == "example-torus" and not doc["results"]["passed"]:
         print("numerical failure: a torus validation item failed", file=sys.stderr)

@@ -6,7 +6,7 @@ class ConfigError(ValueError):
 
 
 class PositivityViolation(RuntimeError):
-    """A trajectory left the cone it was supposed to stay in.
+    """A trajectory left the nonnegative orthant it was supposed to stay in.
 
     Carries a witness: (time, coordinate index, offending value).
     """

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import Cone, standard_cone
 from .errors import EstimationError, PositivityViolation
 from .matrices import MatrixModel
 from .odes import OdeModel, propagate
@@ -40,7 +39,6 @@ class MatrixCocycle:
         self.model = model
         self.n = model.n
         self.dt = 1
-        self.cone = standard_cone(model.n)
         self.cone_tol = 1e-12
         self._block = (None, None)  # ((system, seed, first index), maps)
 
@@ -79,7 +77,6 @@ class OdeCocycle:
         self.n = model.n
         self.dt = float(dt)
         self.rtol = rtol
-        self.cone = standard_cone(model.n)
         self.cone_tol = 1e-9
 
     def step(self, state, U):
@@ -105,7 +102,6 @@ class AdjointCocycle:
         self.model = primal.model
         self.n = primal.n
         self.dt = primal.dt
-        self.cone = primal.cone
         self.cone_tol = primal.cone_tol
 
     def step(self, state, U):
@@ -138,24 +134,24 @@ class FloquetTrack:
     history: list = field(default_factory=list)  # (time, step ln rho, w copy)
 
 
-def _enforce_cone(u, cone: Cone, tol, t):
-    signed = cone.sign_vector * u
-    worst = float(signed.min())
-    if worst < -tol:
-        i = int(np.argmin(signed))
+def _enforce_cone(u, tol, t):
+    """Check that u lies in the nonnegative orthant up to ``tol``; clip
+    roundoff-level excursions so the returned direction is a member."""
+    i = int(np.argmin(u))
+    if u[i] < -tol:
         raise PositivityViolation(
             f"trajectory left the cone at t = {t:.6g}: coordinate {i} = {u[i]:.3e}",
             witness=(t, i, float(u[i])))
-    # clip roundoff-level excursions so the returned direction is a cone member
-    return cone.sign_vector * np.maximum(signed, 0.0)
+    return np.maximum(u, 0.0)
 
 
 def forward_floquet(cocycle, omega, u0, horizon, record_every=0, check_cone=True):
     """Iterate u <- (one-step map) u with renormalization, accumulating ln rho.
 
     Returns a FloquetTrack whose ``lambda1`` is the finite-horizon growth-rate
-    estimate log_growth / horizon.  Raises PositivityViolation when the
-    iterate leaves the cone by more than the cocycle's tolerance.
+    estimate log_growth / horizon.  With ``check_cone`` it raises
+    PositivityViolation when the iterate leaves the nonnegative orthant by
+    more than the cocycle's ``cone_tol``.
     """
     n_steps = int(round(horizon / cocycle.dt))
     if n_steps < 1:
@@ -166,7 +162,7 @@ def forward_floquet(cocycle, omega, u0, horizon, record_every=0, check_cone=True
         raise ValueError("u0 must be nonzero")
     u /= nrm
     if check_cone:
-        u = _enforce_cone(u, cocycle.cone, cocycle.cone_tol, 0.0)
+        u = _enforce_cone(u, cocycle.cone_tol, 0.0)
     state = omega
     log_growth = 0.0
     history = []
@@ -177,9 +173,11 @@ def forward_floquet(cocycle, omega, u0, horizon, record_every=0, check_cone=True
             log_growth = -math.inf
             u = v
             break
+        if not math.isfinite(r):
+            raise EstimationError(f"forward iterate not finite after step {k} (norm {r})")
         u = v / r
         if check_cone:
-            u = _enforce_cone(u, cocycle.cone, cocycle.cone_tol, (k + 1) * cocycle.dt)
+            u = _enforce_cone(u, cocycle.cone_tol, (k + 1) * cocycle.dt)
             u /= np.linalg.norm(u)
         ln_rho = math.log(r) + ls
         log_growth += ln_rho
@@ -352,6 +350,8 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0,
         r = float(np.linalg.norm(v))
         if r == 0.0:
             raise EstimationError("principal direction annihilated; no positive growth to separate")
+        if not math.isfinite(r):
+            raise EstimationError(f"principal direction not finite after step {k - warmup} (norm {r})")
         w = v / r
         if k >= warmup:
             log_growth += math.log(r) + ls
@@ -366,6 +366,8 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0,
         nrm = float(np.linalg.norm(z))
         if nrm == 0.0:
             raise EstimationError("dual probe annihilated during the adjoint sweep")
+        if not math.isfinite(nrm):
+            raise EstimationError(f"dual probe not finite after the adjoint of step {k - warmup} (norm {nrm})")
         z /= nrm
         idx = k - warmup
         if idx <= n_steps:
@@ -388,9 +390,12 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0,
             break
         M, ls = maps[warmup + k]
         V = M @ Q
+        nV = float(np.linalg.norm(V))
+        if not math.isfinite(nV):
+            raise EstimationError(f"complement frame not finite after step {k} (norm {nV})")
         # a roundoff-level image means the complement was annihilated: flag
         # rather than extrapolate a huge finite rate
-        if float(np.linalg.norm(V)) <= 1e-13 * float(np.linalg.norm(M)):
+        if nV <= 1e-13 * float(np.linalg.norm(M)):
             restricted_dead = True
             break
         zk = z_path[k + 1]
@@ -450,10 +455,12 @@ def oseledets_qr(cocycle, omega, horizon):
     sums = np.zeros(n)
     state = omega
     with np.errstate(divide="ignore"):
-        for _ in range(n_steps):
+        for k in range(n_steps):
             V, ls = cocycle.step(state, Q)
             Q, R = _qr_positive(V)
             d = np.diag(R)
+            if not math.isfinite(d.max()):
+                raise EstimationError(f"QR frame not finite after step {k} (R diagonal {d})")
             sums += np.where(d > 0, np.log(np.maximum(d, 1e-300)), -np.inf) + ls
             state = cocycle.advance(state)
     T = n_steps * cocycle.dt

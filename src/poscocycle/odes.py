@@ -572,7 +572,7 @@ class TypeKFlipModel(OdeModel):
     """Sign-conjugated coefficient: flips the off blocks of a type-K field so
     the result is cooperative; trajectories map by flipping the last l signs."""
 
-    def __init__(self, b_model: OdeModel, k: int, l: int, validate=True):
+    def __init__(self, b_model: OdeModel, k: int, l: int):
         if k + l != b_model.n or k < 1 or l < 1:
             raise ValueError(f"need k + l = {b_model.n} with k, l >= 1")
         super().__init__(b_model.n)
@@ -580,12 +580,10 @@ class TypeKFlipModel(OdeModel):
         self.k = k
         self.l = l
         self.flip = np.concatenate([np.ones(k), -np.ones(l)])
-        self.validate = validate
         self._last_flip = None  # (read-only inner matrix, its read-only flip)
 
     def _flipped(self, B):
-        if self.validate:
-            _check_type_k(B, self.k)
+        _check_type_k(B, self.k)
         return (self.flip[:, None] * B) * self.flip[None, :]
 
     def field(self, state, t: float) -> np.ndarray:
@@ -612,10 +610,6 @@ class TypeKFlipModel(OdeModel):
             self._last_flip = (B, A)
         return A
 
-    def flip_vector(self, u):
-        """Map a state vector between the two systems (an involution)."""
-        return self.flip * np.asarray(u, dtype=float)
-
 
 def _check_type_k(B, k):
     n = B.shape[0]
@@ -631,8 +625,8 @@ def _check_type_k(B, k):
         raise ValueError(f"type-K sign pattern violated at entry ({i}, {j}) = {B[i, j]}")
 
 
-def typek_to_cooperative(b_model: OdeModel, k: int, l: int, validate=True) -> TypeKFlipModel:
+def typek_to_cooperative(b_model: OdeModel, k: int, l: int) -> TypeKFlipModel:
     """Conjugate a type-K monotone field into a cooperative one by flipping
     the sign of the cross blocks; solutions correspond exactly under the sign
     flip of the last l coordinates."""
-    return TypeKFlipModel(b_model, k, l, validate=validate)
+    return TypeKFlipModel(b_model, k, l)

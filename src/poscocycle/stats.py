@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import stdtrit
 
 
 def mean_ci(values, confidence: float = 0.95) -> tuple[float, float]:
@@ -18,7 +18,7 @@ def mean_ci(values, confidence: float = 0.95) -> tuple[float, float]:
     s = float(x.std(ddof=1))
     if s == 0.0:
         return m, 0.0
-    q = float(sps.t.ppf(0.5 + confidence / 2.0, x.size - 1))
+    q = float(stdtrit(x.size - 1, 0.5 + confidence / 2.0))
     return m, q * s / np.sqrt(x.size)
 
 

@@ -221,6 +221,24 @@ class TestCliProcess:
         assert r.returncode == 3
         assert "non-finite coefficient on the piece (0, 0.1)" in r.stderr
 
+    @pytest.mark.parametrize("command", ["estimate", "orbit", "oseledets", "separate", "check"])
+    def test_nan_matrix_exit_3(self, tmp_path, command, capsys):
+        # in process; Python's json reads the bare token NaN
+        p = tmp_path / "nan.json"
+        p.write_text('{"model": {"kind": "constant", "matrix": [[1.0, NaN], [0.5, 1.0]]},'
+                     ' "estimator": {"horizon": 50, "warmup": 10}}')
+        from poscocycle import cli
+        assert cli.main([command, "--config", str(p), "--out", str(tmp_path)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_cli_import_leaves_out_scipy_stats(self):
+        # scipy.stats would be most of the CLI's start-up time
+        r = subprocess.run([sys.executable, "-c",
+                            "import sys, poscocycle.cli; print('scipy.stats' in sys.modules)"],
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "False"
+
     def test_separate_without_warmup(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(base_cfg(estimator={"horizon": 50, "warmup": 0})))

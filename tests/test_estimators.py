@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from poscocycle.drivers import IidShift, TorusRotation
-from poscocycle.errors import PositivityViolation
+from poscocycle.errors import EstimationError, PositivityViolation
 from poscocycle.estimators import (MatrixCocycle, OdeCocycle, backward_entire_orbit,
                                    birkhoff_average, divergence_diagnostic,
                                    DivergenceDiagnostic, dual_floquet, forward_floquet,
@@ -56,7 +56,55 @@ class TestForwardFloquet:
         coc = MatrixCocycle(ConstantMatrixModel([[1.0, -2.0], [0.0, 1.0]]))
         with pytest.raises(PositivityViolation) as exc:
             forward_floquet(coc, disc_state(), np.array([0.5, 0.5]), 5)
-        assert exc.value.witness is not None
+        assert exc.value.witness == (1, 0, -0.7071067811865476)
+        # a roundoff-level excursion below the orthant is clipped, not raised
+        coc = MatrixCocycle(ConstantMatrixModel([[0.0, 1.0], [-1e-13, 0.0]]))
+        track = forward_floquet(coc, disc_state(), np.array([1.0, 1.0]), 1)
+        assert track.w.tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("run, bad, step", [
+        pytest.param(lambda coc: forward_floquet(coc, disc_state(), np.ones(3), 20), 7, "step 7",
+                     id="forward"),
+        pytest.param(lambda coc: oseledets_qr(coc, disc_state(), 20), 7, "step 7", id="qr"),
+        pytest.param(lambda coc: separation_estimate(coc, disc_state(), 20, warmup=5), 7, "step 7",
+                     id="separation"),
+        # past the horizon only the backward adjoint sweep reads the map
+        pytest.param(lambda coc: separation_estimate(coc, disc_state(), 20, warmup=5), 22,
+                     "step 22", id="separation-adjoint"),
+    ])
+    def test_non_finite_step_named(self, run, bad, step):
+        class NanAt(SampledMatrixModel):
+            def emit(self, state):
+                S = super().emit(state)
+                return S * math.nan if state.index == bad else S
+
+        coc = MatrixCocycle(NanAt(3, lambda rng: rng.uniform(0.5, 2.0, (3, 3))))
+        with pytest.raises(EstimationError, match=f"{step} "):
+            run(coc)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+               st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n),
+               st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))),
+           st.integers(1, 300), st.integers(0, 10**6))
+    def test_diagonal_conjugation(self, logd_u0, T, seed):
+        # D A_k D^-1 from D u0 has the iterates D x_k: the log growths differ
+        # by log(|D x_T| / |x_T|) - log(|D u0| / |u0|), each in [log d_min, log d_max]
+        logd, u0 = logd_u0
+        d, u0 = np.exp(logd), np.array(u0)
+        n = d.size
+
+        def sampler(rng):
+            return rng.uniform(0.5, 2.0, (n, n))
+
+        a = forward_floquet(MatrixCocycle(SampledMatrixModel(n, sampler)),
+                            disc_state(seed), u0, T)
+        b = forward_floquet(MatrixCocycle(SampledMatrixModel(
+                                n, lambda rng: d[:, None] * sampler(rng) / d[None, :])),
+                            disc_state(seed), d * u0, T)
+        assert abs(b.lambda1 - a.lambda1) <= math.log(d.max() / d.min()) / T + 1e-12
+        Dw = d * a.w
+        assert np.abs(b.w - Dw / np.linalg.norm(Dw)).max() <= 1e-12
 
     def test_history_recording(self):
         coc = iid_positive_cocycle()

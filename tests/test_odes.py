@@ -5,7 +5,6 @@ import pytest
 from scipy.linalg import expm
 
 from poscocycle import odes
-from poscocycle.cones import standard_cone, cone_contains
 from poscocycle.drivers import IidShift
 from poscocycle.errors import EstimationError
 from poscocycle.estimators import OdeCocycle, forward_floquet
@@ -78,7 +77,6 @@ class TestIntegrate:
         model = coop_pw_model()
         st = cont_state(7)
         rng = np.random.default_rng(2)
-        cone = standard_cone(3)
         for _ in range(10):
             u0 = rng.uniform(0.0, 1.0, 3)
             if not np.any(u0):
@@ -86,7 +84,6 @@ class TestIntegrate:
             for t in (0.5, 1.5, 4.0):
                 d, _ = integrate(model, st, u0, t)
                 assert d.min() > -1e-9
-                assert cone_contains(np.maximum(d, 0.0), cone)
 
 
 def dp5_twin(model):
@@ -369,9 +366,9 @@ class TestTypeK:
         B[2:, :2] = -np.abs(B[2:, :2])
         B[:2, :2] = np.abs(B[:2, :2])
         B[2:, 2:] = np.abs(B[2:, 2:])
-        model = ConstantOdeModel(B)
-        twice = typek_to_cooperative(typek_to_cooperative(model, 2, 2), 2, 2, validate=False)
-        assert np.array_equal(twice.field(cont_state(), 0.0), B)
+        A = typek_to_cooperative(ConstantOdeModel(B), 2, 2)
+        flip = A.flip
+        assert np.array_equal(flip[:, None] * A.field(cont_state(), 0.0) * flip[None, :], B)
 
     def test_p1_violation_witnessed(self):
         B = ConstantOdeModel([[0.0, 1.0], [-1.0, 0.0]])  # positive cross-block entry
