@@ -70,7 +70,7 @@ class MatrixCocycle:
 
 class OdeCocycle:
     """Continuous cocycle sampled at a fixed step dt: ``propagate`` takes the
-    exact flow on constant pieces and adaptive DP5(4) at ``rtol`` elsewhere."""
+    exact flow on constant pieces and adaptive DOP853 at ``rtol`` elsewhere."""
 
     def __init__(self, model: OdeModel, dt: float = 0.1, rtol: float = 1e-10):
         self.model = model

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .drivers import BLOCK_CELLS, choice_cdf
+from .errors import EstimationError
 from .stats import mean_ci
 
 RCOND_THRESHOLD = 1e-12  # reciprocal-condition cutoff for the injectivity check
@@ -327,6 +328,11 @@ def check_D1(model, driver, seed, n_samples, lag: int = 1) -> list[AssumptionRep
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     samples = _sample_maps(model, driver, seed, n_samples, lag)
+    for k, S in enumerate(samples):
+        bad = ~np.isfinite(S)
+        if np.any(bad):
+            i, j = map(int, np.argwhere(bad)[0])
+            raise EstimationError(f"sampled map {k} (lag {lag}) has the non-finite entry ({i}, {j}) = {S[i, j]}")
     reports = []
 
     neg = [(k, i, j, S[i, j])

@@ -5,8 +5,9 @@ constructive irreducibility quantities.
 Trajectories are Caratheodory solutions: ``propagate`` never steps across a
 coefficient discontinuity.  A piece on which the coefficient is constant
 (``OdeModel.piece_matrix``) gets the exact flow expm(h A), by scaling and
-squaring; every other piece is integrated with an embedded adaptive
-Dormand-Prince 5(4) pair.  Both renormalize the state as they go,
+squaring; every other piece is integrated with the adaptive Runge-Kutta
+method DOP853 of Dormand and Prince (order 8, with Hairer's combined 5th-
+and 3rd-order error estimate).  Both renormalize the state as they go,
 accumulating the log of the extracted scale, so decaying or exploding
 trajectories never leave floating-point range.
 """
@@ -23,20 +24,50 @@ from scipy.linalg import expm
 from .errors import EstimationError
 from .stats import mean_ci
 
-# Dormand-Prince 5(4) tableau (FSAL: the 7th stage is next step's first).
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-_DP_E = _DP_B5 - _DP_B4
+# DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, 1993, Sec. II.10),
+# bit for bit the values of scipy.integrate._ivp.dop853_coefficients; that
+# module is not imported because it loads all of scipy.integrate.  The
+# 13th stage of the published pair, A(t + h) Y_new, has weight 0 in both
+# error rows, so it is evaluated only after a step is accepted, as the next
+# step's first stage.
+_STAGES = 12
+_C = np.array([
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571,
+    1.0])
+_A = np.array([row + [0.0] * (_STAGES - len(row)) for row in [
+    [],
+    [0.05260015195876773],
+    [0.0197250569845379, 0.0591751709536137],
+    [0.02958758547680685, 0.0, 0.08876275643042054],
+    [0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792],
+    [0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242],
+    [0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125],
+    [0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023],
+    [0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996],
+    [0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627],
+    [-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+     -3.0467644718982196],
+    [2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+     12.360567175794303, 0.6433927460157636]]])
+_B = np.array([
+    0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+    0.04471061572777259])
+# error rows: E5 (5th-order) and E3 (3rd-order)
+_E = np.array([
+    [0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+     1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+     -0.022355307863886294],
+    [-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+     0.02265179219836082]])
+_EPS = float(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +149,11 @@ class PiecewiseConstantOdeModel(OdeModel):
         return self._matrix_at(state, t)
 
     def breakpoints(self, state, t0: float, t1: float) -> np.ndarray:
+        # a cell boundary within a few ulps of the position at either end is
+        # rounding of the position (and of dt), not a boundary inside (t0, t1)
         p = state.pos + state.pos_lo
-        ks = np.arange(math.floor(p + t0) + 1, math.ceil(p + t1))
+        snap = 8.0 * _EPS * max(1.0, abs(p) + abs(t1))
+        ks = np.arange(math.floor(p + t0 + snap) + 1, math.ceil(p + t1 - snap))
         ts = ks - p
         return ts[(ts > t0) & (ts < t1)]
 
@@ -163,11 +197,13 @@ class CallableOdeModel(OdeModel):
 
 
 def _integrate_piece(fieldfn, t0, t1, Y, rtol, atol):
-    """Adaptive DP5(4) over one smooth piece; returns (Y_unit, log_scale, n_steps).
+    """Adaptive DOP853 over one smooth piece; returns (Y_unit, log_scale, n_steps).
 
-    Y is an (N, k) block of columns evolved simultaneously; after every
-    accepted step the block is rescaled to max-abs 1 and the log scale
-    accumulated.
+    Y is an (N, k) block of columns evolved simultaneously, with the stages
+    kept in one preallocated (12, N, k) array; after every accepted step
+    the block is rescaled to max-abs 1 and the log scale accumulated.  A
+    non-finite error estimate (a field or state with NaN or inf) raises
+    ``EstimationError`` instead of shrinking the step for ever.
     """
     span = t1 - t0
     nu = 1e-12 * span
@@ -176,21 +212,24 @@ def _integrate_piece(fieldfn, t0, t1, Y, rtol, atol):
     def eval_field(tau):
         return fieldfn(min(max(tau, lo), hi))
 
-    log_scale = 0.0
     s0 = float(np.abs(Y).max())
     if s0 == 0.0:
         return Y, -np.inf, 0
     Y = Y / s0
-    log_scale += math.log(s0)
+    log_scale = math.log(s0)
 
+    shape = Y.shape
+    K = np.empty((_STAGES,) + shape)
+    Kf = K.reshape(_STAGES, -1)
     t = t0
     A0 = eval_field(t0)
     norm_a = max(float(np.abs(A0).sum(axis=0).max()), float(np.abs(eval_field(0.5 * (t0 + t1))).sum(axis=0).max()))
     h = min(span, 0.1 / max(norm_a, 1e-6))
-    k1 = A0 @ Y
+    np.matmul(A0, Y, out=K[0])
     n_steps = 0
+    rejected = False
     min_h = 1e-14 * max(1.0, abs(t0), abs(t1))
-    done_tol = 4.0 * np.finfo(float).eps * max(1.0, abs(t1))
+    done_tol = 4.0 * _EPS * max(1.0, abs(t1))
 
     while t1 - t > done_tol:
         h = min(h, t1 - t)
@@ -198,32 +237,35 @@ def _integrate_piece(fieldfn, t0, t1, Y, rtol, atol):
         if h < min_h and h < 0.99 * (t1 - t):
             raise EstimationError(
                 f"step-size underflow at t = {t:.6g} inside the smooth piece ({t0:.6g}, {t1:.6g})")
-        K = [k1]
-        for i in range(1, 7):
-            Yi = Y + h * sum(a * k for a, k in zip(_DP_A[i], K))
-            if i < 6:
-                K.append(eval_field(t + _DP_C[i] * h) @ Yi)
-            else:
-                Y5 = Yi  # b-row equals the 6th a-row: Y5 computed for free
-                K.append(eval_field(t + h) @ Y5)
-        err_vec = h * sum(e * k for e, k in zip(_DP_E, K))
-        scale = atol + rtol * np.maximum(np.abs(Y), np.abs(Y5))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        for i in range(1, _STAGES):
+            Yi = Y + h * (_A[i, :i] @ Kf[:i]).reshape(shape)
+            np.matmul(eval_field(t + _C[i] * h), Yi, out=K[i])
+        Y8 = Y + h * (_B @ Kf).reshape(shape)
+        e5, e3 = (_E @ Kf) / (atol + rtol * np.maximum(np.abs(Y), np.abs(Y8))).reshape(-1)
+        n5, n3 = float(e5 @ e5), float(e3 @ e3)
+        err = 0.0 if n5 == 0.0 and n3 == 0.0 else h * n5 / math.sqrt((n5 + 0.01 * n3) * Y.size)
+        if not math.isfinite(err):
+            raise EstimationError(
+                f"non-finite error estimate at t = {t:.6g} inside the smooth piece ({t0:.6g}, {t1:.6g})")
         if err <= 1.0:
             t += h
-            Y = Y5
-            k1 = K[6]
+            Y = Y8
             s = float(np.abs(Y).max())
             if s == 0.0:
                 return Y, -np.inf, n_steps
             if s != 1.0:
                 Y = Y / s
-                k1 = k1 / s
                 log_scale += math.log(s)
             n_steps += 1
+            np.matmul(eval_field(t), Y, out=K[0])
+            factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
+            if rejected:
+                factor = min(1.0, factor)
+            rejected = False
         else:
-            k1 = K[0]
-        h = h * min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
+            factor = max(0.2, 0.9 * err ** -0.125)
+            rejected = True
+        h *= factor
     return Y, log_scale, n_steps
 
 
@@ -270,11 +312,23 @@ def _exact_piece(model, A, t0, t1, Y):
     return Y / s, log_scale + math.log(s)
 
 
+def _knots(model, omega, t):
+    """0, the coefficient's breakpoints inside (0, t) and t, strictly increasing.
+
+    A breakpoint within a few ulps of 0 or t is dropped: it is a boundary
+    that rounding moved off a step end, and keeping it would split off a
+    sliver piece that costs a flow of its own and moves nothing.
+    """
+    snap = 8.0 * _EPS * max(1.0, t)
+    bps = np.asarray(model.breakpoints(omega, 0.0, t), dtype=float)
+    return np.unique(np.concatenate([[0.0], bps[(bps > snap) & (bps < t - snap)], [t]]))
+
+
 def propagate(model: OdeModel, omega, Y, t, rtol=1e-10, atol=1e-12):
     """Evolve the columns of Y over [0, t], splitting at coefficient breakpoints.
 
     Pieces with a constant coefficient (``model.piece_matrix``) take the
-    exact flow; the rest take adaptive DP5(4) at ``rtol``/``atol``.
+    exact flow; the rest take adaptive DOP853 at ``rtol``/``atol``.
     Returns (Y_out, log_scale) with max-abs(Y_out) = 1 and the true solution
     equal to exp(log_scale) * Y_out.
     """
@@ -290,12 +344,9 @@ def propagate(model: OdeModel, omega, Y, t, rtol=1e-10, atol=1e-12):
         s = float(np.abs(Y).max())
         out = Y / s
         return (out[:, 0] if squeeze else out), math.log(s)
-    bps = np.asarray(model.breakpoints(omega, 0.0, t), dtype=float)
-    knots = np.unique(np.concatenate([[0.0], bps[(bps > 0) & (bps < t)], [t]]))
+    knots = _knots(model, omega, t)
     log_scale = 0.0
     for a, b in zip(knots[:-1], knots[1:]):
-        if b - a <= 0:
-            continue
         A = model.piece_matrix(omega, a, b)
         if A is not None:
             Y, ls = _exact_piece(model, A, a, b, Y)
@@ -399,8 +450,7 @@ class IrreducibilityQuantities:
 def _cumulative_integrals(model, omega, tol):
     """Cumulative entrywise integrals F_ij(t) of the coefficient over [0,1]
     on a refining grid; returns (grid, F) with F of shape (len(grid), N, N)."""
-    bps = np.asarray(model.breakpoints(omega, 0.0, 1.0), dtype=float)
-    knots = np.unique(np.concatenate([[0.0], bps[(bps > 0) & (bps < 1)], [1.0]]))
+    knots = _knots(model, omega, 1.0)
     m = 32
     prev_min = None
     while True:
@@ -527,8 +577,7 @@ def l1_growth_bound(model: OdeModel, omega, t, tol=1e-10) -> float:
         raise ValueError("t must be >= 0")
     if t == 0:
         return 1.0
-    bps = np.asarray(model.breakpoints(omega, 0.0, t), dtype=float)
-    knots = np.unique(np.concatenate([[0.0], bps[(bps > 0) & (bps < t)], [t]]))
+    knots = _knots(model, omega, t)
     total = 0.0
     for a, b in zip(knots[:-1], knots[1:]):
         total += _adaptive_simpson(
