@@ -2,12 +2,11 @@
 iteration, backward pullback orbits, dual directions, exponential separation,
 a QR Lyapunov-spectrum oracle, and ergodic (Birkhoff) averaging.
 
-Estimators operate on a small cocycle protocol that wraps either a matrix
-model (one step = one matrix multiply) or an ODE model (one step = the flow
-over a fixed dt: exact on pieces where the coefficient is constant,
-adaptive integration elsewhere); ``AdjointCocycle`` is the dual of either.
-All step maps are returned scale-separated as (array, log_scale), so
-arbitrarily fast decay or growth never leaves floating-point range.
+Estimators use a cocycle protocol over a matrix model, an ODE model (the
+flow over a fixed dt) or the ``AdjointCocycle`` of either: ``step_blocks``
+streams the scale-separated step maps as chunks (maps (k, N, N), log_scales
+(k,)), ``steps`` as callables U -> (V, log_scale), which ODE cocycles
+propagate directly.
 """
 
 from __future__ import annotations
@@ -17,23 +16,38 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .drivers import BLOCK_CELLS
 from .errors import EstimationError, PositivityViolation
 from .matrices import MatrixModel
 from .odes import OdeModel, propagate
 from .stats import batch_means
+# last, so odes loads scipy.linalg as before (first here: +40 ms, +0.9 MB RSS)
+from scipy.linalg.lapack import dgeqrf, dgesdd, dorgqr
 
 
 # ---------------------------------------------------------------------------
 # cocycle protocol
 
 
-class MatrixCocycle:
-    """Discrete cocycle: one step applies the emitted matrix.
+class _Cocycle:
+    """Shared protocol: ``steps`` applies the ``step_blocks`` maps to U."""
 
-    For a model that draws blocks (``cells_per_draw`` > 1) the cocycle keeps
-    the last block, aligned to a multiple of ``cells_per_draw`` and read-only,
-    so forward and backward sweeps fetch each block once.
-    """
+    def steps(self, state, count):
+        for maps, ls in self.step_blocks(state, count):
+            for M, l in zip(maps, ls.tolist()):
+                yield lambda U, M=M, l=l: (M @ U, l)
+
+    def advance(self, state, steps=1):
+        return state.advance(steps * self.dt)
+
+    def dual(self):
+        return AdjointCocycle(self)
+
+
+class MatrixCocycle(_Cocycle):
+    """Discrete cocycle: one step applies the emitted matrix.  Chunks are
+    cut at multiples of ``cells_per_draw`` (BLOCK_CELLS if that is 1); the
+    last drawn block is kept, read-only, so sweeps fetch each block once."""
 
     def __init__(self, model: MatrixModel):
         self.model = model
@@ -42,35 +56,33 @@ class MatrixCocycle:
         self.cone_tol = 1e-12
         self._block = (None, None)  # ((system, seed, first index), maps)
 
-    def _emit(self, state):
+    def step_blocks(self, state, count, backward=False):
+        """The maps of the ``count`` steps from ``state`` as chunks in step
+        order; with ``backward``, of the ``count`` steps before ``state``,
+        latest chunk first.  Exactly ``count`` cells are emitted."""
         K = self.model.cells_per_draw
-        if K == 1:
-            return self.model.emit(state)
+        C = K if K > 1 else BLOCK_CELLS
         i = state.index
-        start = i - i % K
-        key = (state.system, state.seed, start)
-        if self._block[0] != key:
-            maps = self.model.emit_block(state.advance(start - i), K)
-            maps.flags.writeable = False
-            self._block = (key, maps)
-        return self._block[1][i - start]
-
-    def step(self, state, U):
-        return self._emit(state) @ U, 0.0
-
-    def step_matrix(self, state):
-        return self._emit(state), 0.0
-
-    def advance(self, state, steps=1):
-        return state.advance(steps * self.dt)
-
-    def dual(self):
-        return AdjointCocycle(self)
+        lo = i - count if backward else i
+        edges = [lo, *range(lo - lo % C + C, lo + count, C), lo + count]
+        cells = list(zip(edges[:-1], edges[1:])) if count > 0 else []
+        for a, b in (reversed(cells) if backward else cells):
+            start = a - a % C
+            if K == 1:
+                maps = self.model.emit_block(state.advance(a - i), b - a)
+            else:
+                if self._block[0] != (state.system, state.seed, start):
+                    block = self.model.emit_block(state.advance(start - i), K)
+                    block.flags.writeable = False
+                    self._block = ((state.system, state.seed, start), block)
+                maps = self._block[1][a - start:b - start]
+            yield maps, np.zeros(b - a)
 
 
-class OdeCocycle:
+class OdeCocycle(_Cocycle):
     """Continuous cocycle sampled at a fixed step dt: ``propagate`` takes the
-    exact flow on constant pieces and adaptive DOP853 at ``rtol`` elsewhere."""
+    exact flow on constant pieces and adaptive DOP853 at ``rtol`` elsewhere.
+    Chunks hold one flow map each; ``steps`` propagates U itself."""
 
     def __init__(self, model: OdeModel, dt: float = 0.1, rtol: float = 1e-10):
         self.model = model
@@ -79,20 +91,23 @@ class OdeCocycle:
         self.rtol = rtol
         self.cone_tol = 1e-9
 
-    def step(self, state, U):
-        return propagate(self.model, state, U, self.dt, rtol=self.rtol)
+    def step_blocks(self, state, count, backward=False):
+        eye = np.eye(self.n)
+        for _ in range(count):
+            if backward:
+                state = state.advance(-self.dt)
+            M, ls = propagate(self.model, state, eye, self.dt, rtol=self.rtol)
+            yield M[None], np.array([ls])
+            if not backward:
+                state = state.advance(self.dt)
 
-    def step_matrix(self, state):
-        return propagate(self.model, state, np.eye(self.n), self.dt, rtol=self.rtol)
-
-    def advance(self, state, steps=1):
-        return state.advance(steps * self.dt)
-
-    def dual(self):
-        return AdjointCocycle(self)
+    def steps(self, state, count):
+        for _ in range(count):
+            yield lambda U, s=state: propagate(self.model, s, U, self.dt, rtol=self.rtol)
+            state = state.advance(self.dt)
 
 
-class AdjointCocycle:
+class AdjointCocycle(_Cocycle):
     """Dual of a primal cocycle over the reversed driver: one step at omega is
     the transpose of the primal step at the previous base point, so that
     <S(theta_-1 omega) u, u*> = <u, S*(omega) u*>."""
@@ -104,19 +119,46 @@ class AdjointCocycle:
         self.dt = primal.dt
         self.cone_tol = primal.cone_tol
 
-    def step(self, state, U):
-        M, ls = self.step_matrix(state)
-        return M @ U, ls
-
-    def step_matrix(self, state):
-        M, ls = self.primal.step_matrix(state.advance(-self.dt))
-        return M.T.copy(), ls
+    def step_blocks(self, state, count):
+        """The primal's chunks over the ``count`` steps before ``state``,
+        reversed, transposed and copied to C order: gemv sums by layout."""
+        for maps, ls in self.primal.step_blocks(state, count, backward=True):
+            yield np.ascontiguousarray(maps[::-1].transpose(0, 2, 1)), ls[::-1]
 
     def advance(self, state, steps=1):
         return state.advance(-steps * self.dt)
 
     def dual(self):
         return self.primal
+
+
+# ---------------------------------------------------------------------------
+# the step loops' LAPACK kernels: bit-identical to np.linalg.qr and
+# np.linalg.norm (also with ord=2, via dgesdd), minus the wrapper overhead
+
+
+def _lapack(fn, *args, **kwargs):
+    *out, info = fn(*args, **kwargs)  # a nonzero info raises, as in numpy
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK {fn.__name__} failed (info {info})")
+    return out
+
+
+def _norm(x):
+    """Euclidean (Frobenius) norm, summed as np.linalg.norm sums it."""
+    x = x.ravel(order="K")
+    return math.sqrt(x @ x)
+
+
+def _qr_positive(V):
+    """Householder QR of V (m >= n): Q (m, n) in C order with the signs
+    that make diag R nonnegative applied, the LAPACK factor F (R is the
+    upper triangle of its top n rows, before the signs) and the signs."""
+    F, tau, _ = _lapack(dgeqrf, V)
+    q, _ = _lapack(dorgqr, F, tau)
+    signs = np.sign(F.diagonal())
+    signs[signs == 0] = 1.0
+    return np.multiply(q, signs, order="C"), F, signs
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +205,11 @@ def forward_floquet(cocycle, omega, u0, horizon, record_every=0, check_cone=True
     u /= nrm
     if check_cone:
         u = _enforce_cone(u, cocycle.cone_tol, 0.0)
-    state = omega
     log_growth = 0.0
     history = []
-    for k in range(n_steps):
-        v, ls = cocycle.step(state, u)
-        r = float(np.linalg.norm(v))
+    for k, step in enumerate(cocycle.steps(omega, n_steps)):
+        v, ls = step(u)
+        r = _norm(v)
         if r == 0.0:
             log_growth = -math.inf
             u = v
@@ -178,10 +219,9 @@ def forward_floquet(cocycle, omega, u0, horizon, record_every=0, check_cone=True
         u = v / r
         if check_cone:
             u = _enforce_cone(u, cocycle.cone_tol, (k + 1) * cocycle.dt)
-            u /= np.linalg.norm(u)
+            u /= _norm(u)
         ln_rho = math.log(r) + ls
         log_growth += ln_rho
-        state = cocycle.advance(state)
         if record_every and (k + 1) % record_every == 0:
             history.append(((k + 1) * cocycle.dt, ln_rho, u.copy()))
     T = n_steps * cocycle.dt
@@ -330,13 +370,14 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0,
         raise ValueError("horizon must cover at least one step")
     warmup = int(warmup)
 
-    # one stream of step maps covering [-warmup, horizon + warmup)
+    # one stream of step maps covering [-warmup, horizon + warmup); the end
+    # chunks are copied, so that a partial slice keeps no whole block alive
+    total = n_steps + 2 * warmup
     maps = []
-    state = cocycle.advance(omega, -warmup)
-    for _ in range(n_steps + 2 * warmup):
-        M, ls = cocycle.step_matrix(state)
-        maps.append((M, ls))
-        state = cocycle.advance(state)
+    for chunk, ls in cocycle.step_blocks(cocycle.advance(omega, -warmup), total):
+        if not maps or len(maps) + len(chunk) == total:
+            chunk = chunk.copy()
+        maps.extend(zip(chunk, ls.tolist()))
 
     # forward sweep: warm up, then record the principal direction at every step time
     w = np.full(cocycle.n, 1.0 / math.sqrt(cocycle.n))
@@ -347,7 +388,7 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0,
             w_path.append(w.copy())
         M, ls = maps[k]
         v = M @ w
-        r = float(np.linalg.norm(v))
+        r = _norm(v)
         if r == 0.0:
             raise EstimationError("principal direction annihilated; no positive growth to separate")
         if not math.isfinite(r):
@@ -363,7 +404,7 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0,
     z_path = [None] * n_steps + [z.copy()]
     for k in range(len(maps) - 1, warmup - 1, -1):
         z = maps[k][0].T @ z
-        nrm = float(np.linalg.norm(z))
+        nrm = _norm(z)
         if nrm == 0.0:
             raise EstimationError("dual probe annihilated during the adjoint sweep")
         if not math.isfinite(nrm):
@@ -390,19 +431,19 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0,
             break
         M, ls = maps[warmup + k]
         V = M @ Q
-        nV = float(np.linalg.norm(V))
+        nV = _norm(V)
         if not math.isfinite(nV):
             raise EstimationError(f"complement frame not finite after step {k} (norm {nV})")
         # a roundoff-level image means the complement was annihilated: flag
         # rather than extrapolate a huge finite rate
-        if nV <= 1e-13 * float(np.linalg.norm(M)):
+        if nV <= 1e-13 * _norm(M):
             restricted_dead = True
             break
         zk = z_path[k + 1]
         V -= np.outer(zk, zk @ V)  # re-anchor to the dual-null hyperplane
-        Q, R = _qr_positive(V)
-        R_acc = R @ R_acc
-        s = float(np.linalg.norm(R_acc, 2))
+        Q, F, signs = _qr_positive(V)
+        R_acc = (signs[:, None] * np.triu(F[:cocycle.n - 1])) @ R_acc
+        s = float(_lapack(dgesdd, R_acc, compute_uv=0)[1][0])  # spectral norm
         if s == 0.0:
             restricted_dead = True
         else:
@@ -433,14 +474,6 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0,
 # QR spectrum oracle
 
 
-def _qr_positive(V):
-    """QR factors of V with the diagonal of R made nonnegative."""
-    Q, R = np.linalg.qr(V)
-    signs = np.sign(np.diag(R))
-    signs[signs == 0] = 1.0
-    return Q * signs, signs[:, None] * R
-
-
 def oseledets_qr(cocycle, omega, horizon):
     """Full Lyapunov spectrum via QR re-orthonormalization of an N-frame.
 
@@ -453,16 +486,14 @@ def oseledets_qr(cocycle, omega, horizon):
     n = cocycle.n
     Q = np.eye(n)
     sums = np.zeros(n)
-    state = omega
     with np.errstate(divide="ignore"):
-        for k in range(n_steps):
-            V, ls = cocycle.step(state, Q)
-            Q, R = _qr_positive(V)
-            d = np.diag(R)
+        for k, step in enumerate(cocycle.steps(omega, n_steps)):
+            V, ls = step(Q)
+            Q, F, _ = _qr_positive(V)
+            d = np.abs(F.diagonal())  # diag R once the signs are applied
             if not math.isfinite(d.max()):
                 raise EstimationError(f"QR frame not finite after step {k} (R diagonal {d})")
             sums += np.where(d > 0, np.log(np.maximum(d, 1e-300)), -np.inf) + ls
-            state = cocycle.advance(state)
     T = n_steps * cocycle.dt
     return np.sort(sums / T)[::-1]
 

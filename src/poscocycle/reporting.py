@@ -1,8 +1,8 @@
 """Deterministic result serialization and plot-data emission.
 
-results.json is written by a small recursive serializer: keys sorted, floats
-at 17 significant digits, non-finite floats as the strings "inf" / "-inf" /
-"nan".  Identical runs therefore produce byte-identical files (timing aside).
+results.json is written in one pass by a recursive serializer: keys sorted,
+floats at 17 significant digits, non-finite floats as the strings "inf" /
+"-inf" / "nan".  Identical runs produce byte-identical files (timing aside).
 """
 
 from __future__ import annotations
@@ -35,6 +35,11 @@ def _scrub(obj):
 
 
 def _write_value(v, parts):
+    # numpy values are written as the plain values _scrub would make of them
+    if isinstance(v, np.ndarray):
+        v = v.tolist()
+    elif isinstance(v, np.generic):
+        v = v.item()
     if v is None:
         parts.append("null")
     elif isinstance(v, bool):
@@ -52,7 +57,7 @@ def _write_value(v, parts):
         parts.append(json.dumps(v))
     elif isinstance(v, dict):
         parts.append("{")
-        for i, k in enumerate(sorted(v)):
+        for i, k in enumerate(sorted(v, key=str)):
             if i:
                 parts.append(",")
             parts.append(json.dumps(str(k)))
@@ -72,7 +77,7 @@ def _write_value(v, parts):
 
 def format_result(result: dict) -> str:
     parts = []
-    _write_value(_scrub(result), parts)
+    _write_value(result, parts)
     return "".join(parts) + "\n"
 
 

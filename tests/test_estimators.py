@@ -1,18 +1,22 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy.linalg.lapack import dgesdd
 
-from poscocycle.drivers import IidShift, TorusRotation
+from poscocycle.drivers import BLOCK_CELLS, IidShift, TorusRotation
 from poscocycle.errors import EstimationError, PositivityViolation
 from poscocycle.estimators import (MatrixCocycle, OdeCocycle, backward_entire_orbit,
                                    birkhoff_average, divergence_diagnostic,
                                    DivergenceDiagnostic, dual_floquet, forward_floquet,
                                    lambda1_via_kappa, oseledets_qr, pullback_convergence,
                                    separation_estimate, warmup_direction)
-from poscocycle.matrices import (ConstantMatrixModel, SampledMatrixModel, leslie_model,
-                                 uniform_entries_model)
+from poscocycle.estimators import _lapack, _norm, _qr_positive
+from poscocycle.matrices import (ConstantMatrixModel, SampledMatrixModel, UniformEntriesModel,
+                                 leslie_model, uniform_entries_model)
 from poscocycle.odes import ConstantOdeModel, PiecewiseConstantOdeModel, cooperative_sampler
 
 
@@ -62,25 +66,47 @@ class TestForwardFloquet:
         track = forward_floquet(coc, disc_state(), np.array([1.0, 1.0]), 1)
         assert track.w.tolist() == [1.0, 0.0]
 
-    @pytest.mark.parametrize("run, bad, step", [
-        pytest.param(lambda coc: forward_floquet(coc, disc_state(), np.ones(3), 20), 7, "step 7",
+    # the block cases plant the NaN in the second 256-map block and run 293
+    # steps longer, so a step named by its offset inside a chunk would differ
+    @pytest.mark.parametrize("run, bad, shift", [
+        pytest.param(lambda coc, T: forward_floquet(coc, disc_state(), np.ones(3), T), 7, 0,
                      id="forward"),
-        pytest.param(lambda coc: oseledets_qr(coc, disc_state(), 20), 7, "step 7", id="qr"),
-        pytest.param(lambda coc: separation_estimate(coc, disc_state(), 20, warmup=5), 7, "step 7",
+        pytest.param(lambda coc, T: oseledets_qr(coc, disc_state(), T), 7, 0, id="qr"),
+        pytest.param(lambda coc, T: separation_estimate(coc, disc_state(), T, warmup=5), 7, 0,
                      id="separation"),
         # past the horizon only the backward adjoint sweep reads the map
-        pytest.param(lambda coc: separation_estimate(coc, disc_state(), 20, warmup=5), 22,
-                     "step 22", id="separation-adjoint"),
+        pytest.param(lambda coc, T: separation_estimate(coc, disc_state(), T, warmup=5), 22, 0,
+                     id="separation-adjoint"),
+        pytest.param(lambda coc, T: forward_floquet(coc, disc_state(), np.ones(3), T), 7, 293,
+                     id="forward-block"),
+        pytest.param(lambda coc, T: oseledets_qr(coc, disc_state(), T), 7, 293, id="qr-block"),
+        pytest.param(lambda coc, T: separation_estimate(coc, disc_state(), T, warmup=5), 7, 293,
+                     id="separation-block"),
+        pytest.param(lambda coc, T: separation_estimate(coc, disc_state(), T, warmup=5), 22, 293,
+                     id="separation-adjoint-block"),
     ])
-    def test_non_finite_step_named(self, run, bad, step):
+    def test_non_finite_step_named(self, run, bad, shift):
+        bad += shift
+
         class NanAt(SampledMatrixModel):
             def emit(self, state):
                 S = super().emit(state)
                 return S * math.nan if state.index == bad else S
 
-        coc = MatrixCocycle(NanAt(3, lambda rng: rng.uniform(0.5, 2.0, (3, 3))))
-        with pytest.raises(EstimationError, match=f"{step} "):
-            run(coc)
+        class NanBlockAt(UniformEntriesModel):
+            def emit_block(self, state, count):
+                maps = super().emit_block(state, count)
+                if 0 <= bad - state.index < count:
+                    maps[bad - state.index] = math.nan
+                return maps
+
+        if shift:
+            assert 256 <= bad < 512
+            model = NanBlockAt(3, 0.5, 2.0)
+        else:
+            model = NanAt(3, lambda rng: rng.uniform(0.5, 2.0, (3, 3)))
+        with pytest.raises(EstimationError, match=f"step {bad} "):
+            run(MatrixCocycle(model), 20 + shift)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 5).flatmap(lambda n: st.tuples(
@@ -114,26 +140,49 @@ class TestForwardFloquet:
 
 
     def test_sampler_called_once_per_step(self):
-        # a model without block draws is emitted one state at a time
+        # a model without block draws is emitted one state at a time, in
+        # chunks of at most 256 states: exactly the cells each estimator reads
         calls = []
 
         def sampler(rng):
             calls.append(1)
             return rng.uniform(0.5, 2.0, (3, 3))
 
-        forward_floquet(MatrixCocycle(SampledMatrixModel(3, sampler)), disc_state(4), np.ones(3), 50)
-        assert len(calls) == 50
+        T = 300
+        for run, cells in ((lambda coc: forward_floquet(coc, disc_state(4), np.ones(3), T), T),
+                           (lambda coc: oseledets_qr(coc, disc_state(4), T), T),
+                           (lambda coc: separation_estimate(coc, disc_state(4), T, warmup=5),
+                            T + 2 * 5)):
+            calls.clear()
+            run(MatrixCocycle(SampledMatrixModel(3, sampler)))
+            assert len(calls) == cells
 
     def test_block_memo_matches_emit(self):
-        # primal and adjoint steps through the block memo see the emitted
-        # maps, with queries jumping across blocks and between seeds
+        # primal and adjoint chunks through the block memo are the emitted
+        # maps, with queries jumping across blocks and between seeds; primal
+        # chunks stay inside one 256-map block
         coc, driver = iid_positive_cocycle(), IidShift()
+        emit = coc.model.emit
         for j in (0, 255, 44, 555, 256, -1):
             for seed in (8, 9):
                 omega = driver.initial(seed).advance(-300 + j)
-                assert np.array_equal(coc.step_matrix(omega)[0], coc.model.emit(omega))
-                assert np.array_equal(coc.dual().step_matrix(omega.advance(1))[0],
-                                      coc.model.emit(omega).T)
+                [(maps, ls)] = coc.step_blocks(omega, 1)
+                assert np.array_equal(maps[0], emit(omega)) and ls.tolist() == [0.0]
+                [(maps, _)] = coc.dual().step_blocks(omega.advance(1), 1)
+                assert np.array_equal(maps[0], emit(omega).T)
+
+                count, first = 270, omega.index
+                for maps, ls in coc.step_blocks(omega, count):
+                    assert (first // 256) == ((first + len(maps) - 1) // 256)
+                    assert len(ls) == len(maps) and not ls.any()
+                    for t, M in enumerate(maps):
+                        assert np.array_equal(M, emit(omega.advance(first - omega.index + t)))
+                    first += len(maps)
+                assert first == omega.index + count
+                adjoint = np.concatenate([maps for maps, _ in coc.dual().step_blocks(omega, count)])
+                assert adjoint.shape == (count, 3, 3)
+                for t, M in enumerate(adjoint):
+                    assert np.array_equal(M, emit(omega.advance(-1 - t)).T)
 
 
 class TestBackwardOrbit:
@@ -257,6 +306,29 @@ class TestSeparation:
             ws_t = dual_floquet(coc, state, depth)
             assert abs(v @ ws_t) <= 1e-6 * np.linalg.norm(v)
 
+    def test_stored_maps_bound_peak_memory(self):
+        # the end chunks are copied, so no partial slice keeps a whole
+        # 256-map block alive: the traced peak is the stored maps, their
+        # per-step (view, log scale) entries, one block being emitted, the
+        # direction paths and the frame sweep's N x N arrays (frame, image,
+        # LAPACK factor and outputs, R, R_acc and their temporaries: fewer
+        # than 16 at once)
+        n, T, warmup = 24, 300, 5
+        coc = iid_positive_cocycle(n)
+        tracemalloc.start()
+        try:
+            separation_estimate(coc, disc_state(2), T, warmup=warmup)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        steps = T + 2 * warmup
+        view = np.zeros((2, n, n))[0]
+        maps = (steps + BLOCK_CELLS) * n * n * 8
+        entries = steps * (sys.getsizeof(view) + sys.getsizeof((view, 0.0)) + sys.getsizeof(0.0) + 8)
+        paths = 2 * (T + 1) * (sys.getsizeof(np.zeros(n)) + 8)
+        temporaries = 16 * n * n * 8
+        assert peak <= maps + entries + paths + temporaries
+
     def test_temperedness_slope(self):
         coc = iid_positive_cocycle()
         est = separation_estimate(coc, disc_state(21), 1000, warmup=50, proj_samples=100)
@@ -323,6 +395,34 @@ class TestOseledetsQr:
         assert abs(primal[0] - dual[0]) < 2e-3
 
 
+class TestLapackKernels:
+    def test_helpers_match_numpy_bit_for_bit(self):
+        # the step loops' direct LAPACK calls reproduce the numpy wrappers
+        # they replace exactly, so every estimate is unchanged
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 23, 24):
+            for shape in ((n, n), (n, n - 1)):
+                for _ in range(25):
+                    V = rng.uniform(-1.0, 2.0, shape) * 10.0 ** rng.integers(-3, 4)
+                    Q, R = np.linalg.qr(V)
+                    signs = np.sign(np.diag(R))
+                    signs[signs == 0] = 1.0
+                    Qp, F, s = _qr_positive(V)
+                    assert np.array_equal(s, signs)
+                    assert np.array_equal(Qp, Q * signs) and Qp.flags.c_contiguous
+                    assert np.array_equal(np.triu(F[:shape[1]]), R)
+                    assert np.array_equal(np.abs(F.diagonal()), np.diag(signs[:, None] * R))
+                    for A in (V, R, np.triu(rng.uniform(-1.0, 1.0, (n, n)))):
+                        assert _lapack(dgesdd, A, compute_uv=0)[1][0] == np.linalg.norm(A, 2)
+                    assert _norm(V) == np.linalg.norm(V)
+                    assert _norm(V[:, 0]) == np.linalg.norm(V[:, 0])
+
+    def test_lapack_failure_raises(self):
+        # dgesdd rejects a NaN matrix (info -4); np.linalg.norm(., 2) raises too
+        with pytest.raises(np.linalg.LinAlgError, match="dgesdd"):
+            _lapack(dgesdd, np.full((3, 3), math.nan), compute_uv=0)
+
+
 unit_floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
 
@@ -349,11 +449,13 @@ class TestAdjointCocycle:
         assume(np.any(u) and np.any(u_star))
         u, u_star = u / np.abs(u).max(), u_star / np.abs(u_star).max()
         prev = coc.advance(omega, -1)
-        v, ls = coc.step(prev, u)
-        v_star, ls_star = dual.step(omega, u_star)
+        [step] = coc.steps(prev, 1)
+        v, ls = step(u)
+        [dual_step] = dual.steps(omega, 1)
+        v_star, ls_star = dual_step(u_star)
         lhs = math.exp(ls) * float(v @ u_star)
         rhs = math.exp(ls_star) * float(u @ v_star)
-        M, ls_m = coc.step_matrix(prev)
+        [([M], [ls_m])] = coc.step_blocks(prev, 1)
         scale = math.exp(ls_m) * np.linalg.norm(M, 2) * np.linalg.norm(u) * np.linalg.norm(u_star)
         assert abs(lhs - rhs) <= rel * scale
 

@@ -67,15 +67,21 @@ class TestCocycleProduct:
         assert abs((ls_k + ls_m + np.log(s)) - ls_full) < 1e-10 * max(1.0, abs(ls_full))
 
 
+def _adjoint_map(model, omega):
+    """The adjoint cocycle's one-step map at omega."""
+    [(maps, _)] = MatrixCocycle(model).dual().step_blocks(omega, 1)
+    return maps[0]
+
+
 class TestDualStep:
     def test_symmetric_constant(self):
         S = np.array([[2.0, 1.0], [1.0, 3.0]])
         model = ConstantMatrixModel(S)
-        assert np.array_equal(MatrixCocycle(model).dual().step_matrix(IidShift().initial(0))[0], S)
+        assert np.array_equal(_adjoint_map(model, IidShift().initial(0)), S)
 
     def test_transpose(self):
         model = ConstantMatrixModel([[1.0, 2.0], [0.0, 1.0]])
-        assert np.array_equal(MatrixCocycle(model).dual().step_matrix(IidShift().initial(0))[0],
+        assert np.array_equal(_adjoint_map(model, IidShift().initial(0)),
                               np.array([[1.0, 0.0], [2.0, 1.0]]))
 
     def test_pairing_identity(self):
@@ -83,7 +89,7 @@ class TestDualStep:
         mats = [rng.uniform(0.1, 2.0, (4, 4)) for _ in range(3)]
         model = IidChoiceModel(mats)
         omega = IidShift().initial(8)
-        S_star, _ = MatrixCocycle(model).dual().step_matrix(omega)
+        S_star = _adjoint_map(model, omega)
         S_prev = model.emit(omega.advance(-1))
         for _ in range(50):
             u = rng.normal(size=4)
