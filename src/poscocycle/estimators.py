@@ -11,8 +11,11 @@ propagate directly.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -22,7 +25,7 @@ from .matrices import MatrixModel
 from .odes import OdeModel, propagate
 from .stats import batch_means
 # last, so odes loads scipy.linalg as before (first here: +40 ms, +0.9 MB RSS)
-from scipy.linalg.lapack import dgeqrf, dgesdd, dorgqr
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dgesdd, dgesdd_lwork, dorgqr
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +153,28 @@ def _norm(x):
     return math.sqrt(x @ x)
 
 
+@functools.lru_cache(maxsize=None)
+def _lwork(shape):
+    """Workspaces for dgeqrf, dorgqr and dgesdd as LAPACK asks for (and numpy
+    passes) them: past the blocking crossover (n > 128) less moves bits."""
+    m, n = shape
+    return tuple(max(1, n, int(w)) for w in (
+        _lapack(dgeqrf_lwork, m, n)[0], _lapack(dorgqr, np.zeros(shape), np.zeros(n), -1)[1][0],
+        _lapack(dgesdd_lwork, m, n, compute_uv=0)[0]))
+
+
+def _spectral_norm(A):
+    """Largest singular value, as np.linalg.norm(A, 2) computes it."""
+    return float(_lapack(dgesdd, A, compute_uv=0, lwork=_lwork(A.shape)[2])[1][0])
+
+
 def _qr_positive(V):
     """Householder QR of V (m >= n): Q (m, n) in C order with the signs
     that make diag R nonnegative applied, the LAPACK factor F (R is the
     upper triangle of its top n rows, before the signs) and the signs."""
-    F, tau, _ = _lapack(dgeqrf, V)
-    q, _ = _lapack(dorgqr, F, tau)
+    lw_qr, lw_q, _ = _lwork(V.shape)
+    F, tau, _ = _lapack(dgeqrf, V, lw_qr)
+    q, _ = _lapack(dorgqr, F, tau, lw_q)
     signs = np.sign(F.diagonal())
     signs[signs == 0] = 1.0
     return np.multiply(q, signs, order="C"), F, signs
@@ -238,8 +257,7 @@ def warmup_direction(cocycle, omega, depth, probe=None):
         probe = np.asarray(probe, dtype=float)
         return probe / np.linalg.norm(probe)
     start = cocycle.advance(omega, -int(depth))
-    track = forward_floquet(cocycle, start, probe, depth * cocycle.dt)
-    return track.w
+    return forward_floquet(cocycle, start, probe, depth * cocycle.dt).w
 
 
 def dual_floquet(cocycle, omega, horizon):
@@ -291,11 +309,7 @@ def backward_entire_orbit(cocycle, omega, depth, probe=None) -> EntireOrbit:
     directions = [u0 / np.linalg.norm(u0)] + [u for _, _, u in track.history]
     log_rhos = [ln_rho for _, ln_rho, _ in track.history]
     # normalize so that the time-0 value is the unit direction
-    log_norms = [0.0] * len(ns)
-    acc = 0.0
-    for j in range(len(ns) - 2, -1, -1):
-        acc -= log_rhos[j]
-        log_norms[j] = acc
+    log_norms = list(accumulate(reversed(log_rhos), operator.sub, initial=0.0))[::-1]
     return EntireOrbit(ns=ns, directions=directions, log_norms=log_norms, step_log_rho=log_rhos)
 
 
@@ -331,8 +345,7 @@ class SeparationEstimate:
 
 def _orth_complement(v):
     """Orthonormal basis of the hyperplane orthogonal to v, as columns."""
-    n = v.size
-    M = np.eye(n)
+    M = np.eye(v.size)
     M[:, 0] = v
     Q, _ = np.linalg.qr(M)
     return Q[:, 1:]
@@ -340,9 +353,7 @@ def _orth_complement(v):
 
 def _projection_norm(w, w_star):
     """Spectral norm of the projection onto span(w_star)^perp along span(w)."""
-    denom = float(w @ w_star)
-    P = np.eye(w.size) - np.outer(w, w_star) / denom
-    return float(np.linalg.norm(P, 2))
+    return _spectral_norm(np.eye(w.size) - np.outer(w, w_star) / float(w @ w_star))
 
 
 def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0,
@@ -371,7 +382,8 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0,
     warmup = int(warmup)
 
     # one stream of step maps covering [-warmup, horizon + warmup); the end
-    # chunks are copied, so that a partial slice keeps no whole block alive
+    # chunks are copied, as a matrix cocycle's partial end chunk is a slice
+    # of its memo block (ODE chunks are fresh arrays: the copy is harmless)
     total = n_steps + 2 * warmup
     maps = []
     for chunk, ls in cocycle.step_blocks(cocycle.advance(omega, -warmup), total):
@@ -427,8 +439,6 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0,
     log_restricted = 0.0
     restricted_dead = False
     for k in range(n_steps):
-        if restricted_dead:
-            break
         M, ls = maps[warmup + k]
         V = M @ Q
         nV = _norm(V)
@@ -443,12 +453,12 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0,
         V -= np.outer(zk, zk @ V)  # re-anchor to the dual-null hyperplane
         Q, F, signs = _qr_positive(V)
         R_acc = (signs[:, None] * np.triu(F[:cocycle.n - 1])) @ R_acc
-        s = float(_lapack(dgesdd, R_acc, compute_uv=0)[1][0])  # spectral norm
+        s = _spectral_norm(R_acc)
         if s == 0.0:
             restricted_dead = True
-        else:
-            R_acc /= s
-            log_restricted += math.log(s) + ls
+            break
+        R_acc /= s
+        log_restricted += math.log(s) + ls
 
     proj_history = []
     if proj_samples:
@@ -459,12 +469,8 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0,
 
     T = n_steps * cocycle.dt
     lambda1 = log_growth / T
-    if restricted_dead:
-        sigma = math.inf
-        lambda2 = -math.inf
-    else:
-        sigma = (log_growth - log_restricted) / T
-        lambda2 = lambda1 - sigma
+    sigma = math.inf if restricted_dead else (log_growth - log_restricted) / T
+    lambda2 = -math.inf if restricted_dead else lambda1 - sigma
     return SeparationEstimate(lambda1_hat=lambda1, lambda2_hat=lambda2, sigma_hat=sigma,
                               w=w_path[-1], w_star=w_star0, f1_basis=B0,
                               projection_norm_history=proj_history, horizon=T)
@@ -518,13 +524,9 @@ def _orbit_samples(observable, omega, horizon, dt):
     midpoint of each dt-cell (dt defaults to 0.05).
     """
     discrete = getattr(omega.system, "time", "discrete") == "discrete"
-    if discrete:
-        dt = 1.0
-    else:
-        dt = 0.05 if dt is None else float(dt)
-    n = int(round(horizon / dt))
+    dt = 1.0 if discrete else 0.05 if dt is None else float(dt)
     return np.array([observable(omega.advance(k if discrete else (k + 0.5) * dt))
-                     for k in range(n)]), dt
+                     for k in range(int(round(horizon / dt)))]), dt
 
 
 def birkhoff_average(observable, omega, horizon, batches=8, dt=None) -> BirkhoffEstimate:
@@ -574,10 +576,7 @@ def divergence_diagnostic(observable, omega, horizons, threshold=-10.0, dt=None)
         raise ValueError("need at least two horizons")
     samples, dt = _orbit_samples(observable, omega, horizons[-1], dt)
     cums = np.cumsum(samples)
-    means = []
-    for T in horizons:
-        m = int(round(T / dt))
-        means.append(cums[m - 1] / m)
+    means = [cums[m - 1] / m for m in (int(round(T / dt)) for T in horizons)]
     return DivergenceDiagnostic.from_means(horizons, means, threshold)
 
 

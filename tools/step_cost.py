@@ -1,4 +1,4 @@
-"""CPU time per horizon step of the matrix estimator loops, best of 5 runs.
+"""CPU time per step of the matrix estimator loops, best of 5 runs of 2000 steps.
 
   python3 tools/step_cost.py                 # this checkout
   python3 tools/step_cost.py --src OTHER/src # another checkout, for before/after pairs
@@ -20,12 +20,13 @@ from pathlib import Path
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
+HORIZON = 2000  # steps per run
+REPEATS = 5  # runs per loop and size; the fastest is kept
+
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
-    p.add_argument("--horizon", type=int, default=2000)
-    p.add_argument("--repeats", type=int, default=5)
     args = p.parse_args(argv)
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
@@ -36,7 +37,7 @@ def main(argv=None):
                                        separation_estimate)
     from poscocycle.matrices import uniform_entries_model
 
-    T = args.horizon
+    T = HORIZON
     loops = {
         "forward": lambda coc, om: forward_floquet(coc, om, np.ones(coc.n), T),
         "qr": lambda coc, om: oseledets_qr(coc, om, T),
@@ -45,7 +46,7 @@ def main(argv=None):
     for name, run in loops.items():
         for n in (3, 24):
             best = float("inf")
-            for _ in range(args.repeats):
+            for _ in range(REPEATS):
                 coc = MatrixCocycle(uniform_entries_model(n, 0.5, 2.0))
                 t0 = time.process_time()
                 run(coc, IidShift().initial(1))
