@@ -45,7 +45,7 @@ _MASK64 = (1 << 64) - 1
 # third entropy word of a cell_uniforms key; _prf's third word is
 # index + 2^62, which stays below 2^63 for |index| < 2^62
 _CELL_TAG = _MASK64
-BLOCK_CELLS = 256  # cells per block draw of the block-emitting families
+BLOCK_CELLS = 256  # cells per chunk of matrix maps, and the Markov checkpoint spacing
 
 
 def _prf(seed: int, purpose: int, index: int) -> np.random.Generator:

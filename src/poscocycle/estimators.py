@@ -19,7 +19,6 @@ from itertools import accumulate
 
 import numpy as np
 
-from .drivers import BLOCK_CELLS
 from .errors import EstimationError, PositivityViolation
 from .matrices import MatrixModel
 from .odes import OdeModel, propagate
@@ -48,38 +47,22 @@ class _Cocycle:
 
 
 class MatrixCocycle(_Cocycle):
-    """Discrete cocycle: one step applies the emitted matrix.  Chunks are
-    cut at multiples of ``cells_per_draw`` (BLOCK_CELLS if that is 1); the
-    last drawn block is kept, read-only, so sweeps fetch each block once."""
+    """Discrete cocycle: one step applies the emitted matrix.  Its chunks
+    are the model's ``chunks``, emitted afresh on every read, so a sweep
+    emits exactly the cells it reads and a changed model is seen at once."""
 
     def __init__(self, model: MatrixModel):
         self.model = model
         self.n = model.n
         self.dt = 1
         self.cone_tol = 1e-12
-        self._block = (None, None)  # ((system, seed, first index), maps)
 
     def step_blocks(self, state, count, backward=False):
         """The maps of the ``count`` steps from ``state`` as chunks in step
         order; with ``backward``, of the ``count`` steps before ``state``,
-        latest chunk first.  Exactly ``count`` cells are emitted."""
-        K = self.model.cells_per_draw
-        C = K if K > 1 else BLOCK_CELLS
-        i = state.index
-        lo = i - count if backward else i
-        edges = [lo, *range(lo - lo % C + C, lo + count, C), lo + count]
-        cells = list(zip(edges[:-1], edges[1:])) if count > 0 else []
-        for a, b in (reversed(cells) if backward else cells):
-            start = a - a % C
-            if K == 1:
-                maps = self.model.emit_block(state.advance(a - i), b - a)
-            else:
-                if self._block[0] != (state.system, state.seed, start):
-                    block = self.model.emit_block(state.advance(start - i), K)
-                    block.flags.writeable = False
-                    self._block = ((state.system, state.seed, start), block)
-                maps = self._block[1][a - start:b - start]
-            yield maps, np.zeros(b - a)
+        latest chunk first (``MatrixModel.chunks``)."""
+        for maps in self.model.chunks(state, count, backward):
+            yield maps, np.zeros(len(maps))
 
 
 class OdeCocycle(_Cocycle):
@@ -192,13 +175,13 @@ class FloquetTrack:
     log_growth: float
     horizon: float
     lambda1: float
-    history: list = field(default_factory=list)  # (time, step ln rho, w copy)
+    history: list = field(default_factory=list)  # (time, ln rho since the last row, w copy)
 
 
 def _enforce_cone(u, tol, t):
     """Check that u lies in the nonnegative orthant up to ``tol``; clip
     roundoff-level excursions so the returned direction is a member."""
-    i = int(np.argmin(u))
+    i = int(u.argmin())
     if u[i] < -tol:
         raise PositivityViolation(
             f"trajectory left the cone at t = {t:.6g}: coordinate {i} = {u[i]:.3e}",
@@ -224,7 +207,7 @@ def forward_floquet(cocycle, omega, u0, horizon, record_every=0, check_cone=True
     u /= nrm
     if check_cone:
         u = _enforce_cone(u, cocycle.cone_tol, 0.0)
-    log_growth = 0.0
+    log_growth = since = 0.0
     history = []
     for k, step in enumerate(cocycle.steps(omega, n_steps)):
         v, ls = step(u)
@@ -241,8 +224,10 @@ def forward_floquet(cocycle, omega, u0, horizon, record_every=0, check_cone=True
             u /= _norm(u)
         ln_rho = math.log(r) + ls
         log_growth += ln_rho
+        since += ln_rho
         if record_every and (k + 1) % record_every == 0:
-            history.append(((k + 1) * cocycle.dt, ln_rho, u.copy()))
+            history.append(((k + 1) * cocycle.dt, since, u.copy()))
+            since = 0.0
     T = n_steps * cocycle.dt
     return FloquetTrack(w=u, log_growth=log_growth, horizon=T,
                         lambda1=log_growth / T, history=history)
@@ -381,14 +366,9 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0,
         raise ValueError("horizon must cover at least one step")
     warmup = int(warmup)
 
-    # one stream of step maps covering [-warmup, horizon + warmup); the end
-    # chunks are copied, as a matrix cocycle's partial end chunk is a slice
-    # of its memo block (ODE chunks are fresh arrays: the copy is harmless)
-    total = n_steps + 2 * warmup
+    # one stream of step maps covering [-warmup, horizon + warmup)
     maps = []
-    for chunk, ls in cocycle.step_blocks(cocycle.advance(omega, -warmup), total):
-        if not maps or len(maps) + len(chunk) == total:
-            chunk = chunk.copy()
+    for chunk, ls in cocycle.step_blocks(cocycle.advance(omega, -warmup), n_steps + 2 * warmup):
         maps.extend(zip(chunk, ls.tolist()))
 
     # forward sweep: warm up, then record the principal direction at every step time

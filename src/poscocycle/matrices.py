@@ -25,11 +25,12 @@ RCOND_THRESHOLD = 1e-12  # reciprocal-condition cutoff for the injectivity check
 
 
 class MatrixModel:
-    """Base class: a family of N x N matrices indexed by driver states."""
+    """Base class: a family of N x N matrices indexed by driver states.
 
-    # cells one ``emit_block`` draw is sized for; ``MatrixCocycle`` fetches
-    # blocks aligned to it, and emits one state at a time when it is 1
-    cells_per_draw = 1
+    ``emit`` gives one map, ``emit_block`` consecutive maps, and ``chunks``
+    cuts a run of steps into ``emit_block`` draws: the one place the
+    estimators, ``cocycle_product`` and the assumption checks read maps from.
+    """
 
     def __init__(self, n: int):
         self.n = int(n)
@@ -41,12 +42,28 @@ class MatrixModel:
         """The maps at state, state.advance(1), ..., as a (count, N, N) array."""
         return np.stack([self.emit(state.advance(j)) for j in range(count)])
 
+    def chunks(self, state, count: int, backward: bool = False):
+        """The maps of the ``count`` steps from ``state`` as ``emit_block``
+        chunks in step order; with ``backward``, of the ``count`` steps
+        before ``state``, latest chunk first.  Exactly ``count`` cells are
+        emitted, at most BLOCK_CELLS per chunk.
+
+        Cuts fall on multiples of BLOCK_CELLS: ``MarkovShift`` walks its
+        chain in segments between checkpoints BLOCK_CELLS apart, so an
+        aligned chunk walks one segment where an unaligned one would walk two.
+        """
+        i = state.index
+        lo = i - count if backward else i
+        edges = [lo, *range(lo - lo % BLOCK_CELLS + BLOCK_CELLS, lo + count, BLOCK_CELLS), lo + count]
+        cuts = list(zip(edges[:-1], edges[1:])) if count > 0 else []
+        for a, b in (reversed(cuts) if backward else cuts):
+            yield self.emit_block(state.advance(a - i), b - a)
+
 
 class BlockMatrixModel(MatrixModel):
     """A family whose ``emit_block`` is one counter-addressed draw for the
-    whole block (``drivers.cell_uniforms``); ``emit`` is its one-cell case."""
-
-    cells_per_draw = BLOCK_CELLS
+    whole block (``drivers.cell_uniforms``), so each of its ``chunks`` is
+    one draw; ``emit`` is the one-cell case."""
 
     def emit(self, state) -> np.ndarray:
         return self.emit_block(state, 1)[0]
@@ -230,9 +247,8 @@ def cocycle_product(model: MatrixModel, omega, n: int):
         raise ValueError("n must be >= 0")
     P = np.eye(model.n)
     log_scale = 0.0
-    # maps in blocks of BLOCK_CELLS, so memory stays O(BLOCK_CELLS N^2)
-    for k0 in range(0, int(n), BLOCK_CELLS):
-        for S in model.emit_block(omega.advance(k0), min(BLOCK_CELLS, int(n) - k0)):
+    for maps in model.chunks(omega, int(n)):
+        for S in maps:
             P = S @ P
             s = opnorm1(P)
             if s == 0.0:
@@ -311,14 +327,12 @@ def _lnminus(x):
 def _sample_maps(model, driver, seed, n_samples, lag):
     """Time-`lag` maps over non-overlapping windows along one orbit."""
     omega = driver.initial(seed)
+    if lag == 1:
+        return [S for maps in model.chunks(omega, n_samples) for S in maps]
     out = []
     for k in range(n_samples):
-        base = omega.advance(k * lag)
-        if lag == 1:
-            out.append(model.emit(base))
-        else:
-            D, ls = cocycle_product(model, base, lag)
-            out.append(np.exp(ls) * D)
+        D, ls = cocycle_product(model, omega.advance(k * lag), lag)
+        out.append(np.exp(ls) * D)
     return out
 
 

@@ -110,20 +110,23 @@ def _run_estimate(cfg):
     horizon = float(est["horizon"])
     warmup = int(est["warmup"])
 
+    every = int(est["record_every"])
     w0 = warmup_direction(cocycle, omega, warmup)
-    track = forward_floquet(cocycle, omega, w0, horizon, record_every=int(est["record_every"]))
+    track = forward_floquet(cocycle, omega, w0, horizon, record_every=every)
     probe = np.asarray(est["u0"], dtype=float) if est["u0"] else np.eye(cocycle.n)[0]
-    raw = forward_floquet(cocycle, omega, probe, horizon, record_every=int(est["record_every"]))
+    raw = forward_floquet(cocycle, omega, probe, horizon, record_every=every)
 
-    ln_rhos = np.array([h[1] for h in track.history])
-    _, ci, _ = batch_means(ln_rhos / cocycle.dt, int(est["batches"])) if len(ln_rhos) >= int(est["batches"]) else (0, math.nan, None)
+    ln_rhos = np.array([h[1] for h in track.history])  # log growth over each row's every * dt
+    _, ci, _ = batch_means(ln_rhos / (every * cocycle.dt), int(est["batches"])) if len(ln_rhos) >= int(est["batches"]) else (0, math.nan, None)
 
     divergence = None
     horizons = [float(T) for T in est["divergence_horizons"]]
     if horizons and max(horizons) <= horizon and track.history:
         cum = np.cumsum(ln_rhos)
         times = np.array([h[0] for h in track.history])
-        means = [float(cum[np.searchsorted(times, T, side="right") - 1] / T) for T in horizons]
+        # the mean over [0, t] at the last row t <= T (rows come every `every` steps)
+        rows = np.searchsorted(times, horizons, side="right") - 1
+        means = [float(cum[j] / times[j]) for j in rows]
         divergence = DivergenceDiagnostic.from_means(horizons, means, float(est["divergence_threshold"]))
 
     results = {

@@ -144,6 +144,22 @@ class TestPipelines:
         assert len(exps) == 3
         assert exps == sorted(exps, reverse=True)
 
+    def test_record_every_keeps_rates(self, tmp_path):
+        # a row every 4 steps carries the log growth of all 4: the
+        # divergence means and the running exponent match a row per step
+        runs = []
+        for every in (1, 4):
+            cfg = validate_config(base_cfg(estimator={
+                "horizon": 2000, "record_every": every, "divergence_horizons": [125, 256, 1000, 2000]}))
+            runs.append(run_command("estimate", cfg, out_dir=tmp_path / str(every))["results"])
+        a, b = runs
+        assert len(b["history"]) == len(a["history"]) // 4 == 500
+        assert np.allclose(b["divergence"]["means"][1:], a["divergence"]["means"][1:], rtol=0, atol=1e-12)
+        # at 125, between rows, the mean runs to the last row, at 124
+        assert abs(b["divergence"]["means"][0] - a["history"][123]["lambda1_running"]) <= 1e-12
+        assert abs(b["history"][-1]["lambda1_running"] - a["history"][-1]["lambda1_running"]) <= 1e-12
+        assert abs(a["history"][-1]["lambda1_running"] - a["lambda1"]["value"]) <= 1e-12
+
     def test_ode_estimate_pipeline(self, tmp_path):
         cfg = validate_config({
             "seed": 2,

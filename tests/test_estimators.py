@@ -139,27 +139,45 @@ class TestForwardFloquet:
 
 
     def test_sampler_called_once_per_step(self):
-        # a model without block draws is emitted one state at a time, in
-        # chunks of at most 256 states: exactly the cells each estimator reads
+        # a model without block draws is emitted one state at a time and a
+        # block-drawing one in block draws, in chunks of at most 256 states:
+        # either way, exactly the cells each estimator reads
         calls = []
 
         def sampler(rng):
             calls.append(1)
             return rng.uniform(0.5, 2.0, (3, 3))
 
+        class CountingUniform(UniformEntriesModel):
+            def emit_block(self, state, count):
+                calls.extend([1] * count)
+                return super().emit_block(state, count)
+
         T = 300
         for run, cells in ((lambda coc: forward_floquet(coc, disc_state(4), np.ones(3), T), T),
                            (lambda coc: oseledets_qr(coc, disc_state(4), T), T),
                            (lambda coc: separation_estimate(coc, disc_state(4), T, warmup=5),
                             T + 2 * 5)):
-            calls.clear()
-            run(MatrixCocycle(SampledMatrixModel(3, sampler)))
-            assert len(calls) == cells
+            for model in (SampledMatrixModel(3, sampler), CountingUniform(3, 0.5, 2.0)):
+                calls.clear()
+                run(MatrixCocycle(model))
+                assert len(calls) == cells, type(model)
 
-    def test_block_memo_matches_emit(self):
-        # primal and adjoint chunks through the block memo are the emitted
-        # maps, with queries jumping across blocks and between seeds; primal
-        # chunks stay inside one 256-map block
+    def test_model_change_seen_by_next_run(self):
+        # the cocycle keeps no maps: after the model's parameters change, a
+        # run through it equals one through a fresh cocycle
+        model, omega = UniformEntriesModel(3, 0.5, 2.0), disc_state(1)
+        coc = MatrixCocycle(model)
+        before = forward_floquet(coc, omega, np.ones(3), 100).lambda1
+        model.lo, model.hi = 1.0, 4.0
+        after = forward_floquet(coc, omega, np.ones(3), 100).lambda1
+        fresh = forward_floquet(MatrixCocycle(model), omega, np.ones(3), 100).lambda1
+        assert after == fresh and after != before
+
+    def test_chunks_match_emit(self):
+        # primal and adjoint chunks are the emitted maps, with queries
+        # jumping across 256-map blocks and between seeds; primal chunks
+        # stay inside one 256-map block
         coc, driver = iid_positive_cocycle(), IidShift()
         emit = coc.model.emit
         for j in (0, 255, 44, 555, 256, -1):
@@ -306,12 +324,11 @@ class TestSeparation:
             assert abs(v @ ws_t) <= 1e-6 * np.linalg.norm(v)
 
     def test_stored_maps_bound_peak_memory(self):
-        # the end chunks are copied, so no partial slice keeps a whole
-        # 256-map block alive: the traced peak is the stored maps, their
-        # per-step (view, log scale) entries, one block being emitted, the
-        # direction paths and the frame sweep's N x N arrays (frame, image,
-        # LAPACK factor and outputs, R, R_acc and their temporaries: fewer
-        # than 16 at once)
+        # chunks hold exactly the maps read, so the traced peak is the
+        # stored maps, their per-step (view, log scale) entries, one chunk
+        # of at most 256 maps being emitted, the direction paths and the
+        # frame sweep's N x N arrays (frame, image, LAPACK factor and
+        # outputs, R, R_acc and their temporaries: fewer than 16 at once)
         n, T, warmup = 24, 300, 5
         coc = iid_positive_cocycle(n)
         tracemalloc.start()

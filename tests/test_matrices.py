@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from poscocycle.drivers import IidShift, MarkovShift
+from poscocycle.drivers import BLOCK_CELLS, IidShift, MarkovShift
 from poscocycle.estimators import MatrixCocycle
 from poscocycle.matrices import (ConstantMatrixModel, IidChoiceModel, LeslieModel,
                                  MarkovMatrixModel, check_D1, check_D2, check_D3,
@@ -251,7 +251,7 @@ class TestBlockEmission:
     @pytest.mark.parametrize("start", [-300, -128, 0, 200])
     def test_block_rows_match_emit(self, start):
         for model, driver in self._families():
-            K = model.cells_per_draw
+            K = BLOCK_CELLS
             st = driver.initial(9).advance(start)
             block = model.emit_block(st, K)
             assert block.shape == (K, 3, 3)
