@@ -94,6 +94,9 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("'estimator.horizon' must be positive")
     if est["dt"] <= 0:
         raise ConfigError("'estimator.dt' must be positive")
+    every = est["record_every"]
+    if isinstance(every, bool) or not isinstance(every, int) or every < 1:
+        raise ConfigError(f"'estimator.record_every' must be a positive integer, got {every!r}")
     out["estimator"] = est
     out["estimator_user_keys"] = sorted(est_blk)
 

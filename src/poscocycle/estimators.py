@@ -6,25 +6,25 @@ Estimators use a cocycle protocol over a matrix model, an ODE model (the
 flow over a fixed dt) or the ``AdjointCocycle`` of either: ``step_blocks``
 streams the scale-separated step maps as chunks (maps (k, N, N), log_scales
 (k,)), ``steps`` as callables U -> (V, log_scale), which ODE cocycles
-propagate directly.
+propagate directly.  The step loops' QR and spectral norms call the LAPACK
+gufuncs of ``numpy.linalg`` (dgeqrf, dorgqr, dgesdd) without the wrappers,
+so the module loads no scipy.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import EstimationError, PositivityViolation
 from .matrices import MatrixModel
 from .odes import OdeModel, propagate
 from .stats import batch_means
-# last, so odes loads scipy.linalg as before (first here: +40 ms, +0.9 MB RSS)
-from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dgesdd, dgesdd_lwork, dorgqr
 
 
 # ---------------------------------------------------------------------------
@@ -119,15 +119,8 @@ class AdjointCocycle(_Cocycle):
 
 
 # ---------------------------------------------------------------------------
-# the step loops' LAPACK kernels: bit-identical to np.linalg.qr and
-# np.linalg.norm (also with ord=2, via dgesdd), minus the wrapper overhead
-
-
-def _lapack(fn, *args, **kwargs):
-    *out, info = fn(*args, **kwargs)  # a nonzero info raises, as in numpy
-    if info:
-        raise np.linalg.LinAlgError(f"LAPACK {fn.__name__} failed (info {info})")
-    return out
+# the step loops' LAPACK kernels: numpy's own gufuncs behind np.linalg.qr and
+# np.linalg.norm(., 2), so bit-identical to them, minus the wrapper overhead
 
 
 def _norm(x):
@@ -136,28 +129,23 @@ def _norm(x):
     return math.sqrt(x @ x)
 
 
-@functools.lru_cache(maxsize=None)
-def _lwork(shape):
-    """Workspaces for dgeqrf, dorgqr and dgesdd as LAPACK asks for (and numpy
-    passes) them: past the blocking crossover (n > 128) less moves bits."""
-    m, n = shape
-    return tuple(max(1, n, int(w)) for w in (
-        _lapack(dgeqrf_lwork, m, n)[0], _lapack(dorgqr, np.zeros(shape), np.zeros(n), -1)[1][0],
-        _lapack(dgesdd_lwork, m, n, compute_uv=0)[0]))
-
-
 def _spectral_norm(A):
-    """Largest singular value, as np.linalg.norm(A, 2) computes it."""
-    return float(_lapack(dgesdd, A, compute_uv=0, lwork=_lwork(A.shape)[2])[1][0])
+    """Largest singular value, as np.linalg.norm(A, 2) computes it (dgesdd);
+    a failed SVD comes back as NaN and raises LinAlgError."""
+    with np.errstate(invalid="ignore"):
+        s = float(_umath_linalg.svd(A)[0])
+    if not math.isfinite(s):
+        raise np.linalg.LinAlgError(f"LAPACK dgesdd failed (largest singular value {s})")
+    return s
 
 
 def _qr_positive(V):
     """Householder QR of V (m >= n): Q (m, n) in C order with the signs
     that make diag R nonnegative applied, the LAPACK factor F (R is the
-    upper triangle of its top n rows, before the signs) and the signs."""
-    lw_qr, lw_q, _ = _lwork(V.shape)
-    F, tau, _ = _lapack(dgeqrf, V, lw_qr)
-    q, _ = _lapack(dorgqr, F, tau, lw_q)
+    upper triangle of its top n rows, before the signs) and the signs.
+    dgeqrf factors F in place, so V itself is left untouched."""
+    F = V.copy()
+    q = _umath_linalg.qr_reduced(F, _umath_linalg.qr_r_raw(F))
     signs = np.sign(F.diagonal())
     signs[signs == 0] = 1.0
     return np.multiply(q, signs, order="C"), F, signs

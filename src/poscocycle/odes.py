@@ -5,11 +5,12 @@ constructive irreducibility quantities.
 Trajectories are Caratheodory solutions: ``propagate`` never steps across a
 coefficient discontinuity.  A piece on which the coefficient is constant
 (``OdeModel.piece_matrix``) gets the exact flow expm(h A), by scaling and
-squaring; every other piece is integrated with the adaptive Runge-Kutta
-method DOP853 of Dormand and Prince (order 8, with Hairer's combined 5th-
-and 3rd-order error estimate).  Both renormalize the state as they go,
-accumulating the log of the extracted scale, so decaying or exploding
-trajectories never leave floating-point range.
+squaring; ``expm`` loads scipy.linalg on its first call, so runs without a
+constant piece never load scipy.  Every other piece is integrated with the
+adaptive Runge-Kutta method DOP853 of Dormand and Prince (order 8, with
+Hairer's combined 5th- and 3rd-order error estimate).  Both renormalize the
+state as they go, accumulating the log of the extracted scale, so decaying
+or exploding trajectories never leave floating-point range.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import EstimationError
 from .stats import mean_ci
@@ -267,6 +267,14 @@ def _integrate_piece(fieldfn, t0, t1, Y, rtol, atol):
             rejected = True
         h *= factor
     return Y, log_scale, n_steps
+
+
+def expm(A):
+    """scipy.linalg.expm, imported on the first exact piece: importing
+    scipy.linalg takes about 0.3 s, which runs without one never pay."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(A)
 
 
 def _exact_flow(A, t0, t1):

@@ -124,6 +124,9 @@ def _run_estimate(cfg):
     if horizons and max(horizons) <= horizon and track.history:
         cum = np.cumsum(ln_rhos)
         times = np.array([h[0] for h in track.history])
+        if min(horizons) < times[0]:
+            raise ConfigError(f"divergence horizon {min(horizons):g} precedes the first history row "
+                              f"at t = {times[0]:g} (record_every {every} x dt {cocycle.dt:g})")
         # the mean over [0, t] at the last row t <= T (rows come every `every` steps)
         rows = np.searchsorted(times, horizons, side="right") - 1
         means = [float(cum[j] / times[j]) for j in rows]

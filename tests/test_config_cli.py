@@ -160,6 +160,19 @@ class TestPipelines:
         assert abs(b["history"][-1]["lambda1_running"] - a["history"][-1]["lambda1_running"]) <= 1e-12
         assert abs(a["history"][-1]["lambda1_running"] - a["lambda1"]["value"]) <= 1e-12
 
+    def test_divergence_horizon_before_first_row(self, tmp_path):
+        # rows come every 4 steps, so there is no mean over [0, 2]; it used
+        # to read row -1, the whole-run mean
+        est = {"horizon": 2000, "record_every": 4, "divergence_horizons": [2, 1000, 2000]}
+        cfg = validate_config(base_cfg(estimator=est))
+        with pytest.raises(ConfigError, match=r"divergence horizon 2 precedes the first history "
+                                              r"row at t = 4 \(record_every 4 x dt 1\)"):
+            run_command("estimate", cfg, out_dir=tmp_path)
+        # a horizon on the first row is a mean over that row
+        cfg = validate_config(base_cfg(estimator={**est, "divergence_horizons": [4, 1000, 2000]}))
+        res = run_command("estimate", cfg, out_dir=tmp_path)["results"]
+        assert res["divergence"]["means"][0] == res["history"][0]["lambda1_running"]
+
     def test_ode_estimate_pipeline(self, tmp_path):
         cfg = validate_config({
             "seed": 2,
@@ -263,16 +276,39 @@ class TestCliProcess:
         assert cli.main([command, "--config", str(p), "--out", str(tmp_path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("every", [0, -4])
+    def test_record_every_must_be_positive_exit_1(self, tmp_path, every, capsys):
+        # 0 used to end in a bare IndexError, -4 to divide the CI's rates by -4 dt
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(base_cfg(estimator={"horizon": 200, "record_every": every})))
+        from poscocycle import cli
+        assert cli.main(["estimate", "--config", str(p), "--out", str(tmp_path)]) == 1
+        assert "'estimator.record_every' must be a positive integer" in capsys.readouterr().err
+
     def test_cli_import_leaves_out_slow_scipy_modules(self):
-        # an allow-list of the public scipy subpackages the CLI may load:
-        # scipy.stats would be most of its start-up time, scipy.integrate
-        # would add about 0.25 s, and any other newcomer costs time too
+        # any scipy import loads scipy._lib._array_api, which pulls in
+        # numpy.f2py and numpy.testing: most of the CLI's start-up time
         r = run_python("-c", "import sys, poscocycle.cli; "
-                       "print(sorted(n for n, m in list(sys.modules.items()) "
-                       "if n.count('.') == 1 and n.startswith('scipy.') "
-                       "and not n[6:].startswith('_') and hasattr(m, '__path__')))")
+                       "from poscocycle import config, pipelines, reporting, torus; "
+                       "print(sorted(n for n in sys.modules if n.partition('.')[0] == 'scipy'))")
         assert r.returncode == 0, r.stderr
-        assert r.stdout.strip() == "['scipy.linalg', 'scipy.special']"
+        assert r.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("model, loaded", [
+        ({"kind": "uniform-entries", "n": 3, "lo": 0.5, "hi": 2.0}, ["False", "False"]),
+        ({"kind": "ode-piecewise-uniform", "n": 2, "diag": [-0.5, 0.5], "offdiag": [0.1, 1.0]},
+         ["True", "True"]),
+    ], ids=["uniform-entries", "ode-piecewise-uniform"])
+    def test_scipy_loaded_only_for_exact_pieces(self, tmp_path, model, loaded):
+        # the exact flow of a constant ODE piece is the library's only scipy
+        # call: (any scipy module, scipy.linalg) after one estimate run
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"model": model, "estimator": {"horizon": 5, "warmup": 5}}))
+        r = run_python("-c", "import sys; from poscocycle import cli; "
+                       f"code = cli.main(['estimate', '--config', {str(p)!r}, '--out', {str(tmp_path)!r}]); "
+                       "print(code, 'scipy' in sys.modules, 'scipy.linalg' in sys.modules)")
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.split()[-3:] == ["0", *loaded]
 
     def test_separate_without_warmup(self, tmp_path):
         p = tmp_path / "cfg.json"

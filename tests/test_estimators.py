@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -435,9 +436,12 @@ class TestLapackKernels:
                     assert _norm(V[:, 0]) == np.linalg.norm(V[:, 0])
 
     def test_lapack_failure_raises(self):
-        # dgesdd rejects a NaN matrix (info -4); np.linalg.norm(., 2) raises too
-        with pytest.raises(np.linalg.LinAlgError, match="dgesdd"):
-            _spectral_norm(np.full((3, 3), math.nan))
+        # dgesdd rejects a NaN matrix (info -4); np.linalg.norm(., 2) raises
+        # too, and neither leaves a RuntimeWarning behind
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="dgesdd"):
+                _spectral_norm(np.full((3, 3), math.nan))
 
 
 unit_floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
