@@ -6,9 +6,11 @@ Estimators use a cocycle protocol over a matrix model, an ODE model (the
 flow over a fixed dt) or the ``AdjointCocycle`` of either: ``step_blocks``
 streams the scale-separated step maps as chunks (maps (k, N, N), log_scales
 (k,)), ``steps`` as callables U -> (V, log_scale), which ODE cocycles
-propagate directly.  The step loops' QR and spectral norms call the LAPACK
-gufuncs of ``numpy.linalg`` (dgeqrf, dorgqr, dgesdd) without the wrappers,
-so the module loads no scipy.
+propagate directly, and ``replay`` serves a range of maps to be read more
+than once: matrix maps are emitted afresh on every read, flow maps are
+propagated once and stored.  The step loops' QR and spectral norms call the
+LAPACK gufuncs of ``numpy.linalg`` (dgeqrf, dorgqr, dgesdd) without the
+wrappers, so the module loads no scipy.
 """
 
 from __future__ import annotations
@@ -64,6 +66,15 @@ class MatrixCocycle(_Cocycle):
         for maps in self.model.chunks(state, count, backward):
             yield maps, np.zeros(len(maps))
 
+    def replay(self, omega, lo, hi):
+        """A source of the maps of steps [lo, hi) from ``omega`` that may be
+        read more than once: ``blocks(a, b, backward=False)`` gives the
+        ``step_blocks`` of steps [a, b).  Emission is a pure function of the
+        cell index, so every read emits afresh and nothing is stored."""
+        def blocks(a, b, backward=False):
+            return self.step_blocks(omega.advance(b if backward else a), b - a, backward)
+        return blocks
+
 
 class OdeCocycle(_Cocycle):
     """Continuous cocycle sampled at a fixed step dt: ``propagate`` takes the
@@ -92,6 +103,26 @@ class OdeCocycle(_Cocycle):
             yield lambda U, s=state: propagate(self.model, s, U, self.dt, rtol=self.rtol)
             state = state.advance(self.dt)
 
+    def replay(self, omega, lo, hi):
+        """As ``MatrixCocycle.replay``, but a flow map costs a ``propagate``,
+        so each map is propagated once and kept."""
+        return _stored_replay(self, omega, lo, hi)
+
+
+def _stored_replay(cocycle, omega, lo, hi):
+    """Replay the maps of steps [lo, hi) from one (hi - lo, N, N) array
+    filled by a single forward read of ``step_blocks``; a read in either
+    direction is one chunk."""
+    maps, ls = np.empty((hi - lo, cocycle.n, cocycle.n)), np.empty(hi - lo)
+    k = 0
+    for chunk, scales in cocycle.step_blocks(cocycle.advance(omega, lo), hi - lo):
+        maps[k:k + len(chunk)], ls[k:k + len(chunk)] = chunk, scales
+        k += len(chunk)
+
+    def blocks(a, b, backward=False):
+        yield maps[a - lo:b - lo], ls[a - lo:b - lo]
+    return blocks
+
 
 class AdjointCocycle(_Cocycle):
     """Dual of a primal cocycle over the reversed driver: one step at omega is
@@ -105,17 +136,32 @@ class AdjointCocycle(_Cocycle):
         self.dt = primal.dt
         self.cone_tol = primal.cone_tol
 
-    def step_blocks(self, state, count):
-        """The primal's chunks over the ``count`` steps before ``state``,
-        reversed, transposed and copied to C order: gemv sums by layout."""
-        for maps, ls in self.primal.step_blocks(state, count, backward=True):
-            yield np.ascontiguousarray(maps[::-1].transpose(0, 2, 1)), ls[::-1]
+    def step_blocks(self, state, count, backward=False):
+        """The primal's chunks over the ``count`` steps before ``state``
+        (with ``backward``, after it, read forward), each reversed and
+        transposed."""
+        return _transposed(self.primal.step_blocks(state, count, not backward))
+
+    def replay(self, omega, lo, hi):
+        """The primal's replay of its steps [-hi, -lo), read the other way."""
+        primal = self.primal.replay(omega, -hi, -lo)
+
+        def blocks(a, b, backward=False):
+            return _transposed(primal(-b, -a, not backward))
+        return blocks
 
     def advance(self, state, steps=1):
         return state.advance(-steps * self.dt)
 
     def dual(self):
         return self.primal
+
+
+def _transposed(chunks):
+    """Primal chunks as adjoint chunks: each reversed, transposed and copied
+    to C order (gemv sums by layout)."""
+    for maps, ls in chunks:
+        yield np.ascontiguousarray(maps[::-1].transpose(0, 2, 1)), ls[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -329,18 +375,44 @@ def _projection_norm(w, w_star):
     return _spectral_norm(np.eye(w.size) - np.outer(w, w_star) / float(w @ w_star))
 
 
+def _dual_path(blocks, n, n_steps, warmup):
+    """Backward adjoint sweep over steps [0, n_steps + warmup): the dual
+    direction at step times 0..n_steps as rows; with no warm-up the probe
+    itself is the dual direction at n_steps."""
+    z = np.full(n, 1.0 / math.sqrt(n))
+    z_path = np.empty((n_steps + 1, n))
+    z_path[n_steps] = z
+    k = n_steps + warmup
+    for maps, _ in blocks(0, n_steps + warmup, backward=True):
+        for M in maps[::-1]:
+            k -= 1
+            z = M.T @ z
+            nrm = _norm(z)
+            if nrm == 0.0:
+                raise EstimationError("dual probe annihilated during the adjoint sweep")
+            if not math.isfinite(nrm):
+                raise EstimationError(f"dual probe not finite after the adjoint of step {k} (norm {nrm})")
+            z /= nrm
+            if k <= n_steps:
+                z_path[k] = z
+    return z_path
+
+
 def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0,
                         min_pairing=1e-8) -> SeparationEstimate:
     """Estimate (lambda1, lambda2, sigma) by propagating the principal
     direction together with an orthonormal frame of the dual-null hyperplane.
 
-    Two sweeps over one stream of step maps: a forward sweep warms up and
-    tracks the principal direction, a backward adjoint sweep produces the
-    dual direction at every step time.  The frame spanning the invariant
-    complement is re-anchored to the dual-null hyperplane after every step;
-    without that re-anchoring, roundoff injects a dominant component that
-    grows at rate sigma and silently caps the measurable separation near
-    ln(1/eps) / horizon.
+    Two reads of the step maps through ``cocycle.replay``: a backward
+    adjoint sweep over [0, T + warmup) stores the dual direction at every
+    step time, then one forward sweep over [-warmup, T) warms up and tracks
+    the principal direction and, from step 0 on, the complement frame.  Only
+    the dual path is kept, so the state is O(T N): matrix maps are emitted
+    afresh on each read, flow maps are propagated once and stored.  The
+    frame spanning the invariant complement is re-anchored to the dual-null
+    hyperplane after every step; without that re-anchoring, roundoff
+    injects a dominant component that grows at rate sigma and silently caps
+    the measurable separation near ln(1/eps) / horizon.
 
     The restricted operator norm is tracked exactly through an accumulated,
     rescaled R-product, and sigma comes from the growth *ratio*, which stays
@@ -353,61 +425,46 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0,
     if n_steps < 1:
         raise ValueError("horizon must cover at least one step")
     warmup = int(warmup)
+    n = cocycle.n
+    blocks = cocycle.replay(omega, -warmup, n_steps + warmup)
 
-    # one stream of step maps covering [-warmup, horizon + warmup)
-    maps = []
-    for chunk, ls in cocycle.step_blocks(cocycle.advance(omega, -warmup), n_steps + 2 * warmup):
-        maps.extend(zip(chunk, ls.tolist()))
+    z_path = _dual_path(blocks, n, n_steps, warmup)
 
-    # forward sweep: warm up, then record the principal direction at every step time
-    w = np.full(cocycle.n, 1.0 / math.sqrt(cocycle.n))
-    w_path = []
-    log_growth = 0.0
-    for k in range(warmup + n_steps):
-        if k == warmup:
-            w_path.append(w.copy())
-        M, ls = maps[k]
+    # forward sweep: warm up the principal direction, then track it and the
+    # complement frame, sampling the projection norm at step times
+    sample_every = max(1, n_steps // proj_samples) if proj_samples else 0
+    proj_history = []
+    w = np.full(n, 1.0 / math.sqrt(n))
+    log_growth = log_restricted = 0.0
+    restricted_dead = False
+    steps = (step for maps, scales in blocks(-warmup, n_steps) for step in zip(maps, scales.tolist()))
+    for k, (M, ls) in enumerate(steps, -warmup):
+        if k == 0:
+            w_star0 = z_path[0].copy()
+            pairing = float(w @ w_star0)
+            if abs(pairing) < min_pairing:
+                raise EstimationError(
+                    f"principal and dual directions nearly orthogonal (pairing {pairing:.3e}); "
+                    "projection onto the invariant complement is ill-conditioned")
+            B0 = _orth_complement(w_star0)
+            Q = B0.copy()
+            R_acc = np.eye(n - 1)
+            if sample_every:
+                proj_history.append((0.0, math.log(_projection_norm(w, w_star0))))
         v = M @ w
         r = _norm(v)
         if r == 0.0:
             raise EstimationError("principal direction annihilated; no positive growth to separate")
         if not math.isfinite(r):
-            raise EstimationError(f"principal direction not finite after step {k - warmup} (norm {r})")
+            raise EstimationError(f"principal direction not finite after step {k} (norm {r})")
         w = v / r
-        if k >= warmup:
-            log_growth += math.log(r) + ls
-            w_path.append(w.copy())
-
-    # backward adjoint sweep: dual direction at step times 0..n_steps; with
-    # no warm-up the probe itself is the dual direction at n_steps
-    z = np.full(cocycle.n, 1.0 / math.sqrt(cocycle.n))
-    z_path = [None] * n_steps + [z.copy()]
-    for k in range(len(maps) - 1, warmup - 1, -1):
-        z = maps[k][0].T @ z
-        nrm = _norm(z)
-        if nrm == 0.0:
-            raise EstimationError("dual probe annihilated during the adjoint sweep")
-        if not math.isfinite(nrm):
-            raise EstimationError(f"dual probe not finite after the adjoint of step {k - warmup} (norm {nrm})")
-        z /= nrm
-        idx = k - warmup
-        if idx <= n_steps:
-            z_path[idx] = z.copy()
-
-    w_star0 = z_path[0]
-    pairing = float(w_path[0] @ w_star0)
-    if abs(pairing) < min_pairing:
-        raise EstimationError(
-            f"principal and dual directions nearly orthogonal (pairing {pairing:.3e}); "
-            "projection onto the invariant complement is ill-conditioned")
-
-    B0 = _orth_complement(w_star0)
-    Q = B0.copy()
-    R_acc = np.eye(cocycle.n - 1)
-    log_restricted = 0.0
-    restricted_dead = False
-    for k in range(n_steps):
-        M, ls = maps[warmup + k]
+        if k < 0:
+            continue
+        log_growth += math.log(r) + ls
+        if sample_every and (k + 1) % sample_every == 0:
+            proj_history.append(((k + 1) * cocycle.dt, math.log(_projection_norm(w, z_path[k + 1]))))
+        if restricted_dead:
+            continue
         V = M @ Q
         nV = _norm(V)
         if not math.isfinite(nV):
@@ -416,31 +473,24 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0,
         # rather than extrapolate a huge finite rate
         if nV <= 1e-13 * _norm(M):
             restricted_dead = True
-            break
+            continue
         zk = z_path[k + 1]
         V -= np.outer(zk, zk @ V)  # re-anchor to the dual-null hyperplane
         Q, F, signs = _qr_positive(V)
-        R_acc = (signs[:, None] * np.triu(F[:cocycle.n - 1])) @ R_acc
+        R_acc = (signs[:, None] * np.triu(F[:n - 1])) @ R_acc
         s = _spectral_norm(R_acc)
         if s == 0.0:
             restricted_dead = True
-            break
+            continue
         R_acc /= s
         log_restricted += math.log(s) + ls
-
-    proj_history = []
-    if proj_samples:
-        sample_every = max(1, n_steps // proj_samples)
-        for k in range(0, n_steps + 1, sample_every):
-            proj_history.append((k * cocycle.dt,
-                                 math.log(_projection_norm(w_path[k], z_path[k]))))
 
     T = n_steps * cocycle.dt
     lambda1 = log_growth / T
     sigma = math.inf if restricted_dead else (log_growth - log_restricted) / T
     lambda2 = -math.inf if restricted_dead else lambda1 - sigma
     return SeparationEstimate(lambda1_hat=lambda1, lambda2_hat=lambda2, sigma_hat=sigma,
-                              w=w_path[-1], w_star=w_star0, f1_basis=B0,
+                              w=w, w_star=w_star0, f1_basis=B0,
                               projection_norm_history=proj_history, horizon=T)
 
 

@@ -1,5 +1,4 @@
 import math
-import sys
 import tracemalloc
 import warnings
 
@@ -14,7 +13,8 @@ from poscocycle.estimators import (MatrixCocycle, OdeCocycle, backward_entire_or
                                    DivergenceDiagnostic, dual_floquet, forward_floquet,
                                    lambda1_via_kappa, oseledets_qr, pullback_convergence,
                                    separation_estimate, warmup_direction)
-from poscocycle.estimators import _norm, _qr_positive, _spectral_norm
+from poscocycle import estimators
+from poscocycle.estimators import _norm, _qr_positive, _spectral_norm, _stored_replay
 from poscocycle.matrices import (ConstantMatrixModel, SampledMatrixModel, UniformEntriesModel,
                                  leslie_model, uniform_entries_model)
 from poscocycle.odes import ConstantOdeModel, PiecewiseConstantOdeModel, cooperative_sampler
@@ -30,6 +30,13 @@ def cont_state(seed=0):
 
 def iid_positive_cocycle(n=3, lo=0.5, hi=2.0):
     return MatrixCocycle(uniform_entries_model(n, lo, hi))
+
+
+class StoredMatrixCocycle(MatrixCocycle):
+    """Serves its replays from one stored array, as ``OdeCocycle`` does."""
+
+    def replay(self, omega, lo, hi):
+        return _stored_replay(self, omega, lo, hi)
 
 
 class TestForwardFloquet:
@@ -142,7 +149,9 @@ class TestForwardFloquet:
     def test_sampler_called_once_per_step(self):
         # a model without block draws is emitted one state at a time and a
         # block-drawing one in block draws, in chunks of at most 256 states:
-        # either way, exactly the cells each estimator reads
+        # either way, exactly the cells each estimator reads.  Separation
+        # reads its maps twice, the adjoint sweep [0, T + 5) and the forward
+        # sweep [-5, T), and stores none of them: 2T + 2 * 5 cells
         calls = []
 
         def sampler(rng):
@@ -158,11 +167,28 @@ class TestForwardFloquet:
         for run, cells in ((lambda coc: forward_floquet(coc, disc_state(4), np.ones(3), T), T),
                            (lambda coc: oseledets_qr(coc, disc_state(4), T), T),
                            (lambda coc: separation_estimate(coc, disc_state(4), T, warmup=5),
-                            T + 2 * 5)):
+                            2 * T + 2 * 5)):
             for model in (SampledMatrixModel(3, sampler), CountingUniform(3, 0.5, 2.0)):
                 calls.clear()
                 run(MatrixCocycle(model))
                 assert len(calls) == cells, type(model)
+
+    def test_propagate_called_once_per_flow_map(self, monkeypatch):
+        # a flow map costs a propagate, so separation stores its maps and
+        # reads them twice from the store: T + 2 * warmup calls
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return propagate(*args, **kwargs)
+
+        propagate = estimators.propagate
+        monkeypatch.setattr(estimators, "propagate", counted)
+        model = PiecewiseConstantOdeModel(3, cooperative_sampler(3, -1.0, 1.0, 0.0, 1.0))
+        for warmup in (0, 7):
+            calls.clear()
+            separation_estimate(OdeCocycle(model, dt=0.1), cont_state(4), 3.0, warmup=warmup)
+            assert len(calls) == 30 + 2 * warmup
 
     def test_model_change_seen_by_next_run(self):
         # the cocycle keeps no maps: after the model's parameters change, a
@@ -201,6 +227,12 @@ class TestForwardFloquet:
                 assert adjoint.shape == (count, 3, 3)
                 for t, M in enumerate(adjoint):
                     assert np.array_equal(M, emit(omega.advance(-1 - t)).T)
+                # the adjoint's steps before omega are the primal's from it,
+                # latest chunk first and in step order within a chunk
+                chunks = [maps for maps, _ in coc.dual().step_blocks(omega, count, backward=True)]
+                adjoint = np.concatenate(chunks[::-1])
+                for t, M in enumerate(adjoint):
+                    assert np.array_equal(M, emit(omega.advance(count - 1 - t)).T)
 
 
 class TestBackwardOrbit:
@@ -290,6 +322,19 @@ class TestSeparation:
         assert 0.0 < est.sigma_hat < math.inf
         assert abs(est.sigma_hat - (est.lambda1_hat - est.lambda2_hat)) < 1e-12
 
+    @pytest.mark.parametrize("primal, omega, horizon", [
+        pytest.param(iid_positive_cocycle(4), disc_state(5), 50, id="matrix"),
+        pytest.param(OdeCocycle(PiecewiseConstantOdeModel(
+            4, cooperative_sampler(4, -1.0, 1.0, 0.0, 1.0)), dt=0.1), cont_state(5), 5.0, id="ode"),
+    ])
+    def test_adjoint_no_warmup(self, primal, omega, horizon):
+        # the adjoint's backward sweep reads its primal's maps forward; its
+        # principal direction is the probe tracked as forward_floquet tracks it
+        coc = primal.dual()
+        est = separation_estimate(coc, omega, horizon, warmup=0)
+        probe = np.full(4, 0.5)
+        assert abs(est.lambda1_hat - forward_floquet(coc, omega, probe, horizon).lambda1) < 1e-12
+
     def test_no_positive_vector_in_complement(self):
         # nonzero vectors paired to zero against a strictly positive functional
         # must carry coordinates of both signs: the hyperplane meets the cone
@@ -324,27 +369,44 @@ class TestSeparation:
             ws_t = dual_floquet(coc, state, depth)
             assert abs(v @ ws_t) <= 1e-6 * np.linalg.norm(v)
 
-    def test_stored_maps_bound_peak_memory(self):
-        # chunks hold exactly the maps read, so the traced peak is the
-        # stored maps, their per-step (view, log scale) entries, one chunk
-        # of at most 256 maps being emitted, the direction paths and the
-        # frame sweep's N x N arrays (frame, image, LAPACK factor and
-        # outputs, R, R_acc and their temporaries: fewer than 16 at once)
-        n, T, warmup = 24, 300, 5
+    def test_peak_memory_linear_in_steps(self):
+        # nothing of size T N^2 is kept: the traced peak is the dual path
+        # z_path, (T + 1) rows of N floats; two chunks of at most
+        # BLOCK_CELLS maps (the one a sweep reads and the next one being
+        # emitted, drawn in place at N = 20) and one more for the draw's
+        # temporaries; the frame sweep's N x N arrays (frame, image, LAPACK
+        # factor and outputs, R, R_acc and their temporaries: fewer than 16
+        # at once); and a fixed set of small Python objects (generator frames,
+        # floats, the result record), under 64 KiB.  The T N^2 store this
+        # replaces would hold (T + 2 * warmup) maps, about 64 MB here.
+        n, T, warmup = 20, 20_000, 5
         coc = iid_positive_cocycle(n)
+        separation_estimate(coc, disc_state(2), 10, warmup=warmup)  # lazy imports of a first run
         tracemalloc.start()
         try:
             separation_estimate(coc, disc_state(2), T, warmup=warmup)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        steps = T + 2 * warmup
-        view = np.zeros((2, n, n))[0]
-        maps = (steps + BLOCK_CELLS) * n * n * 8
-        entries = steps * (sys.getsizeof(view) + sys.getsizeof((view, 0.0)) + sys.getsizeof(0.0) + 8)
-        paths = 2 * (T + 1) * (sys.getsizeof(np.zeros(n)) + 8)
-        temporaries = 16 * n * n * 8
-        assert peak <= maps + entries + paths + temporaries
+        z_path = (T + 1) * n * 8
+        chunks = 3 * BLOCK_CELLS * n * n * 8
+        frame = 16 * n * n * 8
+        bound = z_path + chunks + frame + 64 * 1024
+        assert peak <= bound
+        assert 10 * bound < (T + 2 * warmup) * n * n * 8
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 600), st.integers(0, 60), st.integers(0, 10**6))
+    def test_streamed_replay_matches_stored(self, n, T, warmup, seed):
+        # re-emitted maps are the stored maps bit for bit, so both replays
+        # give the same estimate to the last bit
+        model = UniformEntriesModel(n, 0.5, 2.0)
+        a, b = (separation_estimate(coc, disc_state(seed), T, warmup=warmup, proj_samples=7)
+                for coc in (MatrixCocycle(model), StoredMatrixCocycle(model)))
+        assert (a.lambda1_hat, a.lambda2_hat, a.sigma_hat) == (b.lambda1_hat, b.lambda2_hat, b.sigma_hat)
+        assert a.projection_norm_history == b.projection_norm_history
+        for field in ("w", "w_star", "f1_basis"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
     def test_temperedness_slope(self):
         coc = iid_positive_cocycle()
