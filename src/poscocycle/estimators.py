@@ -414,8 +414,9 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0,
     injects a dominant component that grows at rate sigma and silently caps
     the measurable separation near ln(1/eps) / horizon.
 
-    The restricted operator norm is tracked exactly through an accumulated,
-    rescaled R-product, and sigma comes from the growth *ratio*, which stays
+    The restricted operator norm is tracked exactly through an accumulated
+    R-product, rescaled by its Frobenius norm after every step and closed by
+    one spectral norm, and sigma comes from the growth *ratio*, which stays
     finite even when both exponents diverge to -inf.  ``proj_samples`` > 0
     additionally records ln |projection onto the complement along the
     principal direction| at that many evenly spaced times (the temperedness
@@ -449,6 +450,7 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0,
             B0 = _orth_complement(w_star0)
             Q = B0.copy()
             R_acc = np.eye(n - 1)
+            below = np.tril_indices(n - 1, -1)
             if sample_every:
                 proj_history.append((0.0, math.log(_projection_norm(w, w_star0))))
         v = M @ w
@@ -477,13 +479,19 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0,
         zk = z_path[k + 1]
         V -= np.outer(zk, zk @ V)  # re-anchor to the dual-null hyperplane
         Q, F, signs = _qr_positive(V)
-        R_acc = (signs[:, None] * np.triu(F[:n - 1])) @ R_acc
-        s = _spectral_norm(R_acc)
+        R = F[:n - 1]
+        R[below] = 0.0  # dgeqrf's Householder vectors
+        R_acc = (signs[:, None] * R) @ R_acc
+        # Frobenius renormalisation: zero exactly when the spectral norm is,
+        # at most nV as |R_acc|_2 <= 1; one spectral norm closes the product
+        s = _norm(R_acc)
         if s == 0.0:
             restricted_dead = True
             continue
         R_acc /= s
         log_restricted += math.log(s) + ls
+    if not restricted_dead:
+        log_restricted += math.log(_spectral_norm(R_acc))
 
     T = n_steps * cocycle.dt
     lambda1 = log_growth / T
