@@ -137,9 +137,10 @@ class AdjointCocycle(_Cocycle):
         self.cone_tol = primal.cone_tol
 
     def step_blocks(self, state, count, backward=False):
-        """The primal's chunks over the ``count`` steps before ``state``
-        (with ``backward``, after it, read forward), each reversed and
-        transposed."""
+        """The maps of the ``count`` adjoint steps from ``state`` (with
+        ``backward``, before it, latest chunk first): the primal's chunks
+        over its ``count`` steps before ``state`` (after it), each reversed
+        and transposed."""
         return _transposed(self.primal.step_blocks(state, count, not backward))
 
     def replay(self, omega, lo, hi):
@@ -378,7 +379,8 @@ def _projection_norm(w, w_star):
 def _dual_path(blocks, n, n_steps, warmup):
     """Backward adjoint sweep over steps [0, n_steps + warmup): the dual
     direction at step times 0..n_steps as rows; with no warm-up the probe
-    itself is the dual direction at n_steps."""
+    itself is the dual direction at n_steps.  A function of its own, so
+    its last chunk is freed before the forward sweep reads."""
     z = np.full(n, 1.0 / math.sqrt(n))
     z_path = np.empty((n_steps + 1, n))
     z_path[n_steps] = z
@@ -483,7 +485,8 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0,
         R[below] = 0.0  # dgeqrf's Householder vectors
         R_acc = (signs[:, None] * R) @ R_acc
         # Frobenius renormalisation: zero exactly when the spectral norm is,
-        # at most nV as |R_acc|_2 <= 1; one spectral norm closes the product
+        # and finite (at most nV, as |R_acc|_2 <= 1); one spectral norm
+        # after the loop closes the product
         s = _norm(R_acc)
         if s == 0.0:
             restricted_dead = True

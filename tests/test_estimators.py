@@ -176,13 +176,12 @@ class TestForwardFloquet:
     def test_propagate_called_once_per_flow_map(self, monkeypatch):
         # a flow map costs a propagate, so separation stores its maps and
         # reads them twice from the store: T + 2 * warmup calls
-        calls = []
+        calls, propagate = [], estimators.propagate
 
         def counted(*args, **kwargs):
             calls.append(1)
             return propagate(*args, **kwargs)
 
-        propagate = estimators.propagate
         monkeypatch.setattr(estimators, "propagate", counted)
         model = PiecewiseConstantOdeModel(3, cooperative_sampler(3, -1.0, 1.0, 0.0, 1.0))
         for warmup in (0, 7):
@@ -370,15 +369,16 @@ class TestSeparation:
             assert abs(v @ ws_t) <= 1e-6 * np.linalg.norm(v)
 
     def test_peak_memory_linear_in_steps(self):
-        # nothing of size T N^2 is kept: the traced peak is the dual path
-        # z_path, (T + 1) rows of N floats; two chunks of at most
-        # BLOCK_CELLS maps (the one a sweep reads and the next one being
-        # emitted, drawn in place at N = 20) and one more for the draw's
-        # temporaries; the frame sweep's N x N arrays (frame, image, LAPACK
-        # factor and outputs, R, R_acc and their temporaries: fewer than 16
-        # at once); and a fixed set of small Python objects (generator frames,
-        # floats, the result record), under 64 KiB.  The T N^2 store this
-        # replaces would hold (T + 2 * warmup) maps, about 64 MB here.
+        # nothing of size T N^2 is kept; the traced peak is at most
+        # - the dual path z_path: (T + 1) rows of N floats;
+        # - three chunks of BLOCK_CELLS maps: the one a sweep reads, the
+        #   next one being emitted and room for the draw's temporaries;
+        # - the frame sweep's N x N arrays (frame, image, LAPACK factor and
+        #   outputs, R, R_acc and their temporaries: fewer than 16 at once);
+        # - a fixed set of small Python objects (generator frames, floats,
+        #   the result record): under 64 KiB.
+        # The T N^2 store this replaces would hold T + 2 * warmup maps,
+        # about 64 MB here: more than 10 times the bound.
         n, T, warmup = 20, 20_000, 5
         coc = iid_positive_cocycle(n)
         separation_estimate(coc, disc_state(2), 10, warmup=warmup)  # lazy imports of a first run
