@@ -11,7 +11,7 @@ from poscocycle import (ConstantMatrixModel, ConstantOdeModel, IidShift,
                         PiecewiseConstantOdeModel, check_D1, check_D2, check_D3,
                         check_O1, check_O2, cooperative_sampler,
                         irreducibility_quantities, l1_growth_bound,
-                        uniform_entries_model)
+                        UniformEntriesModel)
 
 
 def show(reports):
@@ -27,7 +27,7 @@ def show(reports):
 driver = IidShift()
 
 print("=== i.i.d. strictly positive 3x3 entries on [0.5, 2] ===")
-model = uniform_entries_model(3, 0.5, 2.0)
+model = UniformEntriesModel(3, 0.5, 2.0)
 show(check_D1(model, driver, seed=0, n_samples=200))
 show(check_D2(model, driver, seed=0, n_samples=200))
 show(check_D3(model, driver, seed=0, n_samples=200))

@@ -10,12 +10,12 @@ Run:  python demos/pullback_orbit.py
 
 import numpy as np
 
-from poscocycle import (IidShift, MatrixCocycle, backward_entire_orbit,
-                        dual_floquet, pullback_convergence, uniform_entries_model)
+from poscocycle import (IidShift, MatrixCocycle, UniformEntriesModel, backward_entire_orbit,
+                        dual_floquet, pullback_convergence)
 
 driver = IidShift()
 omega = driver.initial(99)
-cocycle = MatrixCocycle(uniform_entries_model(3, 0.5, 2.0))
+cocycle = MatrixCocycle(UniformEntriesModel(3, 0.5, 2.0))
 
 orbit = backward_entire_orbit(cocycle, omega, depth=20)
 print("time   log |v(n)|    direction")

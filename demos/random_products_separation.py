@@ -6,13 +6,13 @@ Run:  python demos/random_products_separation.py
 
 import numpy as np
 
-from poscocycle import (IidShift, MatrixCocycle, focusing_certificate,
+from poscocycle import (IidShift, MatrixCocycle, UniformEntriesModel, focusing_certificate,
                         forward_floquet, oseledets_qr, separation_estimate,
-                        uniform_entries_model, warmup_direction)
+                        warmup_direction)
 
 driver = IidShift()
 omega = driver.initial(515)
-model = uniform_entries_model(3, 0.5, 2.0)
+model = UniformEntriesModel(3, 0.5, 2.0)
 cocycle = MatrixCocycle(model)
 
 # route 1: power iteration along the orbit with per-step renormalization

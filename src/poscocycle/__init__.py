@@ -6,9 +6,8 @@ __version__ = "0.1.0"
 
 from .drivers import IidShift, MarkovShift, TorusRotation
 from .errors import ConfigError, EstimationError, PositivityViolation
-from .estimators import (AdjointCocycle, BirkhoffEstimate, DivergenceDiagnostic, FloquetTrack,
-                         MatrixCocycle, OdeCocycle, SeparationEstimate,
-                         backward_entire_orbit, birkhoff_average, divergence_diagnostic,
+from .estimators import (AdjointCocycle, DivergenceDiagnostic, FloquetTrack,
+                         MatrixCocycle, OdeCocycle, SeparationEstimate, backward_entire_orbit,
                          dual_floquet, forward_floquet, lambda1_via_kappa, oseledets_qr,
                          pullback_convergence, separation_estimate, warmup_direction)
 from .matrices import (AssumptionReport, ConstantMatrixModel, FocusingCertificate,
@@ -16,7 +15,7 @@ from .matrices import (AssumptionReport, ConstantMatrixModel, FocusingCertificat
                        MatrixStats, SampledMatrixModel, UniformEntriesModel,
                        check_D1, check_D2, check_D3,
                        cocycle_product, focusing_certificate, leslie_matrix,
-                       leslie_model, matrix_from_csv, matrix_stats, uniform_entries_model,
+                       leslie_model, matrix_from_csv, matrix_stats,
                        verify_nstep_positivity)
 from .odes import (CallableOdeModel, ConstantOdeModel, IrreducibilityQuantities,
                    OdeModel, PiecewiseConstantOdeModel, check_O1, check_O2,

@@ -81,7 +81,6 @@ def _config_for(args):
         cfg["seed"] = args.seed
     if args.horizon is not None:
         cfg["estimator"]["horizon"] = args.horizon
-        cfg["estimator_user_keys"] = sorted(set(cfg.get("estimator_user_keys", ())) | {"horizon"})
     if args.command == "example-torus":
         if getattr(args, "rho", None) is not None:
             cfg["model"]["rho"] = args.rho

@@ -35,6 +35,8 @@ ESTIMATOR_DEFAULTS = {
     "divergence_horizons": [125.0, 250.0, 500.0, 1000.0],
     "divergence_threshold": -10.0,
 }
+# a torus-example config runs the torus battery at that battery's own horizon and dt
+TORUS_ESTIMATOR_DEFAULTS = {"horizon": 50.0, "dt": 0.25}
 
 
 def _require(block, key, where):
@@ -64,7 +66,6 @@ def load_config(path) -> dict:
 
 
 def validate_config(cfg: dict) -> dict:
-    cfg = {k: v for k, v in cfg.items() if k != "estimator_user_keys"}
     _unknown_keys(cfg, ("seed", "driver", "model", "estimator", "output"), "config")
     out = {}
     out["seed"] = int(cfg.get("seed", 0))
@@ -85,6 +86,8 @@ def validate_config(cfg: dict) -> dict:
     out["model"] = _validate_model(model_blk, out["driver"])
 
     est = dict(ESTIMATOR_DEFAULTS)
+    if kind == "torus-example":
+        est.update(TORUS_ESTIMATOR_DEFAULTS)
     est_blk = cfg.get("estimator", {})
     if not isinstance(est_blk, dict):
         raise ConfigError("'estimator' must be an object")
@@ -98,7 +101,6 @@ def validate_config(cfg: dict) -> dict:
     if isinstance(every, bool) or not isinstance(every, int) or every < 1:
         raise ConfigError(f"'estimator.record_every' must be a positive integer, got {every!r}")
     out["estimator"] = est
-    out["estimator_user_keys"] = sorted(est_blk)
 
     out_blk = cfg.get("output", {})
     if not isinstance(out_blk, dict):
@@ -247,7 +249,7 @@ def build_model(cfg: dict):
     if kind == "markov-list":
         return "matrix", mx.MarkovMatrixModel(blk["matrices"])
     if kind == "uniform-entries":
-        return "matrix", mx.uniform_entries_model(int(blk["n"]), float(blk["lo"]), float(blk["hi"]))
+        return "matrix", mx.UniformEntriesModel(int(blk["n"]), float(blk["lo"]), float(blk["hi"]))
     if kind == "leslie":
         n = int(blk["n"])
         return "matrix", mx.LeslieModel(n, _dist_sampler(blk["m"], n), _dist_sampler(blk["b"], n - 1))

@@ -1,6 +1,7 @@
 """Numerical estimators for positive cocycles: forward principal-direction
 iteration, backward pullback orbits, dual directions, exponential separation,
-a QR Lyapunov-spectrum oracle, and ergodic (Birkhoff) averaging.
+a QR Lyapunov-spectrum oracle, the quadratic-form (kappa) route to the top
+exponent, and the trend verdict on finite-horizon means.
 
 Estimators use a cocycle protocol over a matrix model, an ODE model (the
 flow over a fixed dt) or the ``AdjointCocycle`` of either: ``step_blocks``
@@ -534,39 +535,7 @@ def oseledets_qr(cocycle, omega, horizon):
 
 
 # ---------------------------------------------------------------------------
-# ergodic averages
-
-
-@dataclass
-class BirkhoffEstimate:
-    mean: float
-    ci: float
-    batch_means: np.ndarray
-    n_samples: int
-    dt: float
-
-
-def _orbit_samples(observable, omega, horizon, dt):
-    """observable(state) along the orbit over [0, horizon], as (samples, dt).
-
-    Discrete drivers sample every step; continuous drivers sample the
-    midpoint of each dt-cell (dt defaults to 0.05).
-    """
-    discrete = getattr(omega.system, "time", "discrete") == "discrete"
-    dt = 1.0 if discrete else 0.05 if dt is None else float(dt)
-    return np.array([observable(omega.advance(k if discrete else (k + 0.5) * dt))
-                     for k in range(int(round(horizon / dt)))]), dt
-
-
-def birkhoff_average(observable, omega, horizon, batches=8, dt=None) -> BirkhoffEstimate:
-    """Time average of observable(state) over [0, horizon] with a batch-means CI,
-    sampled as in ``_orbit_samples``."""
-    if batches < 2:
-        raise ValueError("batches must be >= 2")
-    samples, dt = _orbit_samples(observable, omega, horizon, dt)
-    m, hw, blocks = batch_means(samples, batches)
-    return BirkhoffEstimate(mean=float(samples.mean()), ci=hw, batch_means=blocks,
-                            n_samples=samples.size, dt=dt)
+# divergence trends
 
 
 @dataclass
@@ -595,18 +564,6 @@ class DivergenceDiagnostic:
         return cls(horizons=list(horizons), means=means, threshold=float(threshold),
                    strictly_decreasing=dec, below_threshold=below,
                    diverging=dec and below)
-
-
-def divergence_diagnostic(observable, omega, horizons, threshold=-10.0, dt=None) -> DivergenceDiagnostic:
-    """Means of the observable over [0, T] for each horizon T (single pass),
-    assembled into a trend verdict against the threshold."""
-    horizons = sorted(float(T) for T in horizons)
-    if len(horizons) < 2:
-        raise ValueError("need at least two horizons")
-    samples, dt = _orbit_samples(observable, omega, horizons[-1], dt)
-    cums = np.cumsum(samples)
-    means = [cums[m - 1] / m for m in (int(round(T / dt)) for T in horizons)]
-    return DivergenceDiagnostic.from_means(horizons, means, threshold)
 
 
 # ---------------------------------------------------------------------------

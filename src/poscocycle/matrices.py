@@ -155,11 +155,6 @@ class UniformEntriesModel(BlockMatrixModel):
         return U.reshape(count, self.n, self.n)
 
 
-def uniform_entries_model(n: int, lo: float, hi: float) -> UniformEntriesModel:
-    """All N^2 entries i.i.d. Uniform(lo, hi) per step."""
-    return UniformEntriesModel(n, lo, hi)
-
-
 def leslie_matrix(m, b) -> np.ndarray:
     """Leslie matrix: fertilities m on the first row, survival rates b on the subdiagonal."""
     m = np.asarray(m, dtype=float)

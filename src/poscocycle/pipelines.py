@@ -209,12 +209,10 @@ def _run_torus(cfg):
 
     est = cfg["estimator"]
     blk = cfg["model"]
-    user = set(cfg.get("estimator_user_keys", ()))
     window = blk.get("sigma_window") or (1.9, 2.1)
     report = validate_against_closed_form(
         rho=blk.get("rho"), seed=cfg["seed"],
-        horizon=float(est["horizon"]) if "horizon" in user else 50.0,
-        dt=float(est["dt"]) if "dt" in user else 0.25,
+        horizon=float(est["horizon"]), dt=float(est["dt"]),
         sigma_window=(float(window[0]), float(window[1])),
         divergence_horizons=tuple(float(T) for T in est["divergence_horizons"]),
         divergence_threshold=float(est["divergence_threshold"]))

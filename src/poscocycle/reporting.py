@@ -1,8 +1,10 @@
 """Deterministic result serialization and plot-data emission.
 
-results.json is written in one pass by a recursive serializer: keys sorted,
-floats at 17 significant digits, non-finite floats as the strings "inf" /
-"-inf" / "nan".  Identical runs produce byte-identical files (timing aside).
+results.json is written by one recursive writer that dispatches on the exact
+type of each value: keys sorted by their string form, floats at 17
+significant digits, non-finite floats as the strings "inf" / "-inf" / "nan",
+strings ASCII-escaped, numpy arrays and scalars through ``.tolist()``.
+Identical runs produce byte-identical files (timing aside).
 """
 
 from __future__ import annotations
@@ -34,51 +36,40 @@ def _scrub(obj):
     return obj
 
 
-def _write_value(v, parts):
-    # numpy values are written as the plain values _scrub would make of them
-    if isinstance(v, np.ndarray):
-        v = v.tolist()
-    elif isinstance(v, np.generic):
-        v = v.item()
-    if v is None:
-        parts.append("null")
-    elif isinstance(v, bool):
-        parts.append("true" if v else "false")
-    elif isinstance(v, int):
-        parts.append(str(v))
-    elif isinstance(v, float):
-        if math.isnan(v):
-            parts.append('"nan"')
-        elif math.isinf(v):
-            parts.append('"inf"' if v > 0 else '"-inf"')
-        else:
-            parts.append(format(v, ".17g"))
-    elif isinstance(v, str):
-        parts.append(json.dumps(v))
-    elif isinstance(v, dict):
-        parts.append("{")
-        for i, k in enumerate(sorted(v, key=str)):
-            if i:
-                parts.append(",")
-            parts.append(json.dumps(str(k)))
-            parts.append(":")
-            _write_value(v[k], parts)
-        parts.append("}")
-    elif isinstance(v, (list, tuple)):
-        parts.append("[")
-        for i, item in enumerate(v):
-            if i:
-                parts.append(",")
-            _write_value(item, parts)
-        parts.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(v).__name__}")
+_str = json.encoder.encode_basestring_ascii
+
+
+def _float(v):
+    if math.isfinite(v):
+        return format(v, ".17g")
+    return '"nan"' if v != v else '"inf"' if v > 0 else '"-inf"'
+
+
+def _dict(v):
+    return "{" + ",".join(f"{_str(str(k))}:{_json(v[k])}" for k in sorted(v, key=str)) + "}"
+
+
+def _list(v):
+    return "[" + ",".join(map(_json, v)) + "]"
+
+
+# exact types only: bool is an int, and numpy's float64 is a float
+_WRITERS = {float: _float, int: str, bool: lambda v: "true" if v else "false", str: _str,
+            type(None): lambda v: "null", dict: _dict, list: _list, tuple: _list}
+
+
+def _json(v):
+    """The JSON text of one value; numpy values are written as their .tolist()."""
+    write = _WRITERS.get(type(v))
+    if write is None:
+        if not isinstance(v, (np.ndarray, np.generic)):
+            raise TypeError(f"cannot serialize {type(v).__name__}")
+        return _json(v.tolist())
+    return write(v)
 
 
 def format_result(result: dict) -> str:
-    parts = []
-    _write_value(result, parts)
-    return "".join(parts) + "\n"
+    return _json(result) + "\n"
 
 
 def write_result(result: dict, path) -> None:

@@ -17,7 +17,7 @@ from poscocycle.estimators import (MatrixCocycle, OdeCocycle, dual_floquet,
                                    pullback_convergence, separation_estimate,
                                    warmup_direction)
 from poscocycle.matrices import (ConstantMatrixModel, LeslieModel, leslie_model,
-                                 matrix_stats, uniform_entries_model,
+                                 matrix_stats, UniformEntriesModel,
                                  verify_nstep_positivity)
 from poscocycle.odes import (ConstantOdeModel, PiecewiseConstantOdeModel,
                              cooperative_sampler, integrate, typek_to_cooperative)
@@ -163,7 +163,7 @@ def test_criterion_06_cross_method_exponents():
     horizon = 10_000
     worst_l, worst_gap = 0.0, 0.0
     for k in range(10):
-        coc = MatrixCocycle(uniform_entries_model(3, 0.5, 2.0))
+        coc = MatrixCocycle(UniformEntriesModel(3, 0.5, 2.0))
         omega = disc_state(SEED + 100 + k)
         exps = oseledets_qr(coc, omega, horizon)
         w0 = warmup_direction(coc, omega, 50)
@@ -240,7 +240,7 @@ def test_criterion_10_invariance_suite():
 
     # cocycle splitting, matrix (<= 1e-10)
     from poscocycle.matrices import cocycle_product, opnorm1
-    model = uniform_entries_model(3, 0.5, 2.0)
+    model = UniformEntriesModel(3, 0.5, 2.0)
     omega = disc_state(41)
     D_full, ls_full = cocycle_product(model, omega, 90)
     D_a, ls_a = cocycle_product(model, omega, 40)
@@ -272,7 +272,7 @@ def test_criterion_10_invariance_suite():
         return S
 
     from poscocycle.matrices import SampledMatrixModel
-    zoo = [(uniform_entries_model(3, 0.5, 2.0), 8, 100, 43),
+    zoo = [(UniformEntriesModel(3, 0.5, 2.0), 8, 100, 43),
            (SampledMatrixModel(3, weak_sampler), 20, 400, 47)]
     worst = 0.0
     for mdl, steps, depth, mseed in zoo:
@@ -329,7 +329,7 @@ def test_criterion_10_invariance_suite():
 def test_criterion_11_pullback_depth_stability():
     worst = 0.0
     for k in range(5):
-        coc = MatrixCocycle(uniform_entries_model(3, 0.8, 1.25))
+        coc = MatrixCocycle(UniformEntriesModel(3, 0.8, 1.25))
         worst = max(worst, pullback_convergence(coc, disc_state(SEED + 300 + k), 20))
     ok = worst <= 1e-8
     record(11, ok, f"max direction distance between depth-20 and depth-40 pullbacks: {worst:.2e}")

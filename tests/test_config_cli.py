@@ -97,6 +97,10 @@ class TestSerialization:
         s = format_result({"v": np.array([1.5, 2.5]), "n": np.int64(3), "f": np.float64(0.5)})
         assert json.loads(s) == {"v": [1.5, 2.5], "n": 3, "f": 0.5}
 
+    def test_mixed_containers_exact_bytes(self):
+        s = format_result({"t": (1, 2.5), "b": np.bool_(True), 3: "é", "c": "a\x01b", "e": [], "d": {}})
+        assert s == '{"3":"\\u00e9","b":true,"c":"a\\u0001b","d":{},"e":[],"t":[1,2.5]}\n'
+
 
 class TestPipelines:
     def test_estimate_run_and_schema(self, tmp_path):
@@ -198,6 +202,24 @@ class TestPipelines:
         doc = run_command("estimate", cfg, out_dir=tmp_path)
         w = np.asarray(doc["results"]["w"], dtype=float)
         assert np.linalg.norm(w - np.array([1.0, 1.0]) / np.sqrt(2)) < 1e-6
+
+    @pytest.mark.parametrize("est", [{}, {"horizon": 20.0, "dt": 0.5}], ids=["defaults", "set"])
+    def test_torus_echo_is_what_the_battery_ran(self, tmp_path, monkeypatch, est):
+        from poscocycle import torus
+        from poscocycle.estimators import DivergenceDiagnostic
+        ran = {}
+
+        def recording_battery(**kwargs):
+            ran.update(kwargs)
+            rep = torus.TorusValidationReport(rho=0.5, kappa_bound=torus.FOCUSING_RATIO_BOUND)
+            rep.divergence = DivergenceDiagnostic.from_means([1.0, 2.0], [0.0, -1.0], -10.0)
+            return rep
+
+        monkeypatch.setattr(torus, "validate_against_closed_form", recording_battery)
+        cfg = validate_config({"model": {"kind": "torus-example"}, "estimator": est})
+        echo = run_command("example-torus", cfg, out_dir=tmp_path)["config"]["estimator"]
+        assert (echo["horizon"], echo["dt"]) == (ran["horizon"], ran["dt"])
+        assert (ran["horizon"], ran["dt"]) == (est.get("horizon", 50.0), est.get("dt", 0.25))
 
     def test_emit_plot_data_requires_history(self, tmp_path):
         with pytest.raises(EstimationError, match="history"):

@@ -7,7 +7,7 @@ from poscocycle.matrices import (ConstantMatrixModel, IidChoiceModel, LeslieMode
                                  MarkovMatrixModel, check_D1, check_D2, check_D3,
                                  cocycle_product, focusing_certificate,
                                  leslie_matrix, leslie_model, matrix_from_csv,
-                                 matrix_stats, opnorm1, uniform_entries_model,
+                                 matrix_stats, opnorm1, UniformEntriesModel,
                                  verify_nstep_positivity)
 
 
@@ -50,13 +50,13 @@ class TestCocycleProduct:
         assert np.isfinite(ls) and abs(ls - 200 * np.log(1e-3)) < 1e-9
 
     def test_positivity_preserved_exactly(self):
-        model = uniform_entries_model(3, 0.0, 1.0)
+        model = UniformEntriesModel(3, 0.0, 1.0)
         omega = IidShift().initial(5)
         D, _ = cocycle_product(model, omega, 50)
         assert np.all(D >= 0.0)
 
     def test_splitting_law_long_product(self):
-        model = uniform_entries_model(3, 0.5, 2.0)
+        model = UniformEntriesModel(3, 0.5, 2.0)
         omega = IidShift().initial(23)
         m, k = 4000, 6000
         D_full, ls_full = cocycle_product(model, omega, m + k)
@@ -244,7 +244,7 @@ class TestBlockEmission:
         rng = np.random.default_rng(4)
         mats = [rng.uniform(0.1, 2.0, (3, 3)) for _ in range(3)]
         markov = MarkovShift([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.4, 0.1, 0.5]])
-        return [(uniform_entries_model(3, 0.5, 2.0), IidShift()),
+        return [(UniformEntriesModel(3, 0.5, 2.0), IidShift()),
                 (IidChoiceModel(mats, [0.2, 0.5, 0.3]), IidShift()),
                 (MarkovMatrixModel(mats), markov)]
 
@@ -260,12 +260,12 @@ class TestBlockEmission:
 
     def test_uniform_entries_range(self):
         # distinct values: neighbouring cells' counter blocks do not overlap
-        S = uniform_entries_model(4, 0.5, 2.0).emit_block(IidShift().initial(1), 256)
+        S = UniformEntriesModel(4, 0.5, 2.0).emit_block(IidShift().initial(1), 256)
         assert S.min() >= 0.5 and S.max() < 2.0 and len(np.unique(S)) == S.size
 
     def test_cocycle_product_across_blocks(self):
         # one product over 600 maps equals the direct product of emitted maps
-        model = uniform_entries_model(3, 0.5, 2.0)
+        model = UniformEntriesModel(3, 0.5, 2.0)
         omega = IidShift().initial(3).advance(-250)
         P = np.eye(3)
         for k in range(600):

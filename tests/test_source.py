@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import in the package is used."""
+"""Source hygiene: every module-level import in the package, the demos and
+the tools is used."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,8 @@ import poscocycle
 
 # __init__.py is left out: its imports are the package's re-exports
 MODULES = sorted(p for p in Path(poscocycle.__file__).parent.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("tools/*.py"))
 
 
 def unused_imports(source):
@@ -31,6 +34,7 @@ def test_unused_imports_found():
     assert unused_imports(source) == [(1, "os"), (3, "BLOCK_CELLS")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS,
+                         ids=lambda p: p.name if p in MODULES else f"{p.parent.name}/{p.name}")
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []

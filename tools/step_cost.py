@@ -45,12 +45,12 @@ def main(argv=None):
     from poscocycle.drivers import IidShift
     from poscocycle.estimators import (MatrixCocycle, forward_floquet, oseledets_qr,
                                        separation_estimate)
-    from poscocycle.matrices import uniform_entries_model
+    from poscocycle.matrices import UniformEntriesModel
 
     T = HORIZON
     if args.peak:
         for n in (3, 24):
-            coc = MatrixCocycle(uniform_entries_model(n, 0.5, 2.0))
+            coc = MatrixCocycle(UniformEntriesModel(n, 0.5, 2.0))
             separation_estimate(coc, IidShift().initial(1), T, warmup=50)
             tracemalloc.start()
             separation_estimate(coc, IidShift().initial(1), T, warmup=50)
@@ -67,7 +67,7 @@ def main(argv=None):
         for n in (3, 24):
             best = float("inf")
             for _ in range(REPEATS):
-                coc = MatrixCocycle(uniform_entries_model(n, 0.5, 2.0))
+                coc = MatrixCocycle(UniformEntriesModel(n, 0.5, 2.0))
                 t0 = time.process_time()
                 run(coc, IidShift().initial(1))
                 best = min(best, time.process_time() - t0)
