@@ -32,7 +32,8 @@ print(f"  |S v(n) - rho v(n+1)| = {np.linalg.norm(lhs - rhs):.2e}")
 
 print("\ndepth-doubling convergence of the time-0 direction:")
 for depth in (5, 10, 20, 40):
-    print(f"  depth {depth:3d} vs {2 * depth:3d}: {pullback_convergence(cocycle, omega, depth):.3e}")
+    _, distance = pullback_convergence(cocycle, omega, depth)
+    print(f"  depth {depth:3d} vs {2 * depth:3d}: {distance:.3e}")
 
 # the dual route gives the complementary object: the direction defining the
 # invariant hyperplane that carries no positive vectors

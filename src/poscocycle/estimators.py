@@ -12,13 +12,20 @@ than once: matrix maps are emitted afresh on every read, flow maps are
 propagated once and stored.  The step loops' QR and spectral norms call the
 LAPACK gufuncs of ``numpy.linalg`` (dgeqrf, dorgqr, dgesdd) without the
 wrappers, so the module loads no scipy.
+
+Each command walks its steps once: ``forward_floquet`` takes a block of
+probes as columns and applies each step map to the block, so the warmed and
+the raw probe of an estimate share one pass, the pullbacks of depth d and
+2d share their last d steps (``pullback_convergence``), and the kappa route
+reads the directions of the tracked probe instead of walking its orbit
+again.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -205,68 +212,113 @@ def _qr_positive(V):
 
 @dataclass
 class FloquetTrack:
-    """Running principal direction: unit w, accumulated log growth, horizon."""
+    """Running principal direction: unit w, accumulated log growth, horizon,
+    and the rows recorded every ``record_every`` steps: their ``times``, the
+    log growth since the previous row (``log_rho``) and the unit direction
+    there (``directions``, one row each)."""
 
     w: np.ndarray
     log_growth: float
     horizon: float
     lambda1: float
-    history: list = field(default_factory=list)  # (time, ln rho since the last row, w copy)
+    times: np.ndarray
+    log_rho: np.ndarray
+    directions: np.ndarray
 
 
-def _enforce_cone(u, tol, t):
-    """Check that u lies in the nonnegative orthant up to ``tol``; clip
-    roundoff-level excursions so the returned direction is a member."""
-    i = int(u.argmin())
-    if u[i] < -tol:
+def _enforce_cone(U, tol, t):
+    """Check that the columns of U lie in the nonnegative orthant up to
+    ``tol``; clip roundoff-level excursions so the returned directions are
+    members."""
+    i, j = np.unravel_index(U.argmin(), U.shape)
+    if U[i, j] < -tol:
         raise PositivityViolation(
-            f"trajectory left the cone at t = {t:.6g}: coordinate {i} = {u[i]:.3e}",
-            witness=(t, i, float(u[i])))
-    return np.maximum(u, 0.0)
+            f"trajectory left the cone at t = {t:.6g}: coordinate {i} = {U[i, j]:.3e}",
+            witness=(t, int(i), float(U[i, j])))
+    return np.maximum(U, 0.0)
+
+
+def _column_norms(V):
+    return np.sqrt(np.vecdot(V, V, axis=0))
 
 
 def forward_floquet(cocycle, omega, u0, horizon, record_every=0, check_cone=True):
     """Iterate u <- (one-step map) u with renormalization, accumulating ln rho.
 
-    Returns a FloquetTrack whose ``lambda1`` is the finite-horizon growth-rate
-    estimate log_growth / horizon.  With ``check_cone`` it raises
-    PositivityViolation when the iterate leaves the nonnegative orthant by
-    more than the cocycle's ``cone_tol``.
+    ``u0`` is one probe (N,) or a block of probes as columns (N, k).  The
+    columns walk the steps together, each step map applied to the block
+    once, and each column is renormalised and cone-checked on its own.  A
+    probe returns one FloquetTrack, a block a list of k, one per column,
+    each equal up to rounding to the track of its column alone.  A track's
+    ``lambda1`` is the finite-horizon growth-rate estimate
+    log_growth / horizon.  A column whose image is exactly 0 gets log growth
+    -inf, that zero image as ``w`` and no further rows; the others go on.
+    With ``check_cone`` it raises PositivityViolation when an iterate leaves
+    the nonnegative orthant by more than the cocycle's ``cone_tol``.
     """
     n_steps = int(round(horizon / cocycle.dt))
     if n_steps < 1:
         raise ValueError("horizon must cover at least one step")
-    u = np.asarray(u0, dtype=float).copy()
-    nrm = np.linalg.norm(u)
-    if nrm == 0.0:
+    U = np.array(u0, dtype=float)
+    single = U.ndim == 1
+    if single:
+        U = U[:, None]
+    nrm = _column_norms(U)
+    if not nrm.all():
         raise ValueError("u0 must be nonzero")
-    u /= nrm
+    U = U / nrm
+    tol, dt, k = cocycle.cone_tol, cocycle.dt, U.shape[1]
     if check_cone:
-        u = _enforce_cone(u, cocycle.cone_tol, 0.0)
-    log_growth = since = 0.0
-    history = []
-    for k, step in enumerate(cocycle.steps(omega, n_steps)):
-        v, ls = step(u)
-        r = _norm(v)
-        if r == 0.0:
-            log_growth = -math.inf
-            u = v
-            break
-        if not math.isfinite(r):
-            raise EstimationError(f"forward iterate not finite after step {k} (norm {r})")
-        u = v / r
-        if check_cone:
-            u = _enforce_cone(u, cocycle.cone_tol, (k + 1) * cocycle.dt)
-            u /= _norm(u)
-        ln_rho = math.log(r) + ls
-        log_growth += ln_rho
-        since += ln_rho
-        if record_every and (k + 1) % record_every == 0:
-            history.append(((k + 1) * cocycle.dt, since, u.copy()))
-            since = 0.0
-    T = n_steps * cocycle.dt
-    return FloquetTrack(w=u, log_growth=log_growth, horizon=T,
-                        lambda1=log_growth / T, history=history)
+        U = _enforce_cone(U, tol, 0.0)
+    growth, since = np.zeros(k), None
+    ln_rows, u_rows = [], []  # per row: ln rho since the last row (k,), the block (N, k)
+    # an annihilated column is done: its zero image is its w, and from then
+    # on it walks as a copy of a live column, whose rows it does not keep
+    gone, w = np.zeros(k, dtype=bool), np.empty((k, cocycle.n))
+    n_rows = np.full(k, n_steps // record_every if record_every else 0)
+    with np.errstate(divide="ignore"):
+        for step, advance in enumerate(cocycle.steps(omega, n_steps), 1):
+            V, ls = advance(U)
+            r = np.sqrt(np.vecdot(V, V, axis=0))
+            # one product tells that every norm is positive and finite (an
+            # under- or overflowing product only takes the careful branch)
+            if not 0.0 < math.prod(r.tolist()) < math.inf:
+                bad = r[~np.isfinite(r)]
+                if bad.size:
+                    raise EstimationError(f"forward iterate not finite after step {step - 1} (norm {bad[0]})")
+                dead = (r == 0.0) & ~gone
+                w[dead], n_rows[dead] = V[:, dead].T, len(ln_rows)
+                gone |= r == 0.0
+                if gone.all():
+                    break
+                live = np.flatnonzero(~gone)[0]
+                V[:, gone], r[gone] = V[:, live, None], r[live]
+            U = V / r
+            if check_cone and not U.min() >= 0.0:
+                U = _enforce_cone(U, tol, step * dt)
+                U /= _column_norms(U)
+            ln = np.log(r)
+            if ls:
+                ln += ls
+            growth += ln
+            if record_every:
+                # a row's ln rho is its steps' summed in order from 0.0
+                since = ln if since is None else since + ln
+                if step % record_every == 0:
+                    ln_rows.append(since)
+                    u_rows.append(U)
+                    since = None
+    log_growth = np.where(gone, -math.inf, growth)
+    w[~gone] = U.T[~gone]
+    T = n_steps * dt
+    times = record_every * np.arange(1, len(ln_rows) + 1) * dt
+    log_rho = np.array(ln_rows).reshape(-1, k).T
+    directions = np.stack(u_rows).transpose(2, 0, 1).copy() if u_rows else np.empty((k, 0, cocycle.n))
+    tracks = [FloquetTrack(w=w[j], log_growth=float(log_growth[j]), horizon=T,
+                           lambda1=float(log_growth[j]) / T, times=times[:n_rows[j]],
+                           log_rho=log_rho[j, :n_rows[j]], directions=directions[j, :n_rows[j]])
+              for j in range(k)]
+    return tracks[0] if single else tracks
 
 
 def warmup_direction(cocycle, omega, depth, probe=None):
@@ -312,33 +364,57 @@ class EntireOrbit:
         return math.exp(self.log_norms[j]) * self.directions[j]
 
 
-def backward_entire_orbit(cocycle, omega, depth, probe=None) -> EntireOrbit:
-    """Push a probe from depth steps in the past up to ``omega``, recording the
-    normalized directions; under focusing this approximates the unique entire
-    positive orbit through the current base point."""
+def _pullback_args(cocycle, depth, probe):
     depth = int(depth)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if probe is None:
         probe = np.full(cocycle.n, 1.0 / math.sqrt(cocycle.n))
-    u0 = np.asarray(probe, dtype=float)
-    track = forward_floquet(cocycle, cocycle.advance(omega, -depth), u0, depth * cocycle.dt,
-                            record_every=1, check_cone=False)
-    if track.log_growth == -math.inf:
+    return depth, np.asarray(probe, dtype=float)
+
+
+def _pullback(cocycle, start, probes, depth, record_every=0):
+    """The tracks of the columns of ``probes`` pushed over ``depth`` steps
+    from ``start``, each of which must survive."""
+    tracks = forward_floquet(cocycle, start, probes, depth * cocycle.dt,
+                             record_every=record_every, check_cone=False)
+    if any(track.log_growth == -math.inf for track in tracks):
         raise EstimationError("pullback probe was annihilated; model is not positivity-preserving")
-    ns = list(range(-depth, 1))
-    directions = [u0 / np.linalg.norm(u0)] + [u for _, _, u in track.history]
-    log_rhos = [ln_rho for _, ln_rho, _ in track.history]
+    return tracks
+
+
+def _entire_orbit(depth, u0, track) -> EntireOrbit:
+    """The orbit of a probe ``u0`` pushed over the ``depth`` steps up to
+    time 0, from its track with a row every step."""
+    log_rhos = track.log_rho.tolist()
     # normalize so that the time-0 value is the unit direction
     log_norms = list(accumulate(reversed(log_rhos), operator.sub, initial=0.0))[::-1]
-    return EntireOrbit(ns=ns, directions=directions, log_norms=log_norms, step_log_rho=log_rhos)
+    return EntireOrbit(ns=list(range(-depth, 1)), directions=[u0 / np.linalg.norm(u0), *track.directions],
+                       log_norms=log_norms, step_log_rho=log_rhos)
+
+
+def backward_entire_orbit(cocycle, omega, depth, probe=None) -> EntireOrbit:
+    """Push a probe from depth steps in the past up to ``omega``, recording the
+    normalized directions; under focusing this approximates the unique entire
+    positive orbit through the current base point."""
+    depth, u0 = _pullback_args(cocycle, depth, probe)
+    [track] = _pullback(cocycle, cocycle.advance(omega, -depth), u0[:, None], depth, record_every=1)
+    return _entire_orbit(depth, u0, track)
 
 
 def pullback_convergence(cocycle, omega, depth, probe=None):
-    """Distance at time 0 between pullback approximations of depth and 2*depth."""
-    a = backward_entire_orbit(cocycle, omega, depth, probe)
-    b = backward_entire_orbit(cocycle, omega, 2 * depth, probe)
-    return float(np.linalg.norm(a.directions[-1] - b.directions[-1]))
+    """The depth-``depth`` entire orbit through ``omega`` and its distance at
+    time 0 from the pullback of depth 2 * depth, as (EntireOrbit, float).
+
+    The deeper probe walks its first ``depth`` steps alone, then the other
+    joins it as a second column: 2 * depth steps in all.
+    """
+    depth, u0 = _pullback_args(cocycle, depth, probe)
+    [deep] = _pullback(cocycle, cocycle.advance(omega, -2 * depth), u0[:, None], depth)
+    track, deeper = _pullback(cocycle, cocycle.advance(omega, -depth),
+                              np.column_stack([u0, deep.w]), depth, record_every=1)
+    orbit = _entire_orbit(depth, u0, track)
+    return orbit, float(np.linalg.norm(orbit.directions[-1] - deeper.w))
 
 
 # ---------------------------------------------------------------------------
@@ -578,22 +654,25 @@ class KappaRouteEstimate:
     dt: float
 
 
-def lambda1_via_kappa(cocycle: OdeCocycle, omega, horizon, warmup=50, batches=8) -> KappaRouteEstimate:
+def lambda1_via_kappa(cocycle: OdeCocycle, omega, directions, batches=8) -> KappaRouteEstimate:
     """Top exponent of a cooperative flow as the time average of the quadratic
-    form <A(t) w(t), w(t)> along the warmed principal direction.
+    form <A(t) w(t), w(t)> along the principal direction w.
 
-    Piecewise trapezoid quadrature: at every grid point the coefficient is
-    evaluated just left and just right of the point, so coefficient jumps at
-    cell boundaries do not bias the integral (grid cells should align with
-    the coefficient's discontinuity spacing).
+    ``directions`` holds w at the step times 0..n from ``omega``, (n + 1, N):
+    a warmed probe and the rows of its ``forward_floquet`` track, recorded
+    every step, so the route reads the orbit the growth-rate route walked
+    instead of walking it again.  Piecewise trapezoid quadrature over
+    [0, n dt]: at every grid point the coefficient is evaluated just left and
+    just right of the point, so coefficient jumps at cell boundaries do not
+    bias the integral (grid cells should align with the coefficient's
+    discontinuity spacing).
     """
     dt = cocycle.dt
-    n_steps = int(round(horizon / dt))
+    ws = np.asarray(directions, dtype=float)
+    n_steps = len(ws) - 1
     if n_steps < batches:
         raise ValueError("horizon too short for the requested batch count")
-    w = warmup_direction(cocycle, omega, warmup)
-    track = forward_floquet(cocycle, omega, w, horizon, record_every=1, check_cone=False)
-    ws = [w] + [u for _, _, u in track.history]
+    horizon = n_steps * dt
     nudge = 1e-9 * dt
     state = omega
     model = cocycle.model

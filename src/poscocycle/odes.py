@@ -321,7 +321,8 @@ def _exact_piece(model, A, t0, t1, Y):
 
 
 def _knots(model, omega, t):
-    """0, the coefficient's breakpoints inside (0, t) and t, strictly increasing.
+    """0, the coefficient's breakpoints inside (0, t) and t, strictly
+    increasing, as a list.
 
     A breakpoint within a few ulps of 0 or t is dropped: it is a boundary
     that rounding moved off a step end, and keeping it would split off a
@@ -329,7 +330,8 @@ def _knots(model, omega, t):
     """
     snap = 8.0 * _EPS * max(1.0, t)
     bps = np.asarray(model.breakpoints(omega, 0.0, t), dtype=float)
-    return np.unique(np.concatenate([[0.0], bps[(bps > snap) & (bps < t - snap)], [t]]))
+    inner = bps[(bps > snap) & (bps < t - snap)]
+    return [0.0, *sorted(set(inner.tolist())), float(t)]
 
 
 def propagate(model: OdeModel, omega, Y, t, rtol=1e-10, atol=1e-12):
@@ -354,7 +356,7 @@ def propagate(model: OdeModel, omega, Y, t, rtol=1e-10, atol=1e-12):
         return (out[:, 0] if squeeze else out), math.log(s)
     knots = _knots(model, omega, t)
     log_scale = 0.0
-    for a, b in zip(knots[:-1], knots[1:]):
+    for a, b in zip(knots, knots[1:]):
         A = model.piece_matrix(omega, a, b)
         if A is not None:
             Y, ls = _exact_piece(model, A, a, b, Y)

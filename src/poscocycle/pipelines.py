@@ -14,8 +14,8 @@ from . import __version__
 from .config import build_driver, build_model
 from .errors import ConfigError
 from .estimators import (DivergenceDiagnostic, MatrixCocycle, OdeCocycle,
-                         backward_entire_orbit, forward_floquet, lambda1_via_kappa,
-                         oseledets_qr, separation_estimate, warmup_direction)
+                         forward_floquet, lambda1_via_kappa, oseledets_qr,
+                         pullback_convergence, separation_estimate, warmup_direction)
 from .matrices import check_D1, check_D2, check_D3, verify_nstep_positivity
 from .odes import check_O1, check_O2
 from .reporting import emit_plot_data, report_to_dict, write_result, write_series
@@ -75,8 +75,7 @@ def run_command(command, cfg, out_dir=None):
     }
     write_result(doc, out / "results.json")
     if series is not None and cfg["output"]["series"]:
-        n_dim = len(series[0][2])
-        write_series(series, n_dim, out / f"series-seed{seed}.csv")
+        write_series(series, len(results["w"]), out / f"series-seed{seed}.csv")
         if results.get("history"):
             emit_plot_data(doc, out / f"plot-seed{seed}.csv")
     return doc
@@ -105,32 +104,47 @@ def _run_check(cfg):
     return {"assumption_reports": [report_to_dict(r) for r in reports]}, None
 
 
+def _thinned(track, every):
+    """A track recorded every step, as recorded every ``every`` steps: a
+    row's ln rho is its steps' summed in order from 0.0, as
+    ``forward_floquet`` sums them."""
+    rows = len(track.times) // every
+    end = rows * every
+    return dataclasses.replace(
+        track, times=track.times[every - 1:end:every], directions=track.directions[every - 1:end:every],
+        log_rho=np.cumsum(track.log_rho[:end].reshape(rows, every), axis=1)[:, -1])
+
+
 def _run_estimate(cfg):
     kind, cocycle, omega, est, seed = _setup(cfg)
     horizon = float(est["horizon"])
-    warmup = int(est["warmup"])
-
     every = int(est["record_every"])
-    w0 = warmup_direction(cocycle, omega, warmup)
-    track = forward_floquet(cocycle, omega, w0, horizon, record_every=every)
-    probe = np.asarray(est["u0"], dtype=float) if est["u0"] else np.eye(cocycle.n)[0]
-    raw = forward_floquet(cocycle, omega, probe, horizon, record_every=every)
+    batches = int(est["batches"])
 
-    ln_rhos = np.array([h[1] for h in track.history])  # log growth over each row's every * dt
-    _, ci, _ = batch_means(ln_rhos / (every * cocycle.dt), int(est["batches"])) if len(ln_rhos) >= int(est["batches"]) else (0, math.nan, None)
+    w0 = warmup_direction(cocycle, omega, int(est["warmup"]))
+    probe = np.asarray(est["u0"], dtype=float) if est["u0"] else np.eye(cocycle.n)[0]
+    # the warmed and the raw probe walk as one block; the kappa route reads
+    # the warmed direction at every step
+    track, raw = forward_floquet(cocycle, omega, np.column_stack([w0, probe]), horizon,
+                                 record_every=1 if kind == "ode" else every)
+    if kind == "ode":
+        kr = lambda1_via_kappa(cocycle, omega, np.vstack([w0, track.directions]), batches)
+        track, raw = _thinned(track, every), _thinned(raw, every)
+
+    ln_rhos, times = track.log_rho, track.times  # log growth over each row's every * dt
+    _, ci, _ = batch_means(ln_rhos / (every * cocycle.dt), batches) if len(ln_rhos) >= batches else (0, math.nan, None)
+    running = np.cumsum(ln_rhos) / times
 
     divergence = None
     horizons = [float(T) for T in est["divergence_horizons"]]
-    if horizons and max(horizons) <= horizon and track.history:
-        cum = np.cumsum(ln_rhos)
-        times = np.array([h[0] for h in track.history])
+    if horizons and max(horizons) <= horizon and len(times):
         if min(horizons) < times[0]:
             raise ConfigError(f"divergence horizon {min(horizons):g} precedes the first history row "
                               f"at t = {times[0]:g} (record_every {every} x dt {cocycle.dt:g})")
         # the mean over [0, t] at the last row t <= T (rows come every `every` steps)
         rows = np.searchsorted(times, horizons, side="right") - 1
-        means = [float(cum[j] / times[j]) for j in rows]
-        divergence = DivergenceDiagnostic.from_means(horizons, means, float(est["divergence_threshold"]))
+        divergence = DivergenceDiagnostic.from_means(horizons, running[rows],
+                                                     float(est["divergence_threshold"]))
 
     results = {
         "lambda1": _estimate_doc(track.lambda1, ci, horizon, seed,
@@ -142,19 +156,18 @@ def _run_estimate(cfg):
     if divergence:
         results["divergence"] = dataclasses.asdict(divergence)
     if kind == "ode":
-        kr = lambda1_via_kappa(cocycle, omega, horizon, warmup=warmup, batches=int(est["batches"]))
         results["lambda1_kappa_route"] = _estimate_doc(kr.estimate, kr.ci, horizon, seed)
 
-    series = []
-    history = []
-    cum = 0.0
-    for (t, ln_rho, w), (_, _, uraw) in zip(track.history, raw.history):
-        cum += ln_rho
-        series.append((t, ln_rho, w, None))
-        history.append({"t": t, "lambda1_running": cum / t,
-                        "direction_distance": float(np.linalg.norm(uraw - w))})
+    # history and series rows follow the tracked probe; the raw probe's
+    # distance is NaN from the step that annihilated it on
+    both = min(len(raw.times), len(times))
+    distance = np.full(len(times), math.nan)
+    distance[:both] = np.linalg.norm(raw.directions[:both] - track.directions[:both], axis=1)
+    series = [(t, ln_rho, w, None) for t, ln_rho, w in zip(times.tolist(), ln_rhos.tolist(), track.directions)]
     # the per-step history is bulky; persist it only when series output is on
-    results["history"] = history if cfg["output"]["series"] else []
+    results["history"] = [{"t": t, "lambda1_running": lam, "direction_distance": d}
+                          for t, lam, d in zip(times.tolist(), running.tolist(), distance.tolist())
+                          ] if cfg["output"]["series"] else []
     return results, series
 
 
@@ -181,14 +194,11 @@ def _run_separate(cfg):
 def _run_orbit(cfg):
     _, cocycle, omega, est, seed = _setup(cfg)
     depth = int(est["depth"])
-    orbit = backward_entire_orbit(cocycle, omega, depth)
-    # the depth-doubling drift of estimators.pullback_convergence, reusing ``orbit``
-    deeper = backward_entire_orbit(cocycle, omega, 2 * depth)
-    conv = float(np.linalg.norm(orbit.directions[-1] - deeper.directions[-1]))
+    orbit, conv = pullback_convergence(cocycle, omega, depth)
     results = {
         "depth": depth,
         "ns": orbit.ns,
-        "directions": [d for d in orbit.directions],
+        "directions": orbit.directions,
         "log_norms": orbit.log_norms,
         "step_log_rho": orbit.step_log_rho,
         "convergence_distance": conv,

@@ -10,6 +10,7 @@ Identical runs produce byte-identical files (timing aside).
 from __future__ import annotations
 
 import csv
+import functools
 import importlib.resources
 import json
 import math
@@ -17,23 +18,6 @@ import math
 import numpy as np
 
 from .errors import EstimationError
-
-
-def _scrub(obj):
-    """Convert numpy containers/scalars into plain Python values."""
-    if isinstance(obj, np.ndarray):
-        return [_scrub(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, dict):
-        return {str(k): _scrub(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_scrub(v) for v in obj]
-    return obj
 
 
 _str = json.encoder.encode_basestring_ascii
@@ -82,11 +66,26 @@ def results_schema() -> dict:
     return json.loads(text)
 
 
-def validate_result(result: dict) -> None:
-    """Validate a result document against the shipped schema (needs jsonschema)."""
+@functools.cache
+def _validator():
+    """The schema's validator, built once, after checking the schema itself."""
     import jsonschema
 
-    jsonschema.validate(_scrub(result), results_schema())
+    schema = results_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def validate_result(result: dict) -> None:
+    """Validate a result document as parsed from results.json against the
+    shipped schema (needs jsonschema); raises jsonschema.ValidationError,
+    as ``jsonschema.validate`` does."""
+    import jsonschema
+
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(result))
+    if error is not None:
+        raise error
 
 
 def report_to_dict(report) -> dict:
@@ -96,7 +95,7 @@ def report_to_dict(report) -> dict:
         "verdict": report.verdict,
         "estimate": report.estimate,
         "ci": report.ci,
-        "witnesses": _scrub([list(w) if isinstance(w, tuple) else w for w in report.witnesses]),
+        "witnesses": list(report.witnesses),
         "detail": report.detail,
     }
 

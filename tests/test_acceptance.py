@@ -190,9 +190,9 @@ def test_criterion_07_kappa_route_identity():
     for j, model in enumerate(models):
         coc = OdeCocycle(model, dt=0.05, rtol=1e-8)
         omega = cont_state(SEED + j)
-        kr = lambda1_via_kappa(coc, omega, 60.0, warmup=80)
         w0 = warmup_direction(coc, omega, 80)
-        ff = forward_floquet(coc, omega, w0, 60.0)
+        ff = forward_floquet(coc, omega, w0, 60.0, record_every=1)
+        kr = lambda1_via_kappa(coc, omega, np.vstack([w0, ff.directions]))
         diff = abs(kr.estimate - ff.lambda1)
         tol = max(1e-3, 3 * kr.ci)
         ok = ok and diff <= tol
@@ -330,7 +330,7 @@ def test_criterion_11_pullback_depth_stability():
     worst = 0.0
     for k in range(5):
         coc = MatrixCocycle(UniformEntriesModel(3, 0.8, 1.25))
-        worst = max(worst, pullback_convergence(coc, disc_state(SEED + 300 + k), 20))
+        worst = max(worst, pullback_convergence(coc, disc_state(SEED + 300 + k), 20)[1])
     ok = worst <= 1e-8
     record(11, ok, f"max direction distance between depth-20 and depth-40 pullbacks: {worst:.2e}")
 

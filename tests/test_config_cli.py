@@ -8,11 +8,17 @@ import numpy as np
 import pytest
 
 import poscocycle
+from poscocycle import estimators
 from poscocycle.config import load_config, validate_config, build_model, build_driver
 from poscocycle.errors import ConfigError, EstimationError
 from poscocycle.pipelines import run_command
 from poscocycle.reporting import (emit_plot_data, format_result, results_schema,
                                   validate_result)
+
+
+def written(out_dir):
+    """The results.json document as written to ``out_dir``."""
+    return json.loads((out_dir / "results.json").read_text())
 
 
 def base_cfg(**over):
@@ -106,7 +112,7 @@ class TestPipelines:
     def test_estimate_run_and_schema(self, tmp_path):
         cfg = validate_config(base_cfg())
         doc = run_command("estimate", cfg, out_dir=tmp_path)
-        validate_result(doc)
+        validate_result(written(tmp_path))
         assert (tmp_path / "results.json").exists()
         assert (tmp_path / "series-seed3.csv").exists()
         assert (tmp_path / "plot-seed3.csv").exists()
@@ -136,7 +142,7 @@ class TestPipelines:
         res = doc["results"]
         assert res["sigma"]["value"] == pytest.approx(
             res["lambda1"]["value"] - res["lambda2"]["value"])
-        validate_result(doc)
+        validate_result(written(tmp_path))
 
     def test_orbit_and_oseledets(self, tmp_path):
         cfg = validate_config(base_cfg())
@@ -188,10 +194,28 @@ class TestPipelines:
         res = doc["results"]
         # the quadratic-form route must agree with the growth-rate route
         assert abs(res["lambda1_kappa_route"]["value"] - res["lambda1"]["value"]) < 5e-3
-        validate_result(doc)
+        validate_result(written(tmp_path))
         chk = run_command("check", cfg, out_dir=tmp_path)["results"]["assumption_reports"]
         assert {r["condition"] for r in chk} == {"O1", "O2"}
         assert next(r for r in chk if r["condition"] == "O1")["verdict"] == "holds"
+
+    def test_ode_estimate_one_pass(self, tmp_path, monkeypatch):
+        # the warm-up, then the warmed and raw probes as one block; the kappa
+        # route reads the warmed probe's rows: 50 + 1000 flows, not 3100
+        calls, propagate = [], estimators.propagate
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "propagate", counted)
+        cfg = validate_config({"seed": 100,
+                               "model": {"kind": "ode-piecewise-uniform", "n": 3,
+                                         "diag": [-1.0, 0.5], "offdiag": [0.0, 1.0]},
+                               "estimator": {"horizon": 100.0, "dt": 0.1}})
+        res = run_command("estimate", cfg, out_dir=tmp_path)["results"]
+        assert len(calls) == 50 + 1000
+        assert abs(res["lambda1_kappa_route"]["value"] - res["lambda1"]["value"]) < 5e-3
 
     def test_torus_estimate_pipeline(self, tmp_path):
         cfg = validate_config({
@@ -234,6 +258,14 @@ class TestPipelines:
     def test_schema_is_wellformed(self):
         schema = results_schema()
         assert schema["properties"]["command"]["enum"]
+
+    def test_validate_rejects_what_the_schema_rejects(self):
+        import jsonschema
+        doc = {"tool": {"name": "poscocycle", "version": "0"}, "command": "check", "seed": 1,
+               "config": {}, "results": {}, "timing": {"wall_seconds": "nan"}}
+        validate_result(doc)
+        with pytest.raises(jsonschema.ValidationError, match="'fast' is not valid"):
+            validate_result({**doc, "timing": {"wall_seconds": "fast"}})
 
 
 def run_python(*args):
@@ -278,6 +310,27 @@ class TestCliProcess:
         r = self.run_cli("orbit", "--config", str(p), "--out", str(tmp_path))
         assert r.returncode == 3
         assert "annihilated" in r.stderr
+
+    @pytest.mark.parametrize("matrix, dies", [
+        pytest.param([[0, 1], [0, 1]], 1, id="first-step"),
+        pytest.param([[0, 0, 0], [1, 0, 0], [0, 0, 1]], 2, id="mid-run"),
+    ])
+    def test_annihilated_raw_probe(self, tmp_path, matrix, dies):
+        # the raw probe e1 is annihilated at step ``dies``; the rows follow
+        # the warmed probe, with no distance to the raw one from then on
+        p = tmp_path / "kill.json"
+        p.write_text(json.dumps({"model": {"kind": "constant", "matrix": matrix},
+                                 "estimator": {"horizon": 20, "warmup": 5}, "output": {"series": True}}))
+        r = self.run_cli("estimate", "--config", str(p), "--out", str(tmp_path))
+        assert r.returncode == 0, r.stderr
+        doc = written(tmp_path)
+        validate_result(doc)
+        distances = [row["direction_distance"] for row in doc["results"]["history"]]
+        assert len(distances) == 20
+        assert all(d == "nan" for d in distances[dies - 1:])
+        assert all(isinstance(d, float) for d in distances[:dies - 1])
+        assert len((tmp_path / "series-seed0.csv").read_text().splitlines()) == 21
+        assert len((tmp_path / "plot-seed0.csv").read_text().splitlines()) == 21
 
     def test_nonfinite_coefficient_exit_3(self, tmp_path):
         p = tmp_path / "inf.json"

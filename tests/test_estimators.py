@@ -138,11 +138,67 @@ class TestForwardFloquet:
         Dw = d * a.w
         assert np.abs(b.w - Dw / np.linalg.norm(Dw)).max() <= 1e-12
 
+    @pytest.mark.parametrize("n, kill", [(3, None), (5, None), (4, 37)])
+    def test_block_matches_columns(self, n, kill):
+        # Each computed column is the exact orbit of its probe perturbed, per
+        # step, entrywise by a factor in [1 - g, 1 + g], g = gamma_{N+2}: a
+        # sum of N nonnegative products, then a division.  In Hilbert's
+        # projective metric that is at most d = ln((1 + g) / (1 - g)) per
+        # step, and a map with entries in [lo, hi] contracts the metric by
+        # Birkhoff's tau = (hi/lo - 1) / (hi/lo + 1), so every column stays
+        # within d / (1 - tau) of the exact orbit, in the block and alone.
+        # Two unit vectors at Hilbert distance e differ by at most e^e - 1
+        # in norm (their unit length is known to (N + 2) eps each).  A
+        # step's ln rho moves by at most e, and by the rounding of its norm
+        # and logarithm; each sum of T of them by gamma_T sum |ln rho|.
+        # With ``kill``, coordinate 0 is its own block, zeroed at step kill:
+        # the e_0 probe is annihilated there, the others live on coordinates
+        # 1..N-1, on which the maps are positive.
+        eps, T, lo, hi = np.finfo(float).eps, 300, 0.5, 2.0
+        gamma = lambda m: m * eps / (1 - m * eps)  # noqa: E731
+        g = gamma(n + 2)
+        e = 2 * math.log((1 + g) / (1 - g)) / (1 - (hi / lo - 1) / (hi / lo + 1))
+        dir_bound = math.expm1(e) + 2 * (n + 2) * eps
+
+        class Blocked(SampledMatrixModel):
+            def emit(self, state):
+                S = super().emit(state)
+                S[0, 1:] = S[1:, 0] = 0.0
+                if state.index == kill:
+                    S[0, 0] = 0.0
+                return S
+
+        model = (Blocked if kill else SampledMatrixModel)(n, lambda rng: rng.uniform(lo, hi, (n, n)))
+        rng = np.random.default_rng(n)
+        probes = np.column_stack([np.eye(n)[0], np.ones(n), rng.uniform(0.0, 1.0, n)])
+        if kill:
+            probes[0, 1:] = 0.0
+        block = forward_floquet(MatrixCocycle(model), disc_state(2), probes, T, record_every=1)
+        for j, track in enumerate(block):
+            alone = forward_floquet(MatrixCocycle(model), disc_state(2), probes[:, j], T, record_every=1)
+            if kill and j == 0:
+                # e_0 is mapped exactly, alone or in the block
+                assert track.lambda1 == alone.lambda1 == -math.inf
+                assert len(track.times) == len(alone.times) == kill
+                assert np.array_equal(track.w, alone.w) and not track.w.any()
+                assert np.array_equal(track.directions, alone.directions)
+                continue
+            assert len(track.times) == len(alone.times) == T
+            assert np.abs(track.directions - alone.directions).max() <= dir_bound
+            assert np.linalg.norm(track.w - alone.w) <= dir_bound
+            ln_rho_bound = e + 2 * gamma(2 * n + 4) + 2 * eps * np.abs(alone.log_rho).max()
+            assert np.abs(track.log_rho - alone.log_rho).max() <= ln_rho_bound
+            sum_bound = T * ln_rho_bound + 2 * gamma(T) * np.abs(alone.log_rho).sum()
+            assert abs(track.log_growth - alone.log_growth) <= sum_bound
+        # a 1-D probe gives one track, a one-column block a list of one
+        [one] = forward_floquet(MatrixCocycle(model), disc_state(2), probes[:, 1:2], T)
+        assert one.log_growth == forward_floquet(MatrixCocycle(model), disc_state(2), probes[:, 1], T).log_growth
+
     def test_history_recording(self):
         coc = iid_positive_cocycle()
         track = forward_floquet(coc, disc_state(3), np.ones(3), 20, record_every=1)
-        assert len(track.history) == 20
-        assert abs(sum(h[1] for h in track.history) - track.log_growth) < 1e-12
+        assert len(track.times) == len(track.log_rho) == len(track.directions) == 20
+        assert abs(sum(track.log_rho) - track.log_growth) < 1e-12
 
 
     def test_sampler_called_once_per_step(self):
@@ -171,6 +227,18 @@ class TestForwardFloquet:
                 calls.clear()
                 run(MatrixCocycle(model))
                 assert len(calls) == cells, type(model)
+
+    def test_orbit_reads_two_depths_of_maps(self):
+        # the depth-2d probe walks d steps alone, then both walk d as a block
+        cells = []
+
+        class CountingUniform(UniformEntriesModel):
+            def emit_block(self, state, count):
+                cells.append(count)
+                return super().emit_block(state, count)
+
+        orbit, dist = pullback_convergence(MatrixCocycle(CountingUniform(3, 0.5, 2.0)), disc_state(4), 300)
+        assert sum(cells) == 2 * 300 and len(orbit.ns) == 301 and dist <= 1e-12
 
     def test_propagate_called_once_per_flow_map(self, monkeypatch):
         # a flow map costs a propagate, so separation stores its maps and
@@ -243,7 +311,7 @@ class TestBackwardOrbit:
 
     def test_depth_doubling_convergence(self):
         coc = iid_positive_cocycle(2, 0.8, 1.25)
-        dist = pullback_convergence(coc, disc_state(4), 20)
+        orbit, dist = pullback_convergence(coc, disc_state(4), 20)
         assert dist <= 1e-8
 
     def test_cocycle_identity_of_records(self):
@@ -572,24 +640,28 @@ class TestBirkhoff:
         assert not flat.diverging
 
 
+def kappa_route(coc, omega, horizon, warmup):
+    """The kappa route along the track of a warmed probe, and that track."""
+    w0 = warmup_direction(coc, omega, warmup)
+    track = forward_floquet(coc, omega, w0, horizon, record_every=1)
+    return lambda1_via_kappa(coc, omega, np.vstack([w0, track.directions])), track
+
+
 class TestKappaRoute:
     def test_symmetric_constant(self):
         coc = OdeCocycle(ConstantOdeModel([[0.0, 1.0], [1.0, 0.0]]), dt=0.05, rtol=1e-9)
-        est = lambda1_via_kappa(coc, cont_state(), 40.0, warmup=100)
+        est, _ = kappa_route(coc, cont_state(), 40.0, 100)
         assert abs(est.estimate - 1.0) < 1e-6
 
     def test_matches_eigenvalue(self):
         A = np.diag([3.0, 3.0]) + np.ones((2, 2))
         top = np.linalg.eigvalsh(A)[-1]
         coc = OdeCocycle(ConstantOdeModel(A), dt=0.05, rtol=1e-9)
-        est = lambda1_via_kappa(coc, cont_state(), 40.0, warmup=100)
+        est, _ = kappa_route(coc, cont_state(), 40.0, 100)
         assert abs(est.estimate - top) < 1e-6
 
     def test_agrees_with_forward_floquet(self):
         model = PiecewiseConstantOdeModel(2, cooperative_sampler(2, -0.5, 0.5, 0.1, 1.0))
         coc = OdeCocycle(model, dt=0.05, rtol=1e-8)
-        omega = cont_state(6)
-        kr = lambda1_via_kappa(coc, omega, 60.0, warmup=80)
-        w0 = warmup_direction(coc, omega, 80)
-        ff = forward_floquet(coc, omega, w0, 60.0)
+        kr, ff = kappa_route(coc, cont_state(6), 60.0, 80)
         assert abs(kr.estimate - ff.lambda1) <= max(1e-3, 3 * kr.ci)

@@ -259,9 +259,25 @@ class TestDop853:
         eps = np.finfo(float).eps
         model = CallableOdeModel(1, lambda state, t: [[0.0]],
                                  lambda state, t0, t1: [eps / 8, 2 * eps, 0.05, 0.1 - 2 * eps, 0.1])
-        assert odes._knots(model, cont_state(), 0.1).tolist() == [0.0, 0.05, 0.1]
+        assert odes._knots(model, cont_state(), 0.1) == [0.0, 0.05, 0.1]
         wide = CallableOdeModel(1, lambda state, t: [[0.0]], lambda state, t0, t1: [1e-12, 10.0 - 1e-12])
-        assert odes._knots(wide, cont_state(), 10.0).tolist() == [0.0, 1e-12, 10.0 - 1e-12, 10.0]
+        assert odes._knots(wide, cont_state(), 10.0) == [0.0, 1e-12, 10.0 - 1e-12, 10.0]
+
+    def test_knots_sort_and_merge_breakpoints(self):
+        # unsorted, repeated and end-snapped breakpoints split a step exactly
+        # as the clean sorted list does
+        eps = np.finfo(float).eps
+
+        def fieldfn(state, t):
+            return [[-1.0, 1.0 + t], [1.0, -t]]
+
+        messy = CallableOdeModel(2, fieldfn, lambda state, t0, t1: [0.07, 0.03, 0.07, 0.1 - eps,
+                                                                    0.03, eps / 4, 0.05, 0.0])
+        clean = CallableOdeModel(2, fieldfn, lambda state, t0, t1: [0.03, 0.05, 0.07])
+        assert odes._knots(messy, cont_state(), 0.1) == [0.0, 0.03, 0.05, 0.07, 0.1]
+        Y, ls = propagate(messy, cont_state(), np.eye(2), 0.1)
+        Y_clean, ls_clean = propagate(clean, cont_state(), np.eye(2), 0.1)
+        assert np.array_equal(Y, Y_clean) and ls == ls_clean
 
 
 class TestGrowthBound:

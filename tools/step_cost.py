@@ -1,13 +1,19 @@
-"""CPU time per step of the matrix estimator loops, best of 5 runs of 2000 steps.
+"""CPU time per step of the estimator loops, best of 5 runs of 2000 steps.
 
   python3 tools/step_cost.py                 # this checkout
   python3 tools/step_cost.py --src OTHER/src # another checkout, for before/after pairs
   python3 tools/step_cost.py --peak          # tracemalloc peak of separation instead
 
-Each loop runs on a fresh uniform-entries cocycle (entries in [0.5, 2)) on
-a discrete i.i.d. shift, so block emission is included.  The process pins
-itself to one CPU and BLAS to one thread; alternate the checkouts and take
-each one's range, since the CPU speed of a shared machine drifts.
+Each matrix loop runs on a fresh uniform-entries cocycle (entries in
+[0.5, 2)) on a discrete i.i.d. shift, so block emission is included.
+"forward x2" walks two probes as one (N, 2) block; compare it with two
+one-probe "forward" steps.  The "ode" rows are forward steps of the
+piecewise-constant cooperative ODE (N = 3, diagonal in [-1, 0.5),
+off-diagonal in [0, 1), unit cells) at dt = 0.1 on a continuous i.i.d.
+shift, with one probe and with two.  A checkout whose ``forward_floquet``
+takes no probe block prints no two-probe rows.  The process pins itself to
+one CPU and BLAS to one thread; alternate the checkouts and take each
+one's range, since the CPU speed of a shared machine drifts.
 
 With ``--peak`` it prints instead the ``tracemalloc`` peak of one
 ``separation_estimate`` run, in bytes per step, after an untraced run has
@@ -43,9 +49,10 @@ def main(argv=None):
     sys.path.insert(0, args.src)
     import numpy as np
     from poscocycle.drivers import IidShift
-    from poscocycle.estimators import (MatrixCocycle, forward_floquet, oseledets_qr,
+    from poscocycle.estimators import (MatrixCocycle, OdeCocycle, forward_floquet, oseledets_qr,
                                        separation_estimate)
     from poscocycle.matrices import UniformEntriesModel
+    from poscocycle.odes import PiecewiseConstantOdeModel, cooperative_sampler
 
     T = HORIZON
     if args.peak:
@@ -58,20 +65,41 @@ def main(argv=None):
             tracemalloc.stop()
             print(f"separation N={n:<3} {peak / T:9.1f} peak bytes/step ({peak} bytes, T = {T})")
         return
-    loops = {
-        "forward": lambda coc, om: forward_floquet(coc, om, np.ones(coc.n), T),
-        "qr": lambda coc, om: oseledets_qr(coc, om, T),
-        "separation": lambda coc, om: separation_estimate(coc, om, T, warmup=50),
-    }
-    for name, run in loops.items():
-        for n in (3, 24):
+    def matrix(n):
+        return MatrixCocycle(UniformEntriesModel(n, 0.5, 2.0)), IidShift().initial(1)
+
+    def ode(n):
+        model = PiecewiseConstantOdeModel(n, cooperative_sampler(n, -1.0, 0.5, 0.0, 1.0))
+        return OdeCocycle(model, dt=0.1), IidShift(time="continuous").initial(1)
+
+    def forward(k):
+        def run(coc, om):
+            try:
+                tracks = forward_floquet(coc, om, np.ones((coc.n, k)) if k > 1 else np.ones(coc.n),
+                                         T * coc.dt)
+            except ValueError:  # an older checkout's 1-D probe check
+                return False
+            return k == 1 or isinstance(tracks, list)
+        return run
+
+    loops = [
+        ("forward", matrix, forward(1), (3, 24)),
+        ("forward x2", matrix, forward(2), (3, 24)),
+        ("qr", matrix, lambda coc, om: oseledets_qr(coc, om, T), (3, 24)),
+        ("separation", matrix, lambda coc, om: separation_estimate(coc, om, T, warmup=50), (3, 24)),
+        ("ode", ode, forward(1), (3,)),
+        ("ode x2", ode, forward(2), (3,)),
+    ]
+    for name, make, run, sizes in loops:
+        for n in sizes:
             best = float("inf")
             for _ in range(REPEATS):
-                coc = MatrixCocycle(UniformEntriesModel(n, 0.5, 2.0))
+                coc, omega = make(n)
                 t0 = time.process_time()
-                run(coc, IidShift().initial(1))
+                ok = run(coc, omega)
                 best = min(best, time.process_time() - t0)
-            print(f"{name:<10} N={n:<3} {1e6 * best / T:7.1f} us/step")
+            if ok is not False:
+                print(f"{name:<10} N={n:<3} {1e6 * best / T:7.1f} us/step")
 
 
 if __name__ == "__main__":
