@@ -10,14 +10,14 @@ Run:  python demos/pullback_orbit.py
 
 import numpy as np
 
-from poscocycle import (IidShift, MatrixCocycle, UniformEntriesModel, backward_entire_orbit,
-                        dual_floquet, pullback_convergence)
+from poscocycle import (IidShift, MatrixCocycle, UniformEntriesModel, pullback_convergence,
+                        warmup_direction)
 
 driver = IidShift()
 omega = driver.initial(99)
 cocycle = MatrixCocycle(UniformEntriesModel(3, 0.5, 2.0))
 
-orbit = backward_entire_orbit(cocycle, omega, depth=20)
+orbit, _ = pullback_convergence(cocycle, omega, depth=20)
 print("time   log |v(n)|    direction")
 for j, n in enumerate(orbit.ns):
     if n in (-20, -15, -10, -5, -2, -1, 0):
@@ -37,6 +37,6 @@ for depth in (5, 10, 20, 40):
 
 # the dual route gives the complementary object: the direction defining the
 # invariant hyperplane that carries no positive vectors
-ws = dual_floquet(cocycle, omega, 60)
+ws = warmup_direction(cocycle.dual(), omega, 60)
 print("\ndual principal direction:", np.round(ws, 6))
 print("pairing with the pullback direction:", float(orbit.directions[-1] @ ws))

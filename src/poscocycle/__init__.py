@@ -7,9 +7,9 @@ __version__ = "0.1.0"
 from .drivers import IidShift, MarkovShift, TorusRotation
 from .errors import ConfigError, EstimationError, PositivityViolation
 from .estimators import (AdjointCocycle, DivergenceDiagnostic, FloquetTrack,
-                         MatrixCocycle, OdeCocycle, SeparationEstimate, backward_entire_orbit,
-                         dual_floquet, forward_floquet, lambda1_via_kappa, oseledets_qr,
-                         pullback_convergence, separation_estimate, warmup_direction)
+                         MatrixCocycle, OdeCocycle, SeparationEstimate, forward_floquet,
+                         lambda1_via_kappa, oseledets_qr, pullback_convergence,
+                         separation_estimate, warmup_direction)
 from .matrices import (AssumptionReport, ConstantMatrixModel, FocusingCertificate,
                        IidChoiceModel, LeslieModel, MarkovMatrixModel, MatrixModel,
                        MatrixStats, SampledMatrixModel, UniformEntriesModel,
@@ -20,7 +20,7 @@ from .matrices import (AssumptionReport, ConstantMatrixModel, FocusingCertificat
 from .odes import (CallableOdeModel, ConstantOdeModel, IrreducibilityQuantities,
                    OdeModel, PiecewiseConstantOdeModel, check_O1, check_O2,
                    cooperative_sampler, integrate,
-                   irreducibility_quantities, kappa_functional, l1_growth_bound,
+                   irreducibility_quantities, l1_growth_bound,
                    propagate, typek_to_cooperative)
 from .torus import (FOCUSING_RATIO_BOUND, PRINCIPAL_DIRECTION, SEPARATION_RATE,
                     TorusExampleModel, validate_against_closed_form)

@@ -37,6 +37,9 @@ ESTIMATOR_DEFAULTS = {
 }
 # a torus-example config runs the torus battery at that battery's own horizon and dt
 TORUS_ESTIMATOR_DEFAULTS = {"horizon": 50.0, "dt": 0.25}
+# the integer estimator keys, each with the least value it takes
+INTEGER_KEYS = {"warmup": 0, "proj_samples": 0, "record_every": 1, "lag": 1, "depth": 1,
+                "n_samples": 1, "batches": 2}
 
 
 def _require(block, key, where):
@@ -97,9 +100,11 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("'estimator.horizon' must be positive")
     if est["dt"] <= 0:
         raise ConfigError("'estimator.dt' must be positive")
-    every = est["record_every"]
-    if isinstance(every, bool) or not isinstance(every, int) or every < 1:
-        raise ConfigError(f"'estimator.record_every' must be a positive integer, got {every!r}")
+    for key, least in INTEGER_KEYS.items():
+        v = est[key]
+        if isinstance(v, bool) or not isinstance(v, int) or v < least:
+            what = "a positive integer" if least == 1 else f"an integer >= {least}"
+            raise ConfigError(f"'estimator.{key}' must be {what}, got {v!r}")
     out["estimator"] = est
 
     out_blk = cfg.get("output", {})
@@ -239,7 +244,7 @@ def build_driver(cfg: dict):
 
 
 def build_model(cfg: dict):
-    """Returns ("matrix" | "ode" | "torus", model object)."""
+    """Returns ("matrix" | "ode", model object)."""
     blk = cfg["model"]
     kind = blk["kind"]
     if kind == "constant":
@@ -263,8 +268,8 @@ def build_model(cfg: dict):
         olo, ohi = map(float, blk["offdiag"])
         return "ode", odes.PiecewiseConstantOdeModel(n, odes.cooperative_sampler(n, dlo, dhi, olo, ohi))
     if kind == "torus-example":
-        from .torus import TorusExampleModel
-        return "torus", TorusExampleModel(blk.get("rho"))
+        from .torus import TorusCoefficientField
+        return "ode", TorusCoefficientField(blk.get("rho"))
     raise ConfigError(f"unknown 'model.kind' {kind!r}")
 
 

@@ -24,9 +24,10 @@ A stream cell is served in one of two ways:
   of cells is one vectorised draw, and row j of a block is bit-identical to
   cell n + j drawn alone.  The uniform-entries, iid-list and Markov matrix
   families and the Markov chain use it.
-* ``_prf`` (``ShiftState.rng``) builds a Generator keyed on (seed, purpose,
-  n) for one cell.  User samplers (sampled, Leslie and piecewise-constant
-  ODE models) draw from it, and so does the torus base point.
+* ``_prf`` builds a Generator keyed on (seed, purpose, n) for one cell.
+  User samplers (sampled, Leslie and piecewise-constant ODE models) draw
+  from ``ShiftState.rng``, its purpose-0 cell, and so does the torus base
+  point.
 
 States are immutable values carrying a reference to their system; advancing
 returns a new state.
@@ -116,8 +117,8 @@ class ShiftState:
     def advance(self, t):
         return self.system.advance(self, t)
 
-    def rng(self, purpose: int = 0) -> np.random.Generator:
-        return _prf(self.seed, purpose, self.index)
+    def rng(self) -> np.random.Generator:
+        return _prf(self.seed, 0, self.index)
 
     def uniforms(self, purpose: int, width: int, count: int = 1) -> np.ndarray:
         """``cell_uniforms`` of this state's cell and the count - 1 after it."""

@@ -1,7 +1,8 @@
 """Numerical estimators for positive cocycles: forward principal-direction
-iteration, backward pullback orbits, dual directions, exponential separation,
-a QR Lyapunov-spectrum oracle, the quadratic-form (kappa) route to the top
-exponent, and the trend verdict on finite-horizon means.
+iteration, pullback (entire) orbits, pullback-converged directions of a
+cocycle or of its dual, exponential separation, a QR Lyapunov-spectrum
+oracle, the quadratic-form (kappa) route to the top exponent, and the trend
+verdict on finite-horizon means.
 
 Estimators use a cocycle protocol over a matrix model, an ODE model (the
 flow over a fixed dt) or the ``AdjointCocycle`` of either: ``step_blocks``
@@ -321,29 +322,20 @@ def forward_floquet(cocycle, omega, u0, horizon, record_every=0, check_cone=True
     return tracks[0] if single else tracks
 
 
-def warmup_direction(cocycle, omega, depth, probe=None):
-    """Pullback-converged principal direction at ``omega``: push a positive
-    probe forward from depth steps in the past (depth 0 returns the probe)."""
-    if probe is None:
-        probe = np.full(cocycle.n, 1.0 / math.sqrt(cocycle.n))
+def warmup_direction(cocycle, omega, depth):
+    """Pullback-converged principal direction at ``omega``: push the uniform
+    probe forward from depth steps in the past (depth 0 returns the probe).
+    Over ``cocycle.dual()`` it is the dual direction, whose pullback warm-up
+    uses base points in the primal's forward orbit."""
+    probe = np.full(cocycle.n, 1.0 / math.sqrt(cocycle.n))
     if int(depth) == 0:
-        probe = np.asarray(probe, dtype=float)
         return probe / np.linalg.norm(probe)
     start = cocycle.advance(omega, -int(depth))
     return forward_floquet(cocycle, start, probe, depth * cocycle.dt).w
 
 
-def dual_floquet(cocycle, omega, horizon):
-    """Principal direction of the adjoint cocycle at ``omega``.
-
-    The adjoint covers the time-reversed driver, so its pullback warm-up uses
-    base points in the primal's forward orbit.
-    """
-    return warmup_direction(cocycle.dual(), omega, int(round(horizon / cocycle.dt)))
-
-
 # ---------------------------------------------------------------------------
-# backward (pullback) entire orbits
+# pullback (entire) orbits
 
 
 @dataclass
@@ -364,15 +356,6 @@ class EntireOrbit:
         return math.exp(self.log_norms[j]) * self.directions[j]
 
 
-def _pullback_args(cocycle, depth, probe):
-    depth = int(depth)
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if probe is None:
-        probe = np.full(cocycle.n, 1.0 / math.sqrt(cocycle.n))
-    return depth, np.asarray(probe, dtype=float)
-
-
 def _pullback(cocycle, start, probes, depth, record_every=0):
     """The tracks of the columns of ``probes`` pushed over ``depth`` steps
     from ``start``, each of which must survive."""
@@ -383,37 +366,28 @@ def _pullback(cocycle, start, probes, depth, record_every=0):
     return tracks
 
 
-def _entire_orbit(depth, u0, track) -> EntireOrbit:
-    """The orbit of a probe ``u0`` pushed over the ``depth`` steps up to
-    time 0, from its track with a row every step."""
-    log_rhos = track.log_rho.tolist()
-    # normalize so that the time-0 value is the unit direction
-    log_norms = list(accumulate(reversed(log_rhos), operator.sub, initial=0.0))[::-1]
-    return EntireOrbit(ns=list(range(-depth, 1)), directions=[u0 / np.linalg.norm(u0), *track.directions],
-                       log_norms=log_norms, step_log_rho=log_rhos)
-
-
-def backward_entire_orbit(cocycle, omega, depth, probe=None) -> EntireOrbit:
-    """Push a probe from depth steps in the past up to ``omega``, recording the
-    normalized directions; under focusing this approximates the unique entire
-    positive orbit through the current base point."""
-    depth, u0 = _pullback_args(cocycle, depth, probe)
-    [track] = _pullback(cocycle, cocycle.advance(omega, -depth), u0[:, None], depth, record_every=1)
-    return _entire_orbit(depth, u0, track)
-
-
-def pullback_convergence(cocycle, omega, depth, probe=None):
+def pullback_convergence(cocycle, omega, depth):
     """The depth-``depth`` entire orbit through ``omega`` and its distance at
     time 0 from the pullback of depth 2 * depth, as (EntireOrbit, float).
+    Under focusing the orbit approximates the unique entire positive orbit
+    through ``omega``.
 
-    The deeper probe walks its first ``depth`` steps alone, then the other
-    joins it as a second column: 2 * depth steps in all.
+    The uniform probe is pushed from ``depth`` steps in the past.  A deeper
+    copy walks its first ``depth`` steps alone, then the probe joins it as a
+    second column: 2 * depth steps in all.
     """
-    depth, u0 = _pullback_args(cocycle, depth, probe)
+    depth = int(depth)
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    u0 = np.full(cocycle.n, 1.0 / math.sqrt(cocycle.n))
     [deep] = _pullback(cocycle, cocycle.advance(omega, -2 * depth), u0[:, None], depth)
     track, deeper = _pullback(cocycle, cocycle.advance(omega, -depth),
                               np.column_stack([u0, deep.w]), depth, record_every=1)
-    orbit = _entire_orbit(depth, u0, track)
+    log_rhos = track.log_rho.tolist()
+    # normalize so that the time-0 value is the unit direction
+    log_norms = list(accumulate(reversed(log_rhos), operator.sub, initial=0.0))[::-1]
+    orbit = EntireOrbit(ns=list(range(-depth, 1)), directions=[u0 / np.linalg.norm(u0), *track.directions],
+                        log_norms=log_norms, step_log_rho=log_rhos)
     return orbit, float(np.linalg.norm(orbit.directions[-1] - deeper.w))
 
 
@@ -477,8 +451,7 @@ def _dual_path(blocks, n, n_steps, warmup):
     return z_path
 
 
-def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0,
-                        min_pairing=1e-8) -> SeparationEstimate:
+def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0) -> SeparationEstimate:
     """Estimate (lambda1, lambda2, sigma) by propagating the principal
     direction together with an orthonormal frame of the dual-null hyperplane.
 
@@ -522,7 +495,7 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0,
         if k == 0:
             w_star0 = z_path[0].copy()
             pairing = float(w @ w_star0)
-            if abs(pairing) < min_pairing:
+            if abs(pairing) < 1e-8:
                 raise EstimationError(
                     f"principal and dual directions nearly orthogonal (pairing {pairing:.3e}); "
                     "projection onto the invariant complement is ill-conditioned")
@@ -670,8 +643,8 @@ def lambda1_via_kappa(cocycle: OdeCocycle, omega, directions, batches=8) -> Kapp
     dt = cocycle.dt
     ws = np.asarray(directions, dtype=float)
     n_steps = len(ws) - 1
-    if n_steps < batches:
-        raise ValueError("horizon too short for the requested batch count")
+    if n_steps < 1:
+        raise ValueError("directions must cover at least one step")
     horizon = n_steps * dt
     nudge = 1e-9 * dt
     state = omega
@@ -684,5 +657,6 @@ def lambda1_via_kappa(cocycle: OdeCocycle, omega, directions, batches=8) -> Kapp
         kappa_left = float(ws[k + 1] @ model.field(state, -nudge) @ ws[k + 1])  # left limit at t_{k+1}
         cell_integrals[k] = 0.5 * (kappa_right + kappa_left) * dt
     total = float(cell_integrals.sum())
-    _, hw, _ = batch_means(cell_integrals / dt, batches)
+    # as on the growth-rate route, fewer steps than batches give no interval
+    hw = batch_means(cell_integrals / dt, batches)[1] if n_steps >= batches else math.nan
     return KappaRouteEstimate(estimate=total / horizon, ci=hw, horizon=horizon, dt=dt)

@@ -495,11 +495,11 @@ def focusing_certificate(S) -> FocusingCertificate:
     return FocusingCertificate(kappa=kappa, kappa_star=kappa_star, e=e, beta=beta)
 
 
-def verify_nstep_positivity(model: MatrixModel, driver, seed, n_samples, steps=None):
-    """Check that the `steps`-fold product is entrywise strictly positive for
-    each sampled base point (steps defaults to the dimension).  Returns the
-    list of offending (sample, min entry) pairs, empty when all pass."""
-    steps = model.n if steps is None else int(steps)
+def verify_nstep_positivity(model: MatrixModel, driver, seed, n_samples):
+    """Check that the N-fold product (N the dimension) is entrywise strictly
+    positive for each sampled base point.  Returns the list of offending
+    (sample, min entry) pairs, empty when all pass."""
+    steps = model.n
     bad = []
     omega = driver.initial(seed)
     for k in range(n_samples):

@@ -196,11 +196,12 @@ class CallableOdeModel(OdeModel):
 # integration
 
 
-def _integrate_piece(fieldfn, t0, t1, Y, rtol, atol):
+def _integrate_piece(fieldfn, t0, t1, Y, rtol):
     """Adaptive DOP853 over one smooth piece; returns (Y_unit, log_scale, n_steps).
 
     Y is an (N, k) block of columns evolved simultaneously, with the stages
-    kept in one preallocated (12, N, k) array; after every accepted step
+    kept in one preallocated (12, N, k) array; each component's error is
+    weighed against 1e-12 + rtol times its size.  After every accepted step
     the block is rescaled to max-abs 1 and the log scale accumulated.  A
     non-finite error estimate (a field or state with NaN or inf) raises
     ``EstimationError`` instead of shrinking the step for ever.
@@ -241,7 +242,7 @@ def _integrate_piece(fieldfn, t0, t1, Y, rtol, atol):
             Yi = Y + h * (_A[i, :i] @ Kf[:i]).reshape(shape)
             np.matmul(eval_field(t + _C[i] * h), Yi, out=K[i])
         Y8 = Y + h * (_B @ Kf).reshape(shape)
-        e5, e3 = (_E @ Kf) / (atol + rtol * np.maximum(np.abs(Y), np.abs(Y8))).reshape(-1)
+        e5, e3 = (_E @ Kf) / (1e-12 + rtol * np.maximum(np.abs(Y), np.abs(Y8))).reshape(-1)
         n5, n3 = float(e5 @ e5), float(e3 @ e3)
         err = 0.0 if n5 == 0.0 and n3 == 0.0 else h * n5 / math.sqrt((n5 + 0.01 * n3) * Y.size)
         if not math.isfinite(err):
@@ -334,11 +335,11 @@ def _knots(model, omega, t):
     return [0.0, *sorted(set(inner.tolist())), float(t)]
 
 
-def propagate(model: OdeModel, omega, Y, t, rtol=1e-10, atol=1e-12):
+def propagate(model: OdeModel, omega, Y, t, rtol=1e-10):
     """Evolve the columns of Y over [0, t], splitting at coefficient breakpoints.
 
     Pieces with a constant coefficient (``model.piece_matrix``) take the
-    exact flow; the rest take adaptive DOP853 at ``rtol``/``atol``.
+    exact flow; the rest take adaptive DOP853 at ``rtol``.
     Returns (Y_out, log_scale) with max-abs(Y_out) = 1 and the true solution
     equal to exp(log_scale) * Y_out.
     """
@@ -361,14 +362,14 @@ def propagate(model: OdeModel, omega, Y, t, rtol=1e-10, atol=1e-12):
         if A is not None:
             Y, ls = _exact_piece(model, A, a, b, Y)
         else:
-            Y, ls, _ = _integrate_piece(model.piece_field(omega, a, b), a, b, Y, rtol, atol)
+            Y, ls, _ = _integrate_piece(model.piece_field(omega, a, b), a, b, Y, rtol)
         log_scale += ls
         if not np.isfinite(ls):
             break
     return (Y[:, 0] if squeeze else Y), log_scale
 
 
-def integrate(model: OdeModel, omega, u0, t, rtol=1e-10, atol=1e-12):
+def integrate(model: OdeModel, omega, u0, t, rtol=1e-10):
     """Solve u' = A(theta_t w)u from u0 over [0, t].
 
     Returns (direction, log_scale): direction is the unit (ell-2) final
@@ -379,7 +380,7 @@ def integrate(model: OdeModel, omega, u0, t, rtol=1e-10, atol=1e-12):
     n0 = float(np.linalg.norm(u0))
     if n0 == 0.0:
         raise ValueError("u0 must be nonzero")
-    v, ls = propagate(model, omega, u0, t, rtol=rtol, atol=atol)
+    v, ls = propagate(model, omega, u0, t, rtol=rtol)
     nv = float(np.linalg.norm(v))
     return v / nv, ls + math.log(nv) - math.log(n0)
 
@@ -388,12 +389,12 @@ def integrate(model: OdeModel, omega, u0, t, rtol=1e-10, atol=1e-12):
 # structure checks
 
 
-def check_O1(model: OdeModel, driver, seed, n_samples, t_grid=None):
-    """Cooperativity: off-diagonal entries nonnegative at sampled (base point, time)."""
+def check_O1(model: OdeModel, driver, seed, n_samples):
+    """Cooperativity: off-diagonal entries nonnegative at sampled (base point,
+    time), 17 evenly spaced times in [0, 1] per base point."""
     from .matrices import AssumptionReport
 
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 1.0, 17)
+    t_grid = np.linspace(0.0, 1.0, 17)
     omega = driver.initial(seed)
     witnesses = []
     n = model.n
@@ -414,17 +415,17 @@ def check_O1(model: OdeModel, driver, seed, n_samples, t_grid=None):
                             detail=f"{n_samples} base points x {len(t_grid)} grid times")
 
 
-def check_O2(model: OdeModel, driver, seed, n_samples, absolute=False):
-    """Integrability estimate: mean +/- CI of the max (or max-abs) entry."""
+def check_O2(model: OdeModel, driver, seed, n_samples):
+    """Integrability estimate: mean +/- CI of the max entry."""
     from .matrices import AssumptionReport
 
     omega = driver.initial(seed)
     vals = []
     for k in range(n_samples):
         A = model.field(omega.advance(float(k)), 0.0)
-        vals.append(float(np.abs(A).max() if absolute else A.max()))
+        vals.append(float(A.max()))
     m, hw = mean_ci(vals)
-    return AssumptionReport(condition="P2" if absolute else "O2", verdict="empirical",
+    return AssumptionReport(condition="O2", verdict="empirical",
                             estimate=m, ci=hw,
                             detail="sample moments cannot certify integrability")
 
@@ -457,9 +458,10 @@ class IrreducibilityQuantities:
     grid_points: int
 
 
-def _cumulative_integrals(model, omega, tol):
+def _cumulative_integrals(model, omega):
     """Cumulative entrywise integrals F_ij(t) of the coefficient over [0,1]
-    on a refining grid; returns (grid, F) with F of shape (len(grid), N, N)."""
+    on a grid refined until the summed entry minima move by less than 1e-8;
+    returns (grid, F) with F of shape (len(grid), N, N)."""
     knots = _knots(model, omega, 1.0)
     m = 32
     prev_min = None
@@ -472,7 +474,7 @@ def _cumulative_integrals(model, omega, tol):
         incr = 0.5 * (vals[1:] + vals[:-1]) * dt
         F = np.concatenate([np.zeros((1, model.n, model.n)), np.cumsum(incr, axis=0)])
         cur_min = float(F.min(axis=0).sum())
-        if prev_min is not None and abs(cur_min - prev_min) < tol:
+        if prev_min is not None and abs(cur_min - prev_min) < 1e-8:
             return grid, F
         if m > 1 << 14:
             return grid, F
@@ -515,8 +517,7 @@ def _greedy_chain(W, start):
     return path
 
 
-def irreducibility_quantities(model: OdeModel, omega, delta=None, chains=None,
-                              tol=1e-8) -> IrreducibilityQuantities:
+def irreducibility_quantities(model: OdeModel, omega, delta=None, chains=None) -> IrreducibilityQuantities:
     """Compute the chain lower bounds for the time-1 map of a cooperative system.
 
     ``chains`` maps each start index i to a permutation (j1 = i, ..., jN); when
@@ -525,7 +526,7 @@ def irreducibility_quantities(model: OdeModel, omega, delta=None, chains=None,
     ``delta`` defaults to that minimum.  delta must be strictly positive.
     """
     n = model.n
-    grid, F = _cumulative_integrals(model, omega, tol)
+    grid, F = _cumulative_integrals(model, omega)
     a_tilde = F.min(axis=0).diagonal().copy()          # min_t int_0^t a_ii
     a_bar = F[-1][None, :, :] - F.max(axis=0)          # min_s int_s^1 a_ij
     a_bar = a_bar[0]
@@ -580,9 +581,10 @@ def irreducibility_quantities(model: OdeModel, omega, delta=None, chains=None,
         chains=chains, grid_points=len(grid))
 
 
-def l1_growth_bound(model: OdeModel, omega, t, tol=1e-10) -> float:
+def l1_growth_bound(model: OdeModel, omega, t) -> float:
     """exp of the integral over [0, t] of the summed row maxima of the
-    coefficient: an upper bound for the ell-1 growth of positive solutions."""
+    coefficient (adaptive Simpson to 1e-10 per piece): an upper bound for
+    the ell-1 growth of positive solutions."""
     if t < 0:
         raise ValueError("t must be >= 0")
     if t == 0:
@@ -592,7 +594,7 @@ def l1_growth_bound(model: OdeModel, omega, t, tol=1e-10) -> float:
     for a, b in zip(knots[:-1], knots[1:]):
         total += _adaptive_simpson(
             lambda tau: float(model.field(omega, float(tau)).max(axis=1).sum()),
-            a + 1e-13 * (b - a), b - 1e-13 * (b - a), tol)
+            a + 1e-13 * (b - a), b - 1e-13 * (b - a), 1e-10)
     return float(np.exp(total)) if total < 700 else math.inf
 
 
@@ -612,15 +614,6 @@ def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
         return left + right + (left + right - whole) / 15.0
     return (_simpson_rec(f, a, m, fa, flm, fm, left, tol / 2, depth - 1)
             + _simpson_rec(f, m, b, fm, frm, fb, right, tol / 2, depth - 1))
-
-
-def kappa_functional(A, w) -> float:
-    """Quadratic form <A w, w> for a unit vector w (tolerance 1e-10 on the norm)."""
-    A = np.asarray(A, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if abs(np.linalg.norm(w) - 1.0) > 1e-10:
-        raise ValueError(f"w must be a unit vector, got norm {np.linalg.norm(w)!r}")
-    return float(w @ A @ w)
 
 
 # ---------------------------------------------------------------------------

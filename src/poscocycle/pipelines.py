@@ -33,8 +33,7 @@ def _setup(cfg):
     if kind == "matrix":
         cocycle = MatrixCocycle(model)
     else:
-        ode_model = model.ode_model if kind == "torus" else model
-        cocycle = OdeCocycle(ode_model, dt=float(est["dt"]), rtol=float(est["rtol"]))
+        cocycle = OdeCocycle(model, dt=float(est["dt"]), rtol=float(est["rtol"]))
     return kind, cocycle, driver.initial(seed), est, seed
 
 
@@ -98,9 +97,8 @@ def _run_check(cfg):
                    + check_D2(model, driver, seed, n_samples, lag=lag)
                    + check_D3(model, driver, seed, n_samples, lag=lag))
     else:
-        ode_model = model.ode_model if kind == "torus" else model
-        reports = [check_O1(ode_model, driver, seed, n_samples),
-                   check_O2(ode_model, driver, seed, n_samples)]
+        reports = [check_O1(model, driver, seed, n_samples),
+                   check_O2(model, driver, seed, n_samples)]
     return {"assumption_reports": [report_to_dict(r) for r in reports]}, None
 
 

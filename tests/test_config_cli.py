@@ -227,6 +227,15 @@ class TestPipelines:
         w = np.asarray(doc["results"]["w"], dtype=float)
         assert np.linalg.norm(w - np.array([1.0, 1.0]) / np.sqrt(2)) < 1e-6
 
+    def test_short_ode_estimate_has_no_ci(self, tmp_path):
+        # 4 steps, fewer than the 8 batches: both routes report a value and
+        # no interval, where the kappa route used to stop the command
+        cfg = validate_config({"model": {"kind": "torus-example"},
+                               "estimator": {"horizon": 1.0, "warmup": 10}})
+        res = run_command("estimate", cfg, out_dir=tmp_path)["results"]
+        assert math.isnan(res["lambda1"]["ci"]) and math.isnan(res["lambda1_kappa_route"]["ci"])
+        assert math.isfinite(res["lambda1_kappa_route"]["value"])
+
     @pytest.mark.parametrize("est", [{}, {"horizon": 20.0, "dt": 0.5}], ids=["defaults", "set"])
     def test_torus_echo_is_what_the_battery_ran(self, tmp_path, monkeypatch, est):
         from poscocycle import torus
@@ -359,6 +368,23 @@ class TestCliProcess:
         from poscocycle import cli
         assert cli.main(["estimate", "--config", str(p), "--out", str(tmp_path)]) == 1
         assert "'estimator.record_every' must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("separate", "warmup", -5),  # used to die in an uncaught UnboundLocalError
+        ("estimate", "warmup", -5),  # used to blame the horizon
+        ("estimate", "warmup", 0.5),  # used to be truncated to 0
+        ("check", "lag", 0),  # used to check identity matrices and exit 0
+        ("orbit", "depth", 0),
+        ("check", "n_samples", 0),
+        ("estimate", "batches", 1),
+        ("separate", "proj_samples", -1),
+    ])
+    def test_integer_keys_checked_exit_1(self, tmp_path, command, key, value, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(base_cfg(estimator={"horizon": 200, key: value})))
+        from poscocycle import cli
+        assert cli.main([command, "--config", str(p), "--out", str(tmp_path)]) == 1
+        assert f"'estimator.{key}'" in capsys.readouterr().err
 
     def test_cli_import_leaves_out_slow_scipy_modules(self):
         # any scipy import loads scipy._lib._array_api, which pulls in

@@ -8,10 +8,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from poscocycle.drivers import BLOCK_CELLS, IidShift, TorusRotation
 from poscocycle.errors import EstimationError, PositivityViolation
-from poscocycle.estimators import (MatrixCocycle, OdeCocycle, backward_entire_orbit,
-                                   DivergenceDiagnostic, dual_floquet, forward_floquet,
-                                   lambda1_via_kappa, oseledets_qr, pullback_convergence,
-                                   separation_estimate, warmup_direction)
+from poscocycle.estimators import (MatrixCocycle, OdeCocycle, DivergenceDiagnostic,
+                                   forward_floquet, lambda1_via_kappa, oseledets_qr,
+                                   pullback_convergence, separation_estimate, warmup_direction)
 from poscocycle import estimators
 from poscocycle.estimators import _norm, _qr_positive, _spectral_norm, _stored_replay
 from poscocycle.matrices import (ConstantMatrixModel, SampledMatrixModel, UniformEntriesModel,
@@ -303,9 +302,13 @@ class TestForwardFloquet:
 
 class TestBackwardOrbit:
     def test_constant_all_ones_fixed_direction(self):
-        coc = MatrixCocycle(ConstantMatrixModel(np.ones((3, 3))))
-        orbit = backward_entire_orbit(coc, disc_state(), 10, probe=np.eye(3)[0])
-        e = np.ones(3) / np.sqrt(3)
+        # v 1^T maps every positive vector onto v: the uniform probe starts
+        # off v / |v| and reaches it after one step
+        v = np.array([1.0, 2.0, 3.0])
+        coc = MatrixCocycle(ConstantMatrixModel(np.outer(v, np.ones(3))))
+        orbit, _ = pullback_convergence(coc, disc_state(), 10)
+        e = v / np.linalg.norm(v)
+        assert not np.allclose(orbit.directions[0], e, atol=1e-15)
         for d in orbit.directions[1:]:
             assert np.allclose(d, e, atol=1e-15)
 
@@ -317,7 +320,7 @@ class TestBackwardOrbit:
     def test_cocycle_identity_of_records(self):
         coc = iid_positive_cocycle(3)
         omega = disc_state(9)
-        orbit = backward_entire_orbit(coc, omega, 15)
+        orbit, _ = pullback_convergence(coc, omega, 15)
         for j, n in enumerate(orbit.ns[:-1]):
             S = coc.model.emit(omega.advance(n))
             lhs = S @ orbit.directions[j]
@@ -326,7 +329,7 @@ class TestBackwardOrbit:
 
     def test_entire_orbit_normalization(self):
         coc = iid_positive_cocycle(3)
-        orbit = backward_entire_orbit(coc, disc_state(2), 12)
+        orbit, _ = pullback_convergence(coc, disc_state(2), 12)
         assert orbit.log_norms[-1] == 0.0
         v_last = orbit.value(len(orbit.ns) - 1)
         assert abs(np.linalg.norm(v_last) - 1.0) < 1e-12
@@ -337,7 +340,7 @@ class TestDualFloquet:
         S = np.array([[2.0, 1.0], [1.0, 1.0]])
         coc = MatrixCocycle(ConstantMatrixModel(S))
         w = warmup_direction(coc, disc_state(), 60)
-        ws = dual_floquet(coc, disc_state(), 60)
+        ws = warmup_direction(coc.dual(), disc_state(), 60)
         assert np.linalg.norm(w - ws) < 1e-12
         vals, vecs = np.linalg.eigh(S)
         top = np.abs(vecs[:, -1])
@@ -346,7 +349,7 @@ class TestDualFloquet:
     def test_asymmetric_left_eigenvector(self):
         S = np.array([[2.0, 1.0], [0.0, 1.0]])
         coc = MatrixCocycle(ConstantMatrixModel(S))
-        ws = dual_floquet(coc, disc_state(), 80)
+        ws = warmup_direction(coc.dual(), disc_state(), 80)
         assert np.linalg.norm(ws - np.array([1.0, 1.0]) / np.sqrt(2)) < 1e-10
         w = warmup_direction(coc, disc_state(), 80)
         assert np.linalg.norm(w - np.array([1.0, 0.0])) < 1e-10
@@ -355,7 +358,7 @@ class TestDualFloquet:
         from poscocycle.torus import TorusExampleModel
         m = TorusExampleModel()
         coc = OdeCocycle(m.ode_model, dt=0.25, rtol=1e-8)
-        ws = dual_floquet(coc, m.initial(1), 12.0)
+        ws = warmup_direction(coc.dual(), m.initial(1), 48)
         assert np.linalg.norm(ws - np.array([1.0, 1.0]) / np.sqrt(2)) < 1e-8
 
 
@@ -422,7 +425,7 @@ class TestSeparation:
         coc = iid_positive_cocycle(3, 0.5, 2.0)
         omega = disc_state(13)
         depth = 100
-        ws0 = dual_floquet(coc, omega, depth)
+        ws0 = warmup_direction(coc.dual(), omega, depth)
         rng = np.random.default_rng(1)
         horizon = 10
         for _ in range(10):
@@ -432,7 +435,7 @@ class TestSeparation:
             for k in range(horizon):
                 v = coc.model.emit(state) @ v
                 state = state.advance(1)
-            ws_t = dual_floquet(coc, state, depth)
+            ws_t = warmup_direction(coc.dual(), state, depth)
             assert abs(v @ ws_t) <= 1e-6 * np.linalg.norm(v)
 
     def test_peak_memory_linear_in_steps(self):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poscocycle.drivers import BLOCK_CELLS, IidShift, MarkovShift
 from poscocycle.estimators import MatrixCocycle
@@ -30,19 +31,37 @@ class TestCocycleProduct:
         assert np.allclose(np.exp(ls) * D, expected, rtol=1e-13)
         assert abs(opnorm1(D) - 1.0) < 1e-14
 
-    def test_splitting_law(self):
-        rng = np.random.default_rng(3)
-        mats = [rng.uniform(0.2, 2.0, (3, 3)) for _ in range(4)]
-        model = IidChoiceModel(mats)
-        omega = IidShift().initial(17)
-        m, k = 37, 63
-        D_full, ls_full = cocycle_product(model, omega, m + k)
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 300), st.integers(1, 300), st.integers(0, 10**6))
+    def test_splitting_law(self, n, m, k, seed):
+        # the product over m + k steps is the product over the last k after
+        # the product over the first m.  Rounding bounds, first order in u
+        # (the slack covers the higher orders), for entries in [lo, hi]:
+        # - a step S @ P and its division by the max column sum perturb P
+        #   entrywise by at most (n + 1) u, and nonnegative products pass
+        #   entrywise relative errors on unchanged, so a run of L steps is
+        #   c X (1 + d), |d| <= L (n + 1) u, for the exact product X and a
+        #   scalar c; the final normalisation leaves opnorm1 within (n + 1) u
+        #   of 1, and so does the combined side's extra product and division.
+        #   The two directions thus differ entrywise by at most
+        #   (4 L + 5)(n + 1) u relative, under 4 (L + 2)(n + 2) u;
+        # - the log scales are the logs of the same normalisations, within
+        #   (L + 1)(n + 1) u of log opnorm1(X) per side; each one-step log
+        #   growth lies in [log(n lo), log(n hi)], at most lam in size, and
+        #   costs 2u lam for its log and u j lam for the j-th running sum,
+        #   under u lam (L + 4)^2 over the three runs and the final sums.
+        lo, hi, u = 0.5, 2.0, np.finfo(float).eps / 2
+        model = UniformEntriesModel(n, lo, hi)
+        omega = IidShift().initial(seed)
+        L = m + k
+        D_full, ls_full = cocycle_product(model, omega, L)
         D_m, ls_m = cocycle_product(model, omega, m)
         D_k, ls_k = cocycle_product(model, omega.advance(m), k)
         combined = D_k @ D_m
         s = opnorm1(combined)
-        assert abs((ls_k + ls_m + np.log(s)) - ls_full) < 1e-10 * max(1, abs(ls_full))
-        assert np.allclose(combined / s, D_full, atol=1e-10)
+        lam = max(abs(np.log(n * lo)), abs(np.log(n * hi)))
+        assert abs((ls_k + ls_m + np.log(s)) - ls_full) <= u * (2 * (L + 2) * (n + 2) + lam * (L + 4) ** 2)
+        assert np.all(np.abs(combined / s - D_full) <= 4 * (L + 2) * (n + 2) * u * D_full)
 
     def test_decaying_product_no_underflow(self):
         model = ConstantMatrixModel(1e-3 * np.eye(2))

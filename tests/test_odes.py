@@ -1,8 +1,10 @@
 import math
 import signal
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from poscocycle import odes
@@ -12,8 +14,8 @@ from poscocycle.estimators import OdeCocycle, forward_floquet
 from poscocycle.odes import (CallableOdeModel, ConstantOdeModel,
                              PiecewiseConstantOdeModel, check_O1, check_O2,
                              cooperative_sampler, integrate,
-                             irreducibility_quantities, kappa_functional,
-                             l1_growth_bound, propagate, typek_to_cooperative)
+                             irreducibility_quantities, l1_growth_bound, propagate,
+                             typek_to_cooperative)
 from poscocycle.torus import TorusExampleModel
 
 
@@ -60,15 +62,64 @@ class TestIntegrate:
         # dominant coordinate decays like e^{-800}; the norm ratio loses ln sqrt(2)
         assert np.isfinite(ls) and abs(ls - (-800.0 - np.log(np.sqrt(2.0)))) < 1e-4
 
-    def test_splitting_law(self):
-        model = coop_pw_model()
-        st = cont_state(42)
-        u0 = np.array([1.0, 0.5, 0.25])
-        full_d, full_ls = integrate(model, st, u0, 6.0)
-        d1, ls1 = integrate(model, st, u0, 2.3)
-        d2, ls2 = integrate(model, st.advance(2.3), d1, 6.0 - 2.3)
-        assert abs((ls1 + ls2) - full_ls) < 1e-8 * max(1.0, abs(full_ls))
-        assert np.linalg.norm(d2 - full_d) < 1e-8
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 6), st.floats(0.01, 4.0), st.floats(0.01, 4.0), st.integers(0, 10**6))
+    def test_splitting_law(self, n, t1, t2, seed):
+        # propagating over t1 + t2 is propagating over t1, then over t2 from
+        # theta_t1 omega.  Piecewise-constant cells take the exact flow, so
+        # the bound is from rounding, first order in u, for a positive start:
+        # - a piece of length h <= 1 is applied as expm(h A), whose backward
+        #   error is at most u |h A|_1 <= u n (Al-Mohy & Higham 2009); the
+        #   column sums of A lie in [-1, n], so a generator perturbation moves
+        #   a positive solution by at most its size times e^{n + 1}, entrywise;
+        # - the product with Y, its rescale, at most one squaring and the
+        #   log-scale sums add (n + 1)(T + 7) u per piece, and rescaled
+        #   positions move each piece's ends by 4 (T + 1) u, worth n of that;
+        # - positive vectors carry entrywise relative errors through later
+        #   nonnegative flows unchanged, so the errors of all pieces of the
+        #   three runs (at most ceil(t) + 1 each) add, and the max-abs
+        #   directions differ by at most twice as much.
+        u, T = np.finfo(float).eps / 2, t1 + t2
+        model = coop_pw_model(n)
+        st0 = cont_state(seed)
+        Y, ls = propagate(model, st0, np.ones(n), T)
+        Y1, ls1 = propagate(model, st0, np.ones(n), t1)
+        Y2, ls2 = propagate(model, st0.advance(t1), Y1, t2)
+        pieces = sum(math.ceil(t) + 1 for t in (t1, t2, T))
+        bound = u * pieces * (n * math.exp(n + 1) + (n + 1) * (T + 7) + 4 * n * (T + 1))
+        assert abs(ls1 + ls2 - ls) <= bound
+        assert np.abs(Y2 - Y).max() <= 2 * bound
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.floats(0.01, 4.0), st.floats(0.01, 4.0), st.integers(0, 10**6))
+    def test_splitting_law_torus(self, t1, t2, seed):
+        # the same law on the torus field, whose smooth pieces take DOP853
+        # at rtol 1e-10: the bound is from rtol.  A step is accepted when
+        # the RMS of its error estimate over (1e-12 + rtol |y_i|) is at most
+        # 1, with the state rescaled to max-abs 1, so, taking the estimate
+        # for the error, it moves y by at most N (rtol + 1e-12) |y|_2, N = 2.
+        # The flow is a scalar times exp(t B), B = [[0, 1], [1, 0]], which
+        # stretches no positive vector by less than 1/sqrt(2) of its own
+        # norm, so a relative error in the state grows by at most sqrt(2) in
+        # the log scale.  The steps of the three runs add, the max-abs
+        # directions differ by at most twice as much, and rounding is far
+        # below rtol.
+        integrate_piece, steps = odes._integrate_piece, []
+
+        def counted(*args):
+            Y, ls, k = integrate_piece(*args)
+            steps.append(k)
+            return Y, ls, k
+
+        m = TorusExampleModel()
+        st0, u0 = m.initial(seed), np.array([1.0, 0.3])
+        with mock.patch.object(odes, "_integrate_piece", counted):
+            Y, ls = propagate(m.ode_model, st0, u0, t1 + t2)
+            Y1, ls1 = propagate(m.ode_model, st0, u0, t1)
+            Y2, ls2 = propagate(m.ode_model, st0.advance(t1), Y1, t2)
+        bound = math.sqrt(2) * 2 * (1e-10 + 1e-12) * sum(steps)
+        assert abs(ls1 + ls2 - ls) <= bound
+        assert np.abs(Y2 - Y).max() <= 2 * bound
 
     def test_zero_initial_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
@@ -410,23 +461,6 @@ class TestIrreducibility:
         col_mins = U.min(axis=0)
         assert np.all(col_mins >= q.beta_tilde_i * (1 - 1e-8))
         assert np.all(col_mins >= q.beta_i * (1 - 1e-8))
-
-
-class TestKappaFunctional:
-    def test_diagonal(self):
-        assert kappa_functional(np.diag([4.0, 7.0]), np.array([1.0, 0.0])) == 4.0
-
-    def test_top_eigenvector(self):
-        rng = np.random.default_rng(9)
-        A = rng.uniform(-1, 1, (4, 4))
-        A = A + A.T
-        vals, vecs = np.linalg.eigh(A)
-        w = vecs[:, -1]
-        assert abs(kappa_functional(A, w) - vals[-1]) < 1e-12
-
-    def test_unit_norm_enforced(self):
-        with pytest.raises(ValueError, match="unit"):
-            kappa_functional(np.eye(2), np.array([1.0, 1.0]))
 
 
 class TestTypeK:

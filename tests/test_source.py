@@ -1,5 +1,6 @@
 """Source hygiene: every import in the package, the demos, the tools and
-the tests is used, at module level or inside a function."""
+the tests is used, at module level or inside a function, and every private
+name the package defines is read somewhere."""
 
 import ast
 from pathlib import Path
@@ -8,8 +9,9 @@ import pytest
 
 import poscocycle
 
+PACKAGE = sorted(Path(poscocycle.__file__).parent.glob("*.py"))
 # __init__.py is left out: its imports are the package's re-exports
-MODULES = sorted(p for p in Path(poscocycle.__file__).parent.glob("*.py") if p.name != "__init__.py")
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("tools/*.py")) + sorted(ROOT.glob("tests/*.py"))
 
@@ -38,3 +40,50 @@ def test_unused_imports_found():
                          ids=lambda p: p.name if p in MODULES else f"{p.parent.name}/{p.name}")
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_definitions(source):
+    """(line, name) of each private name a module binds at module level
+    (imports aside) and of each private method of its classes."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.lineno, t.id) for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            found += [(f.lineno, f.name) for f in node.body
+                      if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return sorted((line, name) for line, name in found if _private(name))
+
+
+def names_read(source):
+    """Every name a source reads, as a variable or as an attribute."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def test_dead_private_names_found():
+    # an import is not a definition; storing to self._n does not read it
+    source = ("import os as _os\n_A, _B = 1, 2\nPUBLIC = _A\n_C: int = 3\ndef _f():\n    return _os\n"
+              "class _K:\n    def _m(self):\n        self._n = 1\n    def _n(self):\n        pass\n"
+              "    def __init__(self):\n        self._m()\n        _f()\n")
+    read = names_read(source)
+    assert [d for d in private_definitions(source) if d[1] not in read] == [(2, "_B"), (4, "_C"), (7, "_K"),
+                                                                             (10, "_n")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_private_names(path):
+    read = set().union(*(names_read(p.read_text()) for p in PACKAGE + SCRIPTS))
+    assert [d for d in private_definitions(path.read_text()) if d[1] not in read] == []
