@@ -19,8 +19,7 @@ from .matrices import (AssumptionReport, ConstantMatrixModel, FocusingCertificat
                        verify_nstep_positivity)
 from .odes import (CallableOdeModel, ConstantOdeModel, IrreducibilityQuantities,
                    OdeModel, PiecewiseConstantOdeModel, check_O1, check_O2,
-                   cooperative_sampler, integrate,
-                   irreducibility_quantities, l1_growth_bound,
-                   propagate, typek_to_cooperative)
+                   TypeKFlipModel, cooperative_sampler, integrate,
+                   irreducibility_quantities, l1_growth_bound, propagate)
 from .torus import (FOCUSING_RATIO_BOUND, PRINCIPAL_DIRECTION, SEPARATION_RATE,
                     TorusExampleModel, validate_against_closed_form)

@@ -6,6 +6,7 @@ offending key.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,11 @@ INTEGER_KEYS = {"warmup": 0, "proj_samples": 0, "record_every": 1, "lag": 1, "de
                 "n_samples": 1, "batches": 2}
 
 
+def _number(v, above=-math.inf):
+    """Whether v is a finite number (not a bool) greater than ``above``."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and above < v < math.inf
+
+
 def _require(block, key, where):
     if key not in block:
         raise ConfigError(f"missing key '{where}.{key}'")
@@ -71,7 +77,9 @@ def load_config(path) -> dict:
 def validate_config(cfg: dict) -> dict:
     _unknown_keys(cfg, ("seed", "driver", "model", "estimator", "output"), "config")
     out = {}
-    out["seed"] = int(cfg.get("seed", 0))
+    out["seed"] = seed = cfg.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"'seed' must be an integer, got {seed!r}")
 
     driver_blk = cfg.get("driver")
     model_blk = _require(cfg, "model", "config")
@@ -96,10 +104,14 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("'estimator' must be an object")
     _unknown_keys(est_blk, ESTIMATOR_DEFAULTS, "estimator")
     est.update(est_blk)
-    if est["horizon"] <= 0:
-        raise ConfigError("'estimator.horizon' must be positive")
-    if est["dt"] <= 0:
-        raise ConfigError("'estimator.dt' must be positive")
+    for key in ("horizon", "dt", "rtol"):
+        if not _number(est[key], 0.0):
+            raise ConfigError(f"'estimator.{key}' must be a finite positive number, got {est[key]!r}")
+    if not _number(est["divergence_threshold"]):
+        raise ConfigError(f"'estimator.divergence_threshold' must be a finite number, got {est['divergence_threshold']!r}")
+    horizons = est["divergence_horizons"]
+    if not isinstance(horizons, list) or not all(_number(T, 0.0) for T in horizons):
+        raise ConfigError(f"'estimator.divergence_horizons' must be a list of finite positive numbers, got {horizons!r}")
     for key, least in INTEGER_KEYS.items():
         v = est[key]
         if isinstance(v, bool) or not isinstance(v, int) or v < least:

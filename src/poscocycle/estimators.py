@@ -4,15 +4,15 @@ cocycle or of its dual, exponential separation, a QR Lyapunov-spectrum
 oracle, the quadratic-form (kappa) route to the top exponent, and the trend
 verdict on finite-horizon means.
 
-Estimators use a cocycle protocol over a matrix model, an ODE model (the
-flow over a fixed dt) or the ``AdjointCocycle`` of either: ``step_blocks``
-streams the scale-separated step maps as chunks (maps (k, N, N), log_scales
-(k,)), ``steps`` as callables U -> (V, log_scale), which ODE cocycles
-propagate directly, and ``replay`` serves a range of maps to be read more
-than once: matrix maps are emitted afresh on every read, flow maps are
-propagated once and stored.  The step loops' QR and spectral norms call the
-LAPACK gufuncs of ``numpy.linalg`` (dgeqrf, dorgqr, dgesdd) without the
-wrappers, so the module loads no scipy.
+Estimators read a cocycle over a matrix model, an ODE model (the flow
+over a fixed dt) or the ``AdjointCocycle`` of either through one stream of
+its maps: ``step_blocks`` serves the scale-separated step maps as chunks
+(maps (k, N, N), log_scales (k,)), and ``replay`` serves a range of them to
+be read more than once: matrix maps are emitted afresh on every read, flow
+maps are propagated once and stored.  Each step loop applies M to its own
+vector or frame.  The step loops' QR and spectral norms call the LAPACK
+gufuncs of ``numpy.linalg`` (dgeqrf, dorgqr, dgesdd) without the wrappers,
+so the module loads no scipy.
 
 Each command walks its steps once: ``forward_floquet`` takes a block of
 probes as columns and applies each step map to the block, so the warmed and
@@ -32,6 +32,7 @@ from itertools import accumulate
 import numpy as np
 from numpy.linalg import _umath_linalg
 
+from .drivers import BLOCK_CELLS
 from .errors import EstimationError, PositivityViolation
 from .matrices import MatrixModel
 from .odes import OdeModel, propagate
@@ -43,12 +44,7 @@ from .stats import batch_means
 
 
 class _Cocycle:
-    """Shared protocol: ``steps`` applies the ``step_blocks`` maps to U."""
-
-    def steps(self, state, count):
-        for maps, ls in self.step_blocks(state, count):
-            for M, l in zip(maps, ls.tolist()):
-                yield lambda U, M=M, l=l: (M @ U, l)
+    """Shared protocol: base points step by ``dt``; the dual is the adjoint."""
 
     def advance(self, state, steps=1):
         return state.advance(steps * self.dt)
@@ -88,7 +84,7 @@ class MatrixCocycle(_Cocycle):
 class OdeCocycle(_Cocycle):
     """Continuous cocycle sampled at a fixed step dt: ``propagate`` takes the
     exact flow on constant pieces and adaptive DOP853 at ``rtol`` elsewhere.
-    Chunks hold one flow map each; ``steps`` propagates U itself."""
+    A chunk holds up to BLOCK_CELLS flow maps, each propagating the identity."""
 
     def __init__(self, model: OdeModel, dt: float = 0.1, rtol: float = 1e-10):
         self.model = model
@@ -99,18 +95,16 @@ class OdeCocycle(_Cocycle):
 
     def step_blocks(self, state, count, backward=False):
         eye = np.eye(self.n)
-        for _ in range(count):
-            if backward:
-                state = state.advance(-self.dt)
-            M, ls = propagate(self.model, state, eye, self.dt, rtol=self.rtol)
-            yield M[None], np.array([ls])
-            if not backward:
-                state = state.advance(self.dt)
-
-    def steps(self, state, count):
-        for _ in range(count):
-            yield lambda U, s=state: propagate(self.model, s, U, self.dt, rtol=self.rtol)
-            state = state.advance(self.dt)
+        for lo in range(0, count, BLOCK_CELLS):
+            k = min(BLOCK_CELLS, count - lo)
+            maps, ls = np.empty((k, self.n, self.n)), np.empty(k)
+            for j in (range(k - 1, -1, -1) if backward else range(k)):
+                if backward:
+                    state = state.advance(-self.dt)
+                maps[j], ls[j] = propagate(self.model, state, eye, self.dt, rtol=self.rtol)
+                if not backward:
+                    state = state.advance(self.dt)
+            yield maps, ls
 
     def replay(self, omega, lo, hi):
         """As ``MatrixCocycle.replay``, but a flow map costs a ``propagate``,
@@ -140,7 +134,6 @@ class AdjointCocycle(_Cocycle):
 
     def __init__(self, primal):
         self.primal = primal
-        self.model = primal.model
         self.n = primal.n
         self.dt = primal.dt
         self.cone_tol = primal.cone_tol
@@ -227,6 +220,12 @@ class FloquetTrack:
     directions: np.ndarray
 
 
+def _steps(chunks):
+    """The (M, log_scale) pairs of a chunk stream, in stream order."""
+    for maps, ls in chunks:
+        yield from zip(maps, ls.tolist())
+
+
 def _enforce_cone(U, tol, t):
     """Check that the columns of U lie in the nonnegative orthant up to
     ``tol``; clip roundoff-level excursions so the returned directions are
@@ -278,8 +277,8 @@ def forward_floquet(cocycle, omega, u0, horizon, record_every=0, check_cone=True
     gone, w = np.zeros(k, dtype=bool), np.empty((k, cocycle.n))
     n_rows = np.full(k, n_steps // record_every if record_every else 0)
     with np.errstate(divide="ignore"):
-        for step, advance in enumerate(cocycle.steps(omega, n_steps), 1):
-            V, ls = advance(U)
+        for step, (M, ls) in enumerate(_steps(cocycle.step_blocks(omega, n_steps)), 1):
+            V = M @ U
             r = np.sqrt(np.vecdot(V, V, axis=0))
             # one product tells that every norm is positive and finite (an
             # under- or overflowing product only takes the careful branch)
@@ -490,8 +489,7 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0) -> S
     w = np.full(n, 1.0 / math.sqrt(n))
     log_growth = log_restricted = 0.0
     restricted_dead = False
-    steps = (step for maps, scales in blocks(-warmup, n_steps) for step in zip(maps, scales.tolist()))
-    for k, (M, ls) in enumerate(steps, -warmup):
+    for k, (M, ls) in enumerate(_steps(blocks(-warmup, n_steps)), -warmup):
         if k == 0:
             w_star0 = z_path[0].copy()
             pairing = float(w @ w_star0)
@@ -572,9 +570,8 @@ def oseledets_qr(cocycle, omega, horizon):
     Q = np.eye(n)
     sums = np.zeros(n)
     with np.errstate(divide="ignore"):
-        for k, step in enumerate(cocycle.steps(omega, n_steps)):
-            V, ls = step(Q)
-            Q, F, _ = _qr_positive(V)
+        for k, (M, ls) in enumerate(_steps(cocycle.step_blocks(omega, n_steps))):
+            Q, F, _ = _qr_positive(M @ Q)
             d = np.abs(F.diagonal())  # diag R once the signs are applied
             if not math.isfinite(d.max()):
                 raise EstimationError(f"QR frame not finite after step {k} (R diagonal {d})")

@@ -622,7 +622,8 @@ def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
 
 class TypeKFlipModel(OdeModel):
     """Sign-conjugated coefficient: flips the off blocks of a type-K field so
-    the result is cooperative; trajectories map by flipping the last l signs."""
+    the result is cooperative; solutions correspond exactly under the sign
+    flip of the last l coordinates."""
 
     def __init__(self, b_model: OdeModel, k: int, l: int):
         if k + l != b_model.n or k < 1 or l < 1:
@@ -675,10 +676,3 @@ def _check_type_k(B, k):
         bad = bad_same | bad_cross
         i, j = map(int, next(zip(*np.where(bad))))
         raise ValueError(f"type-K sign pattern violated at entry ({i}, {j}) = {B[i, j]}")
-
-
-def typek_to_cooperative(b_model: OdeModel, k: int, l: int) -> TypeKFlipModel:
-    """Conjugate a type-K monotone field into a cooperative one by flipping
-    the sign of the cross blocks; solutions correspond exactly under the sign
-    flip of the last l coordinates."""
-    return TypeKFlipModel(b_model, k, l)

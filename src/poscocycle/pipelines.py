@@ -68,7 +68,7 @@ def run_command(command, cfg, out_dir=None):
         "tool": {"name": "poscocycle", "version": __version__},
         "command": command,
         "seed": seed,
-        "config": _echo_config(cfg),
+        "config": {k: cfg[k] for k in ("seed", "driver", "model", "estimator", "output")},
         "results": results,
         "timing": {"wall_seconds": time.perf_counter() - t_start},
     }
@@ -78,11 +78,6 @@ def run_command(command, cfg, out_dir=None):
         if results.get("history"):
             emit_plot_data(doc, out / f"plot-seed{seed}.csv")
     return doc
-
-
-def _echo_config(cfg):
-    echo = {k: cfg[k] for k in ("seed", "driver", "model", "estimator", "output")}
-    return echo
 
 
 def _run_check(cfg):
@@ -121,6 +116,8 @@ def _run_estimate(cfg):
 
     w0 = warmup_direction(cocycle, omega, int(est["warmup"]))
     probe = np.asarray(est["u0"], dtype=float) if est["u0"] else np.eye(cocycle.n)[0]
+    if probe.shape != (cocycle.n,):  # validate_config cannot know N for a csv model
+        raise ConfigError(f"'estimator.u0' must hold {cocycle.n} numbers, got {est['u0']!r}")
     # the warmed and the raw probe walk as one block; the kappa route reads
     # the warmed direction at every step
     track, raw = forward_floquet(cocycle, omega, np.column_stack([w0, probe]), horizon,

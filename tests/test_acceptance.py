@@ -19,7 +19,7 @@ from poscocycle.matrices import (ConstantMatrixModel, LeslieModel, leslie_model,
                                  matrix_stats, UniformEntriesModel,
                                  verify_nstep_positivity)
 from poscocycle.odes import (ConstantOdeModel, PiecewiseConstantOdeModel,
-                             cooperative_sampler, integrate, typek_to_cooperative)
+                             TypeKFlipModel, cooperative_sampler, integrate)
 from poscocycle.pipelines import run_command
 from poscocycle.reporting import format_result
 from poscocycle.torus import TorusExampleModel
@@ -306,7 +306,7 @@ def test_criterion_10_invariance_suite():
         return M
 
     b_model = PiecewiseConstantOdeModel(4, sampler)
-    a_model = typek_to_cooperative(b_model, 2, 2)
+    a_model = TypeKFlipModel(b_model, 2, 2)
     stk = cont_state(44)
     u0k = np.array([0.5, 1.0, -0.7, -0.2])
     db, lsb = integrate(b_model, stk, u0k, 4.0)

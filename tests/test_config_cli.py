@@ -386,6 +386,41 @@ class TestCliProcess:
         assert cli.main([command, "--config", str(p), "--out", str(tmp_path)]) == 1
         assert f"'estimator.{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, key, token", [
+        ("matrix", "horizon", '"100"'),  # used to end in a bare TypeError
+        ("matrix", "dt", "null"),  # likewise
+        ("matrix", "divergence_horizons", "5"),  # likewise
+        ("matrix", "horizon", "1e400"),  # used to exit 3: cannot convert float infinity to integer
+        ("matrix", "horizon", "NaN"),  # used to name no key
+        ("matrix", "horizon", "true"),
+        ("matrix", "dt", "-0.5"),
+        ("matrix", "rtol", '"x"'),  # used to be accepted
+        ("ode", "rtol", '"x"'),  # used to fail in float()
+        ("ode", "rtol", "0"),
+        ("matrix", "divergence_threshold", "NaN"),
+        ("matrix", "divergence_horizons", "[125, -Infinity]"),
+        ("matrix", "seed", '"abc"'),  # used to fail in int()
+        ("matrix", "seed", "1.5"),
+    ])
+    def test_numeric_keys_checked_exit_1(self, tmp_path, kind, key, token, capsys):
+        ode = {"kind": "ode-piecewise-uniform", "n": 2, "diag": [-0.5, 0.5], "offdiag": [0.1, 1.0]}
+        cfg = base_cfg(**({"model": ode} if kind == "ode" else {}))
+        (cfg if key == "seed" else cfg["estimator"])[key] = "@"
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg).replace('"@"', token))
+        from poscocycle import cli
+        assert cli.main(["estimate", "--config", str(p), "--out", str(tmp_path)]) == 1
+        assert f"'{key if key == 'seed' else 'estimator.' + key}' must be" in capsys.readouterr().err
+
+    def test_u0_length_checked_exit_1(self, tmp_path, capsys):
+        # used to exit 1 with numpy's concatenation message; only the
+        # cocycle knows N (a csv model's is read at build time)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(base_cfg(estimator={"horizon": 20, "u0": [1, 2]})))
+        from poscocycle import cli
+        assert cli.main(["estimate", "--config", str(p), "--out", str(tmp_path)]) == 1
+        assert "'estimator.u0' must hold 3 numbers" in capsys.readouterr().err
+
     def test_cli_import_leaves_out_slow_scipy_modules(self):
         # any scipy import loads scipy._lib._array_api, which pulls in
         # numpy.f2py and numpy.testing: most of the CLI's start-up time

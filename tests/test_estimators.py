@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -15,7 +16,7 @@ from poscocycle import estimators
 from poscocycle.estimators import _norm, _qr_positive, _spectral_norm, _stored_replay
 from poscocycle.matrices import (ConstantMatrixModel, SampledMatrixModel, UniformEntriesModel,
                                  leslie_model)
-from poscocycle.odes import ConstantOdeModel, PiecewiseConstantOdeModel, cooperative_sampler
+from poscocycle.odes import ConstantOdeModel, PiecewiseConstantOdeModel, cooperative_sampler, propagate
 
 
 def disc_state(seed=0):
@@ -35,6 +36,27 @@ class StoredMatrixCocycle(MatrixCocycle):
 
     def replay(self, omega, lo, hi):
         return _stored_replay(self, omega, lo, hi)
+
+
+class BareCocycle:
+    """Nothing but what the estimators may read of a cocycle (``n``, ``dt``,
+    ``cone_tol``, ``step_blocks``, ``replay``, ``advance``), taken from a
+    wrapped one."""
+
+    def __init__(self, inner):
+        self.n, self.dt, self.cone_tol = inner.n, inner.dt, inner.cone_tol
+        self.step_blocks, self.replay, self.advance = inner.step_blocks, inner.replay, inner.advance
+
+
+def same(a, b):
+    """Bit-identical estimator results: arrays, floats, dataclasses and
+    tuples or lists of them."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(same(getattr(a, f.name), getattr(b, f.name))
+                                          for f in dataclasses.fields(a))
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(same, a, b))
+    return np.array_equal(a, b)
 
 
 class TestForwardFloquet:
@@ -298,6 +320,64 @@ class TestForwardFloquet:
                 adjoint = np.concatenate(chunks[::-1])
                 for t, M in enumerate(adjoint):
                     assert np.array_equal(M, emit(omega.advance(count - 1 - t)).T)
+
+    def test_ode_chunks_match_propagate(self):
+        # every flow map is exactly one propagate of the identity from its
+        # base point, stepped one dt at a time; chunks hold at most
+        # BLOCK_CELLS maps, backward reads come latest chunk first and in
+        # step order within a chunk, and dt = 0.3 makes some steps straddle
+        # a unit-cell edge
+        n, count = 3, 270
+        model = PiecewiseConstantOdeModel(n, cooperative_sampler(n, -1.0, 1.0, 0.0, 1.0))
+        coc, omega = OdeCocycle(model, dt=0.3), cont_state(6)
+        after, before = [omega], [omega]  # the base points from omega on, and before it
+        for _ in range(count):
+            after.append(after[-1].advance(coc.dt))
+            before.append(before[-1].advance(-coc.dt))
+
+        def flow(state):
+            return propagate(model, state, np.eye(n), coc.dt, rtol=coc.rtol)
+
+        def read(chunks, backward=False):
+            chunks = list(chunks)
+            assert all(0 < len(maps) <= BLOCK_CELLS and len(ls) == len(maps) for maps, ls in chunks)
+            chunks = chunks[::-1] if backward else chunks
+            maps, ls = np.concatenate([m for m, _ in chunks]), np.concatenate([l for _, l in chunks])
+            assert maps.shape == (count, n, n) and ls.shape == (count,)
+            return maps, ls
+
+        for (maps, ls), states in [(read(coc.step_blocks(omega, count)), after[:count]),
+                                   (read(coc.step_blocks(omega, count, backward=True), True), before[count:0:-1])]:
+            for M, l, state in zip(maps, ls, states, strict=True):
+                F, lf = flow(state)
+                assert np.array_equal(M, F) and l == lf
+        # the adjoint's steps from omega are the primal's before it, and the
+        # other way round, each transposed
+        dual = coc.dual()
+        for (maps, ls), states in [(read(dual.step_blocks(omega, count)), before[1:count + 1]),
+                                   (read(dual.step_blocks(omega, count, backward=True), True), after[count - 1::-1])]:
+            for M, l, state in zip(maps, ls, states, strict=True):
+                F, lf = flow(state)
+                assert np.array_equal(M, F.T) and l == lf
+
+
+class TestCocycleProtocol:
+    def test_estimators_read_only_the_map_stream(self):
+        # a cocycle with no more than n, dt, cone_tol, step_blocks, replay
+        # and advance runs every estimator, bit for bit as the one it wraps
+        coc, omega = iid_positive_cocycle(), disc_state(5)
+        bare = BareCocycle(coc)
+        probes = np.column_stack([np.ones(3), np.eye(3)[0]])
+        runs = [
+            lambda c: forward_floquet(c, omega, probes, 300, record_every=7),
+            lambda c: oseledets_qr(c, omega, 300),
+            lambda c: separation_estimate(c, omega, 300, warmup=40, proj_samples=10),
+            lambda c: warmup_direction(c, omega, 60),
+            lambda c: pullback_convergence(c, omega, 30),
+        ]
+        for run in runs:
+            assert same(run(bare), run(coc))
+        assert same(warmup_direction(BareCocycle(coc.dual()), omega, 60), warmup_direction(coc.dual(), omega, 60))
 
 
 class TestBackwardOrbit:
@@ -601,15 +681,11 @@ class TestAdjointCocycle:
         u, u_star = np.asarray(u), np.asarray(u_star)
         assume(np.any(u) and np.any(u_star))
         u, u_star = u / np.abs(u).max(), u_star / np.abs(u_star).max()
-        prev = coc.advance(omega, -1)
-        [step] = coc.steps(prev, 1)
-        v, ls = step(u)
-        [dual_step] = dual.steps(omega, 1)
-        v_star, ls_star = dual_step(u_star)
-        lhs = math.exp(ls) * float(v @ u_star)
-        rhs = math.exp(ls_star) * float(u @ v_star)
-        [([M], [ls_m])] = coc.step_blocks(prev, 1)
-        scale = math.exp(ls_m) * np.linalg.norm(M, 2) * np.linalg.norm(u) * np.linalg.norm(u_star)
+        [([M], [ls])] = coc.step_blocks(coc.advance(omega, -1), 1)
+        [([M_star], [ls_star])] = dual.step_blocks(omega, 1)
+        lhs = math.exp(ls) * float((M @ u) @ u_star)
+        rhs = math.exp(ls_star) * float(u @ (M_star @ u_star))
+        scale = math.exp(ls) * np.linalg.norm(M, 2) * np.linalg.norm(u) * np.linalg.norm(u_star)
         assert abs(lhs - rhs) <= rel * scale
 
     @settings(max_examples=30, deadline=None)

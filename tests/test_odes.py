@@ -12,10 +12,9 @@ from poscocycle.drivers import IidShift
 from poscocycle.errors import EstimationError
 from poscocycle.estimators import OdeCocycle, forward_floquet
 from poscocycle.odes import (CallableOdeModel, ConstantOdeModel,
-                             PiecewiseConstantOdeModel, check_O1, check_O2,
+                             PiecewiseConstantOdeModel, TypeKFlipModel, check_O1, check_O2,
                              cooperative_sampler, integrate,
-                             irreducibility_quantities, l1_growth_bound, propagate,
-                             typek_to_cooperative)
+                             irreducibility_quantities, l1_growth_bound, propagate)
 from poscocycle.torus import TorusExampleModel
 
 
@@ -174,8 +173,8 @@ class TestExactFlow:
 
     def test_typek_matches_dp5_twin(self):
         b_model = PiecewiseConstantOdeModel(4, typek_sampler)
-        a_model = typek_to_cooperative(b_model, 2, 2)
-        twin = typek_to_cooperative(adaptive_twin(b_model), 2, 2)
+        a_model = TypeKFlipModel(b_model, 2, 2)
+        twin = TypeKFlipModel(adaptive_twin(b_model), 2, 2)
         assert a_model.piece_matrix(cont_state(), 0.0, 0.5) is not None
         assert twin.piece_matrix(cont_state(), 0.0, 0.5) is None
         for seed in (1, 8):
@@ -234,7 +233,7 @@ class TestExactFlow:
         monkeypatch.setattr(odes, "expm", counted_expm)
         counts = []
         for model in (PiecewiseConstantOdeModel(4, typek_sampler),
-                      typek_to_cooperative(PiecewiseConstantOdeModel(4, typek_sampler), 2, 2)):
+                      TypeKFlipModel(PiecewiseConstantOdeModel(4, typek_sampler), 2, 2)):
             expms.clear()
             forward_floquet(OdeCocycle(model, dt=0.1), cont_state(4), np.ones(4), 10.0,
                             check_cone=False)
@@ -466,7 +465,7 @@ class TestIrreducibility:
 class TestTypeK:
     def test_sign_flip(self):
         B = ConstantOdeModel([[0.0, -1.0], [-1.0, 0.0]])
-        A = typek_to_cooperative(B, 1, 1)
+        A = TypeKFlipModel(B, 1, 1)
         assert A.field(cont_state(), 0.0).tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_involution(self):
@@ -476,13 +475,13 @@ class TestTypeK:
         B[2:, :2] = -np.abs(B[2:, :2])
         B[:2, :2] = np.abs(B[:2, :2])
         B[2:, 2:] = np.abs(B[2:, 2:])
-        A = typek_to_cooperative(ConstantOdeModel(B), 2, 2)
+        A = TypeKFlipModel(ConstantOdeModel(B), 2, 2)
         flip = A.flip
         assert np.array_equal(flip[:, None] * A.field(cont_state(), 0.0) * flip[None, :], B)
 
     def test_p1_violation_witnessed(self):
         B = ConstantOdeModel([[0.0, 1.0], [-1.0, 0.0]])  # positive cross-block entry
-        A = typek_to_cooperative(B, 1, 1)
+        A = TypeKFlipModel(B, 1, 1)
         with pytest.raises(ValueError, match="type-K"):
             A.field(cont_state(), 0.0)
 
@@ -496,7 +495,7 @@ class TestTypeK:
             return M
 
         b_model = PiecewiseConstantOdeModel(4, sampler)
-        a_model = typek_to_cooperative(b_model, 2, 2)
+        a_model = TypeKFlipModel(b_model, 2, 2)
         st = cont_state(33)
         flip = a_model.flip
         u0 = np.array([0.5, 1.0, -0.7, -0.2])
@@ -507,7 +506,7 @@ class TestTypeK:
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError, match="k"):
-            typek_to_cooperative(ConstantOdeModel(np.eye(3)), 2, 2)
+            TypeKFlipModel(ConstantOdeModel(np.eye(3)), 2, 2)
 
 
 class TestCallableModel:

@@ -10,10 +10,11 @@ Each matrix loop runs on a fresh uniform-entries cocycle (entries in
 one-probe "forward" steps.  The "ode" rows are forward steps of the
 piecewise-constant cooperative ODE (N = 3, diagonal in [-1, 0.5),
 off-diagonal in [0, 1), unit cells) at dt = 0.1 on a continuous i.i.d.
-shift, with one probe and with two.  A checkout whose ``forward_floquet``
-takes no probe block prints no two-probe rows.  The process pins itself to
-one CPU and BLAS to one thread; alternate the checkouts and take each
-one's range, since the CPU speed of a shared machine drifts.
+shift, with one probe and with two; "ode qr" is ``oseledets_qr`` on the
+same ODE.  A checkout whose ``forward_floquet`` takes no probe block prints
+no two-probe rows.  The process pins itself to one CPU and BLAS to one
+thread; alternate the checkouts and take each one's range, since the CPU
+speed of a shared machine drifts.
 
 With ``--peak`` it prints instead the ``tracemalloc`` peak of one
 ``separation_estimate`` run, in bytes per step, after an untraced run has
@@ -89,6 +90,7 @@ def main(argv=None):
         ("separation", matrix, lambda coc, om: separation_estimate(coc, om, T, warmup=50), (3, 24)),
         ("ode", ode, forward(1), (3,)),
         ("ode x2", ode, forward(2), (3,)),
+        ("ode qr", ode, lambda coc, om: oseledets_qr(coc, om, T * coc.dt), (3,)),
     ]
     for name, make, run, sizes in loops:
         for n in sizes:
