@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .config import load_config, validate_config
+from .config import read_config, validate_config
 from .errors import ConfigError, EstimationError, PositivityViolation
 from .pipelines import COMMANDS, run_command
 
@@ -69,27 +69,37 @@ def main(argv=None) -> int:
 
 
 def _config_for(args):
+    """The run configuration: the config file or the command's built-in one,
+    with the flags put in before it is validated, so that a bad flag value
+    is named by its key."""
     if args.config:
-        cfg = load_config(args.config)
+        cfg = read_config(args.config)
     elif args.command == "leslie-demo":
-        cfg = validate_config(json.loads(json.dumps(_FIBONACCI_LESLIE)))
+        cfg = json.loads(json.dumps(_FIBONACCI_LESLIE))
     elif args.command == "example-torus":
-        cfg = validate_config(json.loads(json.dumps(_TORUS_DEFAULT)))
+        cfg = json.loads(json.dumps(_TORUS_DEFAULT))
     else:
         raise ConfigError("missing required option '--config'")
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.horizon is not None:
-        cfg["estimator"]["horizon"] = args.horizon
+        _block(cfg, "estimator")["horizon"] = args.horizon
     if args.command == "example-torus":
-        if getattr(args, "rho", None) is not None:
-            cfg["model"]["rho"] = args.rho
-        lo, hi = getattr(args, "sigma_lo", None), getattr(args, "sigma_hi", None)
-        if lo is not None or hi is not None:
-            cur = cfg["model"].get("sigma_window") or [1.9, 2.1]
-            cfg["model"]["sigma_window"] = [lo if lo is not None else cur[0],
-                                            hi if hi is not None else cur[1]]
-    return cfg
+        model = _block(cfg, "model")
+        if args.rho is not None:
+            model["rho"] = args.rho
+        if args.sigma_lo is not None or args.sigma_hi is not None:
+            cur = model.get("sigma_window") or [1.9, 2.1]
+            model["sigma_window"] = [args.sigma_lo if args.sigma_lo is not None else cur[0],
+                                     args.sigma_hi if args.sigma_hi is not None else cur[1]]
+    return validate_config(cfg)
+
+
+def _block(cfg, key):
+    """The config's ``key`` object, for a flag to write into; one that is
+    not an object is left for validate_config to reject."""
+    blk = cfg.setdefault(key, {})
+    return blk if isinstance(blk, dict) else {}
 
 
 def _print_summary(doc):

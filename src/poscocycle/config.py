@@ -61,6 +61,11 @@ def _unknown_keys(block, allowed, where):
 
 
 def load_config(path) -> dict:
+    return validate_config(read_config(path))
+
+
+def read_config(path) -> dict:
+    """The JSON object of a config file, not yet validated."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -71,7 +76,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    return validate_config(cfg)
+    return cfg
 
 
 def validate_config(cfg: dict) -> dict:
@@ -117,6 +122,11 @@ def validate_config(cfg: dict) -> dict:
         if isinstance(v, bool) or not isinstance(v, int) or v < least:
             what = "a positive integer" if least == 1 else f"an integer >= {least}"
             raise ConfigError(f"'estimator.{key}' must be {what}, got {v!r}")
+    u0 = est["u0"]  # estimate checks its length, once the model gives N
+    if u0 is not None and not (isinstance(u0, list) and all(_number(x) and x >= 0 for x in u0)
+                               and any(x > 0 for x in u0)):
+        raise ConfigError("'estimator.u0' must be null or a list of finite nonnegative numbers, "
+                          f"not all zero, got {u0!r}")
     out["estimator"] = est
 
     out_blk = cfg.get("output", {})
@@ -218,6 +228,9 @@ def _validate_model(blk, driver) -> dict:
             raise ConfigError("'model.offdiag' lower bound must be >= 0 for a cooperative field")
     elif kind == "torus-example":
         _unknown_keys(blk, ("kind", "rho", "sigma_window"), "model")
+        rho = blk.get("rho")
+        if rho is not None and not (_number(rho, 0.0) and rho < 1.0):
+            raise ConfigError(f"'model.rho' must lie in (0, 1), got {rho!r}")
         win = blk.get("sigma_window")
         if win is not None:
             if not (isinstance(win, (list, tuple)) and len(win) == 2 and win[0] < win[1]):

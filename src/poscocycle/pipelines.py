@@ -18,7 +18,7 @@ from .estimators import (DivergenceDiagnostic, MatrixCocycle, OdeCocycle,
                          pullback_convergence, separation_estimate, warmup_direction)
 from .matrices import check_D1, check_D2, check_D3, verify_nstep_positivity
 from .odes import check_O1, check_O2
-from .reporting import emit_plot_data, report_to_dict, write_result, write_series
+from .reporting import report_to_dict, write_result
 from .stats import batch_means
 
 COMMANDS = ("check", "estimate", "separate", "orbit", "oseledets", "example-torus", "leslie-demo")
@@ -44,12 +44,11 @@ def _estimate_doc(value, ci, horizon, seed, **extra):
 
 
 def run_command(command, cfg, out_dir=None):
-    """Execute one pipeline; writes results.json (and optional series files)
-    under the output directory and returns the result document."""
+    """Execute one pipeline; writes its one output file, results.json, under
+    the output directory and returns the result document."""
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     t_start = time.perf_counter()
-    seed = cfg["seed"]
     out = Path(out_dir if out_dir is not None else cfg["output"]["dir"])
     out.mkdir(parents=True, exist_ok=True)
 
@@ -62,21 +61,17 @@ def run_command(command, cfg, out_dir=None):
         "example-torus": _run_torus,
         "leslie-demo": _run_leslie_demo,
     }[command]
-    results, series = runner(cfg)
+    results = runner(cfg)
 
     doc = {
         "tool": {"name": "poscocycle", "version": __version__},
         "command": command,
-        "seed": seed,
+        "seed": cfg["seed"],
         "config": {k: cfg[k] for k in ("seed", "driver", "model", "estimator", "output")},
         "results": results,
         "timing": {"wall_seconds": time.perf_counter() - t_start},
     }
     write_result(doc, out / "results.json")
-    if series is not None and cfg["output"]["series"]:
-        write_series(series, len(results["w"]), out / f"series-seed{seed}.csv")
-        if results.get("history"):
-            emit_plot_data(doc, out / f"plot-seed{seed}.csv")
     return doc
 
 
@@ -94,7 +89,7 @@ def _run_check(cfg):
     else:
         reports = [check_O1(model, driver, seed, n_samples),
                    check_O2(model, driver, seed, n_samples)]
-    return {"assumption_reports": [report_to_dict(r) for r in reports]}, None
+    return {"assumption_reports": [report_to_dict(r) for r in reports]}
 
 
 def _thinned(track, every):
@@ -153,17 +148,15 @@ def _run_estimate(cfg):
     if kind == "ode":
         results["lambda1_kappa_route"] = _estimate_doc(kr.estimate, kr.ci, horizon, seed)
 
-    # history and series rows follow the tracked probe; the raw probe's
-    # distance is NaN from the step that annihilated it on
-    both = min(len(raw.times), len(times))
-    distance = np.full(len(times), math.nan)
-    distance[:both] = np.linalg.norm(raw.directions[:both] - track.directions[:both], axis=1)
-    series = [(t, ln_rho, w, None) for t, ln_rho, w in zip(times.tolist(), ln_rhos.tolist(), track.directions)]
-    # the per-step history is bulky; persist it only when series output is on
-    results["history"] = [{"t": t, "lambda1_running": lam, "direction_distance": d}
-                          for t, lam, d in zip(times.tolist(), running.tolist(), distance.tolist())
-                          ] if cfg["output"]["series"] else []
-    return results, series
+    if cfg["output"]["series"]:
+        # one column per quantity, one entry per row of the tracked probe;
+        # the raw probe's distance is NaN from the step that annihilated it on
+        both = min(len(raw.times), len(times))
+        distance = np.full(len(times), math.nan)
+        distance[:both] = np.linalg.norm(raw.directions[:both] - track.directions[:both], axis=1)
+        results["history"] = {"t": times, "ln_rho": ln_rhos, "lambda1_running": running,
+                              "direction_distance": distance, "w": track.directions}
+    return results
 
 
 def _run_separate(cfg):
@@ -181,9 +174,7 @@ def _run_separate(cfg):
         "f1_basis": sep.f1_basis,
         "projection_norm_history": [[t, v] for t, v in sep.projection_norm_history],
     }
-    series = [(t, math.nan, np.full(cocycle.n, math.nan), v)
-              for t, v in sep.projection_norm_history]
-    return results, series
+    return results
 
 
 def _run_orbit(cfg):
@@ -199,14 +190,14 @@ def _run_orbit(cfg):
         "convergence_distance": conv,
         "seed": seed,
     }
-    return results, None
+    return results
 
 
 def _run_oseledets(cfg):
     _, cocycle, omega, est, seed = _setup(cfg)
     horizon = float(est["horizon"])
     exps = oseledets_qr(cocycle, omega, horizon)
-    return {"exponents": exps, "horizon": horizon, "seed": seed}, None
+    return {"exponents": exps, "horizon": horizon, "seed": seed}
 
 
 def _run_torus(cfg):
@@ -231,7 +222,7 @@ def _run_torus(cfg):
         "divergence": dataclasses.asdict(report.divergence),
         "seed": cfg["seed"],
     }
-    return results, None
+    return results
 
 
 def _run_leslie_demo(cfg):
@@ -242,7 +233,7 @@ def _run_leslie_demo(cfg):
     est = cfg["estimator"]
     seed = cfg["seed"]
     bad = verify_nstep_positivity(model, driver, seed, int(est["n_samples"]))
-    results, series = _run_estimate(cfg)
+    results = _run_estimate(cfg)
     results["nstep_positivity"] = {"steps": model.n, "violations": bad,
                                    "n_samples": int(est["n_samples"]), "seed": seed}
-    return results, series
+    return results

@@ -1,23 +1,21 @@
-"""Deterministic result serialization and plot-data emission.
+"""Deterministic result serialization: results.json, a run's one output file.
 
 results.json is written by one recursive writer that dispatches on the exact
 type of each value: keys sorted by their string form, floats at 17
 significant digits, non-finite floats as the strings "inf" / "-inf" / "nan",
-strings ASCII-escaped, numpy arrays and scalars through ``.tolist()``.
-Identical runs produce byte-identical files (timing aside).
+strings ASCII-escaped, numpy arrays (such as the per-step history columns)
+and scalars through ``.tolist()``.  Every float round-trips exactly, and
+identical runs produce byte-identical files (timing aside).
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import importlib.resources
 import json
 import math
 
 import numpy as np
-
-from .errors import EstimationError
 
 
 _str = json.encoder.encode_basestring_ascii
@@ -98,32 +96,3 @@ def report_to_dict(report) -> dict:
         "witnesses": list(report.witnesses),
         "detail": report.detail,
     }
-
-
-def write_series(rows, n_dim, path) -> None:
-    """Time-series CSV with the fixed schema t, ln_rho, w_1..w_N, ln_proj_norm.
-
-    rows: iterable of (t, ln_rho, w (array), ln_proj_norm or None).
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "ln_rho"] + [f"w_{i + 1}" for i in range(n_dim)] + ["ln_proj_norm"])
-        for t, ln_rho, w, ln_proj in rows:
-            writer.writerow([f"{t:.17g}", f"{ln_rho:.17g}"]
-                            + [f"{wi:.17g}" for wi in w]
-                            + [f"{ln_proj:.17g}" if ln_proj is not None else "nan"])
-
-
-def emit_plot_data(result: dict, path) -> None:
-    """Tidy CSV for external plotting: running top-exponent estimate vs time
-    and the distance between a raw probe's direction and the warmed principal
-    direction (plot it on a log axis)."""
-    history = result.get("results", {}).get("history")
-    if not history:
-        raise EstimationError("result carries no history series; rerun with series output enabled")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "lambda1_running", "direction_distance"])
-        for row in history:
-            writer.writerow([f"{row['t']:.17g}", f"{row['lambda1_running']:.17g}",
-                             f"{row['direction_distance']:.17g}"])

@@ -12,8 +12,7 @@ from poscocycle import estimators
 from poscocycle.config import load_config, validate_config, build_model, build_driver
 from poscocycle.errors import ConfigError, EstimationError
 from poscocycle.pipelines import run_command
-from poscocycle.reporting import (emit_plot_data, format_result, results_schema,
-                                  validate_result)
+from poscocycle.reporting import format_result, results_schema, validate_result
 
 
 def written(out_dir):
@@ -113,9 +112,7 @@ class TestPipelines:
         cfg = validate_config(base_cfg())
         doc = run_command("estimate", cfg, out_dir=tmp_path)
         validate_result(written(tmp_path))
-        assert (tmp_path / "results.json").exists()
-        assert (tmp_path / "series-seed3.csv").exists()
-        assert (tmp_path / "plot-seed3.csv").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["results.json"]
         lam = doc["results"]["lambda1"]
         assert lam["horizon"] == 200 and lam["seed"] == 3
 
@@ -123,9 +120,9 @@ class TestPipelines:
         for seed in (1, 2):
             cfg = validate_config(base_cfg(seed=seed))
             run_command("estimate", cfg, out_dir=tmp_path)
-        h1 = (tmp_path / "series-seed1.csv").read_text().splitlines()[0]
-        h2 = (tmp_path / "series-seed2.csv").read_text().splitlines()[0]
-        assert h1 == h2 == "t,ln_rho,w_1,w_2,w_3,ln_proj_norm"
+            history = written(tmp_path)["results"]["history"]
+            assert sorted(history) == ["direction_distance", "lambda1_running", "ln_rho", "t", "w"]
+            assert {len(row) for row in history["w"]} == {3}
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = validate_config(base_cfg())
@@ -163,12 +160,39 @@ class TestPipelines:
                 "horizon": 2000, "record_every": every, "divergence_horizons": [125, 256, 1000, 2000]}))
             runs.append(run_command("estimate", cfg, out_dir=tmp_path / str(every))["results"])
         a, b = runs
-        assert len(b["history"]) == len(a["history"]) // 4 == 500
+        ha, hb = a["history"], b["history"]
+        assert len(hb["t"]) == len(ha["t"]) // 4 == 500
         assert np.allclose(b["divergence"]["means"][1:], a["divergence"]["means"][1:], rtol=0, atol=1e-12)
         # at 125, between rows, the mean runs to the last row, at 124
-        assert abs(b["divergence"]["means"][0] - a["history"][123]["lambda1_running"]) <= 1e-12
-        assert abs(b["history"][-1]["lambda1_running"] - a["history"][-1]["lambda1_running"]) <= 1e-12
-        assert abs(a["history"][-1]["lambda1_running"] - a["lambda1"]["value"]) <= 1e-12
+        assert abs(b["divergence"]["means"][0] - ha["lambda1_running"][123]) <= 1e-12
+        assert abs(hb["lambda1_running"][-1] - ha["lambda1_running"][-1]) <= 1e-12
+        assert abs(ha["lambda1_running"][-1] - a["lambda1"]["value"]) <= 1e-12
+
+    @pytest.mark.parametrize("every", [1, 4])
+    def test_history_columns_are_the_tracked_probe(self, tmp_path, every):
+        # results.json holds the tracked probe's rows exactly; series off
+        # leaves out the history and nothing else
+        cfg = validate_config(base_cfg(estimator={"horizon": 200, "warmup": 30, "record_every": every}))
+        run_command("estimate", cfg, out_dir=tmp_path / "on")
+        res = written(tmp_path / "on")["results"]
+        cocycle = estimators.MatrixCocycle(build_model(cfg)[1])
+        omega = build_driver(cfg).initial(3)
+        w0 = estimators.warmup_direction(cocycle, omega, 30)
+        track, _ = estimators.forward_floquet(cocycle, omega, np.column_stack([w0, np.eye(3)[0]]), 200,
+                                              record_every=every)
+        history = res.pop("history")
+        assert len(history["t"]) == 200 // every
+        for column, rows in (("t", track.times), ("ln_rho", track.log_rho), ("w", track.directions)):
+            assert np.array_equal(np.array(history[column]), rows), column
+        running, value = history["lambda1_running"][-1], res["lambda1"]["value"]
+        if every == 1:
+            assert running == value
+        else:
+            # rows sum their 4 steps before the running sum: the same 200
+            # terms regrouped, at most 200 roundings of the log growth apart
+            assert abs(running - value) <= 200 * np.finfo(float).eps * abs(value)
+        run_command("estimate", validate_config({**cfg, "output": {"series": False}}), out_dir=tmp_path / "off")
+        assert format_result(written(tmp_path / "off")["results"]) == format_result(res)
 
     def test_divergence_horizon_before_first_row(self, tmp_path):
         # rows come every 4 steps, so there is no mean over [0, 2]; it used
@@ -181,7 +205,7 @@ class TestPipelines:
         # a horizon on the first row is a mean over that row
         cfg = validate_config(base_cfg(estimator={**est, "divergence_horizons": [4, 1000, 2000]}))
         res = run_command("estimate", cfg, out_dir=tmp_path)["results"]
-        assert res["divergence"]["means"][0] == res["history"][0]["lambda1_running"]
+        assert res["divergence"]["means"][0] == res["history"]["lambda1_running"][0]
 
     def test_ode_estimate_pipeline(self, tmp_path):
         cfg = validate_config({
@@ -253,10 +277,6 @@ class TestPipelines:
         echo = run_command("example-torus", cfg, out_dir=tmp_path)["config"]["estimator"]
         assert (echo["horizon"], echo["dt"]) == (ran["horizon"], ran["dt"])
         assert (ran["horizon"], ran["dt"]) == (est.get("horizon", 50.0), est.get("dt", 0.25))
-
-    def test_emit_plot_data_requires_history(self, tmp_path):
-        with pytest.raises(EstimationError, match="history"):
-            emit_plot_data({"results": {}}, tmp_path / "x.csv")
 
     def test_check_names_nonfinite_sample(self, tmp_path):
         cfg = validate_config({"model": {"kind": "constant", "matrix": [[1.0, 2.0], [math.nan, 1.0]]},
@@ -334,12 +354,12 @@ class TestCliProcess:
         assert r.returncode == 0, r.stderr
         doc = written(tmp_path)
         validate_result(doc)
-        distances = [row["direction_distance"] for row in doc["results"]["history"]]
+        history = doc["results"]["history"]
+        distances = history["direction_distance"]
         assert len(distances) == 20
         assert all(d == "nan" for d in distances[dies - 1:])
         assert all(isinstance(d, float) for d in distances[:dies - 1])
-        assert len((tmp_path / "series-seed0.csv").read_text().splitlines()) == 21
-        assert len((tmp_path / "plot-seed0.csv").read_text().splitlines()) == 21
+        assert {len(column) for column in history.values()} == {20}
 
     def test_nonfinite_coefficient_exit_3(self, tmp_path):
         p = tmp_path / "inf.json"
@@ -411,6 +431,34 @@ class TestCliProcess:
         from poscocycle import cli
         assert cli.main(["estimate", "--config", str(p), "--out", str(tmp_path)]) == 1
         assert f"'{key if key == 'seed' else 'estimator.' + key}' must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags, key", [
+        ("estimate", ["--horizon=inf"], "estimator.horizon"),  # used to exit 3: cannot convert float infinity
+        ("estimate", ["--horizon=nan"], "estimator.horizon"),  # used to name no key
+        ("estimate", ["--horizon=-5"], "estimator.horizon"),  # likewise
+        ("example-torus", ["--rho", "2"], "model.rho"),  # likewise
+        ("example-torus", ["--sigma-lo", "3", "--sigma-hi", "1"], "model.sigma_window"),  # used to run, exit 3
+    ])
+    def test_flags_checked_exit_1(self, tmp_path, command, flags, key, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(base_cfg()))
+        config = ["--config", str(p)] if command == "estimate" else []
+        from poscocycle import cli
+        assert cli.main([command, *config, *flags, "--out", str(tmp_path)]) == 1
+        assert f"'{key}' must" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", [
+        '["a", 1, 2]', '"abc"',  # used to exit 1 with numpy's conversion message
+        '[1, "nan", 1]', "[1e400, 1, 1]",  # used to exit 3: forward iterate not finite
+        "[1, -1, 0]",  # used to exit 2 at t = 0
+        "[0, 0, 0]",  # used to name no key
+    ])
+    def test_u0_checked_exit_1(self, tmp_path, token, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(base_cfg(estimator={"horizon": 20, "u0": "@"})).replace('"@"', token))
+        from poscocycle import cli
+        assert cli.main(["estimate", "--config", str(p), "--out", str(tmp_path)]) == 1
+        assert "'estimator.u0' must be null or a list" in capsys.readouterr().err
 
     def test_u0_length_checked_exit_1(self, tmp_path, capsys):
         # used to exit 1 with numpy's concatenation message; only the
@@ -501,9 +549,6 @@ class TestCliProcess:
         a.pop("timing"), b.pop("timing")
         from poscocycle.reporting import format_result
         assert format_result(a).encode() == format_result(b).encode()
-        sa = (tmp_path / "x" / "series-seed3.csv").read_bytes()
-        sb = (tmp_path / "y" / "series-seed3.csv").read_bytes()
-        assert sa == sb
 
     def test_seed_and_horizon_overrides(self, tmp_path):
         p = tmp_path / "cfg.json"

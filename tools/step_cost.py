@@ -12,9 +12,12 @@ piecewise-constant cooperative ODE (N = 3, diagonal in [-1, 0.5),
 off-diagonal in [0, 1), unit cells) at dt = 0.1 on a continuous i.i.d.
 shift, with one probe and with two; "ode qr" is ``oseledets_qr`` on the
 same ODE.  A checkout whose ``forward_floquet`` takes no probe block prints
-no two-probe rows.  The process pins itself to one CPU and BLAS to one
-thread; alternate the checkouts and take each one's range, since the CPU
-speed of a shared machine drifts.
+no two-probe rows.  The "output" rows time one whole ``estimate`` through
+``run_command`` (the same uniform-entries model at N = 3, seed 1, T = 2000,
+files written included), with ``output.series`` on and off, in ms per run.
+The process pins itself to one CPU and BLAS to one thread; alternate the
+checkouts and take each one's range, since the CPU speed of a shared
+machine drifts.
 
 With ``--peak`` it prints instead the ``tracemalloc`` peak of one
 ``separation_estimate`` run, in bytes per step, after an untraced run has
@@ -28,6 +31,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -49,11 +53,13 @@ def main(argv=None):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     sys.path.insert(0, args.src)
     import numpy as np
+    from poscocycle.config import validate_config
     from poscocycle.drivers import IidShift
     from poscocycle.estimators import (MatrixCocycle, OdeCocycle, forward_floquet, oseledets_qr,
                                        separation_estimate)
     from poscocycle.matrices import UniformEntriesModel
     from poscocycle.odes import PiecewiseConstantOdeModel, cooperative_sampler
+    from poscocycle.pipelines import run_command
 
     T = HORIZON
     if args.peak:
@@ -102,6 +108,16 @@ def main(argv=None):
                 best = min(best, time.process_time() - t0)
             if ok is not False:
                 print(f"{name:<10} N={n:<3} {1e6 * best / T:7.1f} us/step")
+    with tempfile.TemporaryDirectory() as out:
+        for series in (True, False):
+            cfg = validate_config({"seed": 1, "model": {"kind": "uniform-entries", "n": 3, "lo": 0.5, "hi": 2.0},
+                                   "estimator": {"horizon": T}, "output": {"series": series}})
+            best = float("inf")
+            for _ in range(REPEATS):
+                t0 = time.process_time()
+                run_command("estimate", cfg, out_dir=out)
+                best = min(best, time.process_time() - t0)
+            print(f"output     series {'on ' if series else 'off'} {1e3 * best:7.1f} ms/estimate")
 
 
 if __name__ == "__main__":
