@@ -17,6 +17,7 @@ import numpy as np
 from .config import read_config, validate_config
 from .errors import ConfigError, EstimationError, PositivityViolation
 from .pipelines import COMMANDS, run_command
+from .torus import SIGMA_WINDOW
 
 _FIBONACCI_LESLIE = {
     "model": {"kind": "leslie", "n": 2,
@@ -89,9 +90,10 @@ def _config_for(args):
         if args.rho is not None:
             model["rho"] = args.rho
         if args.sigma_lo is not None or args.sigma_hi is not None:
-            cur = model.get("sigma_window") or [1.9, 2.1]
-            model["sigma_window"] = [args.sigma_lo if args.sigma_lo is not None else cur[0],
-                                     args.sigma_hi if args.sigma_hi is not None else cur[1]]
+            cur = model.get("sigma_window") or SIGMA_WINDOW
+            if isinstance(cur, (list, tuple)) and len(cur) == 2:  # else validate_config names the bad value
+                model["sigma_window"] = [args.sigma_lo if args.sigma_lo is not None else cur[0],
+                                         args.sigma_hi if args.sigma_hi is not None else cur[1]]
     return validate_config(cfg)
 
 

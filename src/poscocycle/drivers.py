@@ -187,9 +187,9 @@ class MarkovShift:
     def __init__(self, transition: np.ndarray):
         P = np.asarray(transition, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise ValueError("transition matrix must be square")
+            raise ValueError("transition must be a square matrix")
         if np.any(P < 0) or not np.allclose(P.sum(axis=1), 1.0, atol=1e-12):
-            raise ValueError("transition matrix must be row-stochastic")
+            raise ValueError("transition must be row-stochastic")
         self.transition = P
         self.n_states = P.shape[0]
         self.stationary = self._stationary(P)
@@ -294,7 +294,7 @@ class TorusRotation:
     def __init__(self, rho: float | None = None):
         self.rho = float(np.sqrt(2.0) - 1.0) if rho is None else float(rho)
         if not 0.0 < self.rho < 1.0:
-            raise ValueError("rho must lie in (0, 1)")
+            raise ValueError(f"rho must lie in (0, 1), got {rho!r}")
         self.time = "continuous"
 
     def initial(self, seed: int) -> TorusState:

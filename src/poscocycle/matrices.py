@@ -10,6 +10,7 @@ direction matrix is the operator ell-1 norm (max column sum).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -83,9 +84,9 @@ class ConstantMatrixModel(MatrixModel):
 
 def _matrix_list(matrices) -> tuple[list, np.ndarray]:
     mats = [np.asarray(S, dtype=float) for S in matrices]
-    n = mats[0].shape[0]
-    if any(S.shape != (n, n) for S in mats):
-        raise ValueError("all matrices must share the same square shape")
+    n = mats[0].shape[0] if mats and mats[0].ndim else 0
+    if not n or any(S.shape != (n, n) for S in mats):
+        raise ValueError("matrices must be a nonempty list of square matrices of one shape")
     return mats, np.stack(mats)
 
 
@@ -99,7 +100,7 @@ class IidChoiceModel(BlockMatrixModel):
             self.weights = np.full(len(self.matrices), 1.0 / len(self.matrices))
         else:
             w = np.asarray(weights, dtype=float)
-            if w.shape != (len(self.matrices),) or np.any(w < 0) or w.sum() <= 0:
+            if w.shape != (len(self.matrices),) or not (np.all(w >= 0) and 0 < w.sum() < np.inf):
                 raise ValueError("weights must be nonnegative, one per matrix")
             self.weights = w / w.sum()
         self._cdf = choice_cdf(self.weights)
@@ -142,7 +143,7 @@ class UniformEntriesModel(BlockMatrixModel):
 
     def __init__(self, n: int, lo: float, hi: float):
         if not 0 <= lo < hi:
-            raise ValueError("need 0 <= lo < hi")
+            raise ValueError(f"need 0 <= lo < hi, got lo = {lo!r}, hi = {hi!r}")
         super().__init__(n)
         self.lo = float(lo)
         self.hi = float(hi)
@@ -204,7 +205,7 @@ def leslie_model(m_sampler, b_sampler, n=None) -> LeslieModel:
 
 def matrix_from_csv(path) -> np.ndarray:
     """Load a matrix from plain text: a header line "N", the dimension, then N rows."""
-    with open(path) as fh:
+    with Path(path).open() as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     if not lines or lines[0] != "N":
         raise ValueError(f"{path}: expected header 'N' on the first line")

@@ -111,8 +111,6 @@ def _run_estimate(cfg):
 
     w0 = warmup_direction(cocycle, omega, int(est["warmup"]))
     probe = np.asarray(est["u0"], dtype=float) if est["u0"] else np.eye(cocycle.n)[0]
-    if probe.shape != (cocycle.n,):  # validate_config cannot know N for a csv model
-        raise ConfigError(f"'estimator.u0' must hold {cocycle.n} numbers, got {est['u0']!r}")
     # the warmed and the raw probe walk as one block; the kappa route reads
     # the warmed direction at every step
     track, raw = forward_floquet(cocycle, omega, np.column_stack([w0, probe]), horizon,
@@ -201,11 +199,11 @@ def _run_oseledets(cfg):
 
 
 def _run_torus(cfg):
-    from .torus import validate_against_closed_form
+    from .torus import SIGMA_WINDOW, validate_against_closed_form
 
     est = cfg["estimator"]
     blk = cfg["model"]
-    window = blk.get("sigma_window") or (1.9, 2.1)
+    window = blk.get("sigma_window") or SIGMA_WINDOW
     report = validate_against_closed_form(
         rho=blk.get("rho"), seed=cfg["seed"],
         horizon=float(est["horizon"]), dt=float(est["dt"]),

@@ -31,6 +31,12 @@ FOCUSING_RATIO_BOUND = 1.0 / math.tanh(1.0)
 PRINCIPAL_DIRECTION = np.array([1.0, 1.0]) / math.sqrt(2.0)
 SEPARATION_RATE = 2.0
 
+# the validation battery's defaults: the horizon of its separation item, the
+# dt of its cocycles, and the window its separation-rate estimates must fall in
+BATTERY_HORIZON = 50.0
+BATTERY_DT = 0.25
+SIGMA_WINDOW = (1.9, 2.1)
+
 
 def coefficient(w1: float, w2: float) -> float:
     """Scalar coefficient a at a torus position."""
@@ -200,8 +206,8 @@ class TorusValidationReport:
         return "\n".join(lines)
 
 
-def validate_against_closed_form(rho=None, seed=0, n_omegas=5, horizon=50.0, dt=0.25,
-                                 sigma_window=(1.9, 2.1),
+def validate_against_closed_form(rho=None, seed=0, n_omegas=5, horizon=BATTERY_HORIZON, dt=BATTERY_DT,
+                                 sigma_window=SIGMA_WINDOW,
                                  divergence_horizons=(125.0, 250.0, 500.0, 1000.0),
                                  divergence_threshold=-10.0) -> TorusValidationReport:
     """Drive the generic integrator and estimators over the analytic model and

@@ -1,16 +1,20 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import poscocycle
 from poscocycle import estimators
-from poscocycle.config import load_config, validate_config, build_model, build_driver
+from poscocycle.config import DRIVERS, MODELS, load_config, validate_config, build_model, build_driver
 from poscocycle.errors import ConfigError, EstimationError
+from poscocycle.matrices import MatrixModel
+from poscocycle.odes import OdeModel
 from poscocycle.pipelines import run_command
 from poscocycle.reporting import format_result, results_schema, validate_result
 
@@ -29,6 +33,19 @@ def base_cfg(**over):
     }
     cfg.update(over)
     return cfg
+
+
+MINIMAL_MODELS = {
+    "constant": {"matrix": [[1.0, 0.5], [0.5, 1.0]]},
+    "iid-list": {"matrices": [[[1.0, 0.5], [0.5, 1.0]], [[2.0, 1.0], [0.1, 1.0]]]},
+    "markov-list": {"matrices": [[[1.0, 0.5], [0.5, 1.0]], [[2.0, 1.0], [0.1, 1.0]]]},
+    "uniform-entries": {"n": 2, "lo": 0.5, "hi": 2.0},
+    "leslie": {"n": 2, "m": {"dist": "uniform", "lo": 0.5, "hi": 1.5}, "b": {"dist": "constant", "values": [0.5]}},
+    "csv": {},  # the test writes the file and sets its path
+    "ode-constant": {"matrix": [[-1.0, 1.0], [1.0, -1.0]]},
+    "ode-piecewise-uniform": {"n": 2, "diag": [-0.5, 0.5], "offdiag": [0.1, 1.0]},
+    "torus-example": {},
+}
 
 
 class TestConfigValidation:
@@ -77,6 +94,40 @@ class TestConfigValidation:
         p.write_text("{not json")
         with pytest.raises(ConfigError, match="JSON"):
             load_config(p)
+
+    @pytest.mark.parametrize("kind", MODELS)
+    def test_every_model_kind_builds_and_checks(self, tmp_path, kind, capsys):
+        # a minimal config of each kind in the table validates, builds a
+        # model of the kind's family and passes through `check`
+        model = {"kind": kind, **MINIMAL_MODELS[kind]}
+        if kind == "csv":
+            (tmp_path / "m.csv").write_text("N\n2\n1.0,0.5\n0.5,1.0\n")
+            model["path"] = str(tmp_path / "m.csv")
+        cfg = {"model": model, "estimator": {"n_samples": 5}}
+        if kind == "markov-list":
+            cfg["driver"] = {"kind": "markov-shift", "transition": [[0.5, 0.5], [0.25, 0.75]]}
+        family, built = build_model(validate_config(cfg))
+        assert family == MODELS[kind][0]
+        assert isinstance(built, MatrixModel if family == "matrix" else OdeModel)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        from poscocycle import cli
+        assert cli.main(["check", "--config", str(p), "--out", str(tmp_path)]) == 0, capsys.readouterr().err
+
+    def test_minimal_models_cover_the_table(self):
+        assert set(MINIMAL_MODELS) == set(MODELS)
+
+    def test_readme_names_the_kinds_of_the_table(self):
+        # the driver and model tables of README's config section list
+        # exactly the kinds of config.DRIVERS and config.MODELS, and each
+        # model kind's drivers in the table's order (the first is the default)
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("\n## Config file\n")[1].split("\n## ")[0]
+        rows = [[re.findall(r"`([^`]+)`", cell) for cell in line.strip("|").split("|")]
+                for line in section.splitlines() if line.startswith("| `")]
+        assert {row[0][0] for row in rows if len(row) == 2} == set(DRIVERS)
+        assert ({row[0][0]: tuple(row[1]) for row in rows if len(row) == 3}
+                == {kind: entry[1] for kind, entry in MODELS.items()})
 
     def test_markov_config_builds(self):
         cfg = validate_config({
@@ -421,6 +472,8 @@ class TestCliProcess:
         ("matrix", "divergence_horizons", "[125, -Infinity]"),
         ("matrix", "seed", '"abc"'),  # used to fail in int()
         ("matrix", "seed", "1.5"),
+        ("matrix", "horizon", "0.4"),  # used to name no key: horizon must cover at least one step
+        ("ode", "horizon", "0.04"),  # likewise
     ])
     def test_numeric_keys_checked_exit_1(self, tmp_path, kind, key, token, capsys):
         ode = {"kind": "ode-piecewise-uniform", "n": 2, "diag": [-0.5, 0.5], "offdiag": [0.1, 1.0]}
@@ -438,6 +491,7 @@ class TestCliProcess:
         ("estimate", ["--horizon=-5"], "estimator.horizon"),  # likewise
         ("example-torus", ["--rho", "2"], "model.rho"),  # likewise
         ("example-torus", ["--sigma-lo", "3", "--sigma-hi", "1"], "model.sigma_window"),  # used to run, exit 3
+        ("example-torus", ["--horizon=0.1"], "estimator.horizon"),  # used to name no key, after two items ran
     ])
     def test_flags_checked_exit_1(self, tmp_path, command, flags, key, capsys):
         p = tmp_path / "cfg.json"
@@ -460,14 +514,64 @@ class TestCliProcess:
         assert cli.main(["estimate", "--config", str(p), "--out", str(tmp_path)]) == 1
         assert "'estimator.u0' must be null or a list" in capsys.readouterr().err
 
+    def test_window_flag_on_bad_window_exit_1(self, tmp_path, capsys):
+        # used to end in a bare TypeError, indexing the config's window
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"model": {"kind": "torus-example", "sigma_window": 5}}))
+        from poscocycle import cli
+        assert cli.main(["example-torus", "--config", str(p), "--sigma-lo", "1.8", "--out", str(tmp_path)]) == 1
+        assert "'model.sigma_window' must be" in capsys.readouterr().err
+
     def test_u0_length_checked_exit_1(self, tmp_path, capsys):
-        # used to exit 1 with numpy's concatenation message; only the
-        # cocycle knows N (a csv model's is read at build time)
+        # used to exit 1 with numpy's concatenation message; N is known once
+        # validate_config has built the model
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(base_cfg(estimator={"horizon": 20, "u0": [1, 2]})))
         from poscocycle import cli
         assert cli.main(["estimate", "--config", str(p), "--out", str(tmp_path)]) == 1
         assert "'estimator.u0' must hold 3 numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, cfg, key", [
+        # each comment says what the config did before it was checked by building
+        ("estimate", {"model": {"kind": "uniform-entries", "n": 0, "lo": 0.5, "hi": 2.0}},
+         "model.n"),  # exit 3: float division by zero
+        ("estimate", {"model": {"kind": "ode-piecewise-uniform", "n": 0, "diag": [-0.5, 0.5],
+                                "offdiag": [0.1, 1.0]}}, "model.n"),  # likewise
+        ("estimate", {"model": {"kind": "uniform-entries", "n": 2.7, "lo": 0.5, "hi": 2.0}},
+         "model.n"),  # ran at N = 2
+        ("estimate", {"model": {"kind": "leslie", "n": "3", "m": {"dist": "constant", "values": [1, 1, 1]},
+                                "b": {"dist": "constant", "values": [1, 1]}}}, "model.n"),  # exit 0
+        ("estimate", {"model": {"kind": "uniform-entries", "n": "x", "lo": 0.5, "hi": 2.0}},
+         "model.n"),  # exit 1, no key named
+        ("estimate", {"model": {"kind": "constant", "matrix": [[1, 2, 3], [4, 5, 6]]}},
+         "model.matrix"),  # likewise
+        ("estimate", {"model": {"kind": "iid-list", "matrices": [[[1.0]], [[2.0]]], "weights": [1, 2, 3]}},
+         "model.weights"),  # likewise
+        ("estimate", {"model": {"kind": "iid-list", "matrices": [[[1.0]], [[2.0]]], "weights": [math.nan, 1]}},
+         "model.weights"),  # ran on NaN weights
+        ("estimate", {"model": {"kind": "iid-list", "matrices": []}}, "model.matrices"),  # IndexError
+        ("estimate", {"model": {"kind": "csv", "path": "no-such-dir/matrix.csv"}},
+         "model.path"),  # FileNotFoundError
+        ("estimate", {"model": {"kind": "csv", "path": 5}}, "model.path"),  # read file descriptor 5
+        ("estimate", {"model": {"kind": "ode-piecewise-uniform", "n": 2, "diag": [-0.5, 0.5],
+                                "offdiag": [0.1, 1.0]}, "driver": {"kind": "torus-rotation"}},
+         "driver.kind"),  # AttributeError
+        ("estimate", {"model": {"kind": "markov-list", "matrices": [[[1.0]], [[2.0]]]},
+                      "driver": {"kind": "markov-shift", "transition": [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25],
+                                                                        [0.25, 0.25, 0.5]]}},
+         "model.matrices"),  # failed mid-run: driver chain state 2 has no matrix
+        ("estimate", {"model": {"kind": "torus-example"}, "driver": {"kind": "torus-rotation", "rho": 0.3},
+                      "estimator": {"horizon": 20}}, "driver.rho"),  # field and driver rotated apart: ran forever
+        ("example-torus", {"model": {"kind": "torus-example"}, "driver": {"kind": "torus-rotation", "rho": 0.3}},
+         "driver.rho"),  # ran the battery at sqrt(2) - 1 and echoed 0.3
+    ])
+    def test_bad_model_or_driver_value_named_exit_1(self, tmp_path, command, cfg, key, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        from poscocycle import cli
+        assert cli.main([command, "--config", str(p), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"'{key}'" in err and "Traceback" not in err
 
     def test_cli_import_leaves_out_slow_scipy_modules(self):
         # any scipy import loads scipy._lib._array_api, which pulls in
