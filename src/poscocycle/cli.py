@@ -17,7 +17,6 @@ import numpy as np
 from .config import read_config, validate_config
 from .errors import ConfigError, EstimationError, PositivityViolation
 from .pipelines import COMMANDS, run_command
-from .torus import SIGMA_WINDOW
 
 _FIBONACCI_LESLIE = {
     "model": {"kind": "leslie", "n": 2,
@@ -41,9 +40,7 @@ def _parser():
         sp.add_argument("--horizon", type=float, help="override the estimation horizon")
         sp.add_argument("--out", help="override the output directory")
         if name == "example-torus":
-            sp.add_argument("--rho", type=float, help="rotation number in (0, 1)")
-            sp.add_argument("--sigma-lo", type=float, help="lower edge of the separation-rate window")
-            sp.add_argument("--sigma-hi", type=float, help="upper edge of the separation-rate window")
+            sp.add_argument("--rho", type=float, help="rotation number of the torus-rotation driver, in (0, 1)")
     return p
 
 
@@ -85,15 +82,9 @@ def _config_for(args):
         cfg["seed"] = args.seed
     if args.horizon is not None:
         _block(cfg, "estimator")["horizon"] = args.horizon
-    if args.command == "example-torus":
-        model = _block(cfg, "model")
-        if args.rho is not None:
-            model["rho"] = args.rho
-        if args.sigma_lo is not None or args.sigma_hi is not None:
-            cur = model.get("sigma_window") or SIGMA_WINDOW
-            if isinstance(cur, (list, tuple)) and len(cur) == 2:  # else validate_config names the bad value
-                model["sigma_window"] = [args.sigma_lo if args.sigma_lo is not None else cur[0],
-                                         args.sigma_hi if args.sigma_hi is not None else cur[1]]
+    if args.command == "example-torus" and args.rho is not None:
+        cfg.setdefault("driver", {"kind": "torus-rotation"})
+        _block(cfg, "driver")["rho"] = args.rho
     return validate_config(cfg)
 
 

@@ -20,7 +20,7 @@ from .drivers import IidShift, MarkovShift, TorusRotation
 from .errors import ConfigError
 from . import matrices as mx
 from . import odes
-from .torus import BATTERY_DT, BATTERY_HORIZON, TorusCoefficientField
+from .torus import BATTERY_DT, BATTERY_HORIZON, TorusExampleModel
 
 _REQUIRED = object()  # the default of a key that has none
 
@@ -144,11 +144,6 @@ def _piecewise_uniform(read):
     return odes.PiecewiseConstantOdeModel(n, sampler)
 
 
-def _torus(read):
-    read("sigma_window", lambda w: w is None or _interval(w))
-    return read("rho", lambda rho: TorusCoefficientField(None if rho is None else _real(rho)))
-
-
 _TIME = {"matrix": "discrete", "ode": "continuous"}  # the time of each family's drivers
 _ANY_DISCRETE = ("iid-shift", "markov-shift")
 
@@ -179,7 +174,7 @@ MODELS = {
                      lambda read: read("matrix", odes.ConstantOdeModel)),
     "ode-piecewise-uniform": ("ode", ("iid-shift",), {"n": _REQUIRED, "diag": _REQUIRED, "offdiag": _REQUIRED},
                               _piecewise_uniform),
-    "torus-example": ("ode", ("torus-rotation",), {"rho": None, "sigma_window": None}, _torus),
+    "torus-example": ("ode", ("torus-rotation",), {}, lambda read: TorusExampleModel()),
 }
 
 
@@ -247,12 +242,6 @@ def validate_config(cfg: dict) -> dict:
     driver = build_driver({"driver": driver_blk})
     if driver.time != _TIME[family]:
         raise ConfigError(f"'model.kind' {kind!r} needs a {_TIME[family]} driver, got a {driver.time} one")
-    if kind == "torus-example":  # the model's rho rotates both the field and the driver
-        rho = model_blk.get("rho")
-        if driver_blk.get("rho", rho) not in (None, rho):
-            raise ConfigError(f"'driver.rho' must be null or equal 'model.rho' ({json.dumps(rho)}) for a "
-                              f"torus-example, got {json.dumps(driver_blk['rho'])}")
-        driver_blk = {**driver_blk, "rho": rho}
     out["driver"] = {"kind": dkind, **{k: driver_blk.get(k, v) for k, v in DRIVERS[dkind][0].items()},
                      "time": driver.time}
     out["model"] = dict(model_blk)

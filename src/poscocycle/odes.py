@@ -461,7 +461,8 @@ class IrreducibilityQuantities:
 def _cumulative_integrals(model, omega):
     """Cumulative entrywise integrals F_ij(t) of the coefficient over [0,1]
     on a grid refined until the summed entry minima move by less than 1e-8;
-    returns (grid, F) with F of shape (len(grid), N, N)."""
+    returns (grid, vals, F): the coefficient at each grid point, and F, both
+    of shape (len(grid), N, N)."""
     knots = _knots(model, omega, 1.0)
     m = 32
     prev_min = None
@@ -475,9 +476,9 @@ def _cumulative_integrals(model, omega):
         F = np.concatenate([np.zeros((1, model.n, model.n)), np.cumsum(incr, axis=0)])
         cur_min = float(F.min(axis=0).sum())
         if prev_min is not None and abs(cur_min - prev_min) < 1e-8:
-            return grid, F
+            return grid, vals, F
         if m > 1 << 14:
-            return grid, F
+            return grid, vals, F
         prev_min = cur_min
         m *= 2
 
@@ -526,13 +527,12 @@ def irreducibility_quantities(model: OdeModel, omega, delta=None, chains=None) -
     ``delta`` defaults to that minimum.  delta must be strictly positive.
     """
     n = model.n
-    grid, F = _cumulative_integrals(model, omega)
+    grid, vals, F = _cumulative_integrals(model, omega)
     a_tilde = F.min(axis=0).diagonal().copy()          # min_t int_0^t a_ii
     a_bar = F[-1][None, :, :] - F.max(axis=0)          # min_s int_s^1 a_ij
     a_bar = a_bar[0]
 
     # pointwise minima of each entry over the grid, for chain discovery
-    vals = np.stack([model.field(omega, float(max(min(t, 1.0 - 1e-13), 1e-13))) for t in grid])
     entry_min = vals.min(axis=0)
 
     if chains is None:

@@ -199,15 +199,14 @@ def _run_oseledets(cfg):
 
 
 def _run_torus(cfg):
-    from .torus import SIGMA_WINDOW, validate_against_closed_form
+    from .torus import validate_against_closed_form
 
+    if cfg["model"]["kind"] != "torus-example":
+        raise ConfigError(f"example-torus needs 'model.kind' = 'torus-example', got {cfg['model']['kind']!r}")
     est = cfg["estimator"]
-    blk = cfg["model"]
-    window = blk.get("sigma_window") or SIGMA_WINDOW
     report = validate_against_closed_form(
-        rho=blk.get("rho"), seed=cfg["seed"],
+        rho=cfg["driver"]["rho"], seed=cfg["seed"],
         horizon=float(est["horizon"]), dt=float(est["dt"]),
-        sigma_window=(float(window[0]), float(window[1])),
         divergence_horizons=tuple(float(T) for T in est["divergence_horizons"]),
         divergence_threshold=float(est["divergence_threshold"]))
     results = {

@@ -31,10 +31,11 @@ FOCUSING_RATIO_BOUND = 1.0 / math.tanh(1.0)
 PRINCIPAL_DIRECTION = np.array([1.0, 1.0]) / math.sqrt(2.0)
 SEPARATION_RATE = 2.0
 
-# the validation battery's defaults: the horizon of its separation item, the
-# dt of its cocycles, and the window its separation-rate estimates must fall in
+# the validation battery's defaults: the horizon of its separation item and
+# the dt of its cocycles
 BATTERY_HORIZON = 50.0
 BATTERY_DT = 0.25
+# the window the battery's separation-rate estimates must fall in
 SIGMA_WINDOW = (1.9, 2.1)
 
 
@@ -43,13 +44,13 @@ def coefficient(w1: float, w2: float) -> float:
     return -1.0 / (w1 + w2) ** 2
 
 
-class TorusCoefficientField(OdeModel):
-    """Generic-integrator view of the analytic model."""
+class TorusExampleModel(OdeModel):
+    """The torus field as an ODE model, with its closed forms.  The model
+    holds no rotation: the rotation number and the wrap times are those of
+    ``state.system``, the ``TorusRotation`` a base point belongs to."""
 
-    def __init__(self, rho: float | None = None):
+    def __init__(self):
         super().__init__(2)
-        self.driver = TorusRotation(rho)
-        self.rho = self.driver.rho
 
     def field(self, state: TorusState, t: float) -> np.ndarray:
         w1, w2 = state.advance(t).position
@@ -57,14 +58,14 @@ class TorusCoefficientField(OdeModel):
         return np.array([[a, 1.0], [1.0, a]])
 
     def breakpoints(self, state: TorusState, t0: float, t1: float) -> np.ndarray:
-        ts = self.driver.wrap_times(state, t1)
+        ts = state.system.wrap_times(state, t1)
         return ts[(ts > t0) & (ts < t1)]
 
     def piece_field(self, state, t0, t1):
         # positions move linearly inside a wrap-free piece
         x0, y0 = state.advance(0.5 * (t0 + t1)).position
         mid = 0.5 * (t0 + t1)
-        v = 1.0 + self.rho
+        v = 1.0 + state.system.rho
 
         def fieldfn(tau):
             a = -1.0 / (x0 + y0 + v * (tau - mid)) ** 2
@@ -72,27 +73,12 @@ class TorusCoefficientField(OdeModel):
 
         return fieldfn
 
-
-@dataclass
-class TorusExampleModel:
-    """Bundle of the driver, the generic field, and the closed forms."""
-
-    rho: float | None = None
-
-    def __post_init__(self):
-        self.ode_model = TorusCoefficientField(self.rho)
-        self.driver = self.ode_model.driver
-        self.rho = self.ode_model.rho
-
-    def initial(self, seed: int) -> TorusState:
-        return self.driver.initial(seed)
-
     # -- closed forms ------------------------------------------------------
 
     def _tagged_pieces(self, state: TorusState, t: float):
         """Pieces of [0, t] between wrap times, each with its exact starting
         coordinate sum (the wrapped coordinate is exactly 0 at a wrap)."""
-        rho = self.rho
+        rho = state.system.rho
         w1, w2 = state.position
         eps = 1e-12
         k1 = np.arange(math.ceil(w1 + eps), w1 + t + eps)
@@ -123,7 +109,7 @@ class TorusExampleModel:
             return 0.0
         if t < 0:
             return -self.a_integral(state.advance(t), -t)
-        v = 1.0 + self.rho
+        v = 1.0 + state.system.rho
         total = 0.0
         for start, end, c in self._tagged_pieces(state, t):
             length = end - start
@@ -162,17 +148,18 @@ class TorusExampleModel:
         """Exact finite-horizon time average of the quadratic form."""
         return 1.0 + self.a_integral(state, horizon) / horizon
 
-    def kappa_mean_envelope(self, horizon: float) -> float:
-        """Upper envelope K - log T of ``kappa_mean_exact`` at horizon T, with
-        K = 2 - gamma - rho log(rho) / (1 + rho) (about 1.681 at the default
-        rho).  The means diverge to -inf like -log T and swing far below the
-        envelope on close corner passes, never far above it; the derivation,
-        which spaces the wrap points evenly, is in the comment of acceptance
-        criterion 03 (tests/test_acceptance.py).  Even spacing needs a badly
-        approximable rho, such as the default sqrt(2) - 1: for rho near a
-        fraction with a small denominator (0.3, pi - 3) the wrap points
-        cluster and the means sit above the envelope at horizons of 1000."""
-        rho = self.rho
+    @staticmethod
+    def kappa_mean_envelope(horizon: float, rho: float) -> float:
+        """Upper envelope K - log T of ``kappa_mean_exact`` at horizon T on
+        the rotation ``rho``, with K = 2 - gamma - rho log(rho) / (1 + rho)
+        (about 1.681 at the default rho).  The means diverge to -inf like
+        -log T and swing far below the envelope on close corner passes,
+        never far above it; the derivation, which spaces the wrap points
+        evenly, is in the comment of acceptance criterion 03
+        (tests/test_acceptance.py).  Even spacing needs a badly approximable
+        rho, such as the default sqrt(2) - 1: for rho near a fraction with a
+        small denominator (0.3, pi - 3) the wrap points cluster and the means
+        sit above the envelope at horizons of 1000."""
         return 2.0 - np.euler_gamma - rho * math.log(rho) / (1.0 + rho) - math.log(horizon)
 
 
@@ -207,28 +194,30 @@ class TorusValidationReport:
 
 
 def validate_against_closed_form(rho=None, seed=0, n_omegas=5, horizon=BATTERY_HORIZON, dt=BATTERY_DT,
-                                 sigma_window=SIGMA_WINDOW,
                                  divergence_horizons=(125.0, 250.0, 500.0, 1000.0),
                                  divergence_threshold=-10.0) -> TorusValidationReport:
-    """Drive the generic integrator and estimators over the analytic model and
-    compare at ``n_omegas`` base points: (a) propagator log scales and
-    directions at 8 times up to 10 (DOP853 at rtol 1e-10, within 1e-8), (b)
-    the principal direction after a 50-time-unit pullback warm-up (within
-    1e-6), (c) the separation rate (DOP853 at rtol 1e-6) against
-    ``sigma_window``, (d) the exact means of the quadratic form against
-    their -log T envelope (``divergence`` keeps the trend diagnostic of the
-    first base point)."""
-    model = TorusExampleModel(rho)
-    report = TorusValidationReport(rho=model.rho, kappa_bound=FOCUSING_RATIO_BOUND)
+    """Drive the generic integrator and estimators over the analytic model on
+    ``TorusRotation(rho)`` and compare at ``n_omegas`` base points: (a)
+    propagator log scales and directions at 8 times up to 10 (DOP853 at
+    rtol 1e-10, within 1e-8), (b) the principal direction after a
+    50-time-unit pullback warm-up (within 1e-6), (c) the separation rate
+    (DOP853 at rtol 1e-6) against ``SIGMA_WINDOW``, (d) the exact means of
+    the quadratic form against their -log T envelope (``divergence`` keeps
+    the trend diagnostic of the first base point)."""
+    if n_omegas < 1:
+        raise ValueError(f"n_omegas must be at least 1, got {n_omegas!r}")
+    driver = TorusRotation(rho)
+    model = TorusExampleModel()
+    report = TorusValidationReport(rho=driver.rho, kappa_bound=FOCUSING_RATIO_BOUND)
 
     # (a) propagator agreement on sampled (omega, t)
     times = np.linspace(1.25, 10.0, 8)
     worst = 0.0
     for k in range(n_omegas):
-        state = model.initial(seed + k)
+        state = driver.initial(seed + k)
         u0 = np.array([1.0, 0.3])
         for t in times:
-            d_num, ls_num = integrate(model.ode_model, state, u0, float(t), rtol=1e-10)
+            d_num, ls_num = integrate(model, state, u0, float(t), rtol=1e-10)
             d_ex, ls_ex = model.apply(state, float(t), u0)
             err = abs(ls_num - ls_ex) / max(1.0, abs(ls_ex))
             worst = max(worst, err, float(np.linalg.norm(d_num - d_ex)))
@@ -237,11 +226,11 @@ def validate_against_closed_form(rho=None, seed=0, n_omegas=5, horizon=BATTERY_H
                f"worst relative log-scale / direction error {worst:.3e} over {n_omegas} base points, t <= 10.0")
 
     # (b) principal direction after pullback warm-up
-    cocycle = OdeCocycle(model.ode_model, dt=dt, rtol=1e-10)
+    cocycle = OdeCocycle(model, dt=dt, rtol=1e-10)
     warm_steps = int(round(50.0 / dt))
     worst_dir = 0.0
     for k in range(n_omegas):
-        state = model.initial(seed + k)
+        state = driver.initial(seed + k)
         w = warmup_direction(cocycle, state, warm_steps)
         err = float(np.linalg.norm(w - PRINCIPAL_DIRECTION))
         report.direction_errors.append(err)
@@ -250,26 +239,25 @@ def validate_against_closed_form(rho=None, seed=0, n_omegas=5, horizon=BATTERY_H
                f"worst |w - (1,1)/sqrt2| = {worst_dir:.3e} at warm-up time 50.0")
 
     # (c) separation rate via the generic frame estimator
-    sep_cocycle = OdeCocycle(model.ode_model, dt=dt, rtol=1e-6)
+    sep_cocycle = OdeCocycle(model, dt=dt, rtol=1e-6)
     ok_sigma = True
     for k in range(n_omegas):
-        state = model.initial(seed + k)
+        state = driver.initial(seed + k)
         est = separation_estimate(sep_cocycle, state, horizon, warmup=warm_steps)
         report.sigma_estimates.append(est.sigma_hat)
-        ok_sigma = ok_sigma and sigma_window[0] <= est.sigma_hat <= sigma_window[1]
+        ok_sigma = ok_sigma and SIGMA_WINDOW[0] <= est.sigma_hat <= SIGMA_WINDOW[1]
     report.add("separation-rate", ok_sigma,
-               f"sigma estimates {np.round(report.sigma_estimates, 4).tolist()} vs window {sigma_window}")
+               f"sigma estimates {np.round(report.sigma_estimates, 4).tolist()} vs window {SIGMA_WINDOW}")
 
     # (d) divergence of the quadratic form: exact means under their -log T envelope
-    n_bases = max(1, n_omegas)
-    means = [[model.kappa_mean_exact(model.initial(seed + k), T) for T in divergence_horizons]
-             for k in range(n_bases)]
+    means = [[model.kappa_mean_exact(driver.initial(seed + k), T) for T in divergence_horizons]
+             for k in range(n_omegas)]
     diag = DivergenceDiagnostic.from_means(divergence_horizons, means[0], divergence_threshold)
     report.divergence = diag
-    excess = max(m - model.kappa_mean_envelope(T)
+    excess = max(m - model.kappa_mean_envelope(T, driver.rho)
                  for row in means for m, T in zip(row, divergence_horizons))
     report.add("lambda1-divergence", excess <= 0.0,
                f"means {np.round(diag.means, 3).tolist()} at horizons {list(divergence_horizons)}; "
-               f"worst mean minus envelope K - log T over {n_bases} base points: {excess:.3f} (<= 0); "
+               f"worst mean minus envelope K - log T over {n_omegas} base points: {excess:.3f} (<= 0); "
                f"trend flag: {diag.diverging}")
     return report

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from poscocycle.config import validate_config
-from poscocycle.drivers import IidShift
+from poscocycle.drivers import IidShift, TorusRotation
 from poscocycle.estimators import (MatrixCocycle, OdeCocycle, forward_floquet,
                                    lambda1_via_kappa, oseledets_qr, pullback_convergence,
                                    separation_estimate, warmup_direction)
@@ -26,6 +26,7 @@ from poscocycle.torus import TorusExampleModel
 from poscocycle.estimators import DivergenceDiagnostic
 
 SEED = 2026
+DRIVER = TorusRotation()  # the torus oracle's default rotation, sqrt(2) - 1
 
 
 def record(criterion, ok, detail):
@@ -46,8 +47,8 @@ def test_criterion_01_torus_separation_rate():
     sigmas = []
     t0 = time.perf_counter()
     for k in range(5):
-        coc = OdeCocycle(model.ode_model, dt=0.25, rtol=1e-6)
-        est = separation_estimate(coc, model.initial(SEED + k), 50.0, warmup=200)
+        coc = OdeCocycle(model, dt=0.25, rtol=1e-6)
+        est = separation_estimate(coc, DRIVER.initial(SEED + k), 50.0, warmup=200)
         sigmas.append(est.sigma_hat)
     elapsed = time.perf_counter() - t0
     ok = all(1.9 <= s <= 2.1 for s in sigmas) and elapsed < 10.0
@@ -60,8 +61,8 @@ def test_criterion_02_torus_principal_direction():
     target = np.array([1.0, 1.0]) / math.sqrt(2)
     errs = []
     for k in range(5):
-        coc = OdeCocycle(model.ode_model, dt=0.25, rtol=1e-10)
-        w = warmup_direction(coc, model.initial(SEED + k), int(50.0 / 0.25))
+        coc = OdeCocycle(model, dt=0.25, rtol=1e-10)
+        w = warmup_direction(coc, DRIVER.initial(SEED + k), int(50.0 / 0.25))
         errs.append(float(np.linalg.norm(w - target)))
     ok = max(errs) <= 1e-6
     record(2, ok, f"max |w - (1,1)/sqrt2| = {max(errs):.3e} after 50 time units of warm-up")
@@ -104,8 +105,8 @@ def test_criterion_03_torus_divergence_trend():
     # DivergenceDiagnostic is printed but not asserted.
     model = TorusExampleModel()
     horizons = [125.0, 250.0, 500.0, 1000.0]
-    means = [[model.kappa_mean_exact(model.initial(SEED + k), T) for T in horizons] for k in range(5)]
-    excess = [max(m - model.kappa_mean_envelope(T) for m, T in zip(row, horizons)) for row in means]
+    means = [[model.kappa_mean_exact(DRIVER.initial(SEED + k), T) for T in horizons] for k in range(5)]
+    excess = [max(m - model.kappa_mean_envelope(T, DRIVER.rho) for m, T in zip(row, horizons)) for row in means]
     diag = DivergenceDiagnostic.from_means(horizons, means[0], -10.0)
     ok = max(excess) <= 0.0
     record(3, ok, f"worst mean minus envelope K - log T per base point {np.round(excess, 3).tolist()} "
@@ -118,10 +119,10 @@ def test_criterion_04_closed_form_vs_generic_integrator():
     rng = np.random.default_rng(0)
     worst = 0.0
     for k in range(20):
-        st = model.initial(SEED + k)
+        st = DRIVER.initial(SEED + k)
         u0 = rng.uniform(0.2, 1.0, 2)
         for t in (0.9, 2.7, 5.5, 10.0):
-            d_num, ls_num = integrate(model.ode_model, st, u0, t, rtol=1e-10)
+            d_num, ls_num = integrate(model, st, u0, t, rtol=1e-10)
             d_ex, ls_ex = model.apply(st, t, u0)
             worst = max(worst, abs(ls_num - ls_ex) / max(1.0, abs(ls_ex)))
     ok = worst <= 1e-8

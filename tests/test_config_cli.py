@@ -129,6 +129,25 @@ class TestConfigValidation:
         assert ({row[0][0]: tuple(row[1]) for row in rows if len(row) == 3}
                 == {kind: entry[1] for kind, entry in MODELS.items()})
 
+    def test_readme_names_the_cli_flags(self):
+        # README's CLI and config sections name exactly the flags that the
+        # parser defines, so a removed flag cannot linger in the docs
+        import argparse
+        from poscocycle import cli
+        sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {opt for sp in sub.choices.values() for action in sp._actions for opt in action.option_strings
+                 if opt.startswith("--") and opt != "--help"}
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        sections = [readme.split(f"\n## {name}\n")[1].split("\n## ")[0] for name in ("CLI", "Config file")]
+        assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", "\n".join(sections))) == flags
+
+    def test_torus_rotation_is_the_drivers(self):
+        # a torus-example model takes no keys; its rotation is driver.rho
+        cfg = validate_config({"model": {"kind": "torus-example"}, "driver": {"kind": "torus-rotation", "rho": 0.3}})
+        assert cfg["model"] == {"kind": "torus-example"} and build_driver(cfg).rho == 0.3
+        with pytest.raises(ConfigError, match="'model.rho'"):
+            validate_config({"model": {"kind": "torus-example", "rho": 0.3}})
+
     def test_markov_config_builds(self):
         cfg = validate_config({
             "model": {"kind": "markov-list", "matrices": [[[2.0]], [[0.5]]]},
@@ -489,8 +508,7 @@ class TestCliProcess:
         ("estimate", ["--horizon=inf"], "estimator.horizon"),  # used to exit 3: cannot convert float infinity
         ("estimate", ["--horizon=nan"], "estimator.horizon"),  # used to name no key
         ("estimate", ["--horizon=-5"], "estimator.horizon"),  # likewise
-        ("example-torus", ["--rho", "2"], "model.rho"),  # likewise
-        ("example-torus", ["--sigma-lo", "3", "--sigma-hi", "1"], "model.sigma_window"),  # used to run, exit 3
+        ("example-torus", ["--rho", "2"], "driver.rho"),  # likewise
         ("example-torus", ["--horizon=0.1"], "estimator.horizon"),  # used to name no key, after two items ran
     ])
     def test_flags_checked_exit_1(self, tmp_path, command, flags, key, capsys):
@@ -513,14 +531,6 @@ class TestCliProcess:
         from poscocycle import cli
         assert cli.main(["estimate", "--config", str(p), "--out", str(tmp_path)]) == 1
         assert "'estimator.u0' must be null or a list" in capsys.readouterr().err
-
-    def test_window_flag_on_bad_window_exit_1(self, tmp_path, capsys):
-        # used to end in a bare TypeError, indexing the config's window
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({"model": {"kind": "torus-example", "sigma_window": 5}}))
-        from poscocycle import cli
-        assert cli.main(["example-torus", "--config", str(p), "--sigma-lo", "1.8", "--out", str(tmp_path)]) == 1
-        assert "'model.sigma_window' must be" in capsys.readouterr().err
 
     def test_u0_length_checked_exit_1(self, tmp_path, capsys):
         # used to exit 1 with numpy's concatenation message; N is known once
@@ -560,10 +570,12 @@ class TestCliProcess:
                       "driver": {"kind": "markov-shift", "transition": [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25],
                                                                         [0.25, 0.25, 0.5]]}},
          "model.matrices"),  # failed mid-run: driver chain state 2 has no matrix
-        ("estimate", {"model": {"kind": "torus-example"}, "driver": {"kind": "torus-rotation", "rho": 0.3},
-                      "estimator": {"horizon": 20}}, "driver.rho"),  # field and driver rotated apart: ran forever
-        ("example-torus", {"model": {"kind": "torus-example"}, "driver": {"kind": "torus-rotation", "rho": 0.3}},
-         "driver.rho"),  # ran the battery at sqrt(2) - 1 and echoed 0.3
+        # the driver holds a torus's one rotation number; these two configs
+        # were rejected for disagreeing with the model's rotation before
+        ("estimate", {"model": {"kind": "torus-example"}, "driver": {"kind": "torus-rotation", "rho": 0},
+                      "estimator": {"horizon": 20}}, "driver.rho"),
+        ("example-torus", {"model": {"kind": "torus-example"}, "driver": {"kind": "torus-rotation", "rho": 1.5}},
+         "driver.rho"),
     ])
     def test_bad_model_or_driver_value_named_exit_1(self, tmp_path, command, cfg, key, capsys):
         p = tmp_path / "cfg.json"
@@ -607,13 +619,27 @@ class TestCliProcess:
         assert math.isfinite(doc["results"]["sigma"]["value"])
 
     def test_torus_flags(self, tmp_path):
-        r = self.run_cli("example-torus", "--seed", "1", "--sigma-lo", "1.8",
-                         "--sigma-hi", "2.2", "--out", str(tmp_path))
-        assert r.returncode == 0
+        # --rho with no config rotates the driver, and the battery runs on it
+        r = self.run_cli("example-torus", "--seed", "1", "--rho", "0.3", "--out", str(tmp_path))
         doc = json.loads((tmp_path / "results.json").read_text())
+        assert r.returncode == (0 if doc["results"]["passed"] else 3), r.stderr
+        assert doc["config"]["driver"] == {"kind": "torus-rotation", "rho": 0.3, "time": "continuous"}
+        assert doc["results"]["rho"] == 0.3 and doc["results"]["seed"] == 1
         items = {i["name"]: i["passed"] for i in doc["results"]["items"]}
         assert items["separation-rate"]
-        assert doc["results"]["passed"]
+
+    def test_torus_battery_needs_torus_model_exit_1(self, tmp_path, monkeypatch, capsys):
+        # used to run the battery on the default torus, exit 0 and echo the
+        # uniform-entries model
+        from poscocycle import cli, torus
+        ran = []
+        monkeypatch.setattr(torus, "validate_against_closed_form", lambda **kwargs: ran.append(kwargs))
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(base_cfg()))
+        assert cli.main(["example-torus", "--config", str(p), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'model.kind'" in err
+        assert ran == [] and not (tmp_path / "results.json").exists()
 
     def test_failed_torus_item_exit_3(self, tmp_path, monkeypatch, capsys):
         # in process, with the battery replaced by a report that fails one item

@@ -159,6 +159,57 @@ class TestForwardFloquet:
         Dw = d * a.w
         assert np.abs(b.w - Dw / np.linalg.norm(Dw)).max() <= 1e-12
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda n: st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)),
+           st.integers(1, 300), st.integers(0, 10**6))
+    def test_diagonal_conjugation_separation(self, logd, T, seed):
+        # B_k = D A_k D^-1 has the dual path D^-1 z_k, the complement D E_k
+        # and the growths of D-images: in exact arithmetic the B run is the A
+        # run started from D^-1 1 (principal) and D 1 (dual), measured in the
+        # norm |D .|.  With L = log(d_max / d_min) that gives, in T sigma:
+        # - the norm: |D x| / |x| lies in [d_min, d_max], so the principal
+        #   growth moves by at most L and the restricted norm by at most L;
+        # - the starts: D^-1 1 and 1 lie L apart in Hilbert's projective
+        #   metric, and W steps of maps with entries in [lo, hi] contract it
+        #   by tau^W, Birkhoff's tau = (q - 1) / (q + 1), q = hi / lo.  The
+        #   principal direction at step 0 is then delta = tau^W L away, which
+        #   moves its growth by at most delta (P >= 0 keeps entrywise ratios);
+        # - the dual direction at step T is delta away too, so the two unit
+        #   vectors differ by e = e^delta - 1 (as in test_block_matches_columns),
+        #   and the complements at 0 are the preimages of their null
+        #   hyperplanes.  Shifting a complement vector u' along the principal
+        #   v to the other complement moves |P u'| by at most eps |P u'| and
+        #   |u'| by eps |P u'| / |P v|, with eps = e / (z_T . P v / |P v|) and
+        #   z_T . P v / |P v| >= 1 / q^2 (both are images under a map or its
+        #   transpose, unit vectors with every entry at least 1 / (q sqrt n));
+        #   |P v| >= min(v) |P 1| >= |P|_2 / (q sqrt n) bounds the restricted
+        #   norm over |P v| by q sqrt n, so the restricted norm moves by at most
+        #   log((1 + eps q sqrt n) / (1 - eps));
+        # - rounding: each step's frame product and QR are backward stable to
+        #   about (N + 2)^2 eps of |M|, and the rounding of the dual direction
+        #   stays within 2 gamma_(N+2) / (1 - tau) by the same contraction; that
+        #   relative error moves the step's restricted growth, at least
+        #   sigma_min(M), by at most cond(M) times it, in either run.
+        lo, hi, W = 0.5, 2.0, 50
+        d = np.exp(logd)
+        n = d.size
+
+        def sampler(rng):
+            return rng.uniform(lo, hi, (n, n))
+
+        models = [SampledMatrixModel(n, sampler),
+                  SampledMatrixModel(n, lambda rng: d[:, None] * sampler(rng) / d[None, :])]
+        a, b = (separation_estimate(MatrixCocycle(m), disc_state(seed), T, warmup=W) for m in models)
+        q = hi / lo
+        L = math.log(d.max() / d.min())
+        delta = ((q - 1) / (q + 1)) ** W * L
+        eps_z = math.expm1(delta) * q ** 2
+        restricted = math.log1p(eps_z * q * math.sqrt(n)) - math.log1p(-eps_z)
+        conds = sum(np.linalg.cond(np.stack([m.emit(disc_state(seed).advance(k)) for k in range(T)])).sum()
+                    for m in models)
+        rounding = 2 * (n + 2) ** 2 * np.finfo(float).eps * conds
+        assert abs(b.sigma_hat - a.sigma_hat) * T <= 2 * L + delta + restricted + rounding
+
     @pytest.mark.parametrize("n, kill", [(3, None), (5, None), (4, 37)])
     def test_block_matches_columns(self, n, kill):
         # Each computed column is the exact orbit of its probe perturbed, per
@@ -436,9 +487,8 @@ class TestDualFloquet:
 
     def test_torus_flow_dual(self):
         from poscocycle.torus import TorusExampleModel
-        m = TorusExampleModel()
-        coc = OdeCocycle(m.ode_model, dt=0.25, rtol=1e-8)
-        ws = warmup_direction(coc.dual(), m.initial(1), 48)
+        coc = OdeCocycle(TorusExampleModel(), dt=0.25, rtol=1e-8)
+        ws = warmup_direction(coc.dual(), TorusRotation().initial(1), 48)
         assert np.linalg.norm(ws - np.array([1.0, 1.0]) / np.sqrt(2)) < 1e-8
 
 

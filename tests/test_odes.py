@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from poscocycle import odes
-from poscocycle.drivers import IidShift
+from poscocycle.drivers import IidShift, TorusRotation
 from poscocycle.errors import EstimationError
 from poscocycle.estimators import OdeCocycle, forward_floquet
 from poscocycle.odes import (CallableOdeModel, ConstantOdeModel,
@@ -111,11 +111,11 @@ class TestIntegrate:
             return Y, ls, k
 
         m = TorusExampleModel()
-        st0, u0 = m.initial(seed), np.array([1.0, 0.3])
+        st0, u0 = TorusRotation().initial(seed), np.array([1.0, 0.3])
         with mock.patch.object(odes, "_integrate_piece", counted):
-            Y, ls = propagate(m.ode_model, st0, u0, t1 + t2)
-            Y1, ls1 = propagate(m.ode_model, st0, u0, t1)
-            Y2, ls2 = propagate(m.ode_model, st0.advance(t1), Y1, t2)
+            Y, ls = propagate(m, st0, u0, t1 + t2)
+            Y1, ls1 = propagate(m, st0, u0, t1)
+            Y2, ls2 = propagate(m, st0.advance(t1), Y1, t2)
         bound = math.sqrt(2) * 2 * (1e-10 + 1e-12) * sum(steps)
         assert abs(ls1 + ls2 - ls) <= bound
         assert np.abs(Y2 - Y).max() <= 2 * bound
@@ -361,19 +361,18 @@ class TestGrowthBound:
 
     def test_torus_example_bound(self):
         m = TorusExampleModel()
-        st = m.initial(5)
+        st = TorusRotation().initial(5)
         for t in (0.5, 1.0, 2.0):
-            bound = l1_growth_bound(m.ode_model, st, t)
+            bound = l1_growth_bound(m, st, t)
             u0 = np.array([1.0, 1.0])
-            d, ls = integrate(m.ode_model, st, u0, t, rtol=1e-8)
+            d, ls = integrate(m, st, u0, t, rtol=1e-8)
             realized = np.exp(ls) * np.linalg.norm(u0) * np.abs(d).sum()
             assert realized <= bound * u0.sum() * (1 + 1e-6)
 
 
 class TestStructureChecks:
     def test_torus_model_cooperative(self):
-        m = TorusExampleModel()
-        rep = check_O1(m.ode_model, m.driver, 0, 5)
+        rep = check_O1(TorusExampleModel(), TorusRotation(), 0, 5)
         assert rep.verdict == "holds"
 
     def test_negative_offdiagonal_witnessed(self):
@@ -391,8 +390,7 @@ class TestStructureChecks:
         assert rep.estimate == 2.0 and rep.ci == 0.0
 
     def test_o2_torus_is_one(self):
-        m = TorusExampleModel()
-        rep = check_O2(m.ode_model, m.driver, 0, 10)
+        rep = check_O2(TorusExampleModel(), TorusRotation(), 0, 10)
         assert rep.estimate == 1.0 and rep.ci == 0.0  # off-diagonal 1 dominates a < 0
 
     def test_o2_ci_shrinks(self):
@@ -428,6 +426,27 @@ class TestIrreducibility:
         model = ConstantOdeModel(np.ones((3, 3)))
         with pytest.raises(ValueError, match="chain"):
             irreducibility_quantities(model, cont_state(), delta=1.0, chains=[[0, 1, 1], [1, 0, 2], [2, 0, 1]])
+
+    def test_field_evaluated_only_by_the_grid_refinement(self):
+        # the chain search and the upper bound read the coefficient values
+        # of the final grid; the field is not evaluated there a second time
+        calls = []
+
+        class Counted(ConstantOdeModel):
+            def field(self, state, t):
+                calls.append(t)
+                return super().field(state, t)
+
+        refine, refined = odes._cumulative_integrals, []
+
+        def recorded(*args):
+            out = refine(*args)
+            refined.append(len(calls))
+            return out
+
+        with mock.patch.object(odes, "_cumulative_integrals", recorded):
+            irreducibility_quantities(Counted([[0.2, 1.0], [0.5, -0.3]]), cont_state())
+        assert refined == [len(calls)]
 
     def test_auto_chain_finds_delta(self):
         A = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 3.0], [1.5, 0.0, 0.0]])

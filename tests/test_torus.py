@@ -1,36 +1,40 @@
 import math
 
 import numpy as np
+import pytest
 from scipy.integrate import quad
 
+from poscocycle.drivers import TorusRotation
 from poscocycle.odes import integrate
 from poscocycle.torus import (FOCUSING_RATIO_BOUND, PRINCIPAL_DIRECTION,
                               TorusExampleModel, validate_against_closed_form)
+
+DRIVER = TorusRotation()  # the default rotation, sqrt(2) - 1
 
 
 class TestClosedForm:
     def test_time_zero_identity(self):
         m = TorusExampleModel()
-        D, ls = m.propagator(m.initial(0), 0.0)
+        D, ls = m.propagator(DRIVER.initial(0), 0.0)
         assert np.allclose(D, np.eye(2))  # the identity already has operator ell-1 norm 1
         assert ls == 0.0
 
     def test_a_integral_vs_quadrature(self):
         m = TorusExampleModel()
-        st = m.initial(3)
+        st = DRIVER.initial(3)
 
         def a_of(tau):
             w1, w2 = st.advance(tau).position
             return -1.0 / (w1 + w2) ** 2
 
         for t in (0.4, 1.3, 4.0, 7.7):
-            wraps = m.driver.wrap_times(st, t)
+            wraps = DRIVER.wrap_times(st, t)
             val, err = quad(a_of, 0.0, t, points=list(wraps), limit=300)
             assert abs(val - m.a_integral(st, t)) < 1e-10 * max(1.0, abs(val))
 
     def test_a_integral_group_property(self):
         m = TorusExampleModel()
-        st = m.initial(9)
+        st = DRIVER.initial(9)
         total = m.a_integral(st, 5.0)
         split = m.a_integral(st, 2.1) + m.a_integral(st.advance(2.1), 5.0 - 2.1)
         assert abs(total - split) < 1e-11 * abs(total)
@@ -39,16 +43,36 @@ class TestClosedForm:
     def test_propagator_no_wrap_piece(self):
         # on a wrap-free stretch the coefficient integral is elementary
         m = TorusExampleModel()
-        st0 = m.initial(4)
-        st = type(st0)(system=m.driver, anchor=(0.3, 0.3))
+        st0 = DRIVER.initial(4)
+        st = type(st0)(system=DRIVER, anchor=(0.3, 0.3))
         t = 0.05
-        v = 1.0 + m.rho
+        v = 1.0 + DRIVER.rho
         exact = 1.0 / (v * (0.6 + v * t)) - 1.0 / (v * 0.6)
         assert abs(m.a_integral(st, t) - exact) < 1e-14
 
+    def test_rotation_read_off_the_base_point(self):
+        # one model serves every rotation: on TorusRotation(0.3) base points
+        # it breaks at that driver's wrap times, and its closed-form integral
+        # is quadrature of a along the 0.3 orbit
+        m = TorusExampleModel()
+        driver = TorusRotation(0.3)
+        for seed in (0, 5):
+            st = driver.initial(seed)
+
+            def a_of(tau):
+                w1, w2 = st.advance(tau).position
+                return -1.0 / (w1 + w2) ** 2
+
+            wraps = driver.wrap_times(st, 10.0)
+            assert np.array_equal(m.breakpoints(st, 0.0, 10.0), wraps[wraps < 10.0])
+            edges = np.concatenate([[0.0], wraps, [10.0]])
+            val = sum(quad(a_of, t0, t1, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                      for t0, t1 in zip(edges[:-1], edges[1:]) if t1 > t0)
+            assert abs(val - m.a_integral(st, 10.0)) < 1e-10 * max(1.0, abs(val))
+
     def test_separation_ratio_exact(self):
         m = TorusExampleModel()
-        st = m.initial(5)
+        st = DRIVER.initial(5)
         for t in (0.5, 2.0, 10.0):
             ch, sh = math.cosh(t), math.sinh(t)
             etb = np.array([[ch, sh], [sh, ch]])
@@ -75,17 +99,17 @@ class TestGenericAgreement:
         m = TorusExampleModel()
         rng = np.random.default_rng(0)
         for seed in range(3):
-            st = m.initial(seed)
+            st = DRIVER.initial(seed)
             u0 = rng.uniform(0.2, 1.0, 2)
             for t in (0.7, 3.3, 9.5):
-                d_num, ls_num = integrate(m.ode_model, st, u0, t, rtol=1e-10)
+                d_num, ls_num = integrate(m, st, u0, t, rtol=1e-10)
                 d_ex, ls_ex = m.apply(st, t, u0)
                 assert abs(ls_num - ls_ex) <= 1e-8 * max(1.0, abs(ls_ex))
                 assert np.linalg.norm(d_num - d_ex) <= 1e-8
 
     def test_kappa_mean_grid_vs_exact(self):
         m = TorusExampleModel()
-        st = m.initial(11)
+        st = DRIVER.initial(11)
         exact = m.kappa_mean_exact(st, 50.0)
         # midpoints of the dt = 0.002 cells of [0, 50]
         grid = np.mean([m.kappa_observable(st.advance((k + 0.5) * 0.002)) for k in range(25_000)])
@@ -99,13 +123,13 @@ class TestGenericAgreement:
         m = TorusExampleModel()
         T = 250.0
         for seed in (2026, 7):
-            st = m.initial(seed)
+            st = DRIVER.initial(seed)
 
             def a_of(tau):
                 w1, w2 = st.advance(tau).position
                 return -1.0 / (w1 + w2) ** 2
 
-            edges = np.concatenate([[0.0], m.driver.wrap_times(st, T), [T]])
+            edges = np.concatenate([[0.0], DRIVER.wrap_times(st, T), [T]])
             total = sum(quad(a_of, t0, t1, epsabs=0.0, epsrel=1e-13, limit=200)[0]
                         for t0, t1 in zip(edges[:-1], edges[1:]) if t1 > t0)
             exact = m.kappa_mean_exact(st, T)
@@ -127,6 +151,11 @@ class TestValidationReport:
         assert rep.passed
         assert "PASS] propagator-agreement" in rep.summary()
 
+    def test_no_base_point_rejected(self):
+        # with no base point items (a) to (c) would loop over nothing and pass
+        with pytest.raises(ValueError, match="n_omegas"):
+            validate_against_closed_form(n_omegas=0)
+
     def test_principal_direction_constant(self):
         assert np.allclose(PRINCIPAL_DIRECTION, np.array([1.0, 1.0]) / np.sqrt(2))
 
@@ -134,8 +163,8 @@ class TestValidationReport:
         # <A w, w> with w = (1,1)/sqrt(2) collapses to 1 + a at every base point
         m = TorusExampleModel()
         for seed in range(5):
-            st = m.initial(seed)
-            A = m.ode_model.field(st, 0.0)
+            st = DRIVER.initial(seed)
+            A = m.field(st, 0.0)
             w1, w2 = st.position
             expected = 1.0 - 1.0 / (w1 + w2) ** 2
             w = PRINCIPAL_DIRECTION
