@@ -306,21 +306,24 @@ class TorusRotation:
         hi, lo = _two_sum(state.elapsed, state.elapsed_lo, float(t))
         return replace(state, elapsed=hi, elapsed_lo=lo)
 
+    def coordinate_wrap_times(self, state: TorusState, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """The times tau in (0, t] where the first and where the second
+        coordinate crosses an integer, each ascending.  A crossing within
+        1e-12 past the start is the start's own position, not a crossing."""
+        if t <= 0:
+            return np.empty(0), np.empty(0)
+        w1, w2 = state.position
+        eps = 1e-12
+        t1 = np.arange(np.ceil(w1 + eps), w1 + t + eps) - w1
+        t2 = (np.arange(np.ceil(w2 + eps), w2 + self.rho * t + eps) - w2) / self.rho
+        return t1[(t1 > 0.0) & (t1 <= t)], t2[(t2 > 0.0) & (t2 <= t)]
+
     def wrap_times(self, state: TorusState, t: float) -> np.ndarray:
         """Sorted times tau in (0, t] where either coordinate crosses an integer.
 
         These are exactly the discontinuity times of any coefficient that is
         a function of the torus position.
         """
-        if t <= 0:
-            return np.empty(0)
-        w1, w2 = state.position
-        eps = 1e-12
-        k1 = np.arange(np.ceil(w1 + eps), w1 + t + eps)
-        t1 = k1 - w1
-        k2 = np.arange(np.ceil(w2 + eps), w2 + self.rho * t + eps)
-        t2 = (k2 - w2) / self.rho
-        ts = np.concatenate([t1, t2])
-        ts = ts[(ts > 0.0) & (ts <= t)]
+        ts = np.concatenate(self.coordinate_wrap_times(state, t))
         ts.sort()
         return ts

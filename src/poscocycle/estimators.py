@@ -9,10 +9,12 @@ over a fixed dt) or the ``AdjointCocycle`` of either through one stream of
 its maps: ``step_blocks`` serves the scale-separated step maps as chunks
 (maps (k, N, N), log_scales (k,)), and ``replay`` serves a range of them to
 be read more than once: matrix maps are emitted afresh on every read, flow
-maps are propagated once and stored.  Each step loop applies M to its own
-vector or frame.  The step loops' QR and spectral norms call the LAPACK
-gufuncs of ``numpy.linalg`` (dgeqrf, dorgqr, dgesdd) without the wrappers,
-so the module loads no scipy.
+maps are built once per chunk (``odes.flow_maps``: one expm per constant
+piece, DOP853 on smooth ones) and stored.  Each step loop applies M to its
+own vector or frame, reading the pairs through ``_steps``, which frees each
+chunk before the next is built.  The step loops' QR and spectral norms call
+the LAPACK gufuncs of ``numpy.linalg`` (dgeqrf, dorgqr, dgesdd) without the
+wrappers, so the module loads no scipy.
 
 Each command walks its steps once: ``forward_floquet`` takes a block of
 probes as columns and applies each step map to the block, so the warmed and
@@ -35,7 +37,7 @@ from numpy.linalg import _umath_linalg
 from .drivers import BLOCK_CELLS
 from .errors import EstimationError, PositivityViolation
 from .matrices import MatrixModel
-from .odes import OdeModel, propagate
+from .odes import OdeModel, flow_maps
 from .stats import batch_means
 
 
@@ -70,6 +72,7 @@ class MatrixCocycle(_Cocycle):
         latest chunk first (``MatrixModel.chunks``)."""
         for maps in self.model.chunks(state, count, backward):
             yield maps, np.zeros(len(maps))
+            del maps  # freed before the next chunk is emitted
 
     def replay(self, omega, lo, hi):
         """A source of the maps of steps [lo, hi) from ``omega`` that may be
@@ -82,9 +85,11 @@ class MatrixCocycle(_Cocycle):
 
 
 class OdeCocycle(_Cocycle):
-    """Continuous cocycle sampled at a fixed step dt: ``propagate`` takes the
-    exact flow on constant pieces and adaptive DOP853 at ``rtol`` elsewhere.
-    A chunk holds up to BLOCK_CELLS flow maps, each propagating the identity."""
+    """Continuous cocycle sampled at a fixed step dt: the exact flow on
+    constant pieces and adaptive DOP853 at ``rtol`` elsewhere.  A chunk
+    holds up to BLOCK_CELLS flow maps, walked against the chunk's
+    breakpoints by ``flow_maps``: the steps inside one constant piece share
+    one expm, and the others each propagate the identity."""
 
     def __init__(self, model: OdeModel, dt: float = 0.1, rtol: float = 1e-10):
         self.model = model
@@ -94,21 +99,20 @@ class OdeCocycle(_Cocycle):
         self.cone_tol = 1e-9
 
     def step_blocks(self, state, count, backward=False):
-        eye = np.eye(self.n)
         for lo in range(0, count, BLOCK_CELLS):
-            k = min(BLOCK_CELLS, count - lo)
-            maps, ls = np.empty((k, self.n, self.n)), np.empty(k)
-            for j in (range(k - 1, -1, -1) if backward else range(k)):
+            # the chunk's base points, one dt apart, in step order
+            bases = []
+            for _ in range(min(BLOCK_CELLS, count - lo)):
                 if backward:
                     state = state.advance(-self.dt)
-                maps[j], ls[j] = propagate(self.model, state, eye, self.dt, rtol=self.rtol)
+                bases.append(state)
                 if not backward:
                     state = state.advance(self.dt)
-            yield maps, ls
+            yield flow_maps(self.model, bases[::-1] if backward else bases, self.dt, rtol=self.rtol)
 
     def replay(self, omega, lo, hi):
-        """As ``MatrixCocycle.replay``, but a flow map costs a ``propagate``,
-        so each map is propagated once and kept."""
+        """As ``MatrixCocycle.replay``, but a DOP853 flow map costs far more
+        than an emitted one, so each map is built once and kept."""
         return _stored_replay(self, omega, lo, hi)
 
 
@@ -165,6 +169,7 @@ def _transposed(chunks):
     to C order (gemv sums by layout)."""
     for maps, ls in chunks:
         yield np.ascontiguousarray(maps[::-1].transpose(0, 2, 1)), ls[::-1]
+        del maps, ls  # freed before the next primal chunk is built
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +226,14 @@ class FloquetTrack:
 
 
 def _steps(chunks):
-    """The (M, log_scale) pairs of a chunk stream, in stream order."""
+    """The (M, log_scale) pairs of a chunk stream, in stream order.  A chunk
+    is freed before the next is built: its final pair is a copy, so the
+    loop reading the pairs holds no view into it by then."""
     for maps, ls in chunks:
-        yield from zip(maps, ls.tolist())
+        final = maps[-1].copy(), float(ls[-1])
+        yield from zip(maps[:-1], ls[:-1].tolist())
+        del maps, ls
+        yield final
 
 
 def _enforce_cone(U, tol, t):
@@ -435,18 +445,20 @@ def _dual_path(blocks, n, n_steps, warmup):
     z_path = np.empty((n_steps + 1, n))
     z_path[n_steps] = z
     k = n_steps + warmup
-    for maps, _ in blocks(0, n_steps + warmup, backward=True):
-        for M in maps[::-1]:
-            k -= 1
-            z = M.T @ z
-            nrm = _norm(z)
-            if nrm == 0.0:
-                raise EstimationError("dual probe annihilated during the adjoint sweep")
-            if not math.isfinite(nrm):
-                raise EstimationError(f"dual probe not finite after the adjoint of step {k} (norm {nrm})")
-            z /= nrm
-            if k <= n_steps:
-                z_path[k] = z
+    # a backward read serves its chunks latest first; walk each one so too
+    latest_first = map(lambda chunk: (chunk[0][::-1], chunk[1][::-1]),
+                       blocks(0, n_steps + warmup, backward=True))
+    for M, _ in _steps(latest_first):
+        k -= 1
+        z = M.T @ z
+        nrm = _norm(z)
+        if nrm == 0.0:
+            raise EstimationError("dual probe annihilated during the adjoint sweep")
+        if not math.isfinite(nrm):
+            raise EstimationError(f"dual probe not finite after the adjoint of step {k} (norm {nrm})")
+        z /= nrm
+        if k <= n_steps:
+            z_path[k] = z
     return z_path
 
 
@@ -459,7 +471,7 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0) -> S
     step time, then one forward sweep over [-warmup, T) warms up and tracks
     the principal direction and, from step 0 on, the complement frame.  Only
     the dual path is kept, so the state is O(T N): matrix maps are emitted
-    afresh on each read, flow maps are propagated once and stored.  The
+    afresh on each read, flow maps are built once and stored.  The
     frame spanning the invariant complement is re-anchored to the dual-null
     hyperplane after every step; without that re-anchoring, roundoff
     injects a dominant component that grows at rate sigma and silently caps

@@ -11,6 +11,13 @@ adaptive Runge-Kutta method DOP853 of Dormand and Prince (order 8, with
 Hairer's combined 5th- and 3rd-order error estimate).  Both renormalize the
 state as they go, accumulating the log of the extracted scale, so decaying
 or exploding trajectories never leave floating-point range.
+
+``flow_maps`` builds the one-step flow maps of a run of base points at once:
+it asks for the breakpoints of the whole window and for ``piece_matrix``
+once per constant piece, and the steps inside one piece share its expm.  A
+model's ``piece_matrix`` must therefore hold on the whole piece it is asked
+about, and return a read-only array: the model keeps the flow of its last
+piece keyed on the identity of that array, and only for read-only ones.
 """
 
 from __future__ import annotations
@@ -68,6 +75,9 @@ _E = np.array([
      -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
      0.02265179219836082]])
 _EPS = float(np.finfo(float).eps)
+# ``flow_maps`` judges a step whose end lies within this share of dt of a
+# breakpoint by the step's own knots
+_NEAR = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +105,11 @@ class OdeModel:
 
     def piece_matrix(self, state, t0: float, t1: float):
         """The coefficient on the piece (t0, t1) when it is constant there,
-        else None.  A constant piece is propagated exactly.  Return a
-        read-only array: the model keeps the flow of its last piece keyed on
-        the identity of this matrix, and only for read-only ones."""
+        else None.  A constant piece is propagated exactly; ``flow_maps``
+        asks once per piece of a whole chunk and gives every step inside
+        it this matrix's flow.  Return a read-only array: the model keeps
+        the flow of its last piece keyed on the identity of this matrix,
+        and only for read-only ones."""
         return None
 
 
@@ -302,18 +314,24 @@ def _exact_flow(A, t0, t1):
     return E, log_scale
 
 
-def _exact_piece(model, A, t0, t1, Y):
-    """Exact flow of the constant piece (t0, t1) applied to Y; returns
-    (Y_unit, log_scale).  The model keeps the flow for its last read-only A
-    and length, so the dt-steps through one constant piece share one expm."""
+def _unit_flow(model, A, t0, t1):
+    """``_exact_flow`` of the constant piece (t0, t1).  The model keeps the
+    flow for its last read-only A and length, so the dt-steps through one
+    constant piece share one expm."""
     h = t1 - t0
     last = model._last_flow
     if last is not None and last[0] is A and last[1] == h:
-        E, log_scale = last[2], last[3]
-    else:
-        E, log_scale = _exact_flow(A, t0, t1)
-        if not A.flags.writeable:
-            model._last_flow = (A, h, E, log_scale)
+        return last[2], last[3]
+    E, log_scale = _exact_flow(A, t0, t1)
+    if not A.flags.writeable:
+        model._last_flow = (A, h, E, log_scale)
+    return E, log_scale
+
+
+def _exact_piece(model, A, t0, t1, Y):
+    """Exact flow of the constant piece (t0, t1) applied to Y; returns
+    (Y_unit, log_scale)."""
+    E, log_scale = _unit_flow(model, A, t0, t1)
     Y = E @ Y
     s = float(np.abs(Y).max())
     if s == 0.0:
@@ -367,6 +385,51 @@ def propagate(model: OdeModel, omega, Y, t, rtol=1e-10):
         if not np.isfinite(ls):
             break
     return (Y[:, 0] if squeeze else Y), log_scale
+
+
+def flow_maps(model: OdeModel, states, dt, rtol=1e-10):
+    """The flow maps over [0, dt] from the base points ``states``, each
+    ``dt`` after the one before, as (maps (k, N, N), log_scales (k,)): bit
+    for bit ``propagate`` of the identity from each base point.
+
+    The chunk is walked against its own breakpoints: ``model.breakpoints``
+    is asked once for the window [0, k dt] from ``states[0]``, and
+    ``model.piece_matrix`` once per constant piece of it that holds a whole
+    step.  Such a step takes the piece's unit flow (``_unit_flow``), which
+    is what ``propagate`` returns for it: E @ I is E, and max |E| is 1.  A
+    step across a breakpoint, or on a smooth piece, calls ``propagate``.  A
+    step whose end lies within ``_NEAR`` dt of a breakpoint or of the
+    window's ends is judged by its own ``_knots``, since rounding places
+    the window's breakpoints and the step's a few ulps apart.
+    """
+    k = len(states)
+    span = k * dt
+    near = _NEAR * dt
+    edges = np.unique(np.concatenate(
+        ([0.0, span], np.asarray(model.breakpoints(states[0], 0.0, span), dtype=float))))
+    starts = dt * np.arange(k)
+    ends = starts + dt
+
+    def edges_in(a, b):  # the number of edges in (a, b] per step
+        return np.searchsorted(edges, b, side="right") - np.searchsorted(edges, a, side="right")
+
+    across = edges_in(starts + near, ends - near) > 0
+    doubtful = (edges_in(starts - near, ends + near) > 0) & ~across
+    pieces = np.searchsorted(edges, starts + 0.5 * dt, side="right") - 1
+    maps, log_scales = np.empty((k, model.n, model.n)), np.empty(k)
+    flows = {}  # piece -> its unit flow over dt, or None on a smooth piece
+    eye = np.eye(model.n)
+    for j, (state, i, cross, doubt) in enumerate(zip(states, pieces.tolist(), across.tolist(),
+                                                     doubtful.tolist())):
+        if not cross:
+            if i not in flows:
+                A = model.piece_matrix(states[0], float(edges[i]), float(edges[i + 1]))
+                flows[i] = None if A is None else _unit_flow(model, A, 0.0, dt)
+            if flows[i] is not None and not (doubt and len(_knots(model, state, dt)) > 2):
+                maps[j], log_scales[j] = flows[i]
+                continue
+        maps[j], log_scales[j] = propagate(model, state, eye, dt, rtol=rtol)
+    return maps, log_scales
 
 
 def integrate(model: OdeModel, omega, u0, t, rtol=1e-10):

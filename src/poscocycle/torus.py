@@ -78,15 +78,9 @@ class TorusExampleModel(OdeModel):
     def _tagged_pieces(self, state: TorusState, t: float):
         """Pieces of [0, t] between wrap times, each with its exact starting
         coordinate sum (the wrapped coordinate is exactly 0 at a wrap)."""
-        rho = state.system.rho
         w1, w2 = state.position
-        eps = 1e-12
-        k1 = np.arange(math.ceil(w1 + eps), w1 + t + eps)
-        t1 = k1 - w1
-        k2 = np.arange(math.ceil(w2 + eps), w2 + rho * t + eps)
-        t2 = (k2 - w2) / rho
-        events = [(tau, 1) for tau in t1 if 0 < tau <= t] + [(tau, 2) for tau in t2 if 0 < tau <= t]
-        events.sort()
+        t1, t2 = state.system.coordinate_wrap_times(state, t)
+        events = sorted([(tau, 1) for tau in t1.tolist()] + [(tau, 2) for tau in t2.tolist()])
         pieces = []
         start, c = 0.0, w1 + w2
         for tau, which in events:

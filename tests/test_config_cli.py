@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import poscocycle
-from poscocycle import estimators
+from poscocycle import estimators, odes
 from poscocycle.config import DRIVERS, MODELS, load_config, validate_config, build_model, build_driver
 from poscocycle.errors import ConfigError, EstimationError
 from poscocycle.matrices import MatrixModel
@@ -295,21 +295,40 @@ class TestPipelines:
 
     def test_ode_estimate_one_pass(self, tmp_path, monkeypatch):
         # the warm-up, then the warmed and raw probes as one block; the kappa
-        # route reads the warmed probe's rows: 50 + 1000 flows, not 3100
-        calls, propagate = [], estimators.propagate
+        # route reads the warmed probe's rows: 50 + 1000 flow maps, not 3100.
+        # A unit cell holds 10 steps, which share one expm and need no
+        # propagate: 105 cells for the estimate, and 110 for separate's
+        # 50 + 1000 + 50 steps, each map built once
+        maps, calls = [], {"expm": 0, "propagate": 0}
+        step_blocks = estimators.OdeCocycle.step_blocks
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return propagate(*args, **kwargs)
+        def counted_blocks(*args, **kwargs):
+            for chunk in step_blocks(*args, **kwargs):
+                maps.append(len(chunk[0]))
+                yield chunk
 
-        monkeypatch.setattr(estimators, "propagate", counted)
+        def counted(name):
+            fn = getattr(odes, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(estimators.OdeCocycle, "step_blocks", counted_blocks)
+        for name in calls:
+            monkeypatch.setattr(odes, name, counted(name))
         cfg = validate_config({"seed": 100,
                                "model": {"kind": "ode-piecewise-uniform", "n": 3,
                                          "diag": [-1.0, 0.5], "offdiag": [0.0, 1.0]},
                                "estimator": {"horizon": 100.0, "dt": 0.1}})
         res = run_command("estimate", cfg, out_dir=tmp_path)["results"]
-        assert len(calls) == 50 + 1000
+        assert sum(maps) == 50 + 1000 and calls == {"expm": 105, "propagate": 0}
         assert abs(res["lambda1_kappa_route"]["value"] - res["lambda1"]["value"]) < 5e-3
+        maps.clear()
+        calls.update(expm=0)
+        run_command("separate", cfg, out_dir=tmp_path)
+        assert sum(maps) == 50 + 1000 + 50 and calls == {"expm": 110, "propagate": 0}
 
     def test_torus_estimate_pipeline(self, tmp_path):
         cfg = validate_config({

@@ -12,11 +12,12 @@ from poscocycle.errors import EstimationError, PositivityViolation
 from poscocycle.estimators import (MatrixCocycle, OdeCocycle, DivergenceDiagnostic,
                                    forward_floquet, lambda1_via_kappa, oseledets_qr,
                                    pullback_convergence, separation_estimate, warmup_direction)
-from poscocycle import estimators
-from poscocycle.estimators import _norm, _qr_positive, _spectral_norm, _stored_replay
+from poscocycle import odes
+from poscocycle.estimators import _norm, _qr_positive, _spectral_norm, _steps, _stored_replay
 from poscocycle.matrices import (ConstantMatrixModel, SampledMatrixModel, UniformEntriesModel,
                                  leslie_model)
-from poscocycle.odes import ConstantOdeModel, PiecewiseConstantOdeModel, cooperative_sampler, propagate
+from poscocycle.odes import (CallableOdeModel, ConstantOdeModel, PiecewiseConstantOdeModel, TypeKFlipModel,
+                            cooperative_sampler, propagate)
 
 
 def disc_state(seed=0):
@@ -29,6 +30,22 @@ def cont_state(seed=0):
 
 def iid_positive_cocycle(n=3, lo=0.5, hi=2.0):
     return MatrixCocycle(UniformEntriesModel(n, lo, hi))
+
+
+def half_cell_field(state, t):
+    """A smooth cooperative field that jumps at every half-integer
+    position of a continuous i.i.d. shift."""
+    x = state.pos + state.pos_lo + t
+    jump = math.floor(2.0 * x) % 2
+    return np.array([[-1.0 + 0.5 * math.sin(x), 0.3 + 0.4 * jump, 0.1],
+                     [0.2, -0.5 * jump, 0.5 + 0.2 * math.cos(x)],
+                     [0.6 - 0.3 * jump, 0.1, -0.2]])
+
+
+def half_cell_edges(state, t0, t1):
+    p = state.pos + state.pos_lo
+    ts = np.arange(math.floor(2.0 * (p + t0)) + 1, math.ceil(2.0 * (p + t1))) / 2.0 - p
+    return ts[(ts > t0) & (ts < t1)]
 
 
 class StoredMatrixCocycle(MatrixCocycle):
@@ -312,21 +329,30 @@ class TestForwardFloquet:
         orbit, dist = pullback_convergence(MatrixCocycle(CountingUniform(3, 0.5, 2.0)), disc_state(4), 300)
         assert sum(cells) == 2 * 300 and len(orbit.ns) == 301 and dist <= 1e-12
 
-    def test_propagate_called_once_per_flow_map(self, monkeypatch):
-        # a flow map costs a propagate, so separation stores its maps and
-        # reads them twice from the store: T + 2 * warmup calls
-        calls, propagate = [], estimators.propagate
+    def test_flow_maps_built_once(self, monkeypatch):
+        # separation stores its flow maps and reads them twice from the
+        # store: one read of T + 2 * warmup maps, with one expm per unit cell
+        # the steps cross (3 over [0, 3], 5 over [-0.7, 3.7])
+        maps, expms = [], []
+        step_blocks, expm = OdeCocycle.step_blocks, odes.expm
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return propagate(*args, **kwargs)
+        def counted_blocks(*args, **kwargs):
+            for chunk in step_blocks(*args, **kwargs):
+                maps.append(len(chunk[0]))
+                yield chunk
 
-        monkeypatch.setattr(estimators, "propagate", counted)
-        model = PiecewiseConstantOdeModel(3, cooperative_sampler(3, -1.0, 1.0, 0.0, 1.0))
-        for warmup in (0, 7):
-            calls.clear()
+        def counted_expm(A):
+            expms.append(1)
+            return expm(A)
+
+        monkeypatch.setattr(OdeCocycle, "step_blocks", counted_blocks)
+        monkeypatch.setattr(odes, "expm", counted_expm)
+        for warmup, cells in ((0, 3), (7, 5)):
+            maps.clear()
+            expms.clear()
+            model = PiecewiseConstantOdeModel(3, cooperative_sampler(3, -1.0, 1.0, 0.0, 1.0))
             separation_estimate(OdeCocycle(model, dt=0.1), cont_state(4), 3.0, warmup=warmup)
-            assert len(calls) == 30 + 2 * warmup
+            assert sum(maps) == 30 + 2 * warmup and len(expms) == cells
 
     def test_model_change_seen_by_next_run(self):
         # the cocycle keeps no maps: after the model's parameters change, a
@@ -376,40 +402,56 @@ class TestForwardFloquet:
         # every flow map is exactly one propagate of the identity from its
         # base point, stepped one dt at a time; chunks hold at most
         # BLOCK_CELLS maps, backward reads come latest chunk first and in
-        # step order within a chunk, and dt = 0.3 makes some steps straddle
-        # a unit-cell edge
+        # step order within a chunk.  On unit cells, dt = 0.3 makes some
+        # steps straddle a cell edge and dt = 0.1 puts cell edges on step
+        # ends within rounding; a constant field is one piece per chunk; a
+        # type-K field reads its cells through the flip; a callable field
+        # with edges inside steps keeps DOP853
         n, count = 3, 270
-        model = PiecewiseConstantOdeModel(n, cooperative_sampler(n, -1.0, 1.0, 0.0, 1.0))
-        coc, omega = OdeCocycle(model, dt=0.3), cont_state(6)
-        after, before = [omega], [omega]  # the base points from omega on, and before it
-        for _ in range(count):
-            after.append(after[-1].advance(coc.dt))
-            before.append(before[-1].advance(-coc.dt))
+        cooperative = cooperative_sampler(n, -1.0, 1.0, 0.0, 1.0)
+        flip = np.array([1.0, -1.0, -1.0])
+        cases = [
+            ("cells, dt 0.3", PiecewiseConstantOdeModel(n, cooperative), 0.3, 1e-10),
+            ("cells, dt 0.1", PiecewiseConstantOdeModel(n, cooperative), 0.1, 1e-10),
+            ("constant", ConstantOdeModel([[-1.0, 0.5, 0.2], [0.3, 0.1, 0.0], [0.4, 0.6, -0.5]]), 0.1, 1e-10),
+            ("type-K", TypeKFlipModel(PiecewiseConstantOdeModel(
+                n, lambda rng: flip[:, None] * cooperative(rng) * flip), 1, 2), 0.1, 1e-10),
+            ("callable", CallableOdeModel(n, half_cell_field, half_cell_edges), 0.3, 1e-6),
+        ]
+        omega = cont_state(6)
+        for case, model, dt, rtol in cases:
+            coc = OdeCocycle(model, dt=dt, rtol=rtol)
+            after, before = [omega], [omega]  # the base points from omega on, and before it
+            for _ in range(count):
+                after.append(after[-1].advance(coc.dt))
+                before.append(before[-1].advance(-coc.dt))
 
-        def flow(state):
-            return propagate(model, state, np.eye(n), coc.dt, rtol=coc.rtol)
+            def flow(state):
+                return propagate(model, state, np.eye(n), coc.dt, rtol=coc.rtol)
 
-        def read(chunks, backward=False):
-            chunks = list(chunks)
-            assert all(0 < len(maps) <= BLOCK_CELLS and len(ls) == len(maps) for maps, ls in chunks)
-            chunks = chunks[::-1] if backward else chunks
-            maps, ls = np.concatenate([m for m, _ in chunks]), np.concatenate([l for _, l in chunks])
-            assert maps.shape == (count, n, n) and ls.shape == (count,)
-            return maps, ls
+            def read(chunks, backward=False):
+                chunks = list(chunks)
+                assert all(0 < len(maps) <= BLOCK_CELLS and len(ls) == len(maps) for maps, ls in chunks)
+                chunks = chunks[::-1] if backward else chunks
+                maps, ls = np.concatenate([m for m, _ in chunks]), np.concatenate([l for _, l in chunks])
+                assert maps.shape == (count, n, n) and ls.shape == (count,)
+                return maps, ls
 
-        for (maps, ls), states in [(read(coc.step_blocks(omega, count)), after[:count]),
-                                   (read(coc.step_blocks(omega, count, backward=True), True), before[count:0:-1])]:
-            for M, l, state in zip(maps, ls, states, strict=True):
-                F, lf = flow(state)
-                assert np.array_equal(M, F) and l == lf
-        # the adjoint's steps from omega are the primal's before it, and the
-        # other way round, each transposed
-        dual = coc.dual()
-        for (maps, ls), states in [(read(dual.step_blocks(omega, count)), before[1:count + 1]),
-                                   (read(dual.step_blocks(omega, count, backward=True), True), after[count - 1::-1])]:
-            for M, l, state in zip(maps, ls, states, strict=True):
-                F, lf = flow(state)
-                assert np.array_equal(M, F.T) and l == lf
+            for (maps, ls), states in [(read(coc.step_blocks(omega, count)), after[:count]),
+                                       (read(coc.step_blocks(omega, count, backward=True), True),
+                                        before[count:0:-1])]:
+                for M, l, state in zip(maps, ls, states, strict=True):
+                    F, lf = flow(state)
+                    assert np.array_equal(M, F) and l == lf, case
+            # the adjoint's steps from omega are the primal's before it, and
+            # the other way round, each transposed
+            dual = coc.dual()
+            for (maps, ls), states in [(read(dual.step_blocks(omega, count)), before[1:count + 1]),
+                                       (read(dual.step_blocks(omega, count, backward=True), True),
+                                        after[count - 1::-1])]:
+                for M, l, state in zip(maps, ls, states, strict=True):
+                    F, lf = flow(state)
+                    assert np.array_equal(M, F.T) and l == lf, case
 
 
 class TestCocycleProtocol:
@@ -567,6 +609,31 @@ class TestSeparation:
                 state = state.advance(1)
             ws_t = warmup_direction(coc.dual(), state, depth)
             assert abs(v @ ws_t) <= 1e-6 * np.linalg.norm(v)
+
+    def test_stream_holds_one_chunk(self):
+        # each chunk is freed before the next is emitted, on both sides of
+        # the stream: a sweep through the steps in either direction, and the
+        # forward and QR loops, peak near one chunk of BLOCK_CELLS maps; a
+        # chunk that outlived its last step would make it two
+        n, T = 20, 3000
+        coc, omega = iid_positive_cocycle(n), disc_state(1)
+
+        def sweep(backward):
+            for _ in _steps(coc.step_blocks(omega, T, backward)):
+                pass
+
+        runs = [lambda: sweep(False), lambda: sweep(True),
+                lambda: forward_floquet(coc, omega, np.ones(n), T), lambda: oseledets_qr(coc, omega, T)]
+        chunk = BLOCK_CELLS * n * n * 8
+        for run in runs:
+            run()  # lazy imports of a first run
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert chunk < peak < 1.25 * chunk
 
     def test_peak_memory_linear_in_steps(self):
         # nothing of size T N^2 is kept; the traced peak is at most

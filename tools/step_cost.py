@@ -10,8 +10,8 @@ Each matrix loop runs on a fresh uniform-entries cocycle (entries in
 one-probe "forward" steps.  The "ode" rows are forward steps of the
 piecewise-constant cooperative ODE (N = 3, diagonal in [-1, 0.5),
 off-diagonal in [0, 1), unit cells) at dt = 0.1 on a continuous i.i.d.
-shift, with one probe and with two; "ode qr" is ``oseledets_qr`` on the
-same ODE.  A checkout whose ``forward_floquet`` takes no probe block prints
+shift, with one probe and with two; "ode qr" is ``oseledets_qr`` and
+"ode sep" ``separation_estimate`` (warm-up 50) on the same ODE.  A checkout whose ``forward_floquet`` takes no probe block prints
 no two-probe rows.  The "output" rows time one whole ``estimate`` through
 ``run_command`` (the same uniform-entries model at N = 3, seed 1, T = 2000,
 files written included), with ``output.series`` on and off, in ms per run.
@@ -97,6 +97,7 @@ def main(argv=None):
         ("ode", ode, forward(1), (3,)),
         ("ode x2", ode, forward(2), (3,)),
         ("ode qr", ode, lambda coc, om: oseledets_qr(coc, om, T * coc.dt), (3,)),
+        ("ode sep", ode, lambda coc, om: separation_estimate(coc, om, T * coc.dt, warmup=50), (3,)),
     ]
     for name, make, run, sizes in loops:
         for n in sizes:
