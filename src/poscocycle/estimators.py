@@ -99,6 +99,7 @@ class OdeCocycle(_Cocycle):
         self.cone_tol = 1e-9
 
     def step_blocks(self, state, count, backward=False):
+        last = None  # the last constant piece's (A, unit flow), carried between chunks
         for lo in range(0, count, BLOCK_CELLS):
             # the chunk's base points, one dt apart, in step order
             bases = []
@@ -108,11 +109,15 @@ class OdeCocycle(_Cocycle):
                 bases.append(state)
                 if not backward:
                     state = state.advance(self.dt)
-            yield flow_maps(self.model, bases[::-1] if backward else bases, self.dt, rtol=self.rtol)
+            maps, log_scales, last = flow_maps(self.model, bases[::-1] if backward else bases,
+                                               self.dt, rtol=self.rtol, last=last)
+            yield maps, log_scales
+            del maps, log_scales  # freed before the next chunk is built
 
     def replay(self, omega, lo, hi):
-        """As ``MatrixCocycle.replay``, but a DOP853 flow map costs far more
-        than an emitted one, so each map is built once and kept."""
+        """As ``MatrixCocycle.replay``, but each map is built once and
+        kept: one read of the N = 3 piecewise-constant flow maps at dt =
+        0.1 costs 11-22 us per step, an emitted N = 3 map 0.2-0.3 us."""
         return _stored_replay(self, omega, lo, hi)
 
 

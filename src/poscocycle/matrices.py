@@ -362,11 +362,12 @@ def check_D1(model, driver, seed, n_samples, lag: int = 1) -> list[AssumptionRep
         condition="D1.ii", verdict="fails" if bad else "holds",
         witnesses=bad[:5], detail=f"rcond threshold {RCOND_THRESHOLD:g}"))
 
-    vals = _lnplus([S.max() for S in samples])
+    # the largest absolute entry is a norm of every map, signed or not
+    vals = _lnplus([np.abs(S).max() for S in samples])
     m, hw = mean_ci(vals)
     reports.append(AssumptionReport(
         condition="D1.iii", verdict="empirical", estimate=m, ci=hw,
-        detail="mean of ln+ of the max entry; sample moments cannot certify integrability"))
+        detail="mean of ln+ of the largest absolute entry; sample moments cannot certify integrability"))
     return reports
 
 

@@ -16,8 +16,8 @@ or exploding trajectories never leave floating-point range.
 it asks for the breakpoints of the whole window and for ``piece_matrix``
 once per constant piece, and the steps inside one piece share its expm.  A
 model's ``piece_matrix`` must therefore hold on the whole piece it is asked
-about, and return a read-only array: the model keeps the flow of its last
-piece keyed on the identity of that array, and only for read-only ones.
+about.  ``flow_maps`` takes and returns the last constant piece's flow, so
+the chunks of one read share the flow of a piece that straddles them.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ class OdeModel:
 
     def __init__(self, n: int):
         self.n = int(n)
-        self._last_flow = None  # (A, h, unit flow, log scale) of the last exact piece
 
     def field(self, state, t: float) -> np.ndarray:
         """Coefficient matrix at local time t past the base point."""
@@ -107,9 +106,7 @@ class OdeModel:
         """The coefficient on the piece (t0, t1) when it is constant there,
         else None.  A constant piece is propagated exactly; ``flow_maps``
         asks once per piece of a whole chunk and gives every step inside
-        it this matrix's flow.  Return a read-only array: the model keeps
-        the flow of its last piece keyed on the identity of this matrix,
-        and only for read-only ones."""
+        it this matrix's flow."""
         return None
 
 
@@ -314,24 +311,10 @@ def _exact_flow(A, t0, t1):
     return E, log_scale
 
 
-def _unit_flow(model, A, t0, t1):
-    """``_exact_flow`` of the constant piece (t0, t1).  The model keeps the
-    flow for its last read-only A and length, so the dt-steps through one
-    constant piece share one expm."""
-    h = t1 - t0
-    last = model._last_flow
-    if last is not None and last[0] is A and last[1] == h:
-        return last[2], last[3]
-    E, log_scale = _exact_flow(A, t0, t1)
-    if not A.flags.writeable:
-        model._last_flow = (A, h, E, log_scale)
-    return E, log_scale
-
-
-def _exact_piece(model, A, t0, t1, Y):
+def _exact_piece(A, t0, t1, Y):
     """Exact flow of the constant piece (t0, t1) applied to Y; returns
     (Y_unit, log_scale)."""
-    E, log_scale = _unit_flow(model, A, t0, t1)
+    E, log_scale = _exact_flow(A, t0, t1)
     Y = E @ Y
     s = float(np.abs(Y).max())
     if s == 0.0:
@@ -378,7 +361,7 @@ def propagate(model: OdeModel, omega, Y, t, rtol=1e-10):
     for a, b in zip(knots, knots[1:]):
         A = model.piece_matrix(omega, a, b)
         if A is not None:
-            Y, ls = _exact_piece(model, A, a, b, Y)
+            Y, ls = _exact_piece(A, a, b, Y)
         else:
             Y, ls, _ = _integrate_piece(model.piece_field(omega, a, b), a, b, Y, rtol)
         log_scale += ls
@@ -387,20 +370,25 @@ def propagate(model: OdeModel, omega, Y, t, rtol=1e-10):
     return (Y[:, 0] if squeeze else Y), log_scale
 
 
-def flow_maps(model: OdeModel, states, dt, rtol=1e-10):
+def flow_maps(model: OdeModel, states, dt, rtol=1e-10, last=None):
     """The flow maps over [0, dt] from the base points ``states``, each
-    ``dt`` after the one before, as (maps (k, N, N), log_scales (k,)): bit
-    for bit ``propagate`` of the identity from each base point.
+    ``dt`` after the one before, as (maps (k, N, N), log_scales (k,),
+    last): the maps are bit for bit ``propagate`` of the identity from each
+    base point.
 
     The chunk is walked against its own breakpoints: ``model.breakpoints``
     is asked once for the window [0, k dt] from ``states[0]``, and
     ``model.piece_matrix`` once per constant piece of it that holds a whole
-    step.  Such a step takes the piece's unit flow (``_unit_flow``), which
-    is what ``propagate`` returns for it: E @ I is E, and max |E| is 1.  A
-    step across a breakpoint, or on a smooth piece, calls ``propagate``.  A
-    step whose end lies within ``_NEAR`` dt of a breakpoint or of the
-    window's ends is judged by its own ``_knots``, since rounding places
-    the window's breakpoints and the step's a few ulps apart.
+    step.  Such a step takes the piece's unit flow over dt, which is what
+    ``propagate`` returns for it: E @ I is E, and max |E| is 1.  ``last``
+    is (a copy of A, its unit flow) for the last constant piece walked,
+    taken from and returned to the caller, so a piece whose matrix equals
+    it, within the chunk or at the start of the next, takes no expm of its
+    own.  A step across a breakpoint, or on a smooth piece, calls
+    ``propagate``.  A step whose end lies within ``_NEAR`` dt of a
+    breakpoint or of the window's ends is judged by its own ``_knots``,
+    since rounding places the window's breakpoints and the step's a few
+    ulps apart.
     """
     k = len(states)
     span = k * dt
@@ -417,19 +405,21 @@ def flow_maps(model: OdeModel, states, dt, rtol=1e-10):
     doubtful = (edges_in(starts - near, ends + near) > 0) & ~across
     pieces = np.searchsorted(edges, starts + 0.5 * dt, side="right") - 1
     maps, log_scales = np.empty((k, model.n, model.n)), np.empty(k)
-    flows = {}  # piece -> its unit flow over dt, or None on a smooth piece
+    piece = flow = None  # the piece of the last whole step, and its unit flow (None if smooth)
     eye = np.eye(model.n)
     for j, (state, i, cross, doubt) in enumerate(zip(states, pieces.tolist(), across.tolist(),
                                                      doubtful.tolist())):
         if not cross:
-            if i not in flows:
-                A = model.piece_matrix(states[0], float(edges[i]), float(edges[i + 1]))
-                flows[i] = None if A is None else _unit_flow(model, A, 0.0, dt)
-            if flows[i] is not None and not (doubt and len(_knots(model, state, dt)) > 2):
-                maps[j], log_scales[j] = flows[i]
+            if i != piece:
+                piece, A = i, model.piece_matrix(states[0], float(edges[i]), float(edges[i + 1]))
+                if A is not None and (last is None or not np.array_equal(last[0], A)):
+                    last = (A.copy(), _exact_flow(A, 0.0, dt))  # a model may refill A
+                flow = None if A is None else last[1]
+            if flow is not None and not (doubt and len(_knots(model, state, dt)) > 2):
+                maps[j], log_scales[j] = flow
                 continue
         maps[j], log_scales[j] = propagate(model, state, eye, dt, rtol=rtol)
-    return maps, log_scales
+    return maps, log_scales, last
 
 
 def integrate(model: OdeModel, omega, u0, t, rtol=1e-10):
@@ -696,7 +686,6 @@ class TypeKFlipModel(OdeModel):
         self.k = k
         self.l = l
         self.flip = np.concatenate([np.ones(k), -np.ones(l)])
-        self._last_flip = None  # (read-only inner matrix, its read-only flip)
 
     def _flipped(self, B):
         _check_type_k(B, self.k)
@@ -714,17 +703,7 @@ class TypeKFlipModel(OdeModel):
 
     def piece_matrix(self, state, t0, t1):
         B = self.b_model.piece_matrix(state, t0, t1)
-        if B is None:
-            return None
-        last = self._last_flip
-        if last is not None and last[0] is B:
-            return last[1]
-        A = self._flipped(B)
-        if not B.flags.writeable:
-            # one flipped matrix per inner matrix, so the flow memo can hit
-            A.flags.writeable = False
-            self._last_flip = (B, A)
-        return A
+        return None if B is None else self._flipped(B)
 
 
 def _check_type_k(B, k):

@@ -18,7 +18,7 @@ from .estimators import (DivergenceDiagnostic, MatrixCocycle, OdeCocycle,
                          pullback_convergence, separation_estimate, warmup_direction)
 from .matrices import check_D1, check_D2, check_D3, verify_nstep_positivity
 from .odes import check_O1, check_O2
-from .reporting import report_to_dict, write_result
+from .reporting import write_result
 from .stats import batch_means
 
 COMMANDS = ("check", "estimate", "separate", "orbit", "oseledets", "example-torus", "leslie-demo")
@@ -89,7 +89,7 @@ def _run_check(cfg):
     else:
         reports = [check_O1(model, driver, seed, n_samples),
                    check_O2(model, driver, seed, n_samples)]
-    return {"assumption_reports": [report_to_dict(r) for r in reports]}
+    return {"assumption_reports": [dataclasses.asdict(r) for r in reports]}
 
 
 def _thinned(track, every):

@@ -85,14 +85,3 @@ def validate_result(result: dict) -> None:
     if error is not None:
         raise error
 
-
-def report_to_dict(report) -> dict:
-    """AssumptionReport -> plain dict."""
-    return {
-        "condition": report.condition,
-        "verdict": report.verdict,
-        "estimate": report.estimate,
-        "ci": report.ci,
-        "witnesses": list(report.witnesses),
-        "detail": report.detail,
-    }

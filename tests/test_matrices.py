@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,6 +168,15 @@ class TestCheckD1:
         r = _report(reports, "D1.i")
         assert r.verdict == "fails"
         assert r.witnesses[0][1:3] == (0, 1)
+
+    def test_moment_of_negative_map(self):
+        # ln+ of the largest absolute entry, 2 here, and not of the largest
+        # entry, whose log is undefined when it is negative
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = check_D1(ConstantMatrixModel([[-1.0, -0.5], [-0.2, -2.0]]), IidShift(), 1, 5)
+        r3 = _report(reports, "D1.iii")
+        assert abs(r3.estimate - np.log(2.0)) < 1e-14 and r3.ci == 0.0
 
 
 class TestCheckD2D3:

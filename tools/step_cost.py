@@ -11,10 +11,10 @@ one-probe "forward" steps.  The "ode" rows are forward steps of the
 piecewise-constant cooperative ODE (N = 3, diagonal in [-1, 0.5),
 off-diagonal in [0, 1), unit cells) at dt = 0.1 on a continuous i.i.d.
 shift, with one probe and with two; "ode qr" is ``oseledets_qr`` and
-"ode sep" ``separation_estimate`` (warm-up 50) on the same ODE.  A checkout whose ``forward_floquet`` takes no probe block prints
-no two-probe rows.  The "output" rows time one whole ``estimate`` through
-``run_command`` (the same uniform-entries model at N = 3, seed 1, T = 2000,
-files written included), with ``output.series`` on and off, in ms per run.
+"ode sep" ``separation_estimate`` (warm-up 50) on the same ODE.  The
+"output" rows time one whole ``estimate`` through ``run_command`` (the
+same uniform-entries model at N = 3, seed 1, T = 2000, files written
+included), with ``output.series`` on and off, in ms per run.
 The process pins itself to one CPU and BLAS to one thread; alternate the
 checkouts and take each one's range, since the CPU speed of a shared
 machine drifts.
@@ -81,12 +81,7 @@ def main(argv=None):
 
     def forward(k):
         def run(coc, om):
-            try:
-                tracks = forward_floquet(coc, om, np.ones((coc.n, k)) if k > 1 else np.ones(coc.n),
-                                         T * coc.dt)
-            except ValueError:  # an older checkout's 1-D probe check
-                return False
-            return k == 1 or isinstance(tracks, list)
+            forward_floquet(coc, om, np.ones((coc.n, k)) if k > 1 else np.ones(coc.n), T * coc.dt)
         return run
 
     loops = [
@@ -105,10 +100,9 @@ def main(argv=None):
             for _ in range(REPEATS):
                 coc, omega = make(n)
                 t0 = time.process_time()
-                ok = run(coc, omega)
+                run(coc, omega)
                 best = min(best, time.process_time() - t0)
-            if ok is not False:
-                print(f"{name:<10} N={n:<3} {1e6 * best / T:7.1f} us/step")
+            print(f"{name:<10} N={n:<3} {1e6 * best / T:7.1f} us/step")
     with tempfile.TemporaryDirectory() as out:
         for series in (True, False):
             cfg = validate_config({"seed": 1, "model": {"kind": "uniform-entries", "n": 3, "lo": 0.5, "hi": 2.0},
