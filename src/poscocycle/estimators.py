@@ -10,9 +10,10 @@ its maps: ``step_blocks`` serves the scale-separated step maps as chunks
 (maps (k, N, N), log_scales (k,)), and ``replay`` serves a range of them to
 be read more than once: matrix maps are emitted afresh on every read, flow
 maps are built once per chunk (``odes.flow_maps``: one expm per constant
-piece, DOP853 on smooth ones) and stored.  Each step loop applies M to its
-own vector or frame, reading the pairs through ``_steps``, which frees each
-chunk before the next is built.  The step loops' QR and spectral norms call
+piece, and one DOP853 batch for the steps on smooth pieces or across a
+breakpoint) and stored.  Each step loop applies M to its own vector or
+frame, reading the pairs through ``_steps``, which frees each chunk before
+the next is built.  The step loops' QR and spectral norms call
 the LAPACK gufuncs of ``numpy.linalg`` (dgeqrf, dorgqr, dgesdd) without the
 wrappers, so the module loads no scipy.
 
@@ -89,7 +90,7 @@ class OdeCocycle(_Cocycle):
     constant pieces and adaptive DOP853 at ``rtol`` elsewhere.  A chunk
     holds up to BLOCK_CELLS flow maps, walked against the chunk's
     breakpoints by ``flow_maps``: the steps inside one constant piece share
-    one expm, and the others each propagate the identity."""
+    one expm, and the others propagate the identity as one DOP853 batch."""
 
     def __init__(self, model: OdeModel, dt: float = 0.1, rtol: float = 1e-10):
         self.model = model
@@ -99,7 +100,9 @@ class OdeCocycle(_Cocycle):
         self.cone_tol = 1e-9
 
     def step_blocks(self, state, count, backward=False):
-        last = None  # the last constant piece's (A, unit flow), carried between chunks
+        # the (A, unit flow) of the constant piece walked last, carried into
+        # the next chunk: a chunk's last piece, or with ``backward`` its first
+        last = None
         for lo in range(0, count, BLOCK_CELLS):
             # the chunk's base points, one dt apart, in step order
             bases = []
@@ -110,7 +113,7 @@ class OdeCocycle(_Cocycle):
                 if not backward:
                     state = state.advance(self.dt)
             maps, log_scales, last = flow_maps(self.model, bases[::-1] if backward else bases,
-                                               self.dt, rtol=self.rtol, last=last)
+                                               self.dt, rtol=self.rtol, last=last, backward=backward)
             yield maps, log_scales
             del maps, log_scales  # freed before the next chunk is built
 

@@ -12,12 +12,21 @@ Hairer's combined 5th- and 3rd-order error estimate).  Both renormalize the
 state as they go, accumulating the log of the extracted scale, so decaying
 or exploding trajectories never leave floating-point range.
 
+There is one DOP853, ``_dop853``, which steps a batch of members in
+lockstep, each along its own chain of pieces with its own step size.  The
+coefficient of all smooth pieces of a batch comes from one
+``OdeModel.piece_fields`` call, evaluated at the stage times of every live
+member at once.  ``propagate`` is a batch of one member.
+
 ``flow_maps`` builds the one-step flow maps of a run of base points at once:
 it asks for the breakpoints of the whole window and for ``piece_matrix``
 once per constant piece, and the steps inside one piece share its expm.  A
 model's ``piece_matrix`` must therefore hold on the whole piece it is asked
-about.  ``flow_maps`` takes and returns the last constant piece's flow, so
-the chunks of one read share the flow of a piece that straddles them.
+about.  The steps left over, those across a breakpoint or on a smooth
+piece, go through ``_dop853`` as one batch, bit for bit what ``propagate``
+gives each alone.  ``flow_maps`` takes and returns the flow of the constant
+piece walked last, so the chunks of one read share the flow of a piece
+that straddles them, in a backward read too.
 """
 
 from __future__ import annotations
@@ -35,8 +44,8 @@ from .stats import mean_ci
 # bit for bit the values of scipy.integrate._ivp.dop853_coefficients; that
 # module is not imported because it loads all of scipy.integrate.  The
 # 13th stage of the published pair, A(t + h) Y_new, has weight 0 in both
-# error rows, so it is evaluated only after a step is accepted, as the next
-# step's first stage.
+# error rows, so it is no stage here: a step's first stage is A(t) Y at its
+# own start.
 _STAGES = 12
 _C = np.array([
     0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
@@ -74,6 +83,8 @@ _E = np.array([
     [-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
      -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
      0.02265179219836082]])
+_A_ROWS = [_A[i, :i] for i in range(_STAGES)]  # stage i's weights on the stages before it
+_C_COLUMN = _C[:, None]
 _EPS = float(np.finfo(float).eps)
 # ``flow_maps`` judges a step whose end lies within this share of dt of a
 # breakpoint by the step's own knots
@@ -98,9 +109,19 @@ class OdeModel:
         """Discontinuity times of the coefficient in (t0, t1); sorted."""
         return np.empty(0)
 
-    def piece_field(self, state, t0: float, t1: float):
-        """Callable tau -> A valid on the smooth piece (t0, t1)."""
-        return lambda tau: self.field(state, tau)
+    def piece_fields(self, states, t0s, t1s):
+        """The coefficient on the smooth pieces (t0s[p], t1s[p]) past the
+        base points states[p], as a callable f(pieces, taus) -> (len, N, N)
+        whose entry i is A at local time taus[i] on piece pieces[i] (both
+        arrays).  Entry i must depend on pieces[i] and taus[i] alone, every
+        operation elementwise, so a member of a batch gets bit for bit the
+        matrices it gets alone.  This one stacks ``field``."""
+        field = self.field
+
+        def fields(pieces, taus):
+            return np.stack([field(states[p], tau) for p, tau in zip(pieces.tolist(), taus.tolist())])
+
+        return fields
 
     def piece_matrix(self, state, t0: float, t1: float):
         """The coefficient on the piece (t0, t1) when it is constant there,
@@ -205,78 +226,184 @@ class CallableOdeModel(OdeModel):
 # integration
 
 
-def _integrate_piece(fieldfn, t0, t1, Y, rtol):
-    """Adaptive DOP853 over one smooth piece; returns (Y_unit, log_scale, n_steps).
+def _underflow(t, t0, t1):
+    return EstimationError(f"step-size underflow at t = {t:.6g} inside the smooth piece ({t0:.6g}, {t1:.6g})")
 
-    Y is an (N, k) block of columns evolved simultaneously, with the stages
-    kept in one preallocated (12, N, k) array; each component's error is
-    weighed against 1e-12 + rtol times its size.  After every accepted step
-    the block is rescaled to max-abs 1 and the log scale accumulated.  A
+
+def _dop853(model, states, chains, Y, rtol):
+    """Adaptive DOP853 for m members in lockstep; returns (Y_unit (m, N, k),
+    log_scales (m,), accepted (m,), rejected (m,)), the last two the step
+    counts of each member.
+
+    Member j evolves the (N, k) block Y[j] along ``chains[j]``, the pieces
+    (a, b, flow) of local time past ``states[j]`` in order (``_pieces``).
+    A constant piece takes its exact ``flow``; a smooth one takes adaptive
+    steps, with the coefficient from one ``model.piece_fields`` call for
+    the smooth pieces of all members.  Every member keeps its own t, h,
+    accept/reject state and log scale; one that finishes a piece starts
+    its next on the next step, and one that finishes its chain leaves the
+    batch.  The members still stepping are kept as a contiguous prefix of
+    the slots and each step works on views of it.  A member's 12 stages
+    are contiguous, so the stacked matmuls make the BLAS calls that the
+    member alone makes, and its result does not depend on the batch.  The
+    step-size controller runs per member in Python floats.
+
+    Each component's error is weighed against 1e-12 + rtol times its size.
+    After every accepted step a block is rescaled to max-abs 1 and the log
+    scale accumulated; a block that reaches 0 ends its member at -inf.  A
     non-finite error estimate (a field or state with NaN or inf) raises
-    ``EstimationError`` instead of shrinking the step for ever.
+    ``EstimationError`` naming the member's piece and time instead of
+    shrinking the step for ever.
     """
-    span = t1 - t0
-    nu = 1e-12 * span
-    lo, hi = t0 + nu, t1 - nu
+    m, n, k = Y.shape
+    # number the smooth pieces of all chains, and take their coefficient at once
+    smooth = [(j, a, b) for j, chain in enumerate(chains) for a, b, flow in chain if flow is None]
+    fields = model.piece_fields([states[j] for j, _, _ in smooth], np.array([a for _, a, _ in smooth]),
+                                np.array([b for _, _, b in smooth])) if smooth else None
+    number = iter(range(len(smooth)))
+    chains = [[(a, b, flow, None if flow is not None else next(number)) for a, b, flow in chain]
+              for chain in chains]
 
-    def eval_field(tau):
-        return fieldfn(min(max(tau, lo), hi))
+    Y = np.array(Y, dtype=float)
+    K = np.empty((m, _STAGES, n * k))
+    K4 = K.reshape(m, _STAGES, n, k)
+    comb = np.empty((m, n, k))  # a stage's argument, then the candidate step
+    comb_flat = comb.reshape(m, n * k)
+    # slot j holds member[j] on its smooth piece piece[j], and S[j] its
+    # scalars: first those a step updates (t, h, the piece's log scale,
+    # whether the last step was rejected, the accepted steps), then the
+    # piece's ends, the clamp bounds of field times, the underflow h and
+    # the end tolerance
+    S = np.zeros((m, 11))
+    t, h, ls, rejected, accepted, t0, t1, lo, hi, min_h, tol = S.T
+    member, piece = np.arange(m), np.zeros(m, dtype=np.intp)
+    total, at = [0.0] * m, [0] * m  # per member: log scale of the pieces done, the next piece
+    out, counts = np.empty_like(Y), np.zeros((2, m), dtype=np.intp)
+    step = 0  # every member steps from the first step until its chain is done
 
-    s0 = float(np.abs(Y).max())
-    if s0 == 0.0:
-        return Y, -np.inf, 0
-    Y = Y / s0
-    log_scale = math.log(s0)
+    def start(j):
+        """Walk member ``member[j]`` to its next smooth piece of positive
+        length and set up slot j for it; False once the chain is done."""
+        i = int(member[j])
+        for a, b, flow, p in chains[i][at[i]:]:
+            at[i] += 1
+            y = Y[j]
+            if flow is not None:
+                y = flow[0] @ y
+                s = float(np.abs(y).max())
+                if s == 0.0:
+                    Y[j], total[i] = y, -math.inf
+                    return False
+                Y[j] = y / s
+                total[i] += flow[1] + math.log(s)
+                continue
+            s0 = float(np.abs(y).max())
+            if s0 == 0.0:
+                total[i] = -math.inf
+                return False
+            Y[j] = y / s0
+            nu = 1e-12 * (b - a)
+            t[j], ls[j], rejected[j], piece[j] = a, math.log(s0), 0.0, p
+            t0[j], t1[j], lo[j], hi[j] = a, b, a + nu, b - nu
+            min_h[j], tol[j] = 1e-14 * max(1.0, abs(a), abs(b)), 4.0 * _EPS * max(1.0, abs(b))
+            if b - a > tol[j]:
+                return True
+            total[i] += ls[j]  # a sliver: no step
+        return False
 
-    shape = Y.shape
-    K = np.empty((_STAGES,) + shape)
-    Kf = K.reshape(_STAGES, -1)
-    t = t0
-    A0 = eval_field(t0)
-    norm_a = max(float(np.abs(A0).sum(axis=0).max()), float(np.abs(eval_field(0.5 * (t0 + t1))).sum(axis=0).max()))
-    h = min(span, 0.1 / max(norm_a, 1e-6))
-    np.matmul(A0, Y, out=K[0])
-    n_steps = 0
-    rejected = False
-    min_h = 1e-14 * max(1.0, abs(t0), abs(t1))
-    done_tol = 4.0 * _EPS * max(1.0, abs(t1))
+    def regroup(live, done):
+        """Step the members in the slots ``done`` on to their next piece,
+        move the members still stepping to the front, and give those that
+        start a piece their first h; returns the new number of live slots."""
+        started, going = [], np.ones(live, dtype=bool)
+        for j in done:
+            if start(j):
+                started.append(j)
+            else:
+                going[j] = False
+                good = int(accepted[j])
+                out[member[j]], counts[:, member[j]] = Y[j], (good, step - good)
+        if not going.all():
+            keep = np.flatnonzero(going)
+            for arr in (Y, S, member, piece):
+                arr[:len(keep)] = arr[keep]
+            started = np.searchsorted(keep, started).tolist()
+            live = len(keep)
+        if started:
+            new = np.array(started)
+            ends = np.stack([t0[new], 0.5 * (t0[new] + t1[new])])
+            A = fields(np.tile(piece[new], 2), np.minimum(np.maximum(ends, lo[new]), hi[new]).ravel())
+            norms = np.abs(A).sum(axis=1).max(axis=1).reshape(2, -1).T.tolist()
+            for j, (n0, n_mid) in zip(started, norms):
+                span = t1[j] - t0[j]
+                h[j] = min(span, 0.1 / max(max(n0, n_mid), 1e-6))
+                if h[j] < min_h[j] and h[j] < 0.99 * span:
+                    raise _underflow(t[j], t0[j], t1[j])
+        return live
 
-    while t1 - t > done_tol:
-        h = min(h, t1 - t)
-        # underflow means the controller collapsed, not merely a short remainder
-        if h < min_h and h < 0.99 * (t1 - t):
-            raise EstimationError(
-                f"step-size underflow at t = {t:.6g} inside the smooth piece ({t0:.6g}, {t1:.6g})")
-        for i in range(1, _STAGES):
-            Yi = Y + h * (_A[i, :i] @ Kf[:i]).reshape(shape)
-            np.matmul(eval_field(t + _C[i] * h), Yi, out=K[i])
-        Y8 = Y + h * (_B @ Kf).reshape(shape)
-        e5, e3 = (_E @ Kf) / (1e-12 + rtol * np.maximum(np.abs(Y), np.abs(Y8))).reshape(-1)
-        n5, n3 = float(e5 @ e5), float(e3 @ e3)
-        err = 0.0 if n5 == 0.0 and n3 == 0.0 else h * n5 / math.sqrt((n5 + 0.01 * n3) * Y.size)
-        if not math.isfinite(err):
-            raise EstimationError(
-                f"non-finite error estimate at t = {t:.6g} inside the smooth piece ({t0:.6g}, {t1:.6g})")
-        if err <= 1.0:
-            t += h
-            Y = Y8
-            s = float(np.abs(Y).max())
-            if s == 0.0:
-                return Y, -np.inf, n_steps
-            if s != 1.0:
-                Y = Y / s
-                log_scale += math.log(s)
-            n_steps += 1
-            np.matmul(eval_field(t), Y, out=K[0])
-            factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
-            if rejected:
-                factor = min(1.0, factor)
-            rejected = False
-        else:
-            factor = max(0.2, 0.9 * err ** -0.125)
-            rejected = True
-        h *= factor
-    return Y, log_scale, n_steps
+    live, stale = regroup(m, range(m)), True
+    while live:
+        if stale:  # the views of the live slots, taken again after every regroup
+            stale = False
+            y, Sl, tl, hl, lol, hil = Y[:live], S[:live], t[:live], h[:live], lo[:live], hi[:live]
+            hb, comb3, combl, Kl = hl[:, None, None], comb[:live], comb_flat[:live], K[:live]
+            stages = list(zip(_A_ROWS[1:], [K[:live, :i] for i in range(1, _STAGES)],
+                              [K4[:live, i] for i in range(1, _STAGES)]))
+            pieces = np.tile(piece[:live], _STAGES)
+        A = fields(pieces, np.minimum(np.maximum(tl + _C_COLUMN * hl, lol), hil).ravel())
+        A = A.reshape(_STAGES, live, n, n)
+        np.matmul(A[0], y, out=K4[:live, 0])
+        for Ai, (weights, before, Ki) in zip(A[1:], stages):
+            np.matmul(weights, before, out=combl)
+            comb3 *= hb
+            comb3 += y
+            np.matmul(Ai, comb3, out=Ki)
+        np.matmul(_B, Kl, out=combl)
+        comb3 *= hb
+        comb3 += y
+        e = np.matmul(_E, Kl) / (1e-12 + rtol * np.maximum(np.abs(y), np.abs(comb3))).reshape(live, 1, -1)
+
+        # the controller, per member in Python floats (err ** -0.125 and the
+        # logs as libm gives them)
+        ok, scale, rows, done = [], [], [], []
+        for j, ((n5, n3), s, (tj, hj, lsj, rej, acc, t0j, t1j, _, _, min_hj, tolj)) in enumerate(zip(
+                np.vecdot(e, e).tolist(), np.abs(comb3).max(axis=(1, 2)).tolist(), Sl.tolist())):
+            err = 0.0 if n5 == 0.0 and n3 == 0.0 else hj * n5 / math.sqrt((n5 + 0.01 * n3) * (n * k))
+            if not math.isfinite(err):
+                raise EstimationError(f"non-finite error estimate at t = {tj:.6g} inside the smooth piece "
+                                      f"({t0j:.6g}, {t1j:.6g})")
+            ok.append(err <= 1.0)
+            if err <= 1.0:
+                # the block is rescaled to max-abs 1; one that reached 0 ends its member at -inf
+                tj, acc = tj + hj, acc + 1.0
+                scale.append(s if s != 0.0 else 1.0)
+                if s == 0.0:
+                    lsj, at[member[j]] = -math.inf, len(chains[member[j]])
+                elif s != 1.0:
+                    lsj += math.log(s)
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
+                hj *= min(1.0, factor) if rej else factor
+                rej = 0.0
+            else:
+                scale.append(1.0)
+                hj *= max(0.2, 0.9 * err ** -0.125)
+                rej = 1.0
+            if s == 0.0 and err <= 1.0 or t1j - tj <= tolj:
+                done.append(j)
+            else:
+                hj = min(hj, t1j - tj)
+                # underflow means the controller collapsed, not merely a short remainder
+                if hj < min_hj and hj < 0.99 * (t1j - tj):
+                    raise _underflow(tj, t0j, t1j)
+            rows.append((tj, hj, lsj, rej, acc))
+        Sl[:, :5] = rows
+        np.copyto(y, comb3 / np.array(scale)[:, None, None], where=np.array(ok)[:, None, None])
+        step += 1
+        if done:
+            for j in done:
+                total[member[j]] += ls[j]
+            live, stale = regroup(live, done), True
+    return out, np.array(total, dtype=float), counts[0], counts[1]
 
 
 def expm(A):
@@ -311,17 +438,6 @@ def _exact_flow(A, t0, t1):
     return E, log_scale
 
 
-def _exact_piece(A, t0, t1, Y):
-    """Exact flow of the constant piece (t0, t1) applied to Y; returns
-    (Y_unit, log_scale)."""
-    E, log_scale = _exact_flow(A, t0, t1)
-    Y = E @ Y
-    s = float(np.abs(Y).max())
-    if s == 0.0:
-        return Y, -np.inf
-    return Y / s, log_scale + math.log(s)
-
-
 def _knots(model, omega, t):
     """0, the coefficient's breakpoints inside (0, t) and t, strictly
     increasing, as a list.
@@ -336,11 +452,24 @@ def _knots(model, omega, t):
     return [0.0, *sorted(set(inner.tolist())), float(t)]
 
 
+def _pieces(model, omega, t):
+    """The pieces of [0, t] from ``omega`` between its ``_knots``, as
+    (a, b, flow): flow is ``_exact_flow`` when ``model.piece_matrix`` says
+    the coefficient is constant on the piece, else None."""
+    knots = _knots(model, omega, t)
+    pieces = []
+    for a, b in zip(knots, knots[1:]):
+        A = model.piece_matrix(omega, a, b)
+        pieces.append((a, b, None if A is None else _exact_flow(A, a, b)))
+    return pieces
+
+
 def propagate(model: OdeModel, omega, Y, t, rtol=1e-10):
     """Evolve the columns of Y over [0, t], splitting at coefficient breakpoints.
 
     Pieces with a constant coefficient (``model.piece_matrix``) take the
-    exact flow; the rest take adaptive DOP853 at ``rtol``.
+    exact flow; the rest take adaptive DOP853 at ``rtol``, as the one
+    member of a ``_dop853`` batch.
     Returns (Y_out, log_scale) with max-abs(Y_out) = 1 and the true solution
     equal to exp(log_scale) * Y_out.
     """
@@ -356,21 +485,11 @@ def propagate(model: OdeModel, omega, Y, t, rtol=1e-10):
         s = float(np.abs(Y).max())
         out = Y / s
         return (out[:, 0] if squeeze else out), math.log(s)
-    knots = _knots(model, omega, t)
-    log_scale = 0.0
-    for a, b in zip(knots, knots[1:]):
-        A = model.piece_matrix(omega, a, b)
-        if A is not None:
-            Y, ls = _exact_piece(A, a, b, Y)
-        else:
-            Y, ls, _ = _integrate_piece(model.piece_field(omega, a, b), a, b, Y, rtol)
-        log_scale += ls
-        if not np.isfinite(ls):
-            break
-    return (Y[:, 0] if squeeze else Y), log_scale
+    [Y], [log_scale], _, _ = _dop853(model, [omega], [_pieces(model, omega, t)], Y[None], rtol)
+    return (Y[:, 0] if squeeze else Y), float(log_scale)
 
 
-def flow_maps(model: OdeModel, states, dt, rtol=1e-10, last=None):
+def flow_maps(model: OdeModel, states, dt, rtol=1e-10, last=None, backward=False):
     """The flow maps over [0, dt] from the base points ``states``, each
     ``dt`` after the one before, as (maps (k, N, N), log_scales (k,),
     last): the maps are bit for bit ``propagate`` of the identity from each
@@ -384,8 +503,11 @@ def flow_maps(model: OdeModel, states, dt, rtol=1e-10, last=None):
     is (a copy of A, its unit flow) for the last constant piece walked,
     taken from and returned to the caller, so a piece whose matrix equals
     it, within the chunk or at the start of the next, takes no expm of its
-    own.  A step across a breakpoint, or on a smooth piece, calls
-    ``propagate``.  A step whose end lies within ``_NEAR`` dt of a
+    own.  The walk goes from the last step to the first with ``backward``,
+    so that ``last`` is then the chunk's first piece, where the read's
+    next (earlier) chunk ends.  A step across a breakpoint, or on a smooth
+    piece, is propagated: all such steps of the chunk go through one
+    ``_dop853`` batch.  A step whose end lies within ``_NEAR`` dt of a
     breakpoint or of the window's ends is judged by its own ``_knots``,
     since rounding places the window's breakpoints and the step's a few
     ulps apart.
@@ -404,11 +526,11 @@ def flow_maps(model: OdeModel, states, dt, rtol=1e-10, last=None):
     across = edges_in(starts + near, ends - near) > 0
     doubtful = (edges_in(starts - near, ends + near) > 0) & ~across
     pieces = np.searchsorted(edges, starts + 0.5 * dt, side="right") - 1
+    walk = list(zip(range(k), states, pieces.tolist(), across.tolist(), doubtful.tolist()))
     maps, log_scales = np.empty((k, model.n, model.n)), np.empty(k)
     piece = flow = None  # the piece of the last whole step, and its unit flow (None if smooth)
-    eye = np.eye(model.n)
-    for j, (state, i, cross, doubt) in enumerate(zip(states, pieces.tolist(), across.tolist(),
-                                                     doubtful.tolist())):
+    todo, chains = [], []  # the steps to propagate, and their pieces
+    for j, state, i, cross, doubt in walk[::-1] if backward else walk:
         if not cross:
             if i != piece:
                 piece, A = i, model.piece_matrix(states[0], float(edges[i]), float(edges[i + 1]))
@@ -418,7 +540,11 @@ def flow_maps(model: OdeModel, states, dt, rtol=1e-10, last=None):
             if flow is not None and not (doubt and len(_knots(model, state, dt)) > 2):
                 maps[j], log_scales[j] = flow
                 continue
-        maps[j], log_scales[j] = propagate(model, state, eye, dt, rtol=rtol)
+        todo.append(j)
+        chains.append(_pieces(model, state, dt))
+    if todo:
+        eye = np.broadcast_to(np.eye(model.n), (len(todo), model.n, model.n))
+        maps[todo], log_scales[todo], _, _ = _dop853(model, [states[j] for j in todo], chains, eye, rtol)
     return maps, log_scales, last
 
 
@@ -688,6 +814,7 @@ class TypeKFlipModel(OdeModel):
         self.flip = np.concatenate([np.ones(k), -np.ones(l)])
 
     def _flipped(self, B):
+        """B, one matrix or a stack, with its off blocks' signs flipped."""
         _check_type_k(B, self.k)
         return (self.flip[:, None] * B) * self.flip[None, :]
 
@@ -697,9 +824,9 @@ class TypeKFlipModel(OdeModel):
     def breakpoints(self, state, t0, t1):
         return self.b_model.breakpoints(state, t0, t1)
 
-    def piece_field(self, state, t0, t1):
-        inner = self.b_model.piece_field(state, t0, t1)
-        return lambda tau: self._flipped(inner(tau))
+    def piece_fields(self, states, t0s, t1s):
+        inner = self.b_model.piece_fields(states, t0s, t1s)
+        return lambda pieces, taus: self._flipped(inner(pieces, taus))
 
     def piece_matrix(self, state, t0, t1):
         B = self.b_model.piece_matrix(state, t0, t1)
@@ -707,14 +834,15 @@ class TypeKFlipModel(OdeModel):
 
 
 def _check_type_k(B, k):
-    n = B.shape[0]
+    """Raise on the first entry of B, one matrix or a stack of them, that
+    breaks the type-K sign pattern of blocks k and N - k."""
+    n = B.shape[-1]
     off = ~np.eye(n, dtype=bool)
     same = np.zeros((n, n), dtype=bool)
     same[:k, :k] = True
     same[k:, k:] = True
-    bad_same = (B < 0.0) & off & same
-    bad_cross = (B > 0.0) & ~same
-    if np.any(bad_same) or np.any(bad_cross):
-        bad = bad_same | bad_cross
-        i, j = map(int, next(zip(*np.where(bad))))
-        raise ValueError(f"type-K sign pattern violated at entry ({i}, {j}) = {B[i, j]}")
+    bad = ((B < 0.0) & off & same) | ((B > 0.0) & ~same)
+    if np.any(bad):
+        where = next(zip(*np.where(bad)))
+        i, j = map(int, where[-2:])
+        raise ValueError(f"type-K sign pattern violated at entry ({i}, {j}) = {B[where]}")

@@ -61,17 +61,20 @@ class TorusExampleModel(OdeModel):
         ts = state.system.wrap_times(state, t1)
         return ts[(ts > t0) & (ts < t1)]
 
-    def piece_field(self, state, t0, t1):
-        # positions move linearly inside a wrap-free piece
-        x0, y0 = state.advance(0.5 * (t0 + t1)).position
-        mid = 0.5 * (t0 + t1)
-        v = 1.0 + state.system.rho
+    def piece_fields(self, states, t0s, t1s):
+        # positions move linearly inside a wrap-free piece: the coordinate
+        # sum is c + v (tau - mid) past the midpoint mid, v = 1 + rho
+        mids = 0.5 * (t0s + t1s)
+        c = np.array([sum(state.advance(mid).position) for state, mid in zip(states, mids.tolist())])
+        v = np.array([1.0 + state.system.rho for state in states])
 
-        def fieldfn(tau):
-            a = -1.0 / (x0 + y0 + v * (tau - mid)) ** 2
-            return np.array([[a, 1.0], [1.0, a]])
+        def fields(pieces, taus):
+            out = np.empty((len(taus), 2, 2))
+            out[:, 0, 0] = out[:, 1, 1] = -1.0 / (c[pieces] + v[pieces] * (taus - mids[pieces])) ** 2
+            out[:, 0, 1] = out[:, 1, 0] = 1.0
+            return out
 
-        return fieldfn
+        return fields
 
     # -- closed forms ------------------------------------------------------
 

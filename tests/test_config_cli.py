@@ -297,9 +297,9 @@ class TestPipelines:
         # the warm-up, then the warmed and raw probes as one block; the kappa
         # route reads the warmed probe's rows: 50 + 1000 flow maps, not 3100.
         # A unit cell holds 10 steps, which share one expm and need no
-        # propagate: 105 cells for the estimate, and 110 for separate's
+        # DOP853 batch: 105 cells for the estimate, and 110 for separate's
         # 50 + 1000 + 50 steps, each map built once
-        maps, calls = [], {"expm": 0, "propagate": 0}
+        maps, calls = [], {"expm": 0, "_dop853": 0}
         step_blocks = estimators.OdeCocycle.step_blocks
 
         def counted_blocks(*args, **kwargs):
@@ -323,12 +323,12 @@ class TestPipelines:
                                          "diag": [-1.0, 0.5], "offdiag": [0.0, 1.0]},
                                "estimator": {"horizon": 100.0, "dt": 0.1}})
         res = run_command("estimate", cfg, out_dir=tmp_path)["results"]
-        assert sum(maps) == 50 + 1000 and calls == {"expm": 105, "propagate": 0}
+        assert sum(maps) == 50 + 1000 and calls == {"expm": 105, "_dop853": 0}
         assert abs(res["lambda1_kappa_route"]["value"] - res["lambda1"]["value"]) < 5e-3
         maps.clear()
         calls.update(expm=0)
         run_command("separate", cfg, out_dir=tmp_path)
-        assert sum(maps) == 50 + 1000 + 50 and calls == {"expm": 110, "propagate": 0}
+        assert sum(maps) == 50 + 1000 + 50 and calls == {"expm": 110, "_dop853": 0}
 
     def test_torus_estimate_pipeline(self, tmp_path):
         cfg = validate_config({

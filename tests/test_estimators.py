@@ -18,6 +18,7 @@ from poscocycle.matrices import (ConstantMatrixModel, SampledMatrixModel, Unifor
                                  leslie_model)
 from poscocycle.odes import (CallableOdeModel, ConstantOdeModel, PiecewiseConstantOdeModel, TypeKFlipModel,
                             cooperative_sampler, propagate)
+from poscocycle.torus import TorusExampleModel
 
 
 def disc_state(seed=0):
@@ -354,6 +355,39 @@ class TestForwardFloquet:
             separation_estimate(OdeCocycle(model, dt=0.1), cont_state(4), 3.0, warmup=warmup)
             assert sum(maps) == 30 + 2 * warmup and len(expms) == cells
 
+    def test_backward_read_takes_one_expm_per_cell(self, monkeypatch):
+        # 1000 steps at dt = 0.1 cover 100 unit cells either way; a cell
+        # that straddles two chunks shares one expm in a backward read too,
+        # where the chunks come latest first
+        expms, expm = [], odes.expm
+
+        def counted_expm(A):
+            expms.append(1)
+            return expm(A)
+
+        monkeypatch.setattr(odes, "expm", counted_expm)
+        coc = OdeCocycle(PiecewiseConstantOdeModel(3, cooperative_sampler(3, -1.0, 1.0, 0.0, 1.0)), dt=0.1)
+        for backward in (False, True):
+            expms.clear()
+            assert sum(len(maps) for maps, _ in coc.step_blocks(cont_state(4), 1000, backward)) == 1000
+            assert len(expms) == 100, backward
+
+    def test_batch_error_names_the_member(self):
+        # one step of a chunk meets a NaN field on its second piece: the
+        # step from position 4.8 has an edge at 0.2 and NaN past it
+        def field(state, t):
+            x = state.pos + state.pos_lo + t
+            return np.full((2, 2), np.nan) if 5.0 <= x < 5.05 else np.array([[-1.0, 0.5], [0.5, -1.0]])
+
+        def edges(state, t0, t1):
+            ts = np.array([5.0 - state.pos - state.pos_lo])
+            return ts[(ts > t0) & (ts < t1)]
+
+        coc = OdeCocycle(CallableOdeModel(2, field, edges), dt=0.3, rtol=1e-8)
+        with pytest.raises(EstimationError, match=r"non-finite error estimate at t = 0\.2 inside the smooth "
+                                                  r"piece \(0\.2, 0\.3\)"):
+            list(coc.step_blocks(cont_state(), 30))
+
     def test_model_change_seen_by_next_run(self):
         # the cocycle keeps no maps: after the model's parameters change, a
         # run through it equals one through a fresh cocycle
@@ -406,20 +440,23 @@ class TestForwardFloquet:
         # steps straddle a cell edge and dt = 0.1 puts cell edges on step
         # ends within rounding; a constant field is one piece per chunk; a
         # type-K field reads its cells through the flip; a callable field
-        # with edges inside steps keeps DOP853
-        n, count = 3, 270
-        cooperative = cooperative_sampler(n, -1.0, 1.0, 0.0, 1.0)
+        # with edges inside steps keeps DOP853; so does the torus field, whose
+        # maps from the seed-0 base point take from a few to 344 DOP853 steps
+        # (a stiff pass near the corner), all of a chunk's in one batch
+        count = 270
+        cooperative = cooperative_sampler(3, -1.0, 1.0, 0.0, 1.0)
         flip = np.array([1.0, -1.0, -1.0])
         cases = [
-            ("cells, dt 0.3", PiecewiseConstantOdeModel(n, cooperative), 0.3, 1e-10),
-            ("cells, dt 0.1", PiecewiseConstantOdeModel(n, cooperative), 0.1, 1e-10),
+            ("cells, dt 0.3", PiecewiseConstantOdeModel(3, cooperative), 0.3, 1e-10),
+            ("cells, dt 0.1", PiecewiseConstantOdeModel(3, cooperative), 0.1, 1e-10),
             ("constant", ConstantOdeModel([[-1.0, 0.5, 0.2], [0.3, 0.1, 0.0], [0.4, 0.6, -0.5]]), 0.1, 1e-10),
             ("type-K", TypeKFlipModel(PiecewiseConstantOdeModel(
-                n, lambda rng: flip[:, None] * cooperative(rng) * flip), 1, 2), 0.1, 1e-10),
-            ("callable", CallableOdeModel(n, half_cell_field, half_cell_edges), 0.3, 1e-6),
+                3, lambda rng: flip[:, None] * cooperative(rng) * flip), 1, 2), 0.1, 1e-10),
+            ("callable", CallableOdeModel(3, half_cell_field, half_cell_edges), 0.3, 1e-6),
+            ("torus", TorusExampleModel(), 0.25, 1e-6),
         ]
-        omega = cont_state(6)
         for case, model, dt, rtol in cases:
+            n, omega = model.n, TorusRotation().initial(0) if case == "torus" else cont_state(6)
             coc = OdeCocycle(model, dt=dt, rtol=rtol)
             after, before = [omega], [omega]  # the base points from omega on, and before it
             for _ in range(count):
@@ -528,7 +565,6 @@ class TestDualFloquet:
         assert np.linalg.norm(w - np.array([1.0, 0.0])) < 1e-10
 
     def test_torus_flow_dual(self):
-        from poscocycle.torus import TorusExampleModel
         coc = OdeCocycle(TorusExampleModel(), dt=0.25, rtol=1e-8)
         ws = warmup_direction(coc.dual(), TorusRotation().initial(1), 48)
         assert np.linalg.norm(ws - np.array([1.0, 1.0]) / np.sqrt(2)) < 1e-8

@@ -102,20 +102,19 @@ class TestIntegrate:
         # norm, so a relative error in the state grows by at most sqrt(2) in
         # the log scale.  The steps of the three runs add, the max-abs
         # directions differ by at most twice as much, and rounding is far
-        # below rtol.
-        integrate_piece, steps = odes._integrate_piece, []
+        # below rtol.  Each run is propagate's one-member DOP853 batch,
+        # which returns its accepted step count.
+        m, steps = TorusExampleModel(), []
 
-        def counted(*args):
-            Y, ls, k = integrate_piece(*args)
-            steps.append(k)
-            return Y, ls, k
+        def run(state, u, t):
+            Y, ls, accepted, _ = odes._dop853(m, [state], [odes._pieces(m, state, t)], u[None, :, None], 1e-10)
+            steps.append(int(accepted[0]))
+            return Y[0, :, 0], float(ls[0])
 
-        m = TorusExampleModel()
         st0, u0 = TorusRotation().initial(seed), np.array([1.0, 0.3])
-        with mock.patch.object(odes, "_integrate_piece", counted):
-            Y, ls = propagate(m, st0, u0, t1 + t2)
-            Y1, ls1 = propagate(m, st0, u0, t1)
-            Y2, ls2 = propagate(m, st0.advance(t1), Y1, t2)
+        Y, ls = run(st0, u0, t1 + t2)
+        Y1, ls1 = run(st0, u0, t1)
+        Y2, ls2 = run(st0.advance(t1), Y1, t2)
         bound = math.sqrt(2) * 2 * (1e-10 + 1e-12) * sum(steps)
         assert abs(ls1 + ls2 - ls) <= bound
         assert np.abs(Y2 - Y).max() <= 2 * bound
@@ -256,10 +255,16 @@ class TestExactFlow:
                 A[0, 0] = 1.0
 
     def test_stiff_constant_needs_no_integration(self, monkeypatch):
-        def no_dp5(*args, **kwargs):
-            raise AssertionError("a constant piece reached the adaptive integrator")
+        # the one-member batch applies the exact flow and takes no step
+        dop853 = odes._dop853
 
-        monkeypatch.setattr(odes, "_integrate_piece", no_dp5)
+        def no_steps(*args):
+            Y, ls, accepted, rejected = dop853(*args)
+            if accepted.any() or rejected.any():
+                raise AssertionError("a constant piece reached the adaptive integrator")
+            return Y, ls, accepted, rejected
+
+        monkeypatch.setattr(odes, "_dop853", no_steps)
         Y, ls = propagate(ConstantOdeModel(np.diag([-1e6, -2e6])), cont_state(), np.ones(2), 10.0)
         assert abs(ls - (-1e7)) <= 1e-12 * 1e7
         assert Y.tolist() == [1.0, 0.0]
@@ -310,6 +315,19 @@ class TestDop853:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+    def test_zero_member_ends_alone(self):
+        # a member whose block is 0 gets -inf and no step; the others get
+        # bit for bit what they get alone
+        m = TorusExampleModel()
+        states = [TorusRotation().initial(seed) for seed in (1, 2, 3)]
+        Y = np.stack([np.eye(2), np.zeros((2, 2)), np.eye(2)])
+        out, ls, accepted, rejected = odes._dop853(m, states, [odes._pieces(m, s, 1.0) for s in states], Y,
+                                                   1e-10)
+        assert ls[1] == -np.inf and not out[1].any() and accepted[1] == rejected[1] == 0
+        for j in (0, 2):
+            M, log_scale = propagate(m, states[j], np.eye(2), 1.0)
+            assert np.array_equal(out[j], M) and ls[j] == log_scale and accepted[j] > 0
 
     def test_knots_drop_rounding_slivers(self):
         eps = np.finfo(float).eps

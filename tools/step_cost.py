@@ -14,7 +14,12 @@ shift, with one probe and with two; "ode qr" is ``oseledets_qr`` and
 "ode sep" ``separation_estimate`` (warm-up 50) on the same ODE.  The
 "output" rows time one whole ``estimate`` through ``run_command`` (the
 same uniform-entries model at N = 3, seed 1, T = 2000, files written
-included), with ``output.series`` on and off, in ms per run.
+included), with ``output.series`` on and off, in ms per run.  The "torus"
+rows time the DOP853 layer on the torus oracle's smooth pieces: a read of
+512 flow maps at the battery's dt = 0.25 from its first base point, in us
+per map, at rtol 1e-6 and 1e-10 (DOP853 integrates a chunk's maps as one
+batch), and the battery's one-member ``integrate`` calls over its eight
+horizons 1.25, ..., 10 at rtol 1e-10, in ms for all eight.
 The process pins itself to one CPU and BLAS to one thread; alternate the
 checkouts and take each one's range, since the CPU speed of a shared
 machine drifts.
@@ -40,6 +45,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
 HORIZON = 2000  # steps per run
+TORUS_MAPS = 512  # flow maps per torus read
 REPEATS = 5  # runs per loop and size; the fastest is kept
 
 
@@ -54,12 +60,13 @@ def main(argv=None):
     sys.path.insert(0, args.src)
     import numpy as np
     from poscocycle.config import validate_config
-    from poscocycle.drivers import IidShift
+    from poscocycle.drivers import IidShift, TorusRotation
     from poscocycle.estimators import (MatrixCocycle, OdeCocycle, forward_floquet, oseledets_qr,
                                        separation_estimate)
     from poscocycle.matrices import UniformEntriesModel
-    from poscocycle.odes import PiecewiseConstantOdeModel, cooperative_sampler
+    from poscocycle.odes import PiecewiseConstantOdeModel, cooperative_sampler, integrate
     from poscocycle.pipelines import run_command
+    from poscocycle.torus import TorusExampleModel
 
     T = HORIZON
     if args.peak:
@@ -103,16 +110,30 @@ def main(argv=None):
                 run(coc, omega)
                 best = min(best, time.process_time() - t0)
             print(f"{name:<10} N={n:<3} {1e6 * best / T:7.1f} us/step")
+
+    def best_of(run):
+        best = float("inf")
+        for _ in range(REPEATS):
+            t0 = time.process_time()
+            run()
+            best = min(best, time.process_time() - t0)
+        return best
+
     with tempfile.TemporaryDirectory() as out:
         for series in (True, False):
             cfg = validate_config({"seed": 1, "model": {"kind": "uniform-entries", "n": 3, "lo": 0.5, "hi": 2.0},
                                    "estimator": {"horizon": T}, "output": {"series": series}})
-            best = float("inf")
-            for _ in range(REPEATS):
-                t0 = time.process_time()
-                run_command("estimate", cfg, out_dir=out)
-                best = min(best, time.process_time() - t0)
+            best = best_of(lambda: run_command("estimate", cfg, out_dir=out))
             print(f"output     series {'on ' if series else 'off'} {1e3 * best:7.1f} ms/estimate")
+
+    torus, omega = TorusExampleModel(), TorusRotation().initial(0)
+    for rtol in (1e-6, 1e-10):
+        coc = OdeCocycle(torus, dt=0.25, rtol=rtol)
+        best = best_of(lambda: sum(len(maps) for maps, _ in coc.step_blocks(omega, TORUS_MAPS)))
+        print(f"torus maps rtol {rtol:.0e} {1e6 * best / TORUS_MAPS:7.1f} us/map")
+    horizons = np.linspace(1.25, 10.0, 8).tolist()
+    best = best_of(lambda: [integrate(torus, omega, np.array([1.0, 0.3]), t, rtol=1e-10) for t in horizons])
+    print(f"torus integrate x8     {1e3 * best:7.1f} ms")
 
 
 if __name__ == "__main__":
