@@ -13,9 +13,9 @@ maps are built once per chunk (``odes.flow_maps``: one expm per constant
 piece, and one DOP853 batch for the steps on smooth pieces or across a
 breakpoint) and stored.  Each step loop applies M to its own vector or
 frame, reading the pairs through ``_steps``, which frees each chunk before
-the next is built.  The step loops' QR and spectral norms call
-the LAPACK gufuncs of ``numpy.linalg`` (dgeqrf, dorgqr, dgesdd) without the
-wrappers, so the module loads no scipy.
+the next is built.  ``oseledets_qr``'s per-step QR (dgeqrf, dorgqr) and
+the spectral norms (dgesdd) call the LAPACK gufuncs of ``numpy.linalg``
+without the wrappers, so the module loads no scipy.
 
 Each command walks its steps once: ``forward_floquet`` takes a block of
 probes as columns and applies each step map to the block, so the warmed and
@@ -203,14 +203,14 @@ def _spectral_norm(A):
 
 def _qr_positive(V):
     """Householder QR of V (m >= n): Q (m, n) in C order with the signs
-    that make diag R nonnegative applied, the LAPACK factor F (R is the
-    upper triangle of its top n rows, before the signs) and the signs.
-    dgeqrf factors F in place, so V itself is left untouched."""
+    that make diag R nonnegative applied, and the LAPACK factor F (R is the
+    upper triangle of its top n rows, before the signs).  dgeqrf factors F
+    in place, so V itself is left untouched."""
     F = V.copy()
     q = _umath_linalg.qr_reduced(F, _umath_linalg.qr_r_raw(F))
     signs = np.sign(F.diagonal())
     signs[signs == 0] = 1.0
-    return np.multiply(q, signs, order="C"), F, signs
+    return np.multiply(q, signs, order="C"), F
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +472,7 @@ def _dual_path(blocks, n, n_steps, warmup):
 
 def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0) -> SeparationEstimate:
     """Estimate (lambda1, lambda2, sigma) by propagating the principal
-    direction together with an orthonormal frame of the dual-null hyperplane.
+    direction together with a frame of the dual-null hyperplane.
 
     Two reads of the step maps through ``cocycle.replay``: a backward
     adjoint sweep over [0, T + warmup) stores the dual direction at every
@@ -485,11 +485,12 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0) -> S
     injects a dominant component that grows at rate sigma and silently caps
     the measurable separation near ln(1/eps) / horizon.
 
-    The restricted operator norm is tracked exactly through an accumulated
-    R-product, rescaled by its Frobenius norm after every step and closed by
-    one spectral norm, and sigma comes from the growth *ratio*, which stays
-    finite even when both exponents diverge to -inf.  ``proj_samples`` > 0
-    additionally records ln |projection onto the complement along the
+    The frame is the image of an orthonormal basis B0 of the hyperplane,
+    rescaled by its Frobenius norm after every step and never
+    orthonormalised: the restricted operator norm is its spectral norm,
+    taken once after the loop.  Sigma comes from the growth *ratio*, which
+    stays finite even when both exponents diverge to -inf.  ``proj_samples``
+    > 0 additionally records ln |projection onto the complement along the
     principal direction| at that many evenly spaced times (the temperedness
     observable).
     """
@@ -518,9 +519,7 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0) -> S
                     f"principal and dual directions nearly orthogonal (pairing {pairing:.3e}); "
                     "projection onto the invariant complement is ill-conditioned")
             B0 = _orth_complement(w_star0)
-            Q = B0.copy()
-            R_acc = np.eye(n - 1)
-            below = np.tril_indices(n - 1, -1)
+            W = B0
             if sample_every:
                 proj_history.append((0.0, math.log(_projection_norm(w, w_star0))))
         v = M @ w
@@ -537,32 +536,28 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0) -> S
             proj_history.append(((k + 1) * cocycle.dt, math.log(_projection_norm(w, z_path[k + 1]))))
         if restricted_dead:
             continue
-        V = M @ Q
+        V = M @ W
         nV = _norm(V)
         if not math.isfinite(nV):
             raise EstimationError(f"complement frame not finite after step {k} (norm {nV})")
-        # a roundoff-level image means the complement was annihilated: flag
+        # |M W|_F <= |M|_2 |W|_F <= |M|_F |W|_F, so the ratio is at most 1;
+        # one at roundoff level means the complement was annihilated: flag
         # rather than extrapolate a huge finite rate
-        if nV <= 1e-13 * _norm(M):
+        if nV <= 1e-13 * _norm(M) * _norm(W):
             restricted_dead = True
             continue
         zk = z_path[k + 1]
         V -= np.outer(zk, zk @ V)  # re-anchor to the dual-null hyperplane
-        Q, F, signs = _qr_positive(V)
-        R = F[:n - 1]
-        R[below] = 0.0  # dgeqrf's Householder vectors
-        R_acc = (signs[:, None] * R) @ R_acc
-        # Frobenius renormalisation: zero exactly when the spectral norm is,
-        # and finite (at most nV, as |R_acc|_2 <= 1); one spectral norm
-        # after the loop closes the product
-        s = _norm(R_acc)
+        # Frobenius renormalisation: zero exactly when the spectral norm is;
+        # one spectral norm after the loop closes the product
+        s = _norm(V)
         if s == 0.0:
             restricted_dead = True
             continue
-        R_acc /= s
+        W = V / s
         log_restricted += math.log(s) + ls
     if not restricted_dead:
-        log_restricted += math.log(_spectral_norm(R_acc))
+        log_restricted += math.log(_spectral_norm(W))
 
     T = n_steps * cocycle.dt
     lambda1 = log_growth / T
@@ -591,7 +586,7 @@ def oseledets_qr(cocycle, omega, horizon):
     sums = np.zeros(n)
     with np.errstate(divide="ignore"):
         for k, (M, ls) in enumerate(_steps(cocycle.step_blocks(omega, n_steps))):
-            Q, F, _ = _qr_positive(M @ Q)
+            Q, F = _qr_positive(M @ Q)
             d = np.abs(F.diagonal())  # diag R once the signs are applied
             if not math.isfinite(d.max()):
                 raise EstimationError(f"QR frame not finite after step {k} (R diagonal {d})")

@@ -330,6 +330,28 @@ class TestPipelines:
         run_command("separate", cfg, out_dir=tmp_path)
         assert sum(maps) == 50 + 1000 + 50 and calls == {"expm": 110, "_dop853": 0}
 
+    def test_only_oseledets_runs_a_qr_per_step(self, tmp_path, monkeypatch):
+        # separate carries its complement frame unorthonormalised: no QR
+        # on matrix or ODE maps; oseledets still takes one per step
+        calls = []
+        qr = estimators._qr_positive
+
+        def counted(V):
+            calls.append(V.shape)
+            return qr(V)
+
+        monkeypatch.setattr(estimators, "_qr_positive", counted)
+        ode = {"seed": 100, "model": {"kind": "ode-piecewise-uniform", "n": 3,
+                                      "diag": [-1.0, 0.5], "offdiag": [0.0, 1.0]},
+               "estimator": {"horizon": 10.0, "dt": 0.1}}
+        for cfg, steps in ((base_cfg(), 200), (ode, 100)):
+            cfg = validate_config(cfg)
+            run_command("separate", cfg, out_dir=tmp_path)
+            assert calls == []
+            run_command("oseledets", cfg, out_dir=tmp_path)
+            assert calls == [(3, 3)] * steps
+            calls.clear()
+
     def test_torus_estimate_pipeline(self, tmp_path):
         cfg = validate_config({
             "seed": 4,

@@ -13,8 +13,9 @@ from poscocycle.estimators import (MatrixCocycle, OdeCocycle, DivergenceDiagnost
                                    forward_floquet, lambda1_via_kappa, oseledets_qr,
                                    pullback_convergence, separation_estimate, warmup_direction)
 from poscocycle import odes
-from poscocycle.estimators import _norm, _qr_positive, _spectral_norm, _steps, _stored_replay
-from poscocycle.matrices import (ConstantMatrixModel, SampledMatrixModel, UniformEntriesModel,
+from poscocycle.estimators import (_dual_path, _norm, _orth_complement, _qr_positive, _spectral_norm, _steps,
+                                   _stored_replay)
+from poscocycle.matrices import (ConstantMatrixModel, IidChoiceModel, SampledMatrixModel, UniformEntriesModel,
                                  leslie_model)
 from poscocycle.odes import (CallableOdeModel, ConstantOdeModel, PiecewiseConstantOdeModel, TypeKFlipModel,
                             cooperative_sampler, propagate)
@@ -64,6 +65,22 @@ class BareCocycle:
     def __init__(self, inner):
         self.n, self.dt, self.cone_tol = inner.n, inner.dt, inner.cone_tol
         self.step_blocks, self.replay, self.advance = inner.step_blocks, inner.replay, inner.advance
+
+
+def restricted_product(coc, omega, T, warmup):
+    """The explicit product Pi (I - z z^T) M_k B0 over steps [0, T) of a
+    matrix cocycle, unscaled, with B0 and the dual path z built as
+    ``separation_estimate`` builds them; also the sum over the steps of
+    rho_k = |M_k|_F |P_k|_F / |M_k P_k|_F (P_k the product so far), the
+    cancellation factor of each step's matrix product."""
+    blocks = coc.replay(omega, -warmup, T + warmup)
+    z = _dual_path(blocks, coc.n, T, warmup)
+    P, rho = _orth_complement(z[0]), 0.0
+    for k, (M, _) in enumerate(_steps(blocks(0, T))):
+        V = M @ P
+        rho += np.linalg.norm(M) * np.linalg.norm(P) / np.linalg.norm(V)
+        P = V - np.outer(z[k + 1], z[k + 1] @ V)
+    return P, rho
 
 
 def same(a, b):
@@ -612,6 +629,50 @@ class TestSeparation:
         probe = np.full(4, 0.5)
         assert abs(est.lambda1_hat - forward_floquet(coc, omega, probe, horizon).lambda1) < 1e-12
 
+    @staticmethod
+    def assert_restricted_norm(coc, omega, T, warmup):
+        # lambda2 * T is the log of the restricted norm, |P|_2 of the
+        # explicit product P.  The sweep and the reference run the same
+        # products on differently scaled frames.  Each step's product M W
+        # (sums of N terms) errs by at most N u |M|_F |W|_F relative to
+        # |M W|_F, that is N u rho_k, and the re-anchor and the rescaling
+        # add about 2u: (N + 2) u rho_k a step, on either side, to first
+        # order, where errors in the frame's dominant direction carry over
+        # as relative errors.  Forming lambda1, sigma, lambda2 and
+        # lambda2 * T from the log sums rounds at most 4 times, each within
+        # u (|log growth| + |log restricted|).
+        est = separation_estimate(coc, omega, T, warmup=warmup)
+        P, rho = restricted_product(coc, omega, T, warmup)
+        ref = math.log(np.linalg.norm(P, 2))
+        u = np.finfo(float).eps / 2
+        bound = 2 * (coc.n + 2) * u * rho + 4 * u * (abs(est.lambda1_hat * T) + abs(ref))
+        assert abs(est.lambda2_hat * T - ref) <= bound
+        return est, P
+
+    def test_restricted_norm_matches_explicit_product(self):
+        # a short horizon keeps the unscaled product in range and its
+        # frame far from rank one: |P|_F exceeds |P|_2 by about 1% here,
+        # so closing the sweep with a Frobenius norm instead fails
+        n, T = 4, 10
+        coc = iid_positive_cocycle(n)
+        _, P = self.assert_restricted_norm(coc, disc_state(0), T, warmup=10)
+        assert math.log(np.linalg.norm(P) / np.linalg.norm(P, 2)) > 1e-3
+
+    def test_rank_deficient_map_keeps_complement(self):
+        # A has rank 2; its kernel always lies in the dual-null plane (z^T k
+        # is z'^T A k = 0), so each A-step kills one complement direction
+        # and leaves the other: lambda3 = -inf, lambda2 finite.  The frame
+        # is rank one from the first A on, and no step may read that as an
+        # annihilated complement
+        A = np.array([[1.0, 2.0, 1.0], [2.0, 1.0, 1.0], [3.0, 3.0, 2.0]])  # row 3 = row 1 + row 2
+        B = np.array([[2.0, 1.0, 1.0], [1.0, 3.0, 1.0], [1.0, 1.0, 2.0]])
+        coc = MatrixCocycle(IidChoiceModel([A, B]))
+        self.assert_restricted_norm(coc, disc_state(3), 30, warmup=20)
+        est = separation_estimate(coc, disc_state(3), 200, warmup=20)
+        # the per-step QR sweep this replaced gave 1.3757267324918556
+        assert abs(est.sigma_hat - 1.3757267324918556) <= 1e-13
+        assert abs(est.sigma_hat - (est.lambda1_hat - est.lambda2_hat)) < 1e-12
+
     def test_no_positive_vector_in_complement(self):
         # nonzero vectors paired to zero against a strictly positive functional
         # must carry coordinates of both signs: the hyperplane meets the cone
@@ -676,8 +737,8 @@ class TestSeparation:
         # - the dual path z_path: (T + 1) rows of N floats;
         # - three chunks of BLOCK_CELLS maps: the one a sweep reads, the
         #   next one being emitted and room for the draw's temporaries;
-        # - the frame sweep's N x N arrays (frame, image, LAPACK factor and
-        #   outputs, R, R_acc and their temporaries: fewer than 16 at once);
+        # - the frame sweep's N x N arrays (frame, image, the re-anchor's
+        #   outer product and their temporaries: fewer than 16 at once);
         # - a fixed set of small Python objects (generator frames, floats,
         #   the result record): under 64 KiB.
         # The T N^2 store this replaces would hold T + 2 * warmup maps,
@@ -790,8 +851,7 @@ class TestLapackKernels:
                     Q, R = np.linalg.qr(V)
                     signs = np.sign(np.diag(R))
                     signs[signs == 0] = 1.0
-                    Qp, F, s = _qr_positive(V)
-                    assert np.array_equal(s, signs)
+                    Qp, F = _qr_positive(V)
                     assert np.array_equal(Qp, Q * signs) and Qp.flags.c_contiguous
                     assert np.array_equal(np.triu(F[:shape[1]]), R)
                     assert np.array_equal(np.abs(F.diagonal()), np.diag(signs[:, None] * R))
