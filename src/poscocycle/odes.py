@@ -16,7 +16,9 @@ There is one DOP853, ``_dop853``, which steps a batch of members in
 lockstep, each along its own chain of pieces with its own step size.  The
 coefficient of all smooth pieces of a batch comes from one
 ``OdeModel.piece_fields`` call, evaluated at the stage times of every live
-member at once.  ``propagate`` is a batch of one member.
+member at once.  ``propagate`` and ``integrate`` take one time or a 1-D
+sequence of times, from one base point or from as many: every (base point,
+time) pair is a member of one batch, and a single time is the batch of one.
 
 ``flow_maps`` builds the one-step flow maps of a run of base points at once:
 it asks for the breakpoints of the whole window and for ``piece_matrix``
@@ -455,7 +457,10 @@ def _knots(model, omega, t):
 def _pieces(model, omega, t):
     """The pieces of [0, t] from ``omega`` between its ``_knots``, as
     (a, b, flow): flow is ``_exact_flow`` when ``model.piece_matrix`` says
-    the coefficient is constant on the piece, else None."""
+    the coefficient is constant on the piece, else None.  [0, 0] is one
+    smooth sliver, which ``_dop853`` only rescales."""
+    if t == 0:
+        return [(0.0, 0.0, None)]
     knots = _knots(model, omega, t)
     pieces = []
     for a, b in zip(knots, knots[1:]):
@@ -468,25 +473,41 @@ def propagate(model: OdeModel, omega, Y, t, rtol=1e-10):
     """Evolve the columns of Y over [0, t], splitting at coefficient breakpoints.
 
     Pieces with a constant coefficient (``model.piece_matrix``) take the
-    exact flow; the rest take adaptive DOP853 at ``rtol``, as the one
-    member of a ``_dop853`` batch.
+    exact flow; the rest take adaptive DOP853 at ``rtol``.
     Returns (Y_out, log_scale) with max-abs(Y_out) = 1 and the true solution
     equal to exp(log_scale) * Y_out.
+
+    ``t`` may be a 1-D sequence of times, and then ``omega`` either one base
+    point or a list (or tuple) of as many: each (base point, time) pair is
+    one member of a single ``_dop853`` batch, and the result is (Y_outs,
+    log_scales), stacked along a first axis, each member bit for bit what
+    the pair gives alone.  A scalar ``t`` is the batch of one member.
     """
-    if t < 0:
-        raise ValueError("propagate requires t >= 0")
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ValueError(f"t must be a time or a 1-D sequence of times, got shape {ts.shape}")
+    times = ts.ravel().tolist()
+    for i, tj in enumerate(times):
+        where = "t" if ts.ndim == 0 else f"t[{i}]"
+        if not math.isfinite(tj):
+            raise ValueError(f"propagate requires finite times, got {where} = {tj!r}")
+        if tj < 0:
+            raise ValueError(f"propagate requires t >= 0, got {where} = {tj!r}")
+    if ts.ndim == 0 or not isinstance(omega, (list, tuple)):
+        omega = [omega] * len(times)
+    elif len(omega) != len(times):
+        raise ValueError(f"{len(omega)} base points for {len(times)} times")
     Y = np.array(Y, dtype=float)
     squeeze = Y.ndim == 1
     if squeeze:
         Y = Y[:, None]
     if not np.any(Y):
         raise ValueError("initial condition must be nonzero")
-    if t == 0:
-        s = float(np.abs(Y).max())
-        out = Y / s
-        return (out[:, 0] if squeeze else out), math.log(s)
-    [Y], [log_scale], _, _ = _dop853(model, [omega], [_pieces(model, omega, t)], Y[None], rtol)
-    return (Y[:, 0] if squeeze else Y), float(log_scale)
+    chains = [_pieces(model, w, tj) for w, tj in zip(omega, times)]
+    Ys, log_scales, _, _ = _dop853(model, omega, chains, np.broadcast_to(Y, (len(times), *Y.shape)), rtol)
+    if squeeze:
+        Ys = Ys[:, :, 0]
+    return (Ys[0], float(log_scales[0])) if ts.ndim == 0 else (Ys, log_scales)
 
 
 def flow_maps(model: OdeModel, states, dt, rtol=1e-10, last=None, backward=False):
@@ -554,14 +575,23 @@ def integrate(model: OdeModel, omega, u0, t, rtol=1e-10):
     Returns (direction, log_scale): direction is the unit (ell-2) final
     direction and log_scale = ln(|u(t)| / |u0|), the accumulated growth, so
     u(t) = exp(log_scale) * |u0| * direction.
+
+    As in ``propagate``, ``t`` may be a 1-D sequence of times with ``omega``
+    one base point or a list of as many; the (base point, time) pairs are
+    then integrated as one DOP853 batch, and the directions (len(t), N) and
+    log scales (len(t),) are bit for bit those of one call per pair.
     """
     u0 = np.asarray(u0, dtype=float)
     n0 = float(np.linalg.norm(u0))
     if n0 == 0.0:
         raise ValueError("u0 must be nonzero")
-    v, ls = propagate(model, omega, u0, t, rtol=rtol)
-    nv = float(np.linalg.norm(v))
-    return v / nv, ls + math.log(nv) - math.log(n0)
+    scalar = np.ndim(t) == 0
+    v, ls = propagate(model, omega, u0, [t] if scalar else t, rtol=rtol)
+    # a norm and a log per row, in the bits a batch of one takes them
+    nv = [float(np.linalg.norm(row)) for row in v]
+    d = v / np.array(nv)[:, None]
+    ls = np.array([lj + math.log(nj) - math.log(n0) for lj, nj in zip(ls.tolist(), nv)])
+    return (d[0], float(ls[0])) if scalar else (d, ls)
 
 
 # ---------------------------------------------------------------------------

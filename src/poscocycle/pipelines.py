@@ -216,6 +216,7 @@ def _run_torus(cfg):
         "items": [{"name": n, "passed": ok, "detail": d} for n, ok, d in report.items],
         "sigma_estimates": report.sigma_estimates,
         "direction_errors": report.direction_errors,
+        "propagator_errors": report.propagator_errors,
         "divergence": dataclasses.asdict(report.divergence),
         "seed": cfg["seed"],
     }

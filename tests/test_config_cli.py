@@ -668,6 +668,10 @@ class TestCliProcess:
         assert doc["results"]["rho"] == 0.3 and doc["results"]["seed"] == 1
         items = {i["name"]: i["passed"] for i in doc["results"]["items"]}
         assert items["separation-rate"]
+        # the worst propagator error of each of the 5 base points, next to the other per-base-point lists
+        errors = doc["results"]["propagator_errors"]
+        assert len(errors) == len(doc["results"]["direction_errors"]) == 5
+        assert items["propagator-agreement"] == (max(errors) <= 1e-8)
 
     def test_torus_battery_needs_torus_model_exit_1(self, tmp_path, monkeypatch, capsys):
         # used to run the battery on the default torus, exit 0 and echo the

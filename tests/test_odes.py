@@ -354,6 +354,71 @@ class TestDop853:
         assert np.array_equal(Y, Y_clean) and ls == ls_clean
 
 
+class TestBatchedIntegrate:
+    """``integrate`` over many (base point, time) pairs: one DOP853 batch,
+    each pair bit for bit what it gets alone."""
+
+    @staticmethod
+    def assert_pairs_alone(model, omegas, u0, times, rtol=1e-10):
+        d, ls = integrate(model, omegas, u0, times, rtol=rtol)
+        assert d.shape == (len(times), model.n) and ls.shape == (len(times),)
+        pairs = zip(omegas, times) if isinstance(omegas, list) else ((omegas, t) for t in times)
+        for j, (omega, t) in enumerate(pairs):
+            d_j, ls_j = integrate(model, omega, u0, t, rtol=rtol)
+            assert np.array_equal(d[j], d_j) and ls[j] == ls_j, j
+
+    def test_torus_pairs_across_wraps(self):
+        m = TorusExampleModel()
+        states = [TorusRotation().initial(seed) for seed in (0, 1, 2) for _ in range(3)]
+        times = [0.4, 3.7, 9.9] * 3
+        assert all(len(m.breakpoints(s, 0.0, 3.7)) > 0 for s in states[:3])  # the horizons cross wraps
+        self.assert_pairs_alone(m, states, np.array([1.0, 0.3]), times)
+
+    def test_callable_breakpoints_inside_horizons(self):
+        def field(state, t):
+            return [[-1.0 + math.sin(t), 1.0], [0.5 + 0.1 * math.floor(t / 0.7), -0.2 * t]]
+
+        model = CallableOdeModel(2, field, lambda state, t0, t1: [b for b in np.arange(0.7, t1, 0.7) if b > t0])
+        self.assert_pairs_alone(model, cont_state(), np.array([0.2, 1.0]), [0.5, 1.5, 2.9, 1.4])
+
+    def test_piecewise_constant_chains_without_smooth_piece(self):
+        model = coop_pw_model()
+        states = [cont_state(seed).advance(0.35 * seed) for seed in range(4)]
+        self.assert_pairs_alone(model, states, np.ones(3), [0.6, 2.3, 3.0, 1.0])
+
+    def test_zero_time_members(self):
+        m = TorusExampleModel()
+        states = [TorusRotation().initial(seed) for seed in range(4)]
+        self.assert_pairs_alone(m, states, np.array([3.0, -4.0]), [0.0, 2.5, 0.0, 1.0])
+        self.assert_pairs_alone(coop_pw_model(), cont_state(), np.ones(3), [1.5, 0.0])
+
+    def test_propagate_blocks(self):
+        m = TorusExampleModel()
+        states = [TorusRotation().initial(seed) for seed in range(3)]
+        Ys, ls = propagate(m, states, np.eye(2), [1.0, 0.0, 2.0])
+        assert Ys.shape == (3, 2, 2)
+        for j, t in enumerate([1.0, 0.0, 2.0]):
+            Y, log_scale = propagate(m, states[j], np.eye(2), t)
+            assert np.array_equal(Ys[j], Y) and ls[j] == log_scale
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_time_rejected(self, bad):
+        model = ConstantOdeModel(-np.eye(2))
+        with pytest.raises(ValueError, match=rf"finite times, got t = {bad}"):
+            propagate(model, cont_state(), np.ones(2), bad)
+        with pytest.raises(ValueError, match=rf"finite times, got t\[1\] = {bad}"):
+            integrate(model, cont_state(), np.ones(2), [1.0, bad])
+
+    def test_bad_batches_rejected(self):
+        model = ConstantOdeModel(-np.eye(2))
+        with pytest.raises(ValueError, match=r"t >= 0, got t\[0\] = -1.0"):
+            integrate(model, cont_state(), np.ones(2), [-1.0])
+        with pytest.raises(ValueError, match="2 base points for 3 times"):
+            integrate(model, [cont_state(), cont_state(1)], np.ones(2), [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="1-D sequence"):
+            integrate(model, cont_state(), np.ones(2), [[1.0]])
+
+
 class TestGrowthBound:
     def test_zero_field_exact(self):
         model = ConstantOdeModel(np.zeros((2, 2)))

@@ -145,6 +145,9 @@ class TestValidationReport:
         assert by_name["separation-rate"][0]
         assert all(1.9 <= s <= 2.1 for s in rep.sigma_estimates)
         assert all(e <= 1e-6 for e in rep.direction_errors)
+        # one worst propagator error per base point; the item judges their maximum
+        assert len(rep.propagator_errors) == 3 and max(rep.propagator_errors) <= 1e-8
+        assert f"{max(rep.propagator_errors):.3e}" in by_name["propagator-agreement"][1]
         assert rep.kappa_bound == FOCUSING_RATIO_BOUND
         # exact means of the quadratic form under their -log T envelope
         assert by_name["lambda1-divergence"][0]
@@ -155,6 +158,31 @@ class TestValidationReport:
         # with no base point items (a) to (c) would loop over nothing and pass
         with pytest.raises(ValueError, match="n_omegas"):
             validate_against_closed_form(n_omegas=0)
+        # a fraction or a bool is no count of base points
+        for bad in (1.5, True):
+            with pytest.raises(ValueError, match="n_omegas"):
+                validate_against_closed_form(n_omegas=bad)
+
+    def test_propagator_item_is_one_batch(self, monkeypatch):
+        # the 8 x n_omegas (base point, time) pairs of item (a) make one
+        # DOP853 call; items (b) and (c) are stubbed so that only (a) steps
+        from types import SimpleNamespace
+
+        from poscocycle import odes, torus
+
+        calls = []
+        dop853 = odes._dop853
+
+        def counting(model, states, chains, Y, rtol):
+            calls.append(len(chains))
+            return dop853(model, states, chains, Y, rtol)
+
+        monkeypatch.setattr(odes, "_dop853", counting)
+        monkeypatch.setattr(torus, "warmup_direction", lambda *args: PRINCIPAL_DIRECTION)
+        monkeypatch.setattr(torus, "separation_estimate", lambda *args, **kwargs: SimpleNamespace(sigma_hat=2.0))
+        rep = validate_against_closed_form(n_omegas=2, seed=0)
+        assert calls == [16]
+        assert len(rep.propagator_errors) == 2 and rep.passed
 
     def test_principal_direction_constant(self):
         assert np.allclose(PRINCIPAL_DIRECTION, np.array([1.0, 1.0]) / np.sqrt(2))

@@ -18,8 +18,8 @@ included), with ``output.series`` on and off, in ms per run.  The "torus"
 rows time the DOP853 layer on the torus oracle's smooth pieces: a read of
 512 flow maps at the battery's dt = 0.25 from its first base point, in us
 per map, at rtol 1e-6 and 1e-10 (DOP853 integrates a chunk's maps as one
-batch), and the battery's one-member ``integrate`` calls over its eight
-horizons 1.25, ..., 10 at rtol 1e-10, in ms for all eight.
+batch), and the battery's propagator item at that base point: one batched
+``integrate`` over its eight horizons 1.25, ..., 10 at rtol 1e-10, in ms.
 The process pins itself to one CPU and BLAS to one thread; alternate the
 checkouts and take each one's range, since the CPU speed of a shared
 machine drifts.
@@ -132,7 +132,7 @@ def main(argv=None):
         best = best_of(lambda: sum(len(maps) for maps, _ in coc.step_blocks(omega, TORUS_MAPS)))
         print(f"torus maps rtol {rtol:.0e} {1e6 * best / TORUS_MAPS:7.1f} us/map")
     horizons = np.linspace(1.25, 10.0, 8).tolist()
-    best = best_of(lambda: [integrate(torus, omega, np.array([1.0, 0.3]), t, rtol=1e-10) for t in horizons])
+    best = best_of(lambda: integrate(torus, omega, np.array([1.0, 0.3]), horizons, rtol=1e-10))
     print(f"torus integrate x8     {1e3 * best:7.1f} ms")
 
 
