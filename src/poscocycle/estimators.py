@@ -12,8 +12,14 @@ be read more than once: matrix maps are emitted afresh on every read, flow
 maps are built once per chunk (``odes.flow_maps``: one expm per constant
 piece, and one DOP853 batch for the steps on smooth pieces or across a
 breakpoint) and stored.  Each step loop applies M to its own vector or
-frame, reading the pairs through ``_steps``, which frees each chunk before
-the next is built.  ``oseledets_qr``'s per-step QR (dgeqrf, dorgqr) and
+frame and frees each chunk before the next is built.  ``forward_floquet``
+and ``oseledets_qr`` do per step only what the next step needs (the
+product, the renormalisation or QR, the checks on the iterate) and store
+the step's norms or R diagonal; each chunk is then closed at once: its
+logs, log scales, running sums and history rows, summed step after step
+in the order a per-step loop sums them, so the results are bit-identical.
+``separation_estimate`` reads the pairs through ``_steps``.
+``oseledets_qr``'s per-step QR (dgeqrf, dorgqr) and
 the spectral norms (dgesdd) call the LAPACK gufuncs of ``numpy.linalg``
 without the wrappers, so the module loads no scipy.
 
@@ -260,6 +266,29 @@ def _column_norms(V):
     return np.sqrt(np.vecdot(V, V, axis=0))
 
 
+def _row_sums(ln, since, done, every):
+    """The history rows that a chunk's steps complete, rows of ``every``
+    steps: ``ln`` holds the steps' ln rho (m, k), ``since`` the sum of the
+    ``done`` steps of the current row walked before the chunk (None at a
+    row's start).  A row's ln rho is its steps' summed in order, as a
+    per-step loop sums them.  Returns the rows (q, k) and the sum carried
+    into the next chunk."""
+    rows = []
+    if since is not None and len(ln):
+        head = ln[:every - done].copy()
+        head[0] += since
+        since = np.add.accumulate(head, axis=0, out=head)[-1]
+        if done + len(head) == every:
+            rows.append(since[None])
+            since = None
+        ln = ln[len(head):]
+    q = len(ln) // every
+    rows.append(np.add.accumulate(ln[:q * every].reshape(q, every, ln.shape[1]), axis=1)[:, -1])
+    if len(ln) > q * every:
+        since = np.add.accumulate(ln[q * every:], axis=0)[-1]
+    return np.concatenate(rows), since
+
+
 def forward_floquet(cocycle, omega, u0, horizon, record_every=0, check_cone=True):
     """Iterate u <- (one-step map) u with renormalization, accumulating ln rho.
 
@@ -273,6 +302,11 @@ def forward_floquet(cocycle, omega, u0, horizon, record_every=0, check_cone=True
     -inf, that zero image as ``w`` and no further rows; the others go on.
     With ``check_cone`` it raises PositivityViolation when an iterate leaves
     the nonnegative orthant by more than the cocycle's ``cone_tol``.
+
+    A step applies the map, renormalises, checks the cone and stores the
+    column norms; each chunk is then closed at once: the logs, the log
+    growth and the history rows, each summed step after step as a per-step
+    loop sums them.
     """
     n_steps = int(round(horizon / cocycle.dt))
     if n_steps < 1:
@@ -289,13 +323,17 @@ def forward_floquet(cocycle, omega, u0, horizon, record_every=0, check_cone=True
     if check_cone:
         U = _enforce_cone(U, tol, 0.0)
     growth, since = np.zeros(k), None
-    ln_rows, u_rows = [], []  # per row: ln rho since the last row (k,), the block (N, k)
+    ln_rows, u_rows = [], []  # per chunk: its rows' ln rho (rows, k); per row: the block (N, k)
     # an annihilated column is done: its zero image is its w, and from then
     # on it walks as a copy of a live column, whose rows it does not keep
     gone, w = np.zeros(k, dtype=bool), np.empty((k, cocycle.n))
     n_rows = np.full(k, n_steps // record_every if record_every else 0)
-    with np.errstate(divide="ignore"):
-        for step, (M, ls) in enumerate(_steps(cocycle.step_blocks(omega, n_steps)), 1):
+    norms = np.empty((min(n_steps, BLOCK_CELLS), k))  # a chunk's step norms, one row per step
+    step = 0
+    for maps, ls in cocycle.step_blocks(omega, n_steps):
+        first, walked = step, len(maps)
+        for i, M in enumerate(maps):
+            step += 1
             V = M @ U
             r = np.sqrt(np.vecdot(V, V, axis=0))
             # one product tells that every norm is positive and finite (an
@@ -305,9 +343,11 @@ def forward_floquet(cocycle, omega, u0, horizon, record_every=0, check_cone=True
                 if bad.size:
                     raise EstimationError(f"forward iterate not finite after step {step - 1} (norm {bad[0]})")
                 dead = (r == 0.0) & ~gone
-                w[dead], n_rows[dead] = V[:, dead].T, len(ln_rows)
+                w[dead] = V[:, dead].T
+                n_rows[dead] = (step - 1) // record_every if record_every else 0
                 gone |= r == 0.0
                 if gone.all():
+                    walked = i
                     break
                 live = np.flatnonzero(~gone)[0]
                 V[:, gone], r[gone] = V[:, live, None], r[live]
@@ -315,22 +355,29 @@ def forward_floquet(cocycle, omega, u0, horizon, record_every=0, check_cone=True
             if check_cone and not U.min() >= 0.0:
                 U = _enforce_cone(U, tol, step * dt)
                 U /= _column_norms(U)
-            ln = np.log(r)
-            if ls:
-                ln += ls
-            growth += ln
-            if record_every:
-                # a row's ln rho is its steps' summed in order from 0.0
-                since = ln if since is None else since + ln
-                if step % record_every == 0:
-                    ln_rows.append(since)
-                    u_rows.append(U)
-                    since = None
+            norms[i] = r
+            if record_every and step % record_every == 0:
+                u_rows.append(U)
+        del maps, M  # freed before the next chunk is built
+        # close the chunk's walked steps: ln rho per step, growth and rows
+        ln = norms[:walked]
+        np.log(ln, out=ln)
+        ln += ls[:walked, None]
+        if record_every:
+            rows, since = _row_sums(ln, since, first % record_every, record_every)
+            ln_rows.append(rows)
+        if walked:
+            ln[0] += growth
+            np.add.accumulate(ln, axis=0, out=ln)
+            growth = ln[-1].copy()
+        if gone.all():
+            break
     log_growth = np.where(gone, -math.inf, growth)
     w[~gone] = U.T[~gone]
     T = n_steps * dt
-    times = record_every * np.arange(1, len(ln_rows) + 1) * dt
-    log_rho = np.array(ln_rows).reshape(-1, k).T
+    log_rho = np.concatenate(ln_rows) if ln_rows else np.empty((0, k))
+    times = record_every * np.arange(1, len(log_rho) + 1) * dt
+    log_rho = log_rho.T
     directions = np.stack(u_rows).transpose(2, 0, 1).copy() if u_rows else np.empty((k, 0, cocycle.n))
     tracks = [FloquetTrack(w=w[j], log_growth=float(log_growth[j]), horizon=T,
                            lambda1=float(log_growth[j]) / T, times=times[:n_rows[j]],
@@ -577,6 +624,11 @@ def oseledets_qr(cocycle, omega, horizon):
 
     Returns the exponents sorted in nonincreasing order; coinciding values
     are reported as computed, with no attempt to disambiguate subspaces.
+
+    A step is the QR of M Q, whose R diagonal is stored; each chunk is then
+    closed at once, in place on those rows: the finiteness check (naming
+    the first bad step), the logs (an exact 0 gives -inf) and the running
+    sums, added step after step as a per-step loop adds them.
     """
     n_steps = int(round(horizon / cocycle.dt))
     if n_steps < 1:
@@ -584,13 +636,28 @@ def oseledets_qr(cocycle, omega, horizon):
     n = cocycle.n
     Q = np.eye(n)
     sums = np.zeros(n)
+    diag = np.empty((min(n_steps, BLOCK_CELLS), n))  # a chunk's R diagonals, one row per step
+    first = 0  # the chunk's first step
     with np.errstate(divide="ignore"):
-        for k, (M, ls) in enumerate(_steps(cocycle.step_blocks(omega, n_steps))):
-            Q, F = _qr_positive(M @ Q)
-            d = np.abs(F.diagonal())  # diag R once the signs are applied
-            if not math.isfinite(d.max()):
-                raise EstimationError(f"QR frame not finite after step {k} (R diagonal {d})")
-            sums += np.where(d > 0, np.log(np.maximum(d, 1e-300)), -np.inf) + ls
+        for maps, ls in cocycle.step_blocks(omega, n_steps):
+            d = diag[:len(maps)]
+            for i, M in enumerate(maps):
+                Q, F = _qr_positive(M @ Q)
+                d[i] = F.diagonal()
+            del maps, M  # freed before the next chunk is built
+            np.abs(d, out=d)  # diag R once the signs are applied
+            finite = np.isfinite(d).all(axis=1)
+            if not finite.all():
+                k = int(finite.argmin())
+                raise EstimationError(f"QR frame not finite after step {first + k} (R diagonal {d[k]})")
+            zero = d == 0.0
+            np.log(np.maximum(d, 1e-300, out=d), out=d)
+            d[zero] = -np.inf
+            d += ls[:, None]
+            d[0] += sums
+            np.add.accumulate(d, axis=0, out=d)
+            sums = d[-1].copy()
+            first += len(d)
     T = n_steps * cocycle.dt
     return np.sort(sums / T)[::-1]
 

@@ -794,6 +794,8 @@ def l1_growth_bound(model: OdeModel, omega, t) -> float:
     """exp of the integral over [0, t] of the summed row maxima of the
     coefficient (adaptive Simpson to 1e-10 per piece): an upper bound for
     the ell-1 growth of positive solutions."""
+    if not math.isfinite(t):
+        raise ValueError(f"l1_growth_bound requires a finite time, got t = {t!r}")
     if t < 0:
         raise ValueError("t must be >= 0")
     if t == 0:

@@ -182,9 +182,10 @@ def _run_orbit(cfg):
     results = {
         "depth": depth,
         "ns": orbit.ns,
-        "directions": orbit.directions,
-        "log_norms": orbit.log_norms,
-        "step_log_rho": orbit.step_log_rho,
+        # float arrays, each written in one format (a list is written one float at a time)
+        "directions": np.array(orbit.directions),
+        "log_norms": np.array(orbit.log_norms),
+        "step_log_rho": np.array(orbit.step_log_rho),
         "convergence_distance": conv,
         "seed": seed,
     }

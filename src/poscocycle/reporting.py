@@ -3,9 +3,13 @@
 results.json is written by one recursive writer that dispatches on the exact
 type of each value: keys sorted by their string form, floats at 17
 significant digits, non-finite floats as the strings "inf" / "-inf" / "nan",
-strings ASCII-escaped, numpy arrays (such as the per-step history columns)
-and scalars through ``.tolist()``.  Every float round-trips exactly, and
-identical runs produce byte-identical files (timing aside).
+strings ASCII-escaped.  A finite float64 array (such as a per-step history
+column) is written in one ``%`` formatting of a template built from its
+shape's brackets, one ``%.17g`` per element: the same text as its elements
+written one by one, in one call.  Any other numpy array (one holding a
+non-finite value, or of another dtype) and numpy scalars are written as
+their ``.tolist()``.  Every float round-trips exactly, and identical runs
+produce byte-identical files (timing aside).
 """
 
 from __future__ import annotations
@@ -35,13 +39,24 @@ def _list(v):
     return "[" + ",".join(map(_json, v)) + "]"
 
 
+def _array(v):
+    if v.dtype == np.float64 and np.isfinite(v).all():
+        # '%.17g' % x is format(x, '.17g'), the text _float writes
+        text = "%.17g"
+        for n in reversed(v.shape):
+            text = "[" + ",".join([text] * n) + "]"
+        return text % tuple(v.ravel().tolist())
+    return _json(v.tolist())
+
+
 # exact types only: bool is an int, and numpy's float64 is a float
 _WRITERS = {float: _float, int: str, bool: lambda v: "true" if v else "false", str: _str,
-            type(None): lambda v: "null", dict: _dict, list: _list, tuple: _list}
+            type(None): lambda v: "null", dict: _dict, list: _list, tuple: _list, np.ndarray: _array}
 
 
 def _json(v):
-    """The JSON text of one value; numpy values are written as their .tolist()."""
+    """The JSON text of one value; numpy values other than plain arrays
+    are written as their .tolist()."""
     write = _WRITERS.get(type(v))
     if write is None:
         if not isinstance(v, (np.ndarray, np.generic)):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import poscocycle
 from poscocycle import estimators, odes
@@ -175,6 +177,39 @@ class TestSerialization:
     def test_mixed_containers_exact_bytes(self):
         s = format_result({"t": (1, 2.5), "b": np.bool_(True), 3: "é", "c": "a\x01b", "e": [], "d": {}})
         assert s == '{"3":"\\u00e9","b":true,"c":"a\\u0001b","d":{},"e":[],"t":[1,2.5]}\n'
+
+    # a finite float64 array is written in one format; its text is that of
+    # its elements written one by one, as the .tolist() path writes them
+    EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                   -1.7976931348623157e308, 3.0, -1e16, 2.0 ** 70, 0.1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+                      elements=st.floats(allow_nan=False, allow_infinity=False)
+                      | st.sampled_from(EDGE_FLOATS) | st.integers(-10**6, 10**6).map(float)))
+    @example(np.empty(0))
+    @example(np.empty((2, 0, 3)))
+    @example(np.array(EDGE_FLOATS))
+    @example(np.array(-0.0))
+    def test_float_array_matches_per_float_text(self, a):
+        assert format_result({"a": a}) == format_result({"a": a.tolist()})
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=4),
+                   elements=st.floats() | st.sampled_from([math.nan, math.inf, -math.inf]))
+        .filter(lambda a: not np.isfinite(a).all()),
+        hnp.arrays(np.int64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)),
+        hnp.arrays(np.bool_, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)),
+        hnp.arrays(np.float32, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+                   elements=st.floats(width=32))))
+    def test_other_arrays_written_as_lists(self, a):
+        assert format_result({"a": a}) == format_result({"a": a.tolist()})
+
+    def test_other_arrays_exact_bytes(self):
+        s = format_result({"f": np.array([[0.5, math.inf], [math.nan, -0.0]]), "i": np.array([3, -1]),
+                           "b": np.array([True, False]), "h": np.array([0.1, 2.0], dtype=np.float32)})
+        assert s == '{"b":[true,false],"f":[[0.5,"inf"],["nan",-0]],"h":[0.10000000149011612,2],"i":[3,-1]}\n'
 
 
 class TestPipelines:

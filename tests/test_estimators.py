@@ -13,8 +13,8 @@ from poscocycle.estimators import (MatrixCocycle, OdeCocycle, DivergenceDiagnost
                                    forward_floquet, lambda1_via_kappa, oseledets_qr,
                                    pullback_convergence, separation_estimate, warmup_direction)
 from poscocycle import odes
-from poscocycle.estimators import (_dual_path, _norm, _orth_complement, _qr_positive, _spectral_norm, _steps,
-                                   _stored_replay)
+from poscocycle.estimators import (FloquetTrack, _column_norms, _dual_path, _enforce_cone, _norm, _orth_complement,
+                                   _qr_positive, _spectral_norm, _steps, _stored_replay)
 from poscocycle.matrices import (ConstantMatrixModel, IidChoiceModel, SampledMatrixModel, UniformEntriesModel,
                                  leslie_model)
 from poscocycle.odes import (CallableOdeModel, ConstantOdeModel, PiecewiseConstantOdeModel, TypeKFlipModel,
@@ -836,6 +836,134 @@ class TestOseledetsQr:
         # the adjoint over the matching window re-uses the same matrices transposed
         dual = oseledets_qr(coc.dual(), omega.advance(horizon), horizon)
         assert abs(primal[0] - dual[0]) < 2e-3
+
+
+class BlockDiagonalModel(UniformEntriesModel):
+    """Uniform entries with coordinate 0 its own block, so a probe on it and
+    one on the others walk apart; the map at cell ``dead`` is 0 in block 0,
+    or, with ``everything``, is 0 everywhere."""
+
+    def __init__(self, n, dead, everything=False):
+        super().__init__(n, 0.5, 2.0)
+        self.dead, self.everything = dead, everything
+
+    def emit_block(self, state, count):
+        maps = super().emit_block(state, count)
+        maps[:, 0, 1:] = maps[:, 1:, 0] = 0.0
+        if 0 <= self.dead - state.index < count:
+            maps[self.dead - state.index, :1 if not self.everything else None] = 0.0
+        return maps
+
+
+class ScaledCocycle(MatrixCocycle):
+    """Uniform entries whose steps carry nonzero log scales."""
+
+    def step_blocks(self, state, count, backward=False):
+        for maps, ls in super().step_blocks(state, count, backward):
+            yield maps, ls + 0.01 * np.arange(1, len(ls) + 1)
+
+
+def per_step_qr(coc, omega, T):
+    """``oseledets_qr`` as a per-step loop: log and sum at every step."""
+    Q, sums = np.eye(coc.n), np.zeros(coc.n)
+    with np.errstate(divide="ignore"):
+        for M, ls in _steps(coc.step_blocks(omega, T)):
+            Q, F = _qr_positive(M @ Q)
+            d = np.abs(F.diagonal())
+            sums += np.where(d > 0, np.log(np.maximum(d, 1e-300)), -np.inf) + ls
+    return np.sort(sums / T)[::-1]
+
+
+def per_step_forward(coc, omega, u0, T, record_every=0):
+    """``forward_floquet`` over a block of probes as a per-step loop: log,
+    growth and history rows taken at every step."""
+    U = np.array(u0, dtype=float)
+    U = _enforce_cone(U / _column_norms(U), coc.cone_tol, 0.0)
+    k = U.shape[1]
+    growth, since, ln_rows, u_rows = np.zeros(k), None, [], []
+    gone, w = np.zeros(k, dtype=bool), np.empty((k, coc.n))
+    n_rows = np.full(k, T // record_every if record_every else 0)
+    for step, (M, ls) in enumerate(_steps(coc.step_blocks(omega, T)), 1):
+        V = M @ U
+        r = np.sqrt(np.vecdot(V, V, axis=0))
+        dead = (r == 0.0) & ~gone
+        w[dead], n_rows[dead] = V[:, dead].T, len(ln_rows)
+        gone |= r == 0.0
+        if gone.all():
+            break
+        if gone.any():
+            live = np.flatnonzero(~gone)[0]
+            V[:, gone], r[gone] = V[:, live, None], r[live]
+        U = V / r
+        if not U.min() >= 0.0:
+            U = _enforce_cone(U, coc.cone_tol, step)
+            U /= _column_norms(U)
+        ln = np.log(r)
+        if ls:
+            ln += ls
+        growth += ln
+        if record_every:
+            since = ln if since is None else since + ln
+            if step % record_every == 0:
+                ln_rows.append(since)
+                u_rows.append(U)
+                since = None
+    log_growth = np.where(gone, -math.inf, growth)
+    w[~gone] = U.T[~gone]
+    times = record_every * np.arange(1, len(ln_rows) + 1) * 1
+    log_rho = np.array(ln_rows).reshape(-1, k).T
+    directions = np.stack(u_rows).transpose(2, 0, 1).copy() if u_rows else np.empty((k, 0, coc.n))
+    return [FloquetTrack(w=w[j], log_growth=float(log_growth[j]), horizon=T, lambda1=float(log_growth[j]) / T,
+                         times=times[:n_rows[j]], log_rho=log_rho[j, :n_rows[j]],
+                         directions=directions[j, :n_rows[j]])
+            for j in range(k)]
+
+
+class TestChunkClose:
+    # each chunk of BLOCK_CELLS steps is closed at once; its logs, sums and
+    # rows are bit for bit those of a loop that takes them step by step,
+    # on horizons around one chunk, rows that span chunk edges and steps
+    # that annihilate a column or everything inside the second chunk
+    HORIZONS = (BLOCK_CELLS - 1, BLOCK_CELLS, BLOCK_CELLS + 1, 2000)
+    EVERY = (0, 1, 7, 300)
+
+    @pytest.mark.parametrize("n", [3, 24])
+    @pytest.mark.parametrize("T", HORIZONS)
+    def test_qr_matches_per_step(self, n, T):
+        for coc in (iid_positive_cocycle(n), ScaledCocycle(UniformEntriesModel(n, 0.5, 2.0))):
+            assert np.array_equal(oseledets_qr(coc, disc_state(4), T), per_step_qr(coc, disc_state(4), T))
+
+    @pytest.mark.parametrize("n", [3, 24])
+    @pytest.mark.parametrize("T", HORIZONS)
+    def test_forward_matches_per_step(self, n, T):
+        rng = np.random.default_rng(n + T)
+        probes = rng.uniform(0.1, 1.0, (n, 2))
+        for coc in (iid_positive_cocycle(n), ScaledCocycle(UniformEntriesModel(n, 0.5, 2.0))):
+            for every in self.EVERY:
+                for u0 in (probes[:, :1], probes):
+                    got = forward_floquet(coc, disc_state(5), u0, T, record_every=every)
+                    assert same(got, per_step_forward(coc, disc_state(5), u0, T, every)), (every, u0.shape)
+
+    @pytest.mark.parametrize("n", [3, 24])
+    @pytest.mark.parametrize("everything", [False, True], ids=["one-column", "every-column"])
+    def test_annihilation_in_second_chunk(self, n, everything):
+        dead = BLOCK_CELLS + 44
+        coc = MatrixCocycle(BlockDiagonalModel(n, dead, everything))
+        probes = np.zeros((n, 2))
+        probes[0, 0], probes[1:, 1] = 1.0, 1.0
+        for every in self.EVERY:
+            got = forward_floquet(coc, disc_state(6), probes, 2000, record_every=every)
+            assert same(got, per_step_forward(coc, disc_state(6), probes, 2000, every)), every
+            assert got[0].log_growth == -math.inf and len(got[0].log_rho) == (dead // every if every else 0)
+            assert (got[1].log_growth == -math.inf) == everything
+
+    @pytest.mark.parametrize("n", [3, 24])
+    def test_exact_zero_in_r_diagonal(self, n):
+        # block 0's R entry is exactly 0 at the dead cell: its exponent is -inf
+        coc = MatrixCocycle(BlockDiagonalModel(n, BLOCK_CELLS + 44))
+        exps = oseledets_qr(coc, disc_state(7), 2000)
+        assert np.array_equal(exps, per_step_qr(coc, disc_state(7), 2000))
+        assert exps[-1] == -math.inf and np.isfinite(exps[:-1]).all()
 
 
 class TestLapackKernels:

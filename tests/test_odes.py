@@ -448,6 +448,12 @@ class TestGrowthBound:
                 realized = np.exp(ls) * np.linalg.norm(u0) * np.abs(d).sum()
                 assert realized <= bound * u0.sum() * (1 + 1e-6)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, t):
+        # a non-finite interval sent the adaptive Simpson rule into a hang
+        with pytest.raises(ValueError, match=f"t = {t}$"):
+            l1_growth_bound(ConstantOdeModel(-np.eye(2)), cont_state(), t)
+
     def test_torus_example_bound(self):
         m = TorusExampleModel()
         st = TorusRotation().initial(5)

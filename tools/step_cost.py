@@ -14,7 +14,11 @@ shift, with one probe and with two; "ode qr" is ``oseledets_qr`` and
 "ode sep" ``separation_estimate`` (warm-up 50) on the same ODE.  The
 "output" rows time one whole ``estimate`` through ``run_command`` (the
 same uniform-entries model at N = 3, seed 1, T = 2000, files written
-included), with ``output.series`` on and off, in ms per run.  The "torus"
+included), with ``output.series`` on and off, in ms per run.  The "write"
+rows time ``format_result`` alone, the text of one results.json, in ms: on
+that series-on estimate document (a 2000-row history) and on an ``orbit``
+document of depth 1000 over a three-state Markov chain (1001 directions).
+The "torus"
 rows time the DOP853 layer on the torus oracle's smooth pieces: a read of
 512 flow maps at the battery's dt = 0.25 from its first base point, in us
 per map, at rtol 1e-6 and 1e-10 (DOP853 integrates a chunk's maps as one
@@ -45,6 +49,13 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
 HORIZON = 2000  # steps per run
+DEPTH = 1000  # pullback depth of the orbit document
+MARKOV = {"driver": {"kind": "markov-shift",
+                     "transition": [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]},
+          "model": {"kind": "markov-list",
+                    "matrices": [[[1.2, 0.4, 0.9], [0.3, 1.5, 0.6], [0.8, 0.2, 1.1]],
+                                 [[0.5, 1.3, 0.2], [1.0, 0.7, 1.4], [0.6, 0.9, 0.3]],
+                                 [[1.8, 0.2, 0.5], [0.4, 0.9, 1.2], [0.7, 1.6, 0.4]]]}}
 TORUS_MAPS = 512  # flow maps per torus read
 REPEATS = 5  # runs per loop and size; the fastest is kept
 
@@ -66,6 +77,7 @@ def main(argv=None):
     from poscocycle.matrices import UniformEntriesModel
     from poscocycle.odes import PiecewiseConstantOdeModel, cooperative_sampler, integrate
     from poscocycle.pipelines import run_command
+    from poscocycle.reporting import format_result
     from poscocycle.torus import TorusExampleModel
 
     T = HORIZON
@@ -125,6 +137,13 @@ def main(argv=None):
                                    "estimator": {"horizon": T}, "output": {"series": series}})
             best = best_of(lambda: run_command("estimate", cfg, out_dir=out))
             print(f"output     series {'on ' if series else 'off'} {1e3 * best:7.1f} ms/estimate")
+            if series:
+                docs = {"estimate": run_command("estimate", cfg, out_dir=out)}
+        cfg = validate_config({"seed": 1, **MARKOV, "estimator": {"depth": DEPTH}})
+        docs["orbit"] = run_command("orbit", cfg, out_dir=out)
+    for name, doc in docs.items():
+        best = best_of(lambda: format_result(doc))
+        print(f"write      {name:<10} {1e3 * best:7.2f} ms")
 
     torus, omega = TorusExampleModel(), TorusRotation().initial(0)
     for rtol in (1e-6, 1e-10):
