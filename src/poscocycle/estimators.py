@@ -366,12 +366,11 @@ def forward_floquet(cocycle, omega, u0, horizon, record_every=0, check_cone=True
         if record_every:
             rows, since = _row_sums(ln, since, first % record_every, record_every)
             ln_rows.append(rows)
-        if walked:
-            ln[0] += growth
-            np.add.accumulate(ln, axis=0, out=ln)
-            growth = ln[-1].copy()
         if gone.all():
             break
+        ln[0] += growth
+        np.add.accumulate(ln, axis=0, out=ln)
+        growth = ln[-1].copy()
     log_growth = np.where(gone, -math.inf, growth)
     w[~gone] = U.T[~gone]
     T = n_steps * dt
@@ -638,26 +637,25 @@ def oseledets_qr(cocycle, omega, horizon):
     sums = np.zeros(n)
     diag = np.empty((min(n_steps, BLOCK_CELLS), n))  # a chunk's R diagonals, one row per step
     first = 0  # the chunk's first step
-    with np.errstate(divide="ignore"):
-        for maps, ls in cocycle.step_blocks(omega, n_steps):
-            d = diag[:len(maps)]
-            for i, M in enumerate(maps):
-                Q, F = _qr_positive(M @ Q)
-                d[i] = F.diagonal()
-            del maps, M  # freed before the next chunk is built
-            np.abs(d, out=d)  # diag R once the signs are applied
-            finite = np.isfinite(d).all(axis=1)
-            if not finite.all():
-                k = int(finite.argmin())
-                raise EstimationError(f"QR frame not finite after step {first + k} (R diagonal {d[k]})")
-            zero = d == 0.0
-            np.log(np.maximum(d, 1e-300, out=d), out=d)
-            d[zero] = -np.inf
-            d += ls[:, None]
-            d[0] += sums
-            np.add.accumulate(d, axis=0, out=d)
-            sums = d[-1].copy()
-            first += len(d)
+    for maps, ls in cocycle.step_blocks(omega, n_steps):
+        d = diag[:len(maps)]
+        for i, M in enumerate(maps):
+            Q, F = _qr_positive(M @ Q)
+            d[i] = F.diagonal()
+        del maps, M  # freed before the next chunk is built
+        np.abs(d, out=d)  # diag R once the signs are applied
+        finite = np.isfinite(d).all(axis=1)
+        if not finite.all():
+            k = int(finite.argmin())
+            raise EstimationError(f"QR frame not finite after step {first + k} (R diagonal {d[k]})")
+        zero = d == 0.0
+        np.log(np.maximum(d, 1e-300, out=d), out=d)
+        d[zero] = -np.inf
+        d += ls[:, None]
+        d[0] += sums
+        np.add.accumulate(d, axis=0, out=d)
+        sums = d[-1].copy()
+        first += len(d)
     T = n_steps * cocycle.dt
     return np.sort(sums / T)[::-1]
 
