@@ -11,17 +11,20 @@ its maps: ``step_blocks`` serves the scale-separated step maps as chunks
 be read more than once: matrix maps are emitted afresh on every read, flow
 maps are built once per chunk (``odes.flow_maps``: one expm per constant
 piece, and one DOP853 batch for the steps on smooth pieces or across a
-breakpoint) and stored.  Each step loop applies M to its own vector or
-frame and frees each chunk before the next is built.  ``forward_floquet``
-and ``oseledets_qr`` do per step only what the next step needs (the
-product, the renormalisation or QR, the checks on the iterate) and store
-the step's norms or R diagonal; each chunk is then closed at once: its
-logs, log scales, running sums and history rows, summed step after step
-in the order a per-step loop sums them, so the results are bit-identical.
-``separation_estimate`` reads the pairs through ``_steps``.
-``oseledets_qr``'s per-step QR (dgeqrf, dorgqr) and
-the spectral norms (dgesdd) call the LAPACK gufuncs of ``numpy.linalg``
-without the wrappers, so the module loads no scipy.
+breakpoint) and stored.  Each step loop walks the maps of a chunk in place,
+applies M to its own vector or frame and frees the chunk before the next
+is built.  ``forward_floquet`` and ``oseledets_qr`` do per step only what
+the next step needs (the product, the renormalisation or QR, the checks
+on the iterate) and store the step's norms or R diagonal; each chunk is
+then closed at once: its logs, log scales, running sums and history rows,
+summed step after step in the order a per-step loop sums them, so the
+results are bit-identical.  ``oseledets_qr`` reads only |diag R|, so its
+QR (``_qr``) factors the step's product in place and applies no signs.
+``separation_estimate`` walks each chunk backward in its adjoint sweep and
+forward in its frame sweep, and takes a chunk's Frobenius norms at once.
+The per-step QR (dgeqrf, dorgqr) and the spectral norms (dgesdd) call the
+LAPACK gufuncs of ``numpy.linalg`` without the wrappers, so the module
+loads no scipy.
 
 Each command walks its steps once: ``forward_floquet`` takes a block of
 probes as columns and applies each step map to the block, so the warmed and
@@ -207,16 +210,19 @@ def _spectral_norm(A):
     return s
 
 
-def _qr_positive(V):
-    """Householder QR of V (m >= n): Q (m, n) in C order with the signs
-    that make diag R nonnegative applied, and the LAPACK factor F (R is the
-    upper triangle of its top n rows, before the signs).  dgeqrf factors F
-    in place, so V itself is left untouched."""
-    F = V.copy()
-    q = _umath_linalg.qr_reduced(F, _umath_linalg.qr_r_raw(F))
-    signs = np.sign(F.diagonal())
-    signs[signs == 0] = 1.0
-    return np.multiply(q, signs, order="C"), F
+def _qr(V):
+    """Householder QR of V (m >= n), as np.linalg.qr computes it: Q (m, n)
+    in C order, and V itself, which dgeqrf factors in place (R is the upper
+    triangle of its top n rows).
+
+    No signs are applied to make diag R nonnegative, since a QR step loop
+    that reads only |diag R| does not need them: negating a column of V
+    leaves dlarfg's Householder vector and tau unchanged and negates that
+    column of R, and so does every later column update; gemm negates a
+    column of its product exactly.  A loop over the unsigned Q is therefore
+    the signed loop up to column signs, and its |diag R| is equal bit for
+    bit."""
+    return _umath_linalg.qr_reduced(V, _umath_linalg.qr_r_raw(V)), V
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +245,15 @@ class FloquetTrack:
     directions: np.ndarray
 
 
-def _steps(chunks):
-    """The (M, log_scale) pairs of a chunk stream, in stream order.  A chunk
-    is freed before the next is built: its final pair is a copy, so the
-    loop reading the pairs holds no view into it by then."""
-    for maps, ls in chunks:
-        final = maps[-1].copy(), float(ls[-1])
-        yield from zip(maps[:-1], ls[:-1].tolist())
-        del maps, ls
-        yield final
+def _step_count(name, horizon, dt):
+    """The number of steps of length ``dt`` that ``horizon`` covers; a
+    non-finite horizon or one that rounds to no step raises ValueError."""
+    if not math.isfinite(horizon):
+        raise ValueError(f"{name} requires a finite horizon, got horizon = {float(horizon)!r}")
+    n_steps = int(round(horizon / dt))
+    if n_steps < 1:
+        raise ValueError("horizon must cover at least one step")
+    return n_steps
 
 
 def _enforce_cone(U, tol, t):
@@ -308,9 +314,9 @@ def forward_floquet(cocycle, omega, u0, horizon, record_every=0, check_cone=True
     growth and the history rows, each summed step after step as a per-step
     loop sums them.
     """
-    n_steps = int(round(horizon / cocycle.dt))
-    if n_steps < 1:
-        raise ValueError("horizon must cover at least one step")
+    n_steps = _step_count("forward_floquet", horizon, cocycle.dt)
+    if record_every < 0:
+        raise ValueError(f"record_every must be >= 0, got record_every = {record_every!r}")
     U = np.array(u0, dtype=float)
     single = U.ndim == 1
     if single:
@@ -500,19 +506,19 @@ def _dual_path(blocks, n, n_steps, warmup):
     z_path[n_steps] = z
     k = n_steps + warmup
     # a backward read serves its chunks latest first; walk each one so too
-    latest_first = map(lambda chunk: (chunk[0][::-1], chunk[1][::-1]),
-                       blocks(0, n_steps + warmup, backward=True))
-    for M, _ in _steps(latest_first):
-        k -= 1
-        z = M.T @ z
-        nrm = _norm(z)
-        if nrm == 0.0:
-            raise EstimationError("dual probe annihilated during the adjoint sweep")
-        if not math.isfinite(nrm):
-            raise EstimationError(f"dual probe not finite after the adjoint of step {k} (norm {nrm})")
-        z /= nrm
-        if k <= n_steps:
-            z_path[k] = z
+    for maps, _ in blocks(0, n_steps + warmup, backward=True):
+        for M in maps[::-1]:
+            k -= 1
+            z = M.T @ z
+            nrm = _norm(z)
+            if nrm == 0.0:
+                raise EstimationError("dual probe annihilated during the adjoint sweep")
+            if not math.isfinite(nrm):
+                raise EstimationError(f"dual probe not finite after the adjoint of step {k} (norm {nrm})")
+            z /= nrm
+            if k <= n_steps:
+                z_path[k] = z
+        del maps, M  # freed before the next chunk is built
     return z_path
 
 
@@ -540,10 +546,12 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0) -> S
     principal direction| at that many evenly spaced times (the temperedness
     observable).
     """
-    n_steps = int(round(horizon / cocycle.dt))
-    if n_steps < 1:
-        raise ValueError("horizon must cover at least one step")
+    n_steps = _step_count("separation_estimate", horizon, cocycle.dt)
     warmup = int(warmup)
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got warmup = {warmup}")
+    if proj_samples < 0:
+        raise ValueError(f"proj_samples must be >= 0, got proj_samples = {proj_samples!r}")
     n = cocycle.n
     blocks = cocycle.replay(omega, -warmup, n_steps + warmup)
 
@@ -556,52 +564,60 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0) -> S
     w = np.full(n, 1.0 / math.sqrt(n))
     log_growth = log_restricted = 0.0
     restricted_dead = False
-    for k, (M, ls) in enumerate(_steps(blocks(-warmup, n_steps)), -warmup):
-        if k == 0:
-            w_star0 = z_path[0].copy()
-            pairing = float(w @ w_star0)
-            if abs(pairing) < 1e-8:
-                raise EstimationError(
-                    f"principal and dual directions nearly orthogonal (pairing {pairing:.3e}); "
-                    "projection onto the invariant complement is ill-conditioned")
-            B0 = _orth_complement(w_star0)
-            W = B0
-            if sample_every:
-                proj_history.append((0.0, math.log(_projection_norm(w, w_star0))))
-        v = M @ w
-        r = _norm(v)
-        if r == 0.0:
-            raise EstimationError("principal direction annihilated; no positive growth to separate")
-        if not math.isfinite(r):
-            raise EstimationError(f"principal direction not finite after step {k} (norm {r})")
-        w = v / r
-        if k < 0:
-            continue
-        log_growth += math.log(r) + ls
-        if sample_every and (k + 1) % sample_every == 0:
-            proj_history.append(((k + 1) * cocycle.dt, math.log(_projection_norm(w, z_path[k + 1]))))
-        if restricted_dead:
-            continue
-        V = M @ W
-        nV = _norm(V)
-        if not math.isfinite(nV):
-            raise EstimationError(f"complement frame not finite after step {k} (norm {nV})")
-        # |M W|_F <= |M|_2 |W|_F <= |M|_F |W|_F, so the ratio is at most 1;
-        # one at roundoff level means the complement was annihilated: flag
-        # rather than extrapolate a huge finite rate
-        if nV <= 1e-13 * _norm(M) * _norm(W):
-            restricted_dead = True
-            continue
-        zk = z_path[k + 1]
-        V -= np.outer(zk, zk @ V)  # re-anchor to the dual-null hyperplane
-        # Frobenius renormalisation: zero exactly when the spectral norm is;
-        # one spectral norm after the loop closes the product
-        s = _norm(V)
-        if s == 0.0:
-            restricted_dead = True
-            continue
-        W = V / s
-        log_restricted += math.log(s) + ls
+    first = -warmup  # the chunk's first step
+    for maps, ls in blocks(-warmup, n_steps):
+        flat = maps.reshape(len(maps), -1)
+        m_norms = np.sqrt(np.vecdot(flat, flat)).tolist()
+        for k, (M, ls_k, m_norm) in enumerate(zip(maps, ls.tolist(), m_norms), first):
+            if k == 0:
+                w_star0 = z_path[0].copy()
+                pairing = float(w @ w_star0)
+                if abs(pairing) < 1e-8:
+                    raise EstimationError(
+                        f"principal and dual directions nearly orthogonal (pairing {pairing:.3e}); "
+                        "projection onto the invariant complement is ill-conditioned")
+                B0 = _orth_complement(w_star0)
+                W, w_norm = B0, _norm(B0)
+                if sample_every:
+                    proj_history.append((0.0, math.log(_projection_norm(w, w_star0))))
+            w = M @ w
+            r = _norm(w)
+            if r == 0.0:
+                raise EstimationError("principal direction annihilated; no positive growth to separate")
+            if not math.isfinite(r):
+                raise EstimationError(f"principal direction not finite after step {k} (norm {r})")
+            w /= r
+            if k < 0:
+                continue
+            log_growth += math.log(r) + ls_k
+            if sample_every and (k + 1) % sample_every == 0:
+                proj_history.append(((k + 1) * cocycle.dt, math.log(_projection_norm(w, z_path[k + 1]))))
+            if restricted_dead:
+                continue
+            V = M @ W
+            nV = _norm(V)
+            if not math.isfinite(nV):
+                raise EstimationError(f"complement frame not finite after step {k} (norm {nV})")
+            # |M W|_F <= |M|_2 |W|_F <= |M|_F |W|_F, so the ratio is at most 1
+            # (|W|_F is taken as 1 after a renormalisation, up to rounding);
+            # one at roundoff level means the complement was annihilated: flag
+            # rather than extrapolate a huge finite rate
+            if nV <= 1e-13 * m_norm * w_norm:
+                restricted_dead = True
+                continue
+            zk = z_path[k + 1]
+            V -= zk[:, None] * (zk @ V)  # re-anchor to the dual-null hyperplane
+            # Frobenius renormalisation: zero exactly when the spectral norm is;
+            # one spectral norm after the loop closes the product
+            s = _norm(V)
+            if s == 0.0:
+                restricted_dead = True
+                continue
+            V /= s
+            W, w_norm = V, 1.0
+            log_restricted += math.log(s) + ls_k
+        first += len(maps)
+        del maps, M, flat  # freed before the next chunk is built
     if not restricted_dead:
         log_restricted += math.log(_spectral_norm(W))
 
@@ -629,9 +645,7 @@ def oseledets_qr(cocycle, omega, horizon):
     the first bad step), the logs (an exact 0 gives -inf) and the running
     sums, added step after step as a per-step loop adds them.
     """
-    n_steps = int(round(horizon / cocycle.dt))
-    if n_steps < 1:
-        raise ValueError("horizon must cover at least one step")
+    n_steps = _step_count("oseledets_qr", horizon, cocycle.dt)
     n = cocycle.n
     Q = np.eye(n)
     sums = np.zeros(n)
@@ -640,10 +654,10 @@ def oseledets_qr(cocycle, omega, horizon):
     for maps, ls in cocycle.step_blocks(omega, n_steps):
         d = diag[:len(maps)]
         for i, M in enumerate(maps):
-            Q, F = _qr_positive(M @ Q)
+            Q, F = _qr(M @ Q)
             d[i] = F.diagonal()
         del maps, M  # freed before the next chunk is built
-        np.abs(d, out=d)  # diag R once the signs are applied
+        np.abs(d, out=d)
         finite = np.isfinite(d).all(axis=1)
         if not finite.all():
             k = int(finite.argmin())

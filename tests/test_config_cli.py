@@ -369,13 +369,13 @@ class TestPipelines:
         # separate carries its complement frame unorthonormalised: no QR
         # on matrix or ODE maps; oseledets still takes one per step
         calls = []
-        qr = estimators._qr_positive
+        qr = estimators._qr
 
         def counted(V):
             calls.append(V.shape)
             return qr(V)
 
-        monkeypatch.setattr(estimators, "_qr_positive", counted)
+        monkeypatch.setattr(estimators, "_qr", counted)
         ode = {"seed": 100, "model": {"kind": "ode-piecewise-uniform", "n": 3,
                                       "diag": [-1.0, 0.5], "offdiag": [0.0, 1.0]},
                "estimator": {"horizon": 10.0, "dt": 0.1}}

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,12 +10,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from poscocycle.drivers import BLOCK_CELLS, IidShift, TorusRotation
 from poscocycle.errors import EstimationError, PositivityViolation
-from poscocycle.estimators import (MatrixCocycle, OdeCocycle, DivergenceDiagnostic,
+from poscocycle.estimators import (MatrixCocycle, OdeCocycle, DivergenceDiagnostic, SeparationEstimate,
                                    forward_floquet, lambda1_via_kappa, oseledets_qr,
                                    pullback_convergence, separation_estimate, warmup_direction)
 from poscocycle import odes
 from poscocycle.estimators import (FloquetTrack, _column_norms, _dual_path, _enforce_cone, _norm, _orth_complement,
-                                   _qr_positive, _spectral_norm, _steps, _stored_replay)
+                                   _projection_norm, _qr, _spectral_norm, _stored_replay)
 from poscocycle.matrices import (ConstantMatrixModel, IidChoiceModel, SampledMatrixModel, UniformEntriesModel,
                                  leslie_model)
 from poscocycle.odes import (CallableOdeModel, ConstantOdeModel, PiecewiseConstantOdeModel, TypeKFlipModel,
@@ -48,6 +49,17 @@ def half_cell_edges(state, t0, t1):
     p = state.pos + state.pos_lo
     ts = np.arange(math.floor(2.0 * (p + t0)) + 1, math.ceil(2.0 * (p + t1))) / 2.0 - p
     return ts[(ts > t0) & (ts < t1)]
+
+
+def _steps(chunks):
+    """The (M, log_scale) pairs of a chunk stream, in stream order.  A chunk
+    is freed before the next is built: its final pair is a copy, so the
+    loop reading the pairs holds no view into it by then."""
+    for maps, ls in chunks:
+        final = maps[-1].copy(), float(ls[-1])
+        yield from zip(maps[:-1], ls[:-1].tolist())
+        del maps, ls
+        yield final
 
 
 class StoredMatrixCocycle(MatrixCocycle):
@@ -587,6 +599,29 @@ class TestDualFloquet:
         assert np.linalg.norm(ws - np.array([1.0, 1.0]) / np.sqrt(2)) < 1e-8
 
 
+@pytest.mark.parametrize("horizon", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name, run", [
+    ("forward_floquet", lambda coc, h: forward_floquet(coc, disc_state(), np.ones(3), h)),
+    ("separation_estimate", lambda coc, h: separation_estimate(coc, disc_state(), h)),
+    ("oseledets_qr", lambda coc, h: oseledets_qr(coc, disc_state(), h)),
+], ids=["forward_floquet", "separation_estimate", "oseledets_qr"])
+def test_non_finite_horizon_rejected(name, run, horizon):
+    with pytest.raises(ValueError, match=f"^{name} requires a finite horizon, got horizon = {horizon}$"):
+        run(iid_positive_cocycle(), horizon)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda coc: forward_floquet(coc, disc_state(), np.ones(3), 20, record_every=-2), "record_every = -2"),
+    (lambda coc: separation_estimate(coc, disc_state(), 20, warmup=-5), "warmup = -5"),
+    (lambda coc: separation_estimate(coc, disc_state(), 20, proj_samples=-3), "proj_samples = -3"),
+], ids=["record_every", "warmup", "proj_samples"])
+def test_negative_count_rejected(call, message):
+    # each used to fail inside the loop (a reshape, an unbound frame) or,
+    # for proj_samples, to sample every step
+    with pytest.raises(ValueError, match=f"must be >= 0, got {message}$"):
+        call(iid_positive_cocycle())
+
+
 class TestSeparation:
     def test_symmetric_flow_rates(self):
         coc = OdeCocycle(ConstantOdeModel([[0.0, 1.0], [1.0, 0.0]]), dt=0.25, rtol=1e-9)
@@ -864,14 +899,19 @@ class ScaledCocycle(MatrixCocycle):
 
 
 def per_step_qr(coc, omega, T):
-    """``oseledets_qr`` as a per-step loop: log and sum at every step."""
+    """``oseledets_qr`` over T steps as a per-step loop over a signed QR:
+    np.linalg.qr with the column signs that make diag R nonnegative, log
+    and sum at every step."""
     Q, sums = np.eye(coc.n), np.zeros(coc.n)
     with np.errstate(divide="ignore"):
         for M, ls in _steps(coc.step_blocks(omega, T)):
-            Q, F = _qr_positive(M @ Q)
-            d = np.abs(F.diagonal())
+            Q, R = np.linalg.qr(M @ Q)
+            signs = np.sign(np.diag(R))
+            signs[signs == 0] = 1.0
+            Q = np.multiply(Q, signs, order="C")
+            d = np.abs(np.diag(R))
             sums += np.where(d > 0, np.log(np.maximum(d, 1e-300)), -np.inf) + ls
-    return np.sort(sums / T)[::-1]
+    return np.sort(sums / (T * coc.dt))[::-1]
 
 
 def per_step_forward(coc, omega, u0, T, record_every=0):
@@ -919,6 +959,65 @@ def per_step_forward(coc, omega, u0, T, record_every=0):
             for j in range(k)]
 
 
+def per_step_separation(coc, omega, T, warmup, proj_samples=0):
+    """``separation_estimate`` over T steps as the loop that read its maps
+    as (M, log scale) pairs through ``_steps``: the adjoint sweep over the
+    reversed chunks, the threshold on |M|_F |W|_F taken at every step."""
+    n = coc.n
+    blocks = coc.replay(omega, -warmup, T + warmup)
+    z = np.full(n, 1.0 / math.sqrt(n))
+    z_path = np.empty((T + 1, n))
+    z_path[T] = z
+    k = T + warmup
+    latest_first = map(lambda chunk: (chunk[0][::-1], chunk[1][::-1]), blocks(0, T + warmup, backward=True))
+    for M, _ in _steps(latest_first):
+        k -= 1
+        z = M.T @ z
+        z /= _norm(z)
+        if k <= T:
+            z_path[k] = z
+    sample_every = max(1, T // proj_samples) if proj_samples else 0
+    proj_history = []
+    w = np.full(n, 1.0 / math.sqrt(n))
+    log_growth = log_restricted = 0.0
+    restricted_dead = False
+    for k, (M, ls) in enumerate(_steps(blocks(-warmup, T)), -warmup):
+        if k == 0:
+            w_star0 = z_path[0].copy()
+            B0 = W = _orth_complement(w_star0)
+            if sample_every:
+                proj_history.append((0.0, math.log(_projection_norm(w, w_star0))))
+        v = M @ w
+        r = _norm(v)
+        w = v / r
+        if k < 0:
+            continue
+        log_growth += math.log(r) + ls
+        if sample_every and (k + 1) % sample_every == 0:
+            proj_history.append(((k + 1) * coc.dt, math.log(_projection_norm(w, z_path[k + 1]))))
+        if restricted_dead:
+            continue
+        V = M @ W
+        if _norm(V) <= 1e-13 * _norm(M) * _norm(W):
+            restricted_dead = True
+            continue
+        V -= np.outer(z_path[k + 1], z_path[k + 1] @ V)
+        s = _norm(V)
+        if s == 0.0:
+            restricted_dead = True
+            continue
+        W = V / s
+        log_restricted += math.log(s) + ls
+    if not restricted_dead:
+        log_restricted += math.log(_spectral_norm(W))
+    horizon = T * coc.dt
+    lambda1 = log_growth / horizon
+    sigma = math.inf if restricted_dead else (log_growth - log_restricted) / horizon
+    lambda2 = -math.inf if restricted_dead else lambda1 - sigma
+    return SeparationEstimate(lambda1_hat=lambda1, lambda2_hat=lambda2, sigma_hat=sigma, w=w, w_star=w_star0,
+                              f1_basis=B0, projection_norm_history=proj_history, horizon=horizon)
+
+
 class TestChunkClose:
     # each chunk of BLOCK_CELLS steps is closed at once; its logs, sums and
     # rows are bit for bit those of a loop that takes them step by step,
@@ -927,11 +1026,21 @@ class TestChunkClose:
     HORIZONS = (BLOCK_CELLS - 1, BLOCK_CELLS, BLOCK_CELLS + 1, 2000)
     EVERY = (0, 1, 7, 300)
 
-    @pytest.mark.parametrize("n", [3, 24])
-    @pytest.mark.parametrize("T", HORIZONS)
-    def test_qr_matches_per_step(self, n, T):
+    # the unsigned QR loop reads |diag R| bit for bit as the signed one,
+    # also at N = 130, past LAPACK's blocking crossover (one horizon there)
+    @pytest.mark.parametrize("T, n", [*product(HORIZONS, (2, 3, 24, 40)), (BLOCK_CELLS + 1, 130)])
+    def test_qr_matches_per_step(self, T, n):
         for coc in (iid_positive_cocycle(n), ScaledCocycle(UniformEntriesModel(n, 0.5, 2.0))):
             assert np.array_equal(oseledets_qr(coc, disc_state(4), T), per_step_qr(coc, disc_state(4), T))
+
+    def test_ode_qr_matches_per_step(self):
+        # flow maps from one expm per constant piece and from DOP853 batches
+        T = BLOCK_CELLS + 44
+        for model in (PiecewiseConstantOdeModel(3, cooperative_sampler(3, -1.0, 0.5, 0.0, 1.0)),
+                      CallableOdeModel(3, half_cell_field, half_cell_edges)):
+            coc = OdeCocycle(model, dt=0.1, rtol=1e-8)
+            exps = oseledets_qr(coc, cont_state(8), T * coc.dt)
+            assert np.array_equal(exps, per_step_qr(coc, cont_state(8), T))
 
     @pytest.mark.parametrize("n", [3, 24])
     @pytest.mark.parametrize("T", HORIZONS)
@@ -966,6 +1075,39 @@ class TestChunkClose:
         assert exps[-1] == -math.inf and np.isfinite(exps[:-1]).all()
 
 
+class TestSeparationSweeps:
+    # both sweeps walk each chunk's maps in place; the estimate is bit for
+    # bit that of the loop over (M, log scale) pairs, on horizons around one
+    # chunk and warm-ups of none, less than one chunk and more than one
+    WARMUPS = (0, 50, 300)
+
+    @pytest.mark.parametrize("n", [3, 24])
+    @pytest.mark.parametrize("T", TestChunkClose.HORIZONS)
+    def test_matches_per_step(self, n, T):
+        coc = ScaledCocycle(UniformEntriesModel(n, 0.5, 2.0))
+        for warmup in self.WARMUPS:
+            got = separation_estimate(coc, disc_state(9), T, warmup=warmup, proj_samples=7)
+            assert same(got, per_step_separation(coc, disc_state(9), T, warmup, 7)), warmup
+
+    def test_rank_deficient_and_annihilated_match_per_step(self):
+        # a rank-one frame that lives on, and a complement that dies at once
+        A = np.array([[1.0, 2.0, 1.0], [2.0, 1.0, 1.0], [3.0, 3.0, 2.0]])
+        B = np.array([[2.0, 1.0, 1.0], [1.0, 3.0, 1.0], [1.0, 1.0, 2.0]])
+        for model in (IidChoiceModel([A, B]), ConstantMatrixModel(np.ones((3, 3)))):
+            coc = MatrixCocycle(model)
+            for warmup in self.WARMUPS:
+                got = separation_estimate(coc, disc_state(3), 400, warmup=warmup, proj_samples=5)
+                assert same(got, per_step_separation(coc, disc_state(3), 400, warmup, 5)), warmup
+            assert (got.sigma_hat == math.inf) == isinstance(model, ConstantMatrixModel)
+
+    def test_ode_matches_per_step(self):
+        # the piecewise-constant flow maps, read from their stored replay
+        coc = OdeCocycle(PiecewiseConstantOdeModel(3, cooperative_sampler(3, -1.0, 0.5, 0.0, 1.0)), dt=0.1)
+        for T, warmup in ((300, 0), (300, 50), (BLOCK_CELLS + 1, 300)):
+            got = separation_estimate(coc, cont_state(10), T * coc.dt, warmup=warmup, proj_samples=6)
+            assert same(got, per_step_separation(coc, cont_state(10), T, warmup, 6)), (T, warmup)
+
+
 class TestLapackKernels:
     def test_helpers_match_numpy_bit_for_bit(self):
         # the step loops' direct LAPACK calls reproduce the numpy wrappers
@@ -977,12 +1119,11 @@ class TestLapackKernels:
                 for _ in range(25 if n < 100 else 3):
                     V = rng.uniform(-1.0, 2.0, shape) * 10.0 ** rng.integers(-3, 4)
                     Q, R = np.linalg.qr(V)
-                    signs = np.sign(np.diag(R))
-                    signs[signs == 0] = 1.0
-                    Qp, F = _qr_positive(V)
-                    assert np.array_equal(Qp, Q * signs) and Qp.flags.c_contiguous
+                    F = V.copy()
+                    Qf, factored = _qr(F)
+                    assert factored is F  # factored in place
+                    assert np.array_equal(Qf, Q) and Qf.flags.c_contiguous
                     assert np.array_equal(np.triu(F[:shape[1]]), R)
-                    assert np.array_equal(np.abs(F.diagonal()), np.diag(signs[:, None] * R))
                     for A in (V, R, np.triu(rng.uniform(-1.0, 1.0, (n, n)))):
                         assert _spectral_norm(A) == np.linalg.norm(A, 2)
                     assert _norm(V) == np.linalg.norm(V)

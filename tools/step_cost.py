@@ -7,7 +7,9 @@
 Each matrix loop runs on a fresh uniform-entries cocycle (entries in
 [0.5, 2)) on a discrete i.i.d. shift, so block emission is included.
 "forward x2" walks two probes as one (N, 2) block; compare it with two
-one-probe "forward" steps.  The "ode" rows are forward steps of the
+one-probe "forward" steps.  "dual" is ``_dual_path`` alone, the backward
+adjoint sweep of "separation" (warm-up 50), so "separation" less "dual" is
+its forward sweep.  The "ode" rows are forward steps of the
 piecewise-constant cooperative ODE (N = 3, diagonal in [-1, 0.5),
 off-diagonal in [0, 1), unit cells) at dt = 0.1 on a continuous i.i.d.
 shift, with one probe and with two; "ode qr" is ``oseledets_qr`` and
@@ -72,7 +74,7 @@ def main(argv=None):
     import numpy as np
     from poscocycle.config import validate_config
     from poscocycle.drivers import IidShift, TorusRotation
-    from poscocycle.estimators import (MatrixCocycle, OdeCocycle, forward_floquet, oseledets_qr,
+    from poscocycle.estimators import (MatrixCocycle, OdeCocycle, _dual_path, forward_floquet, oseledets_qr,
                                        separation_estimate)
     from poscocycle.matrices import UniformEntriesModel
     from poscocycle.odes import PiecewiseConstantOdeModel, cooperative_sampler, integrate
@@ -108,6 +110,7 @@ def main(argv=None):
         ("forward x2", matrix, forward(2), (3, 24)),
         ("qr", matrix, lambda coc, om: oseledets_qr(coc, om, T), (3, 24)),
         ("separation", matrix, lambda coc, om: separation_estimate(coc, om, T, warmup=50), (3, 24)),
+        ("dual", matrix, lambda coc, om: _dual_path(coc.replay(om, -50, T + 50), coc.n, T, 50), (3, 24)),
         ("ode", ode, forward(1), (3,)),
         ("ode x2", ode, forward(2), (3,)),
         ("ode qr", ode, lambda coc, om: oseledets_qr(coc, om, T * coc.dt), (3,)),
