@@ -10,7 +10,7 @@ Run:  python demos/assumption_checks.py
 from poscocycle import (ConstantMatrixModel, ConstantOdeModel, IidShift,
                         PiecewiseConstantOdeModel, check_D1, check_D2, check_D3,
                         check_O1, check_O2, cooperative_sampler,
-                        irreducibility_quantities, l1_growth_bound,
+                        irreducibility_quantities,
                         UniformEntriesModel)
 
 
@@ -48,7 +48,6 @@ st = cdriver.initial(0)
 q = irreducibility_quantities(ode, st)
 print(f"  chain delta = {q.delta:.4f}; column lower bound {q.beta_lower:.4e}; "
       f"upper bound {q.beta_upper:.4e} (grid {q.grid_points} points)")
-print(f"  l1 growth bound over one unit of time: {l1_growth_bound(ode, st, 1.0):.4f}")
 
 print("\n=== a non-cooperative field fails with a witness ===")
 show(check_O1(ConstantOdeModel([[0.0, -1.0], [1.0, 0.0]]), cdriver, 0, 5))

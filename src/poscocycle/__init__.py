@@ -20,6 +20,6 @@ from .matrices import (AssumptionReport, ConstantMatrixModel, FocusingCertificat
 from .odes import (CallableOdeModel, ConstantOdeModel, IrreducibilityQuantities,
                    OdeModel, PiecewiseConstantOdeModel, check_O1, check_O2,
                    TypeKFlipModel, cooperative_sampler, integrate,
-                   irreducibility_quantities, l1_growth_bound, propagate)
+                   irreducibility_quantities, propagate)
 from .torus import (FOCUSING_RATIO_BOUND, PRINCIPAL_DIRECTION, SEPARATION_RATE,
                     TorusExampleModel, validate_against_closed_form)

@@ -222,10 +222,6 @@ class MarkovShift:
             raise ValueError(f"discrete driver requires integer time, got {t!r}")
         return ShiftState(state.system, state.seed, state.pos + ti)
 
-    def chain_state(self, state: ShiftState) -> int:
-        """Chain state at the stream position of ``state``."""
-        return int(self.chain_states(state, 1)[0])
-
     def chain_states(self, state: ShiftState, count: int) -> np.ndarray:
         """Chain states at the positions index .. index + count - 1 of ``state``."""
         seed, a = state.seed, state.index

@@ -421,9 +421,6 @@ class EntireOrbit:
     log_norms: list
     step_log_rho: list
 
-    def value(self, j):
-        return math.exp(self.log_norms[j]) * self.directions[j]
-
 
 def _pullback(cocycle, start, probes, depth, record_every=0):
     """The tracks of the columns of ``probes`` pushed over ``depth`` steps

@@ -466,16 +466,6 @@ class FocusingCertificate:
     e: np.ndarray
     beta: object  # callable: vector -> float
 
-    def sandwich_holds(self, S, u, rtol: float = 1e-12) -> bool:
-        S = np.asarray(S, dtype=float)
-        u = np.asarray(u, dtype=float)
-        su = S @ u
-        b = self.beta(u)
-        lo = b * self.e
-        hi = self.kappa * b * self.e
-        tol = rtol * max(1.0, float(np.abs(su).max()))
-        return bool(np.all(su >= lo - tol) and np.all(su <= hi + tol))
-
 
 def focusing_certificate(S) -> FocusingCertificate:
     """Explicit (e, beta, kappa) for a strictly positive matrix."""

@@ -1,6 +1,7 @@
 """Continuous-time linear cocycles u' = A(theta_t w) u with merely piecewise
 continuous coefficients, cooperative / type-K structure checks, and the
-constructive irreducibility quantities.
+constructive irreducibility quantities of the time-1 map, whose
+``beta_upper`` is the one upper bound on the growth of positive solutions.
 
 Trajectories are Caratheodory solutions: ``propagate`` never steps across a
 coefficient discontinuity.  A piece on which the coefficient is constant
@@ -40,6 +41,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import EstimationError
+from .matrices import AssumptionReport, opnorm1
 from .stats import mean_ci
 
 # DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, 1993, Sec. II.10),
@@ -424,7 +426,7 @@ def _exact_flow(A, t0, t1):
     logarithmic in |A| h and no entry overflows or underflows.
     """
     h = t1 - t0
-    norm = h * float(np.abs(A).sum(axis=0).max())
+    norm = h * opnorm1(A)
     if not math.isfinite(norm):
         raise EstimationError(f"non-finite coefficient on the piece ({t0:.6g}, {t1:.6g})")
     s = math.ceil(math.log2(norm / 4.0)) if norm > 4.0 else 0
@@ -601,8 +603,6 @@ def integrate(model: OdeModel, omega, u0, t, rtol=1e-10):
 def check_O1(model: OdeModel, driver, seed, n_samples):
     """Cooperativity: off-diagonal entries nonnegative at sampled (base point,
     time), 17 evenly spaced times in [0, 1] per base point."""
-    from .matrices import AssumptionReport
-
     t_grid = np.linspace(0.0, 1.0, 17)
     omega = driver.initial(seed)
     witnesses = []
@@ -626,8 +626,6 @@ def check_O1(model: OdeModel, driver, seed, n_samples):
 
 def check_O2(model: OdeModel, driver, seed, n_samples):
     """Integrability estimate: mean +/- CI of the max entry."""
-    from .matrices import AssumptionReport
-
     omega = driver.initial(seed)
     vals = []
     for k in range(n_samples):
@@ -645,13 +643,15 @@ def check_O2(model: OdeModel, driver, seed, n_samples):
 
 @dataclass
 class IrreducibilityQuantities:
-    """Constructive lower-bound data for the time-1 map of a cooperative system.
+    """Constructive bounds for the time-1 map of a cooperative system.
 
     a_tilde[i]    = min over t in [0,1] of the running integral of a_ii
     a_bar[i][j]   = min over s in [0,1] of the tail integral of a_ij
     beta_i[i]     = chain product lower bound for column i of the time-1 map
     beta_lower    = min_i beta_i
-    beta_upper    = exp of the integral of the summed row maxima (an upper bound)
+    beta_upper    = exp of the integral over [0,1] of the summed row maxima:
+                    the package's one upper bound on the ell-1 growth of
+                    nonnegative solutions, so on every entry of the time-1 map
     beta_tilde_i  = the all-offdiagonals variant (no chain needed)
     """
 
@@ -671,17 +671,24 @@ def _cumulative_integrals(model, omega):
     """Cumulative entrywise integrals F_ij(t) of the coefficient over [0,1]
     on a grid refined until the summed entry minima move by less than 1e-8;
     returns (grid, vals, F): the coefficient at each grid point, and F, both
-    of shape (len(grid), N, N)."""
+    of shape (len(grid), N, N).
+
+    Each piece between the ``_knots`` has a grid of its own, with both ends,
+    so a breakpoint appears twice; the coefficient there is the piece's
+    one-sided limit, taken 1e-13 (b - a) inside the piece (a, b).  No
+    trapezoid spans a jump, and the rule is exact on a constant piece."""
     knots = _knots(model, omega, 1.0)
     m = 32
     prev_min = None
     while True:
-        grid = np.unique(np.concatenate([
-            np.linspace(a, b, max(2, int(np.ceil((b - a) * m)) + 1))
-            for a, b in zip(knots[:-1], knots[1:])]))
-        vals = np.stack([model.field(omega, float(max(min(t, 1.0 - 1e-13), 1e-13))) for t in grid])
-        dt = np.diff(grid)[:, None, None]
-        incr = 0.5 * (vals[1:] + vals[:-1]) * dt
+        grid, vals = [], []
+        for a, b in zip(knots, knots[1:]):
+            ts = np.linspace(a, b, max(2, math.ceil((b - a) * m) + 1))
+            lo, hi = a + 1e-13 * (b - a), b - 1e-13 * (b - a)
+            grid.append(ts)
+            vals += [model.field(omega, max(min(t, hi), lo)) for t in ts.tolist()]
+        grid, vals = np.concatenate(grid), np.stack(vals)
+        incr = 0.5 * (vals[1:] + vals[:-1]) * np.diff(grid)[:, None, None]
         F = np.concatenate([np.zeros((1, model.n, model.n)), np.cumsum(incr, axis=0)])
         cur_min = float(F.min(axis=0).sum())
         if prev_min is not None and abs(cur_min - prev_min) < 1e-8:
@@ -788,43 +795,6 @@ def irreducibility_quantities(model: OdeModel, omega, delta=None, chains=None) -
         beta_lower=float(beta_i.min()), beta_upper=beta_upper,
         beta_tilde_i=beta_tilde_i, beta_tilde_lower=float(beta_tilde_i.min()),
         chains=chains, grid_points=len(grid))
-
-
-def l1_growth_bound(model: OdeModel, omega, t) -> float:
-    """exp of the integral over [0, t] of the summed row maxima of the
-    coefficient (adaptive Simpson to 1e-10 per piece): an upper bound for
-    the ell-1 growth of positive solutions."""
-    if not math.isfinite(t):
-        raise ValueError(f"l1_growth_bound requires a finite time, got t = {t!r}")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t == 0:
-        return 1.0
-    knots = _knots(model, omega, t)
-    total = 0.0
-    for a, b in zip(knots[:-1], knots[1:]):
-        total += _adaptive_simpson(
-            lambda tau: float(model.field(omega, float(tau)).max(axis=1).sum()),
-            a + 1e-13 * (b - a), b - 1e-13 * (b - a), 1e-10)
-    return float(np.exp(total)) if total < 700 else math.inf
-
-
-def _adaptive_simpson(f, a, b, tol, depth=24):
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4 * fm + fb)
-    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth)
-
-
-def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) < 15 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return (_simpson_rec(f, a, m, fa, flm, fm, left, tol / 2, depth - 1)
-            + _simpson_rec(f, m, b, fm, frm, fb, right, tol / 2, depth - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ SEPARATION_RATE = 2.0
 BATTERY_HORIZON = 50.0
 BATTERY_DT = 0.25
 # the window the battery's separation-rate estimates must fall in
-SIGMA_WINDOW = (1.9, 2.1)
+SIGMA_WINDOW = (SEPARATION_RATE - 0.1, SEPARATION_RATE + 0.1)
 
 
 def coefficient(w1: float, w2: float) -> float:
@@ -114,15 +114,6 @@ class TorusExampleModel(OdeModel):
             total += 1.0 / (v * (c + v * length)) - 1.0 / (v * c)
         return total
 
-    def propagator(self, state: TorusState, t: float):
-        """Closed-form U_w(t) as (direction_matrix, log_scale), with the
-        direction normalized in the operator ell-1 norm (so its norm is 1 and
-        log_scale = a-integral + |t|)."""
-        ch, sh = math.cosh(t), math.sinh(t)
-        etb = np.array([[ch, sh], [sh, ch]])
-        nrm = ch + abs(sh)  # operator ell-1 norm of exp(tB)
-        return etb / nrm, self.a_integral(state, t) + math.log(nrm)
-
     def apply(self, state: TorusState, t: float, u):
         """Closed-form solution from u: (unit direction, log growth of |.|_2)."""
         u = np.asarray(u, dtype=float)
@@ -131,19 +122,9 @@ class TorusExampleModel(OdeModel):
         growth = self.a_integral(state, t) + math.log(np.linalg.norm(v) / np.linalg.norm(u))
         return v / np.linalg.norm(v), growth
 
-    @staticmethod
-    def separation_ratio(t: float) -> float:
-        """Exact growth ratio of the complement over the principal direction:
-        the scalar factor cancels, leaving exp(-2t) for every base point."""
-        return math.exp(-2.0 * t)
-
-    def kappa_observable(self, state: TorusState) -> float:
-        """Quadratic form <A w, w> along the constant principal direction."""
-        w1, w2 = state.position
-        return 1.0 + coefficient(w1, w2)
-
     def kappa_mean_exact(self, state: TorusState, horizon: float) -> float:
-        """Exact finite-horizon time average of the quadratic form."""
+        """Exact finite-horizon time average of the quadratic form
+        <A w, w> = 1 + a along the principal direction w."""
         return 1.0 + self.a_integral(state, horizon) / horizon
 
     @staticmethod

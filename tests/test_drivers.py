@@ -72,7 +72,7 @@ class TestMarkovShift:
     def test_single_state_constant(self):
         sys = MarkovShift([[1.0]])
         st0 = sys.initial(5)
-        assert all(sys.chain_state(st0.advance(n)) == 0 for n in range(-5, 6))
+        assert all(sys.chain_states(st0.advance(n), 1)[0] == 0 for n in range(-5, 6))
 
     def test_stationary_distribution(self):
         sys = MarkovShift(self.P)
@@ -85,14 +85,14 @@ class TestMarkovShift:
     def test_two_sided_deterministic(self):
         sys = MarkovShift(self.P)
         st0 = sys.initial(9)
-        path = [sys.chain_state(st0.advance(n)) for n in range(-20, 21)]
-        path2 = [sys.chain_state(st0.advance(n)) for n in range(-20, 21)]
+        path = [sys.chain_states(st0.advance(n), 1)[0] for n in range(-20, 21)]
+        path2 = [sys.chain_states(st0.advance(n), 1)[0] for n in range(-20, 21)]
         assert path == path2
 
     def test_empirical_occupation_matches_stationary(self):
         sys = MarkovShift(self.P)
         st0 = sys.initial(4)
-        states = [sys.chain_state(st0.advance(n)) for n in range(-1500, 1500)]
+        states = [sys.chain_states(st0.advance(n), 1)[0] for n in range(-1500, 1500)]
         freq = np.bincount(states, minlength=2) / len(states)
         assert np.abs(freq - sys.stationary).max() < 0.05
 
@@ -102,7 +102,7 @@ class TestMarkovShift:
         # straddle 0 and checkpoints
         ref, blk = MarkovShift(self.P3), MarkovShift(self.P3)
         st0 = ref.initial(21)
-        per_index = [ref.chain_state(st0.advance(n)) for n in range(699, -701, -1)][::-1]
+        per_index = [ref.chain_states(st0.advance(n), 1)[0] for n in range(699, -701, -1)][::-1]
         K = blk.checkpoint_every
         for start in (-700, 0, -300, 44):
             got = blk.chain_states(blk.initial(21).advance(start), K)

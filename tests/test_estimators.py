@@ -570,7 +570,7 @@ class TestBackwardOrbit:
         coc = iid_positive_cocycle(3)
         orbit, _ = pullback_convergence(coc, disc_state(2), 12)
         assert orbit.log_norms[-1] == 0.0
-        v_last = orbit.value(len(orbit.ns) - 1)
+        v_last = math.exp(orbit.log_norms[-1]) * orbit.directions[-1]
         assert abs(np.linalg.norm(v_last) - 1.0) < 1e-12
 
 

@@ -228,7 +228,10 @@ class TestFocusing:
                 u = rng.uniform(0.0, 1.0, 4)
                 if not np.any(u):
                     continue
-                assert cert.sandwich_holds(S, u)
+                # beta(u) e <= S u <= kappa beta(u) e, up to rounding of S u
+                su, b = S @ u, cert.beta(u)
+                tol = 1e-12 * max(1.0, float(np.abs(su).max()))
+                assert np.all(su >= b * cert.e - tol) and np.all(su <= cert.kappa * b * cert.e + tol)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="strictly positive"):

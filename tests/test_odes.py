@@ -14,7 +14,7 @@ from poscocycle.estimators import OdeCocycle, forward_floquet
 from poscocycle.odes import (CallableOdeModel, ConstantOdeModel,
                              PiecewiseConstantOdeModel, TypeKFlipModel, check_O1, check_O2,
                              cooperative_sampler, integrate,
-                             irreducibility_quantities, l1_growth_bound, propagate)
+                             irreducibility_quantities, propagate)
 from poscocycle.torus import TorusExampleModel
 
 
@@ -420,15 +420,17 @@ class TestBatchedIntegrate:
 
 
 class TestGrowthBound:
+    # beta_upper, the bound exp of the integral over [0, 1] of the summed row
+    # maxima, dominates the ell-1 growth of nonnegative solutions at t = 1
     def test_zero_field_exact(self):
         model = ConstantOdeModel(np.zeros((2, 2)))
-        assert l1_growth_bound(model, cont_state(), 3.0) == 1.0
-        d, ls = integrate(model, cont_state(), np.array([0.3, 0.7]), 3.0)
+        assert irreducibility_quantities(model, cont_state(), delta=1.0).beta_upper == 1.0
+        d, ls = integrate(model, cont_state(), np.array([0.3, 0.7]), 1.0)
         assert np.exp(ls) == 1.0  # equality for positive u0
 
     def test_constant_symmetric_bound(self):
         model = ConstantOdeModel([[0.0, 1.0], [1.0, 0.0]])
-        bound = l1_growth_bound(model, cont_state(), 1.0)
+        bound = irreducibility_quantities(model, cont_state()).beta_upper
         assert abs(bound - np.exp(2.0)) < 1e-8
         # realized growth of the l1 norm is e for the Perron direction
         u0 = np.array([0.5, 0.5])
@@ -440,29 +442,21 @@ class TestGrowthBound:
         model = coop_pw_model()
         st = cont_state(3)
         rng = np.random.default_rng(4)
-        for t in (0.5, 1.0, 2.0):
-            bound = l1_growth_bound(model, st, t)
-            for _ in range(5):
-                u0 = rng.uniform(0.0, 2.0, 3) + 1e-3
-                d, ls = integrate(model, st, u0, t)
-                realized = np.exp(ls) * np.linalg.norm(u0) * np.abs(d).sum()
-                assert realized <= bound * u0.sum() * (1 + 1e-6)
-
-    @pytest.mark.parametrize("t", [math.nan, math.inf])
-    def test_non_finite_time_rejected(self, t):
-        # a non-finite interval sent the adaptive Simpson rule into a hang
-        with pytest.raises(ValueError, match=f"t = {t}$"):
-            l1_growth_bound(ConstantOdeModel(-np.eye(2)), cont_state(), t)
+        bound = irreducibility_quantities(model, st).beta_upper
+        for _ in range(5):
+            u0 = rng.uniform(0.0, 2.0, 3) + 1e-3
+            d, ls = integrate(model, st, u0, 1.0)
+            realized = np.exp(ls) * np.linalg.norm(u0) * np.abs(d).sum()
+            assert realized <= bound * u0.sum() * (1 + 1e-6)
 
     def test_torus_example_bound(self):
         m = TorusExampleModel()
         st = TorusRotation().initial(5)
-        for t in (0.5, 1.0, 2.0):
-            bound = l1_growth_bound(m, st, t)
-            u0 = np.array([1.0, 1.0])
-            d, ls = integrate(m, st, u0, t, rtol=1e-8)
-            realized = np.exp(ls) * np.linalg.norm(u0) * np.abs(d).sum()
-            assert realized <= bound * u0.sum() * (1 + 1e-6)
+        bound = irreducibility_quantities(m, st).beta_upper
+        u0 = np.array([1.0, 1.0])
+        d, ls = integrate(m, st, u0, 1.0, rtol=1e-8)
+        realized = np.exp(ls) * np.linalg.norm(u0) * np.abs(d).sum()
+        assert realized <= bound * u0.sum() * (1 + 1e-6)
 
 
 class TestStructureChecks:
@@ -542,6 +536,32 @@ class TestIrreducibility:
         with mock.patch.object(odes, "_cumulative_integrals", recorded):
             irreducibility_quantities(Counted([[0.2, 1.0], [0.5, -0.3]]), cont_state())
         assert refined == [len(calls)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_beta_upper_exact_on_constant_pieces(self, seed):
+        # the trapezoid rule is exact on each constant piece when no
+        # trapezoid spans a jump: beta_upper is exp(sum of (b - a) times the
+        # summed row maxima) up to the rounding of a sum over the grid, and
+        # the refinement stops at its first check
+        model = PiecewiseConstantOdeModel(3, cooperative_sampler(3, -1.0, 0.5, 0.0, 1.0))
+        st = cont_state(seed).advance(0.3)
+        knots = [0.0, *model.breakpoints(st, 0.0, 1.0).tolist(), 1.0]
+        assert len(knots) == 3
+        exact = sum((b - a) * model.field(st, 0.5 * (a + b)).max(axis=1).sum() for a, b in zip(knots, knots[1:]))
+        q = irreducibility_quantities(model, st)
+        assert abs(math.log(q.beta_upper) - exact) <= 4 * q.grid_points * np.finfo(float).eps * max(1.0, abs(exact))
+        assert q.grid_points < 100  # two pieces at 64 points per unit time, not the 2^15 cap
+
+    def test_torus_a_tilde_below_exact(self):
+        # a = -1/(c + (1 + rho) tau)^2 is concave on each wrap-free piece, so
+        # the trapezoid rule there under-estimates its integral; a is
+        # negative, so a_tilde, the least running integral, is the one over
+        # [0, 1] and lies at or below the exact value
+        m = TorusExampleModel()
+        for seed in range(5):
+            st = TorusRotation().initial(seed)
+            q = irreducibility_quantities(m, st)
+            assert np.all(q.a_tilde <= m.a_integral(st, 1.0))
 
     def test_auto_chain_finds_delta(self):
         A = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 3.0], [1.5, 0.0, 0.0]])

@@ -1,6 +1,7 @@
 """Source hygiene: every import in the package, the demos, the tools and
-the tests is used, at module level or inside a function, and every private
-name the package defines is read somewhere."""
+the tests is used, at module level or inside a function, every private
+name the package defines is read somewhere, and every public name it
+defines is read outside the tests."""
 
 import ast
 from pathlib import Path
@@ -14,6 +15,10 @@ PACKAGE = sorted(Path(poscocycle.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("tools/*.py")) + sorted(ROOT.glob("tests/*.py"))
+# the readers of public names: the package, demos, tools and bench scripts
+USERS = MODULES + sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("tools/*.py")) + sorted(ROOT.glob("bench/*.py"))
+# models offered to library users that only tests exercise
+KEPT_FOR_USERS = ("CallableOdeModel", "SampledMatrixModel", "TypeKFlipModel")
 
 
 def unused_imports(source):
@@ -46,9 +51,10 @@ def _private(name):
     return name.startswith("_") and not name.startswith("__")
 
 
-def private_definitions(source):
-    """(line, name) of each private name a module binds at module level
-    (imports aside) and of each private method of its classes."""
+def definitions(source):
+    """(line, name) of each name a module binds at module level (imports
+    aside) and of each method of its classes; class attributes, dataclass
+    fields among them, are left out."""
     found = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -59,7 +65,11 @@ def private_definitions(source):
         if isinstance(node, ast.ClassDef):
             found += [(f.lineno, f.name) for f in node.body
                       if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
-    return sorted((line, name) for line, name in found if _private(name))
+    return sorted(found)
+
+
+def private_definitions(source):
+    return [d for d in definitions(source) if _private(d[1])]
 
 
 def names_read(source):
@@ -87,3 +97,30 @@ def test_dead_private_names_found():
 def test_no_dead_private_names(path):
     read = set().union(*(names_read(p.read_text()) for p in PACKAGE + SCRIPTS))
     assert [d for d in private_definitions(path.read_text()) if d[1] not in read] == []
+
+
+def dead_public_names(source, readers):
+    """The public definitions of ``source`` that no source in ``readers``
+    reads, by name.  A name read anywhere counts for every definition of
+    it, so a member is missed when another object's attribute shares its
+    name: ``EntireOrbit.value`` once hid behind bench's ``Check.value``."""
+    read = set().union(*(names_read(r) for r in readers))
+    return [d for d in definitions(source) if not d[1].startswith("_") and d[1] not in read]
+
+
+def test_dead_public_names_found():
+    # a definition does not read its own name; a name read only by the
+    # tests is dead; a dataclass field is an output, not a definition
+    source = ("import os\nLIMIT = 3\nUSED = 1\ndef helper():\n    return USED\ndef dead():\n    return helper()\n"
+              "@dataclass\nclass Report:\n    value: float\n    def shown(self):\n        return self.value\n"
+              "    def only_tested(self):\n        return os\n")
+    user = "from pkg import Report\nReport(1.0).shown()\ndead\n"
+    test = "Report(1.0).only_tested()\nLIMIT\n"
+    assert dead_public_names(source, [source, user]) == [(2, "LIMIT"), (13, "only_tested")]
+    assert dead_public_names(source, [source, user, test]) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_public_names_only_tests_read(path):
+    dead = dead_public_names(path.read_text(), [p.read_text() for p in USERS])
+    assert [d for d in dead if d[1] not in KEPT_FOR_USERS] == []
