@@ -649,7 +649,8 @@ class IrreducibilityQuantities:
     a_bar[i][j]   = min over s in [0,1] of the tail integral of a_ij
     beta_i[i]     = chain product lower bound for column i of the time-1 map
     beta_lower    = min_i beta_i
-    beta_upper    = exp of the integral over [0,1] of the summed row maxima:
+    beta_upper    = exp of the integral over [0,1] of the summed row maxima,
+                    its trapezoid sum raised by the last refinement's change:
                     the package's one upper bound on the ell-1 growth of
                     nonnegative solutions, so on every entry of the time-1 map
     beta_tilde_i  = the all-offdiagonals variant (no chain needed)
@@ -669,34 +670,39 @@ class IrreducibilityQuantities:
 
 def _cumulative_integrals(model, omega):
     """Cumulative entrywise integrals F_ij(t) of the coefficient over [0,1]
-    on a grid refined until the summed entry minima move by less than 1e-8;
-    returns (grid, vals, F): the coefficient at each grid point, and F, both
-    of shape (len(grid), N, N).
+    on a grid refined by halving until both the summed entry minima of F
+    and the trapezoid integral of the summed row maxima move by less than
+    1e-8; returns (grid, vals, F, row_max_int): the coefficient at each grid
+    point and F, both of shape (len(grid), N, N), and an upper estimate of
+    the integral of the summed row maxima.
 
     Each piece between the ``_knots`` has a grid of its own, with both ends,
     so a breakpoint appears twice; the coefficient there is the piece's
     one-sided limit, taken 1e-13 (b - a) inside the piece (a, b).  No
-    trapezoid spans a jump, and the rule is exact on a constant piece."""
+    trapezoid spans a jump, and the rule is exact on a constant piece.
+
+    Each pass halves every interval of the last, so on a smooth piece the
+    trapezoid error of the last pass is about a third of the change that
+    pass made; row_max_int adds the whole change to the last sum, so on
+    smooth pieces it lies above the integral whichever way the row maxima
+    curve."""
     knots = _knots(model, omega, 1.0)
-    m = 32
-    prev_min = None
+    base = [math.ceil((b - a) * 32) for a, b in zip(knots, knots[1:])]
+    k, prev = 0, None
     while True:
         grid, vals = [], []
-        for a, b in zip(knots, knots[1:]):
-            ts = np.linspace(a, b, max(2, math.ceil((b - a) * m) + 1))
+        for a, b, n in zip(knots, knots[1:], base):
+            ts = np.linspace(a, b, (n << k) + 1)
             lo, hi = a + 1e-13 * (b - a), b - 1e-13 * (b - a)
             grid.append(ts)
             vals += [model.field(omega, max(min(t, hi), lo)) for t in ts.tolist()]
         grid, vals = np.concatenate(grid), np.stack(vals)
         incr = 0.5 * (vals[1:] + vals[:-1]) * np.diff(grid)[:, None, None]
         F = np.concatenate([np.zeros((1, model.n, model.n)), np.cumsum(incr, axis=0)])
-        cur_min = float(F.min(axis=0).sum())
-        if prev_min is not None and abs(cur_min - prev_min) < 1e-8:
-            return grid, vals, F
-        if m > 1 << 14:
-            return grid, vals, F
-        prev_min = cur_min
-        m *= 2
+        cur = np.array([F.min(axis=0).sum(), np.trapezoid(vals.max(axis=2).sum(axis=1), grid)])
+        if prev is not None and (np.all(np.abs(cur - prev) < 1e-8) or k == 10):
+            return grid, vals, F, float(cur[1] + abs(cur[1] - prev[1]))
+        prev, k = cur, k + 1
 
 
 def _chain_search(W):
@@ -743,7 +749,7 @@ def irreducibility_quantities(model: OdeModel, omega, delta=None, chains=None) -
     ``delta`` defaults to that minimum.  delta must be strictly positive.
     """
     n = model.n
-    grid, vals, F = _cumulative_integrals(model, omega)
+    grid, vals, F, row_max_int = _cumulative_integrals(model, omega)
     a_tilde = F.min(axis=0).diagonal().copy()          # min_t int_0^t a_ii
     a_bar = F[-1][None, :, :] - F.max(axis=0)          # min_s int_s^1 a_ij
     a_bar = a_bar[0]
@@ -786,8 +792,6 @@ def irreducibility_quantities(model: OdeModel, omega, delta=None, chains=None) -
         others = [math.exp(a_tilde[i] + a_bar[j, j]) * delta for j in range(n) if j != i]
         beta_tilde_i[i] = min(math.exp(a_tilde[i]), min(others))
 
-    # upper bound: integral of the summed row maxima
-    row_max_int = np.trapezoid(vals.max(axis=2).sum(axis=1), grid)
     beta_upper = float(np.exp(row_max_int))
 
     return IrreducibilityQuantities(

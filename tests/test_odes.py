@@ -449,6 +449,26 @@ class TestGrowthBound:
             realized = np.exp(ls) * np.linalg.norm(u0) * np.abs(d).sum()
             assert realized <= bound * u0.sum() * (1 + 1e-6)
 
+    def test_smooth_field_bound(self):
+        # entries that stay nonnegative keep each running-integral minimum at
+        # F(0) = 0, so the refinement must also watch the row maxima: with
+        # f = 5 sin(pi t) the summed row maxima f + delta integrate to
+        # 10 / pi + delta, and a grid that stops early under-estimates that
+        # concave integral
+        delta = 1e-3
+
+        def field(state, t):
+            f = 5.0 * math.sin(math.pi * t)
+            return [[f, f], [delta, 0.0]]
+
+        model = CallableOdeModel(2, field)
+        q = irreducibility_quantities(model, cont_state(), delta=delta)
+        exact = 10.0 / math.pi + delta
+        assert math.log(q.beta_upper) >= exact - 4 * q.grid_points * np.finfo(float).eps * exact
+        u0 = np.array([1.0, 0.0])
+        d, ls = integrate(model, cont_state(), u0, 1.0)
+        assert np.exp(ls) * np.abs(d).sum() <= q.beta_upper
+
     def test_torus_example_bound(self):
         m = TorusExampleModel()
         st = TorusRotation().initial(5)
