@@ -8,10 +8,8 @@ Run:  python demos/assumption_checks.py
 """
 
 from poscocycle import (ConstantMatrixModel, ConstantOdeModel, IidShift,
-                        PiecewiseConstantOdeModel, check_D1, check_D2, check_D3,
-                        check_O1, check_O2, cooperative_sampler,
-                        irreducibility_quantities,
-                        UniformEntriesModel)
+                        PiecewiseConstantOdeModel, UniformEntriesModel, check_D,
+                        check_O, cooperative_sampler, irreducibility_quantities)
 
 
 def show(reports):
@@ -28,21 +26,18 @@ driver = IidShift()
 
 print("=== i.i.d. strictly positive 3x3 entries on [0.5, 2] ===")
 model = UniformEntriesModel(3, 0.5, 2.0)
-show(check_D1(model, driver, seed=0, n_samples=200))
-show(check_D2(model, driver, seed=0, n_samples=200))
-show(check_D3(model, driver, seed=0, n_samples=200))
+show(check_D(model, driver, seed=0, n_samples=200))
 
 print("\n=== a singular constant matrix trips the injectivity check ===")
-show(check_D1(ConstantMatrixModel([[1.0, 1.0], [1.0, 1.0]]), driver, 0, 5))
+show(check_D(ConstantMatrixModel([[1.0, 1.0], [1.0, 1.0]]), driver, 0, 5)[:3])
 
 print("\n=== a negative entry is witnessed, not averaged away ===")
-show(check_D1(ConstantMatrixModel([[1.0, -0.25], [1.0, 1.0]]), driver, 0, 5)[:1])
+show(check_D(ConstantMatrixModel([[1.0, -0.25], [1.0, 1.0]]), driver, 0, 5)[:1])
 
 cdriver = IidShift(time="continuous")
 print("\n=== cooperative piecewise-constant field ===")
 ode = PiecewiseConstantOdeModel(3, cooperative_sampler(3, -1.0, 1.0, 0.1, 1.0))
-show(check_O1(ode, cdriver, seed=0, n_samples=30))
-show(check_O2(ode, cdriver, seed=0, n_samples=300))
+show(check_O(ode, cdriver, seed=0, n_samples=300))
 
 st = cdriver.initial(0)
 q = irreducibility_quantities(ode, st)
@@ -50,4 +45,4 @@ print(f"  chain delta = {q.delta:.4f}; column lower bound {q.beta_lower:.4e}; "
       f"upper bound {q.beta_upper:.4e} (grid {q.grid_points} points)")
 
 print("\n=== a non-cooperative field fails with a witness ===")
-show(check_O1(ConstantOdeModel([[0.0, -1.0], [1.0, 0.0]]), cdriver, 0, 5))
+show(check_O(ConstantOdeModel([[0.0, -1.0], [1.0, 0.0]]), cdriver, 0, 5)[0])

@@ -11,7 +11,7 @@ Run:  python demos/leslie_populations.py
 
 import numpy as np
 
-from poscocycle import (IidShift, LeslieModel, MatrixCocycle, check_D2,
+from poscocycle import (IidShift, LeslieModel, MatrixCocycle, check_D,
                         cocycle_product, forward_floquet, leslie_model,
                         verify_nstep_positivity, warmup_direction)
 
@@ -28,9 +28,9 @@ print("one season:\n", np.round(model.emit(omega), 3))
 # A single Leslie matrix has zeros, so one step cannot mix all age classes;
 # the N-season composite map is strictly positive, which is what the
 # focusing checks need.  Verify both facts on samples.
-lag1 = check_D2(model, driver, seed=1, n_samples=40, lag=1)
-lagN = check_D2(model, driver, seed=1, n_samples=40, lag=N)
-print(f"strict positivity at lag 1: {lag1[0].verdict}   at lag {N}: {lagN[0].verdict}")
+lag1, lagN = (next(r for r in check_D(model, driver, seed=1, n_samples=40, lag=lag) if r.condition == "D2.i")
+              for lag in (1, N))
+print(f"strict positivity at lag 1: {lag1.verdict}   at lag {N}: {lagN.verdict}")
 print("N-step positivity violations over 100 samples:",
       verify_nstep_positivity(model, driver, seed=2, n_samples=100))
 

@@ -12,13 +12,11 @@ from .estimators import (AdjointCocycle, DivergenceDiagnostic, FloquetTrack,
                          separation_estimate, warmup_direction)
 from .matrices import (AssumptionReport, ConstantMatrixModel, FocusingCertificate,
                        IidChoiceModel, LeslieModel, MarkovMatrixModel, MatrixModel,
-                       MatrixStats, SampledMatrixModel, UniformEntriesModel,
-                       check_D1, check_D2, check_D3,
+                       SampledMatrixModel, UniformEntriesModel, check_D,
                        cocycle_product, focusing_certificate, leslie_matrix,
-                       leslie_model, matrix_from_csv, matrix_stats,
-                       verify_nstep_positivity)
+                       leslie_model, matrix_from_csv, verify_nstep_positivity)
 from .odes import (CallableOdeModel, ConstantOdeModel, IrreducibilityQuantities,
-                   OdeModel, PiecewiseConstantOdeModel, check_O1, check_O2,
+                   OdeModel, PiecewiseConstantOdeModel, check_O,
                    TypeKFlipModel, cooperative_sampler, integrate,
                    irreducibility_quantities, propagate)
 from .torus import (FOCUSING_RATIO_BOUND, PRINCIPAL_DIRECTION, SEPARATION_RATE,

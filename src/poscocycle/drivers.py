@@ -175,14 +175,12 @@ class MarkovShift:
     Each step inverts the row's cdf at one cell uniform, as
     ``Generator.choice(p=row)`` does (purpose 1: the time-0 state, 2: the
     forward chain, 3: the reversed chain).  The chain is walked outward from
-    0 in segments of ``checkpoint_every`` steps, one block draw each, and
-    the state at every multiple of ``checkpoint_every`` is kept per seed and
-    side.  A query walks from the last checkpoint between 0 and its first
-    index, so memory is O(|range| / checkpoint_every) per seed and a sweep
-    walks each segment once.
+    0 in segments of BLOCK_CELLS steps, one block draw each, and the state
+    at every multiple of BLOCK_CELLS is kept per seed and side (the cuts of
+    ``MatrixModel.chunks`` fall on the same multiples).  A query walks from
+    the last checkpoint between 0 and its first index, so memory is
+    O(|range| / BLOCK_CELLS) per seed and a sweep walks each segment once.
     """
-
-    checkpoint_every = BLOCK_CELLS
 
     def __init__(self, transition: np.ndarray):
         P = np.asarray(transition, dtype=float)
@@ -234,7 +232,7 @@ class MarkovShift:
     def _side_states(self, seed, side, lo, hi) -> list[int]:
         """States at distances lo..hi-1 from index 0 on one side (side 1:
         indices lo..hi-1, side -1: indices -lo..-(hi-1))."""
-        K = self.checkpoint_every
+        K = BLOCK_CELLS
         cps = self._checkpoints.get((seed, side))
         if cps is None:
             u0 = cell_uniforms(seed, 1, 0, 1, 1)[0, 0]

@@ -37,6 +37,7 @@ again.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from itertools import accumulate
@@ -391,16 +392,24 @@ def forward_floquet(cocycle, omega, u0, horizon, record_every=0, check_cone=True
     return tracks[0] if single else tracks
 
 
+def _depth(depth, least):
+    """A pull-back depth as an int; a bool, a non-integer or a depth below
+    ``least`` raises ValueError."""
+    if isinstance(depth, bool) or not isinstance(depth, numbers.Integral) or depth < least:
+        raise ValueError(f"depth must be an integer >= {least}, got depth = {depth!r}")
+    return int(depth)
+
+
 def warmup_direction(cocycle, omega, depth):
     """Pullback-converged principal direction at ``omega``: push the uniform
     probe forward from depth steps in the past (depth 0 returns the probe).
     Over ``cocycle.dual()`` it is the dual direction, whose pullback warm-up
     uses base points in the primal's forward orbit."""
+    depth = _depth(depth, 0)
     probe = np.full(cocycle.n, 1.0 / math.sqrt(cocycle.n))
-    if int(depth) == 0:
+    if depth == 0:
         return probe / np.linalg.norm(probe)
-    start = cocycle.advance(omega, -int(depth))
-    return forward_floquet(cocycle, start, probe, depth * cocycle.dt).w
+    return forward_floquet(cocycle, cocycle.advance(omega, -depth), probe, depth * cocycle.dt).w
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +451,7 @@ def pullback_convergence(cocycle, omega, depth):
     copy walks its first ``depth`` steps alone, then the probe joins it as a
     second column: 2 * depth steps in all.
     """
-    depth = int(depth)
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    depth = _depth(depth, 1)
     u0 = np.full(cocycle.n, 1.0 / math.sqrt(cocycle.n))
     [deep] = _pullback(cocycle, cocycle.advance(omega, -2 * depth), u0[:, None], depth)
     track, deeper = _pullback(cocycle, cocycle.advance(omega, -depth),

@@ -1,5 +1,6 @@
-"""Discrete-time positive matrix cocycles, their duals, per-matrix statistics,
-assumption checkers, and random Leslie (age-structured) models.
+"""Discrete-time positive matrix cocycles, their products, the D1-D3
+assumption battery, focusing certificates, and random Leslie
+(age-structured) models.
 
 A matrix model emits the one-step map as a pure function of the driver
 state.  Long products are stored as (unit-norm direction matrix, accumulated
@@ -206,7 +207,7 @@ def leslie_model(m_sampler, b_sampler, n=None) -> LeslieModel:
 def matrix_from_csv(path) -> np.ndarray:
     """Load a matrix from plain text: a header line "N", the dimension, then N rows."""
     with Path(path).open() as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+        lines = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
     if not lines or lines[0] != "N":
         raise ValueError(f"{path}: expected header 'N' on the first line")
     try:
@@ -255,35 +256,7 @@ def cocycle_product(model: MatrixModel, omega, n: int):
 
 
 # ---------------------------------------------------------------------------
-# statistics and assumption checks
-
-
-@dataclass(frozen=True)
-class MatrixStats:
-    """Columnwise / rowwise extrema and the derived scalar statistics."""
-
-    col_min: np.ndarray   # min of column i
-    col_max: np.ndarray
-    row_min: np.ndarray   # min of row i
-    row_max: np.ndarray
-    row_sum_min: float    # min over rows of the row sum
-    col_sum_min: float
-    entry_min: float
-    entry_max: float
-
-
-def matrix_stats(S) -> MatrixStats:
-    S = np.asarray(S, dtype=float)
-    return MatrixStats(
-        col_min=S.min(axis=0),
-        col_max=S.max(axis=0),
-        row_min=S.min(axis=1),
-        row_max=S.max(axis=1),
-        row_sum_min=float(S.sum(axis=1).min()),
-        col_sum_min=float(S.sum(axis=0).min()),
-        entry_min=float(S.min()),
-        entry_max=float(S.max()),
-    )
+# assumption checks
 
 
 @dataclass
@@ -309,146 +282,115 @@ class AssumptionReport:
 
 
 def _lnplus(x):
-    x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore"):
         return np.maximum(np.log(x), 0.0)
 
 
 def _lnminus(x):
-    x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore"):
         return np.maximum(-np.log(x), 0.0)
 
 
 def _sample_maps(model, driver, seed, n_samples, lag):
-    """Time-`lag` maps over non-overlapping windows along one orbit."""
+    """Time-`lag` maps over non-overlapping windows along one orbit, as an
+    (n_samples, N, N) array."""
     omega = driver.initial(seed)
     if lag == 1:
-        return [S for maps in model.chunks(omega, n_samples) for S in maps]
+        return np.concatenate(list(model.chunks(omega, n_samples)))
     out = []
     for k in range(n_samples):
         D, ls = cocycle_product(model, omega.advance(k * lag), lag)
         out.append(np.exp(ls) * D)
-    return out
+    return np.stack(out)
 
 
-def check_D1(model, driver, seed, n_samples, lag: int = 1) -> list[AssumptionReport]:
-    """Positivity (exact), injectivity (reciprocal condition number), and
-    the log-moment integrability estimate for the sampled maps."""
+def _entries(X, mask):
+    """(sample, i, j, entry) of the first five entries of the stack X where
+    ``mask`` holds, in sample and then row-major order."""
+    return [(int(k), int(i), int(j), float(X[k, i, j])) for k, i, j in np.argwhere(mask)[:5]]
+
+
+def check_D(model, driver, seed, n_samples, lag: int = 1) -> list[AssumptionReport]:
+    """The D1-D3 battery on ``n_samples`` time-``lag`` maps, drawn once.
+
+    D1: positivity (exact), injectivity (reciprocal condition number) and
+    the log-moment integrability estimate.  D2: strict positivity with the
+    column/row log-ratio moment estimates, and the coarser sufficient
+    condition on the global entry ratio.  D3: row/column sum positivity with
+    the ln- moment estimates, and the sufficient condition on the global
+    minimum entry.  Each per-sample statistic is one axis reduction of the
+    stack; a non-finite map raises EstimationError.
+    """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    samples = _sample_maps(model, driver, seed, n_samples, lag)
-    for k, S in enumerate(samples):
-        bad = ~np.isfinite(S)
-        if np.any(bad):
-            i, j = map(int, np.argwhere(bad)[0])
-            raise EstimationError(f"sampled map {k} (lag {lag}) has the non-finite entry ({i}, {j}) = {S[i, j]}")
-    reports = []
+    X = _sample_maps(model, driver, seed, n_samples, lag)
+    bad = ~np.isfinite(X)
+    if bad.any():
+        k, i, j = map(int, np.argwhere(bad)[0])
+        raise EstimationError(f"sampled map {k} (lag {lag}) has the non-finite entry ({i}, {j}) = {X[k, i, j]}")
+    entry_min = X.min(axis=(1, 2))
 
-    neg = [(k, i, j, S[i, j])
-           for k, S in enumerate(samples)
-           for i, j in zip(*np.where(S < 0.0))]
-    reports.append(AssumptionReport(
-        condition="D1.i", verdict="fails" if neg else "holds",
-        witnesses=neg[:5], detail=f"{len(samples)} sampled maps, lag {lag}"))
-
-    bad = []
-    for k, S in enumerate(samples):
-        sv = np.linalg.svd(S, compute_uv=False)
-        rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-        if rcond <= RCOND_THRESHOLD:
-            bad.append((k, rcond))
-    reports.append(AssumptionReport(
-        condition="D1.ii", verdict="fails" if bad else "holds",
-        witnesses=bad[:5], detail=f"rcond threshold {RCOND_THRESHOLD:g}"))
-
+    neg = _entries(X, X < 0.0)
+    reports = [AssumptionReport(condition="D1.i", verdict="fails" if neg else "holds",
+                                witnesses=neg, detail=f"{n_samples} sampled maps, lag {lag}")]
+    sv = np.linalg.svd(X, compute_uv=False)
+    rcond = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(n_samples), where=sv[:, 0] > 0)
+    singular = [(int(k), float(rcond[k])) for k in np.flatnonzero(rcond <= RCOND_THRESHOLD)[:5]]
+    reports.append(AssumptionReport(condition="D1.ii", verdict="fails" if singular else "holds",
+                                    witnesses=singular, detail=f"rcond threshold {RCOND_THRESHOLD:g}"))
     # the largest absolute entry is a norm of every map, signed or not
-    vals = _lnplus([np.abs(S).max() for S in samples])
-    m, hw = mean_ci(vals)
+    m, hw = mean_ci(_lnplus(np.abs(X).max(axis=(1, 2))))
     reports.append(AssumptionReport(
         condition="D1.iii", verdict="empirical", estimate=m, ci=hw,
         detail="mean of ln+ of the largest absolute entry; sample moments cannot certify integrability"))
-    return reports
 
-
-def check_D2(model, driver, seed, n_samples, lag: int = 1) -> list[AssumptionReport]:
-    """Strict positivity plus the column/row log-ratio moment estimates, and
-    the coarser sufficient condition on the global entry ratio."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    samples = _sample_maps(model, driver, seed, n_samples, lag)
-    stats = [matrix_stats(S) for S in samples]
-    reports = []
-
-    nonpos = [(k, i, j, S[i, j])
-              for k, S in enumerate(samples)
-              for i, j in zip(*np.where(S <= 0.0))]
-
-    def _moment_report(cond, per_sample_ratios, transform, extra=""):
-        if nonpos:
-            return AssumptionReport(condition=cond, verdict="fails", witnesses=nonpos[:5],
-                                    detail="strict positivity violated" + extra)
-        arr = transform(np.asarray(per_sample_ratios))  # (n_samples, N)
-        means = arr.mean(axis=0)
-        worst = int(np.argmax(means))
-        m, hw = mean_ci(arr[:, worst])
-        kappas = [float(model.n * (st.col_max / st.col_min).max()) for st in stats[:5]]
-        return AssumptionReport(condition=cond, verdict="empirical", estimate=m, ci=hw,
-                                witnesses=[("kappa_samples", kappas)],
-                                detail=f"worst index {worst}; per-index means {np.round(means, 6).tolist()}" + extra)
-
-    col_ratio = [np.log(st.col_max) - np.log(st.col_min) for st in stats] if not nonpos else []
-    row_ratio = [np.log(st.row_max) - np.log(st.row_min) for st in stats] if not nonpos else []
-
-    reports.append(_moment_report("D2.i", col_ratio, _lnplus))
-    reports.append(_moment_report("D2.ii", row_ratio, _lnplus))
-    reports.append(_moment_report("D2.iii", col_ratio, lambda a: a,
-                                  extra="; combined with the row variant below"))
-    if not nonpos:
-        arr = np.asarray(row_ratio)
-        m, hw = mean_ci(arr.max(axis=1))
+    nonpos = _entries(X, X <= 0.0)
+    if nonpos:
+        reports += [AssumptionReport(condition=cond, verdict="fails", witnesses=nonpos,
+                                     detail="strict positivity violated" + extra)
+                    for cond, extra in (("D2.i", ""), ("D2.ii", ""),
+                                        ("D2.iii", "; combined with the row variant below"))]
+    else:
+        col_min, col_max = X.min(axis=1), X.max(axis=1)  # (n_samples, N): the extrema of each column
+        col_ratio = np.log(col_max) - np.log(col_min)
+        row_ratio = np.log(X.max(axis=2)) - np.log(X.min(axis=2))
+        kappas = (model.n * (col_max[:5] / col_min[:5]).max(axis=1)).tolist()
+        for cond, arr, extra in (("D2.i", _lnplus(col_ratio), ""), ("D2.ii", _lnplus(row_ratio), ""),
+                                 ("D2.iii", col_ratio, "; combined with the row variant below")):
+            means = arr.mean(axis=0)
+            worst = int(np.argmax(means))
+            m, hw = mean_ci(arr[:, worst])
+            reports.append(AssumptionReport(
+                condition=cond, verdict="empirical", estimate=m, ci=hw, witnesses=[("kappa_samples", kappas)],
+                detail=f"worst index {worst}; per-index means {np.round(means, 6).tolist()}" + extra))
+        m, hw = mean_ci(row_ratio.max(axis=1))
         reports.append(AssumptionReport(condition="D2.iii.rows", verdict="empirical",
                                         estimate=m, ci=hw, detail="row log-ratio, worst index per sample"))
-        glob = np.log([st.entry_max for st in stats]) - np.log([st.entry_min for st in stats])
+        glob = np.log(X.max(axis=(1, 2))) - np.log(entry_min)
         m1, h1 = mean_ci(np.maximum(glob, 0.0))
         m2, h2 = mean_ci(glob)
         reports.append(AssumptionReport(condition="D2.sufficient.global-log-ratio",
                                         verdict="empirical", estimate=m2, ci=h2,
                                         detail=f"ln+ variant mean {m1:.6g} +/- {h1:.6g}"))
-    return reports
 
-
-def check_D3(model, driver, seed, n_samples, lag: int = 1) -> list[AssumptionReport]:
-    """Row/column sum positivity with the ln- moment estimates, plus the
-    sufficient condition on the global minimum entry."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    samples = _sample_maps(model, driver, seed, n_samples, lag)
-    stats = [matrix_stats(S) for S in samples]
-    reports = []
-
-    for cond, values in (("D3.i", [st.row_sum_min for st in stats]),
-                         ("D3.ii", [st.col_sum_min for st in stats])):
-        vals = np.asarray(values)
-        bad = [(k, v) for k, v in enumerate(vals) if v <= 0.0]
-        if bad:
-            reports.append(AssumptionReport(condition=cond, verdict="fails", witnesses=bad[:5]))
+    for cond, vals in (("D3.i", X.sum(axis=2).min(axis=1)), ("D3.ii", X.sum(axis=1).min(axis=1))):
+        low = [(int(k), float(vals[k])) for k in np.flatnonzero(vals <= 0.0)[:5]]
+        if low:
+            reports.append(AssumptionReport(condition=cond, verdict="fails", witnesses=low))
         else:
             m, hw = mean_ci(_lnminus(vals))
             reports.append(AssumptionReport(condition=cond, verdict="empirical", estimate=m, ci=hw,
                                             witnesses=[("nu_samples", np.round(vals[:5], 9).tolist())],
                                             detail="mean of ln- of the min row/column sum"))
-
-    mins = np.asarray([st.entry_min for st in stats])
-    if np.all(mins > 0.0):
-        m, hw = mean_ci(_lnminus(mins))
+    if np.all(entry_min > 0.0):
+        m, hw = mean_ci(_lnminus(entry_min))
         reports.append(AssumptionReport(condition="D3.sufficient.global-min",
                                         verdict="empirical", estimate=m, ci=hw,
                                         detail="mean of ln- of the global min entry"))
     else:
-        k = int(np.argmin(mins))
+        k = int(np.argmin(entry_min))
         reports.append(AssumptionReport(condition="D3.sufficient.global-min", verdict="fails",
-                                        witnesses=[(k, float(mins[k]))]))
+                                        witnesses=[(k, float(entry_min[k]))]))
     return reports
 
 
@@ -473,17 +415,16 @@ def focusing_certificate(S) -> FocusingCertificate:
     if np.any(S <= 0.0):
         i, j = np.unravel_index(int(np.argmin(S)), S.shape)
         raise ValueError(f"focusing certificate needs strictly positive entries; S[{i},{j}] = {S[i, j]}")
-    st = matrix_stats(S)
     n = S.shape[0]
     e = np.full(n, 1.0 / np.sqrt(n))
-    col_min = st.col_min.copy()
+    col_min, col_max = S.min(axis=0), S.max(axis=0)
 
     def beta(u):
         u = np.asarray(u, dtype=float)
         return float(np.sqrt(n) * (u * col_min).sum())
 
-    kappa = float(n * (st.col_max / st.col_min).max())
-    kappa_star = float(n * (st.row_max / st.row_min).max())
+    kappa = float(n * (col_max / col_min).max())
+    kappa_star = float(n * (S.max(axis=1) / S.min(axis=1)).max())
     return FocusingCertificate(kappa=kappa, kappa_star=kappa_star, e=e, beta=beta)
 
 

@@ -600,41 +600,35 @@ def integrate(model: OdeModel, omega, u0, t, rtol=1e-10):
 # structure checks
 
 
-def check_O1(model: OdeModel, driver, seed, n_samples):
-    """Cooperativity: off-diagonal entries nonnegative at sampled (base point,
-    time), 17 evenly spaced times in [0, 1] per base point."""
+def check_O(model: OdeModel, driver, seed, n_samples) -> list[AssumptionReport]:
+    """The O1 and O2 reports on one walk over ``n_samples`` base points.
+
+    O1, cooperativity: off-diagonal entries nonnegative at 17 evenly spaced
+    times in [0, 1] per base point, up to the fifth failing base point.
+    O2, integrability: mean +/- CI of the max entry at time 0 of every base
+    point."""
     t_grid = np.linspace(0.0, 1.0, 17)
     omega = driver.initial(seed)
-    witnesses = []
-    n = model.n
-    off = ~np.eye(n, dtype=bool)
+    witnesses, vals = [], []
+    off = ~np.eye(model.n, dtype=bool)
     for k in range(n_samples):
         base = omega.advance(float(k))
         for t in t_grid:
             A = model.field(base, float(t))
+            if t == 0.0:
+                vals.append(float(A.max()))
+            if len(witnesses) >= 5:
+                break
             bad = (A < 0.0) & off
             if np.any(bad):
                 i, j = map(int, next(zip(*np.where(bad))))
                 witnesses.append((k, float(t), i, j, float(A[i, j])))
                 break
-        if len(witnesses) >= 5:
-            break
-    return AssumptionReport(condition="O1", verdict="fails" if witnesses else "holds",
-                            witnesses=witnesses,
-                            detail=f"{n_samples} base points x {len(t_grid)} grid times")
-
-
-def check_O2(model: OdeModel, driver, seed, n_samples):
-    """Integrability estimate: mean +/- CI of the max entry."""
-    omega = driver.initial(seed)
-    vals = []
-    for k in range(n_samples):
-        A = model.field(omega.advance(float(k)), 0.0)
-        vals.append(float(A.max()))
     m, hw = mean_ci(vals)
-    return AssumptionReport(condition="O2", verdict="empirical",
-                            estimate=m, ci=hw,
-                            detail="sample moments cannot certify integrability")
+    return [AssumptionReport(condition="O1", verdict="fails" if witnesses else "holds",
+                             witnesses=witnesses, detail=f"{n_samples} base points x {len(t_grid)} grid times"),
+            AssumptionReport(condition="O2", verdict="empirical", estimate=m, ci=hw,
+                             detail="sample moments cannot certify integrability")]
 
 
 # ---------------------------------------------------------------------------

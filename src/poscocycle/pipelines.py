@@ -16,8 +16,8 @@ from .errors import ConfigError
 from .estimators import (DivergenceDiagnostic, MatrixCocycle, OdeCocycle,
                          forward_floquet, lambda1_via_kappa, oseledets_qr,
                          pullback_convergence, separation_estimate, warmup_direction)
-from .matrices import check_D1, check_D2, check_D3, verify_nstep_positivity
-from .odes import check_O1, check_O2
+from .matrices import check_D, verify_nstep_positivity
+from .odes import check_O
 from .reporting import write_result
 from .stats import batch_means
 
@@ -77,18 +77,9 @@ def run_command(command, cfg, out_dir=None):
 
 def _run_check(cfg):
     kind, model = build_model(cfg)
-    driver = build_driver(cfg)
     est = cfg["estimator"]
-    n_samples = int(est["n_samples"])
-    seed = cfg["seed"]
-    if kind == "matrix":
-        lag = int(est["lag"])
-        reports = (check_D1(model, driver, seed, n_samples, lag=lag)
-                   + check_D2(model, driver, seed, n_samples, lag=lag)
-                   + check_D3(model, driver, seed, n_samples, lag=lag))
-    else:
-        reports = [check_O1(model, driver, seed, n_samples),
-                   check_O2(model, driver, seed, n_samples)]
+    sample = (model, build_driver(cfg), cfg["seed"], int(est["n_samples"]))
+    reports = check_D(*sample, lag=int(est["lag"])) if kind == "matrix" else check_O(*sample)
     return {"assumption_reports": [dataclasses.asdict(r) for r in reports]}
 
 

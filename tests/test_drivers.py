@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from poscocycle.drivers import IidShift, MarkovShift, TorusRotation, cell_uniforms
+from poscocycle.drivers import BLOCK_CELLS, IidShift, MarkovShift, TorusRotation, cell_uniforms
 
 
 class TestIidShift:
@@ -103,7 +103,7 @@ class TestMarkovShift:
         ref, blk = MarkovShift(self.P3), MarkovShift(self.P3)
         st0 = ref.initial(21)
         per_index = [ref.chain_states(st0.advance(n), 1)[0] for n in range(699, -701, -1)][::-1]
-        K = blk.checkpoint_every
+        K = BLOCK_CELLS
         for start in (-700, 0, -300, 44):
             got = blk.chain_states(blk.initial(21).advance(start), K)
             assert got.tolist() == per_index[start + 700:start + 700 + K]
@@ -125,7 +125,7 @@ class TestMarkovShift:
 
     def test_checkpoints_bounded(self):
         sys = MarkovShift(self.P3)
-        K, n = sys.checkpoint_every, 100_000
+        K, n = BLOCK_CELLS, 100_000
         st0 = sys.initial(2)
         for start in range(-n, n, K):
             sys.chain_states(st0.advance(start), min(K, n - start))

@@ -622,6 +622,25 @@ def test_negative_count_rejected(call, message):
         call(iid_positive_cocycle())
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda coc: warmup_direction(coc, disc_state(), 2.7), ">= 0, got depth = 2.7"),
+    (lambda coc: warmup_direction(coc, disc_state(), -3), ">= 0, got depth = -3"),
+    (lambda coc: warmup_direction(coc, disc_state(), True), ">= 0, got depth = True"),
+    (lambda coc: pullback_convergence(coc, disc_state(), 2.7), ">= 1, got depth = 2.7"),
+    (lambda coc: pullback_convergence(coc, disc_state(), 0), ">= 1, got depth = 0"),
+], ids=["warmup-fraction", "warmup-negative", "warmup-bool", "pullback-fraction", "pullback-zero"])
+def test_pullback_depth_rejected(call, message):
+    # a fractional depth used to start int(depth) steps back and walk
+    # round(depth) steps, or to run at int(depth)
+    with pytest.raises(ValueError, match=f"^depth must be an integer {message}$"):
+        call(iid_positive_cocycle())
+
+
+def test_numpy_integer_depth():
+    coc = iid_positive_cocycle()
+    assert np.array_equal(warmup_direction(coc, disc_state(), np.int64(7)), warmup_direction(coc, disc_state(), 7))
+
+
 class TestSeparation:
     def test_symmetric_flow_rates(self):
         coc = OdeCocycle(ConstantOdeModel([[0.0, 1.0], [1.0, 0.0]]), dt=0.25, rtol=1e-9)

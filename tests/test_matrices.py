@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 from poscocycle.drivers import BLOCK_CELLS, IidShift, MarkovShift
 from poscocycle.estimators import MatrixCocycle
 from poscocycle.matrices import (ConstantMatrixModel, IidChoiceModel, LeslieModel,
-                                 MarkovMatrixModel, check_D1, check_D2, check_D3,
-                                 cocycle_product, focusing_certificate,
-                                 leslie_matrix, leslie_model, matrix_from_csv,
-                                 matrix_stats, opnorm1, UniformEntriesModel,
+                                 MarkovMatrixModel, check_D, cocycle_product,
+                                 focusing_certificate, leslie_matrix, leslie_model,
+                                 matrix_from_csv, opnorm1, UniformEntriesModel,
                                  verify_nstep_positivity)
+from poscocycle.errors import EstimationError
+from poscocycle.stats import mean_ci
 
 
 def _report(reports, cond):
@@ -120,43 +121,62 @@ class TestDualStep:
             assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(u_star) * 10
 
 
-class TestMatrixStats:
-    def test_all_ones(self):
-        st = matrix_stats(np.ones((3, 3)))
-        assert st.entry_min == st.entry_max == 1.0
-        assert st.row_sum_min == st.col_sum_min == 3.0
+class TestCheckD:
+    def test_report_order(self):
+        reports = check_D(ConstantMatrixModel([[2.0, 1.0], [1.0, 2.0]]), IidShift(), 0, 4)
+        assert [r.condition for r in reports] == [
+            "D1.i", "D1.ii", "D1.iii", "D2.i", "D2.ii", "D2.iii", "D2.iii.rows",
+            "D2.sufficient.global-log-ratio", "D3.i", "D3.ii", "D3.sufficient.global-min"]
+        # a nonpositive entry leaves the D2 moments out
+        reports = check_D(ConstantMatrixModel([[1.0, 0.0], [1.0, 1.0]]), IidShift(), 0, 4)
+        assert [r.condition for r in reports] == [
+            "D1.i", "D1.ii", "D1.iii", "D2.i", "D2.ii", "D2.iii", "D3.i", "D3.ii", "D3.sufficient.global-min"]
 
-    def test_two_by_two(self):
-        st = matrix_stats([[1.0, 2.0], [3.0, 4.0]])
-        assert st.col_min.tolist() == [1, 2] and st.col_max.tolist() == [3, 4]
-        assert st.row_min.tolist() == [1, 3] and st.row_max.tolist() == [2, 4]
-        assert (st.entry_min, st.entry_max) == (1, 4)
-        assert (st.row_sum_min, st.col_sum_min) == (3, 4)
+    def test_non_finite_map_raises(self):
+        with pytest.raises(EstimationError, match=r"sampled map 0 \(lag 1\) has the non-finite entry \(0, 1\)"):
+            check_D(ConstantMatrixModel([[1.0, np.inf], [1.0, 1.0]]), IidShift(), 0, 5)
 
-    def test_diagonal(self):
-        st = matrix_stats(np.eye(2))
-        assert st.entry_min == 0.0 and st.entry_max == 1.0 and st.row_sum_min == 1.0
+    @pytest.mark.parametrize("lag", [1, 3])
+    def test_each_cell_emitted_once(self, lag):
+        cells = []
 
-    def test_ordering_invariants(self):
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            n = int(rng.integers(2, 6))
-            st = matrix_stats(rng.uniform(-2.0, 4.0, (n, n)))
-            assert np.all(st.entry_min <= st.col_min)
-            assert np.all(st.col_min <= st.col_max)
-            assert np.all(st.col_max <= st.entry_max)
-            assert st.row_sum_min >= n * st.entry_min
+        class Counting(UniformEntriesModel):
+            def emit_block(self, state, count):
+                cells.append(count)
+                return super().emit_block(state, count)
+
+        check_D(Counting(3, 0.5, 2.0), IidShift(), 0, 40, lag=lag)
+        assert sum(cells) == 40 * lag
+
+    def test_matches_per_map_statistics(self):
+        # the axis reductions of the stack against each map's own statistics
+        model, n, count = UniformEntriesModel(24, 0.0, 2.0), 24, 30
+        maps = [model.emit(IidShift().initial(4).advance(k)) for k in range(count)]
+        reports = check_D(model, IidShift(), 4, count)
+        kappas = [float(n * (S.max(axis=0) / S.min(axis=0)).max()) for S in maps[:5]]
+        assert _report(reports, "D2.i").witnesses == [("kappa_samples", kappas)]
+        ratios = np.array([np.log(S.max(axis=0)) - np.log(S.min(axis=0)) for S in maps])
+        worst = int(np.argmax(ratios.mean(axis=0)))
+        assert _report(reports, "D2.iii").estimate == mean_ci(ratios[:, worst])[0]
+        rows = [round(float(S.sum(axis=1).min()), 9) for S in maps[:5]]
+        assert _report(reports, "D3.i").witnesses == [("nu_samples", rows)]
+        cols = np.array([S.sum(axis=0).min() for S in maps])
+        assert (_report(reports, "D3.ii").estimate, _report(reports, "D3.ii").ci) == mean_ci(np.maximum(-np.log(cols), 0.0))
+
+    def test_rejects_no_samples(self):
+        with pytest.raises(ValueError, match="n_samples"):
+            check_D(ConstantMatrixModel(np.eye(2)), IidShift(), 0, 0)
 
 
 class TestCheckD1:
     def test_singular_constant(self):
-        reports = check_D1(ConstantMatrixModel([[1.0, 1.0], [1.0, 1.0]]), IidShift(), 0, 5)
+        reports = check_D(ConstantMatrixModel([[1.0, 1.0], [1.0, 1.0]]), IidShift(), 0, 5)
         assert _report(reports, "D1.i").verdict == "holds"
         assert _report(reports, "D1.ii").verdict == "fails"
         assert _report(reports, "D1.ii").witnesses
 
     def test_nonsingular_constant(self):
-        reports = check_D1(ConstantMatrixModel([[2.0, 1.0], [1.0, 1.0]]), IidShift(), 0, 7)
+        reports = check_D(ConstantMatrixModel([[2.0, 1.0], [1.0, 1.0]]), IidShift(), 0, 7)
         assert _report(reports, "D1.i").verdict == "holds"
         assert _report(reports, "D1.ii").verdict == "holds"
         r3 = _report(reports, "D1.iii")
@@ -164,7 +184,7 @@ class TestCheckD1:
         assert abs(r3.estimate - np.log(2.0)) < 1e-14 and r3.ci == 0.0
 
     def test_negative_entry_witnessed(self):
-        reports = check_D1(ConstantMatrixModel([[1.0, -0.5], [1.0, 1.0]]), IidShift(), 0, 3)
+        reports = check_D(ConstantMatrixModel([[1.0, -0.5], [1.0, 1.0]]), IidShift(), 0, 3)
         r = _report(reports, "D1.i")
         assert r.verdict == "fails"
         assert r.witnesses[0][1:3] == (0, 1)
@@ -174,7 +194,7 @@ class TestCheckD1:
         # entry, whose log is undefined when it is negative
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            reports = check_D1(ConstantMatrixModel([[-1.0, -0.5], [-0.2, -2.0]]), IidShift(), 1, 5)
+            reports = check_D(ConstantMatrixModel([[-1.0, -0.5], [-0.2, -2.0]]), IidShift(), 1, 5)
         r3 = _report(reports, "D1.iii")
         assert abs(r3.estimate - np.log(2.0)) < 1e-14 and r3.ci == 0.0
 
@@ -182,31 +202,58 @@ class TestCheckD1:
 class TestCheckD2D3:
     def test_constant_positive_exact_moments(self):
         model = ConstantMatrixModel([[2.0, 1.0], [1.0, 2.0]])
-        reports = check_D2(model, IidShift(), 0, 6)
+        reports = check_D(model, IidShift(), 0, 6)
         for cond in ("D2.i", "D2.ii", "D2.iii"):
             r = _report(reports, cond)
             assert r.verdict == "empirical" and r.ci == 0.0
         assert abs(_report(reports, "D2.iii").estimate - np.log(2.0)) < 1e-14
-        d3 = check_D3(model, IidShift(), 0, 6)
-        assert _report(d3, "D3.i").verdict == "empirical"
-        assert _report(d3, "D3.i").estimate == 0.0  # min row sum is 3 > 1
+        assert _report(reports, "D3.i").verdict == "empirical"
+        assert _report(reports, "D3.i").estimate == 0.0  # min row sum is 3 > 1
+
+    def test_extrema_of_two_by_two(self):
+        # columns (1, 3) and (2, 4), rows (1, 2) and (3, 4): kappa = 2 max(3/1, 4/2),
+        # the min row sum 3, the min column sum 4, entries from 1 to 4
+        reports = check_D(ConstantMatrixModel([[1.0, 2.0], [3.0, 4.0]]), IidShift(), 0, 3)
+        assert _report(reports, "D2.i").witnesses == [("kappa_samples", [6.0, 6.0, 6.0])]
+        assert _report(reports, "D2.iii").estimate == np.log(3.0) - np.log(1.0)  # the worse column, 0
+        assert _report(reports, "D2.iii.rows").estimate == np.log(2.0) - np.log(1.0)  # the worse row, 0
+        assert _report(reports, "D3.i").witnesses == [("nu_samples", [3.0, 3.0, 3.0])]
+        assert _report(reports, "D3.ii").witnesses == [("nu_samples", [4.0, 4.0, 4.0])]
+        assert _report(reports, "D2.sufficient.global-log-ratio").estimate == np.log(4.0) - np.log(1.0)
+        assert _report(reports, "D3.sufficient.global-min").estimate == 0.0
+
+    def test_all_ones_extrema(self):
+        # every entry, column and row extremum is 1, every row and column sum 3
+        reports = check_D(ConstantMatrixModel(np.ones((3, 3))), IidShift(), 0, 4)
+        assert _report(reports, "D2.i").witnesses == [("kappa_samples", [3.0] * 4)]
+        assert _report(reports, "D2.sufficient.global-log-ratio").estimate == 0.0
+        assert _report(reports, "D3.i").witnesses == _report(reports, "D3.ii").witnesses == [("nu_samples", [3.0] * 4)]
+
+    def test_diagonal_extrema(self):
+        # the identity: entries from 0 to 1, every row and column sum 1
+        reports = check_D(ConstantMatrixModel(np.eye(2)), IidShift(), 0, 3)
+        assert _report(reports, "D2.i").witnesses[0] == (0, 0, 1, 0.0)
+        assert _report(reports, "D3.i").estimate == _report(reports, "D3.ii").estimate == 0.0
+        assert _report(reports, "D3.sufficient.global-min").witnesses == [(0, 0.0)]
 
     def test_zero_entry_fails_with_witness(self):
         model = ConstantMatrixModel([[1.0, 0.0], [1.0, 1.0]])
-        r = _report(check_D2(model, IidShift(), 0, 4), "D2.i")
-        assert r.verdict == "fails" and r.witnesses
+        r = _report(check_D(model, IidShift(), 0, 4), "D2.i")
+        assert r.verdict == "fails" and r.witnesses[0] == (0, 0, 1, 0.0)
 
     def test_leslie_lag(self):
         model = leslie_model([1.0, 1.0, 1.0], [1.0, 1.0])
         driver = IidShift()
-        assert _report(check_D2(model, driver, 0, 4, lag=1), "D2.i").verdict == "fails"
-        reports = check_D2(model, driver, 0, 4, lag=3)
+        assert _report(check_D(model, driver, 0, 4, lag=1), "D2.i").verdict == "fails"
+        reports = check_D(model, driver, 0, 4, lag=3)
         assert _report(reports, "D2.i").verdict == "empirical"
 
     def test_d3_fails_on_zero_row(self):
         model = ConstantMatrixModel([[0.0, 0.0], [1.0, 1.0]])
-        r = _report(check_D3(model, IidShift(), 0, 3), "D3.i")
-        assert r.verdict == "fails" and r.witnesses
+        reports = check_D(model, IidShift(), 0, 3)
+        r = _report(reports, "D3.i")
+        assert r.verdict == "fails" and r.witnesses == [(0, 0.0), (1, 0.0), (2, 0.0)]
+        assert _report(reports, "D3.sufficient.global-min").witnesses == [(0, 0.0)]
 
 
 class TestFocusing:
@@ -326,6 +373,11 @@ class TestModelsAndIo:
         p.write_text("N\n2\n1.5,2.0\n0.25,1.0\n")
         S = matrix_from_csv(p)
         assert S.tolist() == [[1.5, 2.0], [0.25, 1.0]]
+
+    def test_csv_indented_comment(self, tmp_path):
+        p = tmp_path / "mat.csv"
+        p.write_text("# header comment\nN\n2\n1.5,2.0\n  # an indented note between rows\n0.25,1.0\n")
+        assert matrix_from_csv(p).tolist() == [[1.5, 2.0], [0.25, 1.0]]
 
     def test_csv_errors(self, tmp_path):
         p = tmp_path / "bad.csv"

@@ -12,7 +12,7 @@ from poscocycle.drivers import IidShift, TorusRotation
 from poscocycle.errors import EstimationError
 from poscocycle.estimators import OdeCocycle, forward_floquet
 from poscocycle.odes import (CallableOdeModel, ConstantOdeModel,
-                             PiecewiseConstantOdeModel, TypeKFlipModel, check_O1, check_O2,
+                             PiecewiseConstantOdeModel, TypeKFlipModel, check_O,
                              cooperative_sampler, integrate,
                              irreducibility_quantities, propagate)
 from poscocycle.torus import TorusExampleModel
@@ -481,33 +481,52 @@ class TestGrowthBound:
 
 class TestStructureChecks:
     def test_torus_model_cooperative(self):
-        rep = check_O1(TorusExampleModel(), TorusRotation(), 0, 5)
+        rep = check_O(TorusExampleModel(), TorusRotation(), 0, 5)[0]
         assert rep.verdict == "holds"
 
     def test_negative_offdiagonal_witnessed(self):
         model = ConstantOdeModel([[0.0, -1.0], [1.0, 0.0]])
-        rep = check_O1(model, IidShift(time="continuous"), 0, 3)
+        rep = check_O(model, IidShift(time="continuous"), 0, 3)[0]
         assert rep.verdict == "fails"
         assert rep.witnesses[0][2:4] == (0, 1)
 
     def test_diagonal_vacuous(self):
-        rep = check_O1(ConstantOdeModel(np.diag([-5.0, 3.0])), IidShift(time="continuous"), 0, 3)
+        rep = check_O(ConstantOdeModel(np.diag([-5.0, 3.0])), IidShift(time="continuous"), 0, 3)[0]
         assert rep.verdict == "holds"
 
     def test_o2_constant_zero_width(self):
-        rep = check_O2(ConstantOdeModel([[1.0, 2.0], [0.5, -3.0]]), IidShift(time="continuous"), 0, 6)
+        rep = check_O(ConstantOdeModel([[1.0, 2.0], [0.5, -3.0]]), IidShift(time="continuous"), 0, 6)[1]
         assert rep.estimate == 2.0 and rep.ci == 0.0
 
     def test_o2_torus_is_one(self):
-        rep = check_O2(TorusExampleModel(), TorusRotation(), 0, 10)
+        rep = check_O(TorusExampleModel(), TorusRotation(), 0, 10)[1]
         assert rep.estimate == 1.0 and rep.ci == 0.0  # off-diagonal 1 dominates a < 0
 
     def test_o2_ci_shrinks(self):
         model = PiecewiseConstantOdeModel(2, lambda rng: rng.uniform(0.0, 1.0, (2, 2)))
         driver = IidShift(time="continuous")
-        small = check_O2(model, driver, 0, 50)
-        big = check_O2(model, driver, 0, 800)
+        small = check_O(model, driver, 0, 50)[1]
+        big = check_O(model, driver, 0, 800)[1]
         assert big.ci < small.ci
+
+    def test_not_cooperative_keeps_five_witnesses_and_every_mean(self):
+        # every base point fails O1 at t = 0; O1 stops at the fifth, and O2
+        # still reads the time-0 field of all 12, each at its own base point
+        seen = []
+
+        class Counting(PiecewiseConstantOdeModel):
+            def field(self, omega, t):
+                seen.append((omega.pos, t))
+                return super().field(omega, t)
+
+        model = Counting(2, lambda rng: np.array([[0.0, -1.0], [1.0, rng.uniform(1.0, 2.0)]]))
+        driver = IidShift(time="continuous")
+        o1, o2 = check_O(model, driver, 0, 12)
+        assert o1.verdict == "fails" and [w[0] for w in o1.witnesses] == [0, 1, 2, 3, 4]
+        assert all(w[1:4] == (0.0, 0, 1) for w in o1.witnesses)
+        assert seen == [(float(k), 0.0) for k in range(12)]
+        means = [model.field(driver.initial(0).advance(float(k)), 0.0).max() for k in range(12)]
+        assert o2.estimate == np.mean(means) and o2.ci > 0.0
 
 
 class TestIrreducibility:

@@ -20,6 +20,11 @@ included), with ``output.series`` on and off, in ms per run.  The "write"
 rows time ``format_result`` alone, the text of one results.json, in ms: on
 that series-on estimate document (a 2000-row history) and on an ``orbit``
 document of depth 1000 over a three-state Markov chain (1001 directions).
+The "check" rows time one whole ``check`` through ``run_command`` (seed 1,
+files written included), in ms per run: uniform entries in [0.5, 2) at
+N = 3 (100 samples) and N = 24 (1000 samples), random Leslie rates at
+N = 3 with lag 3 (300 samples), and the piecewise-constant ODE above
+(300 base points).
 The "torus"
 rows time the DOP853 layer on the torus oracle's smooth pieces: a read of
 512 flow maps at the battery's dt = 0.25 from its first base point, in us
@@ -58,6 +63,14 @@ MARKOV = {"driver": {"kind": "markov-shift",
                     "matrices": [[[1.2, 0.4, 0.9], [0.3, 1.5, 0.6], [0.8, 0.2, 1.1]],
                                  [[0.5, 1.3, 0.2], [1.0, 0.7, 1.4], [0.6, 0.9, 0.3]],
                                  [[1.8, 0.2, 0.5], [0.4, 0.9, 1.2], [0.7, 1.6, 0.4]]]}}
+CHECKS = {
+    "N=3": ({"kind": "uniform-entries", "n": 3, "lo": 0.5, "hi": 2.0}, {}),
+    "N=24": ({"kind": "uniform-entries", "n": 24, "lo": 0.5, "hi": 2.0}, {"n_samples": 1000}),
+    "leslie": ({"kind": "leslie", "n": 3, "m": {"dist": "uniform", "lo": 0.3, "hi": 1.8},
+                "b": {"dist": "uniform", "lo": 0.4, "hi": 0.95}}, {"n_samples": 300, "lag": 3}),
+    "ode": ({"kind": "ode-piecewise-uniform", "n": 3, "diag": [-1.0, 0.5], "offdiag": [0.0, 1.0]},
+            {"n_samples": 300}),
+}
 TORUS_MAPS = 512  # flow maps per torus read
 REPEATS = 5  # runs per loop and size; the fastest is kept
 
@@ -144,6 +157,10 @@ def main(argv=None):
                 docs = {"estimate": run_command("estimate", cfg, out_dir=out)}
         cfg = validate_config({"seed": 1, **MARKOV, "estimator": {"depth": DEPTH}})
         docs["orbit"] = run_command("orbit", cfg, out_dir=out)
+        for name, (model, est) in CHECKS.items():
+            cfg = validate_config({"seed": 1, "model": model, "estimator": est})
+            best = best_of(lambda: run_command("check", cfg, out_dir=out))
+            print(f"check      {name:<10} {1e3 * best:7.1f} ms")
     for name, doc in docs.items():
         best = best_of(lambda: format_result(doc))
         print(f"write      {name:<10} {1e3 * best:7.2f} ms")
