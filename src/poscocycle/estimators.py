@@ -20,8 +20,9 @@ then closed at once: its logs, log scales, running sums and history rows,
 summed step after step in the order a per-step loop sums them, so the
 results are bit-identical.  ``oseledets_qr`` reads only |diag R|, so its
 QR (``_qr``) factors the step's product in place and applies no signs.
-``separation_estimate`` walks each chunk backward in its adjoint sweep and
-forward in its frame sweep, and takes a chunk's Frobenius norms at once.
+``separation_estimate`` carries its complement frame on the backward
+adjoint sweep, which walks each chunk latest step first and takes the
+chunk's Frobenius norms at once; its forward sweep tracks w alone.
 The per-step QR (dgeqrf, dorgqr) and the spectral norms (dgesdd) call the
 LAPACK gufuncs of ``numpy.linalg`` without the wrappers, so the module
 loads no scipy.
@@ -37,7 +38,6 @@ again.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from itertools import accumulate
@@ -47,7 +47,7 @@ from numpy.linalg import _umath_linalg
 
 from .drivers import BLOCK_CELLS
 from .errors import EstimationError, PositivityViolation
-from .matrices import MatrixModel
+from .matrices import MatrixModel, _count
 from .odes import OdeModel, flow_maps
 from .stats import batch_means
 
@@ -316,8 +316,7 @@ def forward_floquet(cocycle, omega, u0, horizon, record_every=0, check_cone=True
     loop sums them.
     """
     n_steps = _step_count("forward_floquet", horizon, cocycle.dt)
-    if record_every < 0:
-        raise ValueError(f"record_every must be >= 0, got record_every = {record_every!r}")
+    record_every = _count("record_every", record_every, 0)
     U = np.array(u0, dtype=float)
     single = U.ndim == 1
     if single:
@@ -392,24 +391,20 @@ def forward_floquet(cocycle, omega, u0, horizon, record_every=0, check_cone=True
     return tracks[0] if single else tracks
 
 
-def _depth(depth, least):
-    """A pull-back depth as an int; a bool, a non-integer or a depth below
-    ``least`` raises ValueError."""
-    if isinstance(depth, bool) or not isinstance(depth, numbers.Integral) or depth < least:
-        raise ValueError(f"depth must be an integer >= {least}, got depth = {depth!r}")
-    return int(depth)
-
-
 def warmup_direction(cocycle, omega, depth):
     """Pullback-converged principal direction at ``omega``: push the uniform
     probe forward from depth steps in the past (depth 0 returns the probe).
     Over ``cocycle.dual()`` it is the dual direction, whose pullback warm-up
-    uses base points in the primal's forward orbit."""
-    depth = _depth(depth, 0)
+    uses base points in the primal's forward orbit.  A probe annihilated on
+    the way raises EstimationError."""
+    depth = _count("depth", depth, 0)
     probe = np.full(cocycle.n, 1.0 / math.sqrt(cocycle.n))
     if depth == 0:
         return probe / np.linalg.norm(probe)
-    return forward_floquet(cocycle, cocycle.advance(omega, -depth), probe, depth * cocycle.dt).w
+    track = forward_floquet(cocycle, cocycle.advance(omega, -depth), probe, depth * cocycle.dt)
+    if track.log_growth == -math.inf:
+        raise EstimationError("warm-up probe annihilated; no principal direction to converge to")
+    return track.w
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +446,7 @@ def pullback_convergence(cocycle, omega, depth):
     copy walks its first ``depth`` steps alone, then the probe joins it as a
     second column: 2 * depth steps in all.
     """
-    depth = _depth(depth, 1)
+    depth = _count("depth", depth, 1)
     u0 = np.full(cocycle.n, 1.0 / math.sqrt(cocycle.n))
     [deep] = _pullback(cocycle, cocycle.advance(omega, -2 * depth), u0[:, None], depth)
     track, deeper = _pullback(cocycle, cocycle.advance(omega, -depth),
@@ -500,18 +495,32 @@ def _projection_norm(w, w_star):
     return _spectral_norm(np.eye(w.size) - np.outer(w, w_star) / float(w @ w_star))
 
 
-def _dual_path(blocks, n, n_steps, warmup):
-    """Backward adjoint sweep over steps [0, n_steps + warmup): the dual
-    direction at step times 0..n_steps as rows; with no warm-up the probe
-    itself is the dual direction at n_steps.  A function of its own, so
-    its last chunk is freed before the forward sweep reads."""
+def _adjoint_sweep(blocks, n, n_steps, warmup, sample_every):
+    """Backward adjoint sweep over steps [0, n_steps + warmup), latest step
+    first: the dual direction z is warmed up from the uniform probe over the
+    steps past n_steps (with no warm-up the probe is z at n_steps).  Over
+    [0, n_steps) it carries the adjoint frame Y from a basis of the
+    hyperplane that z annihilates at n_steps to P_k M_k^T Y, P_k = I - z_k
+    z_k^T, rescaled by its Frobenius norm: up to those scales, the transpose
+    of the restricted product P_n M_(n-1) ... P_1 M_0 B0 (n = n_steps, B0 a
+    basis of the hyperplane at step 0), whose log spectral norm is the sum
+    of their logs plus log |Y|_2.  Returns z at step 0, z at the multiples
+    of ``sample_every`` up to n_steps as rows, and that log norm, or None
+    when the frame was annihilated."""
     z = np.full(n, 1.0 / math.sqrt(n))
-    z_path = np.empty((n_steps + 1, n))
-    z_path[n_steps] = z
+    z_samples = np.empty((n_steps // sample_every + 1 if sample_every else 0, n))
+    log_norm = 0.0
     k = n_steps + warmup
     # a backward read serves its chunks latest first; walk each one so too
-    for maps, _ in blocks(0, n_steps + warmup, backward=True):
-        for M in maps[::-1]:
+    for maps, ls in blocks(0, n_steps + warmup, backward=True):
+        flat = maps.reshape(len(maps), -1)
+        m_norms = np.sqrt(np.vecdot(flat, flat)).tolist()
+        for M, ls_k, m_norm in zip(maps[::-1], ls[::-1].tolist(), m_norms[::-1]):
+            if k == n_steps:
+                Y = _orth_complement(z)
+                y_norm = _norm(Y)
+            if sample_every and k <= n_steps and k % sample_every == 0:
+                z_samples[k // sample_every] = z
             k -= 1
             z = M.T @ z
             nrm = _norm(z)
@@ -520,70 +529,74 @@ def _dual_path(blocks, n, n_steps, warmup):
             if not math.isfinite(nrm):
                 raise EstimationError(f"dual probe not finite after the adjoint of step {k} (norm {nrm})")
             z /= nrm
-            if k <= n_steps:
-                z_path[k] = z
-        del maps, M  # freed before the next chunk is built
-    return z_path
+            if k >= n_steps or log_norm is None:
+                continue
+            V = M.T @ Y
+            nV = _norm(V)
+            if not math.isfinite(nV):
+                raise EstimationError(f"complement frame not finite after the adjoint of step {k} (norm {nV})")
+            # |M^T Y|_F <= |M|_F |Y|_F (|Y|_F is 1 after a rescaling, up to
+            # rounding): a ratio at roundoff level means the complement was
+            # annihilated, so flag it rather than extrapolate a huge rate
+            if nV <= 1e-13 * m_norm * y_norm:
+                log_norm = None
+                continue
+            V -= z[:, None] * (z @ V)  # re-anchor to the dual-null hyperplane
+            # Frobenius rescaling: zero exactly when the spectral norm is
+            s = _norm(V)
+            if s == 0.0:
+                log_norm = None
+                continue
+            V /= s
+            Y, y_norm = V, 1.0
+            log_norm += math.log(s) + ls_k
+        del maps, M, flat  # freed before the next chunk is built
+    if sample_every:
+        z_samples[0] = z
+    if log_norm is not None:
+        log_norm += math.log(_spectral_norm(Y))
+    return z, z_samples, log_norm
 
 
 def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0) -> SeparationEstimate:
-    """Estimate (lambda1, lambda2, sigma) by propagating the principal
-    direction together with a frame of the dual-null hyperplane.
+    """Estimate (lambda1, lambda2, sigma) from the growth of the principal
+    direction and of the invariant complement, the hyperplane that the dual
+    direction annihilates.
 
-    Two reads of the step maps through ``cocycle.replay``: a backward
-    adjoint sweep over [0, T + warmup) stores the dual direction at every
-    step time, then one forward sweep over [-warmup, T) warms up and tracks
-    the principal direction and, from step 0 on, the complement frame.  Only
-    the dual path is kept, so the state is O(T N): matrix maps are emitted
-    afresh on each read, flow maps are built once and stored.  The
-    frame spanning the invariant complement is re-anchored to the dual-null
-    hyperplane after every step; without that re-anchoring, roundoff
-    injects a dominant component that grows at rate sigma and silently caps
-    the measurable separation near ln(1/eps) / horizon.
-
-    The frame is the image of an orthonormal basis B0 of the hyperplane,
-    rescaled by its Frobenius norm after every step and never
-    orthonormalised: the restricted operator norm is its spectral norm,
-    taken once after the loop.  Sigma comes from the growth *ratio*, which
-    stays finite even when both exponents diverge to -inf.  ``proj_samples``
-    > 0 additionally records ln |projection onto the complement along the
-    principal direction| at that many evenly spaced times (the temperedness
-    observable).
+    ``cocycle.replay`` serves the maps of [0, T + warmup) to two sweeps: the
+    backward ``_adjoint_sweep`` of the dual direction and the complement
+    frame, then a forward sweep over [0, T) of the principal direction,
+    warmed up over [-warmup, 0) by ``warmup_direction``.  Nothing is kept
+    per step: matrix maps are emitted afresh on each read, flow maps are
+    built once and stored.  The frame is re-anchored to the dual-null
+    hyperplane after every step; without that, roundoff injects a dominant
+    component that grows at rate sigma and silently caps the measurable
+    separation near ln(1/eps) / horizon.  Sigma comes from the growth
+    *ratio*, which stays finite even when both exponents diverge to -inf.
+    ``proj_samples`` > 0 additionally records ln |projection onto the
+    complement along the principal direction| at that many evenly spaced
+    times (the temperedness observable).
     """
     n_steps = _step_count("separation_estimate", horizon, cocycle.dt)
-    warmup = int(warmup)
-    if warmup < 0:
-        raise ValueError(f"warmup must be >= 0, got warmup = {warmup}")
-    if proj_samples < 0:
-        raise ValueError(f"proj_samples must be >= 0, got proj_samples = {proj_samples!r}")
-    n = cocycle.n
-    blocks = cocycle.replay(omega, -warmup, n_steps + warmup)
-
-    z_path = _dual_path(blocks, n, n_steps, warmup)
-
-    # forward sweep: warm up the principal direction, then track it and the
-    # complement frame, sampling the projection norm at step times
+    warmup = _count("warmup", warmup, 0)
+    proj_samples = _count("proj_samples", proj_samples, 0)
     sample_every = max(1, n_steps // proj_samples) if proj_samples else 0
-    proj_history = []
-    w = np.full(n, 1.0 / math.sqrt(n))
-    log_growth = log_restricted = 0.0
-    restricted_dead = False
-    first = -warmup  # the chunk's first step
-    for maps, ls in blocks(-warmup, n_steps):
-        flat = maps.reshape(len(maps), -1)
-        m_norms = np.sqrt(np.vecdot(flat, flat)).tolist()
-        for k, (M, ls_k, m_norm) in enumerate(zip(maps, ls.tolist(), m_norms), first):
-            if k == 0:
-                w_star0 = z_path[0].copy()
-                pairing = float(w @ w_star0)
-                if abs(pairing) < 1e-8:
-                    raise EstimationError(
-                        f"principal and dual directions nearly orthogonal (pairing {pairing:.3e}); "
-                        "projection onto the invariant complement is ill-conditioned")
-                B0 = _orth_complement(w_star0)
-                W, w_norm = B0, _norm(B0)
-                if sample_every:
-                    proj_history.append((0.0, math.log(_projection_norm(w, w_star0))))
+    blocks = cocycle.replay(omega, 0, n_steps + warmup)
+    w_star0, z_samples, log_restricted = _adjoint_sweep(blocks, cocycle.n, n_steps, warmup, sample_every)
+
+    w = warmup_direction(cocycle, omega, warmup)
+    pairing = float(w @ w_star0)
+    if abs(pairing) < 1e-8:
+        raise EstimationError(
+            f"principal and dual directions nearly orthogonal (pairing {pairing:.3e}); "
+            "projection onto the invariant complement is ill-conditioned")
+    # forward sweep: track the principal direction, sampling the projection
+    # norm at step times
+    proj_history = [(0.0, math.log(_projection_norm(w, w_star0)))] if sample_every else []
+    log_growth = 0.0
+    first = 0  # the chunk's first step
+    for maps, ls in blocks(0, n_steps):
+        for k, (M, ls_k) in enumerate(zip(maps, ls.tolist()), first):
             w = M @ w
             r = _norm(w)
             if r == 0.0:
@@ -591,46 +604,20 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0) -> S
             if not math.isfinite(r):
                 raise EstimationError(f"principal direction not finite after step {k} (norm {r})")
             w /= r
-            if k < 0:
-                continue
             log_growth += math.log(r) + ls_k
             if sample_every and (k + 1) % sample_every == 0:
-                proj_history.append(((k + 1) * cocycle.dt, math.log(_projection_norm(w, z_path[k + 1]))))
-            if restricted_dead:
-                continue
-            V = M @ W
-            nV = _norm(V)
-            if not math.isfinite(nV):
-                raise EstimationError(f"complement frame not finite after step {k} (norm {nV})")
-            # |M W|_F <= |M|_2 |W|_F <= |M|_F |W|_F, so the ratio is at most 1
-            # (|W|_F is taken as 1 after a renormalisation, up to rounding);
-            # one at roundoff level means the complement was annihilated: flag
-            # rather than extrapolate a huge finite rate
-            if nV <= 1e-13 * m_norm * w_norm:
-                restricted_dead = True
-                continue
-            zk = z_path[k + 1]
-            V -= zk[:, None] * (zk @ V)  # re-anchor to the dual-null hyperplane
-            # Frobenius renormalisation: zero exactly when the spectral norm is;
-            # one spectral norm after the loop closes the product
-            s = _norm(V)
-            if s == 0.0:
-                restricted_dead = True
-                continue
-            V /= s
-            W, w_norm = V, 1.0
-            log_restricted += math.log(s) + ls_k
+                proj_history.append(((k + 1) * cocycle.dt,
+                                     math.log(_projection_norm(w, z_samples[(k + 1) // sample_every]))))
         first += len(maps)
-        del maps, M, flat  # freed before the next chunk is built
-    if not restricted_dead:
-        log_restricted += math.log(_spectral_norm(W))
+        del maps, M  # freed before the next chunk is built
 
     T = n_steps * cocycle.dt
     lambda1 = log_growth / T
-    sigma = math.inf if restricted_dead else (log_growth - log_restricted) / T
-    lambda2 = -math.inf if restricted_dead else lambda1 - sigma
+    dead = log_restricted is None
+    sigma = math.inf if dead else (log_growth - log_restricted) / T
+    lambda2 = -math.inf if dead else lambda1 - sigma
     return SeparationEstimate(lambda1_hat=lambda1, lambda2_hat=lambda2, sigma_hat=sigma,
-                              w=w, w_star=w_star0, f1_basis=B0,
+                              w=w, w_star=w_star0, f1_basis=_orth_complement(w_star0),
                               projection_norm_history=proj_history, horizon=T)
 
 

@@ -10,6 +10,7 @@ direction matrix is the operator ell-1 norm (max column sum).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,6 +21,14 @@ from .errors import EstimationError
 from .stats import mean_ci
 
 RCOND_THRESHOLD = 1e-12  # reciprocal-condition cutoff for the injectivity check
+
+
+def _count(name, value, least):
+    """A count argument as an int; a bool, a non-integer or a value below
+    ``least`` raises ValueError naming the argument ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {name} = {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +202,10 @@ class LeslieModel(MatrixModel):
         return leslie_matrix(m, b)
 
 
-def leslie_model(m_sampler, b_sampler, n=None) -> LeslieModel:
-    """Build a LeslieModel from samplers or constant parameter vectors."""
-    if callable(m_sampler):
-        if n is None:
-            raise ValueError("n is required when samplers are callables")
-        return LeslieModel(n, m_sampler, b_sampler)
-    m = np.asarray(m_sampler, dtype=float)
-    b = np.asarray(b_sampler, dtype=float)
+def leslie_model(m, b) -> LeslieModel:
+    """A LeslieModel with constant fertilities ``m`` and survival rates ``b``."""
+    m = np.asarray(m, dtype=float)
+    b = np.asarray(b, dtype=float)
     return LeslieModel(m.size, lambda rng: m, lambda rng: b)
 
 
@@ -240,11 +245,9 @@ def cocycle_product(model: MatrixModel, omega, n: int):
     (identity, 0).  A product that collapses to the zero matrix is reported
     as (zeros, -inf).
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
     P = np.eye(model.n)
     log_scale = 0.0
-    for maps in model.chunks(omega, int(n)):
+    for maps in model.chunks(omega, _count("n", n, 0)):
         for S in maps:
             P = S @ P
             s = opnorm1(P)
@@ -281,33 +284,34 @@ class AssumptionReport:
             raise ValueError("a failing report must carry a witness")
 
 
-def _lnplus(x):
+def _log(x, ls=0.0):
+    """ln of exp(ls) x, taken as ls + ln x so that no scale overflows."""
     with np.errstate(divide="ignore"):
-        return np.maximum(np.log(x), 0.0)
+        return ls + np.log(x)
 
 
-def _lnminus(x):
-    with np.errstate(divide="ignore"):
-        return np.maximum(-np.log(x), 0.0)
+def _scaled(ls, x):
+    """exp(ls) x, an entry or a sum of a sampled map as a witness: +-inf past
+    the float range, and a zero stays zero."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(x == 0.0, x, np.exp(ls) * x)
 
 
 def _sample_maps(model, driver, seed, n_samples, lag):
-    """Time-`lag` maps over non-overlapping windows along one orbit, as an
-    (n_samples, N, N) array."""
+    """Time-`lag` maps over non-overlapping windows along one orbit, scale
+    separated: an (n_samples, N, N) stack D and log scales ls, the maps being
+    exp(ls) D; at lag 1 the maps themselves, with log scale 0."""
     omega = driver.initial(seed)
     if lag == 1:
-        return np.concatenate(list(model.chunks(omega, n_samples)))
-    out = []
-    for k in range(n_samples):
-        D, ls = cocycle_product(model, omega.advance(k * lag), lag)
-        out.append(np.exp(ls) * D)
-    return np.stack(out)
+        return np.concatenate(list(model.chunks(omega, n_samples))), np.zeros(n_samples)
+    D, ls = zip(*(cocycle_product(model, omega.advance(k * lag), lag) for k in range(n_samples)))
+    return np.stack(D), np.array(ls)
 
 
-def _entries(X, mask):
-    """(sample, i, j, entry) of the first five entries of the stack X where
-    ``mask`` holds, in sample and then row-major order."""
-    return [(int(k), int(i), int(j), float(X[k, i, j])) for k, i, j in np.argwhere(mask)[:5]]
+def _entries(D, ls, mask):
+    """(sample, i, j, entry) of the first five entries of the maps exp(ls) D
+    where ``mask`` holds, in sample and then row-major order."""
+    return [(int(k), int(i), int(j), float(_scaled(ls[k], D[k, i, j]))) for k, i, j in np.argwhere(mask)[:5]]
 
 
 def check_D(model, driver, seed, n_samples, lag: int = 1) -> list[AssumptionReport]:
@@ -319,43 +323,46 @@ def check_D(model, driver, seed, n_samples, lag: int = 1) -> list[AssumptionRepo
     condition on the global entry ratio.  D3: row/column sum positivity with
     the ln- moment estimates, and the sufficient condition on the global
     minimum entry.  Each per-sample statistic is one axis reduction of the
-    stack; a non-finite map raises EstimationError.
+    stack of the scale-separated maps exp(ls) D: the log moments are ls plus
+    a log of D, the log ratios read D alone, and a witness is scaled back,
+    so no scale overflows at a long lag.  A non-finite map raises
+    EstimationError.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    X = _sample_maps(model, driver, seed, n_samples, lag)
-    bad = ~np.isfinite(X)
+    n_samples, lag = _count("n_samples", n_samples, 1), _count("lag", lag, 1)
+    D, ls = _sample_maps(model, driver, seed, n_samples, lag)
+    bad = ~np.isfinite(D)
     if bad.any():
         k, i, j = map(int, np.argwhere(bad)[0])
-        raise EstimationError(f"sampled map {k} (lag {lag}) has the non-finite entry ({i}, {j}) = {X[k, i, j]}")
-    entry_min = X.min(axis=(1, 2))
+        raise EstimationError(f"sampled map {k} (lag {lag}) has the non-finite entry ({i}, {j}) = {D[k, i, j]}")
+    entry_min = D.min(axis=(1, 2))
 
-    neg = _entries(X, X < 0.0)
+    neg = _entries(D, ls, D < 0.0)
     reports = [AssumptionReport(condition="D1.i", verdict="fails" if neg else "holds",
                                 witnesses=neg, detail=f"{n_samples} sampled maps, lag {lag}")]
-    sv = np.linalg.svd(X, compute_uv=False)
+    sv = np.linalg.svd(D, compute_uv=False)
     rcond = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(n_samples), where=sv[:, 0] > 0)
     singular = [(int(k), float(rcond[k])) for k in np.flatnonzero(rcond <= RCOND_THRESHOLD)[:5]]
     reports.append(AssumptionReport(condition="D1.ii", verdict="fails" if singular else "holds",
                                     witnesses=singular, detail=f"rcond threshold {RCOND_THRESHOLD:g}"))
     # the largest absolute entry is a norm of every map, signed or not
-    m, hw = mean_ci(_lnplus(np.abs(X).max(axis=(1, 2))))
+    m, hw = mean_ci(np.maximum(_log(np.abs(D).max(axis=(1, 2)), ls), 0.0))
     reports.append(AssumptionReport(
         condition="D1.iii", verdict="empirical", estimate=m, ci=hw,
         detail="mean of ln+ of the largest absolute entry; sample moments cannot certify integrability"))
 
-    nonpos = _entries(X, X <= 0.0)
+    nonpos = _entries(D, ls, D <= 0.0)
     if nonpos:
         reports += [AssumptionReport(condition=cond, verdict="fails", witnesses=nonpos,
                                      detail="strict positivity violated" + extra)
                     for cond, extra in (("D2.i", ""), ("D2.ii", ""),
                                         ("D2.iii", "; combined with the row variant below"))]
     else:
-        col_min, col_max = X.min(axis=1), X.max(axis=1)  # (n_samples, N): the extrema of each column
+        col_min, col_max = D.min(axis=1), D.max(axis=1)  # (n_samples, N): the extrema of each column
         col_ratio = np.log(col_max) - np.log(col_min)
-        row_ratio = np.log(X.max(axis=2)) - np.log(X.min(axis=2))
+        row_ratio = np.log(D.max(axis=2)) - np.log(D.min(axis=2))
         kappas = (model.n * (col_max[:5] / col_min[:5]).max(axis=1)).tolist()
-        for cond, arr, extra in (("D2.i", _lnplus(col_ratio), ""), ("D2.ii", _lnplus(row_ratio), ""),
+        for cond, arr, extra in (("D2.i", np.maximum(_log(col_ratio), 0.0), ""),
+                                 ("D2.ii", np.maximum(_log(row_ratio), 0.0), ""),
                                  ("D2.iii", col_ratio, "; combined with the row variant below")):
             means = arr.mean(axis=0)
             worst = int(np.argmax(means))
@@ -366,31 +373,32 @@ def check_D(model, driver, seed, n_samples, lag: int = 1) -> list[AssumptionRepo
         m, hw = mean_ci(row_ratio.max(axis=1))
         reports.append(AssumptionReport(condition="D2.iii.rows", verdict="empirical",
                                         estimate=m, ci=hw, detail="row log-ratio, worst index per sample"))
-        glob = np.log(X.max(axis=(1, 2))) - np.log(entry_min)
+        glob = np.log(D.max(axis=(1, 2))) - np.log(entry_min)
         m1, h1 = mean_ci(np.maximum(glob, 0.0))
         m2, h2 = mean_ci(glob)
         reports.append(AssumptionReport(condition="D2.sufficient.global-log-ratio",
                                         verdict="empirical", estimate=m2, ci=h2,
                                         detail=f"ln+ variant mean {m1:.6g} +/- {h1:.6g}"))
 
-    for cond, vals in (("D3.i", X.sum(axis=2).min(axis=1)), ("D3.ii", X.sum(axis=1).min(axis=1))):
-        low = [(int(k), float(vals[k])) for k in np.flatnonzero(vals <= 0.0)[:5]]
+    for cond, vals in (("D3.i", D.sum(axis=2).min(axis=1)), ("D3.ii", D.sum(axis=1).min(axis=1))):
+        low = [(int(k), float(_scaled(ls[k], vals[k]))) for k in np.flatnonzero(vals <= 0.0)[:5]]
         if low:
             reports.append(AssumptionReport(condition=cond, verdict="fails", witnesses=low))
         else:
-            m, hw = mean_ci(_lnminus(vals))
+            m, hw = mean_ci(np.maximum(-_log(vals, ls), 0.0))
+            nu = np.round(_scaled(ls[:5], vals[:5]), 9).tolist()
             reports.append(AssumptionReport(condition=cond, verdict="empirical", estimate=m, ci=hw,
-                                            witnesses=[("nu_samples", np.round(vals[:5], 9).tolist())],
+                                            witnesses=[("nu_samples", nu)],
                                             detail="mean of ln- of the min row/column sum"))
     if np.all(entry_min > 0.0):
-        m, hw = mean_ci(_lnminus(entry_min))
+        m, hw = mean_ci(np.maximum(-_log(entry_min, ls), 0.0))
         reports.append(AssumptionReport(condition="D3.sufficient.global-min",
                                         verdict="empirical", estimate=m, ci=hw,
                                         detail="mean of ln- of the global min entry"))
     else:
         k = int(np.argmin(entry_min))
         reports.append(AssumptionReport(condition="D3.sufficient.global-min", verdict="fails",
-                                        witnesses=[(k, float(entry_min[k]))]))
+                                        witnesses=[(k, float(_scaled(ls[k], entry_min[k])))]))
     return reports
 
 

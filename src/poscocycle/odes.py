@@ -41,7 +41,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import EstimationError
-from .matrices import AssumptionReport, opnorm1
+from .matrices import AssumptionReport, _count, opnorm1
 from .stats import mean_ci
 
 # DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, 1993, Sec. II.10),
@@ -607,6 +607,7 @@ def check_O(model: OdeModel, driver, seed, n_samples) -> list[AssumptionReport]:
     times in [0, 1] per base point, up to the fifth failing base point.
     O2, integrability: mean +/- CI of the max entry at time 0 of every base
     point."""
+    n_samples = _count("n_samples", n_samples, 1)
     t_grid = np.linspace(0.0, 1.0, 17)
     omega = driver.initial(seed)
     witnesses, vals = [], []

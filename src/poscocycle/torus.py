@@ -16,7 +16,6 @@ exp(t B), B = [[0, 1], [1, 0]], so everything of interest has a closed form:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +23,7 @@ import numpy as np
 from .drivers import TorusRotation, TorusState
 from .estimators import (DivergenceDiagnostic, OdeCocycle, separation_estimate,
                          warmup_direction)
+from .matrices import _count
 from .odes import OdeModel, integrate
 
 # sandwich constant kappa = kappa* for the time-1 focusing of this flow
@@ -187,8 +187,7 @@ def validate_against_closed_form(rho=None, seed=0, n_omegas=5, horizon=BATTERY_H
     (DOP853 at rtol 1e-6) against ``SIGMA_WINDOW``, (d) the exact means of
     the quadratic form against their -log T envelope (``divergence`` keeps
     the trend diagnostic of the first base point)."""
-    if isinstance(n_omegas, bool) or not isinstance(n_omegas, numbers.Integral) or n_omegas < 1:
-        raise ValueError(f"n_omegas must be an integer of at least 1, got {n_omegas!r}")
+    n_omegas = _count("n_omegas", n_omegas, 1)
     driver = TorusRotation(rho)
     model = TorusExampleModel()
     report = TorusValidationReport(rho=driver.rho, kappa_bound=FOCUSING_RATIO_BOUND)

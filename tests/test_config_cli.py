@@ -476,6 +476,16 @@ class TestCliProcess:
         r = self.run_cli("estimate", "--config", str(p), "--out", str(tmp_path))
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("command", ["estimate", "separate"])
+    def test_warmup_leaves_cone_exit_2(self, tmp_path, command, capsys):
+        # in process; the warm-up of separate used to walk unchecked and exit 0
+        p = tmp_path / "neg.json"
+        p.write_text(json.dumps({"model": {"kind": "constant", "matrix": [[1.0, -0.5], [0.2, 1.0]]},
+                                 "estimator": {"warmup": 50}}))
+        from poscocycle import cli
+        assert cli.main([command, "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert "left the cone" in capsys.readouterr().err
+
     def test_numerical_failure_exit_3(self, tmp_path):
         p = tmp_path / "zero.json"
         p.write_text(json.dumps({

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 from itertools import product
@@ -14,7 +15,7 @@ from poscocycle.estimators import (MatrixCocycle, OdeCocycle, DivergenceDiagnost
                                    forward_floquet, lambda1_via_kappa, oseledets_qr,
                                    pullback_convergence, separation_estimate, warmup_direction)
 from poscocycle import odes
-from poscocycle.estimators import (FloquetTrack, _column_norms, _dual_path, _enforce_cone, _norm, _orth_complement,
+from poscocycle.estimators import (FloquetTrack, _column_norms, _enforce_cone, _norm, _orth_complement,
                                    _projection_norm, _qr, _spectral_norm, _stored_replay)
 from poscocycle.matrices import (ConstantMatrixModel, IidChoiceModel, SampledMatrixModel, UniformEntriesModel,
                                  leslie_model)
@@ -81,14 +82,18 @@ class BareCocycle:
 
 def restricted_product(coc, omega, T, warmup):
     """The explicit product Pi (I - z z^T) M_k B0 over steps [0, T) of a
-    matrix cocycle, unscaled, with B0 and the dual path z built as
-    ``separation_estimate`` builds them; also the sum over the steps of
-    rho_k = |M_k|_F |P_k|_F / |M_k P_k|_F (P_k the product so far), the
-    cancellation factor of each step's matrix product."""
-    blocks = coc.replay(omega, -warmup, T + warmup)
-    z = _dual_path(blocks, coc.n, T, warmup)
+    matrix cocycle, unscaled, with B0 and the dual directions z built as
+    ``separation_estimate`` builds them, here kept for every step; also the
+    sum over the steps of rho_k = |M_k|_F |P_k|_F / |M_k P_k|_F (P_k the
+    product so far), the cancellation factor of each step's matrix product."""
+    maps = [M for chunk, _ in coc.step_blocks(omega, T + warmup) for M in chunk]
+    z = [np.full(coc.n, 1.0 / math.sqrt(coc.n))]  # z at step T + warmup, then each earlier step
+    for M in reversed(maps):
+        v = M.T @ z[-1]
+        z.append(v / _norm(v))
+    z.reverse()
     P, rho = _orth_complement(z[0]), 0.0
-    for k, (M, _) in enumerate(_steps(blocks(0, T))):
+    for k, M in enumerate(maps[:T]):
         V = M @ P
         rho += np.linalg.norm(M) * np.linalg.norm(P) / np.linalg.norm(V)
         P = V - np.outer(z[k + 1], z[k + 1] @ V)
@@ -360,9 +365,11 @@ class TestForwardFloquet:
         assert sum(cells) == 2 * 300 and len(orbit.ns) == 301 and dist <= 1e-12
 
     def test_flow_maps_built_once(self, monkeypatch):
-        # separation stores its flow maps and reads them twice from the
-        # store: one read of T + 2 * warmup maps, with one expm per unit cell
-        # the steps cross (3 over [0, 3], 5 over [-0.7, 3.7])
+        # separation stores the flow maps of [0, T + warmup) and reads them
+        # twice from the store, and the warm-up reads those of [-warmup, 0):
+        # T + 2 * warmup maps over the two reads, with one expm per unit cell
+        # each read's steps cross (3 over [0, 3], 1 + 4 over [-0.7, 0] and
+        # [0, 3.7])
         maps, expms = [], []
         step_blocks, expm = OdeCocycle.step_blocks, odes.expm
 
@@ -611,14 +618,16 @@ def test_non_finite_horizon_rejected(name, run, horizon):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda coc: forward_floquet(coc, disc_state(), np.ones(3), 20, record_every=-2), "record_every = -2"),
-    (lambda coc: separation_estimate(coc, disc_state(), 20, warmup=-5), "warmup = -5"),
-    (lambda coc: separation_estimate(coc, disc_state(), 20, proj_samples=-3), "proj_samples = -3"),
+    (lambda coc: forward_floquet(coc, disc_state(), np.ones(3), 20, record_every=-2),
+     "an integer >= 0, got record_every = -2"),
+    (lambda coc: separation_estimate(coc, disc_state(), 20, warmup=-5), "an integer >= 0, got warmup = -5"),
+    (lambda coc: separation_estimate(coc, disc_state(), 20, proj_samples=-3),
+     "an integer >= 0, got proj_samples = -3"),
 ], ids=["record_every", "warmup", "proj_samples"])
 def test_negative_count_rejected(call, message):
     # each used to fail inside the loop (a reshape, an unbound frame) or,
     # for proj_samples, to sample every step
-    with pytest.raises(ValueError, match=f"must be >= 0, got {message}$"):
+    with pytest.raises(ValueError, match=f"must be {message}$"):
         call(iid_positive_cocycle())
 
 
@@ -634,6 +643,31 @@ def test_pullback_depth_rejected(call, message):
     # round(depth) steps, or to run at int(depth)
     with pytest.raises(ValueError, match=f"^depth must be an integer {message}$"):
         call(iid_positive_cocycle())
+
+
+@pytest.mark.parametrize("call, name, value", [
+    (lambda coc: separation_estimate(coc, disc_state(), 20, warmup=2.7), "warmup", 2.7),
+    (lambda coc: separation_estimate(coc, disc_state(), 20, warmup=True), "warmup", True),
+    (lambda coc: separation_estimate(coc, disc_state(), 20, proj_samples=2.5), "proj_samples", 2.5),
+    (lambda coc: separation_estimate(coc, disc_state(), 20, proj_samples=np.float64(4.0)), "proj_samples",
+     np.float64(4.0)),
+    (lambda coc: forward_floquet(coc, disc_state(), np.ones(3), 20, record_every=2.5), "record_every", 2.5),
+], ids=["warmup-fraction", "warmup-bool", "proj_samples-fraction", "proj_samples-float", "record_every-fraction"])
+def test_fractional_count_rejected(call, name, value):
+    # a fractional warm-up used to run at its integer part, a fractional
+    # proj_samples to sample at multiples of a float step count and a
+    # fractional record_every to fail with a TypeError; the warm-up is named
+    # as separation's argument, not as the warm-up's depth
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer >= 0, got {name} = {value!r}")):
+        call(iid_positive_cocycle())
+
+
+def test_annihilated_warmup_raises():
+    # the zero image used to come back as the direction, which estimate
+    # then rejected as a zero u0: a config error
+    coc = MatrixCocycle(ConstantMatrixModel(np.zeros((2, 2))))
+    with pytest.raises(EstimationError, match="warm-up probe annihilated"):
+        warmup_direction(coc, disc_state(), 5)
 
 
 def test_numpy_integer_depth():
@@ -787,30 +821,32 @@ class TestSeparation:
             assert chunk < peak < 1.25 * chunk
 
     def test_peak_memory_linear_in_steps(self):
-        # nothing of size T N^2 is kept; the traced peak is at most
-        # - the dual path z_path: (T + 1) rows of N floats;
+        # nothing is kept per step; the traced peak is at most
         # - three chunks of BLOCK_CELLS maps: the one a sweep reads, the
         #   next one being emitted and room for the draw's temporaries;
-        # - the frame sweep's N x N arrays (frame, image, the re-anchor's
+        # - the adjoint sweep's N x N arrays (frame, image, the re-anchor's
         #   outer product and their temporaries: fewer than 16 at once);
         # - a fixed set of small Python objects (generator frames, floats,
         #   the result record): under 64 KiB.
         # The T N^2 store this replaces would hold T + 2 * warmup maps,
-        # about 64 MB here: more than 10 times the bound.
+        # about 64 MB here: more than 10 times the bound.  A quarter of the
+        # horizon peaks within one chunk of it.
         n, T, warmup = 20, 20_000, 5
         coc = iid_positive_cocycle(n)
         separation_estimate(coc, disc_state(2), 10, warmup=warmup)  # lazy imports of a first run
-        tracemalloc.start()
-        try:
-            separation_estimate(coc, disc_state(2), T, warmup=warmup)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        z_path = (T + 1) * n * 8
-        chunks = 3 * BLOCK_CELLS * n * n * 8
+        peaks = []
+        for steps in (T // 4, T):
+            tracemalloc.start()
+            try:
+                separation_estimate(coc, disc_state(2), steps, warmup=warmup)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        chunk = BLOCK_CELLS * n * n * 8
         frame = 16 * n * n * 8
-        bound = z_path + chunks + frame + 64 * 1024
-        assert peak <= bound
+        bound = 3 * chunk + frame + 64 * 1024
+        assert peaks[1] <= bound
+        assert abs(peaks[1] - peaks[0]) <= chunk
         assert 10 * bound < (T + 2 * warmup) * n * n * 8
 
     @settings(max_examples=20, deadline=None)
@@ -979,62 +1015,61 @@ def per_step_forward(coc, omega, u0, T, record_every=0):
 
 
 def per_step_separation(coc, omega, T, warmup, proj_samples=0):
-    """``separation_estimate`` over T steps as the loop that read its maps
+    """``separation_estimate`` over T steps as the loops that read its maps
     as (M, log scale) pairs through ``_steps``: the adjoint sweep over the
-    reversed chunks, the threshold on |M|_F |W|_F taken at every step."""
+    reversed chunks, which carries the adjoint frame one map at a time with
+    the threshold on |M|_F |Y|_F taken at every step, then the forward sweep
+    from the warmed principal direction."""
     n = coc.n
-    blocks = coc.replay(omega, -warmup, T + warmup)
+    blocks = coc.replay(omega, 0, T + warmup)
     z = np.full(n, 1.0 / math.sqrt(n))
     z_path = np.empty((T + 1, n))
     z_path[T] = z
-    k = T + warmup
+    log_restricted, k = 0.0, T + warmup
     latest_first = map(lambda chunk: (chunk[0][::-1], chunk[1][::-1]), blocks(0, T + warmup, backward=True))
-    for M, _ in _steps(latest_first):
+    for M, ls in _steps(latest_first):
         k -= 1
         z = M.T @ z
         z /= _norm(z)
-        if k <= T:
-            z_path[k] = z
+        if k > T:
+            continue
+        z_path[k] = z
+        if k == T or log_restricted is None:
+            continue
+        if k == T - 1:
+            Y = _orth_complement(z_path[T])
+        V = M.T @ Y
+        if _norm(V) <= 1e-13 * _norm(M) * _norm(Y):
+            log_restricted = None
+            continue
+        V -= np.outer(z, z @ V)
+        s = _norm(V)
+        if s == 0.0:
+            log_restricted = None
+            continue
+        Y = V / s
+        log_restricted += math.log(s) + ls
+    if log_restricted is not None:
+        log_restricted += math.log(_spectral_norm(Y))
     sample_every = max(1, T // proj_samples) if proj_samples else 0
-    proj_history = []
-    w = np.full(n, 1.0 / math.sqrt(n))
-    log_growth = log_restricted = 0.0
-    restricted_dead = False
-    for k, (M, ls) in enumerate(_steps(blocks(-warmup, T)), -warmup):
-        if k == 0:
-            w_star0 = z_path[0].copy()
-            B0 = W = _orth_complement(w_star0)
-            if sample_every:
-                proj_history.append((0.0, math.log(_projection_norm(w, w_star0))))
+    w = warmup_direction(coc, omega, warmup)
+    proj_history = [(0.0, math.log(_projection_norm(w, z_path[0])))] if sample_every else []
+    log_growth = 0.0
+    for k, (M, ls) in enumerate(_steps(blocks(0, T))):
         v = M @ w
         r = _norm(v)
         w = v / r
-        if k < 0:
-            continue
         log_growth += math.log(r) + ls
         if sample_every and (k + 1) % sample_every == 0:
             proj_history.append(((k + 1) * coc.dt, math.log(_projection_norm(w, z_path[k + 1]))))
-        if restricted_dead:
-            continue
-        V = M @ W
-        if _norm(V) <= 1e-13 * _norm(M) * _norm(W):
-            restricted_dead = True
-            continue
-        V -= np.outer(z_path[k + 1], z_path[k + 1] @ V)
-        s = _norm(V)
-        if s == 0.0:
-            restricted_dead = True
-            continue
-        W = V / s
-        log_restricted += math.log(s) + ls
-    if not restricted_dead:
-        log_restricted += math.log(_spectral_norm(W))
     horizon = T * coc.dt
     lambda1 = log_growth / horizon
-    sigma = math.inf if restricted_dead else (log_growth - log_restricted) / horizon
-    lambda2 = -math.inf if restricted_dead else lambda1 - sigma
-    return SeparationEstimate(lambda1_hat=lambda1, lambda2_hat=lambda2, sigma_hat=sigma, w=w, w_star=w_star0,
-                              f1_basis=B0, projection_norm_history=proj_history, horizon=horizon)
+    dead = log_restricted is None
+    sigma = math.inf if dead else (log_growth - log_restricted) / horizon
+    lambda2 = -math.inf if dead else lambda1 - sigma
+    return SeparationEstimate(lambda1_hat=lambda1, lambda2_hat=lambda2, sigma_hat=sigma, w=w, w_star=z_path[0],
+                              f1_basis=_orth_complement(z_path[0]), projection_norm_history=proj_history,
+                              horizon=horizon)
 
 
 class TestChunkClose:

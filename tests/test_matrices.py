@@ -66,6 +66,12 @@ class TestCocycleProduct:
         assert abs((ls_k + ls_m + np.log(s)) - ls_full) <= u * (2 * (L + 2) * (n + 2) + lam * (L + 4) ** 2)
         assert np.all(np.abs(combined / s - D_full) <= 4 * (L + 2) * (n + 2) * u * D_full)
 
+    @pytest.mark.parametrize("n", [2.7, True, -1])
+    def test_non_integer_or_negative_length_rejected(self, n):
+        # a fractional length used to multiply int(n) maps without a word
+        with pytest.raises(ValueError, match=f"^n must be an integer >= 0, got n = {n!r}$"):
+            cocycle_product(UniformEntriesModel(3, 0.5, 2.0), IidShift().initial(0), n)
+
     def test_decaying_product_no_underflow(self):
         model = ConstantMatrixModel(1e-3 * np.eye(2))
         D, ls = cocycle_product(model, IidShift().initial(0), 200)
@@ -166,6 +172,30 @@ class TestCheckD:
     def test_rejects_no_samples(self):
         with pytest.raises(ValueError, match="n_samples"):
             check_D(ConstantMatrixModel(np.eye(2)), IidShift(), 0, 0)
+
+    @pytest.mark.parametrize("lag", [0, 2.5])
+    def test_rejects_bad_lag(self, lag):
+        # lag 0 used to check identity maps, and 2.5 was named as the
+        # product's length n
+        with pytest.raises(ValueError, match=f"^lag must be an integer >= 1, got lag = {lag}$"):
+            check_D(UniformEntriesModel(3, 0.5, 2.0), IidShift(), 0, 5, lag=lag)
+
+    def test_long_lag_does_not_overflow(self):
+        # a lag-250 product of N = 24 maps has a log scale near 850, past
+        # the range of exp: it used to overflow to inf and raise.  The ln+
+        # moment is the log scale plus the log of the direction's largest
+        # entry, and the row sums, too large for a float, are witnessed as inf
+        model, lag = UniformEntriesModel(24, 0.5, 2.0), 250
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = check_D(model, IidShift(), 0, 5, lag=lag)
+        products = [cocycle_product(model, IidShift().initial(0).advance(k * lag), lag) for k in range(5)]
+        lnplus = [ls + np.log(D.max()) for D, ls in products]
+        assert min(lnplus) > 800
+        assert _report(reports, "D1.i").verdict == "holds"
+        assert abs(_report(reports, "D1.iii").estimate - np.mean(lnplus)) <= 1e-12 * np.mean(lnplus)
+        assert _report(reports, "D3.i").estimate == 0.0
+        assert _report(reports, "D3.i").witnesses == [("nu_samples", [np.inf] * 5)]
 
 
 class TestCheckD1:

@@ -494,6 +494,11 @@ class TestStructureChecks:
         rep = check_O(ConstantOdeModel(np.diag([-5.0, 3.0])), IidShift(time="continuous"), 0, 3)[0]
         assert rep.verdict == "holds"
 
+    def test_rejects_no_samples(self):
+        # used to report O1 "holds" over no base point and a NaN O2 estimate
+        with pytest.raises(ValueError, match="^n_samples must be an integer >= 1, got n_samples = 0$"):
+            check_O(ConstantOdeModel([[1.0, 2.0], [0.5, -3.0]]), IidShift(time="continuous"), 0, 0)
+
     def test_o2_constant_zero_width(self):
         rep = check_O(ConstantOdeModel([[1.0, 2.0], [0.5, -3.0]]), IidShift(time="continuous"), 0, 6)[1]
         assert rep.estimate == 2.0 and rep.ci == 0.0

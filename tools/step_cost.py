@@ -2,14 +2,14 @@
 
   python3 tools/step_cost.py                 # this checkout
   python3 tools/step_cost.py --src OTHER/src # another checkout, for before/after pairs
-  python3 tools/step_cost.py --peak          # tracemalloc peak of separation instead
+  python3 tools/step_cost.py --peak          # tracemalloc peaks of separation instead
 
 Each matrix loop runs on a fresh uniform-entries cocycle (entries in
 [0.5, 2)) on a discrete i.i.d. shift, so block emission is included.
 "forward x2" walks two probes as one (N, 2) block; compare it with two
-one-probe "forward" steps.  "dual" is ``_dual_path`` alone, the backward
-adjoint sweep of "separation" (warm-up 50), so "separation" less "dual" is
-its forward sweep.  The "ode" rows are forward steps of the
+one-probe "forward" steps.  "adjoint" is ``_adjoint_sweep`` alone, the
+backward sweep of "separation" (warm-up 50) with its complement frame, so
+"separation" less "adjoint" is the warm-up plus the forward sweep.  The "ode" rows are forward steps of the
 piecewise-constant cooperative ODE (N = 3, diagonal in [-1, 0.5),
 off-diagonal in [0, 1), unit cells) at dt = 0.1 on a continuous i.i.d.
 shift, with one probe and with two; "ode qr" is ``oseledets_qr`` and
@@ -36,10 +36,10 @@ checkouts and take each one's range, since the CPU speed of a shared
 machine drifts.
 
 With ``--peak`` it prints instead the ``tracemalloc`` peak of one
-``separation_estimate`` run, in bytes per step, after an untraced run has
-done the first run's lazy imports.  The peak holds fixed-size chunk
-buffers next to the per-step state, so it falls with the horizon towards
-the per-step share.
+``separation_estimate`` run at 2000 and at 8000 steps, in bytes, after an
+untraced run has done the first run's lazy imports.  The peak holds
+fixed-size chunk buffers and no per-step state, so it does not grow with
+the horizon.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
     p.add_argument("--peak", action="store_true",
-                   help="print the tracemalloc peak bytes per step of separation_estimate")
+                   help="print the tracemalloc peak bytes of separation_estimate at two horizons")
     args = p.parse_args(argv)
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
@@ -87,7 +87,7 @@ def main(argv=None):
     import numpy as np
     from poscocycle.config import validate_config
     from poscocycle.drivers import IidShift, TorusRotation
-    from poscocycle.estimators import (MatrixCocycle, OdeCocycle, _dual_path, forward_floquet, oseledets_qr,
+    from poscocycle.estimators import (MatrixCocycle, OdeCocycle, _adjoint_sweep, forward_floquet, oseledets_qr,
                                        separation_estimate)
     from poscocycle.matrices import UniformEntriesModel
     from poscocycle.odes import PiecewiseConstantOdeModel, cooperative_sampler, integrate
@@ -100,11 +100,12 @@ def main(argv=None):
         for n in (3, 24):
             coc = MatrixCocycle(UniformEntriesModel(n, 0.5, 2.0))
             separation_estimate(coc, IidShift().initial(1), T, warmup=50)
-            tracemalloc.start()
-            separation_estimate(coc, IidShift().initial(1), T, warmup=50)
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-            print(f"separation N={n:<3} {peak / T:9.1f} peak bytes/step ({peak} bytes, T = {T})")
+            for steps in (T, 4 * T):
+                tracemalloc.start()
+                separation_estimate(coc, IidShift().initial(1), steps, warmup=50)
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+                print(f"separation N={n:<3} T={steps:<5} {peak:9d} peak bytes")
         return
     def matrix(n):
         return MatrixCocycle(UniformEntriesModel(n, 0.5, 2.0)), IidShift().initial(1)
@@ -123,7 +124,7 @@ def main(argv=None):
         ("forward x2", matrix, forward(2), (3, 24)),
         ("qr", matrix, lambda coc, om: oseledets_qr(coc, om, T), (3, 24)),
         ("separation", matrix, lambda coc, om: separation_estimate(coc, om, T, warmup=50), (3, 24)),
-        ("dual", matrix, lambda coc, om: _dual_path(coc.replay(om, -50, T + 50), coc.n, T, 50), (3, 24)),
+        ("adjoint", matrix, lambda coc, om: _adjoint_sweep(coc.replay(om, 0, T + 50), coc.n, T, 50, 0), (3, 24)),
         ("ode", ode, forward(1), (3,)),
         ("ode x2", ode, forward(2), (3,)),
         ("ode qr", ode, lambda coc, om: oseledets_qr(coc, om, T * coc.dt), (3,)),
