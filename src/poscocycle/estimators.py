@@ -14,12 +14,16 @@ piece, and one DOP853 batch for the steps on smooth pieces or across a
 breakpoint) and stored.  Each step loop walks the maps of a chunk in place,
 applies M to its own vector or frame and frees the chunk before the next
 is built.  ``forward_floquet`` and ``oseledets_qr`` do per step only what
-the next step needs (the product, the renormalisation or QR, the checks
-on the iterate) and store the step's norms or R diagonal; each chunk is
-then closed at once: its logs, log scales, running sums and history rows,
-summed step after step in the order a per-step loop sums them, so the
-results are bit-identical.  ``oseledets_qr`` reads only |diag R|, so its
-QR (``_qr``) factors the step's product in place and applies no signs.
+the next step needs (the product, then the column norms and the
+renormalised block, or the QR) and store the step's norms and iterate or
+R diagonal; each chunk is then closed at once.  The checks on the
+iterates are one test per chunk, and ``forward_floquet`` walks the chunk
+again one step at a time from the first step that needs care (an
+annihilated column, a non-finite iterate, a clipped cone excursion).
+Then the logs, log scales, running sums and history rows are summed step
+after step in the order a per-step loop sums them, so the results are
+bit-identical.  ``oseledets_qr`` reads only |diag R|, so its QR (``_qr``)
+factors the step's product in place and applies no signs.
 ``separation_estimate`` carries its complement frame on the backward
 adjoint sweep, which walks each chunk latest step first and takes the
 chunk's Frobenius norms at once; its forward sweep tracks w alone.
@@ -310,13 +314,22 @@ def forward_floquet(cocycle, omega, u0, horizon, record_every=0, check_cone=True
     With ``check_cone`` it raises PositivityViolation when an iterate leaves
     the nonnegative orthant by more than the cocycle's ``cone_tol``.
 
-    A step applies the map, renormalises, checks the cone and stores the
-    column norms; each chunk is then closed at once: the logs, the log
-    growth and the history rows, each summed step after step as a per-step
-    loop sums them.
+    A step applies the map and writes the column norms and the renormalised
+    block into the chunk's rows.  At chunk close one test finds the first
+    step that needs care (a norm 0 or not finite, or with ``check_cone`` an
+    entry below 0), from which the chunk is walked again step by step with
+    the checks; then the logs, the log growth and the history rows are
+    taken, each summed step after step as a per-step loop sums them.
     """
     n_steps = _step_count("forward_floquet", horizon, cocycle.dt)
     record_every = _count("record_every", record_every, 0)
+    return _forward(cocycle, omega, 0, n_steps, u0, record_every, check_cone)
+
+
+def _forward(cocycle, omega, lo, n_steps, u0, record_every=0, check_cone=True):
+    """``forward_floquet`` over the ``n_steps`` steps from step ``lo`` of
+    ``omega``: a non-finite step and the time of a cone witness are named
+    from ``omega``, the rows' ``times`` from the first step."""
     U = np.array(u0, dtype=float)
     single = U.ndim == 1
     if single:
@@ -325,32 +338,43 @@ def forward_floquet(cocycle, omega, u0, horizon, record_every=0, check_cone=True
     if not nrm.all():
         raise ValueError("u0 must be nonzero")
     U = U / nrm
-    tol, dt, k = cocycle.cone_tol, cocycle.dt, U.shape[1]
+    tol, dt, (n, k) = cocycle.cone_tol, cocycle.dt, U.shape
     if check_cone:
-        U = _enforce_cone(U, tol, 0.0)
+        U = _enforce_cone(U, tol, lo * dt)
     growth, since = np.zeros(k), None
-    ln_rows, u_rows = [], []  # per chunk: its rows' ln rho (rows, k); per row: the block (N, k)
+    # per chunk: its rows' ln rho (rows, k) and directions (rows, N, k)
+    ln_rows, u_rows = [np.empty((0, k))], [np.empty((0, n, k))]
     # an annihilated column is done: its zero image is its w, and from then
     # on it walks as a copy of a live column, whose rows it does not keep
-    gone, w = np.zeros(k, dtype=bool), np.empty((k, cocycle.n))
+    gone, w = np.zeros(k, dtype=bool), np.empty((k, n))
     n_rows = np.full(k, n_steps // record_every if record_every else 0)
-    norms = np.empty((min(n_steps, BLOCK_CELLS), k))  # a chunk's step norms, one row per step
-    step = 0
-    for maps, ls in cocycle.step_blocks(omega, n_steps):
-        first, walked = step, len(maps)
-        for i, M in enumerate(maps):
-            step += 1
-            V = M @ U
+    size = min(n_steps, BLOCK_CELLS)
+    norms = np.empty((size, k))  # a chunk's step norms, one row per step
+    path = np.empty((size + 1, n, k))  # the iterate before the chunk, then one per step
+    path[0] = U
+    first = 0  # the chunk's first step, counted from step lo
+    for maps, ls in cocycle.step_blocks(cocycle.advance(omega, lo), n_steps):
+        walked = len(maps)
+        with np.errstate(all="ignore"):
+            for M, U, r, out in zip(maps, path, norms, path[1:]):
+                V = M @ U
+                np.sqrt(np.vecdot(V, V, axis=0), out=r)
+                np.divide(V, r, out=out)
+        # from the first step that needs care on, the chunk walks again
+        r = norms[:walked]
+        care = ~((0.0 < r) & (r < math.inf)).all(axis=1)
+        if check_cone:
+            care |= (path[1:walked + 1] < 0.0).any(axis=(1, 2))
+        for i in range(care.argmax() if care.any() else walked, walked):
+            V = maps[i] @ path[i]
             r = np.sqrt(np.vecdot(V, V, axis=0))
-            # one product tells that every norm is positive and finite (an
-            # under- or overflowing product only takes the careful branch)
-            if not 0.0 < math.prod(r.tolist()) < math.inf:
-                bad = r[~np.isfinite(r)]
-                if bad.size:
-                    raise EstimationError(f"forward iterate not finite after step {step - 1} (norm {bad[0]})")
+            bad = r[~np.isfinite(r)]
+            if bad.size:
+                raise EstimationError(f"forward iterate not finite after step {lo + first + i} (norm {bad[0]})")
+            if not r.all():
                 dead = (r == 0.0) & ~gone
                 w[dead] = V[:, dead].T
-                n_rows[dead] = (step - 1) // record_every if record_every else 0
+                n_rows[dead] = (first + i) // record_every if record_every else 0
                 gone |= r == 0.0
                 if gone.all():
                     walked = i
@@ -359,11 +383,9 @@ def forward_floquet(cocycle, omega, u0, horizon, record_every=0, check_cone=True
                 V[:, gone], r[gone] = V[:, live, None], r[live]
             U = V / r
             if check_cone and not U.min() >= 0.0:
-                U = _enforce_cone(U, tol, step * dt)
+                U = _enforce_cone(U, tol, (lo + first + i + 1) * dt)
                 U /= _column_norms(U)
-            norms[i] = r
-            if record_every and step % record_every == 0:
-                u_rows.append(U)
+            norms[i], path[i + 1] = r, U
         del maps, M  # freed before the next chunk is built
         # close the chunk's walked steps: ln rho per step, growth and rows
         ln = norms[:walked]
@@ -372,18 +394,20 @@ def forward_floquet(cocycle, omega, u0, horizon, record_every=0, check_cone=True
         if record_every:
             rows, since = _row_sums(ln, since, first % record_every, record_every)
             ln_rows.append(rows)
+            u_rows.append(path[record_every - first % record_every:walked + 1:record_every].copy())
+        path[0] = path[walked]
         if gone.all():
             break
         ln[0] += growth
         np.add.accumulate(ln, axis=0, out=ln)
         growth = ln[-1].copy()
+        first += walked
     log_growth = np.where(gone, -math.inf, growth)
-    w[~gone] = U.T[~gone]
+    w[~gone] = path[0].T[~gone]
     T = n_steps * dt
-    log_rho = np.concatenate(ln_rows) if ln_rows else np.empty((0, k))
-    times = record_every * np.arange(1, len(log_rho) + 1) * dt
-    log_rho = log_rho.T
-    directions = np.stack(u_rows).transpose(2, 0, 1).copy() if u_rows else np.empty((k, 0, cocycle.n))
+    log_rho = np.concatenate(ln_rows).T
+    times = record_every * np.arange(1, log_rho.shape[1] + 1) * dt
+    directions = np.concatenate(u_rows).transpose(2, 0, 1).copy()
     tracks = [FloquetTrack(w=w[j], log_growth=float(log_growth[j]), horizon=T,
                            lambda1=float(log_growth[j]) / T, times=times[:n_rows[j]],
                            log_rho=log_rho[j, :n_rows[j]], directions=directions[j, :n_rows[j]])
@@ -401,7 +425,7 @@ def warmup_direction(cocycle, omega, depth):
     probe = np.full(cocycle.n, 1.0 / math.sqrt(cocycle.n))
     if depth == 0:
         return probe / np.linalg.norm(probe)
-    track = forward_floquet(cocycle, cocycle.advance(omega, -depth), probe, depth * cocycle.dt)
+    track = _forward(cocycle, omega, -depth, depth, probe)
     if track.log_growth == -math.inf:
         raise EstimationError("warm-up probe annihilated; no principal direction to converge to")
     return track.w
@@ -426,11 +450,10 @@ class EntireOrbit:
     step_log_rho: list
 
 
-def _pullback(cocycle, start, probes, depth, record_every=0):
+def _pullback(cocycle, omega, lo, probes, depth, record_every=0):
     """The tracks of the columns of ``probes`` pushed over ``depth`` steps
-    from ``start``, each of which must survive."""
-    tracks = forward_floquet(cocycle, start, probes, depth * cocycle.dt,
-                             record_every=record_every, check_cone=False)
+    from step ``lo`` of ``omega``, each of which must survive."""
+    tracks = _forward(cocycle, omega, lo, depth, probes, record_every, check_cone=False)
     if any(track.log_growth == -math.inf for track in tracks):
         raise EstimationError("pullback probe was annihilated; model is not positivity-preserving")
     return tracks
@@ -448,9 +471,8 @@ def pullback_convergence(cocycle, omega, depth):
     """
     depth = _count("depth", depth, 1)
     u0 = np.full(cocycle.n, 1.0 / math.sqrt(cocycle.n))
-    [deep] = _pullback(cocycle, cocycle.advance(omega, -2 * depth), u0[:, None], depth)
-    track, deeper = _pullback(cocycle, cocycle.advance(omega, -depth),
-                              np.column_stack([u0, deep.w]), depth, record_every=1)
+    [deep] = _pullback(cocycle, omega, -2 * depth, u0[:, None], depth)
+    track, deeper = _pullback(cocycle, omega, -depth, np.column_stack([u0, deep.w]), depth, record_every=1)
     log_rhos = track.log_rho.tolist()
     # normalize so that the time-0 value is the unit direction
     log_norms = list(accumulate(reversed(log_rhos), operator.sub, initial=0.0))[::-1]
@@ -574,8 +596,10 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0) -> S
     separation near ln(1/eps) / horizon.  Sigma comes from the growth
     *ratio*, which stays finite even when both exponents diverge to -inf.
     ``proj_samples`` > 0 additionally records ln |projection onto the
-    complement along the principal direction| at that many evenly spaced
-    times (the temperedness observable).
+    complement along the principal direction| (the temperedness
+    observable) at t = 0 and after every s = max(1, n // proj_samples)
+    steps, n the step count: n // s + 1 points, so n = 10 with
+    ``proj_samples`` = 6 gives s = 1 and 11 points.
     """
     n_steps = _step_count("separation_estimate", horizon, cocycle.dt)
     warmup = _count("warmup", warmup, 0)

@@ -187,6 +187,27 @@ class TestForwardFloquet:
         with pytest.raises(EstimationError, match=f"step {bad} "):
             run(MatrixCocycle(model), 20 + shift)
 
+    def test_warm_up_steps_named_from_base_point(self):
+        # a bad map at step -3 is named "step -3" by every command that walks
+        # it before the base point: the warm-ups and both pullbacks
+        class NanAt(SampledMatrixModel):
+            def emit(self, state):
+                S = super().emit(state)
+                return S * math.nan if state.index == -3 else S
+
+        coc = MatrixCocycle(NanAt(3, lambda rng: rng.uniform(0.5, 2.0, (3, 3))))
+        for run in (lambda: separation_estimate(coc, disc_state(), 10, warmup=5),
+                    lambda: warmup_direction(coc, disc_state(), 5),
+                    lambda: pullback_convergence(coc, disc_state(), 2),  # the deeper pullback
+                    lambda: pullback_convergence(coc, disc_state(), 5)):  # the shallower one
+            with pytest.raises(EstimationError, match="after step -3 "):
+                run()
+        # the first warm-up step from -5 leaves the cone at time -4
+        coc = MatrixCocycle(ConstantMatrixModel([[1.0, -2.0], [0.0, 1.0]]))
+        with pytest.raises(PositivityViolation, match="t = -4:") as exc:
+            warmup_direction(coc, disc_state(), 5)
+        assert exc.value.witness == (-4, 0, -0.7071067811865476)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 5).flatmap(lambda n: st.tuples(
                st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n),
@@ -945,6 +966,28 @@ class BlockDiagonalModel(UniformEntriesModel):
         return maps
 
 
+class PlantedModel(UniformEntriesModel):
+    """Uniform entries with the map ``planted`` at cell ``at``."""
+
+    def __init__(self, n, at, planted):
+        super().__init__(n, 0.5, 2.0)
+        self.at, self.planted = at, planted
+
+    def emit_block(self, state, count):
+        maps = super().emit_block(state, count)
+        if 0 <= self.at - state.index < count:
+            maps[self.at - state.index] = self.planted
+        return maps
+
+
+def outcome(run, *args):
+    """``run(*args)``, or the name and text of the EstimationError it raises."""
+    try:
+        return run(*args)
+    except EstimationError as e:
+        return type(e).__name__, str(e)
+
+
 class ScaledCocycle(MatrixCocycle):
     """Uniform entries whose steps carry nonzero log scales."""
 
@@ -970,8 +1013,8 @@ def per_step_qr(coc, omega, T):
 
 
 def per_step_forward(coc, omega, u0, T, record_every=0):
-    """``forward_floquet`` over a block of probes as a per-step loop: log,
-    growth and history rows taken at every step."""
+    """``forward_floquet`` over a block of probes as a per-step loop: checks,
+    log, growth and history rows taken at every step."""
     U = np.array(u0, dtype=float)
     U = _enforce_cone(U / _column_norms(U), coc.cone_tol, 0.0)
     k = U.shape[1]
@@ -981,6 +1024,8 @@ def per_step_forward(coc, omega, u0, T, record_every=0):
     for step, (M, ls) in enumerate(_steps(coc.step_blocks(omega, T)), 1):
         V = M @ U
         r = np.sqrt(np.vecdot(V, V, axis=0))
+        if not np.isfinite(r).all():
+            raise EstimationError(f"forward iterate not finite after step {step - 1} (norm {r[~np.isfinite(r)][0]})")
         dead = (r == 0.0) & ~gone
         w[dead], n_rows[dead] = V[:, dead].T, len(ln_rows)
         gone |= r == 0.0
@@ -1119,6 +1164,32 @@ class TestChunkClose:
             assert same(got, per_step_forward(coc, disc_state(6), probes, 2000, every)), every
             assert got[0].log_growth == -math.inf and len(got[0].log_rho) == (dead // every if every else 0)
             assert (got[1].log_growth == -math.inf) == everything
+
+    # a step that needs care, planted at the first, a middle and the last
+    # step of the second chunk: a roundoff-level cone excursion (clipped), a
+    # NaN map (raised) or an exact-zero column (annihilated); from there the
+    # chunk is walked again step by step, as the per-step loop walks it
+    @pytest.mark.parametrize("n", [3, 24])
+    @pytest.mark.parametrize("at", [BLOCK_CELLS, BLOCK_CELLS + 100, 2 * BLOCK_CELLS - 1],
+                             ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("kind", ["cone", "nan", "zero"])
+    def test_careful_rewalk(self, n, at, kind):
+        if kind == "zero":
+            coc = MatrixCocycle(BlockDiagonalModel(n, at))
+            probes = np.zeros((n, 2))
+            probes[0, 0], probes[1:, 1] = 1.0, 1.0
+        else:
+            # the cone map shifts coordinates up and sends -1e-13 x_0 to the last
+            planted = np.full((n, n), math.nan) if kind == "nan" else np.eye(n, k=1)
+            planted[-1, 0] = math.nan if kind == "nan" else -1e-13
+            coc = MatrixCocycle(PlantedModel(n, at, planted))
+            probes = np.random.default_rng(n + at).uniform(0.1, 1.0, (n, 2))
+        T = 2 * BLOCK_CELLS + 44
+        for every, u0 in product(self.EVERY, (probes[:, :1], probes)):
+            got, want = (outcome(run, coc, disc_state(6), u0, T, every) for run in (forward_floquet, per_step_forward))
+            assert same(got, want), (every, u0.shape)
+            assert kind != "nan" or got == ("EstimationError", f"forward iterate not finite after step {at} (norm nan)")
+            assert kind != "cone" or min(track.w.min() for track in want) >= 0.0
 
     @pytest.mark.parametrize("n", [3, 24])
     def test_exact_zero_in_r_diagonal(self, n):

@@ -7,7 +7,8 @@
 Each matrix loop runs on a fresh uniform-entries cocycle (entries in
 [0.5, 2)) on a discrete i.i.d. shift, so block emission is included.
 "forward x2" walks two probes as one (N, 2) block; compare it with two
-one-probe "forward" steps.  "adjoint" is ``_adjoint_sweep`` alone, the
+one-probe "forward" steps.  "forward x2 rec" is that walk with a history
+row at every step, as ``estimate`` walks its warmed and raw probes.  "adjoint" is ``_adjoint_sweep`` alone, the
 backward sweep of "separation" (warm-up 50) with its complement frame, so
 "separation" less "adjoint" is the warm-up plus the forward sweep.  The "ode" rows are forward steps of the
 piecewise-constant cooperative ODE (N = 3, diagonal in [-1, 0.5),
@@ -114,14 +115,16 @@ def main(argv=None):
         model = PiecewiseConstantOdeModel(n, cooperative_sampler(n, -1.0, 0.5, 0.0, 1.0))
         return OdeCocycle(model, dt=0.1), IidShift(time="continuous").initial(1)
 
-    def forward(k):
+    def forward(k, every=0):
         def run(coc, om):
-            forward_floquet(coc, om, np.ones((coc.n, k)) if k > 1 else np.ones(coc.n), T * coc.dt)
+            forward_floquet(coc, om, np.ones((coc.n, k)) if k > 1 else np.ones(coc.n), T * coc.dt,
+                            record_every=every)
         return run
 
     loops = [
         ("forward", matrix, forward(1), (3, 24)),
         ("forward x2", matrix, forward(2), (3, 24)),
+        ("forward x2 rec", matrix, forward(2, every=1), (3, 24)),
         ("qr", matrix, lambda coc, om: oseledets_qr(coc, om, T), (3, 24)),
         ("separation", matrix, lambda coc, om: separation_estimate(coc, om, T, warmup=50), (3, 24)),
         ("adjoint", matrix, lambda coc, om: _adjoint_sweep(coc.replay(om, 0, T + 50), coc.n, T, 50, 0), (3, 24)),
