@@ -11,7 +11,8 @@ its maps: ``step_blocks`` serves the scale-separated step maps as chunks
 be read more than once: matrix maps are emitted afresh on every read, flow
 maps are built once per chunk (``odes.flow_maps``: one expm per constant
 piece, and one DOP853 batch for the steps on smooth pieces or across a
-breakpoint) and stored.  Each step loop walks the maps of a chunk in place,
+breakpoint) and stored, each read in chunks of at most BLOCK_CELLS maps.
+Each step loop walks the maps of a chunk in place,
 applies M to its own vector or frame and frees the chunk before the next
 is built.  ``forward_floquet`` and ``oseledets_qr`` do per step only what
 the next step needs (the product, then the column norms and the
@@ -26,7 +27,9 @@ bit-identical.  ``oseledets_qr`` reads only |diag R|, so its QR (``_qr``)
 factors the step's product in place and applies no signs.
 ``separation_estimate`` carries its complement frame on the backward
 adjoint sweep, which walks each chunk latest step first and takes the
-chunk's Frobenius norms at once; its forward sweep tracks w alone.
+chunk's Frobenius norms at once; its principal direction walks the
+replay through ``_forward``, the one vector-orbit loop, which checks the
+orthant on every walk (the paper's objects exist only inside the cone).
 The per-step QR (dgeqrf, dorgqr) and the spectral norms (dgesdd) call the
 LAPACK gufuncs of ``numpy.linalg`` without the wrappers, so the module
 loads no scipy.
@@ -140,8 +143,8 @@ class OdeCocycle(_Cocycle):
 
 def _stored_replay(cocycle, omega, lo, hi):
     """Replay the maps of steps [lo, hi) from one (hi - lo, N, N) array
-    filled by a single forward read of ``step_blocks``; a read in either
-    direction is one chunk."""
+    filled by a single forward read of ``step_blocks``; a read yields views
+    of at most BLOCK_CELLS maps, as the step loops' chunk buffers assume."""
     maps, ls = np.empty((hi - lo, cocycle.n, cocycle.n)), np.empty(hi - lo)
     k = 0
     for chunk, scales in cocycle.step_blocks(cocycle.advance(omega, lo), hi - lo):
@@ -149,7 +152,9 @@ def _stored_replay(cocycle, omega, lo, hi):
         k += len(chunk)
 
     def blocks(a, b, backward=False):
-        yield maps[a - lo:b - lo], ls[a - lo:b - lo]
+        cuts = range(a - lo, b - lo, BLOCK_CELLS)
+        for c in reversed(cuts) if backward else cuts:
+            yield maps[c:b - lo][:BLOCK_CELLS], ls[c:b - lo][:BLOCK_CELLS]
     return blocks
 
 
@@ -300,47 +305,50 @@ def _row_sums(ln, since, done, every):
     return np.concatenate(rows), since
 
 
-def forward_floquet(cocycle, omega, u0, horizon, record_every=0, check_cone=True):
+def forward_floquet(cocycle, omega, u0, horizon, record_every=0):
     """Iterate u <- (one-step map) u with renormalization, accumulating ln rho.
 
-    ``u0`` is one probe (N,) or a block of probes as columns (N, k).  The
-    columns walk the steps together, each step map applied to the block
-    once, and each column is renormalised and cone-checked on its own.  A
-    probe returns one FloquetTrack, a block a list of k, one per column,
-    each equal up to rounding to the track of its column alone.  A track's
-    ``lambda1`` is the finite-horizon growth-rate estimate
-    log_growth / horizon.  A column whose image is exactly 0 gets log growth
-    -inf, that zero image as ``w`` and no further rows; the others go on.
-    With ``check_cone`` it raises PositivityViolation when an iterate leaves
-    the nonnegative orthant by more than the cocycle's ``cone_tol``.
+    ``u0`` is one probe (N,) or a block of probes as columns (N, k), each
+    with finite entries.  The columns walk the steps together, each step map
+    applied to the block once, and each column is renormalised and
+    cone-checked on its own.  A probe returns one FloquetTrack, a block a
+    list of k, one per column, each equal up to rounding to the track of its
+    column alone.  A track's ``lambda1`` is the finite-horizon growth-rate
+    estimate log_growth / horizon.  A column whose image is exactly 0 gets
+    log growth -inf, that zero image as ``w`` and no further rows; the
+    others go on.  An iterate that leaves the nonnegative orthant by more
+    than the cocycle's ``cone_tol`` raises PositivityViolation.
 
     A step applies the map and writes the column norms and the renormalised
     block into the chunk's rows.  At chunk close one test finds the first
-    step that needs care (a norm 0 or not finite, or with ``check_cone`` an
-    entry below 0), from which the chunk is walked again step by step with
-    the checks; then the logs, the log growth and the history rows are
-    taken, each summed step after step as a per-step loop sums them.
+    step that needs care (a norm 0 or not finite, or an entry below 0),
+    from which the chunk is walked again step by step with the checks; then
+    the logs, the log growth and the history rows are taken, each summed
+    step after step as a per-step loop sums them.
     """
     n_steps = _step_count("forward_floquet", horizon, cocycle.dt)
     record_every = _count("record_every", record_every, 0)
-    return _forward(cocycle, omega, 0, n_steps, u0, record_every, check_cone)
+    return _forward(cocycle, cocycle.step_blocks(omega, n_steps), 0, n_steps, u0, record_every)
 
 
-def _forward(cocycle, omega, lo, n_steps, u0, record_every=0, check_cone=True):
-    """``forward_floquet`` over the ``n_steps`` steps from step ``lo`` of
-    ``omega``: a non-finite step and the time of a cone witness are named
-    from ``omega``, the rows' ``times`` from the first step."""
+def _forward(cocycle, chunks, lo, n_steps, u0, record_every=0):
+    """``forward_floquet`` over ``chunks``, a stream of the maps of the
+    ``n_steps`` steps from step ``lo`` of a base point, in at most
+    BLOCK_CELLS maps each (``step_blocks`` or a ``replay`` read): a
+    non-finite step and the time of a cone witness are named from that base
+    point, the rows' ``times`` from the first step."""
     U = np.array(u0, dtype=float)
+    bad = np.argwhere(~np.isfinite(U))
+    if len(bad):
+        raise ValueError(f"u0 must be finite: entry {bad[0].tolist()} is {U[tuple(bad[0])]}")
     single = U.ndim == 1
     if single:
         U = U[:, None]
     nrm = _column_norms(U)
     if not nrm.all():
         raise ValueError("u0 must be nonzero")
-    U = U / nrm
     tol, dt, (n, k) = cocycle.cone_tol, cocycle.dt, U.shape
-    if check_cone:
-        U = _enforce_cone(U, tol, lo * dt)
+    U = _enforce_cone(U / nrm, tol, lo * dt)
     growth, since = np.zeros(k), None
     # per chunk: its rows' ln rho (rows, k) and directions (rows, N, k)
     ln_rows, u_rows = [np.empty((0, k))], [np.empty((0, n, k))]
@@ -353,7 +361,7 @@ def _forward(cocycle, omega, lo, n_steps, u0, record_every=0, check_cone=True):
     path = np.empty((size + 1, n, k))  # the iterate before the chunk, then one per step
     path[0] = U
     first = 0  # the chunk's first step, counted from step lo
-    for maps, ls in cocycle.step_blocks(cocycle.advance(omega, lo), n_steps):
+    for maps, ls in chunks:
         walked = len(maps)
         with np.errstate(all="ignore"):
             for M, U, r, out in zip(maps, path, norms, path[1:]):
@@ -362,9 +370,7 @@ def _forward(cocycle, omega, lo, n_steps, u0, record_every=0, check_cone=True):
                 np.divide(V, r, out=out)
         # from the first step that needs care on, the chunk walks again
         r = norms[:walked]
-        care = ~((0.0 < r) & (r < math.inf)).all(axis=1)
-        if check_cone:
-            care |= (path[1:walked + 1] < 0.0).any(axis=(1, 2))
+        care = ~((0.0 < r) & (r < math.inf)).all(axis=1) | (path[1:walked + 1] < 0.0).any(axis=(1, 2))
         for i in range(care.argmax() if care.any() else walked, walked):
             V = maps[i] @ path[i]
             r = np.sqrt(np.vecdot(V, V, axis=0))
@@ -382,7 +388,7 @@ def _forward(cocycle, omega, lo, n_steps, u0, record_every=0, check_cone=True):
                 live = np.flatnonzero(~gone)[0]
                 V[:, gone], r[gone] = V[:, live, None], r[live]
             U = V / r
-            if check_cone and not U.min() >= 0.0:
+            if not U.min() >= 0.0:
                 U = _enforce_cone(U, tol, (lo + first + i + 1) * dt)
                 U /= _column_norms(U)
             norms[i], path[i + 1] = r, U
@@ -425,7 +431,7 @@ def warmup_direction(cocycle, omega, depth):
     probe = np.full(cocycle.n, 1.0 / math.sqrt(cocycle.n))
     if depth == 0:
         return probe / np.linalg.norm(probe)
-    track = _forward(cocycle, omega, -depth, depth, probe)
+    track = _forward(cocycle, cocycle.step_blocks(cocycle.advance(omega, -depth), depth), -depth, depth, probe)
     if track.log_growth == -math.inf:
         raise EstimationError("warm-up probe annihilated; no principal direction to converge to")
     return track.w
@@ -453,7 +459,7 @@ class EntireOrbit:
 def _pullback(cocycle, omega, lo, probes, depth, record_every=0):
     """The tracks of the columns of ``probes`` pushed over ``depth`` steps
     from step ``lo`` of ``omega``, each of which must survive."""
-    tracks = _forward(cocycle, omega, lo, depth, probes, record_every, check_cone=False)
+    tracks = _forward(cocycle, cocycle.step_blocks(cocycle.advance(omega, lo), depth), lo, depth, probes, record_every)
     if any(track.log_growth == -math.inf for track in tracks):
         raise EstimationError("pullback probe was annihilated; model is not positivity-preserving")
     return tracks
@@ -467,7 +473,8 @@ def pullback_convergence(cocycle, omega, depth):
 
     The uniform probe is pushed from ``depth`` steps in the past.  A deeper
     copy walks its first ``depth`` steps alone, then the probe joins it as a
-    second column: 2 * depth steps in all.
+    second column: 2 * depth steps in all.  A pullback that leaves the
+    nonnegative orthant raises PositivityViolation, timed from ``omega``.
     """
     depth = _count("depth", depth, 1)
     u0 = np.full(cocycle.n, 1.0 / math.sqrt(cocycle.n))
@@ -587,7 +594,8 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0) -> S
 
     ``cocycle.replay`` serves the maps of [0, T + warmup) to two sweeps: the
     backward ``_adjoint_sweep`` of the dual direction and the complement
-    frame, then a forward sweep over [0, T) of the principal direction,
+    frame, then the ``forward_floquet`` walk over [0, T) of the principal
+    direction (cone-checked, so lambda1 and w are that walk's bit for bit),
     warmed up over [-warmup, 0) by ``warmup_direction``.  Nothing is kept
     per step: matrix maps are emitted afresh on each read, flow maps are
     built once and stored.  The frame is re-anchored to the dual-null
@@ -599,7 +607,8 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0) -> S
     complement along the principal direction| (the temperedness
     observable) at t = 0 and after every s = max(1, n // proj_samples)
     steps, n the step count: n // s + 1 points, so n = 10 with
-    ``proj_samples`` = 6 gives s = 1 and 11 points.
+    ``proj_samples`` = 6 gives s = 1 and 11 points, taken after the walk
+    from its rows, recorded every s steps, and the adjoint sweep's samples.
     """
     n_steps = _step_count("separation_estimate", horizon, cocycle.dt)
     warmup = _count("warmup", warmup, 0)
@@ -614,35 +623,17 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0) -> S
         raise EstimationError(
             f"principal and dual directions nearly orthogonal (pairing {pairing:.3e}); "
             "projection onto the invariant complement is ill-conditioned")
-    # forward sweep: track the principal direction, sampling the projection
-    # norm at step times
-    proj_history = [(0.0, math.log(_projection_norm(w, w_star0)))] if sample_every else []
-    log_growth = 0.0
-    first = 0  # the chunk's first step
-    for maps, ls in blocks(0, n_steps):
-        for k, (M, ls_k) in enumerate(zip(maps, ls.tolist()), first):
-            w = M @ w
-            r = _norm(w)
-            if r == 0.0:
-                raise EstimationError("principal direction annihilated; no positive growth to separate")
-            if not math.isfinite(r):
-                raise EstimationError(f"principal direction not finite after step {k} (norm {r})")
-            w /= r
-            log_growth += math.log(r) + ls_k
-            if sample_every and (k + 1) % sample_every == 0:
-                proj_history.append(((k + 1) * cocycle.dt,
-                                     math.log(_projection_norm(w, z_samples[(k + 1) // sample_every]))))
-        first += len(maps)
-        del maps, M  # freed before the next chunk is built
-
-    T = n_steps * cocycle.dt
-    lambda1 = log_growth / T
+    track = _forward(cocycle, blocks(0, n_steps), 0, n_steps, w, sample_every)
+    if track.log_growth == -math.inf:
+        raise EstimationError("principal direction annihilated; no positive growth to separate")
+    proj_history = [(t, math.log(_projection_norm(u, z)))
+                    for t, u, z in zip([0.0, *track.times.tolist()], [w, *track.directions], z_samples)]
     dead = log_restricted is None
-    sigma = math.inf if dead else (log_growth - log_restricted) / T
-    lambda2 = -math.inf if dead else lambda1 - sigma
-    return SeparationEstimate(lambda1_hat=lambda1, lambda2_hat=lambda2, sigma_hat=sigma,
-                              w=w, w_star=w_star0, f1_basis=_orth_complement(w_star0),
-                              projection_norm_history=proj_history, horizon=T)
+    sigma = math.inf if dead else (track.log_growth - log_restricted) / track.horizon
+    lambda2 = -math.inf if dead else track.lambda1 - sigma
+    return SeparationEstimate(lambda1_hat=track.lambda1, lambda2_hat=lambda2, sigma_hat=sigma,
+                              w=track.w, w_star=w_star0, f1_basis=_orth_complement(w_star0),
+                              projection_norm_history=proj_history, horizon=track.horizon)
 
 
 # ---------------------------------------------------------------------------

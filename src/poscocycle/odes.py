@@ -501,6 +501,9 @@ def propagate(model: OdeModel, omega, Y, t, rtol=1e-10):
         raise ValueError(f"{len(omega)} base points for {len(times)} times")
     Y = np.array(Y, dtype=float)
     squeeze = Y.ndim == 1
+    bad = np.argwhere(~np.isfinite(Y))
+    if len(bad):
+        raise ValueError(f"initial condition must be finite: entry {bad[0].tolist()} is {Y[tuple(bad[0])]}")
     if squeeze:
         Y = Y[:, None]
     if not np.any(Y):

@@ -188,6 +188,8 @@ def validate_against_closed_form(rho=None, seed=0, n_omegas=5, horizon=BATTERY_H
     the quadratic form against their -log T envelope (``divergence`` keeps
     the trend diagnostic of the first base point)."""
     n_omegas = _count("n_omegas", n_omegas, 1)
+    if not len(divergence_horizons):
+        raise ValueError(f"divergence_horizons must hold at least one horizon, got {divergence_horizons!r}")
     driver = TorusRotation(rho)
     model = TorusExampleModel()
     report = TorusValidationReport(rho=driver.rho, kappa_bound=FOCUSING_RATIO_BOUND)

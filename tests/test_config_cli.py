@@ -486,6 +486,17 @@ class TestCliProcess:
         assert cli.main([command, "--config", str(p), "--out", str(tmp_path)]) == 2
         assert "left the cone" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, t", [("separate", 2), ("orbit", -38)])
+    def test_unwarmed_walk_leaves_cone_exit_2(self, tmp_path, command, t, capsys):
+        # in process; separation's principal sweep and the pullbacks of orbit
+        # used to walk unchecked and exit 0 with directions outside the cone
+        p = tmp_path / "neg.json"
+        p.write_text(json.dumps({"model": {"kind": "constant", "matrix": [[1.0, -0.5], [0.2, 1.0]]},
+                                 "estimator": {"warmup": 0}}))
+        from poscocycle import cli
+        assert cli.main([command, "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert f"left the cone at t = {t}:" in capsys.readouterr().err
+
     def test_numerical_failure_exit_3(self, tmp_path):
         p = tmp_path / "zero.json"
         p.write_text(json.dumps({
@@ -730,6 +741,20 @@ class TestCliProcess:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "'model.kind'" in err
         assert ran == [] and not (tmp_path / "results.json").exists()
+
+    def test_empty_divergence_horizons_exit_1(self, tmp_path, monkeypatch, capsys):
+        # used to run the whole battery, then die in
+        # DivergenceDiagnostic.from_means with an IndexError traceback
+        from poscocycle import cli, torus
+        integrated = []
+        monkeypatch.setattr(torus, "integrate", lambda *args, **kwargs: integrated.append(args))
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"model": {"kind": "torus-example"}, "driver": {"kind": "torus-rotation"},
+                                 "estimator": {"divergence_horizons": []}}))
+        assert cli.main(["example-torus", "--config", str(p), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "divergence_horizons" in err
+        assert integrated == [] and not (tmp_path / "results.json").exists()
 
     def test_failed_torus_item_exit_3(self, tmp_path, monkeypatch, capsys):
         # in process, with the battery replaced by a report that fails one item

@@ -652,6 +652,19 @@ def test_negative_count_rejected(call, message):
         call(iid_positive_cocycle())
 
 
+@pytest.mark.parametrize("u0, message", [
+    ([math.nan, 1.0, 1.0], r"entry \[0\] is nan"),
+    (np.column_stack([np.ones(3), [1.0, 1.0, math.inf]]), r"entry \[2, 1\] is inf"),
+], ids=["probe", "block"])
+def test_nonfinite_probe_rejected(u0, message):
+    # used to warn "invalid value encountered in divide", then report
+    # "forward iterate not finite after step 0"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^u0 must be finite: {message}$"):
+            forward_floquet(iid_positive_cocycle(), disc_state(), u0, 20)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda coc: warmup_direction(coc, disc_state(), 2.7), ">= 0, got depth = 2.7"),
     (lambda coc: warmup_direction(coc, disc_state(), -3), ">= 0, got depth = -3"),
@@ -715,28 +728,42 @@ class TestSeparation:
         est = separation_estimate(coc, disc_state(5), 500, warmup=50)
         assert abs(est.sigma_hat - (est.lambda1_hat - est.lambda2_hat)) < 1e-12
 
-    def test_no_warmup(self):
-        # with no warm-up the probe is the dual direction at the horizon
-        coc = iid_positive_cocycle(4)
-        omega = disc_state(5)
-        est = separation_estimate(coc, omega, 50, warmup=0)
-        probe = np.full(4, 0.5)
-        assert abs(est.lambda1_hat - forward_floquet(coc, omega, probe, 50).lambda1) < 1e-12
+    @staticmethod
+    def assert_forward_floquet_track(coc, omega, steps, warmup, proj_samples):
+        # the principal sweep is forward_floquet's from the warmed
+        # direction, bit for bit, and the projection is sampled at t = 0
+        # and at the rows of that track, recorded at the sample stride
+        horizon = steps * coc.dt
+        est = separation_estimate(coc, omega, horizon, warmup=warmup, proj_samples=proj_samples)
+        every = max(1, steps // proj_samples) if proj_samples else 0
+        track = forward_floquet(coc, omega, warmup_direction(coc, omega, warmup), horizon, record_every=every)
+        assert est.lambda1_hat == track.lambda1 and np.array_equal(est.w, track.w)
+        assert [t for t, _ in est.projection_norm_history] == ([0.0, *track.times.tolist()] if every else [])
         assert 0.0 < est.sigma_hat < math.inf
         assert abs(est.sigma_hat - (est.lambda1_hat - est.lambda2_hat)) < 1e-12
 
-    @pytest.mark.parametrize("primal, omega, horizon", [
+    def test_no_warmup(self):
+        # with no warm-up the probe is the dual direction at the horizon;
+        # also with one, on uniform entries, the piecewise-constant flow
+        # (257 steps cross the stored replay's chunk cut) and the torus
+        cases = [(iid_positive_cocycle(3), disc_state(5), 50), (iid_positive_cocycle(24), disc_state(5), 300),
+                 (OdeCocycle(PiecewiseConstantOdeModel(3, cooperative_sampler(3, -1.0, 0.5, 0.0, 1.0)), dt=0.1),
+                  cont_state(10), BLOCK_CELLS + 1),
+                 (OdeCocycle(TorusExampleModel(), dt=0.25, rtol=1e-6), TorusRotation().initial(0), 40)]
+        for coc, omega, steps in cases:
+            for warmup, proj_samples in ((0, 0), (50, 7)):
+                self.assert_forward_floquet_track(coc, omega, steps, warmup, proj_samples)
+
+    @pytest.mark.parametrize("primal, omega, steps", [
         pytest.param(iid_positive_cocycle(4), disc_state(5), 50, id="matrix"),
         pytest.param(OdeCocycle(PiecewiseConstantOdeModel(
-            4, cooperative_sampler(4, -1.0, 1.0, 0.0, 1.0)), dt=0.1), cont_state(5), 5.0, id="ode"),
+            4, cooperative_sampler(4, -1.0, 1.0, 0.0, 1.0)), dt=0.1), cont_state(5), BLOCK_CELLS + 1, id="ode"),
     ])
-    def test_adjoint_no_warmup(self, primal, omega, horizon):
+    def test_adjoint_no_warmup(self, primal, omega, steps):
         # the adjoint's backward sweep reads its primal's maps forward; its
         # principal direction is the probe tracked as forward_floquet tracks it
-        coc = primal.dual()
-        est = separation_estimate(coc, omega, horizon, warmup=0)
-        probe = np.full(4, 0.5)
-        assert abs(est.lambda1_hat - forward_floquet(coc, omega, probe, horizon).lambda1) < 1e-12
+        for warmup, proj_samples in ((0, 0), (50, 7)):
+            self.assert_forward_floquet_track(primal.dual(), omega, steps, warmup, proj_samples)
 
     @staticmethod
     def assert_restricted_norm(coc, omega, T, warmup):
@@ -1063,8 +1090,8 @@ def per_step_separation(coc, omega, T, warmup, proj_samples=0):
     """``separation_estimate`` over T steps as the loops that read its maps
     as (M, log scale) pairs through ``_steps``: the adjoint sweep over the
     reversed chunks, which carries the adjoint frame one map at a time with
-    the threshold on |M|_F |Y|_F taken at every step, then the forward sweep
-    from the warmed principal direction."""
+    the threshold on |M|_F |Y|_F taken at every step, then the per-step
+    ``per_step_forward`` from the warmed principal direction."""
     n = coc.n
     blocks = coc.replay(omega, 0, T + warmup)
     z = np.full(n, 1.0 / math.sqrt(n))
@@ -1098,16 +1125,11 @@ def per_step_separation(coc, omega, T, warmup, proj_samples=0):
         log_restricted += math.log(_spectral_norm(Y))
     sample_every = max(1, T // proj_samples) if proj_samples else 0
     w = warmup_direction(coc, omega, warmup)
-    proj_history = [(0.0, math.log(_projection_norm(w, z_path[0])))] if sample_every else []
-    log_growth = 0.0
-    for k, (M, ls) in enumerate(_steps(blocks(0, T))):
-        v = M @ w
-        r = _norm(v)
-        w = v / r
-        log_growth += math.log(r) + ls
-        if sample_every and (k + 1) % sample_every == 0:
-            proj_history.append(((k + 1) * coc.dt, math.log(_projection_norm(w, z_path[k + 1]))))
-    horizon = T * coc.dt
+    [track] = per_step_forward(coc, omega, w[:, None], T, sample_every)
+    steps = range(0, T + 1, sample_every) if sample_every else []
+    proj_history = [(k * coc.dt, math.log(_projection_norm(u, z_path[k])))
+                    for k, u in zip(steps, [w, *track.directions])]
+    horizon, log_growth, w = T * coc.dt, track.log_growth, track.w
     lambda1 = log_growth / horizon
     dead = log_restricted is None
     sigma = math.inf if dead else (log_growth - log_restricted) / horizon
@@ -1224,6 +1246,24 @@ class TestSeparationSweeps:
                 got = separation_estimate(coc, disc_state(3), 400, warmup=warmup, proj_samples=5)
                 assert same(got, per_step_separation(coc, disc_state(3), 400, warmup, 5)), warmup
             assert (got.sigma_hat == math.inf) == isinstance(model, ConstantMatrixModel)
+
+    def test_stored_replay_reads_in_chunks(self):
+        # a read of the stored flow maps, forward or backward, yields at
+        # most BLOCK_CELLS maps at a time, the size of the forward loop's
+        # chunk buffers; put back in step order they are one forward read
+        coc, omega = OdeCocycle(PiecewiseConstantOdeModel(3, cooperative_sampler(3, -1.0, 0.5, 0.0, 1.0)),
+                                dt=0.1), cont_state(10)
+        lo, hi = -5, 2 * BLOCK_CELLS + 40
+        chunks = list(coc.step_blocks(coc.advance(omega, lo), hi - lo))
+        maps, ls = np.concatenate([m for m, _ in chunks]), np.concatenate([l for _, l in chunks])
+        blocks = coc.replay(omega, lo, hi)
+        for a, b in ((lo, hi), (0, BLOCK_CELLS + 1), (3, 3 + BLOCK_CELLS)):
+            for backward in (False, True):
+                read = list(blocks(a, b, backward))
+                assert all(0 < len(m) <= BLOCK_CELLS for m, _ in read), (a, b, backward)
+                read = read[::-1] if backward else read
+                assert np.array_equal(np.concatenate([m for m, _ in read]), maps[a - lo:b - lo])
+                assert np.array_equal(np.concatenate([l for _, l in read]), ls[a - lo:b - lo])
 
     def test_ode_matches_per_step(self):
         # the piecewise-constant flow maps, read from their stored replay

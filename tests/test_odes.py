@@ -123,6 +123,21 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="nonzero"):
             integrate(ConstantOdeModel(np.eye(2)), cont_state(), np.zeros(2), 1.0)
 
+    @pytest.mark.parametrize("piece", ["constant", "smooth"])
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_nonfinite_initial_rejected(self, piece, bad):
+        # used to return NaN with no error on a constant piece, and on a
+        # smooth one to blame the field ("non-finite error estimate")
+        model, omega = ((ConstantOdeModel([[0.0, 1.0], [1.0, 0.0]]), cont_state()) if piece == "constant"
+                        else (TorusExampleModel(), TorusRotation().initial(0)))
+        with pytest.raises(ValueError, match=rf"^initial condition must be finite: entry \[0\] is {bad}$"):
+            integrate(model, omega, [bad, 1.0], 1.0)
+        with pytest.raises(ValueError, match=rf"^initial condition must be finite: entry \[1, 0\] is {bad}$"):
+            propagate(model, omega, [[1.0, 0.0], [bad, 1.0]], 1.0)
+        # the entries are checked, not the norm, which overflows here
+        Y, log_scale = propagate(model, omega, [1e200, 1e200], 1.0)
+        assert np.isfinite(Y).all() and math.isfinite(log_scale)
+
     def test_positivity_preserved_under_cooperativity(self):
         model = coop_pw_model()
         st = cont_state(7)
@@ -240,8 +255,8 @@ class TestExactFlow:
                       TypeKFlipModel(PiecewiseConstantOdeModel(4, typek_sampler), 2, 2),
                       CopyingModel(4, typek_sampler)):
             expms.clear()
-            forward_floquet(OdeCocycle(model, dt=0.1), cont_state(4), np.ones(4), 100.0,
-                            check_cone=False)
+            for _ in OdeCocycle(model, dt=0.1).step_blocks(cont_state(4), 1000):
+                pass
             counts.append(len(expms))
         assert counts == [100, 100, 100]
 

@@ -37,10 +37,13 @@ checkouts and take each one's range, since the CPU speed of a shared
 machine drifts.
 
 With ``--peak`` it prints instead the ``tracemalloc`` peak of one
-``separation_estimate`` run at 2000 and at 8000 steps, in bytes, after an
-untraced run has done the first run's lazy imports.  The peak holds
-fixed-size chunk buffers and no per-step state, so it does not grow with
-the horizon.
+``separation_estimate`` run (warm-up 50) at 2000 and at 8000 steps, in
+bytes, after an untraced run has done the first run's lazy imports: the
+"separation" rows on the uniform-entries cocycles, the "ode sep" row on
+the N = 3 piecewise-constant ODE above.  A matrix peak holds fixed-size
+chunk buffers and no per-step state, so it does not grow with the
+horizon; the ODE's replay stores its flow maps, one N x N map and a log
+scale per step, so its peak grows with the horizon by that much.
 """
 
 from __future__ import annotations
@@ -80,7 +83,8 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
     p.add_argument("--peak", action="store_true",
-                   help="print the tracemalloc peak bytes of separation_estimate at two horizons")
+                   help="print the tracemalloc peak bytes of separation_estimate at two horizons, "
+                        "matrix and ODE")
     args = p.parse_args(argv)
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
@@ -96,24 +100,25 @@ def main(argv=None):
     from poscocycle.reporting import format_result
     from poscocycle.torus import TorusExampleModel
 
-    T = HORIZON
-    if args.peak:
-        for n in (3, 24):
-            coc = MatrixCocycle(UniformEntriesModel(n, 0.5, 2.0))
-            separation_estimate(coc, IidShift().initial(1), T, warmup=50)
-            for steps in (T, 4 * T):
-                tracemalloc.start()
-                separation_estimate(coc, IidShift().initial(1), steps, warmup=50)
-                peak = tracemalloc.get_traced_memory()[1]
-                tracemalloc.stop()
-                print(f"separation N={n:<3} T={steps:<5} {peak:9d} peak bytes")
-        return
     def matrix(n):
         return MatrixCocycle(UniformEntriesModel(n, 0.5, 2.0)), IidShift().initial(1)
 
     def ode(n):
         model = PiecewiseConstantOdeModel(n, cooperative_sampler(n, -1.0, 0.5, 0.0, 1.0))
         return OdeCocycle(model, dt=0.1), IidShift(time="continuous").initial(1)
+
+    T = HORIZON
+    if args.peak:
+        for name, make, n in (("separation", matrix, 3), ("separation", matrix, 24), ("ode sep", ode, 3)):
+            coc, omega = make(n)
+            separation_estimate(coc, omega, T * coc.dt, warmup=50)
+            for steps in (T, 4 * T):
+                tracemalloc.start()
+                separation_estimate(coc, omega, steps * coc.dt, warmup=50)
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+                print(f"{name:<10} N={n:<3} T={steps:<5} {peak:9d} peak bytes")
+        return
 
     def forward(k, every=0):
         def run(coc, om):
