@@ -140,8 +140,7 @@ def _dist_sampler(d, size):
 
 def _piecewise_uniform(read):
     n, diag = read("n", _integer), read("diag", _interval)
-    sampler = read("offdiag", lambda off: odes.cooperative_sampler(n, *diag, *_interval(off)))
-    return odes.PiecewiseConstantOdeModel(n, sampler)
+    return read("offdiag", lambda off: odes.PiecewiseUniformOdeModel(n, *diag, *_interval(off)))
 
 
 _TIME = {"matrix": "discrete", "ode": "continuous"}  # the time of each family's drivers

@@ -23,11 +23,12 @@ A stream cell is served in one of two ways:
   easy as 1, 2, 3").  Consecutive cells are consecutive counters, so a block
   of cells is one vectorised draw, and row j of a block is bit-identical to
   cell n + j drawn alone.  The uniform-entries, iid-list and Markov matrix
-  families and the Markov chain use it.
+  families, the cells of the ``ode-piecewise-uniform`` ODE kind and the
+  Markov chain use it.
 * ``_prf`` builds a Generator keyed on (seed, purpose, n) for one cell.
-  User samplers (sampled, Leslie and piecewise-constant ODE models) draw
-  from ``ShiftState.rng``, its purpose-0 cell, and so does the torus base
-  point.
+  Only user samplers (sampled, Leslie, and piecewise-constant ODE models
+  built on a sampler) draw from ``ShiftState.rng``, its purpose-0 cell,
+  and so does the torus base point.
 
 States are immutable values carrying a reference to their system; advancing
 returns a new state.

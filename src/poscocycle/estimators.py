@@ -39,7 +39,7 @@ probes as columns and applies each step map to the block, so the warmed and
 the raw probe of an estimate share one pass, the pullbacks of depth d and
 2d share their last d steps (``pullback_convergence``), and the kappa route
 reads the directions of the tracked probe instead of walking its orbit
-again.
+again, a chunk of steps at a time (one ``piece_fields`` call and one ``einsum``).
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from numpy.linalg import _umath_linalg
 from .drivers import BLOCK_CELLS
 from .errors import EstimationError, PositivityViolation
 from .matrices import MatrixModel, _count
-from .odes import OdeModel, flow_maps
+from .odes import OdeModel, _unit_scaled, flow_maps
 from .stats import batch_means
 
 
@@ -344,7 +344,7 @@ def _forward(cocycle, chunks, lo, n_steps, u0, record_every=0):
     single = U.ndim == 1
     if single:
         U = U[:, None]
-    nrm = _column_norms(U)
+    nrm = _column_norms(_unit_scaled(U))
     if not nrm.all():
         raise ValueError("u0 must be nonzero")
     tol, dt, (n, k) = cocycle.cone_tol, cocycle.dt, U.shape
@@ -610,6 +610,9 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0) -> S
     ``proj_samples`` = 6 gives s = 1 and 11 points, taken after the walk
     from its rows, recorded every s steps, and the adjoint sweep's samples.
     """
+    if cocycle.n < 2:
+        raise ValueError(f"separation needs N >= 2, got N = {cocycle.n}: the invariant complement of a "
+                         "one-dimensional system is {0}")
     n_steps = _step_count("separation_estimate", horizon, cocycle.dt)
     warmup = _count("warmup", warmup, 0)
     proj_samples = _count("proj_samples", proj_samples, 0)
@@ -732,10 +735,12 @@ def lambda1_via_kappa(cocycle: OdeCocycle, omega, directions, batches=8) -> Kapp
     a warmed probe and the rows of its ``forward_floquet`` track, recorded
     every step, so the route reads the orbit the growth-rate route walked
     instead of walking it again.  Piecewise trapezoid quadrature over
-    [0, n dt]: at every grid point the coefficient is evaluated just left and
-    just right of the point, so coefficient jumps at cell boundaries do not
-    bias the integral (grid cells should align with the coefficient's
-    discontinuity spacing).
+    [0, n dt] takes the coefficient just right of t_k and just left of
+    t_(k+1), nu = 1e-9 dt off, so jumps at cell boundaries (grid cells
+    should align with them) do not bias the integral.  A chunk of at most
+    BLOCK_CELLS steps takes these limits from one ``model.piece_fields``
+    call, each on a sliver piece of width 2 nu around its time, so no piece
+    holds a jump, and their quadratic forms as one ``einsum``.
     """
     dt = cocycle.dt
     ws = np.asarray(directions, dtype=float)
@@ -743,16 +748,15 @@ def lambda1_via_kappa(cocycle: OdeCocycle, omega, directions, batches=8) -> Kapp
     if n_steps < 1:
         raise ValueError("directions must cover at least one step")
     horizon = n_steps * dt
-    nudge = 1e-9 * dt
-    state = omega
-    model = cocycle.model
-
-    cell_integrals = np.empty(n_steps)
-    for k in range(n_steps):
-        kappa_right = float(ws[k] @ model.field(state, nudge) @ ws[k])          # right limit at t_k
-        state = cocycle.advance(state)
-        kappa_left = float(ws[k + 1] @ model.field(state, -nudge) @ ws[k + 1])  # left limit at t_{k+1}
-        cell_integrals[k] = 0.5 * (kappa_right + kappa_left) * dt
+    nu = 1e-9 * dt
+    kappas = np.empty((n_steps, 2))  # per step k: the right limit at t_k, the left limit at t_(k+1)
+    for lo in range(0, n_steps, BLOCK_CELLS):
+        k = min(BLOCK_CELLS, n_steps - lo)
+        points = (dt * np.arange(k)[:, None] + [nu, dt - nu]).ravel()  # past the chunk's first base point
+        fields = cocycle.model.piece_fields([cocycle.advance(omega, lo)] * (2 * k), points - nu, points + nu)
+        w = np.stack([ws[lo:lo + k], ws[lo + 1:lo + k + 1]], axis=1).reshape(2 * k, -1)
+        kappas[lo:lo + k] = np.einsum("pi,pij,pj->p", w, fields(np.arange(2 * k), points), w).reshape(k, 2)
+    cell_integrals = 0.5 * (kappas[:, 0] + kappas[:, 1]) * dt
     total = float(cell_integrals.sum())
     # as on the growth-rate route, fewer steps than batches give no interval
     hw = batch_means(cell_integrals / dt, batches)[1] if n_steps >= batches else math.nan

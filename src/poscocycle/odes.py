@@ -21,6 +21,9 @@ member at once.  ``propagate`` and ``integrate`` take one time or a 1-D
 sequence of times, from one base point or from as many: every (base point,
 time) pair is a member of one batch, and a single time is the batch of one.
 
+A piecewise-constant model keeps the last block of cells it drew: a user
+sampler's one cell, or the BLOCK_CELLS cells of one counter-addressed draw.
+
 ``flow_maps`` builds the one-step flow maps of a run of base points at once:
 it asks for the breakpoints of the whole window and for ``piece_matrix``
 once per constant piece, and the steps inside one piece share its expm.  A
@@ -35,11 +38,12 @@ that straddles them, in a backward read too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations
 
 import numpy as np
 
+from .drivers import BLOCK_CELLS, _two_sum
 from .errors import EstimationError
 from .matrices import AssumptionReport, _count, opnorm1
 from .stats import mean_ci
@@ -119,7 +123,8 @@ class OdeModel:
         whose entry i is A at local time taus[i] on piece pieces[i] (both
         arrays).  Entry i must depend on pieces[i] and taus[i] alone, every
         operation elementwise, so a member of a batch gets bit for bit the
-        matrices it gets alone.  This one stacks ``field``."""
+        matrices it gets alone.  The kappa route asks for one-sided limits,
+        each on a sliver piece around its time.  This one stacks ``field``."""
         field = self.field
 
         def fields(pieces, taus):
@@ -156,31 +161,41 @@ class PiecewiseConstantOdeModel(OdeModel):
 
     Pair with a continuous-time ``IidShift`` driver; the draw for the
     interval containing local time t comes from the stream cell at
-    floor(position + t).  The last cell's matrix is kept (read-only), so
-    the steps and field evaluations of one sweep through a cell share one
-    draw.
+    floor(position + t), read through ``cells`` (here ``sampler`` of the
+    cell's ``rng``).  The last block drawn is kept, read-only; a read outside
+    it draws the aligned ``draw_cells`` cells that hold its cell, so one
+    sweep shares a draw per block and memory holds one block.
     """
+
+    draw_cells = 1
 
     def __init__(self, n, sampler):
         super().__init__(n)
         self.sampler = sampler
-        self._last = None  # ((seed, cell index), matrix)
+        self._block = (None, 0, ())  # (seed, first cell index, the cells' matrices)
 
-    def _matrix_at(self, state, t: float) -> np.ndarray:
-        cell = state.advance(t)
-        key = (cell.seed, cell.index)
-        last = self._last
-        if last is not None and last[0] == key:
-            return last[1]
-        A = np.array(self.sampler(cell.rng()), dtype=float)
-        if A.shape != (self.n, self.n):
-            raise ValueError(f"sampler returned shape {A.shape}, expected {(self.n, self.n)}")
-        A.flags.writeable = False
-        self._last = (key, A)
+    def cells(self, state, count):
+        """The matrices of the ``count`` cells from the cell of ``state``, (count, N, N)."""
+        states = [state, *(replace(state, pos=float(state.index + j), pos_lo=0.0) for j in range(1, count))]
+        A = np.array([self.sampler(cell.rng()) for cell in states], dtype=float)
+        if A.shape != (count, self.n, self.n):
+            raise ValueError(f"sampler returned shape {A.shape[1:]}, expected {(self.n, self.n)}")
         return A
 
+    def _matrix(self, state, i):
+        """The matrix of cell i of the stream of ``state``, through the memo."""
+        seed, first, A = self._block
+        if seed != state.seed or not 0 <= i - first < len(A):
+            first = i - i % self.draw_cells
+            A = self.cells(state if state.index == first else replace(state, pos=float(first), pos_lo=0.0),
+                           self.draw_cells)
+            A.flags.writeable = False
+            self._block = (state.seed, first, A)
+        return A[i - first]
+
     def field(self, state, t: float) -> np.ndarray:
-        return self._matrix_at(state, t)
+        cell = state.advance(t)
+        return self._matrix(cell, cell.index)
 
     def breakpoints(self, state, t0: float, t1: float) -> np.ndarray:
         # a cell boundary within a few ulps of the position at either end is
@@ -191,8 +206,37 @@ class PiecewiseConstantOdeModel(OdeModel):
         ts = ks - p
         return ts[(ts > t0) & (ts < t1)]
 
+    def piece_fields(self, states, t0s, t1s):
+        # a piece lies in the cell of its midpoint, ``advance(mid).index`` taken
+        # elementwise; a run of pieces in one cell reads the memo once
+        hi, lo = _two_sum(np.array([s.pos for s in states]), np.array([s.pos_lo for s in states]),
+                          0.5 * (t0s + t1s))
+        keys = list(zip([s.seed for s in states], np.floor(hi + lo).astype(np.int64).tolist()))
+        starts = [p for p in range(len(keys)) if p == 0 or keys[p] != keys[p - 1]]
+        mats = np.stack([self._matrix(states[p], keys[p][1]) for p in starts])
+        A = mats[np.repeat(np.arange(len(starts)), np.diff([*starts, len(keys)]))]
+        return lambda pieces, taus: A[pieces]
+
     def piece_matrix(self, state, t0, t1):
-        return self._matrix_at(state, 0.5 * (t0 + t1))
+        return self.field(state, 0.5 * (t0 + t1))
+
+
+class PiecewiseUniformOdeModel(PiecewiseConstantOdeModel):
+    """The cells of ``cooperative_sampler``'s law (its ``sampler``), a block
+    of them one ``ShiftState.uniforms`` draw: a cell does not depend on the
+    block it is drawn in."""
+
+    draw_cells = BLOCK_CELLS
+
+    def __init__(self, n, diag_lo, diag_hi, off_lo, off_hi):
+        super().__init__(n, cooperative_sampler(n, diag_lo, diag_hi, off_lo, off_hi))
+        diag = np.eye(n, dtype=bool).ravel()
+        self._lo = np.where(diag, float(diag_lo), float(off_lo))
+        self._width = np.where(diag, float(diag_hi) - float(diag_lo), float(off_hi) - float(off_lo))
+
+    def cells(self, state, count):
+        # lo + (hi - lo) U, as Generator.uniform maps each uniform
+        return (state.uniforms(0, self.n * self.n, count) * self._width + self._lo).reshape(count, self.n, self.n)
 
 
 def cooperative_sampler(n, diag_lo, diag_hi, off_lo, off_hi):
@@ -574,6 +618,16 @@ def flow_maps(model: OdeModel, states, dt, rtol=1e-10, last=None, backward=False
     return maps, log_scales, last
 
 
+def _unit_scaled(U):
+    """U (N, k), each finite nonzero column whose 2-norm would overflow or
+    lose digits divided in place by its largest absolute entry."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.vecdot(U, U, axis=0)
+    far = ~((np.finfo(float).tiny <= squares) & (squares < math.inf)) & U.any(axis=0) & np.isfinite(U).all(axis=0)
+    U[:, far] /= np.abs(U[:, far]).max(axis=0, initial=0.0)
+    return U
+
+
 def integrate(model: OdeModel, omega, u0, t, rtol=1e-10):
     """Solve u' = A(theta_t w)u from u0 over [0, t].
 
@@ -586,8 +640,8 @@ def integrate(model: OdeModel, omega, u0, t, rtol=1e-10):
     then integrated as one DOP853 batch, and the directions (len(t), N) and
     log scales (len(t),) are bit for bit those of one call per pair.
     """
-    u0 = np.asarray(u0, dtype=float)
-    n0 = float(np.linalg.norm(u0))
+    u0 = np.array(u0, dtype=float)
+    n0 = float(np.linalg.norm(_unit_scaled(u0[:, None])[:, 0]))
     if n0 == 0.0:
         raise ValueError("u0 must be nonzero")
     scalar = np.ndim(t) == 0

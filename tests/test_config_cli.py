@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import poscocycle
-from poscocycle import estimators, odes
+from poscocycle import drivers, estimators, odes
 from poscocycle.config import DRIVERS, MODELS, load_config, validate_config, build_model, build_driver
 from poscocycle.errors import ConfigError, EstimationError
 from poscocycle.matrices import MatrixModel
@@ -333,8 +333,11 @@ class TestPipelines:
         # route reads the warmed probe's rows: 50 + 1000 flow maps, not 3100.
         # A unit cell holds 10 steps, which share one expm and need no
         # DOP853 batch: 105 cells for the estimate, and 110 for separate's
-        # 50 + 1000 + 50 steps, each map built once
-        maps, calls = [], {"expm": 0, "_dop853": 0}
+        # 50 + 1000 + 50 steps, each map built once.  The cells come in
+        # blocks of BLOCK_CELLS, one draw each and no per-cell Generator:
+        # the estimate reads cells -5..99 and separate -5..104: blocks -1 and
+        # 0, one draw each
+        maps, calls, draws = [], {"expm": 0, "_dop853": 0}, {"_prf": 0, "cell_uniforms": 0}
         step_blocks = estimators.OdeCocycle.step_blocks
 
         def counted_blocks(*args, **kwargs):
@@ -342,28 +345,36 @@ class TestPipelines:
                 maps.append(len(chunk[0]))
                 yield chunk
 
-        def counted(name):
-            fn = getattr(odes, name)
+        def counted(name, module=odes, tally=calls):
+            fn = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                tally[name] += 1
                 return fn(*args, **kwargs)
             return wrapper
+
+        def counted_draw(name):
+            return counted(name, drivers, draws)
 
         monkeypatch.setattr(estimators.OdeCocycle, "step_blocks", counted_blocks)
         for name in calls:
             monkeypatch.setattr(odes, name, counted(name))
+        for name in draws:
+            monkeypatch.setattr(drivers, name, counted_draw(name))
         cfg = validate_config({"seed": 100,
                                "model": {"kind": "ode-piecewise-uniform", "n": 3,
                                          "diag": [-1.0, 0.5], "offdiag": [0.0, 1.0]},
                                "estimator": {"horizon": 100.0, "dt": 0.1}})
         res = run_command("estimate", cfg, out_dir=tmp_path)["results"]
         assert sum(maps) == 50 + 1000 and calls == {"expm": 105, "_dop853": 0}
+        assert draws == {"_prf": 0, "cell_uniforms": 2}
         assert abs(res["lambda1_kappa_route"]["value"] - res["lambda1"]["value"]) < 5e-3
         maps.clear()
         calls.update(expm=0)
+        draws.update(cell_uniforms=0)
         run_command("separate", cfg, out_dir=tmp_path)
         assert sum(maps) == 50 + 1000 + 50 and calls == {"expm": 110, "_dop853": 0}
+        assert draws == {"_prf": 0, "cell_uniforms": 2}
 
     def test_only_oseledets_runs_a_qr_per_step(self, tmp_path, monkeypatch):
         # separate carries its complement frame unorthonormalised: no QR
@@ -496,6 +507,15 @@ class TestCliProcess:
         from poscocycle import cli
         assert cli.main([command, "--config", str(p), "--out", str(tmp_path)]) == 2
         assert f"left the cone at t = {t}:" in capsys.readouterr().err
+
+    def test_one_dimensional_separate_exit_1(self, tmp_path, capsys):
+        # in process; it used to exit 1 with "config error: math domain error"
+        p = tmp_path / "one.json"
+        p.write_text(json.dumps({"model": {"kind": "constant", "matrix": [[2.0]]}}))
+        from poscocycle import cli
+        assert cli.main(["separate", "--config", str(p), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == ("config error: separation needs N >= 2, got N = 1: the invariant "
+                                           "complement of a one-dimensional system is {0}\n")
 
     def test_numerical_failure_exit_3(self, tmp_path):
         p = tmp_path / "zero.json"

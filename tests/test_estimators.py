@@ -21,6 +21,7 @@ from poscocycle.matrices import (ConstantMatrixModel, IidChoiceModel, SampledMat
                                  leslie_model)
 from poscocycle.odes import (CallableOdeModel, ConstantOdeModel, PiecewiseConstantOdeModel, TypeKFlipModel,
                             cooperative_sampler, propagate)
+from poscocycle.stats import batch_means
 from poscocycle.torus import TorusExampleModel
 
 
@@ -665,6 +666,19 @@ def test_nonfinite_probe_rejected(u0, message):
             forward_floquet(iid_positive_cocycle(), disc_state(), u0, 20)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_probe_far_from_unit_norm(scale):
+    # its 2-norm used to overflow (a warning, then lambda1 = -inf) or
+    # underflow ("u0 must be nonzero"); a block's other column is untouched
+    coc = MatrixCocycle(UniformEntriesModel(2, 0.5, 2.0))
+    unit = forward_floquet(coc, disc_state(), [1.0, 1.0], 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far, other = forward_floquet(coc, disc_state(), [[scale, 0.3], [scale, 0.4]], 5)
+    assert far.lambda1 == unit.lambda1 and np.array_equal(far.w, unit.w)
+    assert other.lambda1 == forward_floquet(coc, disc_state(), [0.3, 0.4], 5).lambda1
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda coc: warmup_direction(coc, disc_state(), 2.7), ">= 0, got depth = 2.7"),
     (lambda coc: warmup_direction(coc, disc_state(), -3), ">= 0, got depth = -3"),
@@ -710,6 +724,15 @@ def test_numpy_integer_depth():
 
 
 class TestSeparation:
+    @pytest.mark.parametrize("proj_samples", [0, 4])
+    def test_one_dimension_rejected(self, proj_samples):
+        # with no projection samples it used to report sigma = +inf, and with
+        # some to fail on math.log(0) of the empty complement's projection
+        coc = MatrixCocycle(ConstantMatrixModel([[2.0]]))
+        with pytest.raises(ValueError, match=r"^separation needs N >= 2, got N = 1: the invariant complement "
+                                             r"of a one-dimensional system is \{0\}$"):
+            separation_estimate(coc, disc_state(), 20, proj_samples=proj_samples)
+
     def test_symmetric_flow_rates(self):
         coc = OdeCocycle(ConstantOdeModel([[0.0, 1.0], [1.0, 0.0]]), dt=0.25, rtol=1e-9)
         est = separation_estimate(coc, cont_state(), 20.0, warmup=80)
@@ -1373,7 +1396,48 @@ def kappa_route(coc, omega, horizon, warmup):
     return lambda1_via_kappa(coc, omega, np.vstack([w0, track.directions])), track
 
 
+def per_step_kappa(coc, omega, directions, batches=8):
+    """The kappa route as a loop over the steps, with two ``field`` calls,
+    one base-point step and two quadratic forms each: (estimate, ci, the
+    largest absolute coefficient entry it read)."""
+    dt, ws, model = coc.dt, np.asarray(directions, dtype=float), coc.model
+    nudge, state, scale = 1e-9 * dt, omega, 0.0
+    cell_integrals = np.empty(len(ws) - 1)
+    for k in range(len(ws) - 1):
+        right = model.field(state, nudge)
+        state = coc.advance(state)
+        left = model.field(state, -nudge)
+        scale = max(scale, np.abs(right).max(), np.abs(left).max())
+        cell_integrals[k] = 0.5 * (float(ws[k] @ right @ ws[k]) + float(ws[k + 1] @ left @ ws[k + 1])) * dt
+    estimate = float(cell_integrals.sum()) / (len(cell_integrals) * dt)
+    return estimate, batch_means(cell_integrals / dt, batches)[1], scale
+
+
 class TestKappaRoute:
+    @pytest.mark.parametrize("case", ["cells", "type-K", "torus"])
+    def test_matches_per_step_loop(self, case):
+        # 300 steps in chunks of BLOCK_CELLS; on the torus some steps hold a
+        # wrap, which the sliver pieces keep out of the extrapolated field
+        flip = np.array([1.0, 1.0, -1.0])
+        cooperative = cooperative_sampler(3, -1.0, 0.5, 0.0, 1.0)
+        model, omega, dt = {
+            "cells": (PiecewiseConstantOdeModel(3, cooperative), cont_state(2), 0.1),
+            "type-K": (TypeKFlipModel(PiecewiseConstantOdeModel(
+                3, lambda rng: flip[:, None] * cooperative(rng) * flip), 2, 1), cont_state(2), 0.1),
+            "torus": (TorusExampleModel(), TorusRotation().initial(0), 0.25),
+        }[case]
+        coc, n_steps = OdeCocycle(model, dt=dt), 300
+        if case == "torus":
+            assert any(len(model.breakpoints(omega.advance(k * dt), 0.0, dt)) for k in range(n_steps))
+        w0 = warmup_direction(coc, omega, 50)
+        directions = np.vstack([w0, forward_floquet(coc, omega, w0, n_steps * dt, record_every=1).directions])
+        kr = lambda1_via_kappa(coc, omega, directions)
+        estimate, ci, scale = per_step_kappa(coc, omega, directions)
+        # a quadratic form of a unit vector is within about N^2 eps max|A| of
+        # the loop's, and the sums over the steps add about n_steps eps max|A|
+        bound = 2 * (model.n ** 2 + n_steps) * np.finfo(float).eps * scale
+        assert abs(kr.estimate - estimate) <= bound and abs(kr.ci - ci) <= bound
+
     def test_symmetric_constant(self):
         coc = OdeCocycle(ConstantOdeModel([[0.0, 1.0], [1.0, 0.0]]), dt=0.05, rtol=1e-9)
         est, _ = kappa_route(coc, cont_state(), 40.0, 100)

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from poscocycle import odes
-from poscocycle.drivers import IidShift, TorusRotation
+from poscocycle import drivers, odes
+from poscocycle.drivers import BLOCK_CELLS, IidShift, TorusRotation
 from poscocycle.errors import EstimationError
-from poscocycle.estimators import OdeCocycle, forward_floquet
+from poscocycle.estimators import OdeCocycle, forward_floquet, separation_estimate
 from poscocycle.odes import (CallableOdeModel, ConstantOdeModel,
-                             PiecewiseConstantOdeModel, TypeKFlipModel, check_O,
+                             PiecewiseConstantOdeModel, PiecewiseUniformOdeModel, TypeKFlipModel, check_O,
                              cooperative_sampler, integrate,
                              irreducibility_quantities, propagate)
 from poscocycle.torus import TorusExampleModel
@@ -137,6 +137,15 @@ class TestIntegrate:
         # the entries are checked, not the norm, which overflows here
         Y, log_scale = propagate(model, omega, [1e200, 1e200], 1.0)
         assert np.isfinite(Y).all() and math.isfinite(log_scale)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_initial_far_from_unit_norm(self, scale):
+        # its 2-norm used to overflow (log scale -inf) or underflow ("u0 must
+        # be nonzero"); it is taken on the vector over its largest entry
+        model = ConstantOdeModel([[0.0, 1.0], [1.0, 0.0]])
+        d, log_scale = integrate(model, cont_state(), [scale, scale], 1.0)
+        d1, log_scale1 = integrate(model, cont_state(), [1.0, 1.0], 1.0)
+        assert np.array_equal(d, d1) and log_scale == log_scale1
 
     def test_positivity_preserved_under_cooperativity(self):
         model = coop_pw_model()
@@ -293,6 +302,79 @@ class TestExactFlow:
         model = PiecewiseConstantOdeModel(2, sampler)
         with pytest.raises(EstimationError, match=r"non-finite coefficient on the piece \(0, 0\.6\)"):
             propagate(model, cont_state().advance(0.4), np.eye(2), 1.0)
+
+
+class TestCells:
+    """A piecewise-constant model reads its cells through ``cells`` and keeps
+    the last block drawn."""
+
+    def test_block_cell_does_not_depend_on_its_block(self):
+        model = PiecewiseUniformOdeModel(3, -1.0, 0.5, 0.0, 1.0)
+        at = lambda i: cont_state(3).advance(i + 0.5)  # noqa: E731
+        whole = model.cells(at(-40), 400)
+        for i, count in [(-40, 1), (-3, 7), (0, 256), (200, 100), (255, 2)]:
+            assert np.array_equal(model.cells(at(i), count), whole[i + 40:i + 40 + count])
+        # flow maps over cells -30..270, across cell 0 and a block edge: a
+        # forward read, a backward read and reads cut at other chunk edges
+        start, steps = cont_state(3).advance(-30.0), 3000
+
+        def read(model, state, count, backward=False):
+            chunks = list(OdeCocycle(model, dt=0.1).step_blocks(state, count, backward))
+            return np.concatenate([maps for maps, _ in (chunks[::-1] if backward else chunks)])
+
+        end = start
+        for _ in range(steps):
+            end = end.advance(0.1)
+        forward = read(PiecewiseUniformOdeModel(3, -1.0, 0.5, 0.0, 1.0), start, steps)
+        assert np.array_equal(read(model, end, steps, backward=True), forward)
+        for cut in (1, 100, 300):
+            mid = start
+            for _ in range(cut):
+                mid = mid.advance(0.1)
+            parts = [read(model, start, cut), read(model, mid, steps - cut)]
+            assert np.array_equal(np.concatenate(parts), forward), cut
+        assert model._block[2].shape == (BLOCK_CELLS, 3, 3)  # the memo holds one block
+
+    def test_user_sampler_draws_each_cell_from_its_rng(self):
+        inner, draws = cooperative_sampler(3, -1.0, 0.5, 0.0, 1.0), []
+
+        def sampler(rng):
+            draws.append(1)
+            return inner(rng)
+
+        model = PiecewiseConstantOdeModel(3, sampler)
+        expected = [inner(cont_state(5).advance(i + 0.5).rng()) for i in range(-3, 3)]
+        assert np.array_equal(model.cells(cont_state(5).advance(-2.5), 6), np.stack(expected))
+        draws.clear()
+        for i, A in zip(range(-3, 3), expected):
+            for t in (0.25, 0.75):
+                assert np.array_equal(model.field(cont_state(5), i + t), A)
+        assert len(draws) == 6  # one draw per cell: a miss draws the one cell asked for
+
+    def test_block_stream_agrees_with_user_sampler_stream(self):
+        # the config kind's cells and the cooperative sampler's are one law
+        # drawn from two streams: over seeds 1-20 at N = 3, T = 100, dt =
+        # 0.1, the mean lambda1 and sigma estimates of the two differ by under
+        # 4 standard errors of the difference (Welch)
+        stats = []
+        for model in (PiecewiseConstantOdeModel(3, cooperative_sampler(3, -1.0, 0.5, 0.0, 1.0)),
+                      PiecewiseUniformOdeModel(3, -1.0, 0.5, 0.0, 1.0)):
+            coc = OdeCocycle(model, dt=0.1)
+            seps = [separation_estimate(coc, cont_state(seed), 100.0) for seed in range(1, 21)]
+            stats.append(np.array([[sep.lambda1_hat, sep.sigma_hat] for sep in seps]))
+        user, block = stats
+        z = (user.mean(axis=0) - block.mean(axis=0)) / np.sqrt(
+            (user.var(axis=0, ddof=1) + block.var(axis=0, ddof=1)) / len(user))
+        assert (np.abs(z) < 4.0).all(), z
+
+    def test_config_kind_draws_no_generator(self, monkeypatch):
+        calls = []
+        prf = drivers._prf
+        monkeypatch.setattr(drivers, "_prf", lambda *args: calls.append(args) or prf(*args))
+        model = PiecewiseUniformOdeModel(3, -1.0, 0.5, 0.0, 1.0)
+        check_O(model, IidShift(time="continuous"), 1, 50)
+        forward_floquet(OdeCocycle(model, dt=0.1), cont_state(1), np.ones(3), 10.0)
+        assert calls == []
 
 
 class TestDop853:

@@ -14,7 +14,12 @@ backward sweep of "separation" (warm-up 50) with its complement frame, so
 piecewise-constant cooperative ODE (N = 3, diagonal in [-1, 0.5),
 off-diagonal in [0, 1), unit cells) at dt = 0.1 on a continuous i.i.d.
 shift, with one probe and with two; "ode qr" is ``oseledets_qr`` and
-"ode sep" ``separation_estimate`` (warm-up 50) on the same ODE.  The
+"ode sep" ``separation_estimate`` (warm-up 50) on the same ODE; "ode
+cfg" and "ode sep cfg" are those loops on the model that
+``config.build_model`` makes for the ``ode-piecewise-uniform`` kind with
+the same ranges, whose cells come in block draws.  "kappa" and "kappa
+cfg" time one ``lambda1_via_kappa`` over the 2000 step directions of a
+forward walk (taken untimed), on each of the two ODE models.  The
 "output" rows time one whole ``estimate`` through ``run_command`` (the
 same uniform-entries model at N = 3, seed 1, T = 2000, files written
 included), with ``output.series`` on and off, in ms per run.  The "write"
@@ -90,10 +95,10 @@ def main(argv=None):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     sys.path.insert(0, args.src)
     import numpy as np
-    from poscocycle.config import validate_config
+    from poscocycle.config import build_model, validate_config
     from poscocycle.drivers import IidShift, TorusRotation
-    from poscocycle.estimators import (MatrixCocycle, OdeCocycle, _adjoint_sweep, forward_floquet, oseledets_qr,
-                                       separation_estimate)
+    from poscocycle.estimators import (MatrixCocycle, OdeCocycle, _adjoint_sweep, forward_floquet,
+                                       lambda1_via_kappa, oseledets_qr, separation_estimate)
     from poscocycle.matrices import UniformEntriesModel
     from poscocycle.odes import PiecewiseConstantOdeModel, cooperative_sampler, integrate
     from poscocycle.pipelines import run_command
@@ -105,6 +110,10 @@ def main(argv=None):
 
     def ode(n):
         model = PiecewiseConstantOdeModel(n, cooperative_sampler(n, -1.0, 0.5, 0.0, 1.0))
+        return OdeCocycle(model, dt=0.1), IidShift(time="continuous").initial(1)
+
+    def ode_cfg(n):
+        _, model = build_model({"model": dict(CHECKS["ode"][0], n=n)})
         return OdeCocycle(model, dt=0.1), IidShift(time="continuous").initial(1)
 
     T = HORIZON
@@ -137,7 +146,14 @@ def main(argv=None):
         ("ode x2", ode, forward(2), (3,)),
         ("ode qr", ode, lambda coc, om: oseledets_qr(coc, om, T * coc.dt), (3,)),
         ("ode sep", ode, lambda coc, om: separation_estimate(coc, om, T * coc.dt, warmup=50), (3,)),
+        ("ode cfg", ode_cfg, forward(1), (3,)),
+        ("ode sep cfg", ode_cfg, lambda coc, om: separation_estimate(coc, om, T * coc.dt, warmup=50), (3,)),
     ]
+    for name, make in (("kappa", ode), ("kappa cfg", ode_cfg)):
+        coc, omega = make(3)
+        directions = np.vstack([np.ones(3), forward_floquet(coc, omega, np.ones(3), T * coc.dt,
+                                                            record_every=1).directions])
+        loops.append((name, make, lambda coc, om, d=directions: lambda1_via_kappa(coc, om, d), (3,)))
     for name, make, run, sizes in loops:
         for n in sizes:
             best = float("inf")
@@ -146,7 +162,7 @@ def main(argv=None):
                 t0 = time.process_time()
                 run(coc, omega)
                 best = min(best, time.process_time() - t0)
-            print(f"{name:<10} N={n:<3} {1e6 * best / T:7.1f} us/step")
+            print(f"{name:<11} N={n:<3} {1e6 * best / T:7.1f} us/step")
 
     def best_of(run):
         best = float("inf")
