@@ -12,27 +12,21 @@ be read more than once: matrix maps are emitted afresh on every read, flow
 maps are built once per chunk (``odes.flow_maps``: one expm per constant
 piece, and one DOP853 batch for the steps on smooth pieces or across a
 breakpoint) and stored, each read in chunks of at most BLOCK_CELLS maps.
-Each step loop walks the maps of a chunk in place,
-applies M to its own vector or frame and frees the chunk before the next
-is built.  ``forward_floquet`` and ``oseledets_qr`` do per step only what
-the next step needs (the product, then the column norms and the
-renormalised block, or the QR) and store the step's norms and iterate or
-R diagonal; each chunk is then closed at once.  The checks on the
-iterates are one test per chunk, and ``forward_floquet`` walks the chunk
-again one step at a time from the first step that needs care (an
-annihilated column, a non-finite iterate, a clipped cone excursion).
-Then the logs, log scales, running sums and history rows are summed step
-after step in the order a per-step loop sums them, so the results are
-bit-identical.  ``oseledets_qr`` reads only |diag R|, so its QR (``_qr``)
-factors the step's product in place and applies no signs.
-``separation_estimate`` carries its complement frame on the backward
-adjoint sweep, which walks each chunk latest step first and takes the
-chunk's Frobenius norms at once; its principal direction walks the
-replay through ``_forward``, the one vector-orbit loop, which checks the
-orthant on every walk (the paper's objects exist only inside the cone).
-The per-step QR (dgeqrf, dorgqr) and the spectral norms (dgesdd) call the
-LAPACK gufuncs of ``numpy.linalg`` without the wrappers, so the module
-loads no scipy.
+Each step loop walks the maps of a chunk in place and frees the chunk
+before the next is built.  ``forward_floquet`` and ``oseledets_qr`` do per
+step only what the next step needs (the product, then the column norms and
+the renormalised block, or the QR); each chunk is then closed at once: one
+test per chunk on the iterates, a careful re-walk from the first step that
+needs care (an annihilated column, a non-finite iterate, a clipped cone
+excursion), then the logs, running sums and history rows, summed step
+after step as a per-step loop sums them, so the results are bit-identical.
+``oseledets_qr`` reads only |diag R|, so its QR (``_qr``) factors the
+step's product in place and applies no signs.  Every vector orbit walks
+through ``_forward``, which checks the orthant: so do both directions of
+``separation_estimate``, the dual one over the transposed maps, latest
+step first, with the complement frame on its closed chunks.  QR (dgeqrf,
+dorgqr) and spectral norms (dgesdd) call the LAPACK gufuncs of
+``numpy.linalg`` without the wrappers, so the module loads no scipy.
 
 Each command walks its steps once: ``forward_floquet`` takes a block of
 probes as columns and applies each step map to the block, so the warmed and
@@ -192,10 +186,10 @@ class AdjointCocycle(_Cocycle):
 
 
 def _transposed(chunks):
-    """Primal chunks as adjoint chunks: each reversed, transposed and copied
-    to C order (gemv sums by layout)."""
+    """Primal chunks as adjoint chunks: views of each, reversed and
+    transposed, so a step applies the primal map's transpose, uncopied."""
     for maps, ls in chunks:
-        yield np.ascontiguousarray(maps[::-1].transpose(0, 2, 1)), ls[::-1]
+        yield maps[::-1].transpose(0, 2, 1), ls[::-1]
         del maps, ls  # freed before the next primal chunk is built
 
 
@@ -328,15 +322,17 @@ def forward_floquet(cocycle, omega, u0, horizon, record_every=0):
     """
     n_steps = _step_count("forward_floquet", horizon, cocycle.dt)
     record_every = _count("record_every", record_every, 0)
-    return _forward(cocycle, cocycle.step_blocks(omega, n_steps), 0, n_steps, u0, record_every)
+    return _forward(cocycle, cocycle.step_blocks(omega, n_steps), range(n_steps), u0, record_every)
 
 
-def _forward(cocycle, chunks, lo, n_steps, u0, record_every=0):
-    """``forward_floquet`` over ``chunks``, a stream of the maps of the
-    ``n_steps`` steps from step ``lo`` of a base point, in at most
-    BLOCK_CELLS maps each (``step_blocks`` or a ``replay`` read): a
-    non-finite step and the time of a cone witness are named from that base
-    point, the rows' ``times`` from the first step."""
+def _forward(cocycle, chunks, steps, u0, record_every=0, close=None):
+    """``forward_floquet`` over ``chunks``, the maps of the range ``steps``
+    in at most BLOCK_CELLS maps each (``step_blocks``, a ``replay`` read or,
+    stepping down, its ``_transposed`` read).  A non-finite map is named by
+    its step, a cone witness by the time of its iterate (s + 1 after a step
+    s up, s after a step s down), the rows' ``times`` from the first step.
+    ``close`` gets each closed chunk's maps, log scales and iterates
+    (walked + 1, N, k), unless every column was annihilated."""
     U = np.array(u0, dtype=float)
     bad = np.argwhere(~np.isfinite(U))
     if len(bad):
@@ -347,8 +343,9 @@ def _forward(cocycle, chunks, lo, n_steps, u0, record_every=0):
     nrm = _column_norms(_unit_scaled(U))
     if not nrm.all():
         raise ValueError("u0 must be nonzero")
-    tol, dt, (n, k) = cocycle.cone_tol, cocycle.dt, U.shape
-    U = _enforce_cone(U / nrm, tol, lo * dt)
+    tol, dt, (n, k), n_steps = cocycle.cone_tol, cocycle.dt, U.shape, len(steps)
+    up = steps.step > 0  # the iterate after a step s is at time s + up
+    U = _enforce_cone(U / nrm, tol, (steps[0] + up - steps.step) * dt)
     growth, since = np.zeros(k), None
     # per chunk: its rows' ln rho (rows, k) and directions (rows, N, k)
     ln_rows, u_rows = [np.empty((0, k))], [np.empty((0, n, k))]
@@ -360,7 +357,7 @@ def _forward(cocycle, chunks, lo, n_steps, u0, record_every=0):
     norms = np.empty((size, k))  # a chunk's step norms, one row per step
     path = np.empty((size + 1, n, k))  # the iterate before the chunk, then one per step
     path[0] = U
-    first = 0  # the chunk's first step, counted from step lo
+    first = 0  # the index in ``steps`` of the chunk's first step
     for maps, ls in chunks:
         walked = len(maps)
         with np.errstate(all="ignore"):
@@ -376,7 +373,7 @@ def _forward(cocycle, chunks, lo, n_steps, u0, record_every=0):
             r = np.sqrt(np.vecdot(V, V, axis=0))
             bad = r[~np.isfinite(r)]
             if bad.size:
-                raise EstimationError(f"forward iterate not finite after step {lo + first + i} (norm {bad[0]})")
+                raise EstimationError(f"forward iterate not finite after step {steps[first + i]} (norm {bad[0]})")
             if not r.all():
                 dead = (r == 0.0) & ~gone
                 w[dead] = V[:, dead].T
@@ -389,9 +386,11 @@ def _forward(cocycle, chunks, lo, n_steps, u0, record_every=0):
                 V[:, gone], r[gone] = V[:, live, None], r[live]
             U = V / r
             if not U.min() >= 0.0:
-                U = _enforce_cone(U, tol, (lo + first + i + 1) * dt)
+                U = _enforce_cone(U, tol, (steps[first + i] + up) * dt)
                 U /= _column_norms(U)
             norms[i], path[i + 1] = r, U
+        if close and not gone.all():
+            close(maps, ls, path[:walked + 1])
         del maps, M  # freed before the next chunk is built
         # close the chunk's walked steps: ln rho per step, growth and rows
         ln = norms[:walked]
@@ -428,10 +427,15 @@ def warmup_direction(cocycle, omega, depth):
     uses base points in the primal's forward orbit.  A probe annihilated on
     the way raises EstimationError."""
     depth = _count("depth", depth, 0)
+    return _warmed(cocycle, cocycle.step_blocks(cocycle.advance(omega, -depth), depth), range(-depth, 0))
+
+
+def _warmed(cocycle, chunks, steps):
+    """The uniform probe walked over ``chunks`` by ``_forward``."""
     probe = np.full(cocycle.n, 1.0 / math.sqrt(cocycle.n))
-    if depth == 0:
+    if not steps:
         return probe / np.linalg.norm(probe)
-    track = _forward(cocycle, cocycle.step_blocks(cocycle.advance(omega, -depth), depth), -depth, depth, probe)
+    track = _forward(cocycle, chunks, steps, probe)
     if track.log_growth == -math.inf:
         raise EstimationError("warm-up probe annihilated; no principal direction to converge to")
     return track.w
@@ -459,7 +463,8 @@ class EntireOrbit:
 def _pullback(cocycle, omega, lo, probes, depth, record_every=0):
     """The tracks of the columns of ``probes`` pushed over ``depth`` steps
     from step ``lo`` of ``omega``, each of which must survive."""
-    tracks = _forward(cocycle, cocycle.step_blocks(cocycle.advance(omega, lo), depth), lo, depth, probes, record_every)
+    tracks = _forward(cocycle, cocycle.step_blocks(cocycle.advance(omega, lo), depth), range(lo, lo + depth),
+                      probes, record_every)
     if any(track.log_growth == -math.inf for track in tracks):
         raise EstimationError("pullback probe was annihilated; model is not positivity-preserving")
     return tracks
@@ -524,67 +529,63 @@ def _projection_norm(w, w_star):
     return _spectral_norm(np.eye(w.size) - np.outer(w, w_star) / float(w @ w_star))
 
 
-def _adjoint_sweep(blocks, n, n_steps, warmup, sample_every):
-    """Backward adjoint sweep over steps [0, n_steps + warmup), latest step
-    first: the dual direction z is warmed up from the uniform probe over the
-    steps past n_steps (with no warm-up the probe is z at n_steps).  Over
-    [0, n_steps) it carries the adjoint frame Y from a basis of the
-    hyperplane that z annihilates at n_steps to P_k M_k^T Y, P_k = I - z_k
-    z_k^T, rescaled by its Frobenius norm: up to those scales, the transpose
-    of the restricted product P_n M_(n-1) ... P_1 M_0 B0 (n = n_steps, B0 a
-    basis of the hyperplane at step 0), whose log spectral norm is the sum
-    of their logs plus log |Y|_2.  Returns z at step 0, z at the multiples
-    of ``sample_every`` up to n_steps as rows, and that log norm, or None
-    when the frame was annihilated."""
-    z = np.full(n, 1.0 / math.sqrt(n))
-    z_samples = np.empty((n_steps // sample_every + 1 if sample_every else 0, n))
-    log_norm = 0.0
-    k = n_steps + warmup
-    # a backward read serves its chunks latest first; walk each one so too
-    for maps, ls in blocks(0, n_steps + warmup, backward=True):
-        flat = maps.reshape(len(maps), -1)
-        m_norms = np.sqrt(np.vecdot(flat, flat)).tolist()
-        for M, ls_k, m_norm in zip(maps[::-1], ls[::-1].tolist(), m_norms[::-1]):
-            if k == n_steps:
-                Y = _orth_complement(z)
-                y_norm = _norm(Y)
-            if sample_every and k <= n_steps and k % sample_every == 0:
-                z_samples[k // sample_every] = z
-            k -= 1
-            z = M.T @ z
-            nrm = _norm(z)
-            if nrm == 0.0:
-                raise EstimationError("dual probe annihilated during the adjoint sweep")
-            if not math.isfinite(nrm):
-                raise EstimationError(f"dual probe not finite after the adjoint of step {k} (norm {nrm})")
-            z /= nrm
-            if k >= n_steps or log_norm is None:
-                continue
-            V = M.T @ Y
-            nV = _norm(V)
-            if not math.isfinite(nV):
-                raise EstimationError(f"complement frame not finite after the adjoint of step {k} (norm {nV})")
-            # |M^T Y|_F <= |M|_F |Y|_F (|Y|_F is 1 after a rescaling, up to
-            # rounding): a ratio at roundoff level means the complement was
-            # annihilated, so flag it rather than extrapolate a huge rate
-            if nV <= 1e-13 * m_norm * y_norm:
-                log_norm = None
-                continue
-            V -= z[:, None] * (z @ V)  # re-anchor to the dual-null hyperplane
-            # Frobenius rescaling: zero exactly when the spectral norm is
-            s = _norm(V)
-            if s == 0.0:
-                log_norm = None
-                continue
-            V /= s
-            Y, y_norm = V, 1.0
-            log_norm += math.log(s) + ls_k
-        del maps, M, flat  # freed before the next chunk is built
-    if sample_every:
-        z_samples[0] = z
+def _adjoint_sweep(cocycle, blocks, n_steps, warmup, sample_every):
+    """The dual direction z, walked by ``_forward`` over the transposed maps
+    of ``blocks`` latest step first, from the uniform probe over [n_steps,
+    n_steps + warmup), then over [0, n_steps) with the complement frame Y
+    from a basis of the hyperplane that z annihilates at n_steps.  Per
+    chunk the frame forms B_k = P_k M_k^T, P_k = I - z_k z_k^T, and walks
+    Y <- B_k Y / |B_k Y|_F: up to those scales, the transpose of the
+    restricted product P_n M_(n-1) ... P_1 M_0 B0 (n = n_steps, B0 a basis
+    of the hyperplane at step 0), whose log spectral norm is the sum of
+    their logs plus log |Y|_2.  Returns z at step 0, z at the multiples of
+    ``sample_every`` up to n_steps as rows, and that log norm, or None when
+    the frame was annihilated."""
+    z = _warmed(cocycle, _transposed(blocks(n_steps, n_steps + warmup, backward=True)),
+                range(n_steps + warmup - 1, n_steps - 1, -1))
+    z_samples = np.empty((n_steps // sample_every + 1 if sample_every else 0, cocycle.n))
+    Y, log_norm, k = None, 0.0, n_steps  # k: the step of the chunk's first iterate
+
+    def close(maps, ls, path):
+        nonlocal Y, log_norm, k
+        hi, k = k, k - len(maps)  # path holds z at steps hi, hi - 1, ..., k
+        if sample_every:
+            hits = path[hi % sample_every::sample_every, :, 0]
+            z_samples[hi // sample_every - len(hits) + 1:hi // sample_every + 1] = hits[::-1]
+        Y = _orth_complement(path[0, :, 0]) if Y is None else Y
+        if log_norm is None:
+            return
+        B = path[1:] * (path[1:].transpose(0, 2, 1) @ maps)
+        np.subtract(maps, B, out=B)
+        norms, y = [], Y
+        with np.errstate(all="ignore"):
+            for Bk in B:
+                V = Bk @ y
+                norms.append(_norm(V))
+                y = V / norms[-1]
+        # |B_k Y|_F <= |M_k|_F |Y|_F, |Y|_F 1 after a rescaling: a ratio at
+        # roundoff level means the complement was annihilated, which ends the
+        # frame rather than extrapolate a huge rate; a non-finite norm raises
+        r, tiny = np.array(norms), 1e-13 * np.sqrt(np.einsum("kij,kij->k", maps, maps))
+        tiny[0] *= _norm(Y)
+        ok = (tiny < r) & (r < math.inf)
+        if not ok.all():
+            i = int(ok.argmin())
+            if not math.isfinite(r[i]):
+                raise EstimationError(f"complement frame not finite after the adjoint of step {hi - 1 - i} "
+                                      f"(norm {r[i]})")
+            log_norm = None
+            return
+        log_norm = float(np.add.accumulate(np.concatenate([[log_norm], np.log(r) + ls]))[-1])  # step after step
+        Y = y
+
+    track = _forward(cocycle, _transposed(blocks(0, n_steps, backward=True)), range(n_steps - 1, -1, -1), z,
+                     close=close)
+    if track.log_growth == -math.inf:
+        raise EstimationError("dual probe annihilated during the adjoint sweep")
     if log_norm is not None:
         log_norm += math.log(_spectral_norm(Y))
-    return z, z_samples, log_norm
+    return track.w, z_samples, log_norm
 
 
 def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0) -> SeparationEstimate:
@@ -592,23 +593,24 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0) -> S
     direction and of the invariant complement, the hyperplane that the dual
     direction annihilates.
 
-    ``cocycle.replay`` serves the maps of [0, T + warmup) to two sweeps: the
-    backward ``_adjoint_sweep`` of the dual direction and the complement
-    frame, then the ``forward_floquet`` walk over [0, T) of the principal
-    direction (cone-checked, so lambda1 and w are that walk's bit for bit),
-    warmed up over [-warmup, 0) by ``warmup_direction``.  Nothing is kept
-    per step: matrix maps are emitted afresh on each read, flow maps are
-    built once and stored.  The frame is re-anchored to the dual-null
-    hyperplane after every step; without that, roundoff injects a dominant
-    component that grows at rate sigma and silently caps the measurable
-    separation near ln(1/eps) / horizon.  Sigma comes from the growth
-    *ratio*, which stays finite even when both exponents diverge to -inf.
-    ``proj_samples`` > 0 additionally records ln |projection onto the
-    complement along the principal direction| (the temperedness
-    observable) at t = 0 and after every s = max(1, n // proj_samples)
-    steps, n the step count: n // s + 1 points, so n = 10 with
-    ``proj_samples`` = 6 gives s = 1 and 11 points, taken after the walk
-    from its rows, recorded every s steps, and the adjoint sweep's samples.
+    ``cocycle.replay`` serves the maps of [0, T + warmup) to two walks of
+    ``_forward``, so both are cone-checked and checked at chunk close: the
+    principal direction over [0, T), warmed up over [-warmup, 0) by
+    ``warmup_direction`` (lambda1 and w are that ``forward_floquet`` walk's
+    bit for bit), then the dual direction over the transposed maps, latest
+    step first, warmed up over [T, T + warmup), whose walk over [0, T)
+    carries the complement frame (``_adjoint_sweep``).  Nothing is kept per
+    step: matrix maps are emitted afresh on each read, flow maps are built
+    once and stored.  The frame is projected onto the dual-null hyperplane
+    at every step; without that, roundoff injects a dominant component that
+    grows at rate sigma and silently caps the measurable separation near
+    ln(1/eps) / horizon.  Sigma comes from the growth *ratio*, which stays
+    finite even when both exponents diverge to -inf.  ``proj_samples`` > 0
+    additionally records ln |projection onto the complement along the
+    principal direction| (the temperedness observable) at t = 0 and after
+    every s = max(1, n // proj_samples) steps, n the step count: n // s + 1
+    points, so n = 10 with ``proj_samples`` = 6 gives s = 1 and 11 points,
+    from the principal walk's rows and the dual directions there.
     """
     if cocycle.n < 2:
         raise ValueError(f"separation needs N >= 2, got N = {cocycle.n}: the invariant complement of a "
@@ -618,17 +620,15 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0) -> S
     proj_samples = _count("proj_samples", proj_samples, 0)
     sample_every = max(1, n_steps // proj_samples) if proj_samples else 0
     blocks = cocycle.replay(omega, 0, n_steps + warmup)
-    w_star0, z_samples, log_restricted = _adjoint_sweep(blocks, cocycle.n, n_steps, warmup, sample_every)
-
     w = warmup_direction(cocycle, omega, warmup)
-    pairing = float(w @ w_star0)
-    if abs(pairing) < 1e-8:
-        raise EstimationError(
-            f"principal and dual directions nearly orthogonal (pairing {pairing:.3e}); "
-            "projection onto the invariant complement is ill-conditioned")
-    track = _forward(cocycle, blocks(0, n_steps), 0, n_steps, w, sample_every)
+    track = _forward(cocycle, blocks(0, n_steps), range(n_steps), w, sample_every)
     if track.log_growth == -math.inf:
         raise EstimationError("principal direction annihilated; no positive growth to separate")
+    w_star0, z_samples, log_restricted = _adjoint_sweep(cocycle, blocks, n_steps, warmup, sample_every)
+    pairing = float(w @ w_star0)
+    if abs(pairing) < 1e-8:
+        raise EstimationError(f"principal and dual directions nearly orthogonal (pairing {pairing:.3e}); "
+                              "projection onto the invariant complement is ill-conditioned")
     proj_history = [(t, math.log(_projection_norm(u, z)))
                     for t, u, z in zip([0.0, *track.times.tolist()], [w, *track.directions], z_samples)]
     dead = log_restricted is None

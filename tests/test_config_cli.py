@@ -508,6 +508,17 @@ class TestCliProcess:
         assert cli.main([command, "--config", str(p), "--out", str(tmp_path)]) == 2
         assert f"left the cone at t = {t}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("warmup, t", [(0, 98), (50, 148)])
+    def test_dual_walk_leaves_cone_exit_2(self, tmp_path, warmup, t, capsys):
+        # in process; the dual orbit leaves the cone while the principal one
+        # stays in it: separate used to exit 0 with w_star outside the cone
+        p = tmp_path / "dual.json"
+        p.write_text(json.dumps({"model": {"kind": "constant", "matrix": [[2.0, -0.5], [0.0, 1.0]]},
+                                 "estimator": {"warmup": warmup}}))
+        from poscocycle import cli
+        assert cli.main(["separate", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert f"left the cone at t = {t}:" in capsys.readouterr().err
+
     def test_one_dimensional_separate_exit_1(self, tmp_path, capsys):
         # in process; it used to exit 1 with "config error: math domain error"
         p = tmp_path / "one.json"

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from poscocycle.config import build_driver, build_model, validate_config
 from poscocycle.drivers import BLOCK_CELLS, IidShift, TorusRotation
 from poscocycle.errors import EstimationError, PositivityViolation
 from poscocycle.estimators import (MatrixCocycle, OdeCocycle, DivergenceDiagnostic, SeparationEstimate,
@@ -16,7 +17,7 @@ from poscocycle.estimators import (MatrixCocycle, OdeCocycle, DivergenceDiagnost
                                    pullback_convergence, separation_estimate, warmup_direction)
 from poscocycle import odes
 from poscocycle.estimators import (FloquetTrack, _column_norms, _enforce_cone, _norm, _orth_complement,
-                                   _projection_norm, _qr, _spectral_norm, _stored_replay)
+                                   _projection_norm, _qr, _spectral_norm, _stored_replay, _transposed)
 from poscocycle.matrices import (ConstantMatrixModel, IidChoiceModel, SampledMatrixModel, UniformEntriesModel,
                                  leslie_model)
 from poscocycle.odes import (CallableOdeModel, ConstantOdeModel, PiecewiseConstantOdeModel, TypeKFlipModel,
@@ -55,10 +56,11 @@ def half_cell_edges(state, t0, t1):
 
 def _steps(chunks):
     """The (M, log_scale) pairs of a chunk stream, in stream order.  A chunk
-    is freed before the next is built: its final pair is a copy, so the
-    loop reading the pairs holds no view into it by then."""
+    is freed before the next is built: its final pair is a copy in the
+    map's own layout, so the loop reading the pairs holds no view into it
+    by then."""
     for maps, ls in chunks:
-        final = maps[-1].copy(), float(ls[-1])
+        final = maps[-1].copy(order="K"), float(ls[-1])
         yield from zip(maps[:-1], ls[:-1].tolist())
         del maps, ls
         yield final
@@ -751,6 +753,18 @@ class TestSeparation:
         est = separation_estimate(coc, disc_state(5), 500, warmup=50)
         assert abs(est.sigma_hat - (est.lambda1_hat - est.lambda2_hat)) < 1e-12
 
+    @pytest.mark.parametrize("warmup, t", [(0, 98), (50, 148)])
+    def test_dual_walk_leaves_cone(self, warmup, t):
+        # the principal orbit of [[2, -0.5], [0, 1]] stays in the cone, while
+        # the dual orbit leaves it at its second step from the horizon (or
+        # from the end of the warm-up past it), named by its primal time; the
+        # dual walk used to run unchecked and report w_star = (0.894, -0.447)
+        coc = MatrixCocycle(ConstantMatrixModel([[2.0, -0.5], [0.0, 1.0]]))
+        assert forward_floquet(coc, disc_state(), warmup_direction(coc, disc_state(), warmup), 100).w.min() > 0
+        with pytest.raises(PositivityViolation, match=f"left the cone at t = {t}:") as exc:
+            separation_estimate(coc, disc_state(), 100, warmup=warmup)
+        assert exc.value.witness[:2] == (t, 1)
+
     @staticmethod
     def assert_forward_floquet_track(coc, omega, steps, warmup, proj_samples):
         # the principal sweep is forward_floquet's from the warmed
@@ -761,6 +775,10 @@ class TestSeparation:
         every = max(1, steps // proj_samples) if proj_samples else 0
         track = forward_floquet(coc, omega, warmup_direction(coc, omega, warmup), horizon, record_every=every)
         assert est.lambda1_hat == track.lambda1 and np.array_equal(est.w, track.w)
+        # and the dual walk is the dual's, from the horizon, bit for bit
+        dual, omega_T = coc.dual(), coc.advance(omega, steps)
+        assert np.array_equal(est.w_star, forward_floquet(dual, omega_T, warmup_direction(dual, omega_T, warmup),
+                                                          horizon).w)
         assert [t for t, _ in est.projection_norm_history] == ([0.0, *track.times.tolist()] if every else [])
         assert 0.0 < est.sigma_hat < math.inf
         assert abs(est.sigma_hat - (est.lambda1_hat - est.lambda2_hat)) < 1e-12
@@ -893,12 +911,16 @@ class TestSeparation:
 
     def test_peak_memory_linear_in_steps(self):
         # nothing is kept per step; the traced peak is at most
-        # - three chunks of BLOCK_CELLS maps: the one a sweep reads, the
-        #   next one being emitted and room for the draw's temporaries;
-        # - the adjoint sweep's N x N arrays (frame, image, the re-anchor's
-        #   outer product and their temporaries: fewer than 16 at once);
+        # - three chunks of BLOCK_CELLS maps: the one a walk reads and, on
+        #   the dual walk, the complement frame's projected maps of it
+        #   (P_k M_k^T, formed at chunk close) with the walk's iterates and
+        #   the maps' row products (2 BLOCK_CELLS vectors), or the next
+        #   chunk being emitted and room for the draw's temporaries;
+        # - the frame's N x N arrays (frame, image and their temporaries:
+        #   fewer than 16 at once);
         # - a fixed set of small Python objects (generator frames, floats,
         #   the result record): under 64 KiB.
+        # Two chunks and about 0.2 MB were read here (1.87 MB of 2.57 MB).
         # The T N^2 store this replaces would hold T + 2 * warmup maps,
         # about 64 MB here: more than 10 times the bound.  A quarter of the
         # horizon peaks within one chunk of it.
@@ -967,6 +989,95 @@ class TestSeparation:
         ts = np.arange(1, 41)[sel][:25]
         rate = -np.polyfit(ts, np.log(dists[sel][:25]), 1)[0]
         assert rate >= 0.8 * sigma
+
+
+class TestScalarTimesP:
+    # matrices c_s P, with P the positive 3 x 3 of criterion 05 and c = (0.3,
+    # 2.5), drawn i.i.d. (iid-list) or by a two-state chain (markov-list):
+    # the product over [0, T) is (prod c_k) P^T, so at a finite horizon
+    # - lambda1 along P's right Perron vector v is (sum log c_k) / T + log rho;
+    # - sigma is (T log rho - log |P^T on F, applied to B0|_2) / T, F the
+    #   hyperplane that P's left Perron vector v* annihilates and B0 an
+    #   orthonormal basis of it, whatever the seed, the driver or c;
+    # - w is v and w_star is v*.
+    P = np.array([[2.0, 1.0, 0.5], [0.5, 1.5, 1.0], [1.0, 0.5, 2.0]])
+    C = (0.3, 2.5)
+    T = 4000
+    DRIVERS = {"iid-list": {"kind": "iid-shift"},
+               "markov-list": {"kind": "markov-shift", "transition": [[0.9, 0.1], [0.2, 0.8]]}}
+
+    @staticmethod
+    def perron(P):
+        vals, vecs = np.linalg.eig(P)
+        i = int(np.argmax(vals.real))
+        v = np.abs(vecs[:, i].real)
+        return float(vals.real[i]), v / np.linalg.norm(v)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["iid-list", "markov-list"])
+    def test_separate_matches_closed_form(self, kind, seed):
+        P, T, n = self.P, self.T, 3
+        cfg = validate_config({"seed": seed, "driver": self.DRIVERS[kind],
+                               "model": {"kind": kind, "matrices": [(c * P).tolist() for c in self.C]}})
+        _, model = build_model(cfg)
+        omega = build_driver(cfg).initial(seed)
+        est = separation_estimate(MatrixCocycle(model), omega, T)
+        # the c_k, read off the emitted maps, each one of the two c_s P
+        maps = np.concatenate(list(model.chunks(omega, T)))
+        big = (maps == self.C[1] * P).all(axis=(1, 2))
+        assert (big | (maps == self.C[0] * P).all(axis=(1, 2))).all()
+        n_big = int(big.sum())
+        assert 0 < n_big < T
+
+        rho, v = self.perron(P)
+        _, v_star = self.perron(P.T)
+        # P on F in an orthonormal basis B0 of F: R = B0^T P B0, whose
+        # eigenvalues mu, mu-bar are P's others; |R^T|_2 is |mu|^T times the
+        # norm of S diag(e^(i T arg mu), e^(-i T arg mu)) S^-1, S R's eigenvectors
+        B0 = _orth_complement(v_star)
+        R = B0.T @ P @ B0
+        mu, S = np.linalg.eig(R)
+        assert abs(mu[0].imag) > 0 and mu[0] == mu[1].conjugate()
+        log_restricted = T * math.log(abs(mu[0])) + math.log(
+            np.linalg.norm((S * np.exp(1j * T * np.angle(mu))) @ np.linalg.inv(S), 2))
+        lambda1 = (n_big * math.log(self.C[1]) + (T - n_big) * math.log(self.C[0])) / T + math.log(rho)
+        sigma = (T * math.log(rho) - log_restricted) / T
+
+        # The bounds, u the unit roundoff.  A walk step along a positive
+        # vector errs by at most (2N + 3) u relative (an N-term matrix-vector
+        # product and sum of squares of positive terms, a division), and an
+        # emitted c_s P by u in each entry, so the log growth lies within
+        # T (2N + 4) u of the product's; the T logs and their sequential sum
+        # round by at most u sum_k |S_k| <= u T^2 L, L the largest |log| of
+        # a step's growth.  log rho errs by N u kappa, kappa = 1 / (v . v*)
+        # its condition number; the closed form's sums by 4 u L.  The walk
+        # starts off v by at most tol_direction (below), which moves the log
+        # growth by at most that over min v, as the orthant orders the orbits.
+        u = np.finfo(float).eps / 2
+        kappa = 1.0 / float(v @ v_star)
+        q = abs(mu[0]) / rho  # the contraction of a direction's error per step
+        # a direction's error is at most the error of one step, (2N + 4) u,
+        # summed over the steps that contract it by q each; the closed-form
+        # vectors err by as much
+        tol_direction = 2 * (2 * n + 4) * u / (1 - q)
+        L = max(abs(math.log(c * rho)) for c in self.C)
+        tol_lambda1 = u * ((2 * n + 4) + n * kappa + (T + 4) * L) + tol_direction / v.min() / T
+        assert abs(est.lambda1_hat - lambda1) <= tol_lambda1
+        # The frame's step multiplies a relative error e of its map (N + 2
+        # ulps of arithmetic, one of emission, and the tilt of the projection
+        # by the dual direction's error, at most (2N + 4) u / (1 - q)) by at
+        # most K = |P|_F / s_min(R), the step's cancellation factor; its logs
+        # and their sum round as above, with L2 the largest |log| of c_s |mu|.
+        # log |mu| errs by N u times its condition number |S| |S^-1|, and the
+        # phase T arg mu by that times T, moving the norm's log by as much
+        # times |S| |S^-1| again.
+        K = np.linalg.norm(P) / np.linalg.svd(R, compute_uv=False)[-1]
+        cond = np.linalg.cond(S)
+        L2 = max(abs(math.log(c * abs(mu[0]))) for c in self.C)
+        tol_sigma = tol_lambda1 + u * (K * (n + 3 + (2 * n + 4) / (1 - q)) + (T + 4) * L2 + n * cond * (1 + cond))
+        assert abs(est.sigma_hat - sigma) <= tol_sigma
+        assert np.linalg.norm(est.w - v) <= tol_direction
+        assert np.linalg.norm(est.w_star - v_star) <= tol_direction
 
 
 class TestOseledetsQr:
@@ -1062,16 +1173,17 @@ def per_step_qr(coc, omega, T):
     return np.sort(sums / (T * coc.dt))[::-1]
 
 
-def per_step_forward(coc, omega, u0, T, record_every=0):
+def per_step_forward(coc, omega, u0, T, record_every=0, chunks=None):
     """``forward_floquet`` over a block of probes as a per-step loop: checks,
-    log, growth and history rows taken at every step."""
+    log, growth and history rows taken at every step; over ``chunks`` in
+    place of the T steps from ``omega`` if given."""
     U = np.array(u0, dtype=float)
     U = _enforce_cone(U / _column_norms(U), coc.cone_tol, 0.0)
     k = U.shape[1]
     growth, since, ln_rows, u_rows = np.zeros(k), None, [], []
     gone, w = np.zeros(k, dtype=bool), np.empty((k, coc.n))
     n_rows = np.full(k, T // record_every if record_every else 0)
-    for step, (M, ls) in enumerate(_steps(coc.step_blocks(omega, T)), 1):
+    for step, (M, ls) in enumerate(_steps(coc.step_blocks(omega, T) if chunks is None else chunks), 1):
         V = M @ U
         r = np.sqrt(np.vecdot(V, V, axis=0))
         if not np.isfinite(r).all():
@@ -1110,55 +1222,48 @@ def per_step_forward(coc, omega, u0, T, record_every=0):
 
 
 def per_step_separation(coc, omega, T, warmup, proj_samples=0):
-    """``separation_estimate`` over T steps as the loops that read its maps
-    as (M, log scale) pairs through ``_steps``: the adjoint sweep over the
-    reversed chunks, which carries the adjoint frame one map at a time with
-    the threshold on |M|_F |Y|_F taken at every step, then the per-step
-    ``per_step_forward`` from the warmed principal direction."""
-    n = coc.n
-    blocks = coc.replay(omega, 0, T + warmup)
-    z = np.full(n, 1.0 / math.sqrt(n))
-    z_path = np.empty((T + 1, n))
-    z_path[T] = z
-    log_restricted, k = 0.0, T + warmup
-    latest_first = map(lambda chunk: (chunk[0][::-1], chunk[1][::-1]), blocks(0, T + warmup, backward=True))
-    for M, ls in _steps(latest_first):
-        k -= 1
-        z = M.T @ z
-        z /= _norm(z)
-        if k > T:
-            continue
-        z_path[k] = z
-        if k == T or log_restricted is None:
-            continue
-        if k == T - 1:
-            Y = _orth_complement(z_path[T])
-        V = M.T @ Y
-        if _norm(V) <= 1e-13 * _norm(M) * _norm(Y):
-            log_restricted = None
-            continue
-        V -= np.outer(z, z @ V)
-        s = _norm(V)
-        if s == 0.0:
-            log_restricted = None
-            continue
-        Y = V / s
-        log_restricted += math.log(s) + ls
-    if log_restricted is not None:
-        log_restricted += math.log(_spectral_norm(Y))
+    """``separation_estimate`` over T steps as per-step loops over the maps of
+    its replay, read as (M, log scale) pairs through ``_steps``: the
+    principal direction and then the dual direction by ``per_step_forward``
+    (the dual over the transposed maps, latest step first, warmed up over
+    [T, T + warmup)), then the complement frame, one map at a time, with
+    its projected map P_k M_k^T formed and its threshold on |M|_F |Y|_F
+    taken at every step."""
+    n, blocks = coc.n, coc.replay(omega, 0, T + warmup)
     sample_every = max(1, T // proj_samples) if proj_samples else 0
     w = warmup_direction(coc, omega, warmup)
-    [track] = per_step_forward(coc, omega, w[:, None], T, sample_every)
+    [track] = per_step_forward(coc, None, w[:, None], T, sample_every, chunks=blocks(0, T))
+    z = np.full((n, 1), 1.0 / math.sqrt(n))
+    z = per_step_forward(coc, None, z, warmup, chunks=_transposed(blocks(T, T + warmup, backward=True)))[0].w \
+        if warmup else z[:, 0] / np.linalg.norm(z)
+    [dual] = per_step_forward(coc, None, z[:, None], T, 1, chunks=_transposed(blocks(0, T, backward=True)))
+    # z at steps T, T - 1, ..., 0: the walk's start as it normalises it, then its rows
+    zs = np.concatenate([_enforce_cone(z[:, None] / _column_norms(z[:, None]), coc.cone_tol, T).T, dual.directions])
+    Y, log_restricted = _orth_complement(zs[0]), 0.0
+    for k, (M, ls) in enumerate(_steps(_transposed(blocks(0, T, backward=True)))):
+        z = zs[k + 1]
+        B = M - z[:, None] * (z[None] @ M)
+        V = B @ Y
+        s = _norm(V)
+        if not math.isfinite(s):
+            raise EstimationError(f"complement frame not finite after the adjoint of step {T - 1 - k} (norm {s})")
+        if s <= 1e-13 * _norm(M) * _norm(Y):
+            log_restricted = None
+            break
+        Y = V / s
+        log_restricted += np.log(s) + ls
+    if log_restricted is not None:
+        log_restricted = float(log_restricted) + math.log(_spectral_norm(Y))
     steps = range(0, T + 1, sample_every) if sample_every else []
-    proj_history = [(k * coc.dt, math.log(_projection_norm(u, z_path[k])))
+    proj_history = [(k * coc.dt, math.log(_projection_norm(u, zs[T - k])))
                     for k, u in zip(steps, [w, *track.directions])]
     horizon, log_growth, w = T * coc.dt, track.log_growth, track.w
     lambda1 = log_growth / horizon
     dead = log_restricted is None
     sigma = math.inf if dead else (log_growth - log_restricted) / horizon
     lambda2 = -math.inf if dead else lambda1 - sigma
-    return SeparationEstimate(lambda1_hat=lambda1, lambda2_hat=lambda2, sigma_hat=sigma, w=w, w_star=z_path[0],
-                              f1_basis=_orth_complement(z_path[0]), projection_norm_history=proj_history,
+    return SeparationEstimate(lambda1_hat=lambda1, lambda2_hat=lambda2, sigma_hat=sigma, w=w, w_star=zs[T],
+                              f1_basis=_orth_complement(zs[T]), projection_norm_history=proj_history,
                               horizon=horizon)
 
 

@@ -8,9 +8,11 @@ Each matrix loop runs on a fresh uniform-entries cocycle (entries in
 [0.5, 2)) on a discrete i.i.d. shift, so block emission is included.
 "forward x2" walks two probes as one (N, 2) block; compare it with two
 one-probe "forward" steps.  "forward x2 rec" is that walk with a history
-row at every step, as ``estimate`` walks its warmed and raw probes.  "adjoint" is ``_adjoint_sweep`` alone, the
-backward sweep of "separation" (warm-up 50) with its complement frame, so
-"separation" less "adjoint" is the warm-up plus the forward sweep.  The "ode" rows are forward steps of the
+row at every step, as ``estimate`` walks its warmed and raw probes.
+"adjoint" is ``_adjoint_sweep`` alone, the dual walk of "separation": its
+warm-up over the 50 steps past the horizon, then the walk back to step 0
+that carries the complement frame, so "separation" less "adjoint" is the
+principal warm-up and walk.  The "ode" rows are forward steps of the
 piecewise-constant cooperative ODE (N = 3, diagonal in [-1, 0.5),
 off-diagonal in [0, 1), unit cells) at dt = 0.1 on a continuous i.i.d.
 shift, with one probe and with two; "ode qr" is ``oseledets_qr`` and
@@ -141,7 +143,7 @@ def main(argv=None):
         ("forward x2 rec", matrix, forward(2, every=1), (3, 24)),
         ("qr", matrix, lambda coc, om: oseledets_qr(coc, om, T), (3, 24)),
         ("separation", matrix, lambda coc, om: separation_estimate(coc, om, T, warmup=50), (3, 24)),
-        ("adjoint", matrix, lambda coc, om: _adjoint_sweep(coc.replay(om, 0, T + 50), coc.n, T, 50, 0), (3, 24)),
+        ("adjoint", matrix, lambda coc, om: _adjoint_sweep(coc, coc.replay(om, 0, T + 50), T, 50, 0), (3, 24)),
         ("ode", ode, forward(1), (3,)),
         ("ode x2", ode, forward(2), (3,)),
         ("ode qr", ode, lambda coc, om: oseledets_qr(coc, om, T * coc.dt), (3,)),
