@@ -8,10 +8,12 @@ Estimators read a cocycle over a matrix model, an ODE model (the flow
 over a fixed dt) or the ``AdjointCocycle`` of either through one stream of
 its maps: ``step_blocks`` serves the scale-separated step maps as chunks
 (maps (k, N, N), log_scales (k,)), and ``replay`` serves a range of them to
-be read more than once: matrix maps are emitted afresh on every read, flow
-maps are built once per chunk (``odes.flow_maps``: one expm per constant
-piece, and one DOP853 batch for the steps on smooth pieces or across a
-breakpoint) and stored, each read in chunks of at most BLOCK_CELLS maps.
+be read more than once.  A cocycle is fixed by its one-step maps, so a
+replay reads its ``step_blocks`` afresh; only ``OdeCocycle`` overrides
+that, storing its flow maps, which are built once per chunk
+(``odes.flow_maps``: one expm per constant piece, and one DOP853 batch for
+the steps on smooth pieces or across a breakpoint) and read from the store
+in chunks of at most BLOCK_CELLS maps.
 Each step loop walks the maps of a chunk in place and frees the chunk
 before the next is built.  ``forward_floquet`` and ``oseledets_qr`` do per
 step only what the next step needs (the product, then the column norms and
@@ -66,6 +68,15 @@ class _Cocycle:
     def dual(self):
         return AdjointCocycle(self)
 
+    def replay(self, omega, lo, hi):
+        """A source of the maps of steps [lo, hi) from ``omega`` that may be
+        read more than once: ``blocks(a, b, backward=False)`` gives the
+        ``step_blocks`` of steps [a, b).  A cocycle is fixed by its one-step
+        maps, so every read takes them afresh and nothing is stored."""
+        def blocks(a, b, backward=False):
+            return self.step_blocks(self.advance(omega, b if backward else a), b - a, backward)
+        return blocks
+
 
 class MatrixCocycle(_Cocycle):
     """Discrete cocycle: one step applies the emitted matrix.  Its chunks
@@ -85,15 +96,6 @@ class MatrixCocycle(_Cocycle):
         for maps in self.model.chunks(state, count, backward):
             yield maps, np.zeros(len(maps))
             del maps  # freed before the next chunk is emitted
-
-    def replay(self, omega, lo, hi):
-        """A source of the maps of steps [lo, hi) from ``omega`` that may be
-        read more than once: ``blocks(a, b, backward=False)`` gives the
-        ``step_blocks`` of steps [a, b).  Emission is a pure function of the
-        cell index, so every read emits afresh and nothing is stored."""
-        def blocks(a, b, backward=False):
-            return self.step_blocks(omega.advance(b if backward else a), b - a, backward)
-        return blocks
 
 
 class OdeCocycle(_Cocycle):
@@ -129,27 +131,23 @@ class OdeCocycle(_Cocycle):
             del maps, log_scales  # freed before the next chunk is built
 
     def replay(self, omega, lo, hi):
-        """As ``MatrixCocycle.replay``, but each map is built once and
-        kept: one read of the N = 3 piecewise-constant flow maps at dt =
-        0.1 costs 11-22 us per step, an emitted N = 3 map 0.2-0.3 us."""
-        return _stored_replay(self, omega, lo, hi)
+        """The maps of steps [lo, hi) stored in one (hi - lo, N, N) array,
+        filled by a single forward read of ``step_blocks``: a flow map is
+        built once and read from the store, which a read yields as views of
+        at most BLOCK_CELLS maps, as the step loops' chunk buffers assume.
+        One read of the N = 3 piecewise-constant flow maps at dt = 0.1
+        costs 5.5-10.9 us per map, an emitted N = 3 map 0.2-0.3 us."""
+        maps, ls = np.empty((hi - lo, self.n, self.n)), np.empty(hi - lo)
+        k = 0
+        for chunk, scales in self.step_blocks(self.advance(omega, lo), hi - lo):
+            maps[k:k + len(chunk)], ls[k:k + len(chunk)] = chunk, scales
+            k += len(chunk)
 
-
-def _stored_replay(cocycle, omega, lo, hi):
-    """Replay the maps of steps [lo, hi) from one (hi - lo, N, N) array
-    filled by a single forward read of ``step_blocks``; a read yields views
-    of at most BLOCK_CELLS maps, as the step loops' chunk buffers assume."""
-    maps, ls = np.empty((hi - lo, cocycle.n, cocycle.n)), np.empty(hi - lo)
-    k = 0
-    for chunk, scales in cocycle.step_blocks(cocycle.advance(omega, lo), hi - lo):
-        maps[k:k + len(chunk)], ls[k:k + len(chunk)] = chunk, scales
-        k += len(chunk)
-
-    def blocks(a, b, backward=False):
-        cuts = range(a - lo, b - lo, BLOCK_CELLS)
-        for c in reversed(cuts) if backward else cuts:
-            yield maps[c:b - lo][:BLOCK_CELLS], ls[c:b - lo][:BLOCK_CELLS]
-    return blocks
+        def blocks(a, b, backward=False):
+            cuts = range(a - lo, b - lo, BLOCK_CELLS)
+            for c in reversed(cuts) if backward else cuts:
+                yield maps[c:b - lo][:BLOCK_CELLS], ls[c:b - lo][:BLOCK_CELLS]
+        return blocks
 
 
 class AdjointCocycle(_Cocycle):
@@ -169,14 +167,6 @@ class AdjointCocycle(_Cocycle):
         over its ``count`` steps before ``state`` (after it), each reversed
         and transposed."""
         return _transposed(self.primal.step_blocks(state, count, not backward))
-
-    def replay(self, omega, lo, hi):
-        """The primal's replay of its steps [-hi, -lo), read the other way."""
-        primal = self.primal.replay(omega, -hi, -lo)
-
-        def blocks(a, b, backward=False):
-            return _transposed(primal(-b, -a, not backward))
-        return blocks
 
     def advance(self, state, steps=1):
         return state.advance(-steps * self.dt)
@@ -600,8 +590,8 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0) -> S
     bit for bit), then the dual direction over the transposed maps, latest
     step first, warmed up over [T, T + warmup), whose walk over [0, T)
     carries the complement frame (``_adjoint_sweep``).  Nothing is kept per
-    step: matrix maps are emitted afresh on each read, flow maps are built
-    once and stored.  The frame is projected onto the dual-null hyperplane
+    step: each read takes the maps afresh, save an ``OdeCocycle``'s, whose
+    flow maps are built once and stored.  The frame is projected onto the dual-null hyperplane
     at every step; without that, roundoff injects a dominant component that
     grows at rate sigma and silently caps the measurable separation near
     ln(1/eps) / horizon.  Sigma comes from the growth *ratio*, which stays

@@ -792,13 +792,13 @@ def _greedy_chain(W, start):
     return path
 
 
-def irreducibility_quantities(model: OdeModel, omega, delta=None, chains=None) -> IrreducibilityQuantities:
+def irreducibility_quantities(model: OdeModel, omega, delta=None) -> IrreducibilityQuantities:
     """Compute the chain lower bounds for the time-1 map of a cooperative system.
 
-    ``chains`` maps each start index i to a permutation (j1 = i, ..., jN); when
-    absent, chains are found by maximizing the minimum off-diagonal entry along
-    the path (entries minimized over a refining time grid on [0,1]), and
-    ``delta`` defaults to that minimum.  delta must be strictly positive.
+    Each start index i gets a chain, a permutation (j1 = i, ..., jN) found by
+    maximizing the minimum off-diagonal entry along the path (entries
+    minimized over a refining time grid on [0,1]), and ``delta`` defaults to
+    that minimum.  delta must be strictly positive.
     """
     n = model.n
     grid, vals, F, row_max_int = _cumulative_integrals(model, omega)
@@ -809,15 +809,9 @@ def irreducibility_quantities(model: OdeModel, omega, delta=None, chains=None) -
     # pointwise minima of each entry over the grid, for chain discovery
     entry_min = vals.min(axis=0)
 
-    if chains is None:
-        W = entry_min.copy()
-        np.fill_diagonal(W, -np.inf)
-        chains = _chain_search(W)
-    else:
-        chains = [list(c) for c in chains]
-        for i, c in enumerate(chains):
-            if c[0] != i or sorted(c) != list(range(n)):
-                raise ValueError(f"chain for index {i} must start at {i} and cover all indices")
+    W = entry_min.copy()
+    np.fill_diagonal(W, -np.inf)
+    chains = _chain_search(W)
 
     if delta is None:
         delta = min(min(entry_min[c[k], c[k + 1]] for k in range(n - 1)) for c in chains)
@@ -858,18 +852,17 @@ def irreducibility_quantities(model: OdeModel, omega, delta=None, chains=None) -
 
 
 class TypeKFlipModel(OdeModel):
-    """Sign-conjugated coefficient: flips the off blocks of a type-K field so
-    the result is cooperative; solutions correspond exactly under the sign
-    flip of the last l coordinates."""
+    """Sign-conjugated coefficient: flips the off blocks of a type-K field,
+    blocks k and N - k, so the result is cooperative; solutions correspond
+    exactly under the sign flip of the last N - k coordinates."""
 
-    def __init__(self, b_model: OdeModel, k: int, l: int):
-        if k + l != b_model.n or k < 1 or l < 1:
-            raise ValueError(f"need k + l = {b_model.n} with k, l >= 1")
+    def __init__(self, b_model: OdeModel, k: int):
+        if not 1 <= k < b_model.n:
+            raise ValueError(f"type-K block size k must satisfy 1 <= k < N = {b_model.n}, got k = {k}")
         super().__init__(b_model.n)
         self.b_model = b_model
         self.k = k
-        self.l = l
-        self.flip = np.concatenate([np.ones(k), -np.ones(l)])
+        self.flip = np.concatenate([np.ones(k), -np.ones(b_model.n - k)])
 
     def _flipped(self, B):
         """B, one matrix or a stack, with its off blocks' signs flipped."""

@@ -306,7 +306,7 @@ def test_criterion_10_invariance_suite():
         return M
 
     b_model = PiecewiseConstantOdeModel(4, sampler)
-    a_model = TypeKFlipModel(b_model, 2, 2)
+    a_model = TypeKFlipModel(b_model, 2)
     stk = cont_state(44)
     u0k = np.array([0.5, 1.0, -0.7, -0.2])
     db, lsb = integrate(b_model, stk, u0k, 4.0)

@@ -196,8 +196,8 @@ class TestExactFlow:
 
     def test_typek_matches_dp5_twin(self):
         b_model = PiecewiseConstantOdeModel(4, typek_sampler)
-        a_model = TypeKFlipModel(b_model, 2, 2)
-        twin = TypeKFlipModel(adaptive_twin(b_model), 2, 2)
+        a_model = TypeKFlipModel(b_model, 2)
+        twin = TypeKFlipModel(adaptive_twin(b_model), 2)
         assert a_model.piece_matrix(cont_state(), 0.0, 0.5) is not None
         assert twin.piece_matrix(cont_state(), 0.0, 0.5) is None
         for seed in (1, 8):
@@ -261,7 +261,7 @@ class TestExactFlow:
         counts = []
         # 1000 steps in chunks of 256: three chunk boundaries fall inside cells
         for model in (PiecewiseConstantOdeModel(4, typek_sampler),
-                      TypeKFlipModel(PiecewiseConstantOdeModel(4, typek_sampler), 2, 2),
+                      TypeKFlipModel(PiecewiseConstantOdeModel(4, typek_sampler), 2),
                       CopyingModel(4, typek_sampler)):
             expms.clear()
             for _ in OdeCocycle(model, dt=0.1).step_blocks(cont_state(4), 1000):
@@ -652,11 +652,6 @@ class TestIrreducibility:
         with pytest.raises(ValueError, match="delta"):
             irreducibility_quantities(model, cont_state(), delta=0.0)
 
-    def test_bad_chain_rejected(self):
-        model = ConstantOdeModel(np.ones((3, 3)))
-        with pytest.raises(ValueError, match="chain"):
-            irreducibility_quantities(model, cont_state(), delta=1.0, chains=[[0, 1, 1], [1, 0, 2], [2, 0, 1]])
-
     def test_field_evaluated_only_by_the_grid_refinement(self):
         # the chain search and the upper bound read the coefficient values
         # of the final grid; the field is not evaluated there a second time
@@ -740,7 +735,7 @@ class TestIrreducibility:
 class TestTypeK:
     def test_sign_flip(self):
         B = ConstantOdeModel([[0.0, -1.0], [-1.0, 0.0]])
-        A = TypeKFlipModel(B, 1, 1)
+        A = TypeKFlipModel(B, 1)
         assert A.field(cont_state(), 0.0).tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_involution(self):
@@ -750,13 +745,13 @@ class TestTypeK:
         B[2:, :2] = -np.abs(B[2:, :2])
         B[:2, :2] = np.abs(B[:2, :2])
         B[2:, 2:] = np.abs(B[2:, 2:])
-        A = TypeKFlipModel(ConstantOdeModel(B), 2, 2)
+        A = TypeKFlipModel(ConstantOdeModel(B), 2)
         flip = A.flip
         assert np.array_equal(flip[:, None] * A.field(cont_state(), 0.0) * flip[None, :], B)
 
     def test_p1_violation_witnessed(self):
         B = ConstantOdeModel([[0.0, 1.0], [-1.0, 0.0]])  # positive cross-block entry
-        A = TypeKFlipModel(B, 1, 1)
+        A = TypeKFlipModel(B, 1)
         with pytest.raises(ValueError, match="type-K"):
             A.field(cont_state(), 0.0)
 
@@ -770,7 +765,7 @@ class TestTypeK:
             return M
 
         b_model = PiecewiseConstantOdeModel(4, sampler)
-        a_model = TypeKFlipModel(b_model, 2, 2)
+        a_model = TypeKFlipModel(b_model, 2)
         st = cont_state(33)
         flip = a_model.flip
         u0 = np.array([0.5, 1.0, -0.7, -0.2])
@@ -780,8 +775,14 @@ class TestTypeK:
         assert np.array_equal(da, flip * db)
 
     def test_dimension_validation(self):
-        with pytest.raises(ValueError, match="k"):
-            TypeKFlipModel(ConstantOdeModel(np.eye(3)), 2, 2)
+        # the flipped block is the last N - k coordinates: both blocks
+        # must be nonempty, so 1 <= k < N, and the size of the second is
+        # derived from N
+        for k in (-1, 0, 3, 4):
+            with pytest.raises(ValueError, match=rf"1 <= k < N = 3, got k = {k}$"):
+                TypeKFlipModel(ConstantOdeModel(np.eye(3)), k)
+        for k in (1, 2):
+            assert TypeKFlipModel(ConstantOdeModel(np.eye(3)), k).flip.tolist() == [1.0] * k + [-1.0] * (3 - k)
 
 
 class TestCallableModel:

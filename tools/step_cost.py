@@ -19,7 +19,11 @@ shift, with one probe and with two; "ode qr" is ``oseledets_qr`` and
 "ode sep" ``separation_estimate`` (warm-up 50) on the same ODE; "ode
 cfg" and "ode sep cfg" are those loops on the model that
 ``config.build_model`` makes for the ``ode-piecewise-uniform`` kind with
-the same ranges, whose cells come in block draws.  "kappa" and "kappa
+the same ranges, whose cells come in block draws.  The "ode read" rows
+time one read of 2000 flow maps through ``OdeCocycle.step_blocks``, the
+layer that a separation reading its maps afresh would pay twice where the
+store pays once, forward from the base point and backward to it, in us per
+map, on each of the two ODE models.  "kappa" and "kappa
 cfg" time one ``lambda1_via_kappa`` over the 2000 step directions of a
 forward walk (taken untimed), on each of the two ODE models.  The
 "output" rows time one whole ``estimate`` through ``run_command`` (the
@@ -156,6 +160,10 @@ def main(argv=None):
         directions = np.vstack([np.ones(3), forward_floquet(coc, omega, np.ones(3), T * coc.dt,
                                                             record_every=1).directions])
         loops.append((name, make, lambda coc, om, d=directions: lambda1_via_kappa(coc, om, d), (3,)))
+    for name, make in (("ode read", ode), ("ode read cfg", ode_cfg)):
+        for backward in (False, True):
+            loops.append((f"{name} {'bwd' if backward else 'fwd'}", make,
+                          lambda coc, om, b=backward: sum(len(maps) for maps, _ in coc.step_blocks(om, T, b)), (3,)))
     for name, make, run, sizes in loops:
         for n in sizes:
             best = float("inf")
@@ -164,7 +172,7 @@ def main(argv=None):
                 t0 = time.process_time()
                 run(coc, omega)
                 best = min(best, time.process_time() - t0)
-            print(f"{name:<11} N={n:<3} {1e6 * best / T:7.1f} us/step")
+            print(f"{name:<16} N={n:<3} {1e6 * best / T:7.1f} us/{'map' if name.startswith('ode read') else 'step'}")
 
     def best_of(run):
         best = float("inf")
