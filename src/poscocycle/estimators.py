@@ -11,9 +11,9 @@ its maps: ``step_blocks`` serves the scale-separated step maps as chunks
 be read more than once.  A cocycle is fixed by its one-step maps, so a
 replay reads its ``step_blocks`` afresh; only ``OdeCocycle`` overrides
 that, storing its flow maps, which are built once per chunk
-(``odes.flow_maps``: one expm per constant piece, and one DOP853 batch for
-the steps on smooth pieces or across a breakpoint) and read from the store
-in chunks of at most BLOCK_CELLS maps.
+(``odes.flow_maps``: one stacked expm for the chunk's constant pieces, and
+one DOP853 batch for the steps on smooth pieces or across a breakpoint)
+and read from the store in chunks of at most BLOCK_CELLS maps.
 Each step loop walks the maps of a chunk in place and frees the chunk
 before the next is built.  ``forward_floquet`` and ``oseledets_qr`` do per
 step only what the next step needs (the product, then the column norms and
@@ -28,7 +28,8 @@ through ``_forward``, which checks the orthant: so do both directions of
 ``separation_estimate``, the dual one over the transposed maps, latest
 step first, with the complement frame on its closed chunks.  QR (dgeqrf,
 dorgqr) and spectral norms (dgesdd) call the LAPACK gufuncs of
-``numpy.linalg`` without the wrappers, so the module loads no scipy.
+``numpy.linalg`` without the wrappers, so the module loads no scipy, and
+neither does ``odes``.
 
 Each command walks its steps once: ``forward_floquet`` takes a block of
 probes as columns and applies each step map to the block, so the warmed and
@@ -103,7 +104,8 @@ class OdeCocycle(_Cocycle):
     constant pieces and adaptive DOP853 at ``rtol`` elsewhere.  A chunk
     holds up to BLOCK_CELLS flow maps, walked against the chunk's
     breakpoints by ``flow_maps``: the steps inside one constant piece share
-    one expm, and the others propagate the identity as one DOP853 batch."""
+    one flow, the chunk's constant pieces are exponentiated as one stack,
+    and the other steps propagate the identity as one DOP853 batch."""
 
     def __init__(self, model: OdeModel, dt: float = 0.1, rtol: float = 1e-10):
         self.model = model

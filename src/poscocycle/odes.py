@@ -6,12 +6,15 @@ constructive irreducibility quantities of the time-1 map, whose
 Trajectories are Caratheodory solutions: ``propagate`` never steps across a
 coefficient discontinuity.  A piece on which the coefficient is constant
 (``OdeModel.piece_matrix``) gets the exact flow expm(h A), by scaling and
-squaring; ``expm`` loads scipy.linalg on its first call, so runs without a
-constant piece never load scipy.  Every other piece is integrated with the
-adaptive Runge-Kutta method DOP853 of Dormand and Prince (order 8, with
-Hairer's combined 5th- and 3rd-order error estimate).  Both renormalize the
-state as they go, accumulating the log of the extracted scale, so decaying
-or exploding trajectories never leave floating-point range.
+squaring; ``expm`` is numpy's diagonal Pade approximant of degree 13 over a
+stack of matrices, and the module loads no scipy.  The constant pieces of
+one ``propagate`` call, or of one ``flow_maps`` chunk, are exponentiated
+in one stacked call (``_with_flows``).  Every other piece is integrated
+with the adaptive Runge-Kutta method DOP853 of Dormand and Prince (order 8,
+with Hairer's combined 5th- and 3rd-order error estimate).  Both
+renormalize the state as they go, accumulating the log of the extracted
+scale, so decaying or exploding trajectories never leave floating-point
+range.
 
 There is one DOP853, ``_dop853``, which steps a batch of members in
 lockstep, each along its own chain of pieces with its own step size.  The
@@ -26,7 +29,7 @@ sampler's one cell, or the BLOCK_CELLS cells of one counter-addressed draw.
 
 ``flow_maps`` builds the one-step flow maps of a run of base points at once:
 it asks for the breakpoints of the whole window and for ``piece_matrix``
-once per constant piece, and the steps inside one piece share its expm.  A
+once per constant piece, and the steps inside one piece share its flow.  A
 model's ``piece_matrix`` must therefore hold on the whole piece it is asked
 about.  The steps left over, those across a breakpoint or on a smooth
 piece, go through ``_dop853`` as one batch, bit for bit what ``propagate``
@@ -45,7 +48,7 @@ import numpy as np
 
 from .drivers import BLOCK_CELLS, _two_sum
 from .errors import EstimationError
-from .matrices import AssumptionReport, _count, opnorm1
+from .matrices import AssumptionReport, _count
 from .stats import mean_ci
 
 # DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, 1993, Sec. II.10),
@@ -454,36 +457,72 @@ def _dop853(model, states, chains, Y, rtol):
     return out, np.array(total, dtype=float), counts[0], counts[1]
 
 
-def expm(A):
-    """scipy.linalg.expm, imported on the first exact piece: importing
-    scipy.linalg takes about 0.3 s, which runs without one never pay."""
-    from scipy.linalg import expm as scipy_expm
+# the coefficients b_0, ..., b_13 of the diagonal Pade approximant of
+# degree 13 to exp (Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+           129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+           40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 
-    return scipy_expm(A)
+
+def expm(A):
+    """The exponentials of the stack A (p, N, N), by the diagonal Pade
+    approximant r13 = (V - U)^-1 (V + U) of degree 13, without scaling: its
+    backward error is below unit roundoff while |A|_1 <= theta_13 = 5.37
+    (Higham 2005), which ``_exact_flow`` ensures.  A diagonal matrix takes
+    ``np.exp`` of its diagonal, as scipy.linalg.expm does, so exp(0) is I
+    exactly.  Each exponential depends on its own matrix alone, bit for bit."""
+    A = np.asarray(A, dtype=float)
+    p, n, _ = A.shape
+    off = A.reshape(p, n * n).copy()
+    off[:, ::n + 1] = 0.0
+    full = off.any(axis=1)  # not diagonal
+    E = np.zeros_like(A)
+    E.reshape(p, n * n)[~full, ::n + 1] = np.exp(A.reshape(p, n * n)[~full, ::n + 1])
+    if full.any():
+        M = A[full]
+        b = _PADE13
+        M2 = M @ M
+        M4 = M2 @ M2
+        M6 = M4 @ M2
+        U = M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2) + b[7] * M6 + b[5] * M4 + b[3] * M2
+        V = M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2) + b[6] * M6 + b[4] * M4 + b[2] * M2
+        U.reshape(len(M), n * n)[:, ::n + 1] += b[1]
+        V.reshape(len(M), n * n)[:, ::n + 1] += b[0]
+        U = M @ U
+        E[full] = np.linalg.solve(V - U, V + U)
+    return E
 
 
 def _exact_flow(A, t0, t1):
-    """expm(h A) over the piece (t0, t1) as (unit max-abs matrix, log scale).
+    """expm(h A) over the pieces (t0, t1) of the stack A (p, N, N), h = t1 -
+    t0 per matrix, as (unit max-abs matrices (p, N, N), log scales (p,)).
 
-    E = expm(h A / 2^s) with the smallest s making |h A / 2^s|_1 <= 4, then
-    s squarings, each preceded by pulling out the max-abs scale: the work is
-    logarithmic in |A| h and no entry overflows or underflows.
+    E = expm(h A / 2^s) with, per matrix, the smallest s making
+    |h A / 2^s|_1 <= 4, then s squarings, each preceded by pulling out the
+    max-abs scale: the work is logarithmic in |A| h and no entry overflows
+    or underflows.  The matrices are exponentiated in one ``expm`` call;
+    the rare ones with s > 0 are squared one by one.
     """
     h = t1 - t0
-    norm = h * opnorm1(A)
-    if not math.isfinite(norm):
-        raise EstimationError(f"non-finite coefficient on the piece ({t0:.6g}, {t1:.6g})")
-    s = math.ceil(math.log2(norm / 4.0)) if norm > 4.0 else 0
-    E = expm((h / 2.0 ** s) * A)
-    log_scale = 0.0
-    for squaring in range(s + 1):
-        m = float(np.abs(E).max())
-        E /= m
-        log_scale += math.log(m)
-        if squaring < s:
-            E = E @ E
-            log_scale *= 2.0
-    return E, log_scale
+    norm = h * np.abs(A).sum(axis=1).max(axis=1)
+    bad = np.flatnonzero(~np.isfinite(norm))
+    if len(bad):
+        raise EstimationError(f"non-finite coefficient on the piece ({t0[bad[0]]:.6g}, {t1[bad[0]]:.6g})")
+    s = np.array([math.ceil(math.log2(x / 4.0)) if x > 4.0 else 0 for x in norm.tolist()], dtype=np.intc)
+    E = expm(np.ldexp(h, -s)[:, None, None] * A)
+    m = np.abs(E).max(axis=(1, 2))
+    E /= m[:, None, None]
+    log_scales = [math.log(x) for x in m.tolist()]
+    for i in np.flatnonzero(s).tolist():
+        Ei = E[i]
+        for _ in range(s[i]):
+            Ei = Ei @ Ei
+            log_scales[i] *= 2.0
+            mi = float(np.abs(Ei).max())
+            Ei /= mi
+            log_scales[i] += math.log(mi)
+        E[i] = Ei
+    return E, log_scales
 
 
 def _knots(model, omega, t):
@@ -502,17 +541,34 @@ def _knots(model, omega, t):
 
 def _pieces(model, omega, t):
     """The pieces of [0, t] from ``omega`` between its ``_knots``, as
-    (a, b, flow): flow is ``_exact_flow`` when ``model.piece_matrix`` says
-    the coefficient is constant on the piece, else None.  [0, 0] is one
-    smooth sliver, which ``_dop853`` only rescales."""
+    (a, b, A): A is a copy of ``model.piece_matrix`` when the coefficient
+    is constant on the piece (a model may refill the array it returns),
+    else None.  [0, 0] is one smooth sliver, which ``_dop853`` only
+    rescales."""
     if t == 0:
         return [(0.0, 0.0, None)]
     knots = _knots(model, omega, t)
     pieces = []
     for a, b in zip(knots, knots[1:]):
         A = model.piece_matrix(omega, a, b)
-        pieces.append((a, b, None if A is None else _exact_flow(A, a, b)))
+        pieces.append((a, b, None if A is None else np.array(A, dtype=float)))
     return pieces
+
+
+def _with_flows(chains, pieces=()):
+    """The chains of ``_pieces``, each constant piece (a, b, A) as (a, b,
+    its ``_exact_flow``), and the flows (E (len, N, N), log scales) of the
+    constant ``pieces`` (a, b, A) besides: all of them from one stacked
+    ``_exact_flow`` call, ``pieces`` first, and none without a constant
+    piece."""
+    todo = [*pieces, *(piece for chain in chains for piece in chain if piece[2] is not None)]
+    if not todo:
+        return chains, (None, [])
+    a, b, A = zip(*todo)
+    E, log_scales = _exact_flow(np.stack(A), np.array(a), np.array(b))
+    flows = zip(E[len(pieces):], log_scales[len(pieces):])
+    chains = [[(a, b, None if A is None else next(flows)) for a, b, A in chain] for chain in chains]
+    return chains, (E[:len(pieces)], log_scales[:len(pieces)])
 
 
 def propagate(model: OdeModel, omega, Y, t, rtol=1e-10):
@@ -552,7 +608,7 @@ def propagate(model: OdeModel, omega, Y, t, rtol=1e-10):
         Y = Y[:, None]
     if not np.any(Y):
         raise ValueError("initial condition must be nonzero")
-    chains = [_pieces(model, w, tj) for w, tj in zip(omega, times)]
+    chains, _ = _with_flows([_pieces(model, w, tj) for w, tj in zip(omega, times)])
     Ys, log_scales, _, _ = _dop853(model, omega, chains, np.broadcast_to(Y, (len(times), *Y.shape)), rtol)
     if squeeze:
         Ys = Ys[:, :, 0]
@@ -572,7 +628,7 @@ def flow_maps(model: OdeModel, states, dt, rtol=1e-10, last=None, backward=False
     ``propagate`` returns for it: E @ I is E, and max |E| is 1.  ``last``
     is (a copy of A, its unit flow) for the last constant piece walked,
     taken from and returned to the caller, so a piece whose matrix equals
-    it, within the chunk or at the start of the next, takes no expm of its
+    it, within the chunk or at the start of the next, takes no flow of its
     own.  The walk goes from the last step to the first with ``backward``,
     so that ``last`` is then the chunk's first piece, where the read's
     next (earlier) chunk ends.  A step across a breakpoint, or on a smooth
@@ -580,7 +636,10 @@ def flow_maps(model: OdeModel, states, dt, rtol=1e-10, last=None, backward=False
     ``_dop853`` batch.  A step whose end lies within ``_NEAR`` dt of a
     breakpoint or of the window's ends is judged by its own ``_knots``,
     since rounding places the window's breakpoints and the step's a few
-    ulps apart.
+    ulps apart.  The walk only collects: the flows of the chunk's new
+    constant pieces and of the constant pieces of the propagated steps
+    come from one stacked ``_exact_flow`` call after it, and the whole
+    steps are filled from them by indexing.
     """
     k = len(states)
     span = k * dt
@@ -598,20 +657,34 @@ def flow_maps(model: OdeModel, states, dt, rtol=1e-10, last=None, backward=False
     pieces = np.searchsorted(edges, starts + 0.5 * dt, side="right") - 1
     walk = list(zip(range(k), states, pieces.tolist(), across.tolist(), doubtful.tolist()))
     maps, log_scales = np.empty((k, model.n, model.n)), np.empty(k)
-    piece = flow = None  # the piece of the last whole step, and its unit flow (None if smooth)
+    held = None if last is None else last[0]  # the matrix of the last constant piece walked
+    # the piece of the last whole step, and the slot of its flow: i for the
+    # i-th new piece, -1 for the flow carried in, None on a smooth piece
+    piece = slot = None
+    new, whole, slots = [], [], []  # the new constant pieces; the whole steps and their slots
     todo, chains = [], []  # the steps to propagate, and their pieces
     for j, state, i, cross, doubt in walk[::-1] if backward else walk:
         if not cross:
             if i != piece:
                 piece, A = i, model.piece_matrix(states[0], float(edges[i]), float(edges[i + 1]))
-                if A is not None and (last is None or not np.array_equal(last[0], A)):
-                    last = (A.copy(), _exact_flow(A, 0.0, dt))  # a model may refill A
-                flow = None if A is None else last[1]
-            if flow is not None and not (doubt and len(_knots(model, state, dt)) > 2):
-                maps[j], log_scales[j] = flow
+                if A is not None and (held is None or not np.array_equal(held, A)):
+                    held = np.array(A, dtype=float)  # a model may refill A
+                    new.append((0.0, dt, held))
+                slot = None if A is None else len(new) - 1
+            if slot is not None and not (doubt and len(_knots(model, state, dt)) > 2):
+                whole.append(j)
+                slots.append(slot)
                 continue
         todo.append(j)
         chains.append(_pieces(model, state, dt))
+    chains, (E, ls) = _with_flows(chains, new)
+    if whole:
+        if last is not None:  # slot -1: the flow carried in
+            E = last[1][0][None] if E is None else np.concatenate([E, last[1][0][None]])
+            ls = [*ls, last[1][1]]
+        maps[whole], log_scales[whole] = E[slots], np.array(ls)[slots]
+    if new:
+        last = (held, (E[len(new) - 1], ls[len(new) - 1]))
     if todo:
         eye = np.broadcast_to(np.eye(model.n), (len(todo), model.n, model.n))
         maps[todo], log_scales[todo], _, _ = _dop853(model, [states[j] for j in todo], chains, eye, rtol)

@@ -333,12 +333,13 @@ class TestPipelines:
         # route reads the warmed probe's rows: 50 + 1000 flow maps, not 3100.
         # A unit cell holds 10 steps, which share one expm and need no
         # DOP853 batch: 105 cells for the estimate, and 110 for separate's
-        # 50 + 1000 + 50 steps, each map built once.  The cells come in
+        # 50 + 1000 + 50 steps, each map built once, in one stacked expm
+        # call per chunk (stacks holds their sizes).  The cells come in
         # blocks of BLOCK_CELLS, one draw each and no per-cell Generator:
         # the estimate reads cells -5..99 and separate -5..104: blocks -1 and
         # 0, one draw each
-        maps, calls, draws = [], {"expm": 0, "_dop853": 0}, {"_prf": 0, "cell_uniforms": 0}
-        step_blocks = estimators.OdeCocycle.step_blocks
+        maps, stacks, calls, draws = [], [], {"_dop853": 0}, {"_prf": 0, "cell_uniforms": 0}
+        step_blocks, expm = estimators.OdeCocycle.step_blocks, odes.expm
 
         def counted_blocks(*args, **kwargs):
             for chunk in step_blocks(*args, **kwargs):
@@ -356,7 +357,12 @@ class TestPipelines:
         def counted_draw(name):
             return counted(name, drivers, draws)
 
+        def counted_expm(A):
+            stacks.append(len(A))
+            return expm(A)
+
         monkeypatch.setattr(estimators.OdeCocycle, "step_blocks", counted_blocks)
+        monkeypatch.setattr(odes, "expm", counted_expm)
         for name in calls:
             monkeypatch.setattr(odes, name, counted(name))
         for name in draws:
@@ -366,14 +372,16 @@ class TestPipelines:
                                          "diag": [-1.0, 0.5], "offdiag": [0.0, 1.0]},
                                "estimator": {"horizon": 100.0, "dt": 0.1}})
         res = run_command("estimate", cfg, out_dir=tmp_path)["results"]
-        assert sum(maps) == 50 + 1000 and calls == {"expm": 105, "_dop853": 0}
+        assert sum(maps) == 50 + 1000 and sum(stacks) == 105 and len(stacks) == len(maps)
+        assert calls == {"_dop853": 0}
         assert draws == {"_prf": 0, "cell_uniforms": 2}
         assert abs(res["lambda1_kappa_route"]["value"] - res["lambda1"]["value"]) < 5e-3
         maps.clear()
-        calls.update(expm=0)
+        stacks.clear()
         draws.update(cell_uniforms=0)
         run_command("separate", cfg, out_dir=tmp_path)
-        assert sum(maps) == 50 + 1000 + 50 and calls == {"expm": 110, "_dop853": 0}
+        assert sum(maps) == 50 + 1000 + 50 and sum(stacks) == 110 and len(stacks) == len(maps)
+        assert calls == {"_dop853": 0}
         assert draws == {"_prf": 0, "cell_uniforms": 2}
 
     def test_only_oseledets_runs_a_qr_per_step(self, tmp_path, monkeypatch):
@@ -722,21 +730,20 @@ class TestCliProcess:
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == "[]"
 
-    @pytest.mark.parametrize("model, loaded", [
-        ({"kind": "uniform-entries", "n": 3, "lo": 0.5, "hi": 2.0}, ["False", "False"]),
-        ({"kind": "ode-piecewise-uniform", "n": 2, "diag": [-0.5, 0.5], "offdiag": [0.1, 1.0]},
-         ["True", "True"]),
+    @pytest.mark.parametrize("model", [
+        {"kind": "uniform-entries", "n": 3, "lo": 0.5, "hi": 2.0},
+        {"kind": "ode-piecewise-uniform", "n": 2, "diag": [-0.5, 0.5], "offdiag": [0.1, 1.0]},
     ], ids=["uniform-entries", "ode-piecewise-uniform"])
-    def test_scipy_loaded_only_for_exact_pieces(self, tmp_path, model, loaded):
-        # the exact flow of a constant ODE piece is the library's only scipy
-        # call: (any scipy module, scipy.linalg) after one estimate run
+    def test_estimate_loads_no_scipy(self, tmp_path, model):
+        # the exact flow of a constant ODE piece is numpy's own expm: no
+        # scipy module is loaded after one estimate run, matrix or ODE
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"model": model, "estimator": {"horizon": 5, "warmup": 5}}))
         r = run_python("-c", "import sys; from poscocycle import cli; "
                        f"code = cli.main(['estimate', '--config', {str(p)!r}, '--out', {str(tmp_path)!r}]); "
-                       "print(code, 'scipy' in sys.modules, 'scipy.linalg' in sys.modules)")
+                       "print(code, sorted(n for n in sys.modules if n.partition('.')[0] == 'scipy'))")
         assert r.returncode == 0, r.stderr
-        assert r.stdout.split()[-3:] == ["0", *loaded]
+        assert r.stdout.splitlines()[-1] == "0 []"
 
     def test_separate_without_warmup(self, tmp_path):
         p = tmp_path / "cfg.json"

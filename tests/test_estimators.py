@@ -394,7 +394,8 @@ class TestForwardFloquet:
         # T + 2 * warmup maps over the two reads, with one expm per unit cell
         # each read's steps cross (3 over [0, 3], 1 + 4 over [-0.7, 0] and
         # [0, 3.7]).  Over the adjoint, which stores nothing, the two walks
-        # read their maps afresh: 2 T + 2 * warmup maps.
+        # read their maps afresh: 2 T + 2 * warmup maps.  expms holds the
+        # size of each stacked expm call, one per chunk built.
         maps, expms = [], []
         step_blocks, expm = OdeCocycle.step_blocks, odes.expm
 
@@ -404,7 +405,7 @@ class TestForwardFloquet:
                 yield chunk
 
         def counted_expm(A):
-            expms.append(1)
+            expms.append(len(A))
             return expm(A)
 
         monkeypatch.setattr(OdeCocycle, "step_blocks", counted_blocks)
@@ -414,7 +415,7 @@ class TestForwardFloquet:
             expms.clear()
             model = PiecewiseConstantOdeModel(3, cooperative_sampler(3, -1.0, 1.0, 0.0, 1.0))
             separation_estimate(OdeCocycle(model, dt=0.1), cont_state(4), 3.0, warmup=warmup)
-            assert sum(maps) == 30 + 2 * warmup and len(expms) == cells
+            assert sum(maps) == 30 + 2 * warmup and sum(expms) == cells and len(expms) == len(maps)
             maps.clear()
             separation_estimate(OdeCocycle(model, dt=0.1).dual(), cont_state(4), 3.0, warmup=warmup)
             assert sum(maps) == 2 * 30 + 2 * warmup
@@ -422,11 +423,12 @@ class TestForwardFloquet:
     def test_backward_read_takes_one_expm_per_cell(self, monkeypatch):
         # 1000 steps at dt = 0.1 cover 100 unit cells either way; a cell
         # that straddles two chunks shares one expm in a backward read too,
-        # where the chunks come latest first
+        # where the chunks come latest first.  expms holds the size of each
+        # stacked expm call, one per chunk of 256 steps.
         expms, expm = [], odes.expm
 
         def counted_expm(A):
-            expms.append(1)
+            expms.append(len(A))
             return expm(A)
 
         monkeypatch.setattr(odes, "expm", counted_expm)
@@ -434,7 +436,7 @@ class TestForwardFloquet:
         for backward in (False, True):
             expms.clear()
             assert sum(len(maps) for maps, _ in coc.step_blocks(cont_state(4), 1000, backward)) == 1000
-            assert len(expms) == 100, backward
+            assert sum(expms) == 100 and len(expms) == 4, backward
 
     def test_batch_error_names_the_member(self):
         # one step of a chunk meets a NaN field on its second piece: the

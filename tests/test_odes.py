@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from poscocycle import drivers, odes
+from poscocycle.config import build_model
 from poscocycle.drivers import BLOCK_CELLS, IidShift, TorusRotation
 from poscocycle.errors import EstimationError
 from poscocycle.estimators import OdeCocycle, forward_floquet, separation_estimate
@@ -208,7 +209,8 @@ class TestExactFlow:
                 assert flow_gap(exact, adaptive) <= 1e-8, (seed, t)
 
     def test_one_draw_and_one_expm_per_cell(self, monkeypatch):
-        draws, expms = [], []
+        # expms holds the size of each stacked expm call
+        draws, expms, stacked = [], [], odes.expm
         inner = cooperative_sampler(3, -1.0, 0.5, 0.0, 1.0)
 
         def sampler(rng):
@@ -216,8 +218,8 @@ class TestExactFlow:
             return inner(rng)
 
         def counted_expm(M):
-            expms.append(1)
-            return expm(M)
+            expms.append(len(M))
+            return stacked(M)
 
         monkeypatch.setattr(odes, "expm", counted_expm)
         model = PiecewiseConstantOdeModel(3, sampler)
@@ -231,7 +233,8 @@ class TestExactFlow:
             grazing += math.ceil(p + 0.1) - math.floor(p) - 1
             state = state.advance(0.1)
         assert grazing >= 1  # the run has such a step
-        assert len(draws) == 10 and len(expms) == 10
+        # the 100 steps are one chunk: one stacked call for its 10 cells
+        assert len(draws) == 10 and expms == [10]
 
     def test_cell_boundaries_fall_on_step_ends(self):
         # dt = 0.1 is not a binary fraction, so positions drift off the cell
@@ -247,11 +250,11 @@ class TestExactFlow:
         assert bps.size == 1 and abs(bps[0] - 0.05) < 1e-12
 
     def test_typek_flip_shares_expm(self, monkeypatch):
-        expms = []
+        expms, stacked = [], odes.expm  # the size of each stacked expm call
 
         def counted_expm(M):
-            expms.append(1)
-            return expm(M)
+            expms.append(len(M))
+            return stacked(M)
 
         class CopyingModel(PiecewiseConstantOdeModel):
             def piece_matrix(self, state, t0, t1):
@@ -259,15 +262,16 @@ class TestExactFlow:
 
         monkeypatch.setattr(odes, "expm", counted_expm)
         counts = []
-        # 1000 steps in chunks of 256: three chunk boundaries fall inside cells
+        # 1000 steps in chunks of 256: three chunk boundaries fall inside
+        # cells; one stacked call per chunk
         for model in (PiecewiseConstantOdeModel(4, typek_sampler),
                       TypeKFlipModel(PiecewiseConstantOdeModel(4, typek_sampler), 2),
                       CopyingModel(4, typek_sampler)):
             expms.clear()
             for _ in OdeCocycle(model, dt=0.1).step_blocks(cont_state(4), 1000):
                 pass
-            counts.append(len(expms))
-        assert counts == [100, 100, 100]
+            counts.append((sum(expms), len(expms)))
+        assert counts == [(100, 4)] * 3
 
     def test_field_read_only(self):
         pw = coop_pw_model()
@@ -302,6 +306,132 @@ class TestExactFlow:
         model = PiecewiseConstantOdeModel(2, sampler)
         with pytest.raises(EstimationError, match=r"non-finite coefficient on the piece \(0, 0\.6\)"):
             propagate(model, cont_state().advance(0.4), np.eye(2), 1.0)
+
+
+U_ROUND = np.finfo(float).eps / 2
+
+
+def pade13_error_bound(A):
+    """A bound on |r - e^A|_1 for a computed diagonal Pade approximant r =
+    q^-1 p of degree 13 to e^A, a = |A|_1 <= theta_13 (Higham, SIAM J.
+    Matrix Anal. Appl. 26 (2005) 1179), p and q normalised to p(0) = q(0)
+    = I, with gamma_k = k u / (1 - k u):
+    - truncation: r13(A) = e^(A + dA) with |dA|_1 <= u a, so r13(A) lies
+      within u a e^(a + u a) of e^A;
+    - rounding: an entry of p or q takes at most 5 N + 7 roundings (N, 2 N
+      and 3 N for A^2, A^4 and A^6, N for each of the two products after,
+      and the sums of at most four terms and I), so each is computed
+      within gamma_(5N+7) times its series with absolute coefficients at
+      a, at most e^(a/2), and so at most e^a times its own norm (its
+      eigenvalues lie near e^(+-lambda/2), |lambda| <= a); LU with partial
+      pivoting adds a backward error of at most N gamma_3N relative; and
+      q^-1 p moves by at most kappa_1(q) times the sum of these relative
+      errors, relative to |r|_1.
+    It is derived, not fitted to what numpy or scipy return."""
+    n, a = len(A), float(np.abs(A).sum(axis=0).max())
+    b = odes._PADE13
+    q = sum(b[j] / b[0] * np.linalg.matrix_power(-A, j) for j in range(14))
+
+    def gamma(k):
+        return k * U_ROUND / (1 - k * U_ROUND)
+
+    r_norm = float(np.abs(expm(A)).sum(axis=0).max())
+    rounding = np.linalg.cond(q, 1) * (2 * gamma(5 * n + 7) * math.exp(a) + n * gamma(3 * n))
+    return U_ROUND * a * math.exp(a + U_ROUND * a) + rounding * r_norm
+
+
+def scaled(A, norm):
+    """A scaled to |A|_1 = norm."""
+    return A * (norm / np.abs(A).sum(axis=-2).max(axis=-1))[..., None, None]
+
+
+class TestExpm:
+    """``odes.expm``, the stacked Pade-13, against scipy.linalg.expm.  At
+    these norms scipy takes one Pade step of degree at most 13, without
+    squaring, whose denominator approximates e^(-A/2) as q13 does, so its
+    error obeys the bound of ``pade13_error_bound`` too, and the two lie
+    within twice it of each other."""
+
+    def assert_matches_scipy(self, stack):
+        got = odes.expm(stack)
+        for A, E in zip(stack, got):
+            gap = float(np.abs(E - expm(A)).sum(axis=0).max())
+            assert gap <= 2 * pade13_error_bound(A), (gap, A)
+
+    def test_cooperative_tenths(self):
+        # 200 matrices 0.1 A, A cooperative at N = 3, as one stack
+        rng = np.random.default_rng(0)
+        sample = cooperative_sampler(3, -2.0, 1.0, 0.0, 1.5)
+        self.assert_matches_scipy(0.1 * np.stack([sample(rng) for _ in range(200)]))
+
+    def test_norms_up_to_four(self):
+        # general signs, 1-norms from 0.01 up to exactly 4, the largest
+        # that ``_exact_flow`` hands on
+        rng = np.random.default_rng(1)
+        norms = np.concatenate([np.geomspace(0.01, 4.0, 40), [4.0] * 10])
+        for n in (2, 3, 5):
+            self.assert_matches_scipy(scaled(rng.standard_normal((50, n, n)), norms))
+
+    def test_non_normal_and_large(self):
+        rng = np.random.default_rng(2)
+        jordan = np.diag([-1.0, -1.0, -1.0, -1.0]) + np.diag([1.0, 1.0, 1.0], 1)
+        shear = np.array([[-3.0, 1e3], [0.0, -2.5]])
+        upper = np.triu(rng.uniform(-1.0, 1.0, (6, 6)), 1) * 50 + np.diag(rng.uniform(-2.0, 0.0, 6))
+        for A in (jordan, shear, upper):
+            self.assert_matches_scipy(scaled(np.stack([A, A.T]), np.array([1.0, 4.0])))
+        sample = cooperative_sampler(24, -1.0, 0.5, 0.0, 1.0)
+        big = np.stack([*(0.1 * sample(rng) for _ in range(3)), rng.standard_normal((24, 24))])
+        self.assert_matches_scipy(scaled(big, np.array([0.5, 2.0, 4.0, 4.0])))
+
+    def test_diagonal_is_exact(self):
+        # exp of the diagonal, so exp(0) is I exactly and not an ulp off
+        D = np.stack([np.zeros((3, 3)), np.diag([-4.0, 0.0, 1.5])])
+        assert np.array_equal(odes.expm(D), np.stack([np.eye(3), np.diag(np.exp([-4.0, 0.0, 1.5]))]))
+        assert np.array_equal(odes.expm(D), expm(D))
+
+    def test_stack_is_its_members(self):
+        # a member's exponential does not depend on the stack around it,
+        # and neither does its exact flow, squarings included
+        rng = np.random.default_rng(3)
+        sample = cooperative_sampler(3, -2.0, 1.0, 0.0, 1.5)
+        stack = np.stack([*(sample(rng) for _ in range(8)), np.zeros((3, 3)), np.diag([1.0, -2.0, 0.5]),
+                          scaled(rng.standard_normal((3, 3)), 4.0)])
+        E = odes.expm(stack)
+        for i in range(len(stack)):
+            assert np.array_equal(E[i], odes.expm(stack[i:i + 1])[0]), i
+        t0, t1 = np.zeros(len(stack)), np.linspace(0.1, 30.0, len(stack))  # up to s = 6 squarings
+        F, ls = odes._exact_flow(stack, t0, t1)
+        for i in range(len(stack)):
+            Fi, lsi = odes._exact_flow(stack[i:i + 1], t0[i:i + 1], t1[i:i + 1])
+            assert np.array_equal(F[i], Fi[0]) and ls[i] == lsi[0], i
+
+    def test_nonfinite_member_names_its_piece(self):
+        # a stack of pieces from three base points; the one NaN coefficient
+        # is named by its own piece, (0.6, 1) of the third
+        class OneBadCell(PiecewiseConstantOdeModel):
+            def piece_matrix(self, state, t0, t1):
+                A = super().piece_matrix(state, t0, t1)
+                return A * np.nan if state.advance(0.5 * (t0 + t1)).index == 3 else A
+
+        model = OneBadCell(2, cooperative_sampler(2, -1.0, 1.0, 0.0, 1.0))
+        bases = [cont_state().advance(x) for x in (0.4, 1.4, 2.4)]
+        propagate(model, bases[:2], np.eye(2), [1.0, 1.0])
+        with pytest.raises(EstimationError, match=r"non-finite coefficient on the piece \(0\.6, 1\)"):
+            propagate(model, bases, np.eye(2), [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("model", [
+        {"kind": "ode-piecewise-uniform", "n": 3, "diag": [-1.0, 0.5], "offdiag": [0.0, 1.0]},
+        {"kind": "ode-piecewise-uniform", "n": 2, "diag": [-0.5, 0.5], "offdiag": [0.1, 1.0]},
+    ], ids=["n3", "n2"])
+    def test_metzler_flow_maps_nonnegative(self, model):
+        # the flow of a cooperative (Metzler) piece is a nonnegative matrix;
+        # the ode-piecewise configs' maps keep that in floating point
+        _, m = build_model({"model": model})
+        coc = OdeCocycle(m, dt=0.1)
+        for seed in (100, 200, 300):
+            for backward in (False, True):
+                for maps, _ in coc.step_blocks(cont_state(seed), 1000, backward):
+                    assert (maps >= 0.0).all(), seed
 
 
 class TestCells:

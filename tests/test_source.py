@@ -1,7 +1,7 @@
 """Source hygiene: every import in the package, the demos, the tools and
-the tests is used, at module level or inside a function, every private
-name the package defines is read somewhere, and every public name it
-defines is read outside the tests."""
+the tests is used, at module level or inside a function, the package
+imports no scipy module, every private name the package defines is read
+somewhere, and every public name it defines is read outside the tests."""
 
 import ast
 from pathlib import Path
@@ -45,6 +45,29 @@ def test_unused_imports_found():
                          ids=lambda p: p.name if p in MODULES else f"{p.parent.name}/{p.name}")
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def scipy_imports(source):
+    """(line, module) of each import of a scipy module, at any level."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name.partition(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.partition(".")[0] == "scipy":
+            found.append((node.lineno, node.module))
+    return sorted(found)
+
+
+def test_scipy_imports_found():
+    source = ("import os\nimport scipy.linalg as sl\nfrom .stats import mean_ci\ndef f():\n"
+              "    from scipy import stats\n    import numpy, scipy\n    from scipy.linalg import expm\n")
+    assert scipy_imports(source) == [(2, "scipy.linalg"), (5, "scipy"), (6, "scipy"), (7, "scipy.linalg")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_imports_no_scipy(path):
+    # scipy is a test dependency only: the tests use it as an oracle
+    assert scipy_imports(path.read_text()) == []
 
 
 def _private(name):

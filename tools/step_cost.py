@@ -43,6 +43,15 @@ rows time the DOP853 layer on the torus oracle's smooth pieces: a read of
 per map, at rtol 1e-6 and 1e-10 (DOP853 integrates a chunk's maps as one
 batch), and the battery's propagator item at that base point: one batched
 ``integrate`` over its eight horizons 1.25, ..., 10 at rtol 1e-10, in ms.
+The "expm" rows time ``odes.expm`` on matrices 0.1 A, A a cell of the
+piecewise-constant ODE above (the exponent of one dt-step), in us per
+matrix: one matrix per call, and stacks of 26, about the new constant
+pieces of one chunk of 256 steps.  The "cold estimate" row runs the CLI
+``estimate`` on the ode-piecewise-uniform config above (seed 1, T = 100,
+dt = 0.1) in a fresh process, as a user runs it: on every CPU of this
+process's start and with BLAS threads left at their default; it prints
+the fastest and slowest wall time of 5 runs, in s, and the largest peak
+resident set of the child, in MB.
 The process pins itself to one CPU and BLAS to one thread; alternate the
 checkouts and take each one's range, since the CPU speed of a shared
 machine drifts.
@@ -60,14 +69,18 @@ scale per step, so its peak grows with the horizon by that much.
 from __future__ import annotations
 
 import argparse
+import json
 import os
+import subprocess
 import sys
 import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
-for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+USER_ENV = {k: v for k, v in os.environ.items() if k not in THREADS}  # BLAS threads at their default
+for var in THREADS:
     os.environ[var] = "1"
 
 HORIZON = 2000  # steps per run
@@ -87,6 +100,9 @@ CHECKS = {
             {"n_samples": 300}),
 }
 TORUS_MAPS = 512  # flow maps per torus read
+STACK = 26  # matrices per stacked expm call: about the new constant pieces of one 256-step chunk
+COLD = ["-c", "import resource, sys; from poscocycle.cli import main; code = main(sys.argv[1:]); "
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(code)"]
 REPEATS = 5  # runs per loop and size; the fastest is kept
 
 
@@ -97,8 +113,9 @@ def main(argv=None):
                    help="print the tracemalloc peak bytes of separation_estimate at two horizons, "
                         "matrix and ODE")
     args = p.parse_args(argv)
-    if hasattr(os, "sched_setaffinity"):
-        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    if cpus:
+        os.sched_setaffinity(0, {min(cpus)})
     sys.path.insert(0, args.src)
     import numpy as np
     from poscocycle.config import build_model, validate_config
@@ -106,7 +123,7 @@ def main(argv=None):
     from poscocycle.estimators import (MatrixCocycle, OdeCocycle, _adjoint_sweep, forward_floquet,
                                        lambda1_via_kappa, oseledets_qr, separation_estimate)
     from poscocycle.matrices import UniformEntriesModel
-    from poscocycle.odes import PiecewiseConstantOdeModel, cooperative_sampler, integrate
+    from poscocycle.odes import PiecewiseConstantOdeModel, cooperative_sampler, expm, integrate
     from poscocycle.pipelines import run_command
     from poscocycle.reporting import format_result
     from poscocycle.torus import TorusExampleModel
@@ -199,6 +216,26 @@ def main(argv=None):
     for name, doc in docs.items():
         best = best_of(lambda: format_result(doc))
         print(f"write      {name:<10} {1e3 * best:7.2f} ms")
+
+    sample, rng = cooperative_sampler(3, -1.0, 0.5, 0.0, 1.0), np.random.default_rng(1)
+    cells = 0.1 * np.stack([sample(rng) for _ in range(T // STACK * STACK)])
+    for size in (1, STACK):
+        best = best_of(lambda: [expm(cells[i:i + size]) for i in range(0, len(cells), size)])
+        print(f"expm       stack {size:<4} {1e6 * best / len(cells):7.1f} us/matrix")
+    with tempfile.TemporaryDirectory() as out:
+        config = Path(out) / "ode.json"
+        config.write_text(json.dumps({"seed": 1, "model": CHECKS["ode"][0],
+                                      "estimator": {"horizon": 100.0, "dt": 0.1}}))
+        env = {**USER_ENV, "PYTHONPATH": os.pathsep.join([args.src, *filter(None, [USER_ENV.get("PYTHONPATH")])])}
+        walls, rss = [], 0
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            run = subprocess.run([sys.executable, *COLD, "estimate", "--config", str(config), "--out", out], env=env,
+                                 capture_output=True, text=True, check=True,
+                                 preexec_fn=(lambda: os.sched_setaffinity(0, cpus)) if cpus else None)
+            walls.append(time.perf_counter() - t0)
+            rss = max(rss, int(run.stdout.split()[-1]))  # KiB on Linux
+        print(f"cold estimate          {min(walls):7.3f}-{max(walls):.3f} s  {rss / 1024:5.1f} MB")
 
     torus, omega = TorusExampleModel(), TorusRotation().initial(0)
     for rtol in (1e-6, 1e-10):
