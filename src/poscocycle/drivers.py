@@ -31,7 +31,8 @@ A stream cell is served in one of two ways:
   and so does the torus base point.
 
 States are immutable values carrying a reference to their system; advancing
-returns a new state.
+returns a new state.  ``advance_steps`` adds k steps of dt exactly, as k
+single steps do.
 """
 
 from __future__ import annotations
@@ -90,6 +91,21 @@ def _two_sum(hi: float, lo: float, t: float) -> tuple[float, float]:
     hi2 = s + lo
     lo2 = lo - (hi2 - s)
     return hi2, lo2
+
+
+def advance_steps(state, steps: int, dt):
+    """The base point ``steps`` steps of ``dt`` from ``state``, bit for bit
+    where ``steps`` single advances by +-dt reach: the product steps * dt,
+    then its rounding error, each added by the driver's compensated sum, so
+    the sum is exact.  The error is Dekker's (Numer. Math. 18 (1971)
+    224-242): each factor split in halves whose partial products are exact."""
+    p = steps * dt
+    ca, cb = 134217729.0 * steps, 134217729.0 * dt  # 2^27 + 1
+    ah, bh = ca - (ca - steps), cb - (cb - dt)
+    al, bl = steps - ah, dt - bh
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    state = state.advance(p)
+    return state.advance(e) if e else state
 
 
 def _frac01(x: float) -> float:

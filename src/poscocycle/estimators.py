@@ -6,14 +6,11 @@ verdict on finite-horizon means.
 
 Estimators read a cocycle over a matrix model, an ODE model (the flow
 over a fixed dt) or the ``AdjointCocycle`` of either through one stream of
-its maps: ``step_blocks`` serves the scale-separated step maps as chunks
-(maps (k, N, N), log_scales (k,)), and ``replay`` serves a range of them to
-be read more than once.  A cocycle is fixed by its one-step maps, so a
-replay reads its ``step_blocks`` afresh; only ``OdeCocycle`` overrides
-that, storing its flow maps, which are built once per chunk
-(``odes.flow_maps``: one stacked expm for the chunk's constant pieces, and
-one DOP853 batch for the steps on smooth pieces or across a breakpoint)
-and read from the store in chunks of at most BLOCK_CELLS maps.
+its maps: ``step_blocks(omega, lo, hi)`` serves the scale-separated maps of
+steps [lo, hi) as chunks (maps (k, N, N), log_scales (k,)), naming step k's
+base point ``advance(omega, k)``, exactly k dt on, however a read reaches
+it.  A ``replay`` is ``step_blocks`` bound to omega; only ``OdeCocycle``
+stores its flow maps instead, built once per chunk (``odes.flow_maps``).
 Each step loop walks the maps of a chunk in place and frees the chunk
 before the next is built.  ``forward_floquet`` and ``oseledets_qr`` do per
 step only what the next step needs (the product, then the column norms and
@@ -44,12 +41,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .drivers import BLOCK_CELLS
+from .drivers import BLOCK_CELLS, advance_steps
 from .errors import EstimationError, PositivityViolation
 from .matrices import MatrixModel, _count
 from .odes import OdeModel, _unit_scaled, flow_maps
@@ -61,22 +59,23 @@ from .stats import batch_means
 
 
 class _Cocycle:
-    """Shared protocol: base points step by ``dt``; the dual is the adjoint."""
+    """Shared protocol: step k from omega has the one base point
+    ``advance(omega, k)``; the dual is the adjoint.  ``step_blocks(omega,
+    lo, hi, backward=False)`` yields the maps of steps [lo, hi) in chunks of
+    at most BLOCK_CELLS, in step order, or with ``backward`` latest first."""
 
     def advance(self, state, steps=1):
-        return state.advance(steps * self.dt)
+        return advance_steps(state, steps, self.dt)
 
     def dual(self):
         return AdjointCocycle(self)
 
     def replay(self, omega, lo, hi):
         """A source of the maps of steps [lo, hi) from ``omega`` that may be
-        read more than once: ``blocks(a, b, backward=False)`` gives the
-        ``step_blocks`` of steps [a, b).  A cocycle is fixed by its one-step
-        maps, so every read takes them afresh and nothing is stored."""
-        def blocks(a, b, backward=False):
-            return self.step_blocks(self.advance(omega, b if backward else a), b - a, backward)
-        return blocks
+        read more than once, as ``blocks(a, b, backward=False)``: a cocycle
+        is fixed by its one-step maps, so a read is ``step_blocks`` afresh
+        and nothing is stored."""
+        return partial(self.step_blocks, omega)
 
 
 class MatrixCocycle(_Cocycle):
@@ -90,22 +89,17 @@ class MatrixCocycle(_Cocycle):
         self.dt = 1
         self.cone_tol = 1e-12
 
-    def step_blocks(self, state, count, backward=False):
-        """The maps of the ``count`` steps from ``state`` as chunks in step
-        order; with ``backward``, of the ``count`` steps before ``state``,
-        latest chunk first (``MatrixModel.chunks``)."""
-        for maps in self.model.chunks(state, count, backward):
+    def step_blocks(self, omega, lo, hi, backward=False):
+        for maps in self.model.chunks(self.advance(omega, lo), hi - lo, backward):
             yield maps, np.zeros(len(maps))
             del maps  # freed before the next chunk is emitted
 
 
 class OdeCocycle(_Cocycle):
     """Continuous cocycle sampled at a fixed step dt: the exact flow on
-    constant pieces and adaptive DOP853 at ``rtol`` elsewhere.  A chunk
-    holds up to BLOCK_CELLS flow maps, walked against the chunk's
-    breakpoints by ``flow_maps``: the steps inside one constant piece share
-    one flow, the chunk's constant pieces are exponentiated as one stack,
-    and the other steps propagate the identity as one DOP853 batch."""
+    constant pieces and adaptive DOP853 at ``rtol`` elsewhere.  A chunk of
+    up to BLOCK_CELLS flow maps, cut at lo + multiples of BLOCK_CELLS, is
+    built by ``flow_maps`` from its first base point."""
 
     def __init__(self, model: OdeModel, dt: float = 0.1, rtol: float = 1e-10):
         self.model = model
@@ -114,20 +108,13 @@ class OdeCocycle(_Cocycle):
         self.rtol = rtol
         self.cone_tol = 1e-9
 
-    def step_blocks(self, state, count, backward=False):
+    def step_blocks(self, omega, lo, hi, backward=False):
         # the (A, unit flow) of the constant piece walked last, carried into
         # the next chunk: a chunk's last piece, or with ``backward`` its first
         last = None
-        for lo in range(0, count, BLOCK_CELLS):
-            # the chunk's base points, one dt apart, in step order
-            bases = []
-            for _ in range(min(BLOCK_CELLS, count - lo)):
-                if backward:
-                    state = state.advance(-self.dt)
-                bases.append(state)
-                if not backward:
-                    state = state.advance(self.dt)
-            maps, log_scales, last = flow_maps(self.model, bases[::-1] if backward else bases,
+        cuts = range(lo, hi, BLOCK_CELLS)
+        for a in reversed(cuts) if backward else cuts:
+            maps, log_scales, last = flow_maps(self.model, self.advance(omega, a), min(BLOCK_CELLS, hi - a),
                                                self.dt, rtol=self.rtol, last=last, backward=backward)
             yield maps, log_scales
             del maps, log_scales  # freed before the next chunk is built
@@ -136,12 +123,12 @@ class OdeCocycle(_Cocycle):
         """The maps of steps [lo, hi) stored in one (hi - lo, N, N) array,
         filled by a single forward read of ``step_blocks``: a flow map is
         built once and read from the store, which a read yields as views of
-        at most BLOCK_CELLS maps, as the step loops' chunk buffers assume.
-        One read of the N = 3 piecewise-constant flow maps at dt = 0.1
-        costs 5.5-10.9 us per map, an emitted N = 3 map 0.2-0.3 us."""
+        at most BLOCK_CELLS maps, cut as ``step_blocks`` cuts them.  One
+        read of the N = 3 piecewise-constant flow maps at dt = 0.1 costs
+        3.4-12.8 us per map, an emitted N = 3 map 0.2-0.3 us."""
         maps, ls = np.empty((hi - lo, self.n, self.n)), np.empty(hi - lo)
         k = 0
-        for chunk, scales in self.step_blocks(self.advance(omega, lo), hi - lo):
+        for chunk, scales in self.step_blocks(omega, lo, hi):
             maps[k:k + len(chunk)], ls[k:k + len(chunk)] = chunk, scales
             k += len(chunk)
 
@@ -163,15 +150,13 @@ class AdjointCocycle(_Cocycle):
         self.dt = primal.dt
         self.cone_tol = primal.cone_tol
 
-    def step_blocks(self, state, count, backward=False):
-        """The maps of the ``count`` adjoint steps from ``state`` (with
-        ``backward``, before it, latest chunk first): the primal's chunks
-        over its ``count`` steps before ``state`` (after it), each reversed
-        and transposed."""
-        return _transposed(self.primal.step_blocks(state, count, not backward))
+    def step_blocks(self, omega, lo, hi, backward=False):
+        """Adjoint step s is the primal step -s - 1, transposed: the primal's
+        chunks of [-hi, -lo), read the other way, each reversed."""
+        return _transposed(self.primal.step_blocks(omega, -hi, -lo, not backward))
 
     def advance(self, state, steps=1):
-        return state.advance(-steps * self.dt)
+        return self.primal.advance(state, -steps)
 
     def dual(self):
         return self.primal
@@ -314,7 +299,7 @@ def forward_floquet(cocycle, omega, u0, horizon, record_every=0):
     """
     n_steps = _step_count("forward_floquet", horizon, cocycle.dt)
     record_every = _count("record_every", record_every, 0)
-    return _forward(cocycle, cocycle.step_blocks(omega, n_steps), range(n_steps), u0, record_every)
+    return _forward(cocycle, cocycle.step_blocks(omega, 0, n_steps), range(n_steps), u0, record_every)
 
 
 def _forward(cocycle, chunks, steps, u0, record_every=0, close=None):
@@ -419,7 +404,7 @@ def warmup_direction(cocycle, omega, depth):
     uses base points in the primal's forward orbit.  A probe annihilated on
     the way raises EstimationError."""
     depth = _count("depth", depth, 0)
-    return _warmed(cocycle, cocycle.step_blocks(cocycle.advance(omega, -depth), depth), range(-depth, 0))
+    return _warmed(cocycle, cocycle.step_blocks(omega, -depth, 0), range(-depth, 0))
 
 
 def _warmed(cocycle, chunks, steps):
@@ -455,8 +440,8 @@ class EntireOrbit:
 def _pullback(cocycle, omega, lo, probes, depth, record_every=0):
     """The tracks of the columns of ``probes`` pushed over ``depth`` steps
     from step ``lo`` of ``omega``, each of which must survive."""
-    tracks = _forward(cocycle, cocycle.step_blocks(cocycle.advance(omega, lo), depth), range(lo, lo + depth),
-                      probes, record_every)
+    tracks = _forward(cocycle, cocycle.step_blocks(omega, lo, lo + depth), range(lo, lo + depth), probes,
+                      record_every)
     if any(track.log_growth == -math.inf for track in tracks):
         raise EstimationError("pullback probe was annihilated; model is not positivity-preserving")
     return tracks
@@ -652,7 +637,7 @@ def oseledets_qr(cocycle, omega, horizon):
     sums = np.zeros(n)
     diag = np.empty((min(n_steps, BLOCK_CELLS), n))  # a chunk's R diagonals, one row per step
     first = 0  # the chunk's first step
-    for maps, ls in cocycle.step_blocks(omega, n_steps):
+    for maps, ls in cocycle.step_blocks(omega, 0, n_steps):
         d = diag[:len(maps)]
         for i, M in enumerate(maps):
             Q, F = _qr(M @ Q)

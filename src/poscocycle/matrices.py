@@ -55,17 +55,15 @@ class MatrixModel:
 
     def chunks(self, state, count: int, backward: bool = False):
         """The maps of the ``count`` steps from ``state`` as ``emit_block``
-        chunks in step order; with ``backward``, of the ``count`` steps
-        before ``state``, latest chunk first.  Exactly ``count`` cells are
-        emitted, at most BLOCK_CELLS per chunk.
+        chunks in step order, or with ``backward`` latest chunk first.
+        Exactly ``count`` cells are emitted, at most BLOCK_CELLS per chunk.
 
         Cuts fall on multiples of BLOCK_CELLS: ``MarkovShift`` walks its
         chain in segments between checkpoints BLOCK_CELLS apart, so an
         aligned chunk walks one segment where an unaligned one would walk two.
         """
         i = state.index
-        lo = i - count if backward else i
-        edges = [lo, *range(lo - lo % BLOCK_CELLS + BLOCK_CELLS, lo + count, BLOCK_CELLS), lo + count]
+        edges = [i, *range(i - i % BLOCK_CELLS + BLOCK_CELLS, i + count, BLOCK_CELLS), i + count]
         cuts = list(zip(edges[:-1], edges[1:])) if count > 0 else []
         for a, b in (reversed(cuts) if backward else cuts):
             yield self.emit_block(state.advance(a - i), b - a)

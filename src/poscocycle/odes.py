@@ -27,15 +27,15 @@ time) pair is a member of one batch, and a single time is the batch of one.
 A piecewise-constant model keeps the last block of cells it drew: a user
 sampler's one cell, or the BLOCK_CELLS cells of one counter-addressed draw.
 
-``flow_maps`` builds the one-step flow maps of a run of base points at once:
-it asks for the breakpoints of the whole window and for ``piece_matrix``
-once per constant piece, and the steps inside one piece share its flow.  A
-model's ``piece_matrix`` must therefore hold on the whole piece it is asked
-about.  The steps left over, those across a breakpoint or on a smooth
-piece, go through ``_dop853`` as one batch, bit for bit what ``propagate``
-gives each alone.  ``flow_maps`` takes and returns the flow of the constant
-piece walked last, so the chunks of one read share the flow of a piece
-that straddles them, in a backward read too.
+``flow_maps`` builds the one-step flow maps of a run of steps from its first
+base point at once: it asks for the breakpoints of the whole window and
+for ``piece_matrix`` once per constant piece, and the steps inside one
+piece share its flow.  A model's ``piece_matrix`` must therefore hold on
+the whole piece it is asked about.  The steps left over, those across a
+breakpoint or on a smooth piece, go through ``_dop853`` as one batch, bit
+for bit what ``propagate`` gives each alone.  ``flow_maps`` takes and
+returns the flow of the constant piece walked last, so the chunks of one
+read share the flow of a piece that straddles them, in a backward read too.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .drivers import BLOCK_CELLS, _two_sum
+from .drivers import BLOCK_CELLS, _two_sum, advance_steps
 from .errors import EstimationError
 from .matrices import AssumptionReport, _count
 from .stats import mean_ci
@@ -197,8 +197,9 @@ class PiecewiseConstantOdeModel(OdeModel):
         return A[i - first]
 
     def field(self, state, t: float) -> np.ndarray:
-        cell = state.advance(t)
-        return self._matrix(cell, cell.index)
+        # the cell of ``state.advance(t)``, with no state built
+        hi, lo = _two_sum(state.pos, state.pos_lo, float(t))
+        return self._matrix(state, math.floor(hi + lo))
 
     def breakpoints(self, state, t0: float, t1: float) -> np.ndarray:
         # a cell boundary within a few ulps of the position at either end is
@@ -615,14 +616,13 @@ def propagate(model: OdeModel, omega, Y, t, rtol=1e-10):
     return (Ys[0], float(log_scales[0])) if ts.ndim == 0 else (Ys, log_scales)
 
 
-def flow_maps(model: OdeModel, states, dt, rtol=1e-10, last=None, backward=False):
-    """The flow maps over [0, dt] from the base points ``states``, each
-    ``dt`` after the one before, as (maps (k, N, N), log_scales (k,),
-    last): the maps are bit for bit ``propagate`` of the identity from each
-    base point.
+def flow_maps(model: OdeModel, first, k, dt, rtol=1e-10, last=None, backward=False):
+    """The flow maps over [0, dt] of the ``k`` steps of ``dt`` from ``first``,
+    as (maps (k, N, N), log_scales (k,), last): map j is bit for bit
+    ``propagate`` of the identity from ``advance_steps(first, j, dt)``.
 
     The chunk is walked against its own breakpoints: ``model.breakpoints``
-    is asked once for the window [0, k dt] from ``states[0]``, and
+    is asked once for the window [0, k dt] from ``first``, and
     ``model.piece_matrix`` once per constant piece of it that holds a whole
     step.  Such a step takes the piece's unit flow over dt, which is what
     ``propagate`` returns for it: E @ I is E, and max |E| is 1.  ``last``
@@ -633,19 +633,18 @@ def flow_maps(model: OdeModel, states, dt, rtol=1e-10, last=None, backward=False
     so that ``last`` is then the chunk's first piece, where the read's
     next (earlier) chunk ends.  A step across a breakpoint, or on a smooth
     piece, is propagated: all such steps of the chunk go through one
-    ``_dop853`` batch.  A step whose end lies within ``_NEAR`` dt of a
+    ``_dop853`` batch.  A step with an end within ``_NEAR`` dt of a
     breakpoint or of the window's ends is judged by its own ``_knots``,
     since rounding places the window's breakpoints and the step's a few
-    ulps apart.  The walk only collects: the flows of the chunk's new
-    constant pieces and of the constant pieces of the propagated steps
-    come from one stacked ``_exact_flow`` call after it, and the whole
-    steps are filled from them by indexing.
+    ulps apart.  Only those steps and the propagated ones get a base point.
+    The walk only collects: one stacked ``_exact_flow`` call after it gives
+    the flows of the new constant pieces and of the propagated steps'
+    constant pieces, and the whole steps are filled by indexing.
     """
-    k = len(states)
     span = k * dt
     near = _NEAR * dt
     edges = np.unique(np.concatenate(
-        ([0.0, span], np.asarray(model.breakpoints(states[0], 0.0, span), dtype=float))))
+        ([0.0, span], np.asarray(model.breakpoints(first, 0.0, span), dtype=float))))
     starts = dt * np.arange(k)
     ends = starts + dt
 
@@ -655,28 +654,29 @@ def flow_maps(model: OdeModel, states, dt, rtol=1e-10, last=None, backward=False
     across = edges_in(starts + near, ends - near) > 0
     doubtful = (edges_in(starts - near, ends + near) > 0) & ~across
     pieces = np.searchsorted(edges, starts + 0.5 * dt, side="right") - 1
-    walk = list(zip(range(k), states, pieces.tolist(), across.tolist(), doubtful.tolist()))
+    walk = list(zip(range(k), pieces.tolist(), across.tolist(), doubtful.tolist()))
     maps, log_scales = np.empty((k, model.n, model.n)), np.empty(k)
     held = None if last is None else last[0]  # the matrix of the last constant piece walked
     # the piece of the last whole step, and the slot of its flow: i for the
     # i-th new piece, -1 for the flow carried in, None on a smooth piece
     piece = slot = None
     new, whole, slots = [], [], []  # the new constant pieces; the whole steps and their slots
-    todo, chains = [], []  # the steps to propagate, and their pieces
-    for j, state, i, cross, doubt in walk[::-1] if backward else walk:
-        if not cross:
-            if i != piece:
-                piece, A = i, model.piece_matrix(states[0], float(edges[i]), float(edges[i + 1]))
-                if A is not None and (held is None or not np.array_equal(held, A)):
-                    held = np.array(A, dtype=float)  # a model may refill A
-                    new.append((0.0, dt, held))
-                slot = None if A is None else len(new) - 1
-            if slot is not None and not (doubt and len(_knots(model, state, dt)) > 2):
-                whole.append(j)
-                slots.append(slot)
-                continue
-        todo.append(j)
-        chains.append(_pieces(model, state, dt))
+    todo, states, chains = [], [], []  # the steps to propagate, their base points and pieces
+    for j, i, cross, doubt in walk[::-1] if backward else walk:
+        if not cross and i != piece:
+            piece, A = i, model.piece_matrix(first, float(edges[i]), float(edges[i + 1]))
+            if A is not None and (held is None or not np.array_equal(held, A)):
+                held = np.array(A, dtype=float)  # a model may refill A
+                new.append((0.0, dt, held))
+            slot = None if A is None else len(new) - 1
+        state = advance_steps(first, j, dt) if cross or doubt or slot is None else None
+        if state is None or not cross and slot is not None and len(_knots(model, state, dt)) == 2:
+            whole.append(j)
+            slots.append(slot)
+        else:
+            todo.append(j)
+            states.append(state)
+            chains.append(_pieces(model, state, dt))
     chains, (E, ls) = _with_flows(chains, new)
     if whole:
         if last is not None:  # slot -1: the flow carried in
@@ -687,7 +687,7 @@ def flow_maps(model: OdeModel, states, dt, rtol=1e-10, last=None, backward=False
         last = (held, (E[len(new) - 1], ls[len(new) - 1]))
     if todo:
         eye = np.broadcast_to(np.eye(model.n), (len(todo), model.n, model.n))
-        maps[todo], log_scales[todo], _, _ = _dop853(model, [states[j] for j in todo], chains, eye, rtol)
+        maps[todo], log_scales[todo], _, _ = _dop853(model, states, chains, eye, rtol)
     return maps, log_scales, last
 
 

@@ -89,7 +89,7 @@ def restricted_product(coc, omega, T, warmup):
     ``separation_estimate`` builds them, here kept for every step; also the
     sum over the steps of rho_k = |M_k|_F |P_k|_F / |M_k P_k|_F (P_k the
     product so far), the cancellation factor of each step's matrix product."""
-    maps = [M for chunk, _ in coc.step_blocks(omega, T + warmup) for M in chunk]
+    maps = [M for chunk, _ in coc.step_blocks(omega, 0, T + warmup) for M in chunk]
     z = [np.full(coc.n, 1.0 / math.sqrt(coc.n))]  # z at step T + warmup, then each earlier step
     for M in reversed(maps):
         v = M.T @ z[-1]
@@ -435,8 +435,34 @@ class TestForwardFloquet:
         coc = OdeCocycle(PiecewiseConstantOdeModel(3, cooperative_sampler(3, -1.0, 1.0, 0.0, 1.0)), dt=0.1)
         for backward in (False, True):
             expms.clear()
-            assert sum(len(maps) for maps, _ in coc.step_blocks(cont_state(4), 1000, backward)) == 1000
+            assert sum(len(maps) for maps, _ in coc.step_blocks(cont_state(4), 0, 1000, backward)) == 1000
             assert sum(expms) == 100 and len(expms) == 4, backward
+
+    def test_read_names_few_base_points(self, monkeypatch):
+        # a forward read names each chunk's first base point (two advances:
+        # the product and its rounding error), and a base point only for a
+        # step that flow_maps propagates or judges by its own knots: one with
+        # a cell edge across it or within _NEAR dt of either end, or at a
+        # chunk's ends (its window's); the steps inside a cell name none
+        calls, advance = [0], IidShift.advance
+
+        def counted(self, state, t):
+            calls[0] += 1
+            return advance(self, state, t)
+
+        monkeypatch.setattr(IidShift, "advance", counted)
+        coc, omega, count = OdeCocycle(PiecewiseConstantOdeModel(3, cooperative_sampler(3, -1.0, 0.5, 0.0, 1.0)),
+                                       dt=0.1), cont_state(4), 2000
+        assert sum(len(maps) for maps, _ in coc.step_blocks(omega, 0, count)) == count
+        dt, near = coc.dt, odes._NEAR * coc.dt
+        starts = omega.pos + dt * np.arange(count)
+        edged = np.floor(starts + dt + near) > np.floor(starts - near)
+        in_chunk = np.arange(count) % BLOCK_CELLS
+        judged = edged | (in_chunk == 0) | (in_chunk == BLOCK_CELLS - 1)
+        judged[-1] = True  # the last chunk's last step
+        chunks = -(-count // BLOCK_CELLS)
+        assert 350 < edged.sum() < 450  # about two steps per cell: dt puts cell edges on step ends
+        assert calls[0] <= 2 * chunks + 2 * int(judged.sum()), calls[0]
 
     def test_batch_error_names_the_member(self):
         # one step of a chunk meets a NaN field on its second piece: the
@@ -452,7 +478,7 @@ class TestForwardFloquet:
         coc = OdeCocycle(CallableOdeModel(2, field, edges), dt=0.3, rtol=1e-8)
         with pytest.raises(EstimationError, match=r"non-finite error estimate at t = 0\.2 inside the smooth "
                                                   r"piece \(0\.2, 0\.3\)"):
-            list(coc.step_blocks(cont_state(), 30))
+            list(coc.step_blocks(cont_state(), 0, 30))
 
     def test_model_change_seen_by_next_run(self):
         # the cocycle keeps no maps: after the model's parameters change, a
@@ -474,26 +500,26 @@ class TestForwardFloquet:
         for j in (0, 255, 44, 555, 256, -1):
             for seed in (8, 9):
                 omega = driver.initial(seed).advance(-300 + j)
-                [(maps, ls)] = coc.step_blocks(omega, 1)
+                [(maps, ls)] = coc.step_blocks(omega, 0, 1)
                 assert np.array_equal(maps[0], emit(omega)) and ls.tolist() == [0.0]
-                [(maps, _)] = coc.dual().step_blocks(omega.advance(1), 1)
+                [(maps, _)] = coc.dual().step_blocks(omega.advance(1), 0, 1)
                 assert np.array_equal(maps[0], emit(omega).T)
 
                 count, first = 270, omega.index
-                for maps, ls in coc.step_blocks(omega, count):
+                for maps, ls in coc.step_blocks(omega, 0, count):
                     assert (first // 256) == ((first + len(maps) - 1) // 256)
                     assert len(ls) == len(maps) and not ls.any()
                     for t, M in enumerate(maps):
                         assert np.array_equal(M, emit(omega.advance(first - omega.index + t)))
                     first += len(maps)
                 assert first == omega.index + count
-                adjoint = np.concatenate([maps for maps, _ in coc.dual().step_blocks(omega, count)])
+                adjoint = np.concatenate([maps for maps, _ in coc.dual().step_blocks(omega, 0, count)])
                 assert adjoint.shape == (count, 3, 3)
                 for t, M in enumerate(adjoint):
                     assert np.array_equal(M, emit(omega.advance(-1 - t)).T)
                 # the adjoint's steps before omega are the primal's from it,
                 # latest chunk first and in step order within a chunk
-                chunks = [maps for maps, _ in coc.dual().step_blocks(omega, count, backward=True)]
+                chunks = [maps for maps, _ in coc.dual().step_blocks(omega, -count, 0, backward=True)]
                 adjoint = np.concatenate(chunks[::-1])
                 for t, M in enumerate(adjoint):
                     assert np.array_equal(M, emit(omega.advance(count - 1 - t)).T)
@@ -540,8 +566,8 @@ class TestForwardFloquet:
                 assert maps.shape == (count, n, n) and ls.shape == (count,)
                 return maps, ls
 
-            for (maps, ls), states in [(read(coc.step_blocks(omega, count)), after[:count]),
-                                       (read(coc.step_blocks(omega, count, backward=True), True),
+            for (maps, ls), states in [(read(coc.step_blocks(omega, 0, count)), after[:count]),
+                                       (read(coc.step_blocks(omega, -count, 0, backward=True), True),
                                         before[count:0:-1])]:
                 for M, l, state in zip(maps, ls, states, strict=True):
                     F, lf = flow(state)
@@ -549,8 +575,8 @@ class TestForwardFloquet:
             # the adjoint's steps from omega are the primal's before it, and
             # the other way round, each transposed
             dual = coc.dual()
-            for (maps, ls), states in [(read(dual.step_blocks(omega, count)), before[1:count + 1]),
-                                       (read(dual.step_blocks(omega, count, backward=True), True),
+            for (maps, ls), states in [(read(dual.step_blocks(omega, 0, count)), before[1:count + 1]),
+                                       (read(dual.step_blocks(omega, -count, 0, backward=True), True),
                                         after[count - 1::-1])]:
                 for M, l, state in zip(maps, ls, states, strict=True):
                     F, lf = flow(state)
@@ -574,6 +600,25 @@ class TestCocycleProtocol:
         for run in runs:
             assert same(run(bare), run(coc))
         assert same(warmup_direction(BareCocycle(coc.dual()), omega, 60), warmup_direction(coc.dual(), omega, 60))
+
+    @pytest.mark.parametrize("driver", [IidShift("continuous"), TorusRotation()], ids=["iid", "torus"])
+    def test_advance_is_exact(self, driver):
+        # step k has one base point: advance(omega, k) is bit for bit where
+        # k single advances by +-dt reach, on either side of omega, from a
+        # start with and one without a rounding error of its own
+        def bits(state):
+            pair = (state.pos, state.pos_lo) if isinstance(driver, IidShift) else (state.elapsed, state.elapsed_lo)
+            return [x.hex() for x in pair]
+
+        for omega in (driver.initial(3), driver.initial(3).advance(0.1).advance(0.37)):
+            for dt in (0.1, 0.3, 0.25, 1 / 3, 0.07):
+                coc = OdeCocycle(ConstantOdeModel([[0.0]]), dt=dt)
+                for sign in (1, -1):
+                    walked = omega
+                    for k in range(1, 3001):
+                        walked = walked.advance(sign * dt)
+                        assert bits(coc.advance(omega, sign * k)) == bits(walked), (dt, sign * k)
+                        assert bits(coc.dual().advance(omega, -sign * k)) == bits(walked), (dt, sign * k)
 
 
 class TestBackwardOrbit:
@@ -899,7 +944,7 @@ class TestSeparation:
         coc, omega = iid_positive_cocycle(n), disc_state(1)
 
         def sweep(backward):
-            for _ in _steps(coc.step_blocks(omega, T, backward)):
+            for _ in _steps(coc.step_blocks(omega, 0, T, backward)):
                 pass
 
         runs = [lambda: sweep(False), lambda: sweep(True),
@@ -1265,8 +1310,8 @@ def outcome(run, *args):
 class ScaledCocycle(MatrixCocycle):
     """Uniform entries whose steps carry nonzero log scales."""
 
-    def step_blocks(self, state, count, backward=False):
-        for maps, ls in super().step_blocks(state, count, backward):
+    def step_blocks(self, omega, lo, hi, backward=False):
+        for maps, ls in super().step_blocks(omega, lo, hi, backward):
             yield maps, ls + 0.01 * np.arange(1, len(ls) + 1)
 
 
@@ -1276,7 +1321,7 @@ def per_step_qr(coc, omega, T):
     and sum at every step."""
     Q, sums = np.eye(coc.n), np.zeros(coc.n)
     with np.errstate(divide="ignore"):
-        for M, ls in _steps(coc.step_blocks(omega, T)):
+        for M, ls in _steps(coc.step_blocks(omega, 0, T)):
             Q, R = np.linalg.qr(M @ Q)
             signs = np.sign(np.diag(R))
             signs[signs == 0] = 1.0
@@ -1296,7 +1341,7 @@ def per_step_forward(coc, omega, u0, T, record_every=0, chunks=None):
     growth, since, ln_rows, u_rows = np.zeros(k), None, [], []
     gone, w = np.zeros(k, dtype=bool), np.empty((k, coc.n))
     n_rows = np.full(k, T // record_every if record_every else 0)
-    for step, (M, ls) in enumerate(_steps(coc.step_blocks(omega, T) if chunks is None else chunks), 1):
+    for step, (M, ls) in enumerate(_steps(coc.step_blocks(omega, 0, T) if chunks is None else chunks), 1):
         V = M @ U
         r = np.sqrt(np.vecdot(V, V, axis=0))
         if not np.isfinite(r).all():
@@ -1494,16 +1539,11 @@ class TestSeparationSweeps:
         # BLOCK_CELLS maps at a time, the size of the forward loop's chunk
         # buffers; put back in step order it is one forward ``step_blocks``
         # read of [lo, hi), and so is a second read, bit for bit.  The
-        # ranges cross a chunk cut.  Only the ODE stores its maps; the
-        # matrix cocycles and the adjoints read them afresh, so a read is
-        # also the direct ``step_blocks`` read of [a, b) in its direction.
-        # So is a read of the store, bit for bit, while no step straddles a
-        # breakpoint.  At dt = 0.3 steps do, and a straddling step's flow
-        # map depends on the last bits of its base point, which a read
-        # reaches by steps of dt from where it starts, forward or backward:
-        # the direct reads solve each such step's flow to rtol as the
-        # store's did, about a breakpoint moved by a few ulps, so they
-        # agree with the store to within 2 rtol of the map.
+        # ranges cross a chunk cut.  Only the ODE stores its maps, so a read
+        # is also the direct ``step_blocks`` read of [a, b) in its
+        # direction, bit for bit: step k has one base point however a read
+        # reaches it, so do the maps of steps that straddle a breakpoint
+        # (dt = 0.3).
         cfg = validate_config({"seed": 4, "driver": {"kind": "markov-shift", "transition": [[0.9, 0.1], [0.2, 0.8]]},
                                "model": {"kind": "markov-list", "matrices": [np.eye(3).tolist(),
                                                                               np.ones((3, 3)).tolist()]}})
@@ -1529,23 +1569,16 @@ class TestSeparationSweeps:
 
         lo, hi = -5, 2 * BLOCK_CELLS + 40
         for case, (coc, omega) in cases.items():
-            maps, ls = in_step_order(coc.step_blocks(coc.advance(omega, lo), hi - lo), False)
+            maps, ls = in_step_order(coc.step_blocks(omega, lo, hi), False)
             blocks = coc.replay(omega, lo, hi)
             for a, b in ((lo, hi), (0, BLOCK_CELLS + 1), (3, 3 + BLOCK_CELLS)):
                 for backward in (False, True):
                     at = (case, a, b, backward)
                     read = in_step_order(blocks(a, b, backward), backward)
                     again = in_step_order(blocks(a, b, backward), backward)
-                    for got in (again, (maps[a - lo:b - lo], ls[a - lo:b - lo])):
+                    direct = in_step_order(coc.step_blocks(omega, a, b, backward), backward)
+                    for got in (again, (maps[a - lo:b - lo], ls[a - lo:b - lo]), direct):
                         assert np.array_equal(read[0], got[0]) and np.array_equal(read[1], got[1]), at
-                    direct = in_step_order(coc.step_blocks(coc.advance(omega, b if backward else a), b - a,
-                                                           backward), backward)
-                    if case == "cells, dt 0.3":
-                        tol = 2 * coc.rtol
-                        assert np.abs(direct[0] - read[0]).max() <= tol * np.abs(read[0]).max(), at
-                        assert np.abs(direct[1] - read[1]).max() <= tol, at
-                    else:
-                        assert np.array_equal(read[0], direct[0]) and np.array_equal(read[1], direct[1]), at
 
     def test_ode_matches_per_step(self):
         # the piecewise-constant flow maps, read from their stored replay
@@ -1610,8 +1643,8 @@ class TestAdjointCocycle:
         u, u_star = np.asarray(u), np.asarray(u_star)
         assume(np.any(u) and np.any(u_star))
         u, u_star = u / np.abs(u).max(), u_star / np.abs(u_star).max()
-        [([M], [ls])] = coc.step_blocks(coc.advance(omega, -1), 1)
-        [([M_star], [ls_star])] = dual.step_blocks(omega, 1)
+        [([M], [ls])] = coc.step_blocks(omega, -1, 0)
+        [([M_star], [ls_star])] = dual.step_blocks(omega, 0, 1)
         lhs = math.exp(ls) * float((M @ u) @ u_star)
         rhs = math.exp(ls_star) * float(u @ (M_star @ u_star))
         scale = math.exp(ls) * np.linalg.norm(M, 2) * np.linalg.norm(u) * np.linalg.norm(u_star)

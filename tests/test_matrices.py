@@ -97,7 +97,7 @@ class TestCocycleProduct:
 
 def _adjoint_map(model, omega):
     """The adjoint cocycle's one-step map at omega."""
-    [(maps, _)] = MatrixCocycle(model).dual().step_blocks(omega, 1)
+    [(maps, _)] = MatrixCocycle(model).dual().step_blocks(omega, 0, 1)
     return maps[0]
 
 

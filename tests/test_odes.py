@@ -268,7 +268,7 @@ class TestExactFlow:
                       TypeKFlipModel(PiecewiseConstantOdeModel(4, typek_sampler), 2),
                       CopyingModel(4, typek_sampler)):
             expms.clear()
-            for _ in OdeCocycle(model, dt=0.1).step_blocks(cont_state(4), 1000):
+            for _ in OdeCocycle(model, dt=0.1).step_blocks(cont_state(4), 0, 1000):
                 pass
             counts.append((sum(expms), len(expms)))
         assert counts == [(100, 4)] * 3
@@ -430,7 +430,7 @@ class TestExpm:
         coc = OdeCocycle(m, dt=0.1)
         for seed in (100, 200, 300):
             for backward in (False, True):
-                for maps, _ in coc.step_blocks(cont_state(seed), 1000, backward):
+                for maps, _ in coc.step_blocks(cont_state(seed), 0, 1000, backward):
                     assert (maps >= 0.0).all(), seed
 
 
@@ -448,20 +448,14 @@ class TestCells:
         # forward read, a backward read and reads cut at other chunk edges
         start, steps = cont_state(3).advance(-30.0), 3000
 
-        def read(model, state, count, backward=False):
-            chunks = list(OdeCocycle(model, dt=0.1).step_blocks(state, count, backward))
+        def read(model, lo, hi, backward=False):
+            chunks = list(OdeCocycle(model, dt=0.1).step_blocks(start, lo, hi, backward))
             return np.concatenate([maps for maps, _ in (chunks[::-1] if backward else chunks)])
 
-        end = start
-        for _ in range(steps):
-            end = end.advance(0.1)
-        forward = read(PiecewiseUniformOdeModel(3, -1.0, 0.5, 0.0, 1.0), start, steps)
-        assert np.array_equal(read(model, end, steps, backward=True), forward)
+        forward = read(PiecewiseUniformOdeModel(3, -1.0, 0.5, 0.0, 1.0), 0, steps)
+        assert np.array_equal(read(model, 0, steps, backward=True), forward)
         for cut in (1, 100, 300):
-            mid = start
-            for _ in range(cut):
-                mid = mid.advance(0.1)
-            parts = [read(model, start, cut), read(model, mid, steps - cut)]
+            parts = [read(model, 0, cut), read(model, cut, steps)]
             assert np.array_equal(np.concatenate(parts), forward), cut
         assert model._block[2].shape == (BLOCK_CELLS, 3, 3)  # the memo holds one block
 

@@ -180,7 +180,8 @@ def main(argv=None):
     for name, make in (("ode read", ode), ("ode read cfg", ode_cfg)):
         for backward in (False, True):
             loops.append((f"{name} {'bwd' if backward else 'fwd'}", make,
-                          lambda coc, om, b=backward: sum(len(maps) for maps, _ in coc.step_blocks(om, T, b)), (3,)))
+                          lambda coc, om, b=backward, lo=-T * backward:
+                          sum(len(maps) for maps, _ in coc.step_blocks(om, lo, lo + T, b)), (3,)))
     for name, make, run, sizes in loops:
         for n in sizes:
             best = float("inf")
@@ -240,7 +241,7 @@ def main(argv=None):
     torus, omega = TorusExampleModel(), TorusRotation().initial(0)
     for rtol in (1e-6, 1e-10):
         coc = OdeCocycle(torus, dt=0.25, rtol=rtol)
-        best = best_of(lambda: sum(len(maps) for maps, _ in coc.step_blocks(omega, TORUS_MAPS)))
+        best = best_of(lambda: sum(len(maps) for maps, _ in coc.step_blocks(omega, 0, TORUS_MAPS)))
         print(f"torus maps rtol {rtol:.0e} {1e6 * best / TORUS_MAPS:7.1f} us/map")
     horizons = np.linspace(1.25, 10.0, 8).tolist()
     best = best_of(lambda: integrate(torus, omega, np.array([1.0, 0.3]), horizons, rtol=1e-10))
