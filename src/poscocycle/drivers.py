@@ -32,7 +32,8 @@ A stream cell is served in one of two ways:
 
 States are immutable values carrying a reference to their system; advancing
 returns a new state.  ``advance_steps`` adds k steps of dt exactly, as k
-single steps do.
+single steps do, and ``step_sums`` gives a continuous position that sum
+for a whole array of k at once.
 """
 
 from __future__ import annotations
@@ -93,19 +94,37 @@ def _two_sum(hi: float, lo: float, t: float) -> tuple[float, float]:
     return hi2, lo2
 
 
-def advance_steps(state, steps: int, dt):
-    """The base point ``steps`` steps of ``dt`` from ``state``, bit for bit
-    where ``steps`` single advances by +-dt reach: the product steps * dt,
-    then its rounding error, each added by the driver's compensated sum, so
-    the sum is exact.  The error is Dekker's (Numer. Math. 18 (1971)
-    224-242): each factor split in halves whose partial products are exact."""
+def _exact_product(steps, dt):
+    """steps * dt rounded, and its rounding error, elementwise: the error is
+    Dekker's (Numer. Math. 18 (1971) 224-242), each factor split in halves
+    whose partial products are exact."""
     p = steps * dt
     ca, cb = 134217729.0 * steps, 134217729.0 * dt  # 2^27 + 1
     ah, bh = ca - (ca - steps), cb - (cb - dt)
     al, bl = steps - ah, dt - bh
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def advance_steps(state, steps: int, dt):
+    """The base point ``steps`` steps of ``dt`` from ``state``, bit for bit
+    where ``steps`` single advances by +-dt reach: the product steps * dt,
+    then its rounding error, each added by the driver's compensated sum, so
+    the sum is exact."""
+    p, e = _exact_product(steps, dt)
     state = state.advance(p)
     return state.advance(e) if e else state
+
+
+def step_sums(hi, lo, steps, dt):
+    """The compensated pairs (hi, lo) + j dt for each j of the integer array
+    ``steps``, as two arrays: bit for bit the pair that ``advance_steps``
+    gives a continuous-time state at (hi, lo), since the product, its error
+    and ``_two_sum`` are elementwise IEEE operations."""
+    p, e = _exact_product(np.asarray(steps, dtype=float), dt)
+    hi, lo = _two_sum(hi, lo, p)
+    moved = e != 0.0  # advance_steps adds no zero error
+    hi2, lo2 = _two_sum(hi, lo, e)
+    return np.where(moved, hi2, hi), np.where(moved, lo2, lo)
 
 
 def _frac01(x: float) -> float:

@@ -124,8 +124,9 @@ class OdeCocycle(_Cocycle):
         filled by a single forward read of ``step_blocks``: a flow map is
         built once and read from the store, which a read yields as views of
         at most BLOCK_CELLS maps, cut as ``step_blocks`` cuts them.  One
-        read of the N = 3 piecewise-constant flow maps at dt = 0.1 costs
-        3.4-12.8 us per map, an emitted N = 3 map 0.2-0.3 us."""
+        read of the N = 3 piecewise-constant flow maps at dt = 0.1 from an
+        integer start costs 1.8-3.2 us per map with block-drawn cells and
+        5.7-10.0 with a user sampler's, an emitted N = 3 map 0.2-0.3 us."""
         maps, ls = np.empty((hi - lo, self.n, self.n)), np.empty(hi - lo)
         k = 0
         for chunk, scales in self.step_blocks(omega, lo, hi):

@@ -45,8 +45,9 @@ from dataclasses import dataclass, replace
 from itertools import permutations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from .drivers import BLOCK_CELLS, _two_sum, advance_steps
+from .drivers import BLOCK_CELLS, _two_sum, advance_steps, step_sums
 from .errors import EstimationError
 from .matrices import AssumptionReport, _count
 from .stats import mean_ci
@@ -97,8 +98,8 @@ _E = np.array([
 _A_ROWS = [_A[i, :i] for i in range(_STAGES)]  # stage i's weights on the stages before it
 _C_COLUMN = _C[:, None]
 _EPS = float(np.finfo(float).eps)
-# ``flow_maps`` judges a step whose end lies within this share of dt of a
-# breakpoint by the step's own knots
+# ``flow_maps`` asks ``OdeModel.inner_breaks`` about a step whose end lies
+# within this share of dt of a breakpoint of its window
 _NEAR = 1e-6
 
 
@@ -107,7 +108,13 @@ _NEAR = 1e-6
 
 
 class OdeModel:
-    """Coefficient family A(theta_t w) plus its discontinuity structure."""
+    """Coefficient family A(theta_t w) plus its discontinuity structure.
+
+    ``inner_breaks`` tells ``flow_maps`` which of a chunk's steps near a
+    breakpoint hold one inside: its answer must equal, bit for bit, whether
+    the step's own ``_knots`` hold more than its two ends, and the default
+    asks exactly that, step by step.  A model whose breakpoints have a
+    closed form may answer for the whole array at once."""
 
     def __init__(self, n: int):
         self.n = int(n)
@@ -119,6 +126,14 @@ class OdeModel:
     def breakpoints(self, state, t0: float, t1: float) -> np.ndarray:
         """Discontinuity times of the coefficient in (t0, t1); sorted."""
         return np.empty(0)
+
+    def inner_breaks(self, first, steps, dt) -> np.ndarray:
+        """For each j of the integer array ``steps``, whether the step of
+        ``dt`` from ``advance_steps(first, j, dt)`` holds a breakpoint that
+        ``_knots`` keeps, as a bool array.  ``flow_maps`` asks once per
+        chunk, about the steps it may take whole; this one loops."""
+        return np.array([len(_knots(self, advance_steps(first, j, dt), dt)) > 2 for j in steps.tolist()],
+                        dtype=bool)
 
     def piece_fields(self, states, t0s, t1s):
         """The coefficient on the smooth pieces (t0s[p], t1s[p]) past the
@@ -209,6 +224,20 @@ class PiecewiseConstantOdeModel(OdeModel):
         ks = np.arange(math.floor(p + t0 + snap) + 1, math.ceil(p + t1 - snap))
         ts = ks - p
         return ts[(ts > t0) & (ts < t1)]
+
+    def inner_breaks(self, first, steps, dt):
+        # ``breakpoints(state, 0, dt)``, then ``_knots``' snap, elementwise on
+        # the positions that advance_steps names.  The edges kept are k0,
+        # k0 + 1, ... below ``stop``, and k0 lies more than ``snap`` past the
+        # position, so past ``_knots``' snap at 0 too: a step holds an inner
+        # edge iff it holds k0, one that holds several (dt > 1) included
+        hi, lo = step_sums(first.pos, first.pos_lo, steps, dt)
+        p = hi + lo
+        snap = 8.0 * _EPS * np.maximum(1.0, np.abs(p) + abs(dt))
+        k0, stop = np.floor(p + 0.0 + snap) + 1.0, np.ceil(p + dt - snap)
+        knot_snap = 8.0 * _EPS * max(1.0, dt)
+        ts = k0 - p
+        return (k0 < stop) & (ts > knot_snap) & (ts < dt - knot_snap)  # also inside (0, dt), as knot_snap > 0
 
     def piece_fields(self, states, t0s, t1s):
         # a piece lies in the cell of its midpoint, ``advance(mid).index`` taken
@@ -490,8 +519,14 @@ def expm(A):
         U.reshape(len(M), n * n)[:, ::n + 1] += b[1]
         V.reshape(len(M), n * n)[:, ::n + 1] += b[0]
         U = M @ U
-        E[full] = np.linalg.solve(V - U, V + U)
+        # np.linalg.solve's gufunc under its error state, without its wrapper
+        with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+            E[full] = _umath_linalg.solve(V - U, V + U, signature="dd->d")
     return E
+
+
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
 
 
 def _exact_flow(A, t0, t1):
@@ -633,13 +668,14 @@ def flow_maps(model: OdeModel, first, k, dt, rtol=1e-10, last=None, backward=Fal
     so that ``last`` is then the chunk's first piece, where the read's
     next (earlier) chunk ends.  A step across a breakpoint, or on a smooth
     piece, is propagated: all such steps of the chunk go through one
-    ``_dop853`` batch.  A step with an end within ``_NEAR`` dt of a
-    breakpoint or of the window's ends is judged by its own ``_knots``,
-    since rounding places the window's breakpoints and the step's a few
-    ulps apart.  Only those steps and the propagated ones get a base point.
-    The walk only collects: one stacked ``_exact_flow`` call after it gives
-    the flows of the new constant pieces and of the propagated steps'
-    constant pieces, and the whole steps are filled by indexing.
+    ``_dop853`` batch.  Rounding places the window's breakpoints and a
+    step's own a few ulps apart, so the steps on a constant piece with an
+    end within ``_NEAR`` dt of a breakpoint or of the window's ends are
+    judged by one ``model.inner_breaks`` call after the walk, and those
+    that hold a breakpoint of their own are propagated too.  Only the
+    propagated steps get a base point.  One stacked ``_exact_flow`` call
+    then gives the flows of the new constant pieces and of the propagated
+    steps' constant pieces, and the whole steps are filled by indexing.
     """
     span = k * dt
     near = _NEAR * dt
@@ -661,7 +697,14 @@ def flow_maps(model: OdeModel, first, k, dt, rtol=1e-10, last=None, backward=Fal
     # i-th new piece, -1 for the flow carried in, None on a smooth piece
     piece = slot = None
     new, whole, slots = [], [], []  # the new constant pieces; the whole steps and their slots
+    doubts = []  # the places in ``whole`` of the doubtful steps
     todo, states, chains = [], [], []  # the steps to propagate, their base points and pieces
+
+    def propagated(j):
+        todo.append(j)
+        states.append(advance_steps(first, j, dt))
+        chains.append(_pieces(model, states[-1], dt))
+
     for j, i, cross, doubt in walk[::-1] if backward else walk:
         if not cross and i != piece:
             piece, A = i, model.piece_matrix(first, float(edges[i]), float(edges[i + 1]))
@@ -669,14 +712,19 @@ def flow_maps(model: OdeModel, first, k, dt, rtol=1e-10, last=None, backward=Fal
                 held = np.array(A, dtype=float)  # a model may refill A
                 new.append((0.0, dt, held))
             slot = None if A is None else len(new) - 1
-        state = advance_steps(first, j, dt) if cross or doubt or slot is None else None
-        if state is None or not cross and slot is not None and len(_knots(model, state, dt)) == 2:
+        if cross or slot is None:
+            propagated(j)
+        else:
+            if doubt:
+                doubts.append(len(whole))
             whole.append(j)
             slots.append(slot)
-        else:
-            todo.append(j)
-            states.append(state)
-            chains.append(_pieces(model, state, dt))
+    if doubts:
+        split = np.asarray(doubts)[model.inner_breaks(first, np.asarray(whole)[doubts], dt)].tolist()
+        for d in split:
+            propagated(whole[d])
+        for d in reversed(split):
+            del whole[d], slots[d]
     chains, (E, ls) = _with_flows(chains, new)
     if whole:
         if last is not None:  # slot -1: the flow carried in
@@ -947,6 +995,9 @@ class TypeKFlipModel(OdeModel):
 
     def breakpoints(self, state, t0, t1):
         return self.b_model.breakpoints(state, t0, t1)
+
+    def inner_breaks(self, first, steps, dt):
+        return self.b_model.inner_breaks(first, steps, dt)
 
     def piece_fields(self, states, t0s, t1s):
         inner = self.b_model.piece_fields(states, t0s, t1s)

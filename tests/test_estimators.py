@@ -441,28 +441,35 @@ class TestForwardFloquet:
     def test_read_names_few_base_points(self, monkeypatch):
         # a forward read names each chunk's first base point (two advances:
         # the product and its rounding error), and a base point only for a
-        # step that flow_maps propagates or judges by its own knots: one with
-        # a cell edge across it or within _NEAR dt of either end, or at a
-        # chunk's ends (its window's); the steps inside a cell name none
-        calls, advance = [0], IidShift.advance
+        # step that flow_maps propagates: the steps inside a cell, and those
+        # taken whole with an end within _NEAR dt of a cell edge, name none.
+        # From an integer start dt puts cell edges on step ends and no step
+        # is propagated; from 0.37 one step a cell crosses an edge
+        calls, advance, members, dop853 = [0], IidShift.advance, [0], odes._dop853
 
         def counted(self, state, t):
             calls[0] += 1
             return advance(self, state, t)
 
-        monkeypatch.setattr(IidShift, "advance", counted)
-        coc, omega, count = OdeCocycle(PiecewiseConstantOdeModel(3, cooperative_sampler(3, -1.0, 0.5, 0.0, 1.0)),
-                                       dt=0.1), cont_state(4), 2000
-        assert sum(len(maps) for maps, _ in coc.step_blocks(omega, 0, count)) == count
-        dt, near = coc.dt, odes._NEAR * coc.dt
-        starts = omega.pos + dt * np.arange(count)
-        edged = np.floor(starts + dt + near) > np.floor(starts - near)
-        in_chunk = np.arange(count) % BLOCK_CELLS
-        judged = edged | (in_chunk == 0) | (in_chunk == BLOCK_CELLS - 1)
-        judged[-1] = True  # the last chunk's last step
-        chunks = -(-count // BLOCK_CELLS)
-        assert 350 < edged.sum() < 450  # about two steps per cell: dt puts cell edges on step ends
-        assert calls[0] <= 2 * chunks + 2 * int(judged.sum()), calls[0]
+        def batch(model, states, *args):
+            members[0] += len(states)
+            return dop853(model, states, *args)
+
+        coc, count = OdeCocycle(PiecewiseConstantOdeModel(3, cooperative_sampler(3, -1.0, 0.5, 0.0, 1.0)),
+                                dt=0.1), 2000
+        dt, near, chunks = coc.dt, odes._NEAR * coc.dt, -(-count // BLOCK_CELLS)
+        for start, lo, hi in ((0.0, 350, 450), (0.37, 150, 250)):
+            omega = cont_state(4).advance(start)
+            starts = omega.pos + dt * np.arange(count)
+            edged = np.floor(starts + dt + near) > np.floor(starts - near)
+            assert lo < edged.sum() < hi, start  # about two steps per cell from 0, one from 0.37
+            calls[0] = members[0] = 0
+            monkeypatch.setattr(IidShift, "advance", counted)
+            monkeypatch.setattr(odes, "_dop853", batch)
+            assert sum(len(maps) for maps, _ in coc.step_blocks(omega, 0, count)) == count
+            monkeypatch.undo()
+            assert members[0] <= edged.sum() and (members[0] == 0) == (start == 0.0), (start, members[0])
+            assert calls[0] <= 2 * chunks + 2 * members[0], (start, calls[0], members[0])
 
     def test_batch_error_names_the_member(self):
         # one step of a chunk meets a NaN field on its second piece: the

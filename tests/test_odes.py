@@ -1,3 +1,4 @@
+import functools
 import math
 import signal
 from unittest import mock
@@ -9,7 +10,7 @@ from scipy.linalg import expm
 
 from poscocycle import drivers, odes
 from poscocycle.config import build_model
-from poscocycle.drivers import BLOCK_CELLS, IidShift, TorusRotation
+from poscocycle.drivers import BLOCK_CELLS, IidShift, TorusRotation, advance_steps
 from poscocycle.errors import EstimationError
 from poscocycle.estimators import OdeCocycle, forward_floquet, separation_estimate
 from poscocycle.odes import (CallableOdeModel, ConstantOdeModel,
@@ -389,6 +390,13 @@ class TestExpm:
         assert np.array_equal(odes.expm(D), np.stack([np.eye(3), np.diag(np.exp([-4.0, 0.0, 1.5]))]))
         assert np.array_equal(odes.expm(D), expm(D))
 
+    def test_singular_denominator_raises(self, monkeypatch):
+        # the solve keeps np.linalg.solve's error state: with every Pade
+        # coefficient 0, V - U is the zero matrix and the solve raises
+        monkeypatch.setattr(odes, "_PADE13", (0.0,) * 14)
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            odes.expm(np.ones((2, 3, 3)))
+
     def test_stack_is_its_members(self):
         # a member's exponential does not depend on the stack around it,
         # and neither does its exact flow, squarings included
@@ -573,6 +581,93 @@ class TestDop853:
         Y, ls = propagate(messy, cont_state(), np.eye(2), 0.1)
         Y_clean, ls_clean = propagate(clean, cont_state(), np.eye(2), 0.1)
         assert np.array_equal(Y, Y_clean) and ls == ls_clean
+
+
+def looping(model):
+    """``model`` answering ``inner_breaks`` by the ``OdeModel`` default,
+    one ``_knots`` call per step."""
+    model.inner_breaks = functools.partial(odes.OdeModel.inner_breaks, model)
+    return model
+
+
+def assert_same_flow_maps(model, scalar, first, k, dt, backward):
+    maps, ls, last = odes.flow_maps(model, first, k, dt, backward=backward)
+    maps_s, ls_s, last_s = odes.flow_maps(scalar, first, k, dt, backward=backward)
+    assert np.array_equal(maps, maps_s) and np.array_equal(ls, ls_s), (first, k, dt, backward)
+    # the constant piece walked last: (its matrix, (its unit flow, log scale)), if any
+    assert (last is None) == (last_s is None)
+    if last is not None:
+        assert np.array_equal(last[0], last_s[0]) and np.array_equal(last[1][0], last_s[1][0])
+        assert last[1][1] == last_s[1][1]
+
+
+# stream positions: integers, integers a few ulps off, integers off by up
+# to a _NEAR share of a step (a cell edge inside a step, near its end), and
+# any value up to 1e6 in size, negative ones too
+POSITIONS = st.one_of(
+    st.integers(-10**6, 10**6).map(float),
+    st.builds(lambda i, n: i + n * math.ulp(i), st.integers(-10**6, 10**6).map(float), st.integers(-4, 4)),
+    st.builds(lambda i, x: i + x, st.integers(-1000, 1000), st.floats(-3e-7, 3e-7)),
+    st.floats(-1e6, 1e6))
+DTS = st.sampled_from([0.1, 1 / 3, 0.25, 1.0, 2.5])
+
+
+class TestInnerBreaks:
+    """A chunk's steps near a breakpoint are judged by one
+    ``OdeModel.inner_breaks`` call, which must give the bits of each step's
+    own ``_knots``; ``flow_maps`` through the array answer of a
+    piecewise-constant model is bit for bit ``flow_maps`` through the
+    looping default."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(POSITIONS, st.sampled_from([0.0, 0.1, 1 / 3]), DTS,
+           st.lists(st.integers(-10**5, 10**5), min_size=1, max_size=20))
+    def test_array_answer_is_the_knots(self, pos, extra, dt, js):
+        # ``extra`` leaves a rounding error in the compensated position;
+        # a run of 30 steps from the first j crosses a few cell edges
+        model = PiecewiseUniformOdeModel(3, -1.0, 0.5, 0.0, 1.0)
+        first = cont_state(1).advance(pos).advance(extra)
+        steps = np.concatenate([js, js[0] + np.arange(30)])
+        knots = [len(odes._knots(model, advance_steps(first, j, dt), dt)) > 2 for j in steps.tolist()]
+        assert model.inner_breaks(first, steps, dt).tolist() == knots
+
+    @settings(max_examples=60, deadline=None)
+    @given(POSITIONS, DTS, st.integers(1, 60), st.booleans())
+    def test_flow_maps_match_the_looping_default(self, pos, dt, k, backward):
+        first = cont_state(2).advance(pos)
+        assert_same_flow_maps(PiecewiseUniformOdeModel(3, -1.0, 0.5, 0.0, 1.0),
+                              looping(PiecewiseUniformOdeModel(3, -1.0, 0.5, 0.0, 1.0)), first, k, dt, backward)
+
+    def test_near_edge_steps_propagated_alike(self):
+        # a cell edge 1e-10 past a step's start lies inside it by its own
+        # knots but within _NEAR dt of the window's edge: the array answer
+        # propagates it, as the looping default does
+        model = PiecewiseUniformOdeModel(3, -1.0, 0.5, 0.0, 1.0)
+        first = cont_state(2).advance(4.0 - 1e-10)
+        assert model.inner_breaks(first, np.arange(3), 0.1).tolist() == [True, False, False]
+        for dt in (0.1, 1.0, 2.5):
+            for backward in (False, True):
+                assert_same_flow_maps(model, looping(PiecewiseUniformOdeModel(3, -1.0, 0.5, 0.0, 1.0)),
+                                      first, 40, dt, backward)
+
+    def test_typek_flip_answers_through_its_model(self):
+        # the flip's breakpoints are its inner model's, and so is its array
+        # answer; its flow maps are those of the looping default
+        b_model = PiecewiseConstantOdeModel(4, typek_sampler)
+        asked, answer = [], b_model.inner_breaks
+
+        def spied(first, steps, dt):
+            asked.append(len(steps))
+            return answer(first, steps, dt)
+
+        b_model.inner_breaks = spied
+        model = TypeKFlipModel(b_model, 2)
+        scalar = looping(TypeKFlipModel(PiecewiseConstantOdeModel(4, typek_sampler), 2))
+        for pos in (0.0, 4.0 - 1e-10, 0.37):
+            for dt in (0.1, 0.3, 2.5):
+                for backward in (False, True):
+                    assert_same_flow_maps(model, scalar, cont_state(4).advance(pos), 50, dt, backward)
+        assert sum(asked) > 0
 
 
 class TestBatchedIntegrate:

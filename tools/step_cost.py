@@ -23,7 +23,12 @@ the same ranges, whose cells come in block draws.  The "ode read" rows
 time one read of 2000 flow maps through ``OdeCocycle.step_blocks``, the
 layer that a separation reading its maps afresh would pay twice where the
 store pays once, forward from the base point and backward to it, in us per
-map, on each of the two ODE models.  "kappa" and "kappa
+map, on each of the two ODE models.  Those reads start at an integer
+position, where dt puts two step ends in ten within ``odes._NEAR`` dt of a
+cell edge, for ``OdeModel.inner_breaks`` to judge; "ode read cfg off" reads
+the config model from position 0.37, where no step end comes that near an
+edge, so the two "cfg" rows differ by what that judgement costs (and by the
+one step a cell that crosses an edge there).  "kappa" and "kappa
 cfg" time one ``lambda1_via_kappa`` over the 2000 step directions of a
 forward walk (taken untimed), on each of the two ODE models.  The
 "output" rows time one whole ``estimate`` through ``run_command`` (the
@@ -139,6 +144,10 @@ def main(argv=None):
         _, model = build_model({"model": dict(CHECKS["ode"][0], n=n)})
         return OdeCocycle(model, dt=0.1), IidShift(time="continuous").initial(1)
 
+    def ode_cfg_off(n):
+        coc, omega = ode_cfg(n)
+        return coc, omega.advance(0.37)
+
     T = HORIZON
     if args.peak:
         for name, make, n in (("separation", matrix, 3), ("separation", matrix, 24), ("ode sep", ode, 3)):
@@ -177,7 +186,7 @@ def main(argv=None):
         directions = np.vstack([np.ones(3), forward_floquet(coc, omega, np.ones(3), T * coc.dt,
                                                             record_every=1).directions])
         loops.append((name, make, lambda coc, om, d=directions: lambda1_via_kappa(coc, om, d), (3,)))
-    for name, make in (("ode read", ode), ("ode read cfg", ode_cfg)):
+    for name, make in (("ode read", ode), ("ode read cfg", ode_cfg), ("ode read cfg off", ode_cfg_off)):
         for backward in (False, True):
             loops.append((f"{name} {'bwd' if backward else 'fwd'}", make,
                           lambda coc, om, b=backward, lo=-T * backward:
@@ -190,7 +199,7 @@ def main(argv=None):
                 t0 = time.process_time()
                 run(coc, omega)
                 best = min(best, time.process_time() - t0)
-            print(f"{name:<16} N={n:<3} {1e6 * best / T:7.1f} us/{'map' if name.startswith('ode read') else 'step'}")
+            print(f"{name:<20} N={n:<3} {1e6 * best / T:7.1f} us/{'map' if name.startswith('ode read') else 'step'}")
 
     def best_of(run):
         best = float("inf")
