@@ -13,7 +13,7 @@ import numpy as np
 
 from poscocycle import (IidShift, LeslieModel, MatrixCocycle, check_D,
                         cocycle_product, forward_floquet, leslie_model,
-                        verify_nstep_positivity, warmup_direction)
+                        warmup_direction)
 
 N = 4
 driver = IidShift()
@@ -31,8 +31,6 @@ print("one season:\n", np.round(model.emit(omega), 3))
 lag1, lagN = (next(r for r in check_D(model, driver, seed=1, n_samples=40, lag=lag) if r.condition == "D2.i")
               for lag in (1, N))
 print(f"strict positivity at lag 1: {lag1.verdict}   at lag {N}: {lagN.verdict}")
-print("N-step positivity violations over 100 samples:",
-      verify_nstep_positivity(model, driver, seed=2, n_samples=100))
 
 # Long-run growth rate and the (random) stable age profile.
 cocycle = MatrixCocycle(model)

@@ -14,7 +14,7 @@ from .matrices import (AssumptionReport, ConstantMatrixModel, FocusingCertificat
                        IidChoiceModel, LeslieModel, MarkovMatrixModel, MatrixModel,
                        SampledMatrixModel, UniformEntriesModel, check_D,
                        cocycle_product, focusing_certificate, leslie_matrix,
-                       leslie_model, matrix_from_csv, verify_nstep_positivity)
+                       leslie_model, matrix_from_csv)
 from .odes import (CallableOdeModel, ConstantOdeModel, IrreducibilityQuantities,
                    OdeModel, PiecewiseConstantOdeModel, check_O,
                    TypeKFlipModel, cooperative_sampler, integrate,

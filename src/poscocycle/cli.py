@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands: check, estimate, separate, orbit, oseledets, example-torus,
-leslie-demo.  Exit codes: 0 success, 1 configuration error, 2 model
-assumption hard failure (a trajectory violated positivity), 3 numerical
-failure, including an example-torus validation item that failed.
+Subcommands: check, estimate, separate, orbit, oseledets, example-torus.
+Exit codes: 0 success, 1 configuration error, a command line that does not
+parse included, 2 model assumption hard failure (a trajectory violated
+positivity), 3 numerical failure, including an example-torus validation
+item that failed.
 """
 
 from __future__ import annotations
@@ -18,20 +19,22 @@ from .config import read_config, validate_config
 from .errors import ConfigError, EstimationError, PositivityViolation
 from .pipelines import COMMANDS, run_command
 
-_FIBONACCI_LESLIE = {
-    "model": {"kind": "leslie", "n": 2,
-              "m": {"dist": "constant", "values": [1.0, 1.0]},
-              "b": {"dist": "constant", "values": [1.0]}},
-    "estimator": {"horizon": 200, "warmup": 60, "lag": 2},
-}
-
 _TORUS_DEFAULT = {"model": {"kind": "torus-example"}}
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, but a command line that does not parse is a configuration
+    error, exit 1: exit 2 means a model assumption failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _parser():
-    p = argparse.ArgumentParser(prog="poscocycle",
-                                description="Positive random cocycles: principal directions, "
-                                            "Lyapunov exponents, exponential separation.")
+    p = _Parser(prog="poscocycle",
+                description="Positive random cocycles: principal directions, "
+                            "Lyapunov exponents, exponential separation.")
     sub = p.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         sp = sub.add_parser(name)
@@ -72,8 +75,6 @@ def _config_for(args):
     is named by its key."""
     if args.config:
         cfg = read_config(args.config)
-    elif args.command == "leslie-demo":
-        cfg = json.loads(json.dumps(_FIBONACCI_LESLIE))
     elif args.command == "example-torus":
         cfg = json.loads(json.dumps(_TORUS_DEFAULT))
     else:
@@ -98,7 +99,7 @@ def _block(cfg, key):
 def _print_summary(doc):
     res = doc["results"]
     cmd = doc["command"]
-    if cmd in ("estimate", "leslie-demo"):
+    if cmd == "estimate":
         lam = res["lambda1"]
         print(f"lambda1 = {lam['value']:.9g} (ci {lam['ci']:.3g}, horizon {lam['horizon']}, seed {lam['seed']})")
     elif cmd == "separate":

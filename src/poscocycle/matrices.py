@@ -432,18 +432,3 @@ def focusing_certificate(S) -> FocusingCertificate:
     kappa = float(n * (col_max / col_min).max())
     kappa_star = float(n * (S.max(axis=1) / S.min(axis=1)).max())
     return FocusingCertificate(kappa=kappa, kappa_star=kappa_star, e=e, beta=beta)
-
-
-def verify_nstep_positivity(model: MatrixModel, driver, seed, n_samples):
-    """Check that the N-fold product (N the dimension) is entrywise strictly
-    positive for each sampled base point.  Returns the list of offending
-    (sample, min entry) pairs, empty when all pass."""
-    steps = model.n
-    bad = []
-    omega = driver.initial(seed)
-    for k in range(n_samples):
-        base = omega.advance(k * steps)
-        D, ls = cocycle_product(model, base, steps)
-        if not np.isfinite(ls) or D.min() <= 0.0:
-            bad.append((k, float(D.min())))
-    return bad

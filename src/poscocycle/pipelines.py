@@ -16,12 +16,12 @@ from .errors import ConfigError
 from .estimators import (DivergenceDiagnostic, MatrixCocycle, OdeCocycle,
                          forward_floquet, lambda1_via_kappa, oseledets_qr,
                          pullback_convergence, separation_estimate, warmup_direction)
-from .matrices import check_D, verify_nstep_positivity
+from .matrices import check_D
 from .odes import check_O
 from .reporting import write_result
 from .stats import batch_means
 
-COMMANDS = ("check", "estimate", "separate", "orbit", "oseledets", "example-torus", "leslie-demo")
+COMMANDS = ("check", "estimate", "separate", "orbit", "oseledets", "example-torus")
 
 
 def _setup(cfg):
@@ -59,7 +59,6 @@ def run_command(command, cfg, out_dir=None):
         "orbit": _run_orbit,
         "oseledets": _run_oseledets,
         "example-torus": _run_torus,
-        "leslie-demo": _run_leslie_demo,
     }[command]
     results = runner(cfg)
 
@@ -212,18 +211,4 @@ def _run_torus(cfg):
         "divergence": dataclasses.asdict(report.divergence),
         "seed": cfg["seed"],
     }
-    return results
-
-
-def _run_leslie_demo(cfg):
-    if cfg["model"]["kind"] != "leslie":
-        raise ConfigError("leslie-demo needs 'model.kind' = 'leslie'")
-    kind, model = build_model(cfg)
-    driver = build_driver(cfg)
-    est = cfg["estimator"]
-    seed = cfg["seed"]
-    bad = verify_nstep_positivity(model, driver, seed, int(est["n_samples"]))
-    results = _run_estimate(cfg)
-    results["nstep_positivity"] = {"steps": model.n, "violations": bad,
-                                   "n_samples": int(est["n_samples"]), "seed": seed}
     return results

@@ -15,8 +15,8 @@ from poscocycle.drivers import IidShift, TorusRotation
 from poscocycle.estimators import (MatrixCocycle, OdeCocycle, forward_floquet,
                                    lambda1_via_kappa, oseledets_qr, pullback_convergence,
                                    separation_estimate, warmup_direction)
-from poscocycle.matrices import (ConstantMatrixModel, LeslieModel, leslie_model,
-                                 UniformEntriesModel, verify_nstep_positivity)
+from poscocycle.matrices import (ConstantMatrixModel, LeslieModel, check_D, leslie_model,
+                                 UniformEntriesModel)
 from poscocycle.odes import (ConstantOdeModel, PiecewiseConstantOdeModel,
                              TypeKFlipModel, cooperative_sampler, integrate)
 from poscocycle.pipelines import run_command
@@ -223,15 +223,18 @@ def test_criterion_08_focusing_sandwich():
 
 
 def test_criterion_09_leslie_nstep_positivity():
-    bad_total = []
+    # check_D at lag N reads the products over the windows [kN, (k + 1)N):
+    # D2.i fails on an entry <= 0, and a non-finite product raises
+    bad = {}
     for n in (2, 3, 5):
         model = LeslieModel(n, lambda rng, n=n: rng.uniform(0.2, 2.0, n),
                             lambda rng, n=n: rng.uniform(0.2, 0.95, n - 1))
-        bad = verify_nstep_positivity(model, IidShift(), SEED + n, 100)
-        bad_total.extend((n, *b) for b in bad)
-    ok = not bad_total
-    record(9, ok, f"N-step products strictly positive for N in (2,3,5), 100 samples each; "
-                  f"violations: {bad_total[:3]}")
+        d2 = next(r for r in check_D(model, IidShift(), SEED + n, 100, lag=n) if r.condition == "D2.i")
+        if d2.verdict == "fails":
+            bad[n] = d2.witnesses[:3]
+    ok = not bad
+    record(9, ok, f"N-step products strictly positive for N in (2,3,5), 100 windows each "
+                  f"(check_D D2.i at lag N); violations: {bad}")
 
 
 def test_criterion_10_invariance_suite():

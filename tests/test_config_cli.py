@@ -17,7 +17,7 @@ from poscocycle.config import DRIVERS, MODELS, load_config, validate_config, bui
 from poscocycle.errors import ConfigError, EstimationError
 from poscocycle.matrices import MatrixModel
 from poscocycle.odes import OdeModel
-from poscocycle.pipelines import run_command
+from poscocycle.pipelines import COMMANDS, run_command
 from poscocycle.reporting import format_result, results_schema, validate_result
 
 
@@ -142,6 +142,13 @@ class TestConfigValidation:
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         sections = [readme.split(f"\n## {name}\n")[1].split("\n## ")[0] for name in ("CLI", "Config file")]
         assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", "\n".join(sections))) == flags
+
+    def test_readme_names_the_commands(self):
+        # README's "Commands:" paragraph names each command of
+        # pipelines.COMMANDS, in order, as `name` (description)
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        para = " ".join(readme.split("\nCommands: ")[1].split("\n\n")[0].split())
+        assert re.findall(r"`([a-z-]+)` \(", para) == list(COMMANDS)
 
     def test_torus_rotation_is_the_drivers(self):
         # a torus-example model takes no keys; its rotation is driver.rho
@@ -451,7 +458,7 @@ class TestPipelines:
 
     def test_schema_is_wellformed(self):
         schema = results_schema()
-        assert schema["properties"]["command"]["enum"]
+        assert schema["properties"]["command"]["enum"] == list(COMMANDS)
 
     def test_validate_rejects_what_the_schema_rejects(self):
         import jsonschema
@@ -485,6 +492,19 @@ class TestCliProcess:
     def test_missing_config_exit_1(self):
         r = self.run_cli("estimate")
         assert r.returncode == 1 and "config" in r.stderr
+
+    @pytest.mark.parametrize("args, message", [
+        (("leslie-demo",), "invalid choice: 'leslie-demo'"),
+        (("estimate", "--seed", "abc"), "argument --seed: invalid int value: 'abc'"),
+    ])
+    def test_parse_error_exit_1(self, args, message):
+        # exit 2 is a model assumption failure, not argparse's usage error
+        r = self.run_cli(*args)
+        assert r.returncode == 1 and message in r.stderr
+
+    def test_help_exit_0(self):
+        r = self.run_cli("--help")
+        assert r.returncode == 0 and "example-torus" in r.stdout
 
     def test_positivity_failure_exit_2(self, tmp_path):
         p = tmp_path / "neg.json"
@@ -814,8 +834,13 @@ class TestCliProcess:
         assert "[FAIL] separation-rate" in captured.out
         assert "numerical failure" in captured.err
 
-    def test_leslie_demo_defaults(self, tmp_path):
-        r = self.run_cli("leslie-demo", "--out", str(tmp_path))
+    def test_fibonacci_leslie_estimate(self, tmp_path):
+        p = tmp_path / "fib.json"
+        p.write_text(json.dumps({"model": {"kind": "leslie", "n": 2,
+                                           "m": {"dist": "constant", "values": [1.0, 1.0]},
+                                           "b": {"dist": "constant", "values": [1.0]}},
+                                 "estimator": {"horizon": 200, "warmup": 60, "lag": 2}}))
+        r = self.run_cli("estimate", "--config", str(p), "--out", str(tmp_path))
         assert r.returncode == 0
         doc = json.loads((tmp_path / "results.json").read_text())
         phi = (1 + math.sqrt(5)) / 2

@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 from poscocycle.drivers import BLOCK_CELLS, IidShift, MarkovShift
 from poscocycle.estimators import MatrixCocycle
 from poscocycle.matrices import (ConstantMatrixModel, IidChoiceModel, LeslieModel,
-                                 MarkovMatrixModel, check_D, cocycle_product,
+                                 MarkovMatrixModel, MatrixModel, check_D, cocycle_product,
                                  focusing_certificate, leslie_matrix, leslie_model,
-                                 matrix_from_csv, opnorm1, UniformEntriesModel,
-                                 verify_nstep_positivity)
+                                 matrix_from_csv, opnorm1, UniformEntriesModel)
 from poscocycle.errors import EstimationError
 from poscocycle.stats import mean_ci
 
@@ -344,7 +343,17 @@ class TestLeslie:
 
     def test_random_nstep_positivity(self):
         model = LeslieModel(4, lambda rng: rng.uniform(0.5, 1.5, 4), lambda rng: rng.uniform(0.5, 0.9, 3))
-        assert verify_nstep_positivity(model, IidShift(), 3, 25) == []
+        assert _report(check_D(model, IidShift(), 3, 25, lag=4), "D2.i").verdict != "fails"
+
+    def test_nstep_zero_names_its_window(self):
+        # Fibonacci rates for steps 0-3, then the newborns stop breeding: the
+        # two-step product over window 2 (steps 4 and 5) is the identity
+        class Weaned(MatrixModel):
+            def emit(self, state):
+                return leslie_matrix([1.0, 1.0] if state.index < 4 else [0.0, 1.0], [1.0])
+
+        r = _report(check_D(Weaned(2), IidShift(), 0, 4, lag=2), "D2.i")
+        assert r.verdict == "fails" and r.witnesses[0] == (2, 0, 1, 0.0)
 
 
 class TestBlockEmission:
