@@ -117,6 +117,8 @@ def _print_summary(doc):
             extra = ""
             if rep["verdict"] == "empirical":
                 extra = f" (estimate {rep['estimate']:.6g} +/- {rep['ci']:.3g})"
+            elif rep["verdict"] == "fails":  # a failing report carries a witness
+                extra = f" (witness 1 of {len(rep['witnesses'])}: {list(rep['witnesses'][0])})"
             print(f"{rep['condition']}: {rep['verdict']}{extra}")
 
 

@@ -99,7 +99,9 @@ class OdeCocycle(_Cocycle):
     """Continuous cocycle sampled at a fixed step dt: the exact flow on
     constant pieces and adaptive DOP853 at ``rtol`` elsewhere.  A chunk of
     up to BLOCK_CELLS flow maps, cut at lo + multiples of BLOCK_CELLS, is
-    built by ``flow_maps`` from its first base point."""
+    one ``flow_maps`` call from its first base point, as a matrix chunk is
+    one emission: it depends on its steps alone, not on the chunk read
+    before it."""
 
     def __init__(self, model: OdeModel, dt: float = 0.1, rtol: float = 1e-10):
         self.model = model
@@ -109,15 +111,10 @@ class OdeCocycle(_Cocycle):
         self.cone_tol = 1e-9
 
     def step_blocks(self, omega, lo, hi, backward=False):
-        # the (A, unit flow) of the constant piece walked last, carried into
-        # the next chunk: a chunk's last piece, or with ``backward`` its first
-        last = None
         cuts = range(lo, hi, BLOCK_CELLS)
         for a in reversed(cuts) if backward else cuts:
-            maps, log_scales, last = flow_maps(self.model, self.advance(omega, a), min(BLOCK_CELLS, hi - a),
-                                               self.dt, rtol=self.rtol, last=last, backward=backward)
-            yield maps, log_scales
-            del maps, log_scales  # freed before the next chunk is built
+            # the generator keeps no reference: a chunk is freed before the next is built
+            yield flow_maps(self.model, self.advance(omega, a), min(BLOCK_CELLS, hi - a), self.dt, rtol=self.rtol)
 
     def replay(self, omega, lo, hi):
         """The maps of steps [lo, hi) stored in one (hi - lo, N, N) array,
@@ -125,8 +122,8 @@ class OdeCocycle(_Cocycle):
         built once and read from the store, which a read yields as views of
         at most BLOCK_CELLS maps, cut as ``step_blocks`` cuts them.  One
         read of the N = 3 piecewise-constant flow maps at dt = 0.1 from an
-        integer start costs 1.8-3.2 us per map with block-drawn cells and
-        5.7-10.0 with a user sampler's, an emitted N = 3 map 0.2-0.3 us."""
+        integer start costs 1.5-1.6 us per map with block-drawn cells and
+        5.0-5.2 with a user sampler's, an emitted N = 3 map 0.2-0.3 us."""
         maps, ls = np.empty((hi - lo, self.n, self.n)), np.empty(hi - lo)
         k = 0
         for chunk, scales in self.step_blocks(omega, lo, hi):

@@ -33,9 +33,9 @@ for ``piece_matrix`` once per constant piece, and the steps inside one
 piece share its flow.  A model's ``piece_matrix`` must therefore hold on
 the whole piece it is asked about.  The steps left over, those across a
 breakpoint or on a smooth piece, go through ``_dop853`` as one batch, bit
-for bit what ``propagate`` gives each alone.  ``flow_maps`` takes and
-returns the flow of the constant piece walked last, so the chunks of one
-read share the flow of a piece that straddles them, in a backward read too.
+for bit what ``propagate`` gives each alone.  ``flow_maps`` is a function
+of its steps: it carries nothing from one call to the next, so a piece
+that two chunks of a read share takes one exponential in each.
 """
 
 from __future__ import annotations
@@ -651,31 +651,27 @@ def propagate(model: OdeModel, omega, Y, t, rtol=1e-10):
     return (Ys[0], float(log_scales[0])) if ts.ndim == 0 else (Ys, log_scales)
 
 
-def flow_maps(model: OdeModel, first, k, dt, rtol=1e-10, last=None, backward=False):
+def flow_maps(model: OdeModel, first, k, dt, rtol=1e-10):
     """The flow maps over [0, dt] of the ``k`` steps of ``dt`` from ``first``,
-    as (maps (k, N, N), log_scales (k,), last): map j is bit for bit
-    ``propagate`` of the identity from ``advance_steps(first, j, dt)``.
+    as (maps (k, N, N), log_scales (k,)): map j is bit for bit ``propagate``
+    of the identity from ``advance_steps(first, j, dt)``, so the maps depend
+    on their steps alone, not on any read before.
 
     The chunk is walked against its own breakpoints: ``model.breakpoints``
     is asked once for the window [0, k dt] from ``first``, and
     ``model.piece_matrix`` once per constant piece of it that holds a whole
     step.  Such a step takes the piece's unit flow over dt, which is what
-    ``propagate`` returns for it: E @ I is E, and max |E| is 1.  ``last``
-    is (a copy of A, its unit flow) for the last constant piece walked,
-    taken from and returned to the caller, so a piece whose matrix equals
-    it, within the chunk or at the start of the next, takes no flow of its
-    own.  The walk goes from the last step to the first with ``backward``,
-    so that ``last`` is then the chunk's first piece, where the read's
-    next (earlier) chunk ends.  A step across a breakpoint, or on a smooth
-    piece, is propagated: all such steps of the chunk go through one
-    ``_dop853`` batch.  Rounding places the window's breakpoints and a
-    step's own a few ulps apart, so the steps on a constant piece with an
-    end within ``_NEAR`` dt of a breakpoint or of the window's ends are
-    judged by one ``model.inner_breaks`` call after the walk, and those
-    that hold a breakpoint of their own are propagated too.  Only the
-    propagated steps get a base point.  One stacked ``_exact_flow`` call
-    then gives the flows of the new constant pieces and of the propagated
-    steps' constant pieces, and the whole steps are filled by indexing.
+    ``propagate`` returns for it: E @ I is E, and max |E| is 1.  A step
+    across a breakpoint, or on a smooth piece, is propagated: all such steps
+    of the chunk go through one ``_dop853`` batch.  Rounding places the
+    window's breakpoints and a step's own a few ulps apart, so the steps on
+    a constant piece with an end within ``_NEAR`` dt of a breakpoint or of
+    the window's ends are judged by one ``model.inner_breaks`` call after
+    the walk, and those that hold a breakpoint of their own are propagated
+    too.  Only the propagated steps get a base point.  One stacked
+    ``_exact_flow`` call then gives the flows of the constant pieces and of
+    the propagated steps' constant pieces, and the whole steps are filled by
+    indexing.
     """
     span = k * dt
     near = _NEAR * dt
@@ -690,13 +686,11 @@ def flow_maps(model: OdeModel, first, k, dt, rtol=1e-10, last=None, backward=Fal
     across = edges_in(starts + near, ends - near) > 0
     doubtful = (edges_in(starts - near, ends + near) > 0) & ~across
     pieces = np.searchsorted(edges, starts + 0.5 * dt, side="right") - 1
-    walk = list(zip(range(k), pieces.tolist(), across.tolist(), doubtful.tolist()))
     maps, log_scales = np.empty((k, model.n, model.n)), np.empty(k)
-    held = None if last is None else last[0]  # the matrix of the last constant piece walked
-    # the piece of the last whole step, and the slot of its flow: i for the
-    # i-th new piece, -1 for the flow carried in, None on a smooth piece
+    # the piece of the last whole step, and the slot of its flow in ``new``
+    # (None on a smooth piece)
     piece = slot = None
-    new, whole, slots = [], [], []  # the new constant pieces; the whole steps and their slots
+    new, whole, slots = [], [], []  # the constant pieces; the whole steps and their slots
     doubts = []  # the places in ``whole`` of the doubtful steps
     todo, states, chains = [], [], []  # the steps to propagate, their base points and pieces
 
@@ -705,12 +699,11 @@ def flow_maps(model: OdeModel, first, k, dt, rtol=1e-10, last=None, backward=Fal
         states.append(advance_steps(first, j, dt))
         chains.append(_pieces(model, states[-1], dt))
 
-    for j, i, cross, doubt in walk[::-1] if backward else walk:
+    for j, i, cross, doubt in zip(range(k), pieces.tolist(), across.tolist(), doubtful.tolist()):
         if not cross and i != piece:
             piece, A = i, model.piece_matrix(first, float(edges[i]), float(edges[i + 1]))
-            if A is not None and (held is None or not np.array_equal(held, A)):
-                held = np.array(A, dtype=float)  # a model may refill A
-                new.append((0.0, dt, held))
+            if A is not None:
+                new.append((0.0, dt, np.array(A, dtype=float)))  # a model may refill A
             slot = None if A is None else len(new) - 1
         if cross or slot is None:
             propagated(j)
@@ -727,16 +720,11 @@ def flow_maps(model: OdeModel, first, k, dt, rtol=1e-10, last=None, backward=Fal
             del whole[d], slots[d]
     chains, (E, ls) = _with_flows(chains, new)
     if whole:
-        if last is not None:  # slot -1: the flow carried in
-            E = last[1][0][None] if E is None else np.concatenate([E, last[1][0][None]])
-            ls = [*ls, last[1][1]]
         maps[whole], log_scales[whole] = E[slots], np.array(ls)[slots]
-    if new:
-        last = (held, (E[len(new) - 1], ls[len(new) - 1]))
     if todo:
         eye = np.broadcast_to(np.eye(model.n), (len(todo), model.n, model.n))
         maps[todo], log_scales[todo], _, _ = _dop853(model, states, chains, eye, rtol)
-    return maps, log_scales, last
+    return maps, log_scales
 
 
 def _unit_scaled(U):

@@ -338,10 +338,13 @@ class TestPipelines:
     def test_ode_estimate_one_pass(self, tmp_path, monkeypatch):
         # the warm-up, then the warmed and raw probes as one block; the kappa
         # route reads the warmed probe's rows: 50 + 1000 flow maps, not 3100.
-        # A unit cell holds 10 steps, which share one expm and need no
-        # DOP853 batch: 105 cells for the estimate, and 110 for separate's
-        # 50 + 1000 + 50 steps, each map built once, in one stacked expm
-        # call per chunk (stacks holds their sizes).  The cells come in
+        # A unit cell holds 10 steps, which share one expm per chunk and
+        # need no DOP853 batch: 105 cells for the estimate, and 110 for
+        # separate's 50 + 1000 + 50 steps, each map built once, in one
+        # stacked expm call per chunk (stacks holds their sizes).  A cell
+        # that a chunk cut splits takes one expm in each chunk: the cuts at
+        # steps 256, 512 and 768 of the estimate's 1000, and at 256, 512,
+        # 768 and 1024 of separate's 1050, add 3 and 4.  The cells come in
         # blocks of BLOCK_CELLS, one draw each and no per-cell Generator:
         # the estimate reads cells -5..99 and separate -5..104: blocks -1 and
         # 0, one draw each
@@ -379,7 +382,7 @@ class TestPipelines:
                                          "diag": [-1.0, 0.5], "offdiag": [0.0, 1.0]},
                                "estimator": {"horizon": 100.0, "dt": 0.1}})
         res = run_command("estimate", cfg, out_dir=tmp_path)["results"]
-        assert sum(maps) == 50 + 1000 and sum(stacks) == 105 and len(stacks) == len(maps)
+        assert sum(maps) == 50 + 1000 and sum(stacks) == 108 and len(stacks) == len(maps)
         assert calls == {"_dop853": 0}
         assert draws == {"_prf": 0, "cell_uniforms": 2}
         assert abs(res["lambda1_kappa_route"]["value"] - res["lambda1"]["value"]) < 5e-3
@@ -387,7 +390,7 @@ class TestPipelines:
         stacks.clear()
         draws.update(cell_uniforms=0)
         run_command("separate", cfg, out_dir=tmp_path)
-        assert sum(maps) == 50 + 1000 + 50 and sum(stacks) == 110 and len(stacks) == len(maps)
+        assert sum(maps) == 50 + 1000 + 50 and sum(stacks) == 114 and len(stacks) == len(maps)
         assert calls == {"_dop853": 0}
         assert draws == {"_prf": 0, "cell_uniforms": 2}
 
@@ -505,6 +508,18 @@ class TestCliProcess:
     def test_help_exit_0(self):
         r = self.run_cli("--help")
         assert r.returncode == 0 and "example-torus" in r.stdout
+
+    def test_check_prints_first_witness(self, tmp_path):
+        # the flip's square is diagonal: every window of two steps has zero
+        # off-diagonal entries, and the summary names the first; a failing
+        # report leaves the exit code at 0
+        p = tmp_path / "flip.json"
+        p.write_text(json.dumps({"model": {"kind": "constant", "matrix": [[0, 1], [1, 0]]},
+                                 "estimator": {"lag": 2}}))
+        r = self.run_cli("check", "--config", str(p), "--out", str(tmp_path))
+        assert r.returncode == 0
+        assert "D2.i: fails (witness 1 of 5: [0, 0, 1, 0.0])" in r.stdout.splitlines()
+        assert "D3.sufficient.global-min: fails (witness 1 of 1: [0, 0.0])" in r.stdout.splitlines()
 
     def test_positivity_failure_exit_2(self, tmp_path):
         p = tmp_path / "neg.json"

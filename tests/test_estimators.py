@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from poscocycle.config import build_driver, build_model, validate_config
-from poscocycle.drivers import BLOCK_CELLS, IidShift, TorusRotation
+from poscocycle.drivers import BLOCK_CELLS, IidShift, TorusRotation, advance_steps
 from poscocycle.errors import EstimationError, PositivityViolation
 from poscocycle.estimators import (MatrixCocycle, OdeCocycle, DivergenceDiagnostic, SeparationEstimate,
                                    forward_floquet, lambda1_via_kappa, oseledets_qr,
@@ -20,8 +20,8 @@ from poscocycle.estimators import (FloquetTrack, _column_norms, _enforce_cone, _
                                    _projection_norm, _qr, _spectral_norm, _transposed)
 from poscocycle.matrices import (ConstantMatrixModel, IidChoiceModel, SampledMatrixModel, UniformEntriesModel,
                                  leslie_model)
-from poscocycle.odes import (CallableOdeModel, ConstantOdeModel, PiecewiseConstantOdeModel, TypeKFlipModel,
-                            cooperative_sampler, propagate)
+from poscocycle.odes import (CallableOdeModel, ConstantOdeModel, PiecewiseConstantOdeModel,
+                            PiecewiseUniformOdeModel, TypeKFlipModel, cooperative_sampler, propagate)
 from poscocycle.pipelines import run_command
 from poscocycle.stats import batch_means
 from poscocycle.torus import TorusExampleModel
@@ -421,10 +421,11 @@ class TestForwardFloquet:
             assert sum(maps) == 2 * 30 + 2 * warmup
 
     def test_backward_read_takes_one_expm_per_cell(self, monkeypatch):
-        # 1000 steps at dt = 0.1 cover 100 unit cells either way; a cell
-        # that straddles two chunks shares one expm in a backward read too,
-        # where the chunks come latest first.  expms holds the size of each
-        # stacked expm call, one per chunk of 256 steps.
+        # 1000 steps at dt = 0.1 cover 100 unit cells either way; each chunk
+        # of 256 steps takes one expm per cell it touches, so each of the
+        # three cells that straddle a chunk cut takes one in each chunk, in
+        # a backward read too, where the chunks come latest first.  expms
+        # holds the size of each stacked expm call, one per chunk.
         expms, expm = [], odes.expm
 
         def counted_expm(A):
@@ -436,7 +437,7 @@ class TestForwardFloquet:
         for backward in (False, True):
             expms.clear()
             assert sum(len(maps) for maps, _ in coc.step_blocks(cont_state(4), 0, 1000, backward)) == 1000
-            assert sum(expms) == 100 and len(expms) == 4, backward
+            assert expms == ([24, 26, 27, 26] if backward else [26, 27, 26, 24]), backward
 
     def test_read_names_few_base_points(self, monkeypatch):
         # a forward read names each chunk's first base point (two advances:
@@ -588,6 +589,35 @@ class TestForwardFloquet:
                 for M, l, state in zip(maps, ls, states, strict=True):
                     F, lf = flow(state)
                     assert np.array_equal(M, F.T) and l == lf, case
+
+    def test_ode_chunks_are_pure(self):
+        # a chunk of a read is odes.flow_maps alone from the chunk's first
+        # base point, on a fresh model: it depends on its steps and on no
+        # chunk read before it, forward or backward.  The read [-300, 300)
+        # is cut at -300, -44 and 212; from both starts at both dt those
+        # cuts fall inside unit cells, so a cell straddles every cut
+        cooperative = cooperative_sampler(3, -1.0, 1.0, 0.0, 1.0)
+        flip = np.array([1.0, -1.0, -1.0])
+        models = {
+            "sampler": lambda: PiecewiseConstantOdeModel(3, cooperative),
+            "block": lambda: PiecewiseUniformOdeModel(3, -1.0, 1.0, 0.0, 1.0),
+            "type-K": lambda: TypeKFlipModel(PiecewiseConstantOdeModel(
+                3, lambda rng: flip[:, None] * cooperative(rng) * flip), 1),
+        }
+        lo, hi = -300, 300
+        cuts = range(lo, hi, BLOCK_CELLS)
+        for (case, make), start, dt in product(models.items(), (0.0, 0.37), (0.1, 0.3)):
+            omega = cont_state(6).advance(start)
+            firsts = [advance_steps(omega, a, dt) for a in cuts]
+            assert all(0.01 < (f.pos + f.pos_lo) % 1.0 < 0.99 for f in firsts[1:]), (case, start, dt)
+            alone = [odes.flow_maps(make(), first, min(BLOCK_CELLS, hi - a), dt)
+                     for a, first in zip(cuts, firsts)]
+            coc = OdeCocycle(make(), dt=dt)
+            for backward in (False, True):
+                chunks = list(coc.step_blocks(omega, lo, hi, backward))
+                assert len(chunks) == len(alone)
+                for (maps, ls), (maps_a, ls_a) in zip(chunks[::-1] if backward else chunks, alone):
+                    assert np.array_equal(maps, maps_a) and np.array_equal(ls, ls_a), (case, start, dt, backward)
 
 
 class TestCocycleProtocol:

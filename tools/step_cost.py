@@ -25,10 +25,14 @@ layer that a separation reading its maps afresh would pay twice where the
 store pays once, forward from the base point and backward to it, in us per
 map, on each of the two ODE models.  Those reads start at an integer
 position, where dt puts two step ends in ten within ``odes._NEAR`` dt of a
-cell edge, for ``OdeModel.inner_breaks`` to judge; "ode read cfg off" reads
-the config model from position 0.37, where no step end comes that near an
-edge, so the two "cfg" rows differ by what that judgement costs (and by the
-one step a cell that crosses an edge there).  "kappa" and "kappa
+cell edge, for ``OdeModel.inner_breaks`` to judge; "ode read off" and "ode
+read cfg off" read the two models from position 0.37, where no step end
+comes that near an edge, so each pair differs by what that judgement costs
+and by the one step a cell that crosses an edge there.  A chunk is walked
+in step order whichever way a read goes, so on the user sampler's model,
+whose memo holds one cell, a backward read draws each cell once, as a
+forward read does, save one more draw at each chunk cut inside a cell;
+the "ode read off" rows show it.  "kappa" and "kappa
 cfg" time one ``lambda1_via_kappa`` over the 2000 step directions of a
 forward walk (taken untimed), on each of the two ODE models.  The
 "output" rows time one whole ``estimate`` through ``run_command`` (the
@@ -144,6 +148,10 @@ def main(argv=None):
         _, model = build_model({"model": dict(CHECKS["ode"][0], n=n)})
         return OdeCocycle(model, dt=0.1), IidShift(time="continuous").initial(1)
 
+    def ode_off(n):
+        coc, omega = ode(n)
+        return coc, omega.advance(0.37)
+
     def ode_cfg_off(n):
         coc, omega = ode_cfg(n)
         return coc, omega.advance(0.37)
@@ -186,7 +194,8 @@ def main(argv=None):
         directions = np.vstack([np.ones(3), forward_floquet(coc, omega, np.ones(3), T * coc.dt,
                                                             record_every=1).directions])
         loops.append((name, make, lambda coc, om, d=directions: lambda1_via_kappa(coc, om, d), (3,)))
-    for name, make in (("ode read", ode), ("ode read cfg", ode_cfg), ("ode read cfg off", ode_cfg_off)):
+    for name, make in (("ode read", ode), ("ode read off", ode_off), ("ode read cfg", ode_cfg),
+                       ("ode read cfg off", ode_cfg_off)):
         for backward in (False, True):
             loops.append((f"{name} {'bwd' if backward else 'fwd'}", make,
                           lambda coc, om, b=backward, lo=-T * backward:
