@@ -10,7 +10,7 @@ its maps: ``step_blocks(omega, lo, hi)`` serves the scale-separated maps of
 steps [lo, hi) as chunks (maps (k, N, N), log_scales (k,)), naming step k's
 base point ``advance(omega, k)``, exactly k dt on, however a read reaches
 it.  A ``replay`` is ``step_blocks`` bound to omega; only ``OdeCocycle``
-stores its flow maps instead, built once per chunk (``odes.flow_maps``).
+stores its flow maps instead, built once by one ``odes.flow_maps`` stream.
 Each step loop walks the maps of a chunk in place and frees the chunk
 before the next is built.  ``forward_floquet`` and ``oseledets_qr`` do per
 step only what the next step needs (the product, then the column norms and
@@ -99,9 +99,9 @@ class OdeCocycle(_Cocycle):
     """Continuous cocycle sampled at a fixed step dt: the exact flow on
     constant pieces and adaptive DOP853 at ``rtol`` elsewhere.  A chunk of
     up to BLOCK_CELLS flow maps, cut at lo + multiples of BLOCK_CELLS, is
-    one ``flow_maps`` call from its first base point, as a matrix chunk is
-    one emission: it depends on its steps alone, not on the chunk read
-    before it."""
+    one window of ``flow_maps`` from its first base point, as a matrix
+    chunk is one emission: it depends on its steps alone, not on the chunk
+    read before it."""
 
     def __init__(self, model: OdeModel, dt: float = 0.1, rtol: float = 1e-10):
         self.model = model
@@ -111,19 +111,23 @@ class OdeCocycle(_Cocycle):
         self.cone_tol = 1e-9
 
     def step_blocks(self, omega, lo, hi, backward=False):
+        """One ``flow_maps`` stream over the chunks: the steps that a chunk
+        propagates share DOP853 steps with the next chunk's, and at most
+        two chunks are in flight."""
         cuts = range(lo, hi, BLOCK_CELLS)
-        for a in reversed(cuts) if backward else cuts:
-            # the generator keeps no reference: a chunk is freed before the next is built
-            yield flow_maps(self.model, self.advance(omega, a), min(BLOCK_CELLS, hi - a), self.dt, rtol=self.rtol)
+        return flow_maps(self.model, ((self.advance(omega, a), min(BLOCK_CELLS, hi - a))
+                                      for a in (reversed(cuts) if backward else cuts)), self.dt, rtol=self.rtol)
 
     def replay(self, omega, lo, hi):
         """The maps of steps [lo, hi) stored in one (hi - lo, N, N) array,
-        filled by a single forward read of ``step_blocks``: a flow map is
-        built once and read from the store, which a read yields as views of
-        at most BLOCK_CELLS maps, cut as ``step_blocks`` cuts them.  One
-        read of the N = 3 piecewise-constant flow maps at dt = 0.1 from an
-        integer start costs 1.5-1.6 us per map with block-drawn cells and
-        5.0-5.2 with a user sampler's, an emitted N = 3 map 0.2-0.3 us."""
+        filled by a single forward read of ``step_blocks``, one DOP853
+        stream: a flow map is built once and read from the store, which a
+        read yields as views of at most BLOCK_CELLS maps, cut as
+        ``step_blocks`` cuts them.  While it fills, the store and two chunks
+        in flight are held.  One read of the N = 3 piecewise-constant flow
+        maps at dt = 0.1 from an integer start costs 1.5-1.6 us per map with
+        block-drawn cells and 5.0-5.2 with a user sampler's, an emitted N =
+        3 map 0.2-0.3 us."""
         maps, ls = np.empty((hi - lo, self.n, self.n)), np.empty(hi - lo)
         k = 0
         for chunk, scales in self.step_blocks(omega, lo, hi):
@@ -568,17 +572,19 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0) -> S
     direction and of the invariant complement, the hyperplane that the dual
     direction annihilates.
 
-    ``cocycle.replay`` serves the maps of [0, T + warmup) to two walks of
-    ``_forward``, so both are cone-checked and checked at chunk close: the
-    principal direction over [0, T), warmed up over [-warmup, 0) by
-    ``warmup_direction`` (lambda1 and w are that ``forward_floquet`` walk's
-    bit for bit), then the dual direction over the transposed maps, latest
-    step first, warmed up over [T, T + warmup), whose walk over [0, T)
-    carries the complement frame (``_adjoint_sweep``).  Nothing is kept per
-    step: each read takes the maps afresh, save an ``OdeCocycle``'s, whose
-    flow maps are built once and stored.  The frame is projected onto the dual-null hyperplane
-    at every step; without that, roundoff injects a dominant component that
-    grows at rate sigma and silently caps the measurable separation near
+    ``cocycle.replay`` serves the maps of [-warmup, T + warmup) to the
+    walks of ``_forward``, so all are cone-checked and checked at chunk
+    close: the principal direction over [0, T), warmed up over [-warmup, 0)
+    as ``warmup_direction`` warms it (lambda1 and w are that
+    ``forward_floquet`` walk's bit for bit), then the dual direction over
+    the transposed maps, latest step first, warmed up over [T, T + warmup),
+    whose walk over [0, T) carries the complement frame
+    (``_adjoint_sweep``).  Nothing is kept per step: each read takes the
+    maps afresh, save an ``OdeCocycle``'s, whose T + 2 warmup flow maps are
+    built once, by one DOP853 stream with two chunks in flight, and
+    stored.  The frame is projected onto the dual-null hyperplane at every
+    step; without that, roundoff injects a dominant component that grows
+    at rate sigma and silently caps the measurable separation near
     ln(1/eps) / horizon.  Sigma comes from the growth *ratio*, which stays
     finite even when both exponents diverge to -inf.  ``proj_samples`` > 0
     additionally records ln |projection onto the complement along the
@@ -594,8 +600,8 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0) -> S
     warmup = _count("warmup", warmup, 0)
     proj_samples = _count("proj_samples", proj_samples, 0)
     sample_every = max(1, n_steps // proj_samples) if proj_samples else 0
-    blocks = cocycle.replay(omega, 0, n_steps + warmup)
-    w = warmup_direction(cocycle, omega, warmup)
+    blocks = cocycle.replay(omega, -warmup, n_steps + warmup)
+    w = _warmed(cocycle, blocks(-warmup, 0), range(-warmup, 0))
     track = _forward(cocycle, blocks(0, n_steps), range(n_steps), w, sample_every)
     if track.log_growth == -math.inf:
         raise EstimationError("principal direction annihilated; no positive growth to separate")

@@ -8,7 +8,7 @@ coefficient discontinuity.  A piece on which the coefficient is constant
 (``OdeModel.piece_matrix``) gets the exact flow expm(h A), by scaling and
 squaring; ``expm`` is numpy's diagonal Pade approximant of degree 13 over a
 stack of matrices, and the module loads no scipy.  The constant pieces of
-one ``propagate`` call, or of one ``flow_maps`` chunk, are exponentiated
+one ``propagate`` call, or of one ``flow_maps`` window, are exponentiated
 in one stacked call (``_with_flows``).  Every other piece is integrated
 with the adaptive Runge-Kutta method DOP853 of Dormand and Prince (order 8,
 with Hairer's combined 5th- and 3rd-order error estimate).  Both
@@ -16,33 +16,40 @@ renormalize the state as they go, accumulating the log of the extracted
 scale, so decaying or exploding trajectories never leave floating-point
 range.
 
-There is one DOP853, ``_dop853``, which steps a batch of members in
-lockstep, each along its own chain of pieces with its own step size.  The
-coefficient of all smooth pieces of a batch comes from one
-``OdeModel.piece_fields`` call, evaluated at the stage times of every live
-member at once.  ``propagate`` and ``integrate`` take one time or a 1-D
-sequence of times, from one base point or from as many: every (base point,
-time) pair is a member of one batch, and a single time is the batch of one.
+There is one DOP853, ``_dop853``, which steps the members of a stream of
+batches in lockstep, each along its own chain of pieces with its own step
+size.  At most BLOCK_CELLS members are live; a waiting member takes the
+slot of one that finishes, so a batch's slow members step alongside the
+next batch's, and at most two batches are in flight.  The coefficient of
+all smooth pieces of a batch comes from one ``OdeModel.piece_fields``
+call, evaluated at the stage times of its live members at once.
+``propagate`` and ``integrate`` take one time or a 1-D sequence of times,
+from one base point or from as many: every (base point, time) pair is a
+member of a stream of one batch, and a single time is the batch of one.
 
 A piecewise-constant model keeps the last block of cells it drew: a user
 sampler's one cell, or the BLOCK_CELLS cells of one counter-addressed draw.
 
-``flow_maps`` builds the one-step flow maps of a run of steps from its first
-base point at once: it asks for the breakpoints of the whole window and
-for ``piece_matrix`` once per constant piece, and the steps inside one
-piece share its flow.  A model's ``piece_matrix`` must therefore hold on
-the whole piece it is asked about.  The steps left over, those across a
-breakpoint or on a smooth piece, go through ``_dop853`` as one batch, bit
-for bit what ``propagate`` gives each alone.  ``flow_maps`` is a function
-of its steps: it carries nothing from one call to the next, so a piece
-that two chunks of a read share takes one exponential in each.
+``flow_maps`` builds the one-step flow maps of a stream of windows, each a
+run of steps from its first base point, a window at a time: it asks for
+the breakpoints of the whole window and for ``piece_matrix`` once per
+constant piece, and the steps inside one piece share its flow.  A model's
+``piece_matrix`` must therefore hold on the whole piece it is asked about.
+The steps left over, those across a breakpoint or on a smooth piece, go
+through ``_dop853`` as the window's batch, bit for bit what ``propagate``
+gives each alone, and the batches of a read's windows are one stream, so
+a read's DOP853 cost does not depend on where its chunk cuts fall.  A
+window is a function of its steps: nothing is carried from one window to
+the next, so a piece that two chunks of a read share takes one
+exponential in each.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
-from itertools import permutations
+from itertools import chain, permutations
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -311,22 +318,64 @@ def _underflow(t, t0, t1):
     return EstimationError(f"step-size underflow at t = {t:.6g} inside the smooth piece ({t0:.6g}, {t1:.6g})")
 
 
-def _dop853(model, states, chains, Y, rtol):
-    """Adaptive DOP853 for m members in lockstep; returns (Y_unit (m, N, k),
-    log_scales (m,), accepted (m,), rejected (m,)), the last two the step
-    counts of each member.
+class _Batch:
+    """One batch of a ``_dop853`` stream: per member a chain of pieces, its
+    smooth pieces numbered, and a first block; the coefficient of all its
+    smooth pieces from one ``piece_fields`` call; and per member the next
+    piece, the log scale of the pieces done, the result and the counts."""
 
-    Member j evolves the (N, k) block Y[j] along ``chains[j]``, the pieces
-    (a, b, flow) of local time past ``states[j]`` in order (``_pieces``).
-    A constant piece takes its exact ``flow``; a smooth one takes adaptive
-    steps, with the coefficient from one ``model.piece_fields`` call for
-    the smooth pieces of all members.  Every member keeps its own t, h,
-    accept/reject state and log scale; one that finishes a piece starts
-    its next on the next step, and one that finishes its chain leaves the
-    batch.  The members still stepping are kept as a contiguous prefix of
-    the slots and each step works on views of it.  A member's 12 stages
-    are contiguous, so the stacked matmuls make the BLAS calls that the
-    member alone makes, and its result does not depend on the batch.  The
+    def __init__(self, model, states, chains, Y):
+        smooth = [(j, a, b) for j, chain in enumerate(chains) for a, b, flow in chain if flow is None]
+        self.fields = model.piece_fields([states[j] for j, _, _ in smooth], np.array([a for _, a, _ in smooth]),
+                                         np.array([b for _, _, b in smooth])) if smooth else None
+        number = iter(range(len(smooth)))
+        self.chains = [[(a, b, flow, None if flow is not None else next(number)) for a, b, flow in chain]
+                       for chain in chains]
+        m = len(chains)
+        self.Y, self.admitted, self.undone = Y, 0, m  # members admitted; members not done
+        self.at, self.total = [0] * m, [0.0] * m
+        self.out, self.counts = np.empty(np.shape(Y)), np.zeros((2, m), dtype=np.intp)
+
+    def result(self):
+        return self.out, np.array(self.total, dtype=float), self.counts[0], self.counts[1]
+
+
+def _coefficient(parts, taus):
+    """The coefficient at the times ``taus`` (r, m) as (r, m, N, N), columns
+    s:e from one call per part (fields, s, e, pieces), ``pieces`` the
+    part's pieces tiled r times: a part is the members of one batch."""
+    r = len(taus)
+    As = [fields(pieces, taus[:, s:e].ravel()) for fields, s, e, pieces in parts]
+    As = [A.reshape(r, e - s, *A.shape[1:]) for A, (_, s, e, _) in zip(As, parts)]
+    return As[0] if len(As) == 1 else np.concatenate(As, axis=1)
+
+
+def _dop853(model, batches, rtol):
+    """Adaptive DOP853 over a stream of batches, each (states, chains, Y)
+    with Y (m, N, k); yields each batch's (Y_unit (m, N, k), log_scales
+    (m,), accepted (m,), rejected (m,)), the last two the step counts of
+    each member, in order, once every member of the batch is done.
+
+    Member j of a batch evolves the (N, k) block Y[j] along ``chains[j]``,
+    the pieces (a, b, flow) of local time past ``states[j]`` in order
+    (``_pieces``).  A constant piece takes its exact ``flow``; a smooth one
+    takes adaptive steps, with the coefficient of a batch's smooth pieces
+    from one ``model.piece_fields`` call.  Every member keeps its own t, h,
+    accept/reject state and log scale; one that finishes a piece starts its
+    next on the next step, and one that finishes its chain leaves.
+
+    At most BLOCK_CELLS members are live, in slots, and step in lockstep;
+    the members still stepping are a contiguous prefix of the slots and
+    each step works on views of it.  Waiting members take the freed slots
+    in batch order, behind the live prefix, so the slots stay sorted by
+    batch and a step makes one ``fields`` call per live batch
+    (``_coefficient``).  The next batch is drawn once the last one drawn is
+    wholly admitted, and at most one batch ahead of the one waiting to be
+    yielded: a batch's slow members step alongside the next batch's, and
+    at most two batches are in flight.  A member's rejected count runs
+    from the step that admitted it.  Its 12 stages are contiguous, so the
+    stacked matmuls make the BLAS calls that the member alone makes, and
+    its result depends neither on its batch nor on the stream.  The
     step-size controller runs per member in Python floats.
 
     Each component's error is weighed against 1e-12 + rtol times its size.
@@ -336,51 +385,38 @@ def _dop853(model, states, chains, Y, rtol):
     ``EstimationError`` naming the member's piece and time instead of
     shrinking the step for ever.
     """
-    m, n, k = Y.shape
-    # number the smooth pieces of all chains, and take their coefficient at once
-    smooth = [(j, a, b) for j, chain in enumerate(chains) for a, b, flow in chain if flow is None]
-    fields = model.piece_fields([states[j] for j, _, _ in smooth], np.array([a for _, a, _ in smooth]),
-                                np.array([b for _, _, b in smooth])) if smooth else None
-    number = iter(range(len(smooth)))
-    chains = [[(a, b, flow, None if flow is not None else next(number)) for a, b, flow in chain]
-              for chain in chains]
+    source, pending, more = iter(batches), deque(), True  # the batches drawn and not yet yielded
+    yielded = cap = live = step = 0  # batches yielded, slots, live slots, steps taken
+    # slot j holds member member[j] of batch owner[j], admitted at step
+    # since[j], on its smooth piece piece[j], and S[j] its scalars: first
+    # those a step updates (t, h, the piece's log scale, whether the last
+    # step was rejected, the accepted steps), then the piece's ends, the
+    # clamp bounds of field times, the underflow h and the end tolerance
+    Y = S = None
+    member = piece = owner = since = np.zeros(0, dtype=np.intp)
 
-    Y = np.array(Y, dtype=float)
-    K = np.empty((m, _STAGES, n * k))
-    K4 = K.reshape(m, _STAGES, n, k)
-    comb = np.empty((m, n, k))  # a stage's argument, then the candidate step
-    comb_flat = comb.reshape(m, n * k)
-    # slot j holds member[j] on its smooth piece piece[j], and S[j] its
-    # scalars: first those a step updates (t, h, the piece's log scale,
-    # whether the last step was rejected, the accepted steps), then the
-    # piece's ends, the clamp bounds of field times, the underflow h and
-    # the end tolerance
-    S = np.zeros((m, 11))
-    t, h, ls, rejected, accepted, t0, t1, lo, hi, min_h, tol = S.T
-    member, piece = np.arange(m), np.zeros(m, dtype=np.intp)
-    total, at = [0.0] * m, [0] * m  # per member: log scale of the pieces done, the next piece
-    out, counts = np.empty_like(Y), np.zeros((2, m), dtype=np.intp)
-    step = 0  # every member steps from the first step until its chain is done
+    def batch(j):
+        return pending[owner[j] - yielded]
 
     def start(j):
         """Walk member ``member[j]`` to its next smooth piece of positive
         length and set up slot j for it; False once the chain is done."""
-        i = int(member[j])
-        for a, b, flow, p in chains[i][at[i]:]:
-            at[i] += 1
+        bj, i = batch(j), int(member[j])
+        for a, b, flow, p in bj.chains[i][bj.at[i]:]:
+            bj.at[i] += 1
             y = Y[j]
             if flow is not None:
                 y = flow[0] @ y
                 s = float(np.abs(y).max())
                 if s == 0.0:
-                    Y[j], total[i] = y, -math.inf
+                    Y[j], bj.total[i] = y, -math.inf
                     return False
                 Y[j] = y / s
-                total[i] += flow[1] + math.log(s)
+                bj.total[i] += flow[1] + math.log(s)
                 continue
             s0 = float(np.abs(y).max())
             if s0 == 0.0:
-                total[i] = -math.inf
+                bj.total[i] = -math.inf
                 return False
             Y[j] = y / s0
             nu = 1e-12 * (b - a)
@@ -389,50 +425,108 @@ def _dop853(model, states, chains, Y, rtol):
             min_h[j], tol[j] = 1e-14 * max(1.0, abs(a), abs(b)), 4.0 * _EPS * max(1.0, abs(b))
             if b - a > tol[j]:
                 return True
-            total[i] += ls[j]  # a sliver: no step
+            bj.total[i] += ls[j]  # a sliver: no step
         return False
 
+    def finish(j):
+        bj, i = batch(j), member[j]
+        good = int(accepted[j])
+        bj.out[i], bj.counts[:, i] = Y[j], (good, step - since[j] - good)
+        bj.undone -= 1
+
+    def parts(sel, r):
+        """The ``_coefficient`` parts of the slots ``sel``, sorted by batch."""
+        owners, pieces = owner[sel], piece[sel]
+        cut = int(np.count_nonzero(owners == owners[0]))
+        return [(pending[owners[s] - yielded].fields, s, e, np.tile(pieces[s:e], r))
+                for s, e in ((0, cut), (cut, len(owners))) if s < e]
+
+    def first_h(started):
+        """Give the slots ``started``, which start a piece, their first h."""
+        new = np.array(started)
+        ends = np.stack([t0[new], 0.5 * (t0[new] + t1[new])])
+        A = _coefficient(parts(new, 2), np.minimum(np.maximum(ends, lo[new]), hi[new]))
+        norms = np.abs(A.reshape(-1, *A.shape[2:])).sum(axis=1).max(axis=1).reshape(2, -1).T.tolist()
+        for j, (n0, n_mid) in zip(started, norms):
+            span = t1[j] - t0[j]
+            h[j] = min(span, 0.1 / max(max(n0, n_mid), 1e-6))
+            if h[j] < min_h[j] and h[j] < 0.99 * span:
+                raise _underflow(t[j], t0[j], t1[j])
+
     def regroup(live, done):
-        """Step the members in the slots ``done`` on to their next piece,
-        move the members still stepping to the front, and give those that
-        start a piece their first h; returns the new number of live slots."""
+        """Step the members in the slots ``done`` on to their next piece and
+        move the members still stepping to the front; returns the new
+        number of live slots and the slots that start a piece."""
         started, going = [], np.ones(live, dtype=bool)
         for j in done:
             if start(j):
                 started.append(j)
             else:
                 going[j] = False
-                good = int(accepted[j])
-                out[member[j]], counts[:, member[j]] = Y[j], (good, step - good)
+                finish(j)
         if not going.all():
             keep = np.flatnonzero(going)
-            for arr in (Y, S, member, piece):
+            for arr in (Y, S, member, piece, owner, since):
                 arr[:len(keep)] = arr[keep]
             started = np.searchsorted(keep, started).tolist()
             live = len(keep)
-        if started:
-            new = np.array(started)
-            ends = np.stack([t0[new], 0.5 * (t0[new] + t1[new])])
-            A = fields(np.tile(piece[new], 2), np.minimum(np.maximum(ends, lo[new]), hi[new]).ravel())
-            norms = np.abs(A).sum(axis=1).max(axis=1).reshape(2, -1).T.tolist()
-            for j, (n0, n_mid) in zip(started, norms):
-                span = t1[j] - t0[j]
-                h[j] = min(span, 0.1 / max(max(n0, n_mid), 1e-6))
-                if h[j] < min_h[j] and h[j] < 0.99 * span:
-                    raise _underflow(t[j], t0[j], t1[j])
-        return live
+        return live, started
 
-    live, stale = regroup(m, range(m)), True
-    while live:
-        if stale:  # the views of the live slots, taken again after every regroup
+    started, stale = [], True
+    while True:
+        # admit the waiting members of the last batch drawn into free slots,
+        # and draw the next batch once it is wholly admitted
+        while True:
+            last = pending[-1] if pending else None
+            if last is not None and last.admitted < len(last.chains):
+                if live == cap:
+                    break
+                i, last.admitted, stale = last.admitted, last.admitted + 1, True
+                member[live], owner[live], since[live], accepted[live] = i, yielded + len(pending) - 1, step, 0.0
+                Y[live] = last.Y[i]
+                if start(live):
+                    started.append(live)
+                    live += 1
+                else:
+                    finish(live)
+            elif more and len(pending) < 2:
+                drawn = next(source, None)
+                if drawn is None:
+                    more = False
+                    continue
+                pending.append(_Batch(model, *drawn))
+                if cap < min(BLOCK_CELLS, live + len(drawn[1])):  # room for all of it, up to BLOCK_CELLS slots
+                    cap, stale = min(BLOCK_CELLS, live + len(drawn[1])), True
+                    if Y is None:
+                        Y, S = np.empty((0, *np.shape(drawn[2])[1:])), np.zeros((0, 11))
+                    Y, S, member, piece, owner, since = (
+                        np.concatenate([arr[:live], np.zeros((cap - live, *arr.shape[1:]), arr.dtype)])
+                        for arr in (Y, S, member, piece, owner, since))
+                    t, h, ls, rejected, accepted, t0, t1, lo, hi, min_h, tol = S.T
+                    K = np.empty((cap, _STAGES, Y[0].size))
+                    K4 = K.reshape(cap, _STAGES, *Y.shape[1:])
+                    comb = np.empty_like(Y)  # a stage's argument, then the candidate step
+                    comb_flat = comb.reshape(cap, -1)
+            else:
+                break
+        if started:
+            first_h(started)
+            started = []
+        if pending and not pending[0].undone:
+            yielded += 1
+            yield pending.popleft().result()
+            continue  # and draw again
+        if not live:
+            return
+        if stale:  # the views of the live slots, taken again after every change of them
             stale = False
             y, Sl, tl, hl, lol, hil = Y[:live], S[:live], t[:live], h[:live], lo[:live], hi[:live]
             hb, comb3, combl, Kl = hl[:, None, None], comb[:live], comb_flat[:live], K[:live]
             stages = list(zip(_A_ROWS[1:], [K[:live, :i] for i in range(1, _STAGES)],
                               [K4[:live, i] for i in range(1, _STAGES)]))
-            pieces = np.tile(piece[:live], _STAGES)
-        A = fields(pieces, np.minimum(np.maximum(tl + _C_COLUMN * hl, lol), hil).ravel())
-        A = A.reshape(_STAGES, live, n, n)
+            step_parts = parts(slice(0, live), _STAGES)
+            n, k = y.shape[1:]
+        A = _coefficient(step_parts, np.minimum(np.maximum(tl + _C_COLUMN * hl, lol), hil))
         np.matmul(A[0], y, out=K4[:live, 0])
         for Ai, (weights, before, Ki) in zip(A[1:], stages):
             np.matmul(weights, before, out=combl)
@@ -459,7 +553,8 @@ def _dop853(model, states, chains, Y, rtol):
                 tj, acc = tj + hj, acc + 1.0
                 scale.append(s if s != 0.0 else 1.0)
                 if s == 0.0:
-                    lsj, at[member[j]] = -math.inf, len(chains[member[j]])
+                    bj = batch(j)
+                    lsj, bj.at[member[j]] = -math.inf, len(bj.chains[member[j]])
                 elif s != 1.0:
                     lsj += math.log(s)
                 factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
@@ -482,9 +577,9 @@ def _dop853(model, states, chains, Y, rtol):
         step += 1
         if done:
             for j in done:
-                total[member[j]] += ls[j]
-            live, stale = regroup(live, done), True
-    return out, np.array(total, dtype=float), counts[0], counts[1]
+                batch(j).total[member[j]] += ls[j]
+            live, started = regroup(live, done)
+            stale = True
 
 
 # the coefficients b_0, ..., b_13 of the diagonal Pade approximant of
@@ -645,33 +740,69 @@ def propagate(model: OdeModel, omega, Y, t, rtol=1e-10):
     if not np.any(Y):
         raise ValueError("initial condition must be nonzero")
     chains, _ = _with_flows([_pieces(model, w, tj) for w, tj in zip(omega, times)])
-    Ys, log_scales, _, _ = _dop853(model, omega, chains, np.broadcast_to(Y, (len(times), *Y.shape)), rtol)
+    batch = (omega, chains, np.broadcast_to(Y, (len(times), *Y.shape)))
+    Ys, log_scales, _, _ = next(_dop853(model, [batch], rtol))
     if squeeze:
         Ys = Ys[:, :, 0]
     return (Ys[0], float(log_scales[0])) if ts.ndim == 0 else (Ys, log_scales)
 
 
-def flow_maps(model: OdeModel, first, k, dt, rtol=1e-10):
-    """The flow maps over [0, dt] of the ``k`` steps of ``dt`` from ``first``,
-    as (maps (k, N, N), log_scales (k,)): map j is bit for bit ``propagate``
-    of the identity from ``advance_steps(first, j, dt)``, so the maps depend
-    on their steps alone, not on any read before.
+def flow_maps(model: OdeModel, windows, dt, rtol=1e-10):
+    """The flow maps over [0, dt] of the windows ``(first, k)``, the ``k``
+    steps of ``dt`` from ``first``, yielded per window in order as (maps
+    (k, N, N), log_scales (k,)): map j of a window is bit for bit
+    ``propagate`` of the identity from ``advance_steps(first, j, dt)``, so
+    the maps depend on their steps alone, not on any window before.
 
-    The chunk is walked against its own breakpoints: ``model.breakpoints``
-    is asked once for the window [0, k dt] from ``first``, and
-    ``model.piece_matrix`` once per constant piece of it that holds a whole
-    step.  Such a step takes the piece's unit flow over dt, which is what
-    ``propagate`` returns for it: E @ I is E, and max |E| is 1.  A step
-    across a breakpoint, or on a smooth piece, is propagated: all such steps
-    of the chunk go through one ``_dop853`` batch.  Rounding places the
-    window's breakpoints and a step's own a few ulps apart, so the steps on
-    a constant piece with an end within ``_NEAR`` dt of a breakpoint or of
-    the window's ends are judged by one ``model.inner_breaks`` call after
-    the walk, and those that hold a breakpoint of their own are propagated
-    too.  Only the propagated steps get a base point.  One stacked
-    ``_exact_flow`` call then gives the flows of the constant pieces and of
-    the propagated steps' constant pieces, and the whole steps are filled by
-    indexing.
+    Each window is walked against its own breakpoints (``_walk``), and the
+    steps it propagates go through ``_dop853`` as one batch.  The batches of
+    the windows are one DOP853 stream, entered at the first window that
+    propagates a step: a window's slow members step alongside the next
+    window's, and at most two windows are in flight, walked and not yet
+    yielded.  A read whose steps all lie whole on constant pieces never
+    enters it.
+    """
+    walks = (_walk(model, first, k, dt) for first, k in windows)
+    for window in walks:
+        if window[2]:
+            break
+        yield window[:2]
+    else:
+        return
+    walked, eye = deque(), np.eye(model.n)  # the windows drawn into the stream and not yet yielded
+
+    def draw(window):
+        maps, log_scales, todo, states, chains = window
+        walked.append((maps, log_scales, todo))
+        return states, chains, np.broadcast_to(eye, (len(todo), model.n, model.n))
+
+    stream = _dop853(model, map(draw, chain([window], walks)), rtol)
+    del window
+    for Ys, scales, _, _ in stream:
+        maps, log_scales, todo = walked.popleft()
+        maps[todo], log_scales[todo] = Ys, scales
+        yield maps, log_scales
+
+
+def _walk(model, first, k, dt):
+    """One window of ``flow_maps``, walked: (maps, log_scales, todo,
+    states, chains), the maps of the ``k`` steps from ``first`` filled but
+    for the steps ``todo`` to propagate, their base points and their
+    ``_pieces`` chains with flows.
+
+    ``model.breakpoints`` is asked once for the window [0, k dt] from
+    ``first``, and ``model.piece_matrix`` once per constant piece of it
+    that holds a whole step.  Such a step takes the piece's unit flow over
+    dt, which is what ``propagate`` returns for it: E @ I is E, and max |E|
+    is 1.  A step across a breakpoint, or on a smooth piece, is propagated.
+    Rounding places the window's breakpoints and a step's own a few ulps
+    apart, so the steps on a constant piece with an end within ``_NEAR`` dt
+    of a breakpoint or of the window's ends are judged by one
+    ``model.inner_breaks`` call after the walk, and those that hold a
+    breakpoint of their own are propagated too.  Only the propagated steps
+    get a base point.  One stacked ``_exact_flow`` call then gives the
+    flows of the constant pieces and of the propagated steps' constant
+    pieces, and the whole steps are filled by indexing.
     """
     span = k * dt
     near = _NEAR * dt
@@ -721,10 +852,7 @@ def flow_maps(model: OdeModel, first, k, dt, rtol=1e-10):
     chains, (E, ls) = _with_flows(chains, new)
     if whole:
         maps[whole], log_scales[whole] = E[slots], np.array(ls)[slots]
-    if todo:
-        eye = np.broadcast_to(np.eye(model.n), (len(todo), model.n, model.n))
-        maps[todo], log_scales[todo], _, _ = _dop853(model, states, chains, eye, rtol)
-    return maps, log_scales
+    return maps, log_scales, todo, states, chains
 
 
 def _unit_scaled(U):

@@ -6,10 +6,12 @@ significant digits, non-finite floats as the strings "inf" / "-inf" / "nan",
 strings ASCII-escaped.  A finite float64 array (such as a per-step history
 column) is written in one ``%`` formatting of a template built from its
 shape's brackets, one ``%.17g`` per element: the same text as its elements
-written one by one, in one call.  Any other numpy array (one holding a
-non-finite value, or of another dtype) and numpy scalars are written as
-their ``.tolist()``.  Every float round-trips exactly, and identical runs
-produce byte-identical files (timing aside).
+written one by one, in one call.  An integer array (such as a history's
+step column) is written the same way, one ``%d`` per element.  Any other
+numpy array (one holding a non-finite value, a bool array, or one of
+another dtype) and numpy scalars are written as their ``.tolist()``.
+Every float round-trips exactly, and identical runs produce
+byte-identical files (timing aside).
 """
 
 from __future__ import annotations
@@ -41,12 +43,14 @@ def _list(v):
 
 def _array(v):
     if v.dtype == np.float64 and np.isfinite(v).all():
-        # '%.17g' % x is format(x, '.17g'), the text _float writes
-        text = "%.17g"
-        for n in reversed(v.shape):
-            text = "[" + ",".join([text] * n) + "]"
-        return text % tuple(v.ravel().tolist())
-    return _json(v.tolist())
+        text = "%.17g"  # '%.17g' % x is format(x, '.17g'), the text _float writes
+    elif v.dtype.kind in "iu":
+        text = "%d"  # '%d' % x is str(x) for an int, the text _WRITERS[int] writes
+    else:
+        return _json(v.tolist())
+    for n in reversed(v.shape):
+        text = "[" + ",".join([text] * n) + "]"
+    return text % tuple(v.ravel().tolist())
 
 
 # exact types only: bool is an int, and numpy's float64 is a float

@@ -18,7 +18,7 @@ from poscocycle.errors import ConfigError, EstimationError
 from poscocycle.matrices import MatrixModel
 from poscocycle.odes import OdeModel
 from poscocycle.pipelines import COMMANDS, run_command
-from poscocycle.reporting import format_result, results_schema, validate_result
+from poscocycle.reporting import _array, _json, format_result, results_schema, validate_result
 
 
 def written(out_dir):
@@ -200,6 +200,21 @@ class TestSerialization:
     @example(np.array(-0.0))
     def test_float_array_matches_per_float_text(self, a):
         assert format_result({"a": a}) == format_result({"a": a.tolist()})
+
+    # an integer array of any width or sign is written in one %d format,
+    # byte for byte its elements written one by one; a bool array is not
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(hnp.integer_dtypes() | hnp.unsigned_integer_dtypes(),
+                      hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5)))
+    @example(np.array([np.iinfo(np.int64).min, -1, 0, np.iinfo(np.int64).max]))
+    @example(np.array([np.iinfo(np.uint64).max], dtype=np.uint64))
+    @example(np.empty((2, 0), dtype=np.int64))
+    @example(np.array(-7))
+    def test_integer_array_matches_per_int_text(self, a):
+        assert _array(a) == _json(a.tolist())
+
+    def test_bool_array_is_no_integer_array(self):
+        assert _array(np.array([[True], [False]])) == "[[true],[false]]"
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(

@@ -109,7 +109,8 @@ class TestIntegrate:
         m, steps = TorusExampleModel(), []
 
         def run(state, u, t):
-            Y, ls, accepted, _ = odes._dop853(m, [state], [odes._pieces(m, state, t)], u[None, :, None], 1e-10)
+            Y, ls, accepted, _ = next(odes._dop853(m, [([state], [odes._pieces(m, state, t)], u[None, :, None])],
+                                                   1e-10))
             steps.append(int(accepted[0]))
             return Y[0, :, 0], float(ls[0])
 
@@ -289,10 +290,10 @@ class TestExactFlow:
         dop853 = odes._dop853
 
         def no_steps(*args):
-            Y, ls, accepted, rejected = dop853(*args)
-            if accepted.any() or rejected.any():
-                raise AssertionError("a constant piece reached the adaptive integrator")
-            return Y, ls, accepted, rejected
+            for Y, ls, accepted, rejected in dop853(*args):
+                if accepted.any() or rejected.any():
+                    raise AssertionError("a constant piece reached the adaptive integrator")
+                yield Y, ls, accepted, rejected
 
         monkeypatch.setattr(odes, "_dop853", no_steps)
         Y, ls = propagate(ConstantOdeModel(np.diag([-1e6, -2e6])), cont_state(), np.ones(2), 10.0)
@@ -552,8 +553,8 @@ class TestDop853:
         m = TorusExampleModel()
         states = [TorusRotation().initial(seed) for seed in (1, 2, 3)]
         Y = np.stack([np.eye(2), np.zeros((2, 2)), np.eye(2)])
-        out, ls, accepted, rejected = odes._dop853(m, states, [odes._pieces(m, s, 1.0) for s in states], Y,
-                                                   1e-10)
+        out, ls, accepted, rejected = next(odes._dop853(m, [(states, [odes._pieces(m, s, 1.0) for s in states], Y)],
+                                                        1e-10))
         assert ls[1] == -np.inf and not out[1].any() and accepted[1] == rejected[1] == 0
         for j in (0, 2):
             M, log_scale = propagate(m, states[j], np.eye(2), 1.0)
@@ -592,8 +593,8 @@ def looping(model):
 
 
 def assert_same_flow_maps(model, scalar, first, k, dt):
-    maps, ls = odes.flow_maps(model, first, k, dt)
-    maps_s, ls_s = odes.flow_maps(scalar, first, k, dt)
+    [(maps, ls)] = odes.flow_maps(model, [(first, k)], dt)
+    [(maps_s, ls_s)] = odes.flow_maps(scalar, [(first, k)], dt)
     assert np.array_equal(maps, maps_s) and np.array_equal(ls, ls_s), (first, k, dt)
 
 
@@ -726,6 +727,50 @@ class TestBatchedIntegrate:
             integrate(model, [cont_state(), cont_state(1)], np.ones(2), [1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="1-D sequence"):
             integrate(model, cont_state(), np.ones(2), [[1.0]])
+
+
+class TestDop853Stream:
+    """``_dop853`` over a stream of batches: at most BLOCK_CELLS members are
+    live, waiting members take the slots that others free, and every member
+    gets, bit for bit and with the same step counts, what it gets alone."""
+
+    def test_members_admitted_mid_run_get_what_they_get_alone(self, monkeypatch):
+        # three batches of 150 torus members, each over its own time in
+        # (0.05, 2), some across wraps: the first two fill the BLOCK_CELLS
+        # slots, and the rest of the second and all of the third wait for
+        # slots that others free mid-run.  A batch is drawn only once the
+        # batch two before it has been yielded
+        m, rng = TorusExampleModel(), np.random.default_rng(5)
+        batches = []
+        for _ in range(3):
+            states = [TorusRotation().initial(int(seed)) for seed in rng.integers(0, 10**6, 150)]
+            chains = [odes._pieces(m, state, t) for state, t in zip(states, rng.uniform(0.05, 2.0, 150).tolist())]
+            batches.append((states, chains, rng.uniform(0.1, 1.0, (150, 2, 2))))
+        assert any(len(chain) > 1 for _, chains, _ in batches for chain in chains)  # a wrap splits a chain
+        live, results, draws = [], [], []
+        coefficient = odes._coefficient
+
+        def counted(parts, taus):
+            if len(taus) == odes._STAGES:
+                live.append(taus.shape[1])
+            return coefficient(parts, taus)
+
+        def source():
+            for batch in batches:
+                draws.append(len(results))  # the batches yielded when this one is drawn
+                yield batch
+
+        monkeypatch.setattr(odes, "_coefficient", counted)
+        for result in odes._dop853(m, source(), 1e-6):
+            results.append(result)
+        monkeypatch.undo()
+        assert max(live) == BLOCK_CELLS and len(results) == 3
+        assert all(i - yielded <= 1 for i, yielded in enumerate(draws)), draws
+        for (states, chains, Y), got in zip(batches, results):
+            for j, (state, chain) in enumerate(zip(states, chains)):
+                alone = next(odes._dop853(m, [([state], [chain], Y[j:j + 1])], 1e-6))
+                for a, b in zip(got, alone):
+                    assert np.array_equal(a[j], b[0]), j
 
 
 class TestGrowthBound:

@@ -6,8 +6,9 @@ from scipy.integrate import quad
 
 from poscocycle.drivers import TorusRotation
 from poscocycle.odes import integrate
-from poscocycle.torus import (FOCUSING_RATIO_BOUND, PRINCIPAL_DIRECTION, SEPARATION_RATE,
-                              SIGMA_WINDOW, TorusExampleModel, validate_against_closed_form)
+from poscocycle.estimators import OdeCocycle, separation_estimate
+from poscocycle.torus import (BATTERY_DT, BATTERY_HORIZON, FOCUSING_RATIO_BOUND, PRINCIPAL_DIRECTION,
+                              SEPARATION_RATE, SIGMA_WINDOW, TorusExampleModel, validate_against_closed_form)
 
 DRIVER = TorusRotation()  # the default rotation, sqrt(2) - 1
 
@@ -172,9 +173,12 @@ class TestValidationReport:
         calls = []
         dop853 = odes._dop853
 
-        def counting(model, states, chains, Y, rtol):
-            calls.append(len(chains))
-            return dop853(model, states, chains, Y, rtol)
+        def counting(model, batches, rtol):
+            def counted():
+                for states, chains, Y in batches:
+                    calls.append(len(chains))
+                    yield states, chains, Y
+            return dop853(model, counted(), rtol)
 
         monkeypatch.setattr(odes, "_dop853", counting)
         monkeypatch.setattr(torus, "warmup_direction", lambda *args: PRINCIPAL_DIRECTION)
@@ -182,6 +186,26 @@ class TestValidationReport:
         rep = validate_against_closed_form(n_omegas=2, seed=0)
         assert calls == [16]
         assert len(rep.propagator_errors) == 2 and rep.passed
+
+    def test_separation_reads_are_one_stream(self, monkeypatch):
+        # item (c) at seed 0 builds the maps of [-200, 400) once, as one
+        # DOP853 stream over the chunks cut at -200, 56 and 312: 346 batch
+        # steps, each with one _coefficient call at its stage times.  Read
+        # as one batch per chunk, [-200, 0), [0, 256) and [256, 400) took
+        # 121, 344 and 136 steps, 601 in all, most with one member live
+        from poscocycle import odes
+
+        steps, coefficient = [0], odes._coefficient
+
+        def counted(parts, taus):
+            steps[0] += len(taus) == odes._STAGES
+            return coefficient(parts, taus)
+
+        monkeypatch.setattr(odes, "_coefficient", counted)
+        est = separation_estimate(OdeCocycle(TorusExampleModel(), dt=BATTERY_DT, rtol=1e-6), DRIVER.initial(0),
+                                  BATTERY_HORIZON, warmup=round(50.0 / BATTERY_DT))
+        assert steps[0] == 346
+        assert SIGMA_WINDOW[0] <= est.sigma_hat <= SIGMA_WINDOW[1]
 
     def test_principal_direction_constant(self):
         assert np.allclose(PRINCIPAL_DIRECTION, np.array([1.0, 1.0]) / np.sqrt(2))

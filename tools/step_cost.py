@@ -52,6 +52,12 @@ rows time the DOP853 layer on the torus oracle's smooth pieces: a read of
 per map, at rtol 1e-6 and 1e-10 (DOP853 integrates a chunk's maps as one
 batch), and the battery's propagator item at that base point: one batched
 ``integrate`` over its eight horizons 1.25, ..., 10 at rtol 1e-10, in ms.
+"torus sep read" is the read of the battery's separation item at that base
+point, the maps of steps [-200, 400) at rtol 1e-6 through
+``OdeCocycle.step_blocks``, in us per map and in DOP853 batch steps (the
+runs of ``_dop853``'s ``step += 1`` line, counted in an untimed traced
+read), which depend on where the chunk cuts fall unless the read is one
+DOP853 stream.
 The "expm" rows time ``odes.expm`` on matrices 0.1 A, A a cell of the
 piecewise-constant ODE above (the exponent of one dt-step), in us per
 matrix: one matrix per call, and stacks of 26, about the new constant
@@ -78,6 +84,7 @@ scale per step, so its peak grows with the horizon by that much.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -109,6 +116,7 @@ CHECKS = {
             {"n_samples": 300}),
 }
 TORUS_MAPS = 512  # flow maps per torus read
+SEP_READ = (-200, 400)  # the torus battery's separation maps: its 200 steps and a 200-step warm-up each side
 STACK = 26  # matrices per stacked expm call: about the new constant pieces of one 256-step chunk
 COLD = ["-c", "import resource, sys; from poscocycle.cli import main; code = main(sys.argv[1:]); "
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(code)"]
@@ -261,9 +269,37 @@ def main(argv=None):
         coc = OdeCocycle(torus, dt=0.25, rtol=rtol)
         best = best_of(lambda: sum(len(maps) for maps, _ in coc.step_blocks(omega, 0, TORUS_MAPS)))
         print(f"torus maps rtol {rtol:.0e} {1e6 * best / TORUS_MAPS:7.1f} us/map")
+    coc = OdeCocycle(torus, dt=0.25, rtol=1e-6)
+    lo, hi = SEP_READ
+
+    def sep_read():
+        return sum(len(maps) for maps, _ in coc.step_blocks(omega, lo, hi))
+
+    best = best_of(sep_read)
+    print(f"torus sep read         {1e6 * best / (hi - lo):7.1f} us/map  {batch_steps(sep_read)} batch steps")
     horizons = np.linspace(1.25, 10.0, 8).tolist()
     best = best_of(lambda: integrate(torus, omega, np.array([1.0, 0.3]), horizons, rtol=1e-10))
     print(f"torus integrate x8     {1e3 * best:7.1f} ms")
+
+
+def batch_steps(run):
+    """The DOP853 batch steps of ``run()``: the runs of the ``step += 1``
+    line of ``odes._dop853``, counted by a line trace of its frames."""
+    from poscocycle import odes
+
+    lines, first = inspect.getsourcelines(odes._dop853)
+    target, code, count = first + [line.strip() for line in lines].index("step += 1"), odes._dop853.__code__, [0]
+
+    def local(frame, event, arg):
+        count[0] += event == "line" and frame.f_lineno == target
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return count[0]
 
 
 if __name__ == "__main__":
