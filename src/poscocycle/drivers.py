@@ -39,7 +39,8 @@ for a whole array of k at once.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -127,10 +128,19 @@ def step_sums(hi, lo, steps, dt):
     return np.where(moved, hi2, hi), np.where(moved, lo2, lo)
 
 
-def _frac01(x: float) -> float:
-    """Fractional part mapped into (0, 1]."""
-    f = x - np.floor(x)
-    return 1.0 if f == 0.0 else float(f)
+def _frac01(x):
+    """Fractional part mapped into (0, 1], elementwise, in plain float
+    arithmetic on a float: x % 1 is x - floor(x) bit for bit (fmod is
+    exact, and a negative x's + 1 rounds the same sum), and f + (f == 0)
+    is np.where(f == 0, 1, f)."""
+    f = x % 1.0
+    return f + (f == 0.0)
+
+
+def _torus_point(a1, a2, rho, t):
+    """The torus point at elapsed time t from the anchor (a1, a2) on the
+    rotation ``rho``, elementwise."""
+    return _frac01(a1 + t), _frac01(a2 + rho * t)
 
 
 @dataclass(frozen=True)
@@ -172,8 +182,7 @@ class TorusState:
 
     @property
     def position(self) -> tuple[float, float]:
-        t = self.elapsed + self.elapsed_lo
-        return (_frac01(self.anchor[0] + t), _frac01(self.anchor[1] + self.system.rho * t))
+        return _torus_point(*self.anchor, self.system.rho, self.elapsed + self.elapsed_lo)
 
     def advance(self, t):
         return self.system.advance(self, t)
@@ -334,19 +343,22 @@ class TorusRotation:
 
     def advance(self, state: TorusState, t) -> TorusState:
         hi, lo = _two_sum(state.elapsed, state.elapsed_lo, float(t))
-        return replace(state, elapsed=hi, elapsed_lo=lo)
+        return TorusState(state.system, state.anchor, hi, lo)
 
-    def coordinate_wrap_times(self, state: TorusState, t: float) -> tuple[np.ndarray, np.ndarray]:
+    def coordinate_wrap_times(self, state: TorusState, t: float) -> tuple[list, list]:
         """The times tau in (0, t] where the first and where the second
-        coordinate crosses an integer, each ascending.  A crossing within
-        1e-12 past the start is the start's own position, not a crossing."""
+        coordinate crosses an integer, each an ascending list.  A crossing
+        within 1e-12 past the start is the start's own position, not a crossing."""
         if t <= 0:
-            return np.empty(0), np.empty(0)
+            return [], []
         w1, w2 = state.position
         eps = 1e-12
-        t1 = np.arange(np.ceil(w1 + eps), w1 + t + eps) - w1
-        t2 = (np.arange(np.ceil(w2 + eps), w2 + self.rho * t + eps) - w2) / self.rho
-        return t1[(t1 > 0.0) & (t1 <= t)], t2[(t2 > 0.0) & (t2 <= t)]
+        # the integers k, k + 1, ... below stop, each less w: the ceil(stop - k)
+        # values of np.arange(k, stop) - w, formed as numpy forms them
+        k1, k2 = math.ceil(w1 + eps), math.ceil(w2 + eps)
+        t1 = [(k1 + i) - w1 for i in range(math.ceil(w1 + t + eps - k1))]
+        t2 = [((k2 + i) - w2) / self.rho for i in range(math.ceil(w2 + self.rho * t + eps - k2))]
+        return [tau for tau in t1 if 0.0 < tau <= t], [tau for tau in t2 if 0.0 < tau <= t]
 
     def wrap_times(self, state: TorusState, t: float) -> np.ndarray:
         """Sorted times tau in (0, t] where either coordinate crosses an integer.
@@ -354,6 +366,5 @@ class TorusRotation:
         These are exactly the discontinuity times of any coefficient that is
         a function of the torus position.
         """
-        ts = np.concatenate(self.coordinate_wrap_times(state, t))
-        ts.sort()
-        return ts
+        t1, t2 = self.coordinate_wrap_times(state, t)
+        return np.array(sorted(t1 + t2), dtype=float)

@@ -11,6 +11,14 @@ exp(t B), B = [[0, 1], [1, 0]], so everything of interest has a closed form:
 * the principal direction is (1, 1)/sqrt(2) for every base point;
 * the ratio of growth on span(1, -1) to growth on span(1, 1) is exactly
   exp(-2t): the separation rate is 2 while both exponents diverge to -inf.
+
+The bookkeeping around the integrator is plain float arithmetic where a
+step sees a few wraps (the field, the wrap times a step's breakpoints
+come from), and array arithmetic where it walks many: the coordinate sums
+of all smooth pieces of a DOP853 batch, and the exact integrals and means,
+whose wrap-free pieces are summed left to right by ``np.add.accumulate``,
+the order of a loop over them.  Each gives the bits of the one-state,
+one-piece-at-a-time forms.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drivers import TorusRotation, TorusState
+from .drivers import TorusRotation, TorusState, _torus_point, _two_sum
 from .estimators import (DivergenceDiagnostic, OdeCocycle, separation_estimate,
                          warmup_direction)
 from .matrices import _count
@@ -40,6 +48,20 @@ BATTERY_DT = 0.25
 SIGMA_WINDOW = (SEPARATION_RATE - 0.1, SEPARATION_RATE + 0.1)
 
 
+def _positive_times(name, t) -> np.ndarray:
+    """``t``, a time or a 1-D sequence of times, as a float array; a time
+    that is not finite and > 0 raises ValueError naming it, as ``name`` or
+    ``name[i]``."""
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ValueError(f"{name} must be a time or a 1-D sequence of times, got shape {ts.shape}")
+    for i, tj in enumerate(ts.ravel().tolist()):
+        if not (math.isfinite(tj) and tj > 0.0):
+            where = name if ts.ndim == 0 else f"{name}[{i}]"
+            raise ValueError(f"{where} must be finite and > 0, got {where} = {tj!r}")
+    return ts
+
+
 def coefficient(w1: float, w2: float) -> float:
     """Scalar coefficient a at a torus position."""
     return -1.0 / (w1 + w2) ** 2
@@ -54,20 +76,24 @@ class TorusExampleModel(OdeModel):
         super().__init__(2)
 
     def field(self, state: TorusState, t: float) -> np.ndarray:
-        w1, w2 = state.advance(t).position
-        a = coefficient(w1, w2)
+        # the position of ``state.advance(t)``, with no state built
+        hi, lo = _two_sum(state.elapsed, state.elapsed_lo, float(t))
+        a = coefficient(*_torus_point(*state.anchor, state.system.rho, hi + lo))
         return np.array([[a, 1.0], [1.0, a]])
 
     def breakpoints(self, state: TorusState, t0: float, t1: float) -> np.ndarray:
-        ts = state.system.wrap_times(state, t1)
-        return ts[(ts > t0) & (ts < t1)]
+        ts = state.system.wrap_times(state, t1).tolist()
+        return np.array([tau for tau in ts if t0 < tau < t1], dtype=float)
 
     def piece_fields(self, states, t0s, t1s):
         # positions move linearly inside a wrap-free piece: the coordinate
-        # sum is c + v (tau - mid) past the midpoint mid, v = 1 + rho
+        # sum is c + v (tau - mid) past the midpoint mid, v = 1 + rho, and c
+        # is ``sum(state.advance(mid).position)`` taken elementwise
         mids = 0.5 * (t0s + t1s)
-        c = np.array([sum(state.advance(mid).position) for state, mid in zip(states, mids.tolist())])
-        v = np.array([1.0 + state.system.rho for state in states])
+        hi, lo, a1, a2, rho = np.array([(s.elapsed, s.elapsed_lo, *s.anchor, s.system.rho) for s in states]).T
+        hi, lo = _two_sum(hi, lo, mids)
+        w1, w2 = _torus_point(a1, a2, rho, hi + lo)
+        c, v = w1 + w2, 1.0 + rho
 
         def fields(pieces, taus):
             out = np.empty((len(taus), 2, 2))
@@ -79,40 +105,42 @@ class TorusExampleModel(OdeModel):
 
     # -- closed forms ------------------------------------------------------
 
-    def _tagged_pieces(self, state: TorusState, t: float):
-        """Pieces of [0, t] between wrap times, each with its exact starting
-        coordinate sum (the wrapped coordinate is exactly 0 at a wrap)."""
-        w1, w2 = state.position
-        t1, t2 = state.system.coordinate_wrap_times(state, t)
-        events = sorted([(tau, 1) for tau in t1.tolist()] + [(tau, 2) for tau in t2.tolist()])
-        pieces = []
-        start, c = 0.0, w1 + w2
-        for tau, which in events:
-            if tau > start:
-                pieces.append((start, tau, c))
-            pos = state.advance(tau).position
-            c = pos[1] if which == 1 else pos[0]  # the other coordinate; wrapped one is 0
-            start = tau
-        if t > start:
-            pieces.append((start, t, c))
-        return pieces
+    def _a_integrals(self, state: TorusState, ts: np.ndarray) -> np.ndarray:
+        """Exact integrals of a along the orbit over [0, T] for each T > 0
+        of ``ts``, in one pass over the wraps of the longest.
+
+        The wraps cut the orbit into pieces, each with its exact starting
+        coordinate sum (the wrapped coordinate is exactly 0 at a wrap, so
+        the sum is the other one).  On a wrap-free piece a(theta_tau w) =
+        -1/(c + (1+rho) tau)^2 with antiderivative 1/((1+rho)(c + (1+rho)
+        tau)).  The pieces' terms are summed left to right, as a loop over
+        them sums; the integral to T is the running sum of the pieces up to
+        its last wrap plus its own last partial piece.  A tie of the two
+        coordinates' wraps makes a piece of length 0, whose term is exactly
+        +0.0 and moves no sum.
+        """
+        v = 1.0 + state.system.rho
+        t1, t2 = state.system.coordinate_wrap_times(state, float(ts.max(initial=0.0)))
+        taus = np.array(t1 + t2, dtype=float)
+        order = np.argsort(taus, kind="stable")  # ties: the first coordinate's wrap first
+        taus = taus[order]
+        hi, lo = _two_sum(state.elapsed, state.elapsed_lo, taus)
+        w1, w2 = _torus_point(*state.anchor, state.system.rho, hi + lo)
+        # the coordinate sum from the origin and from each wrap on
+        c = np.concatenate([[sum(state.position)], np.where(order < len(t1), w2, w1)])
+        starts = np.concatenate([[0.0], taus])
+        terms = 1.0 / (v * (c[:-1] + v * (taus - starts[:-1]))) - 1.0 / (v * c[:-1])
+        running = np.add.accumulate(np.concatenate([[0.0], terms]))
+        m = np.searchsorted(taus, ts, side="right")  # the wraps in (0, T]
+        return running[m] + (1.0 / (v * (c[m] + v * (ts - starts[m]))) - 1.0 / (v * c[m]))
 
     def a_integral(self, state: TorusState, t: float) -> float:
-        """Exact integral of a along the orbit over [0, t] (t of either sign).
-
-        On a wrap-free piece a(theta_tau w) = -1/(c + (1+rho) tau)^2 with
-        antiderivative 1/((1+rho)(c + (1+rho) tau)).
-        """
+        """Exact integral of a along the orbit over [0, t] (t of either sign)."""
         if t == 0:
             return 0.0
         if t < 0:
             return -self.a_integral(state.advance(t), -t)
-        v = 1.0 + state.system.rho
-        total = 0.0
-        for start, end, c in self._tagged_pieces(state, t):
-            length = end - start
-            total += 1.0 / (v * (c + v * length)) - 1.0 / (v * c)
-        return total
+        return float(self._a_integrals(state, np.array([t], dtype=float))[0])
 
     def apply(self, state: TorusState, t: float, u):
         """Closed-form solution from u: (unit direction, log growth of |.|_2)."""
@@ -122,10 +150,17 @@ class TorusExampleModel(OdeModel):
         growth = self.a_integral(state, t) + math.log(np.linalg.norm(v) / np.linalg.norm(u))
         return v / np.linalg.norm(v), growth
 
-    def kappa_mean_exact(self, state: TorusState, horizon: float) -> float:
+    def kappa_mean_exact(self, state: TorusState, horizon):
         """Exact finite-horizon time average of the quadratic form
-        <A w, w> = 1 + a along the principal direction w."""
-        return 1.0 + self.a_integral(state, horizon) / horizon
+        <A w, w> = 1 + a along the principal direction w, over [0, horizon].
+
+        ``horizon`` may be a 1-D sequence of horizons: the means come back
+        as an array, bit for bit one call per horizon, from one pass over
+        the wraps of the longest.  A horizon that is not finite and > 0
+        raises ValueError naming it (``horizon[1] = 0.0``)."""
+        ts = _positive_times("horizon", horizon)
+        means = 1.0 + self._a_integrals(state, np.atleast_1d(ts)) / ts
+        return float(means[0]) if ts.ndim == 0 else means
 
     @staticmethod
     def kappa_mean_envelope(horizon: float, rho: float) -> float:
@@ -188,8 +223,11 @@ def validate_against_closed_form(rho=None, seed=0, n_omegas=5, horizon=BATTERY_H
     the quadratic form against their -log T envelope (``divergence`` keeps
     the trend diagnostic of the first base point)."""
     n_omegas = _count("n_omegas", n_omegas, 1)
+    for name, value in (("dt", dt), ("horizon", horizon)):
+        _positive_times(name, float(value))
     if not len(divergence_horizons):
         raise ValueError(f"divergence_horizons must hold at least one horizon, got {divergence_horizons!r}")
+    _positive_times("divergence_horizons", divergence_horizons)
     driver = TorusRotation(rho)
     model = TorusExampleModel()
     report = TorusValidationReport(rho=driver.rho, kappa_bound=FOCUSING_RATIO_BOUND)
@@ -233,7 +271,7 @@ def validate_against_closed_form(rho=None, seed=0, n_omegas=5, horizon=BATTERY_H
                f"sigma estimates {np.round(report.sigma_estimates, 4).tolist()} vs window {SIGMA_WINDOW}")
 
     # (d) divergence of the quadratic form: exact means under their -log T envelope
-    means = [[model.kappa_mean_exact(state, T) for T in divergence_horizons] for state in states]
+    means = [model.kappa_mean_exact(state, divergence_horizons).tolist() for state in states]
     diag = DivergenceDiagnostic.from_means(divergence_horizons, means[0], divergence_threshold)
     report.divergence = diag
     excess = max(m - model.kappa_mean_envelope(T, driver.rho)

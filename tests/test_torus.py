@@ -1,16 +1,83 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from poscocycle.drivers import TorusRotation
+from poscocycle.drivers import TorusRotation, _two_sum
 from poscocycle.odes import integrate
 from poscocycle.estimators import OdeCocycle, separation_estimate
 from poscocycle.torus import (BATTERY_DT, BATTERY_HORIZON, FOCUSING_RATIO_BOUND, PRINCIPAL_DIRECTION,
                               SEPARATION_RATE, SIGMA_WINDOW, TorusExampleModel, validate_against_closed_form)
 
 DRIVER = TorusRotation()  # the default rotation, sqrt(2) - 1
+
+# -- references: the float-by-float forms the oracle's bookkeeping must
+# reproduce bit for bit
+
+
+def ref_advance(state, t):
+    """``TorusRotation.advance`` through ``dataclasses.replace``."""
+    hi, lo = _two_sum(state.elapsed, state.elapsed_lo, float(t))
+    return replace(state, elapsed=hi, elapsed_lo=lo)
+
+
+def ref_position(state):
+    def frac01(x):
+        f = x - np.floor(x)
+        return 1.0 if f == 0.0 else float(f)
+
+    t = state.elapsed + state.elapsed_lo
+    return frac01(state.anchor[0] + t), frac01(state.anchor[1] + state.system.rho * t)
+
+
+def ref_coordinate_wrap_times(state, t):
+    """The wrap times of (0, t] per coordinate, with ``np.arange``."""
+    if t <= 0:
+        return np.empty(0), np.empty(0)
+    w1, w2 = ref_position(state)
+    rho, eps = state.system.rho, 1e-12
+    t1 = np.arange(np.ceil(w1 + eps), w1 + t + eps) - w1
+    t2 = (np.arange(np.ceil(w2 + eps), w2 + rho * t + eps) - w2) / rho
+    return t1[(t1 > 0.0) & (t1 <= t)], t2[(t2 > 0.0) & (t2 <= t)]
+
+
+def ref_a_integral(state, t):
+    """The integral of a over [0, t] as a loop over the tagged wrap-free pieces."""
+    if t == 0:
+        return 0.0
+    if t < 0:
+        return -ref_a_integral(ref_advance(state, t), -t)
+    w1, w2 = ref_position(state)
+    t1, t2 = ref_coordinate_wrap_times(state, t)
+    events = sorted([(tau, 1) for tau in t1.tolist()] + [(tau, 2) for tau in t2.tolist()])
+    pieces, start, c = [], 0.0, w1 + w2
+    for tau, which in events:
+        if tau > start:
+            pieces.append((start, tau, c))
+        pos = ref_position(ref_advance(state, tau))
+        c = pos[1] if which == 1 else pos[0]
+        start = tau
+    if t > start:
+        pieces.append((start, t, c))
+    v, total = 1.0 + state.system.rho, 0.0
+    for start, end, c in pieces:
+        total += 1.0 / (v * (c + v * (end - start))) - 1.0 / (v * c)
+    return total
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64).tolist()
+
+
+ROTATIONS = st.sampled_from([None, 0.3, 0.7071])
+# a base point moved by +-x, then by a share of x that rounds on its own,
+# so that its compensated elapsed time carries a low part
+BASE_POINTS = st.builds(lambda rho, seed, x: TorusRotation(rho).initial(seed).advance(x).advance(0.1 * x),
+                        ROTATIONS, st.integers(0, 2**16), st.floats(-1000.0, 1000.0))
+TIMES = st.floats(-13.0, 3.0).map(lambda e: 10.0 ** e)
 
 
 class TestClosedForm:
@@ -91,6 +158,74 @@ class TestClosedForm:
             beta = img.min() * np.sqrt(2)
             assert np.all(beta * e <= img * (1 + 1e-12))
             assert np.all(img <= FOCUSING_RATIO_BOUND * beta * e * (1 + 1e-12))
+
+
+class TestBitForBit:
+    """The driver's and the model's bookkeeping against the references above."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(BASE_POINTS, TIMES, st.floats(0.0, 1.0))
+    def test_wrap_times_and_breakpoints(self, state, t, share):
+        t1, t2 = state.system.coordinate_wrap_times(state, t)
+        r1, r2 = ref_coordinate_wrap_times(state, t)
+        assert (bits(t1), bits(t2)) == (bits(r1), bits(r2))
+        ts = np.sort(np.concatenate([r1, r2]))
+        assert bits(state.system.wrap_times(state, t)) == bits(ts)
+        t0 = share * t
+        assert bits(TorusExampleModel().breakpoints(state, t0, t)) == bits(ts[(ts > t0) & (ts < t)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(BASE_POINTS, TIMES, st.booleans())
+    def test_advance_position_and_field(self, state, t, back):
+        t = -t if back else t
+        moved, ref = state.advance(t), ref_advance(state, t)
+        assert type(moved) is type(ref) and moved.system is ref.system and moved.anchor == ref.anchor
+        assert bits([moved.elapsed, moved.elapsed_lo]) == bits([ref.elapsed, ref.elapsed_lo])
+        assert bits(moved.position) == bits(ref_position(ref))
+        w1, w2 = ref_position(ref)
+        a = -1.0 / (w1 + w2) ** 2
+        assert bits(TorusExampleModel().field(state, t)) == bits([[a, 1.0], [1.0, a]])
+
+    @settings(max_examples=100, deadline=None)
+    @given(BASE_POINTS, TIMES, st.booleans())
+    def test_a_integral(self, state, t, back):
+        t = -t if back else t
+        assert bits(TorusExampleModel().a_integral(state, t)) == bits(ref_a_integral(state, t))
+
+    @settings(max_examples=100, deadline=None)
+    @given(BASE_POINTS, st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 1.0), st.floats(1e-9, 0.5)),
+                                 min_size=1, max_size=12))
+    def test_piece_fields(self, base, specs):
+        # pieces (t0, t1) past base points near ``base``: the coordinate sum
+        # at each midpoint is sum(state.advance(mid).position)
+        states = [base.advance(x) for x, _, _ in specs]
+        t0s = np.array([a for _, a, _ in specs])
+        t1s = t0s + np.array([h for _, _, h in specs])
+        mids = 0.5 * (t0s + t1s)
+        c = np.array([sum(ref_position(ref_advance(s, mid))) for s, mid in zip(states, mids.tolist())])
+        v = np.array([1.0 + s.system.rho for s in states])
+        pieces = np.repeat(np.arange(len(specs)), 3)
+        taus = (t0s[pieces] + np.tile([0.0, 0.5, 1.0], len(specs)) * (t1s - t0s)[pieces])
+        expected = -1.0 / (c[pieces] + v[pieces] * (taus - mids[pieces])) ** 2
+        out = TorusExampleModel().piece_fields(states, t0s, t1s)(pieces, taus)
+        assert bits(out[:, 0, 0]) == bits(expected) and bits(out[:, 1, 1]) == bits(expected)
+        assert np.all(out[:, 0, 1] == 1.0) and np.all(out[:, 1, 0] == 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(BASE_POINTS, st.lists(TIMES, min_size=1, max_size=6))
+    def test_kappa_mean_sequence_is_its_scalar_calls(self, state, horizons):
+        m = TorusExampleModel()
+        means = m.kappa_mean_exact(state, horizons)
+        assert bits(means) == bits([m.kappa_mean_exact(state, T) for T in horizons])
+        assert bits(means) == bits([1.0 + ref_a_integral(state, T) / T for T in horizons])
+
+    def test_kappa_mean_names_a_bad_horizon(self):
+        m, state = TorusExampleModel(), DRIVER.initial(0)
+        for horizon, where in ((0.0, "horizon = 0.0"), (math.inf, "horizon = inf"),
+                               ([50.0, 0.0], r"horizon\[1\] = 0.0"), ((1.0, 2.0, -5.0), r"horizon\[2\] = -5.0"),
+                               ([1.0, math.nan], r"horizon\[1\] = nan")):
+            with pytest.raises(ValueError, match=where):
+                m.kappa_mean_exact(state, horizon)
 
 
 class TestGenericAgreement:
@@ -186,6 +321,43 @@ class TestValidationReport:
         rep = validate_against_closed_form(n_omegas=2, seed=0)
         assert calls == [16]
         assert len(rep.propagator_errors) == 2 and rep.passed
+
+    def test_divergence_item_one_call_per_base_point(self, monkeypatch):
+        # item (d) takes each base point's means at all its horizons in one
+        # call; items (a) to (c) are stubbed as above, save (a)'s integrate
+        from types import SimpleNamespace
+
+        from poscocycle import torus
+
+        calls, kappa = [], TorusExampleModel.kappa_mean_exact
+
+        def counted(self, state, horizon):
+            calls.append(np.shape(horizon))
+            return kappa(self, state, horizon)
+
+        monkeypatch.setattr(TorusExampleModel, "kappa_mean_exact", counted)
+        monkeypatch.setattr(torus, "warmup_direction", lambda *args: PRINCIPAL_DIRECTION)
+        monkeypatch.setattr(torus, "separation_estimate", lambda *args, **kwargs: SimpleNamespace(sigma_hat=2.0))
+        rep = validate_against_closed_form(n_omegas=3, seed=0)
+        assert calls == [(4,)] * 3 and rep.passed
+
+    @pytest.mark.parametrize("kwargs, where", [
+        ({"dt": 0}, "dt = 0.0"), ({"dt": -0.25}, "dt = -0.25"), ({"dt": math.nan}, "dt = nan"),
+        ({"horizon": 0.0}, "horizon = 0.0"), ({"horizon": math.inf}, "horizon = inf"),
+        ({"divergence_horizons": (125.0, 0.0)}, r"divergence_horizons\[1\] = 0.0"),
+        ({"divergence_horizons": (-5.0,)}, r"divergence_horizons\[0\] = -5.0"),
+        ({"divergence_horizons": (125.0, 250.0, math.nan)}, r"divergence_horizons\[2\] = nan"),
+        ({"divergence_horizons": (math.inf,)}, r"divergence_horizons\[0\] = inf"),
+    ])
+    def test_bad_times_named_before_any_integration(self, monkeypatch, kwargs, where):
+        from poscocycle import odes
+
+        def entered(*args):
+            raise AssertionError("a DOP853 stream was entered")
+
+        monkeypatch.setattr(odes, "_dop853", entered)
+        with pytest.raises(ValueError, match=f"must be finite and > 0, got {where}"):
+            validate_against_closed_form(n_omegas=1, seed=0, **kwargs)
 
     def test_separation_reads_are_one_stream(self, monkeypatch):
         # item (c) at seed 0 builds the maps of [-200, 400) once, as one

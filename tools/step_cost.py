@@ -57,7 +57,12 @@ point, the maps of steps [-200, 400) at rtol 1e-6 through
 ``OdeCocycle.step_blocks``, in us per map and in DOP853 batch steps (the
 runs of ``_dop853``'s ``step += 1`` line, counted in an untimed traced
 read), which depend on where the chunk cuts fall unless the read is one
-DOP853 stream.
+DOP853 stream.  "torus battery" is one whole
+``validate_against_closed_form(seed=0, n_omegas=1)``, the benchmark's
+torus pass, in ms, and "torus kappa" its exact means at that base point,
+``kappa_mean_exact`` at the horizons 125, 250, 500 and 1000, in ms: one
+call with the sequence of horizons, or one call per horizon on a checkout
+whose ``kappa_mean_exact`` takes one.
 The "expm" rows time ``odes.expm`` on matrices 0.1 A, A a cell of the
 piecewise-constant ODE above (the exponent of one dt-step), in us per
 matrix: one matrix per call, and stacks of 26, about the new constant
@@ -116,6 +121,7 @@ CHECKS = {
             {"n_samples": 300}),
 }
 TORUS_MAPS = 512  # flow maps per torus read
+DIVERGENCE_HORIZONS = (125.0, 250.0, 500.0, 1000.0)  # the torus battery's default
 SEP_READ = (-200, 400)  # the torus battery's separation maps: its 200 steps and a 200-step warm-up each side
 STACK = 26  # matrices per stacked expm call: about the new constant pieces of one 256-step chunk
 COLD = ["-c", "import resource, sys; from poscocycle.cli import main; code = main(sys.argv[1:]); "
@@ -143,7 +149,7 @@ def main(argv=None):
     from poscocycle.odes import PiecewiseConstantOdeModel, cooperative_sampler, expm, integrate
     from poscocycle.pipelines import run_command
     from poscocycle.reporting import format_result
-    from poscocycle.torus import TorusExampleModel
+    from poscocycle.torus import TorusExampleModel, validate_against_closed_form
 
     def matrix(n):
         return MatrixCocycle(UniformEntriesModel(n, 0.5, 2.0)), IidShift().initial(1)
@@ -280,6 +286,15 @@ def main(argv=None):
     horizons = np.linspace(1.25, 10.0, 8).tolist()
     best = best_of(lambda: integrate(torus, omega, np.array([1.0, 0.3]), horizons, rtol=1e-10))
     print(f"torus integrate x8     {1e3 * best:7.1f} ms")
+    best = best_of(lambda: validate_against_closed_form(seed=0, n_omegas=1))
+    print(f"torus battery          {1e3 * best:7.1f} ms")
+    try:  # one call with the sequence, or one per horizon where kappa_mean_exact takes one
+        torus.kappa_mean_exact(omega, DIVERGENCE_HORIZONS)
+        calls = [DIVERGENCE_HORIZONS]
+    except TypeError:
+        calls = DIVERGENCE_HORIZONS
+    best = best_of(lambda: [torus.kappa_mean_exact(omega, T) for T in calls])
+    print(f"torus kappa            {1e3 * best:7.2f} ms")
 
 
 def batch_steps(run):
