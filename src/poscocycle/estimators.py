@@ -10,7 +10,8 @@ its maps: ``step_blocks(omega, lo, hi)`` serves the scale-separated maps of
 steps [lo, hi) as chunks (maps (k, N, N), log_scales (k,)), naming step k's
 base point ``advance(omega, k)``, exactly k dt on, however a read reaches
 it.  A ``replay`` is ``step_blocks`` bound to omega; only ``OdeCocycle``
-stores its flow maps instead, built once by one ``odes.flow_maps`` stream.
+stores its flow maps instead, built once by ``stored_replays``, whose one
+``odes.flow_reads`` stream may fill the stores of several reads at once.
 Each step loop walks the maps of a chunk in place and frees the chunk
 before the next is built.  ``forward_floquet`` and ``oseledets_qr`` do per
 step only what the next step needs (the product, then the column norms and
@@ -50,7 +51,7 @@ from numpy.linalg import _umath_linalg
 from .drivers import BLOCK_CELLS, advance_steps
 from .errors import EstimationError, PositivityViolation
 from .matrices import MatrixModel, _count
-from .odes import OdeModel, _unit_scaled, flow_maps
+from .odes import OdeModel, _unit_scaled, flow_maps, flow_reads
 from .stats import batch_means
 
 
@@ -114,31 +115,53 @@ class OdeCocycle(_Cocycle):
         """One ``flow_maps`` stream over the chunks: the steps that a chunk
         propagates share DOP853 steps with the next chunk's, and at most
         two chunks are in flight."""
-        cuts = range(lo, hi, BLOCK_CELLS)
-        return flow_maps(self.model, ((self.advance(omega, a), min(BLOCK_CELLS, hi - a))
-                                      for a in (reversed(cuts) if backward else cuts)), self.dt, rtol=self.rtol)
+        return flow_maps(self.model, _windows(omega, lo, hi, self.dt, backward), self.dt, rtol=self.rtol)
 
     def replay(self, omega, lo, hi):
-        """The maps of steps [lo, hi) stored in one (hi - lo, N, N) array,
-        filled by a single forward read of ``step_blocks``, one DOP853
-        stream: a flow map is built once and read from the store, which a
-        read yields as views of at most BLOCK_CELLS maps, cut as
-        ``step_blocks`` cuts them.  While it fills, the store and two chunks
-        in flight are held.  One read of the N = 3 piecewise-constant flow
-        maps at dt = 0.1 from an integer start costs 1.5-1.6 us per map with
-        block-drawn cells and 5.0-5.2 with a user sampler's, an emitted N =
-        3 map 0.2-0.3 us."""
-        maps, ls = np.empty((hi - lo, self.n, self.n)), np.empty(hi - lo)
-        k = 0
-        for chunk, scales in self.step_blocks(omega, lo, hi):
-            maps[k:k + len(chunk)], ls[k:k + len(chunk)] = chunk, scales
-            k += len(chunk)
+        """The maps of steps [lo, hi) stored in one (hi - lo, N, N) array:
+        ``stored_replays`` of the one read.  One read of the N = 3
+        piecewise-constant flow maps at dt = 0.1 from an integer start
+        costs 1.5-1.6 us per map with block-drawn cells and 5.0-5.2 with a
+        user sampler's, an emitted N = 3 map 0.2-0.3 us."""
+        return stored_replays(self.model, [(omega, lo, hi, self.rtol)], self.dt)[0]
 
-        def blocks(a, b, backward=False):
-            cuts = range(a - lo, b - lo, BLOCK_CELLS)
-            for c in reversed(cuts) if backward else cuts:
-                yield maps[c:b - lo][:BLOCK_CELLS], ls[c:b - lo][:BLOCK_CELLS]
-        return blocks
+
+def _windows(omega, lo, hi, dt, backward=False):
+    """The ``flow_maps`` windows of steps [lo, hi) from ``omega``, cut at lo
+    + multiples of BLOCK_CELLS, each from its own first base point, latest
+    first with ``backward``."""
+    cuts = range(lo, hi, BLOCK_CELLS)
+    return ((advance_steps(omega, a, dt), min(BLOCK_CELLS, hi - a)) for a in (reversed(cuts) if backward else cuts))
+
+
+def stored_replays(model: OdeModel, reads, dt):
+    """The replays of the reads ``(omega, lo, hi, rtol)`` of ``model``'s flow
+    maps over ``dt``, each as ``OdeCocycle(model, dt, rtol).replay(omega,
+    lo, hi)`` gives it, bit for bit, all filled from one ``flow_reads``
+    stream: a read's slow DOP853 members step alongside the next chunk's
+    and alongside other reads', each read with at most two chunks walked
+    and not yet stored.  Each read's maps are stored in one (hi - lo, N,
+    N) array, cut as ``step_blocks`` cuts them, and a replay reads them
+    from there (``_stored``)."""
+    stores = [(np.empty((hi - lo, model.n, model.n)), np.empty(hi - lo)) for _, lo, hi, _ in reads]
+    filled = [0] * len(reads)
+    windows = [(_windows(omega, lo, hi, dt), rtol) for omega, lo, hi, rtol in reads]
+    for r, chunk, scales in flow_reads(model, windows, dt):
+        k = filled[r]
+        stores[r][0][k:k + len(chunk)], stores[r][1][k:k + len(chunk)] = chunk, scales
+        filled[r] += len(chunk)
+    return [_stored(maps, ls, lo) for (maps, ls), (_, lo, _, _) in zip(stores, reads)]
+
+
+def _stored(maps, ls, lo):
+    """A replay of the stored maps of steps [lo, lo + len(maps)): a read
+    yields views of at most BLOCK_CELLS maps, cut at lo + multiples of
+    BLOCK_CELLS."""
+    def blocks(a, b, backward=False):
+        cuts = range(a - lo, b - lo, BLOCK_CELLS)
+        for c in reversed(cuts) if backward else cuts:
+            yield maps[c:b - lo][:BLOCK_CELLS], ls[c:b - lo][:BLOCK_CELLS]
+    return blocks
 
 
 class AdjointCocycle(_Cocycle):
@@ -600,7 +623,13 @@ def separation_estimate(cocycle, omega, horizon, warmup=50, proj_samples=0) -> S
     warmup = _count("warmup", warmup, 0)
     proj_samples = _count("proj_samples", proj_samples, 0)
     sample_every = max(1, n_steps // proj_samples) if proj_samples else 0
-    blocks = cocycle.replay(omega, -warmup, n_steps + warmup)
+    return _separation(cocycle, cocycle.replay(omega, -warmup, n_steps + warmup), n_steps, warmup, sample_every)
+
+
+def _separation(cocycle, blocks, n_steps, warmup, sample_every):
+    """``separation_estimate`` over ``blocks``, a replay of the maps of
+    [-warmup, n_steps + warmup), with a projection sample every
+    ``sample_every`` steps, or none when it is 0."""
     w = _warmed(cocycle, blocks(-warmup, 0), range(-warmup, 0))
     track = _forward(cocycle, blocks(0, n_steps), range(n_steps), w, sample_every)
     if track.log_growth == -math.inf:

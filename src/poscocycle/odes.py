@@ -18,14 +18,17 @@ range.
 
 There is one DOP853, ``_dop853``, which steps the members of a stream of
 batches in lockstep, each along its own chain of pieces with its own step
-size.  At most BLOCK_CELLS members are live; a waiting member takes the
-slot of one that finishes, so a batch's slow members step alongside the
-next batch's, and at most two batches are in flight.  The coefficient of
-all smooth pieces of a batch comes from one ``OdeModel.piece_fields``
-call, evaluated at the stage times of its live members at once.
-``propagate`` and ``integrate`` take one time or a 1-D sequence of times,
-from one base point or from as many: every (base point, time) pair is a
-member of a stream of one batch, and a single time is the batch of one.
+size and its batch's rtol.  The batches come from one read or from
+several, each read an ordered source of batches that gets its results in
+its own order.  At most BLOCK_CELLS members are live; a waiting member
+takes the slot of one that finishes, so a batch's slow members step
+alongside the next batch's and alongside other reads', and each read has
+at most two batches in flight.  The coefficient of all smooth pieces of a
+batch comes from one ``OdeModel.piece_fields`` call, evaluated at the
+stage times of its live members at once.  ``propagate`` and ``integrate``
+take one time or a 1-D sequence of times, from one base point or from as
+many: every (base point, time) pair is a member of a stream of one batch,
+and a single time is the batch of one.
 
 A piecewise-constant model keeps the last block of cells it drew: a user
 sampler's one cell, or the BLOCK_CELLS cells of one counter-addressed draw.
@@ -38,10 +41,13 @@ constant piece, and the steps inside one piece share its flow.  A model's
 The steps left over, those across a breakpoint or on a smooth piece, go
 through ``_dop853`` as the window's batch, bit for bit what ``propagate``
 gives each alone, and the batches of a read's windows are one stream, so
-a read's DOP853 cost does not depend on where its chunk cuts fall.  A
-window is a function of its steps: nothing is carried from one window to
-the next, so a piece that two chunks of a read share takes one
-exponential in each.
+a read's DOP853 cost does not depend on where its chunk cuts fall.
+``flow_reads`` serves several such reads, each at its own rtol, from one
+stream, of which ``flow_maps`` is the one-read case: a read's slow members
+step alongside other reads' members, so the reads' slowest members step
+at once rather than one read after another.  A window is a function of
+its steps: nothing is carried from one window to the next, so a piece
+that two chunks of a read share takes one exponential in each.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import chain, permutations
 
 import numpy as np
@@ -319,25 +326,27 @@ def _underflow(t, t0, t1):
 
 
 class _Batch:
-    """One batch of a ``_dop853`` stream: per member a chain of pieces, its
-    smooth pieces numbered, and a first block; the coefficient of all its
-    smooth pieces from one ``piece_fields`` call; and per member the next
-    piece, the log scale of the pieces done, the result and the counts."""
+    """One batch of a ``_dop853`` stream: its number in the stream, its read
+    and its rtol; per member a chain of pieces, its smooth pieces numbered,
+    and a first block; the coefficient of all its smooth pieces from one
+    ``piece_fields`` call; and per member the next piece, the log scale of
+    the pieces done, the result and the counts."""
 
-    def __init__(self, model, states, chains, Y):
+    def __init__(self, model, number, read, states, chains, Y, rtol):
         smooth = [(j, a, b) for j, chain in enumerate(chains) for a, b, flow in chain if flow is None]
         self.fields = model.piece_fields([states[j] for j, _, _ in smooth], np.array([a for _, a, _ in smooth]),
                                          np.array([b for _, _, b in smooth])) if smooth else None
-        number = iter(range(len(smooth)))
-        self.chains = [[(a, b, flow, None if flow is not None else next(number)) for a, b, flow in chain]
+        numbers = iter(range(len(smooth)))
+        self.chains = [[(a, b, flow, None if flow is not None else next(numbers)) for a, b, flow in chain]
                        for chain in chains]
         m = len(chains)
+        self.number, self.read, self.rtol = number, read, float(rtol)
         self.Y, self.admitted, self.undone = Y, 0, m  # members admitted; members not done
         self.at, self.total = [0] * m, [0.0] * m
         self.out, self.counts = np.empty(np.shape(Y)), np.zeros((2, m), dtype=np.intp)
 
     def result(self):
-        return self.out, np.array(self.total, dtype=float), self.counts[0], self.counts[1]
+        return self.read, self.out, np.array(self.total, dtype=float), self.counts[0], self.counts[1]
 
 
 def _coefficient(parts, taus):
@@ -350,53 +359,65 @@ def _coefficient(parts, taus):
     return As[0] if len(As) == 1 else np.concatenate(As, axis=1)
 
 
-def _dop853(model, batches, rtol):
-    """Adaptive DOP853 over a stream of batches, each (states, chains, Y)
-    with Y (m, N, k); yields each batch's (Y_unit (m, N, k), log_scales
-    (m,), accepted (m,), rejected (m,)), the last two the step counts of
-    each member, in order, once every member of the batch is done.
+def _dop853(model, reads):
+    """Adaptive DOP853 over one stream of the batches of several reads,
+    each read an iterable of batches (states, chains, Y, rtol) with Y (m,
+    N, k), the same N and k throughout; yields (r, Y_unit (m, N, k),
+    log_scales (m,), accepted (m,), rejected (m,)) for each batch of read
+    r, the last two the step counts of each member, once every member of
+    the batch is done.  Each read's batches come in its own order; a read
+    does not wait for another's.
 
     Member j of a batch evolves the (N, k) block Y[j] along ``chains[j]``,
     the pieces (a, b, flow) of local time past ``states[j]`` in order
     (``_pieces``).  A constant piece takes its exact ``flow``; a smooth one
     takes adaptive steps, with the coefficient of a batch's smooth pieces
     from one ``model.piece_fields`` call.  Every member keeps its own t, h,
-    accept/reject state and log scale; one that finishes a piece starts its
-    next on the next step, and one that finishes its chain leaves.
+    accept/reject state, log scale and its batch's rtol; one that finishes
+    a piece starts its next on the next step, and one that finishes its
+    chain leaves.
 
     At most BLOCK_CELLS members are live, in slots, and step in lockstep;
     the members still stepping are a contiguous prefix of the slots and
     each step works on views of it.  Waiting members take the freed slots
-    in batch order, behind the live prefix, so the slots stay sorted by
+    in draw order, behind the live prefix, so the slots stay sorted by
     batch and a step makes one ``fields`` call per live batch
     (``_coefficient``).  The next batch is drawn once the last one drawn is
-    wholly admitted, and at most one batch ahead of the one waiting to be
-    yielded: a batch's slow members step alongside the next batch's, and
-    at most two batches are in flight.  A member's rejected count runs
-    from the step that admitted it.  Its 12 stages are contiguous, so the
-    stacked matmuls make the BLAS calls that the member alone makes, and
-    its result depends neither on its batch nor on the stream.  The
-    step-size controller runs per member in Python floats.
+    wholly admitted, from the first read that has fewer than two batches
+    drawn and not yet yielded, and again after each yield: a batch's slow
+    members step alongside the next batch's and alongside other reads',
+    and each read has at most two batches in flight.  A member's rejected
+    count runs from the step that admitted it.  Its 12 stages are
+    contiguous, so the stacked matmuls make the BLAS calls that the member
+    alone makes, and its result depends neither on its batch nor on the
+    stream.  The step-size controller runs per member in Python floats.
 
-    Each component's error is weighed against 1e-12 + rtol times its size.
-    After every accepted step a block is rescaled to max-abs 1 and the log
-    scale accumulated; a block that reaches 0 ends its member at -inf.  A
+    Each component's error is weighed against 1e-12 + rtol times its size,
+    rtol a per-slot column, so the weights are elementwise.  After every
+    accepted step a block is rescaled to max-abs 1 and the log scale
+    accumulated; a block that reaches 0 ends its member at -inf.  A
     non-finite error estimate (a field or state with NaN or inf) raises
     ``EstimationError`` naming the member's piece and time instead of
     shrinking the step for ever.
     """
-    source, pending, more = iter(batches), deque(), True  # the batches drawn and not yet yielded
-    yielded = cap = live = step = 0  # batches yielded, slots, live slots, steps taken
+    sources = [iter(read) for read in reads]  # None once a read is exhausted
+    pending = [deque() for _ in sources]  # per read, its batches drawn and not yet yielded
+    inflight, last = {}, None  # the batches drawn and not yet yielded, by number; the last one drawn
+    drawn = cap = live = step = 0  # batches drawn, slots, live slots, steps taken
+    # whether a read may have room for a batch (none had since the last
+    # yield), and whether a batch may be done (one finished a member)
+    drawing = finished = True
     # slot j holds member member[j] of batch owner[j], admitted at step
     # since[j], on its smooth piece piece[j], and S[j] its scalars: first
     # those a step updates (t, h, the piece's log scale, whether the last
     # step was rejected, the accepted steps), then the piece's ends, the
-    # clamp bounds of field times, the underflow h and the end tolerance
+    # clamp bounds of field times, the underflow h, the end tolerance and
+    # its batch's rtol
     Y = S = None
     member = piece = owner = since = np.zeros(0, dtype=np.intp)
 
     def batch(j):
-        return pending[owner[j] - yielded]
+        return inflight[int(owner[j])]
 
     def start(j):
         """Walk member ``member[j]`` to its next smooth piece of positive
@@ -429,6 +450,8 @@ def _dop853(model, batches, rtol):
         return False
 
     def finish(j):
+        nonlocal finished
+        finished = True
         bj, i = batch(j), member[j]
         good = int(accepted[j])
         bj.out[i], bj.counts[:, i] = Y[j], (good, step - since[j] - good)
@@ -437,9 +460,8 @@ def _dop853(model, batches, rtol):
     def parts(sel, r):
         """The ``_coefficient`` parts of the slots ``sel``, sorted by batch."""
         owners, pieces = owner[sel], piece[sel]
-        cut = int(np.count_nonzero(owners == owners[0]))
-        return [(pending[owners[s] - yielded].fields, s, e, np.tile(pieces[s:e], r))
-                for s, e in ((0, cut), (cut, len(owners))) if s < e]
+        cuts = [0, *(np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist(), len(owners)]
+        return [(inflight[int(owners[s])].fields, s, e, np.tile(pieces[s:e], r)) for s, e in zip(cuts, cuts[1:])]
 
     def first_h(started):
         """Give the slots ``started``, which start a piece, their first h."""
@@ -477,51 +499,62 @@ def _dop853(model, batches, rtol):
         # admit the waiting members of the last batch drawn into free slots,
         # and draw the next batch once it is wholly admitted
         while True:
-            last = pending[-1] if pending else None
             if last is not None and last.admitted < len(last.chains):
                 if live == cap:
                     break
                 i, last.admitted, stale = last.admitted, last.admitted + 1, True
-                member[live], owner[live], since[live], accepted[live] = i, yielded + len(pending) - 1, step, 0.0
+                member[live], owner[live], since[live], accepted[live] = i, drawn - 1, step, 0.0
+                rtol[live] = last.rtol
                 Y[live] = last.Y[i]
                 if start(live):
                     started.append(live)
                     live += 1
                 else:
                     finish(live)
-            elif more and len(pending) < 2:
-                drawn = next(source, None)
-                if drawn is None:
-                    more = False
-                    continue
-                pending.append(_Batch(model, *drawn))
-                if cap < min(BLOCK_CELLS, live + len(drawn[1])):  # room for all of it, up to BLOCK_CELLS slots
-                    cap, stale = min(BLOCK_CELLS, live + len(drawn[1])), True
-                    if Y is None:
-                        Y, S = np.empty((0, *np.shape(drawn[2])[1:])), np.zeros((0, 11))
-                    Y, S, member, piece, owner, since = (
-                        np.concatenate([arr[:live], np.zeros((cap - live, *arr.shape[1:]), arr.dtype)])
-                        for arr in (Y, S, member, piece, owner, since))
-                    t, h, ls, rejected, accepted, t0, t1, lo, hi, min_h, tol = S.T
-                    K = np.empty((cap, _STAGES, Y[0].size))
-                    K4 = K.reshape(cap, _STAGES, *Y.shape[1:])
-                    comb = np.empty_like(Y)  # a stage's argument, then the candidate step
-                    comb_flat = comb.reshape(cap, -1)
-            else:
+                continue
+            if not drawing:
                 break
+            r = next((r for r, q in enumerate(pending) if len(q) < 2 and sources[r] is not None), None)
+            if r is None:
+                drawing = False
+                break
+            got = next(sources[r], None)
+            if got is None:
+                sources[r] = None
+                continue
+            last = inflight[drawn] = _Batch(model, drawn, r, *got)
+            pending[r].append(last)
+            drawn += 1
+            if cap < min(BLOCK_CELLS, live + len(got[1])):  # room for all of it, up to BLOCK_CELLS slots
+                cap, stale = min(BLOCK_CELLS, live + len(got[1])), True
+                if Y is None:
+                    Y, S = np.empty((0, *np.shape(got[2])[1:])), np.zeros((0, 12))
+                Y, S, member, piece, owner, since = (
+                    np.concatenate([arr[:live], np.zeros((cap - live, *arr.shape[1:]), arr.dtype)])
+                    for arr in (Y, S, member, piece, owner, since))
+                t, h, ls, rejected, accepted, t0, t1, lo, hi, min_h, tol, rtol = S.T
+                K = np.empty((cap, _STAGES, Y[0].size))
+                K4 = K.reshape(cap, _STAGES, *Y.shape[1:])
+                comb = np.empty_like(Y)  # a stage's argument, then the candidate step
+                comb_flat = comb.reshape(cap, -1)
         if started:
             first_h(started)
             started = []
-        if pending and not pending[0].undone:
-            yielded += 1
-            yield pending.popleft().result()
-            continue  # and draw again
+        if finished:
+            ready = next((q for q in pending if q and not q[0].undone), None)
+            if ready is not None:
+                del inflight[ready[0].number]
+                yield ready.popleft().result()
+                drawing = True
+                continue  # and draw again
+            finished = False
         if not live:
             return
         if stale:  # the views of the live slots, taken again after every change of them
             stale = False
             y, Sl, tl, hl, lol, hil = Y[:live], S[:live], t[:live], h[:live], lo[:live], hi[:live]
-            hb, comb3, combl, Kl = hl[:, None, None], comb[:live], comb_flat[:live], K[:live]
+            hb, rb = hl[:, None, None], rtol[:live, None, None]
+            comb3, combl, Kl = comb[:live], comb_flat[:live], K[:live]
             stages = list(zip(_A_ROWS[1:], [K[:live, :i] for i in range(1, _STAGES)],
                               [K4[:live, i] for i in range(1, _STAGES)]))
             step_parts = parts(slice(0, live), _STAGES)
@@ -536,12 +569,12 @@ def _dop853(model, batches, rtol):
         np.matmul(_B, Kl, out=combl)
         comb3 *= hb
         comb3 += y
-        e = np.matmul(_E, Kl) / (1e-12 + rtol * np.maximum(np.abs(y), np.abs(comb3))).reshape(live, 1, -1)
+        e = np.matmul(_E, Kl) / (1e-12 + rb * np.maximum(np.abs(y), np.abs(comb3))).reshape(live, 1, -1)
 
         # the controller, per member in Python floats (err ** -0.125 and the
         # logs as libm gives them)
         ok, scale, rows, done = [], [], [], []
-        for j, ((n5, n3), s, (tj, hj, lsj, rej, acc, t0j, t1j, _, _, min_hj, tolj)) in enumerate(zip(
+        for j, ((n5, n3), s, (tj, hj, lsj, rej, acc, t0j, t1j, _, _, min_hj, tolj, _)) in enumerate(zip(
                 np.vecdot(e, e).tolist(), np.abs(comb3).max(axis=(1, 2)).tolist(), Sl.tolist())):
             err = 0.0 if n5 == 0.0 and n3 == 0.0 else hj * n5 / math.sqrt((n5 + 0.01 * n3) * (n * k))
             if not math.isfinite(err):
@@ -665,9 +698,11 @@ def _knots(model, omega, t):
     sliver piece that costs a flow of its own and moves nothing.
     """
     snap = 8.0 * _EPS * max(1.0, t)
-    bps = np.asarray(model.breakpoints(omega, 0.0, t), dtype=float)
-    inner = bps[(bps > snap) & (bps < t - snap)]
-    return [0.0, *sorted(set(inner.tolist())), float(t)]
+    end = t - snap
+    inner = [b for b in map(float, model.breakpoints(omega, 0.0, t)) if snap < b < end]
+    if len(inner) > 1 and not all(map(float.__lt__, inner, inner[1:])):  # unsorted or repeated
+        inner = sorted(set(inner))
+    return [0.0, *inner, float(t)]
 
 
 def _pieces(model, omega, t):
@@ -740,8 +775,8 @@ def propagate(model: OdeModel, omega, Y, t, rtol=1e-10):
     if not np.any(Y):
         raise ValueError("initial condition must be nonzero")
     chains, _ = _with_flows([_pieces(model, w, tj) for w, tj in zip(omega, times)])
-    batch = (omega, chains, np.broadcast_to(Y, (len(times), *Y.shape)))
-    Ys, log_scales, _, _ = next(_dop853(model, [batch], rtol))
+    batch = (omega, chains, np.broadcast_to(Y, (len(times), *Y.shape)), rtol)
+    _, Ys, log_scales, _, _ = next(_dop853(model, [[batch]]))
     if squeeze:
         Ys = Ys[:, :, 0]
     return (Ys[0], float(log_scales[0])) if ts.ndim == 0 else (Ys, log_scales)
@@ -752,36 +787,51 @@ def flow_maps(model: OdeModel, windows, dt, rtol=1e-10):
     steps of ``dt`` from ``first``, yielded per window in order as (maps
     (k, N, N), log_scales (k,)): map j of a window is bit for bit
     ``propagate`` of the identity from ``advance_steps(first, j, dt)``, so
-    the maps depend on their steps alone, not on any window before.
+    the maps depend on their steps alone, not on any window before.  This
+    is ``flow_reads`` of one read."""
+    for _, maps, log_scales in flow_reads(model, [(windows, rtol)], dt):
+        yield maps, log_scales
+
+
+def flow_reads(model: OdeModel, reads, dt):
+    """The flow maps of several reads ``(windows, rtol)``, each a sequence
+    of windows ``(first, k)`` as ``flow_maps`` takes them, at its own
+    ``rtol``: yields (r, maps, log_scales) for each window of read r, each
+    read's windows in order, the reads' interleaved.
 
     Each window is walked against its own breakpoints (``_walk``), and the
     steps it propagates go through ``_dop853`` as one batch.  The batches of
-    the windows are one DOP853 stream, entered at the first window that
-    propagates a step: a window's slow members step alongside the next
-    window's, and at most two windows are in flight, walked and not yet
-    yielded.  A read whose steps all lie whole on constant pieces never
-    enters it.
+    all reads are one DOP853 stream, entered once a read walks a window
+    that propagates a step: a window's slow members step alongside the
+    next window's and alongside other reads', and each read has at most
+    two windows in flight, walked and not yet yielded.  The windows of a
+    read before its first propagating one are yielded as they are walked;
+    reads whose steps all lie whole on constant pieces never enter the
+    stream.
     """
-    walks = (_walk(model, first, k, dt) for first, k in windows)
-    for window in walks:
-        if window[2]:
-            break
-        yield window[:2]
-    else:
+    eye, entered = np.eye(model.n), []  # per read that propagates: r, its walks from the first such window, rtol
+    for r, (windows, rtol) in enumerate(reads):
+        walks = (_walk(model, first, k, dt) for first, k in windows)
+        for window in walks:
+            if window[2]:
+                entered.append((r, chain([window], walks), rtol))
+                break
+            yield r, *window[:2]
+    window = None  # not held while the stream runs
+    if not entered:
         return
-    walked, eye = deque(), np.eye(model.n)  # the windows drawn into the stream and not yet yielded
+    walked = [deque() for _ in entered]  # per read in the stream, its windows drawn and not yet yielded
 
-    def draw(window):
+    def draw(i, rtol, window):
         maps, log_scales, todo, states, chains = window
-        walked.append((maps, log_scales, todo))
-        return states, chains, np.broadcast_to(eye, (len(todo), model.n, model.n))
+        walked[i].append((maps, log_scales, todo))
+        return states, chains, np.broadcast_to(eye, (len(todo), model.n, model.n)), rtol
 
-    stream = _dop853(model, map(draw, chain([window], walks)), rtol)
-    del window
-    for Ys, scales, _, _ in stream:
-        maps, log_scales, todo = walked.popleft()
+    stream = _dop853(model, [map(partial(draw, i, rtol), walks) for i, (_, walks, rtol) in enumerate(entered)])
+    for i, Ys, scales, _, _ in stream:
+        maps, log_scales, todo = walked[i].popleft()
         maps[todo], log_scales[todo] = Ys, scales
-        yield maps, log_scales
+        yield entered[i][0], maps, log_scales
 
 
 def _walk(model, first, k, dt):

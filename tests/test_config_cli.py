@@ -364,12 +364,11 @@ class TestPipelines:
         # the estimate reads cells -5..99 and separate -5..104: blocks -1 and
         # 0, one draw each
         maps, stacks, calls, draws = [], [], {"_dop853": 0}, {"_prf": 0, "cell_uniforms": 0}
-        step_blocks, expm = estimators.OdeCocycle.step_blocks, odes.expm
+        walk, expm = odes._walk, odes.expm
 
-        def counted_blocks(*args, **kwargs):
-            for chunk in step_blocks(*args, **kwargs):
-                maps.append(len(chunk[0]))
-                yield chunk
+        def counted_walk(model, first, k, dt):
+            maps.append(k)  # the steps of each chunk walked
+            return walk(model, first, k, dt)
 
         def counted(name, module=odes, tally=calls):
             fn = getattr(module, name)
@@ -386,7 +385,7 @@ class TestPipelines:
             stacks.append(len(A))
             return expm(A)
 
-        monkeypatch.setattr(estimators.OdeCocycle, "step_blocks", counted_blocks)
+        monkeypatch.setattr(odes, "_walk", counted_walk)
         monkeypatch.setattr(odes, "expm", counted_expm)
         for name in calls:
             monkeypatch.setattr(odes, name, counted(name))

@@ -17,7 +17,7 @@ from poscocycle.estimators import (MatrixCocycle, OdeCocycle, DivergenceDiagnost
                                    pullback_convergence, separation_estimate, warmup_direction)
 from poscocycle import odes
 from poscocycle.estimators import (FloquetTrack, _column_norms, _enforce_cone, _norm, _orth_complement,
-                                   _projection_norm, _qr, _spectral_norm, _transposed)
+                                   _projection_norm, _qr, _spectral_norm, _stored, _transposed)
 from poscocycle.matrices import (ConstantMatrixModel, IidChoiceModel, SampledMatrixModel, UniformEntriesModel,
                                  leslie_model)
 from poscocycle.odes import (CallableOdeModel, ConstantOdeModel, PiecewiseConstantOdeModel,
@@ -68,9 +68,12 @@ def _steps(chunks):
 
 
 class StoredMatrixCocycle(MatrixCocycle):
-    """Serves its replays from one stored array, as ``OdeCocycle`` does."""
+    """Serves its replays from one stored array, as ``OdeCocycle`` does:
+    one forward ``step_blocks`` read, read back through ``_stored``."""
 
-    replay = OdeCocycle.replay
+    def replay(self, omega, lo, hi):
+        maps, ls = zip(*((maps.copy(), ls.copy()) for maps, ls in self.step_blocks(omega, lo, hi)))
+        return _stored(np.concatenate(maps), np.concatenate(ls), lo)
 
 
 class BareCocycle:
@@ -394,21 +397,21 @@ class TestForwardFloquet:
         # T + 2 * warmup maps over the two reads, with one expm per unit cell
         # each read's steps cross (3 over [0, 3], 1 + 4 over [-0.7, 0] and
         # [0, 3.7]).  Over the adjoint, which stores nothing, the two walks
-        # read their maps afresh: 2 T + 2 * warmup maps.  expms holds the
-        # size of each stacked expm call, one per chunk built.
+        # read their maps afresh: 2 T + 2 * warmup maps.  maps holds the
+        # size of each chunk walked, expms that of each stacked expm call,
+        # one per chunk built.
         maps, expms = [], []
-        step_blocks, expm = OdeCocycle.step_blocks, odes.expm
+        walk, expm = odes._walk, odes.expm
 
-        def counted_blocks(*args, **kwargs):
-            for chunk in step_blocks(*args, **kwargs):
-                maps.append(len(chunk[0]))
-                yield chunk
+        def counted_walk(model, first, k, dt):
+            maps.append(k)
+            return walk(model, first, k, dt)
 
         def counted_expm(A):
             expms.append(len(A))
             return expm(A)
 
-        monkeypatch.setattr(OdeCocycle, "step_blocks", counted_blocks)
+        monkeypatch.setattr(odes, "_walk", counted_walk)
         monkeypatch.setattr(odes, "expm", counted_expm)
         for warmup, cells in ((0, 3), (7, 5)):
             maps.clear()
@@ -452,12 +455,12 @@ class TestForwardFloquet:
             calls[0] += 1
             return advance(self, state, t)
 
-        def batch(model, batches, *args):
-            def counted():
-                for states, *rest in batches:
+        def batch(model, reads):
+            def counted(read):
+                for states, *rest in read:
                     members[0] += len(states)
                     yield states, *rest
-            return dop853(model, counted(), *args)
+            return dop853(model, [counted(read) for read in reads])
 
         coc, count = OdeCocycle(PiecewiseConstantOdeModel(3, cooperative_sampler(3, -1.0, 0.5, 0.0, 1.0)),
                                 dt=0.1), 2000
@@ -664,14 +667,14 @@ class TestForwardFloquet:
         alone = [next(odes.flow_maps(model, [(advance_steps(omega, a, dt), BLOCK_CELLS)], dt)) for a in cuts]
         streams, drawn, dop853 = [], [], odes._dop853
 
-        def counted(model, batches, rtol):
+        def counted(model, reads):
             streams.append(len(drawn))
 
-            def draws():
-                for batch in batches:
+            def draws(read):
+                for batch in read:
                     drawn.append(len(batch[0]))
                     yield batch
-            return dop853(model, draws(), rtol)
+            return dop853(model, [draws(read) for read in reads])
 
         monkeypatch.setattr(odes, "_dop853", counted)
         coc = OdeCocycle(model, dt=dt)

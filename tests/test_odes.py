@@ -1,6 +1,7 @@
 import functools
 import math
 import signal
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -109,8 +110,8 @@ class TestIntegrate:
         m, steps = TorusExampleModel(), []
 
         def run(state, u, t):
-            Y, ls, accepted, _ = next(odes._dop853(m, [([state], [odes._pieces(m, state, t)], u[None, :, None])],
-                                                   1e-10))
+            _, Y, ls, accepted, _ = next(odes._dop853(m, [[([state], [odes._pieces(m, state, t)], u[None, :, None],
+                                                             1e-10)]]))
             steps.append(int(accepted[0]))
             return Y[0, :, 0], float(ls[0])
 
@@ -290,10 +291,10 @@ class TestExactFlow:
         dop853 = odes._dop853
 
         def no_steps(*args):
-            for Y, ls, accepted, rejected in dop853(*args):
+            for r, Y, ls, accepted, rejected in dop853(*args):
                 if accepted.any() or rejected.any():
                     raise AssertionError("a constant piece reached the adaptive integrator")
-                yield Y, ls, accepted, rejected
+                yield r, Y, ls, accepted, rejected
 
         monkeypatch.setattr(odes, "_dop853", no_steps)
         Y, ls = propagate(ConstantOdeModel(np.diag([-1e6, -2e6])), cont_state(), np.ones(2), 10.0)
@@ -553,8 +554,8 @@ class TestDop853:
         m = TorusExampleModel()
         states = [TorusRotation().initial(seed) for seed in (1, 2, 3)]
         Y = np.stack([np.eye(2), np.zeros((2, 2)), np.eye(2)])
-        out, ls, accepted, rejected = next(odes._dop853(m, [(states, [odes._pieces(m, s, 1.0) for s in states], Y)],
-                                                        1e-10))
+        _, out, ls, accepted, rejected = next(odes._dop853(m, [[(states, [odes._pieces(m, s, 1.0) for s in states],
+                                                                  Y, 1e-10)]]))
         assert ls[1] == -np.inf and not out[1].any() and accepted[1] == rejected[1] == 0
         for j in (0, 2):
             M, log_scale = propagate(m, states[j], np.eye(2), 1.0)
@@ -567,6 +568,33 @@ class TestDop853:
         assert odes._knots(model, cont_state(), 0.1) == [0.0, 0.05, 0.1]
         wide = CallableOdeModel(1, lambda state, t: [[0.0]], lambda state, t0, t1: [1e-12, 10.0 - 1e-12])
         assert odes._knots(wide, cont_state(), 10.0) == [0.0, 1e-12, 10.0 - 1e-12, 10.0]
+
+    def test_knots_are_the_array_formula(self):
+        # the knots, filtered in plain floats, are bit for bit those of the
+        # array formula kept here, on torus steps that hold zero to a few
+        # wraps and on cell steps whose ends fall on, a few ulps off and
+        # near cell edges
+        def ref_knots(model, omega, t):
+            snap = 8.0 * np.finfo(float).eps * max(1.0, t)
+            bps = np.asarray(model.breakpoints(omega, 0.0, t), dtype=float)
+            inner = bps[(bps > snap) & (bps < t - snap)]
+            return [0.0, *sorted(set(inner.tolist())), float(t)]
+
+        rng, torus = np.random.default_rng(8), TorusExampleModel()
+        cells = PiecewiseUniformOdeModel(3, -1.0, 0.5, 0.0, 1.0)
+        cases = [(torus, TorusRotation(rho).initial(int(seed)).advance(x), t)
+                 for rho in (None, 0.3, 0.7071) for seed, x, t in zip(
+                     rng.integers(0, 10**6, 300).tolist(), rng.uniform(-100.0, 100.0, 300).tolist(),
+                     (10.0 ** rng.uniform(-4.0, 0.5, 300)).tolist())]
+        for i, dt in product(range(-50, 50), (0.1, 1 / 3, 0.25, 1.0, 2.5)):
+            for pos in (float(i), i + 4 * math.ulp(i), i - 3e-7, i + rng.uniform()):
+                cases += [(cells, cont_state(4).advance(pos).advance(-j * dt), dt) for j in range(2)]
+        wraps = [len(ref_knots(model, omega, t)) - 2 for model, omega, t in cases]
+        assert {0, 1, 2} <= set(wraps[:900]) and {0, 1, 2, 3} <= set(wraps[900:]), wraps
+        for model, omega, t in cases:
+            got, ref = odes._knots(model, omega, t), ref_knots(model, omega, t)
+            assert all(type(k) is float for k in got) and got == ref, (omega, t)
+            assert np.array(got).view(np.int64).tolist() == np.array(ref).view(np.int64).tolist()
 
     def test_knots_sort_and_merge_breakpoints(self):
         # unsorted, repeated and end-snapped breakpoints split a step exactly
@@ -745,8 +773,8 @@ class TestDop853Stream:
         for _ in range(3):
             states = [TorusRotation().initial(int(seed)) for seed in rng.integers(0, 10**6, 150)]
             chains = [odes._pieces(m, state, t) for state, t in zip(states, rng.uniform(0.05, 2.0, 150).tolist())]
-            batches.append((states, chains, rng.uniform(0.1, 1.0, (150, 2, 2))))
-        assert any(len(chain) > 1 for _, chains, _ in batches for chain in chains)  # a wrap splits a chain
+            batches.append((states, chains, rng.uniform(0.1, 1.0, (150, 2, 2)), 1e-6))
+        assert any(len(chain) > 1 for _, chains, _, _ in batches for chain in chains)  # a wrap splits a chain
         live, results, draws = [], [], []
         coefficient = odes._coefficient
 
@@ -761,16 +789,63 @@ class TestDop853Stream:
                 yield batch
 
         monkeypatch.setattr(odes, "_coefficient", counted)
-        for result in odes._dop853(m, source(), 1e-6):
+        for _, *result in odes._dop853(m, [source()]):
             results.append(result)
         monkeypatch.undo()
         assert max(live) == BLOCK_CELLS and len(results) == 3
         assert all(i - yielded <= 1 for i, yielded in enumerate(draws)), draws
-        for (states, chains, Y), got in zip(batches, results):
+        for (states, chains, Y, rtol), got in zip(batches, results):
             for j, (state, chain) in enumerate(zip(states, chains)):
-                alone = next(odes._dop853(m, [([state], [chain], Y[j:j + 1])], 1e-6))
+                _, *alone = next(odes._dop853(m, [[([state], [chain], Y[j:j + 1], rtol)]]))
                 for a, b in zip(got, alone):
                     assert np.array_equal(a[j], b[0]), j
+
+    def test_reads_share_one_stream(self, monkeypatch):
+        # two reads of three batches of 60 torus members each, the same
+        # (base point, time) pairs at rtol 1e-6 in one and 1e-10 in the
+        # other.  Each read draws a batch only once the one two before it
+        # has been delivered, gets its batches in its own order, and every
+        # member gets what it gets alone at its read's rtol, bit for bit
+        # and with the same step counts.  The reads' slow members step
+        # together: the stream takes fewer steps than the two reads apart
+        m, rng = TorusExampleModel(), np.random.default_rng(11)
+        batches = []
+        for _ in range(3):
+            states = [TorusRotation().initial(int(seed)) for seed in rng.integers(0, 10**6, 60)]
+            chains = [odes._pieces(m, state, t) for state, t in zip(states, rng.uniform(0.05, 2.0, 60).tolist())]
+            batches.append((states, chains, rng.uniform(0.1, 1.0, (60, 2, 2))))
+        rtols = (1e-6, 1e-10)
+        steps, coefficient = [0], odes._coefficient
+
+        def counted(parts, taus):
+            steps[0] += len(taus) == odes._STAGES
+            return coefficient(parts, taus)
+
+        def read(r, draws, delivered):
+            for i, batch in enumerate(batches):
+                draws.append(i - len(delivered[r]))  # the batches of this read drawn and not delivered
+                yield *batch, rtols[r]
+
+        monkeypatch.setattr(odes, "_coefficient", counted)
+        apart = []
+        for r in (0, 1):
+            steps[0], delivered = 0, ([], [])
+            assert len([out for _, *out in odes._dop853(m, [read(r, [], delivered)])]) == 3
+            apart.append(steps[0])
+        steps[0], draws, delivered = 0, [], ([], [])
+        for r, *out in odes._dop853(m, [read(0, draws, delivered), read(1, draws, delivered)]):
+            delivered[r].append(out)
+        monkeypatch.undo()
+        assert [len(got) for got in delivered] == [3, 3] and max(draws) <= 1, draws
+        assert steps[0] < sum(apart), (steps[0], apart)
+        for r, got in enumerate(delivered):
+            for (states, chains, Y), out in zip(batches, got):
+                for j, (state, chain) in enumerate(zip(states, chains)):
+                    _, *alone = next(odes._dop853(m, [[([state], [chain], Y[j:j + 1], rtols[r])]]))
+                    for a, b in zip(out, alone):
+                        assert np.array_equal(a[j], b[0]), (r, j)
+        # the two rtols give different maps, so no member was served the other read's
+        assert not np.array_equal(delivered[0][0][0], delivered[1][0][0])
 
 
 class TestGrowthBound:

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from poscocycle.drivers import TorusRotation, _two_sum
 from poscocycle.odes import integrate
-from poscocycle.estimators import OdeCocycle, separation_estimate
+from poscocycle.estimators import OdeCocycle, separation_estimate, warmup_direction
 from poscocycle.torus import (BATTERY_DT, BATTERY_HORIZON, FOCUSING_RATIO_BOUND, PRINCIPAL_DIRECTION,
                               SEPARATION_RATE, SIGMA_WINDOW, TorusExampleModel, validate_against_closed_form)
 
@@ -66,6 +66,48 @@ def ref_a_integral(state, t):
     for start, end, c in pieces:
         total += 1.0 / (v * (c + v * (end - start))) - 1.0 / (v * c)
     return total
+
+
+def stub_stored_reads(monkeypatch):
+    """Stub the battery's items (b) and (c), which read stored flow maps:
+    no map is built, every warm-up gives the principal direction and every
+    separation estimate the exact rate."""
+    from types import SimpleNamespace
+
+    from poscocycle import torus
+
+    monkeypatch.setattr(torus, "stored_replays", lambda model, reads, dt: [lambda *args: ()] * len(reads))
+    monkeypatch.setattr(torus, "_warmed", lambda *args: PRINCIPAL_DIRECTION)
+    monkeypatch.setattr(torus, "_separation", lambda *args: SimpleNamespace(sigma_hat=SEPARATION_RATE))
+
+
+def per_item_battery(n_omegas, seed):
+    """Items (a) to (c) of the battery at its defaults, one public call per
+    item, base point and time: their numbers per base point, and the
+    items' (name, passed, detail)."""
+    model, times, u0 = TorusExampleModel(), np.linspace(1.25, 10.0, 8).tolist(), np.array([1.0, 0.3])
+    states = [DRIVER.initial(seed + k) for k in range(n_omegas)]
+    ref = {"propagator_errors": [], "direction_errors": [], "sigma_estimates": []}
+    for state in states:
+        errors = []
+        for t in times:
+            d_num, ls_num = integrate(model, state, u0, t, rtol=1e-10)
+            d_ex, ls_ex = model.apply(state, t, u0)
+            errors.append(max(abs(ls_num - ls_ex) / max(1.0, abs(ls_ex)), float(np.linalg.norm(d_num - d_ex))))
+        ref["propagator_errors"].append(max(errors))
+        w = warmup_direction(OdeCocycle(model, dt=BATTERY_DT, rtol=1e-10), state, 200)
+        ref["direction_errors"].append(float(np.linalg.norm(w - PRINCIPAL_DIRECTION)))
+        ref["sigma_estimates"].append(separation_estimate(OdeCocycle(model, dt=BATTERY_DT, rtol=1e-6), state,
+                                                          BATTERY_HORIZON, warmup=200).sigma_hat)
+    worst, worst_dir = max(ref["propagator_errors"]), max(ref["direction_errors"])
+    sigmas = ref["sigma_estimates"]
+    ref["items"] = [
+        ("propagator-agreement", worst <= 1e-8,
+         f"worst relative log-scale / direction error {worst:.3e} over {n_omegas} base points, t <= 10.0"),
+        ("principal-direction", worst_dir <= 1e-6, f"worst |w - (1,1)/sqrt2| = {worst_dir:.3e} at warm-up time 50.0"),
+        ("separation-rate", all(SIGMA_WINDOW[0] <= x <= SIGMA_WINDOW[1] for x in sigmas),
+         f"sigma estimates {np.round(sigmas, 4).tolist()} vs window {SIGMA_WINDOW}")]
+    return ref
 
 
 def bits(x):
@@ -301,34 +343,27 @@ class TestValidationReport:
     def test_propagator_item_is_one_batch(self, monkeypatch):
         # the 8 x n_omegas (base point, time) pairs of item (a) make one
         # DOP853 call; items (b) and (c) are stubbed so that only (a) steps
-        from types import SimpleNamespace
-
-        from poscocycle import odes, torus
+        from poscocycle import odes
 
         calls = []
         dop853 = odes._dop853
 
-        def counting(model, batches, rtol):
-            def counted():
-                for states, chains, Y in batches:
+        def counting(model, reads):
+            def counted(read):
+                for states, chains, Y, rtol in read:
                     calls.append(len(chains))
-                    yield states, chains, Y
-            return dop853(model, counted(), rtol)
+                    yield states, chains, Y, rtol
+            return dop853(model, [counted(read) for read in reads])
 
         monkeypatch.setattr(odes, "_dop853", counting)
-        monkeypatch.setattr(torus, "warmup_direction", lambda *args: PRINCIPAL_DIRECTION)
-        monkeypatch.setattr(torus, "separation_estimate", lambda *args, **kwargs: SimpleNamespace(sigma_hat=2.0))
+        stub_stored_reads(monkeypatch)
         rep = validate_against_closed_form(n_omegas=2, seed=0)
         assert calls == [16]
         assert len(rep.propagator_errors) == 2 and rep.passed
 
     def test_divergence_item_one_call_per_base_point(self, monkeypatch):
         # item (d) takes each base point's means at all its horizons in one
-        # call; items (a) to (c) are stubbed as above, save (a)'s integrate
-        from types import SimpleNamespace
-
-        from poscocycle import torus
-
+        # call; items (b) and (c) are stubbed as above
         calls, kappa = [], TorusExampleModel.kappa_mean_exact
 
         def counted(self, state, horizon):
@@ -336,8 +371,7 @@ class TestValidationReport:
             return kappa(self, state, horizon)
 
         monkeypatch.setattr(TorusExampleModel, "kappa_mean_exact", counted)
-        monkeypatch.setattr(torus, "warmup_direction", lambda *args: PRINCIPAL_DIRECTION)
-        monkeypatch.setattr(torus, "separation_estimate", lambda *args, **kwargs: SimpleNamespace(sigma_hat=2.0))
+        stub_stored_reads(monkeypatch)
         rep = validate_against_closed_form(n_omegas=3, seed=0)
         assert calls == [(4,)] * 3 and rep.passed
 
@@ -378,6 +412,51 @@ class TestValidationReport:
                                   BATTERY_HORIZON, warmup=round(50.0 / BATTERY_DT))
         assert steps[0] == 346
         assert SIGMA_WINDOW[0] <= est.sigma_hat <= SIGMA_WINDOW[1]
+
+    def test_stored_reads_are_the_per_item_calls(self):
+        # at two base points the battery's items (b) and (c) read their
+        # maps from one stream, and its numbers and item details are bit
+        # for bit those of one warmup_direction, separation_estimate and
+        # integrate call per item, base point and time
+        rep, ref = validate_against_closed_form(n_omegas=2, seed=3), per_item_battery(n_omegas=2, seed=3)
+        for name in ("propagator_errors", "direction_errors", "sigma_estimates"):
+            assert bits(getattr(rep, name)) == bits(ref[name]), name
+        assert rep.items[:3] == ref["items"] and rep.passed
+
+    def test_battery_batch_steps(self, monkeypatch):
+        # the seed-0, one-base-point battery takes 597 DOP853 batch steps:
+        # item (a) 246 as a batch of its own, items (b) and (c) 351 as one
+        # stream, against 345 and 346 as two.  Each read of that stream,
+        # one per item, keeps at most two chunks walked and not yet stored
+        from poscocycle import estimators, odes
+
+        steps, coefficient, windows, flow_reads = [0], odes._coefficient, estimators._windows, estimators.flow_reads
+        walked, stored, ahead = [], [], []
+
+        def counted(parts, taus):
+            steps[0] += len(taus) == odes._STAGES
+            return coefficient(parts, taus)
+
+        def walking(*args):
+            r = len(walked)
+            walked.append(0)
+            stored.append(0)
+            for window in windows(*args):
+                walked[r] += 1
+                ahead.append(walked[r] - stored[r])  # this read's chunks walked and not yet stored
+                yield window
+
+        def storing(*args):
+            for r, *chunk in flow_reads(*args):
+                stored[r] += 1
+                yield r, *chunk
+
+        monkeypatch.setattr(odes, "_coefficient", counted)
+        monkeypatch.setattr(estimators, "_windows", walking)
+        monkeypatch.setattr(estimators, "flow_reads", storing)
+        assert validate_against_closed_form(n_omegas=1, seed=0).passed
+        assert steps[0] == 597
+        assert walked == stored == [1, 3] and max(ahead) == 2, (walked, stored, ahead)
 
     def test_principal_direction_constant(self):
         assert np.allclose(PRINCIPAL_DIRECTION, np.array([1.0, 1.0]) / np.sqrt(2))
