@@ -11,7 +11,9 @@ steps [lo, hi) as chunks (maps (k, N, N), log_scales (k,)), naming step k's
 base point ``advance(omega, k)``, exactly k dt on, however a read reaches
 it.  A ``replay`` is ``step_blocks`` bound to omega; only ``OdeCocycle``
 stores its flow maps instead, built once by ``stored_replays``, whose one
-``odes.flow_reads`` stream may fill the stores of several reads at once.
+``odes.flow_maps`` stream may fill the stores of several reads at once:
+their windows one read after another, with at most two windows per read in
+flight.
 Each step loop walks the maps of a chunk in place and frees the chunk
 before the next is built.  ``forward_floquet`` and ``oseledets_qr`` do per
 step only what the next step needs (the product, then the column norms and
@@ -43,7 +45,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -51,7 +53,7 @@ from numpy.linalg import _umath_linalg
 from .drivers import BLOCK_CELLS, advance_steps
 from .errors import EstimationError, PositivityViolation
 from .matrices import MatrixModel, _count
-from .odes import OdeModel, _unit_scaled, flow_maps, flow_reads
+from .odes import OdeModel, _positive, _unit_scaled, flow_maps
 from .stats import batch_means
 
 
@@ -105,17 +107,18 @@ class OdeCocycle(_Cocycle):
     read before it."""
 
     def __init__(self, model: OdeModel, dt: float = 0.1, rtol: float = 1e-10):
+        """``dt`` and ``rtol`` must be finite and > 0."""
         self.model = model
         self.n = model.n
-        self.dt = float(dt)
-        self.rtol = rtol
+        self.dt = float(_positive("dt", dt))
+        self.rtol = float(_positive("rtol", rtol))
         self.cone_tol = 1e-9
 
     def step_blocks(self, omega, lo, hi, backward=False):
         """One ``flow_maps`` stream over the chunks: the steps that a chunk
         propagates share DOP853 steps with the next chunk's, and at most
         two chunks are in flight."""
-        return flow_maps(self.model, _windows(omega, lo, hi, self.dt, backward), self.dt, rtol=self.rtol)
+        return flow_maps(self.model, _windows(omega, lo, hi, self.dt, self.rtol, backward), self.dt)
 
     def replay(self, omega, lo, hi):
         """The maps of steps [lo, hi) stored in one (hi - lo, N, N) array:
@@ -126,30 +129,33 @@ class OdeCocycle(_Cocycle):
         return stored_replays(self.model, [(omega, lo, hi, self.rtol)], self.dt)[0]
 
 
-def _windows(omega, lo, hi, dt, backward=False):
-    """The ``flow_maps`` windows of steps [lo, hi) from ``omega``, cut at lo
-    + multiples of BLOCK_CELLS, each from its own first base point, latest
-    first with ``backward``."""
+def _windows(omega, lo, hi, dt, rtol, backward=False):
+    """The ``flow_maps`` windows of steps [lo, hi) from ``omega`` at
+    ``rtol``, cut at lo + multiples of BLOCK_CELLS, each from its own first
+    base point, latest first with ``backward``."""
     cuts = range(lo, hi, BLOCK_CELLS)
-    return ((advance_steps(omega, a, dt), min(BLOCK_CELLS, hi - a)) for a in (reversed(cuts) if backward else cuts))
+    return ((advance_steps(omega, a, dt), min(BLOCK_CELLS, hi - a), rtol)
+            for a in (reversed(cuts) if backward else cuts))
 
 
 def stored_replays(model: OdeModel, reads, dt):
     """The replays of the reads ``(omega, lo, hi, rtol)`` of ``model``'s flow
     maps over ``dt``, each as ``OdeCocycle(model, dt, rtol).replay(omega,
-    lo, hi)`` gives it, bit for bit, all filled from one ``flow_reads``
-    stream: a read's slow DOP853 members step alongside the next chunk's
-    and alongside other reads', each read with at most two chunks walked
-    and not yet stored.  Each read's maps are stored in one (hi - lo, N,
-    N) array, cut as ``step_blocks`` cuts them, and a replay reads them
-    from there (``_stored``)."""
+    lo, hi)`` gives it, bit for bit, all filled from one ``flow_maps``
+    stream of the reads' windows, one read after another: a read's slow
+    DOP853 members step alongside the next chunks', its own or the next
+    read's, with at most two chunks per read, 2 len(reads) in all, walked
+    and not yet stored.
+    Each read's maps are stored in one (hi - lo, N, N) array, cut as
+    ``step_blocks`` cuts them, and a replay reads them from there
+    (``_stored``)."""
     stores = [(np.empty((hi - lo, model.n, model.n)), np.empty(hi - lo)) for _, lo, hi, _ in reads]
-    filled = [0] * len(reads)
-    windows = [(_windows(omega, lo, hi, dt), rtol) for omega, lo, hi, rtol in reads]
-    for r, chunk, scales in flow_reads(model, windows, dt):
-        k = filled[r]
-        stores[r][0][k:k + len(chunk)], stores[r][1][k:k + len(chunk)] = chunk, scales
-        filled[r] += len(chunk)
+    slots = ((maps[a:a + BLOCK_CELLS], ls[a:a + BLOCK_CELLS]) for maps, ls in stores
+             for a in range(0, len(ls), BLOCK_CELLS))
+    windows = chain.from_iterable(_windows(omega, lo, hi, dt, rtol) for omega, lo, hi, rtol in reads)
+    stream = flow_maps(model, windows, dt, ahead=2 * len(reads))
+    for (maps, ls), (chunk, scales) in zip(slots, stream, strict=True):
+        maps[:], ls[:] = chunk, scales
     return [_stored(maps, ls, lo) for (maps, ls), (_, lo, _, _) in zip(stores, reads)]
 
 

@@ -18,36 +18,34 @@ range.
 
 There is one DOP853, ``_dop853``, which steps the members of a stream of
 batches in lockstep, each along its own chain of pieces with its own step
-size and its batch's rtol.  The batches come from one read or from
-several, each read an ordered source of batches that gets its results in
-its own order.  At most BLOCK_CELLS members are live; a waiting member
-takes the slot of one that finishes, so a batch's slow members step
-alongside the next batch's and alongside other reads', and each read has
-at most two batches in flight.  The coefficient of all smooth pieces of a
-batch comes from one ``OdeModel.piece_fields`` call, evaluated at the
-stage times of its live members at once.  ``propagate`` and ``integrate``
-take one time or a 1-D sequence of times, from one base point or from as
-many: every (base point, time) pair is a member of a stream of one batch,
-and a single time is the batch of one.
+size and its batch's rtol.  At most BLOCK_CELLS members are live; a
+waiting member takes the slot of one that finishes, so a batch's slow
+members step alongside the next batches', and at most ``ahead`` batches
+are in flight.  The coefficient of all smooth pieces of a batch comes from
+one ``OdeModel.piece_fields`` call, evaluated at the stage times of its
+live members at once.  ``propagate`` and ``integrate`` take one time or a
+1-D sequence of times, from one base point or from as many: every (base
+point, time) pair is a member of a stream of one batch, and a single time
+is the batch of one.
 
 A piecewise-constant model keeps the last block of cells it drew: a user
 sampler's one cell, or the BLOCK_CELLS cells of one counter-addressed draw.
 
 ``flow_maps`` builds the one-step flow maps of a stream of windows, each a
-run of steps from its first base point, a window at a time: it asks for
-the breakpoints of the whole window and for ``piece_matrix`` once per
-constant piece, and the steps inside one piece share its flow.  A model's
-``piece_matrix`` must therefore hold on the whole piece it is asked about.
-The steps left over, those across a breakpoint or on a smooth piece, go
-through ``_dop853`` as the window's batch, bit for bit what ``propagate``
-gives each alone, and the batches of a read's windows are one stream, so
-a read's DOP853 cost does not depend on where its chunk cuts fall.
-``flow_reads`` serves several such reads, each at its own rtol, from one
-stream, of which ``flow_maps`` is the one-read case: a read's slow members
-step alongside other reads' members, so the reads' slowest members step
-at once rather than one read after another.  A window is a function of
-its steps: nothing is carried from one window to the next, so a piece
-that two chunks of a read share takes one exponential in each.
+run of steps from its first base point at its own rtol, a window at a
+time: it asks for the breakpoints of the whole window and for
+``piece_matrix`` once per constant piece, and the steps inside one piece
+share its flow.  A model's ``piece_matrix`` must therefore hold on the
+whole piece it is asked about.  The steps left over, those across a
+breakpoint or on a smooth piece, go through ``_dop853`` as the window's
+batch, bit for bit what ``propagate`` gives each alone, and the batches of
+all the windows are one stream, so a read's DOP853 cost does not depend
+on where its chunk cuts fall.  Several reads are one stream of their
+windows, one read after another, with at most two windows per read in
+flight (``ahead`` twice the reads), so the reads' slowest members step at
+once rather than one read after another.  A window is a function of its
+steps: nothing is carried from one window to the next, so a piece that
+two chunks of a read share takes one exponential in each.
 """
 
 from __future__ import annotations
@@ -55,8 +53,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import partial
-from itertools import chain, permutations
+from itertools import chain, permutations, starmap
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -326,13 +323,13 @@ def _underflow(t, t0, t1):
 
 
 class _Batch:
-    """One batch of a ``_dop853`` stream: its number in the stream, its read
-    and its rtol; per member a chain of pieces, its smooth pieces numbered,
-    and a first block; the coefficient of all its smooth pieces from one
-    ``piece_fields`` call; and per member the next piece, the log scale of
-    the pieces done, the result and the counts."""
+    """One batch of a ``_dop853`` stream: its rtol; per member a chain of
+    pieces, its smooth pieces numbered, and a first block; the coefficient
+    of all its smooth pieces from one ``piece_fields`` call; and per member
+    the next piece, the log scale of the pieces done, the result and the
+    counts."""
 
-    def __init__(self, model, number, read, states, chains, Y, rtol):
+    def __init__(self, model, states, chains, Y, rtol):
         smooth = [(j, a, b) for j, chain in enumerate(chains) for a, b, flow in chain if flow is None]
         self.fields = model.piece_fields([states[j] for j, _, _ in smooth], np.array([a for _, a, _ in smooth]),
                                          np.array([b for _, _, b in smooth])) if smooth else None
@@ -340,13 +337,13 @@ class _Batch:
         self.chains = [[(a, b, flow, None if flow is not None else next(numbers)) for a, b, flow in chain]
                        for chain in chains]
         m = len(chains)
-        self.number, self.read, self.rtol = number, read, float(rtol)
+        self.rtol = float(rtol)
         self.Y, self.admitted, self.undone = Y, 0, m  # members admitted; members not done
         self.at, self.total = [0] * m, [0.0] * m
         self.out, self.counts = np.empty(np.shape(Y)), np.zeros((2, m), dtype=np.intp)
 
     def result(self):
-        return self.read, self.out, np.array(self.total, dtype=float), self.counts[0], self.counts[1]
+        return self.out, np.array(self.total, dtype=float), self.counts[0], self.counts[1]
 
 
 def _coefficient(parts, taus):
@@ -359,14 +356,12 @@ def _coefficient(parts, taus):
     return As[0] if len(As) == 1 else np.concatenate(As, axis=1)
 
 
-def _dop853(model, reads):
-    """Adaptive DOP853 over one stream of the batches of several reads,
-    each read an iterable of batches (states, chains, Y, rtol) with Y (m,
-    N, k), the same N and k throughout; yields (r, Y_unit (m, N, k),
-    log_scales (m,), accepted (m,), rejected (m,)) for each batch of read
-    r, the last two the step counts of each member, once every member of
-    the batch is done.  Each read's batches come in its own order; a read
-    does not wait for another's.
+def _dop853(model, batches, ahead):
+    """Adaptive DOP853 over a stream of batches, each (states, chains, Y,
+    rtol) with Y (m, N, k), the same N and k throughout; yields each
+    batch's (Y_unit (m, N, k), log_scales (m,), accepted (m,), rejected
+    (m,)), the last two the step counts of each member, in draw order, once
+    every member of the batch is done.
 
     Member j of a batch evolves the (N, k) block Y[j] along ``chains[j]``,
     the pieces (a, b, flow) of local time past ``states[j]`` in order
@@ -383,11 +378,10 @@ def _dop853(model, reads):
     in draw order, behind the live prefix, so the slots stay sorted by
     batch and a step makes one ``fields`` call per live batch
     (``_coefficient``).  The next batch is drawn once the last one drawn is
-    wholly admitted, from the first read that has fewer than two batches
-    drawn and not yet yielded, and again after each yield: a batch's slow
-    members step alongside the next batch's and alongside other reads',
-    and each read has at most two batches in flight.  A member's rejected
-    count runs from the step that admitted it.  Its 12 stages are
+    wholly admitted and fewer than ``ahead`` batches are drawn and not yet
+    yielded: a batch's slow members step alongside the next batches', and
+    at most ``ahead`` batches are in flight.  A member's rejected count
+    runs from the step that admitted it.  Its 12 stages are
     contiguous, so the stacked matmuls make the BLAS calls that the member
     alone makes, and its result depends neither on its batch nor on the
     stream.  The step-size controller runs per member in Python floats.
@@ -400,13 +394,8 @@ def _dop853(model, reads):
     ``EstimationError`` naming the member's piece and time instead of
     shrinking the step for ever.
     """
-    sources = [iter(read) for read in reads]  # None once a read is exhausted
-    pending = [deque() for _ in sources]  # per read, its batches drawn and not yet yielded
-    inflight, last = {}, None  # the batches drawn and not yet yielded, by number; the last one drawn
-    drawn = cap = live = step = 0  # batches drawn, slots, live slots, steps taken
-    # whether a read may have room for a batch (none had since the last
-    # yield), and whether a batch may be done (one finished a member)
-    drawing = finished = True
+    source, pending, more = iter(batches), deque(), True  # the batches drawn and not yet yielded
+    yielded = cap = live = step = 0  # batches yielded, slots, live slots, steps taken
     # slot j holds member member[j] of batch owner[j], admitted at step
     # since[j], on its smooth piece piece[j], and S[j] its scalars: first
     # those a step updates (t, h, the piece's log scale, whether the last
@@ -417,7 +406,7 @@ def _dop853(model, reads):
     member = piece = owner = since = np.zeros(0, dtype=np.intp)
 
     def batch(j):
-        return inflight[int(owner[j])]
+        return pending[owner[j] - yielded]
 
     def start(j):
         """Walk member ``member[j]`` to its next smooth piece of positive
@@ -450,8 +439,6 @@ def _dop853(model, reads):
         return False
 
     def finish(j):
-        nonlocal finished
-        finished = True
         bj, i = batch(j), member[j]
         good = int(accepted[j])
         bj.out[i], bj.counts[:, i] = Y[j], (good, step - since[j] - good)
@@ -461,7 +448,7 @@ def _dop853(model, reads):
         """The ``_coefficient`` parts of the slots ``sel``, sorted by batch."""
         owners, pieces = owner[sel], piece[sel]
         cuts = [0, *(np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist(), len(owners)]
-        return [(inflight[int(owners[s])].fields, s, e, np.tile(pieces[s:e], r)) for s, e in zip(cuts, cuts[1:])]
+        return [(pending[owners[s] - yielded].fields, s, e, np.tile(pieces[s:e], r)) for s, e in zip(cuts, cuts[1:])]
 
     def first_h(started):
         """Give the slots ``started``, which start a piece, their first h."""
@@ -499,11 +486,12 @@ def _dop853(model, reads):
         # admit the waiting members of the last batch drawn into free slots,
         # and draw the next batch once it is wholly admitted
         while True:
+            last = pending[-1] if pending else None
             if last is not None and last.admitted < len(last.chains):
                 if live == cap:
                     break
                 i, last.admitted, stale = last.admitted, last.admitted + 1, True
-                member[live], owner[live], since[live], accepted[live] = i, drawn - 1, step, 0.0
+                member[live], owner[live], since[live], accepted[live] = i, yielded + len(pending) - 1, step, 0.0
                 rtol[live] = last.rtol
                 Y[live] = last.Y[i]
                 if start(live):
@@ -511,43 +499,33 @@ def _dop853(model, reads):
                     live += 1
                 else:
                     finish(live)
-                continue
-            if not drawing:
+            elif more and len(pending) < ahead:
+                got = next(source, None)
+                if got is None:
+                    more = False
+                    continue
+                pending.append(_Batch(model, *got))
+                if cap < min(BLOCK_CELLS, live + len(got[1])):  # room for all of it, up to BLOCK_CELLS slots
+                    cap, stale = min(BLOCK_CELLS, live + len(got[1])), True
+                    if Y is None:
+                        Y, S = np.empty((0, *np.shape(got[2])[1:])), np.zeros((0, 12))
+                    Y, S, member, piece, owner, since = (
+                        np.concatenate([arr[:live], np.zeros((cap - live, *arr.shape[1:]), arr.dtype)])
+                        for arr in (Y, S, member, piece, owner, since))
+                    t, h, ls, rejected, accepted, t0, t1, lo, hi, min_h, tol, rtol = S.T
+                    K = np.empty((cap, _STAGES, Y[0].size))
+                    K4 = K.reshape(cap, _STAGES, *Y.shape[1:])
+                    comb = np.empty_like(Y)  # a stage's argument, then the candidate step
+                    comb_flat = comb.reshape(cap, -1)
+            else:
                 break
-            r = next((r for r, q in enumerate(pending) if len(q) < 2 and sources[r] is not None), None)
-            if r is None:
-                drawing = False
-                break
-            got = next(sources[r], None)
-            if got is None:
-                sources[r] = None
-                continue
-            last = inflight[drawn] = _Batch(model, drawn, r, *got)
-            pending[r].append(last)
-            drawn += 1
-            if cap < min(BLOCK_CELLS, live + len(got[1])):  # room for all of it, up to BLOCK_CELLS slots
-                cap, stale = min(BLOCK_CELLS, live + len(got[1])), True
-                if Y is None:
-                    Y, S = np.empty((0, *np.shape(got[2])[1:])), np.zeros((0, 12))
-                Y, S, member, piece, owner, since = (
-                    np.concatenate([arr[:live], np.zeros((cap - live, *arr.shape[1:]), arr.dtype)])
-                    for arr in (Y, S, member, piece, owner, since))
-                t, h, ls, rejected, accepted, t0, t1, lo, hi, min_h, tol, rtol = S.T
-                K = np.empty((cap, _STAGES, Y[0].size))
-                K4 = K.reshape(cap, _STAGES, *Y.shape[1:])
-                comb = np.empty_like(Y)  # a stage's argument, then the candidate step
-                comb_flat = comb.reshape(cap, -1)
         if started:
             first_h(started)
             started = []
-        if finished:
-            ready = next((q for q in pending if q and not q[0].undone), None)
-            if ready is not None:
-                del inflight[ready[0].number]
-                yield ready.popleft().result()
-                drawing = True
-                continue  # and draw again
-            finished = False
+        if pending and not pending[0].undone:
+            yielded += 1
+            yield pending.popleft().result()
+            continue  # and draw again
         if not live:
             return
         if stale:  # the views of the live slots, taken again after every change of them
@@ -737,19 +715,34 @@ def _with_flows(chains, pieces=()):
     return chains, (E[:len(pieces)], log_scales[:len(pieces)])
 
 
+def _positive(name, value) -> np.ndarray:
+    """``value``, a number or a 1-D sequence of them, as a float array; a
+    number that is not finite and > 0 raises ValueError naming it, as
+    ``name`` or ``name[i]``."""
+    xs = np.asarray(value, dtype=float)
+    if xs.ndim > 1:
+        raise ValueError(f"{name} must be a number or a 1-D sequence of numbers, got shape {xs.shape}")
+    for i, x in enumerate(xs.ravel().tolist()):
+        if not (math.isfinite(x) and x > 0.0):
+            where = name if xs.ndim == 0 else f"{name}[{i}]"
+            raise ValueError(f"{where} must be finite and > 0, got {where} = {x!r}")
+    return xs
+
+
 def propagate(model: OdeModel, omega, Y, t, rtol=1e-10):
     """Evolve the columns of Y over [0, t], splitting at coefficient breakpoints.
 
     Pieces with a constant coefficient (``model.piece_matrix``) take the
-    exact flow; the rest take adaptive DOP853 at ``rtol``.
-    Returns (Y_out, log_scale) with max-abs(Y_out) = 1 and the true solution
-    equal to exp(log_scale) * Y_out.
+    exact flow; the rest take adaptive DOP853 at ``rtol``, which must be
+    finite and > 0.  Returns (Y_out, log_scale) with max-abs(Y_out) = 1 and
+    the true solution equal to exp(log_scale) * Y_out.
 
-    ``t`` may be a 1-D sequence of times, and then ``omega`` either one base
-    point or a list (or tuple) of as many: each (base point, time) pair is
-    one member of a single ``_dop853`` batch, and the result is (Y_outs,
-    log_scales), stacked along a first axis, each member bit for bit what
-    the pair gives alone.  A scalar ``t`` is the batch of one member.
+    ``t`` may be a 1-D sequence of times, and ``omega`` either one base
+    point or a list (or tuple) of one per time: each (base point, time) pair
+    is one member of a single ``_dop853`` batch, and for a sequence the
+    result is (Y_outs, log_scales), stacked along a first axis, each member
+    bit for bit what the pair gives alone.  A scalar ``t`` is the batch of
+    one member.
     """
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1:
@@ -761,7 +754,8 @@ def propagate(model: OdeModel, omega, Y, t, rtol=1e-10):
             raise ValueError(f"propagate requires finite times, got {where} = {tj!r}")
         if tj < 0:
             raise ValueError(f"propagate requires t >= 0, got {where} = {tj!r}")
-    if ts.ndim == 0 or not isinstance(omega, (list, tuple)):
+    rtol = float(_positive("rtol", rtol))
+    if not isinstance(omega, (list, tuple)):
         omega = [omega] * len(times)
     elif len(omega) != len(times):
         raise ValueError(f"{len(omega)} base points for {len(times)} times")
@@ -776,62 +770,49 @@ def propagate(model: OdeModel, omega, Y, t, rtol=1e-10):
         raise ValueError("initial condition must be nonzero")
     chains, _ = _with_flows([_pieces(model, w, tj) for w, tj in zip(omega, times)])
     batch = (omega, chains, np.broadcast_to(Y, (len(times), *Y.shape)), rtol)
-    _, Ys, log_scales, _, _ = next(_dop853(model, [[batch]]))
+    Ys, log_scales, _, _ = next(_dop853(model, [batch], 1))
     if squeeze:
         Ys = Ys[:, :, 0]
     return (Ys[0], float(log_scales[0])) if ts.ndim == 0 else (Ys, log_scales)
 
 
-def flow_maps(model: OdeModel, windows, dt, rtol=1e-10):
-    """The flow maps over [0, dt] of the windows ``(first, k)``, the ``k``
-    steps of ``dt`` from ``first``, yielded per window in order as (maps
-    (k, N, N), log_scales (k,)): map j of a window is bit for bit
-    ``propagate`` of the identity from ``advance_steps(first, j, dt)``, so
-    the maps depend on their steps alone, not on any window before.  This
-    is ``flow_reads`` of one read."""
-    for _, maps, log_scales in flow_reads(model, [(windows, rtol)], dt):
-        yield maps, log_scales
-
-
-def flow_reads(model: OdeModel, reads, dt):
-    """The flow maps of several reads ``(windows, rtol)``, each a sequence
-    of windows ``(first, k)`` as ``flow_maps`` takes them, at its own
-    ``rtol``: yields (r, maps, log_scales) for each window of read r, each
-    read's windows in order, the reads' interleaved.
+def flow_maps(model: OdeModel, windows, dt, ahead=2):
+    """The flow maps over [0, dt] of the windows ``(first, k, rtol)``, the
+    ``k`` steps of ``dt`` from ``first`` at ``rtol``, yielded per window in
+    order as (maps (k, N, N), log_scales (k,)): map j of a window is bit for
+    bit ``propagate`` of the identity from ``advance_steps(first, j, dt)``
+    at the window's rtol, so the maps depend on their steps alone, not on
+    any window before.
 
     Each window is walked against its own breakpoints (``_walk``), and the
     steps it propagates go through ``_dop853`` as one batch.  The batches of
-    all reads are one DOP853 stream, entered once a read walks a window
-    that propagates a step: a window's slow members step alongside the
-    next window's and alongside other reads', and each read has at most
-    two windows in flight, walked and not yet yielded.  The windows of a
-    read before its first propagating one are yielded as they are walked;
-    reads whose steps all lie whole on constant pieces never enter the
-    stream.
+    the windows are one DOP853 stream, entered at the first window that
+    propagates a step: a window's slow members step alongside the next
+    windows', and at most ``ahead`` windows are in flight, walked and not
+    yet yielded.  The windows before the first that propagates a step are
+    yielded as they are walked; a stream of windows whose steps all lie
+    whole on constant pieces never enters DOP853.
     """
-    eye, entered = np.eye(model.n), []  # per read that propagates: r, its walks from the first such window, rtol
-    for r, (windows, rtol) in enumerate(reads):
-        walks = (_walk(model, first, k, dt) for first, k in windows)
-        for window in walks:
-            if window[2]:
-                entered.append((r, chain([window], walks), rtol))
-                break
-            yield r, *window[:2]
-    window = None  # not held while the stream runs
-    if not entered:
+    walks = ((_walk(model, first, k, dt), rtol) for first, k, rtol in windows)
+    for window, rtol in walks:
+        if window[2]:
+            break
+        yield window[:2]
+    else:
         return
-    walked = [deque() for _ in entered]  # per read in the stream, its windows drawn and not yet yielded
+    walked, eye = deque(), np.eye(model.n)  # the windows drawn into the stream and not yet yielded
 
-    def draw(i, rtol, window):
+    def draw(window, rtol):
         maps, log_scales, todo, states, chains = window
-        walked[i].append((maps, log_scales, todo))
+        walked.append((maps, log_scales, todo))
         return states, chains, np.broadcast_to(eye, (len(todo), model.n, model.n)), rtol
 
-    stream = _dop853(model, [map(partial(draw, i, rtol), walks) for i, (_, walks, rtol) in enumerate(entered)])
-    for i, Ys, scales, _, _ in stream:
-        maps, log_scales, todo = walked[i].popleft()
+    stream = _dop853(model, starmap(draw, chain([(window, rtol)], walks)), ahead)
+    del window
+    for Ys, scales, _, _ in stream:
+        maps, log_scales, todo = walked.popleft()
         maps[todo], log_scales[todo] = Ys, scales
-        yield entered[i][0], maps, log_scales
+        yield maps, log_scales
 
 
 def _walk(model, first, k, dt):

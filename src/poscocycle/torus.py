@@ -19,6 +19,10 @@ of all smooth pieces of a DOP853 batch, and the exact integrals and means,
 whose wrap-free pieces are summed left to right by ``np.add.accumulate``,
 the order of a loop over them.  Each gives the bits of the one-state,
 one-piece-at-a-time forms.
+
+The validation battery runs the generic integrator and estimators against
+these closed forms.  Its warm-up and separation reads at every base point
+are one DOP853 stream, with at most two windows per read in flight.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 from .drivers import TorusRotation, TorusState, _torus_point, _two_sum
 from .estimators import DivergenceDiagnostic, OdeCocycle, _separation, _step_count, _warmed, stored_replays
 from .matrices import _count
-from .odes import OdeModel, integrate
+from .odes import OdeModel, _positive, integrate
 
 # sandwich constant kappa = kappa* for the time-1 focusing of this flow
 FOCUSING_RATIO_BOUND = 1.0 / math.tanh(1.0)
@@ -45,20 +49,6 @@ BATTERY_HORIZON = 50.0
 BATTERY_DT = 0.25
 # the window the battery's separation-rate estimates must fall in
 SIGMA_WINDOW = (SEPARATION_RATE - 0.1, SEPARATION_RATE + 0.1)
-
-
-def _positive_times(name, t) -> np.ndarray:
-    """``t``, a time or a 1-D sequence of times, as a float array; a time
-    that is not finite and > 0 raises ValueError naming it, as ``name`` or
-    ``name[i]``."""
-    ts = np.asarray(t, dtype=float)
-    if ts.ndim > 1:
-        raise ValueError(f"{name} must be a time or a 1-D sequence of times, got shape {ts.shape}")
-    for i, tj in enumerate(ts.ravel().tolist()):
-        if not (math.isfinite(tj) and tj > 0.0):
-            where = name if ts.ndim == 0 else f"{name}[{i}]"
-            raise ValueError(f"{where} must be finite and > 0, got {where} = {tj!r}")
-    return ts
 
 
 def coefficient(w1: float, w2: float) -> float:
@@ -157,7 +147,7 @@ class TorusExampleModel(OdeModel):
         as an array, bit for bit one call per horizon, from one pass over
         the wraps of the longest.  A horizon that is not finite and > 0
         raises ValueError naming it (``horizon[1] = 0.0``)."""
-        ts = _positive_times("horizon", horizon)
+        ts = _positive("horizon", horizon)
         means = 1.0 + self._a_integrals(state, np.atleast_1d(ts)) / ts
         return float(means[0]) if ts.ndim == 0 else means
 
@@ -223,18 +213,19 @@ def validate_against_closed_form(rho=None, seed=0, n_omegas=5, horizon=BATTERY_H
     the trend diagnostic of the first base point).
 
     Items (b) and (c) read stored flow maps, those of every base point
-    filled by one ``stored_replays`` call, so the slow DOP853 members near
-    a torus corner that end each read step at once; each read keeps its
-    own rtol and at most two chunks in flight, and the numbers are bit for
-    bit ``warmup_direction`` and ``separation_estimate`` per base point.
+    filled by one ``stored_replays`` call: one DOP853 stream of the reads'
+    windows, each at its read's rtol, one read after another, with at most
+    two windows per read in flight, so the slow members near a torus corner
+    that end each read step at once.  The numbers are bit for bit
+    ``warmup_direction`` and ``separation_estimate`` per base point.
     Item (a) stays a batch of its own: its members carry one column, the
     flow maps two, and a DOP853 stream steps blocks of one shape."""
     n_omegas = _count("n_omegas", n_omegas, 1)
     for name, value in (("dt", dt), ("horizon", horizon)):
-        _positive_times(name, float(value))
+        _positive(name, float(value))
     if not len(divergence_horizons):
         raise ValueError(f"divergence_horizons must hold at least one horizon, got {divergence_horizons!r}")
-    _positive_times("divergence_horizons", divergence_horizons)
+    _positive("divergence_horizons", divergence_horizons)
     n_steps, warm_steps = _step_count("separation_estimate", horizon, dt), int(round(50.0 / dt))
     driver = TorusRotation(rho)
     model = TorusExampleModel()

@@ -455,12 +455,12 @@ class TestForwardFloquet:
             calls[0] += 1
             return advance(self, state, t)
 
-        def batch(model, reads):
-            def counted(read):
-                for states, *rest in read:
+        def batch(model, batches, ahead):
+            def counted():
+                for states, *rest in batches:
                     members[0] += len(states)
                     yield states, *rest
-            return dop853(model, [counted(read) for read in reads])
+            return dop853(model, counted(), ahead)
 
         coc, count = OdeCocycle(PiecewiseConstantOdeModel(3, cooperative_sampler(3, -1.0, 0.5, 0.0, 1.0)),
                                 dt=0.1), 2000
@@ -616,7 +616,7 @@ class TestForwardFloquet:
             omega = cont_state(6).advance(start)
             firsts = [advance_steps(omega, a, dt) for a in cuts]
             assert all(0.01 < (f.pos + f.pos_lo) % 1.0 < 0.99 for f in firsts[1:]), (case, start, dt)
-            alone = [next(odes.flow_maps(make(), [(first, min(BLOCK_CELLS, hi - a))], dt))
+            alone = [next(odes.flow_maps(make(), [(first, min(BLOCK_CELLS, hi - a), 1e-10)], dt))
                      for a, first in zip(cuts, firsts)]
             coc = OdeCocycle(make(), dt=dt)
             for backward in (False, True):
@@ -628,8 +628,8 @@ class TestForwardFloquet:
         # stream over the three chunks, in which the members of a chunk step
         # alongside those of the next: each chunk is still its window alone
         torus, omega, dt = TorusExampleModel(), TorusRotation().initial(3), 0.25
-        alone = [next(odes.flow_maps(torus, [(advance_steps(omega, a, dt), min(BLOCK_CELLS, hi - a))], dt,
-                                     rtol=1e-6)) for a in cuts]
+        alone = [next(odes.flow_maps(torus, [(advance_steps(omega, a, dt), min(BLOCK_CELLS, hi - a), 1e-6)], dt))
+                 for a in cuts]
         coc = OdeCocycle(torus, dt=dt, rtol=1e-6)
         for backward in (False, True):
             chunks = list(coc.step_blocks(omega, lo, hi, backward))
@@ -664,17 +664,17 @@ class TestForwardFloquet:
 
         model, omega, dt, count = Patchy(2, field, breaks), cont_state(7), 0.1, 1280
         cuts = range(0, count, BLOCK_CELLS)
-        alone = [next(odes.flow_maps(model, [(advance_steps(omega, a, dt), BLOCK_CELLS)], dt)) for a in cuts]
+        alone = [next(odes.flow_maps(model, [(advance_steps(omega, a, dt), BLOCK_CELLS, 1e-10)], dt)) for a in cuts]
         streams, drawn, dop853 = [], [], odes._dop853
 
-        def counted(model, reads):
+        def counted(model, batches, ahead):
             streams.append(len(drawn))
 
-            def draws(read):
-                for batch in read:
+            def draws():
+                for batch in batches:
                     drawn.append(len(batch[0]))
                     yield batch
-            return dop853(model, [draws(read) for read in reads])
+            return dop853(model, draws(), ahead)
 
         monkeypatch.setattr(odes, "_dop853", counted)
         coc = OdeCocycle(model, dt=dt)

@@ -110,8 +110,8 @@ class TestIntegrate:
         m, steps = TorusExampleModel(), []
 
         def run(state, u, t):
-            _, Y, ls, accepted, _ = next(odes._dop853(m, [[([state], [odes._pieces(m, state, t)], u[None, :, None],
-                                                             1e-10)]]))
+            Y, ls, accepted, _ = next(odes._dop853(m, [([state], [odes._pieces(m, state, t)], u[None, :, None],
+                                                          1e-10)], 1))
             steps.append(int(accepted[0]))
             return Y[0, :, 0], float(ls[0])
 
@@ -187,7 +187,7 @@ class TestExactFlow:
     """Constant pieces take expm(h A); DOP853 over the same field is the oracle."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_matches_dp5_on_cooperative_cells(self, n):
+    def test_matches_dop853_on_cooperative_cells(self, n):
         model = PiecewiseConstantOdeModel(n, cooperative_sampler(n, -2.0, 1.0, 0.0, 1.5))
         twin = adaptive_twin(model)
         for seed in (0, 5, 11):
@@ -198,7 +198,7 @@ class TestExactFlow:
                 adaptive = propagate(twin, st, np.eye(n), t, rtol=1e-10)
                 assert flow_gap(exact, adaptive) <= 1e-8, (n, seed, t)
 
-    def test_typek_matches_dp5_twin(self):
+    def test_typek_matches_dop853_twin(self):
         b_model = PiecewiseConstantOdeModel(4, typek_sampler)
         a_model = TypeKFlipModel(b_model, 2)
         twin = TypeKFlipModel(adaptive_twin(b_model), 2)
@@ -291,10 +291,10 @@ class TestExactFlow:
         dop853 = odes._dop853
 
         def no_steps(*args):
-            for r, Y, ls, accepted, rejected in dop853(*args):
+            for Y, ls, accepted, rejected in dop853(*args):
                 if accepted.any() or rejected.any():
                     raise AssertionError("a constant piece reached the adaptive integrator")
-                yield r, Y, ls, accepted, rejected
+                yield Y, ls, accepted, rejected
 
         monkeypatch.setattr(odes, "_dop853", no_steps)
         Y, ls = propagate(ConstantOdeModel(np.diag([-1e6, -2e6])), cont_state(), np.ones(2), 10.0)
@@ -554,8 +554,8 @@ class TestDop853:
         m = TorusExampleModel()
         states = [TorusRotation().initial(seed) for seed in (1, 2, 3)]
         Y = np.stack([np.eye(2), np.zeros((2, 2)), np.eye(2)])
-        _, out, ls, accepted, rejected = next(odes._dop853(m, [[(states, [odes._pieces(m, s, 1.0) for s in states],
-                                                                  Y, 1e-10)]]))
+        out, ls, accepted, rejected = next(odes._dop853(m, [(states, [odes._pieces(m, s, 1.0) for s in states],
+                                                             Y, 1e-10)], 1))
         assert ls[1] == -np.inf and not out[1].any() and accepted[1] == rejected[1] == 0
         for j in (0, 2):
             M, log_scale = propagate(m, states[j], np.eye(2), 1.0)
@@ -621,8 +621,8 @@ def looping(model):
 
 
 def assert_same_flow_maps(model, scalar, first, k, dt):
-    [(maps, ls)] = odes.flow_maps(model, [(first, k)], dt)
-    [(maps_s, ls_s)] = odes.flow_maps(scalar, [(first, k)], dt)
+    [(maps, ls)] = odes.flow_maps(model, [(first, k, 1e-10)], dt)
+    [(maps_s, ls_s)] = odes.flow_maps(scalar, [(first, k, 1e-10)], dt)
     assert np.array_equal(maps, maps_s) and np.array_equal(ls, ls_s), (first, k, dt)
 
 
@@ -753,8 +753,28 @@ class TestBatchedIntegrate:
             integrate(model, cont_state(), np.ones(2), [-1.0])
         with pytest.raises(ValueError, match="2 base points for 3 times"):
             integrate(model, [cont_state(), cont_state(1)], np.ones(2), [1.0, 2.0, 3.0])
+        # a list of base points with one time is a count mismatch too, in
+        # propagate as in integrate (it used to raise AttributeError)
+        for solve in (integrate, propagate):
+            with pytest.raises(ValueError, match="^2 base points for 1 times$"):
+                solve(model, [cont_state(), cont_state(1)], np.ones(2), 1.0)
         with pytest.raises(ValueError, match="1-D sequence"):
             integrate(model, cont_state(), np.ones(2), [[1.0]])
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda bad: OdeCocycle(ConstantOdeModel(-np.eye(2)), dt=bad), "dt"),
+        (lambda bad: OdeCocycle(ConstantOdeModel(-np.eye(2)), rtol=bad), "rtol"),
+        (lambda bad: propagate(TorusExampleModel(), TorusRotation().initial(0), np.eye(2), 1.0, rtol=bad), "rtol"),
+        (lambda bad: integrate(TorusExampleModel(), TorusRotation().initial(0), np.ones(2), [1.0], rtol=bad),
+         "rtol"),
+    ], ids=["cocycle-dt", "cocycle-rtol", "propagate-rtol", "integrate-rtol"])
+    @pytest.mark.parametrize("bad", [0.0, -1e-6, math.nan, math.inf])
+    def test_bad_dt_and_rtol_named(self, call, name, bad):
+        # dt = 0 used to raise ZeroDivisionError in a step count, dt = nan a
+        # float conversion error, rtol = nan an EstimationError blaming the
+        # field, and rtol < 0 ran
+        with pytest.raises(ValueError, match=rf"^{name} must be finite and > 0, got {name} = {bad!r}$"):
+            call(bad)
 
 
 class TestDop853Stream:
@@ -789,63 +809,64 @@ class TestDop853Stream:
                 yield batch
 
         monkeypatch.setattr(odes, "_coefficient", counted)
-        for _, *result in odes._dop853(m, [source()]):
+        for result in odes._dop853(m, source(), 2):
             results.append(result)
         monkeypatch.undo()
         assert max(live) == BLOCK_CELLS and len(results) == 3
         assert all(i - yielded <= 1 for i, yielded in enumerate(draws)), draws
         for (states, chains, Y, rtol), got in zip(batches, results):
             for j, (state, chain) in enumerate(zip(states, chains)):
-                _, *alone = next(odes._dop853(m, [[([state], [chain], Y[j:j + 1], rtol)]]))
+                alone = next(odes._dop853(m, [([state], [chain], Y[j:j + 1], rtol)], 1))
                 for a, b in zip(got, alone):
                     assert np.array_equal(a[j], b[0]), j
 
-    def test_reads_share_one_stream(self, monkeypatch):
-        # two reads of three batches of 60 torus members each, the same
-        # (base point, time) pairs at rtol 1e-6 in one and 1e-10 in the
-        # other.  Each read draws a batch only once the one two before it
-        # has been delivered, gets its batches in its own order, and every
-        # member gets what it gets alone at its read's rtol, bit for bit
-        # and with the same step counts.  The reads' slow members step
-        # together: the stream takes fewer steps than the two reads apart
+    def test_batches_at_two_rtols_in_one_stream(self, monkeypatch):
+        # three batches of 60 torus members, the same (base point, time)
+        # pairs at rtol 1e-6 and then at 1e-10, six batches in one stream
+        # with ahead = 4.  At most four batches are drawn and not yet
+        # yielded, and four are once; the results come in draw order, and every member gets
+        # what it gets alone at its batch's rtol, bit for bit and with the
+        # same step counts.  The slow members of both rtols step together:
+        # the stream takes fewer steps than the two rtols' streams apart
         m, rng = TorusExampleModel(), np.random.default_rng(11)
         batches = []
         for _ in range(3):
             states = [TorusRotation().initial(int(seed)) for seed in rng.integers(0, 10**6, 60)]
             chains = [odes._pieces(m, state, t) for state, t in zip(states, rng.uniform(0.05, 2.0, 60).tolist())]
             batches.append((states, chains, rng.uniform(0.1, 1.0, (60, 2, 2))))
-        rtols = (1e-6, 1e-10)
+        rtols, ahead = (1e-6, 1e-10), 4
         steps, coefficient = [0], odes._coefficient
 
         def counted(parts, taus):
             steps[0] += len(taus) == odes._STAGES
             return coefficient(parts, taus)
 
-        def read(r, draws, delivered):
-            for i, batch in enumerate(batches):
-                draws.append(i - len(delivered[r]))  # the batches of this read drawn and not delivered
-                yield *batch, rtols[r]
+        def source(rtols, draws, delivered):
+            for i, (batch, rtol) in enumerate((batch, rtol) for rtol in rtols for batch in batches):
+                draws.append(i + 1 - len(delivered))  # the batches drawn and not yet yielded, this one too
+                yield *batch, rtol
 
         monkeypatch.setattr(odes, "_coefficient", counted)
         apart = []
-        for r in (0, 1):
-            steps[0], delivered = 0, ([], [])
-            assert len([out for _, *out in odes._dop853(m, [read(r, [], delivered)])]) == 3
+        for rtol in rtols:
+            steps[0], delivered = 0, []
+            delivered.extend(odes._dop853(m, source([rtol], [], delivered), 2))
+            assert len(delivered) == 3
             apart.append(steps[0])
-        steps[0], draws, delivered = 0, [], ([], [])
-        for r, *out in odes._dop853(m, [read(0, draws, delivered), read(1, draws, delivered)]):
-            delivered[r].append(out)
+        steps[0], draws, delivered = 0, [], []
+        for out in odes._dop853(m, source(rtols, draws, delivered), ahead):
+            delivered.append(out)
         monkeypatch.undo()
-        assert [len(got) for got in delivered] == [3, 3] and max(draws) <= 1, draws
+        assert len(delivered) == 6 and max(draws) == ahead, draws
         assert steps[0] < sum(apart), (steps[0], apart)
-        for r, got in enumerate(delivered):
-            for (states, chains, Y), out in zip(batches, got):
-                for j, (state, chain) in enumerate(zip(states, chains)):
-                    _, *alone = next(odes._dop853(m, [[([state], [chain], Y[j:j + 1], rtols[r])]]))
-                    for a, b in zip(out, alone):
-                        assert np.array_equal(a[j], b[0]), (r, j)
-        # the two rtols give different maps, so no member was served the other read's
-        assert not np.array_equal(delivered[0][0][0], delivered[1][0][0])
+        for i, out in enumerate(delivered):
+            (states, chains, Y), rtol = batches[i % 3], rtols[i // 3]
+            for j, (state, chain) in enumerate(zip(states, chains)):
+                alone = next(odes._dop853(m, [([state], [chain], Y[j:j + 1], rtol)], 1))
+                for a, b in zip(out, alone):
+                    assert np.array_equal(a[j], b[0]), (i, j)
+        # the two rtols give different maps, so no member was served the other rtol
+        assert not np.array_equal(delivered[0][0], delivered[3][0])
 
 
 class TestGrowthBound:

@@ -348,12 +348,12 @@ class TestValidationReport:
         calls = []
         dop853 = odes._dop853
 
-        def counting(model, reads):
-            def counted(read):
-                for states, chains, Y, rtol in read:
+        def counting(model, batches, ahead):
+            def counted():
+                for states, chains, Y, rtol in batches:
                     calls.append(len(chains))
                     yield states, chains, Y, rtol
-            return dop853(model, [counted(read) for read in reads])
+            return dop853(model, counted(), ahead)
 
         monkeypatch.setattr(odes, "_dop853", counting)
         stub_stored_reads(monkeypatch)
@@ -423,40 +423,41 @@ class TestValidationReport:
             assert bits(getattr(rep, name)) == bits(ref[name]), name
         assert rep.items[:3] == ref["items"] and rep.passed
 
-    def test_battery_batch_steps(self, monkeypatch):
-        # the seed-0, one-base-point battery takes 597 DOP853 batch steps:
+    @pytest.mark.parametrize("n_omegas", [1, 5])
+    def test_battery_batch_steps(self, monkeypatch, n_omegas):
+        # the seed-0 battery takes 597 DOP853 batch steps at one base point:
         # item (a) 246 as a batch of its own, items (b) and (c) 351 as one
-        # stream, against 345 and 346 as two.  Each read of that stream,
-        # one per item, keeps at most two chunks walked and not yet stored
+        # stream, against 345 and 346 as two; and 1519 at five.  The stream
+        # walks the reads' windows one read after another, a warm-up read
+        # and a separation read per base point, and keeps at most two
+        # windows per read walked and not yet stored
         from poscocycle import estimators, odes
 
-        steps, coefficient, windows, flow_reads = [0], odes._coefficient, estimators._windows, estimators.flow_reads
-        walked, stored, ahead = [], [], []
+        steps, coefficient, windows, flow_maps = [0], odes._coefficient, estimators._windows, estimators.flow_maps
+        walked, stored, ahead = [0], [0], []
 
         def counted(parts, taus):
             steps[0] += len(taus) == odes._STAGES
             return coefficient(parts, taus)
 
         def walking(*args):
-            r = len(walked)
-            walked.append(0)
-            stored.append(0)
             for window in windows(*args):
-                walked[r] += 1
-                ahead.append(walked[r] - stored[r])  # this read's chunks walked and not yet stored
+                walked[0] += 1
+                ahead.append(walked[0] - stored[0])  # the windows walked and not yet stored
                 yield window
 
-        def storing(*args):
-            for r, *chunk in flow_reads(*args):
-                stored[r] += 1
-                yield r, *chunk
+        def storing(*args, **kwargs):
+            for chunk in flow_maps(*args, **kwargs):
+                stored[0] += 1
+                yield chunk
 
         monkeypatch.setattr(odes, "_coefficient", counted)
         monkeypatch.setattr(estimators, "_windows", walking)
-        monkeypatch.setattr(estimators, "flow_reads", storing)
-        assert validate_against_closed_form(n_omegas=1, seed=0).passed
-        assert steps[0] == 597
-        assert walked == stored == [1, 3] and max(ahead) == 2, (walked, stored, ahead)
+        monkeypatch.setattr(estimators, "flow_maps", storing)
+        assert validate_against_closed_form(n_omegas=n_omegas, seed=0).passed
+        assert steps[0] == {1: 597, 5: 1519}[n_omegas]
+        reads = 2 * n_omegas
+        assert walked == stored == [4 * n_omegas] and max(ahead) <= 2 * reads, (walked, stored, ahead)
 
     def test_principal_direction_constant(self):
         assert np.allclose(PRINCIPAL_DIRECTION, np.array([1.0, 1.0]) / np.sqrt(2))

@@ -61,7 +61,8 @@ DOP853 stream.  "torus battery" is one whole
 ``validate_against_closed_form(seed=0, n_omegas=1)``, the benchmark's
 torus pass, in ms and in DOP853 batch steps, counted as above; "torus
 battery x5" is the same at the CLI default of five base points, whose
-warm-up and separation reads all share one stream.  "torus kappa" is the
+warm-up and separation reads are one stream, one read after another, with
+at most two windows per read in flight.  "torus kappa" is the
 battery's exact means at the first base point, ``kappa_mean_exact`` at
 the horizons 125, 250, 500 and 1000, in ms: one call with the sequence of
 horizons, or one call per horizon on a checkout whose
