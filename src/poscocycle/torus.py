@@ -22,7 +22,9 @@ one-piece-at-a-time forms.
 
 The validation battery runs the generic integrator and estimators against
 these closed forms.  Its warm-up and separation reads at every base point
-are one DOP853 stream, with at most two windows per read in flight.
+are one DOP853 stream, with at most two windows per read in flight; the
+warm-up read runs on past 0 over the steps whose forward walk the
+propagator item compares with the closed-form solution.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .drivers import TorusRotation, TorusState, _torus_point, _two_sum
-from .estimators import DivergenceDiagnostic, OdeCocycle, _separation, _step_count, _warmed, stored_replays
+from .estimators import (DivergenceDiagnostic, OdeCocycle, _forward, _separation, _step_count, _warmed,
+                         stored_replays)
 from .matrices import _count
-from .odes import OdeModel, _positive, integrate
+from .odes import OdeModel, _positive
 
 # sandwich constant kappa = kappa* for the time-1 focusing of this flow
 FOCUSING_RATIO_BOUND = 1.0 / math.tanh(1.0)
@@ -203,23 +206,25 @@ def validate_against_closed_form(rho=None, seed=0, n_omegas=5, horizon=BATTERY_H
                                  divergence_threshold=-10.0) -> TorusValidationReport:
     """Drive the generic integrator and estimators over the analytic model on
     ``TorusRotation(rho)`` and compare at ``n_omegas`` base points: (a)
-    propagator log scales and directions at 8 times up to 10 (DOP853 at
-    rtol 1e-10, within 1e-8; all 8 x ``n_omegas`` (base point, time) pairs
-    go through one batched ``integrate``, and ``propagator_errors`` keeps
-    the worst error of each base point), (b) the principal direction after a
-    50-time-unit pullback warm-up (within 1e-6), (c) the separation rate
+    the propagator (DOP853 at rtol 1e-10, within 1e-8): u0 = (1, 0.3)
+    walked forward over the flow maps, its direction and summed log growth
+    every ``every`` = max(1, round(1.25 / dt)) steps, 8 times (1.25, ...,
+    10 at the default dt), against the closed form, ``propagator_errors``
+    keeping the worst error of each base point, (b) the principal direction
+    after a 50-time-unit pullback warm-up (within 1e-6), (c) the separation rate
     (DOP853 at rtol 1e-6) against ``SIGMA_WINDOW``, (d) the exact means of
     the quadratic form against their -log T envelope (``divergence`` keeps
     the trend diagnostic of the first base point).
 
-    Items (b) and (c) read stored flow maps, those of every base point
+    Items (a) to (c) read stored flow maps, those of every base point
     filled by one ``stored_replays`` call: one DOP853 stream of the reads'
     windows, each at its read's rtol, one read after another, with at most
     two windows per read in flight, so the slow members near a torus corner
-    that end each read step at once.  The numbers are bit for bit
-    ``warmup_direction`` and ``separation_estimate`` per base point.
-    Item (a) stays a batch of its own: its members carry one column, the
-    flow maps two, and a DOP853 stream steps blocks of one shape."""
+    that end each read step at once.  A base point's warm-up read covers
+    steps [-50 / dt, 8 ``every``): item (b) walks the steps before 0, item
+    (a) those from 0 on.  The numbers are bit for bit ``forward_floquet``
+    (of u0 over 8 ``every`` dt, recording every ``every`` steps),
+    ``warmup_direction`` and ``separation_estimate`` per base point."""
     n_omegas = _count("n_omegas", n_omegas, 1)
     for name, value in (("dt", dt), ("horizon", horizon)):
         _positive(name, float(value))
@@ -231,29 +236,35 @@ def validate_against_closed_form(rho=None, seed=0, n_omegas=5, horizon=BATTERY_H
     model = TorusExampleModel()
     report = TorusValidationReport(rho=driver.rho, kappa_bound=FOCUSING_RATIO_BOUND)
 
-    # (a) propagator agreement on sampled (omega, t): all pairs as one batch
-    times = np.linspace(1.25, 10.0, 8).tolist()
-    states = [driver.initial(seed + k) for k in range(n_omegas)]
-    pairs = [(state, t) for state in states for t in times]
-    u0 = np.array([1.0, 0.3])
-    d_nums, ls_nums = integrate(model, [s for s, _ in pairs], u0, [t for _, t in pairs], rtol=1e-10)
-    errors = []
-    for (state, t), d_num, ls_num in zip(pairs, d_nums, ls_nums.tolist()):
-        d_ex, ls_ex = model.apply(state, t, u0)
-        err = abs(ls_num - ls_ex) / max(1.0, abs(ls_ex))
-        errors.append(max(err, float(np.linalg.norm(d_num - d_ex))))
-    report.propagator_errors = [max(errors[i:i + len(times)]) for i in range(0, len(errors), len(times))]
-    worst = max(report.propagator_errors)
-    report.add("propagator-agreement", worst <= 1e-8,
-               f"worst relative log-scale / direction error {worst:.3e} over {n_omegas} base points, t <= 10.0")
-
-    # (b) principal direction after pullback warm-up and (c) separation rate
-    # via the generic frame estimator: the flow maps of both items at every
-    # base point, stored from one DOP853 stream
+    # the flow maps of items (a) to (c) at every base point, stored from one
+    # DOP853 stream: a warm-up read that runs on over item (a)'s steps, and
+    # a separation read
     cocycle, sep_cocycle = OdeCocycle(model, dt=dt, rtol=1e-10), OdeCocycle(model, dt=dt, rtol=1e-6)
-    replays = stored_replays(model, [*((state, -warm_steps, 0, cocycle.rtol) for state in states),
+    every = max(1, round(1.25 / dt))
+    walk_steps = 8 * every  # item (a)'s steps, from 0
+    states = [driver.initial(seed + k) for k in range(n_omegas)]
+    replays = stored_replays(model, [*((state, -warm_steps, walk_steps, cocycle.rtol) for state in states),
                                      *((state, -warm_steps, n_steps + warm_steps, sep_cocycle.rtol)
                                        for state in states)], dt)
+
+    # (a) propagator agreement at the 8 rows of a forward walk from u0
+    u0 = np.array([1.0, 0.3])
+    for state, blocks in zip(states, replays):
+        track = _forward(cocycle, blocks(0, walk_steps), range(walk_steps), u0, every)
+        errors = []
+        for t, d_num, ls_num in zip(track.times.tolist(), track.directions,
+                                    np.add.accumulate(track.log_rho).tolist()):
+            d_ex, ls_ex = model.apply(state, t, u0)
+            err = abs(ls_num - ls_ex) / max(1.0, abs(ls_ex))
+            errors.append(max(err, float(np.linalg.norm(d_num - d_ex))))
+        report.propagator_errors.append(max(errors))
+    worst = max(report.propagator_errors)
+    report.add("propagator-agreement", worst <= 1e-8,
+               f"worst relative log-scale / direction error {worst:.3e} over {n_omegas} base points, "
+               f"t <= {walk_steps * dt:g}")
+
+    # (b) principal direction after pullback warm-up and (c) separation rate
+    # via the generic frame estimator
     for blocks in replays[:n_omegas]:
         w = _warmed(cocycle, blocks(-warm_steps, 0), range(-warm_steps, 0))
         report.direction_errors.append(float(np.linalg.norm(w - PRINCIPAL_DIRECTION)))

@@ -832,9 +832,9 @@ class TestCliProcess:
     def test_empty_divergence_horizons_exit_1(self, tmp_path, monkeypatch, capsys):
         # used to run the whole battery, then die in
         # DivergenceDiagnostic.from_means with an IndexError traceback
-        from poscocycle import cli, torus
+        from poscocycle import cli, odes
         integrated = []
-        monkeypatch.setattr(torus, "integrate", lambda *args, **kwargs: integrated.append(args))
+        monkeypatch.setattr(odes, "_dop853", lambda *args: integrated.append(args))
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"model": {"kind": "torus-example"}, "driver": {"kind": "torus-rotation"},
                                  "estimator": {"divergence_horizons": []}}))

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from poscocycle.drivers import TorusRotation, _two_sum
 from poscocycle.odes import integrate
-from poscocycle.estimators import OdeCocycle, separation_estimate, warmup_direction
+from poscocycle.estimators import OdeCocycle, forward_floquet, separation_estimate, warmup_direction
 from poscocycle.torus import (BATTERY_DT, BATTERY_HORIZON, FOCUSING_RATIO_BOUND, PRINCIPAL_DIRECTION,
                               SEPARATION_RATE, SIGMA_WINDOW, TorusExampleModel, validate_against_closed_form)
 
@@ -69,41 +69,51 @@ def ref_a_integral(state, t):
 
 
 def stub_stored_reads(monkeypatch):
-    """Stub the battery's items (b) and (c), which read stored flow maps:
-    no map is built, every warm-up gives the principal direction and every
-    separation estimate the exact rate."""
+    """Stub the battery's items (a) to (c), which read stored flow maps: no
+    map is built, item (a)'s walk gives the closed-form rows, every warm-up
+    the principal direction and every separation estimate the exact rate."""
     from types import SimpleNamespace
 
     from poscocycle import torus
 
-    monkeypatch.setattr(torus, "stored_replays", lambda model, reads, dt: [lambda *args: ()] * len(reads))
+    def exact_walk(cocycle, state, steps, u0, every):
+        times = every * np.arange(1, len(steps) // every + 1) * cocycle.dt
+        directions, growth = zip(*(cocycle.model.apply(state, t, u0) for t in times.tolist()))
+        return SimpleNamespace(times=times, directions=np.array(directions), log_rho=np.diff(growth, prepend=0.0))
+
+    # a stored replay's read gives its base point, which the walk reads
+    monkeypatch.setattr(torus, "stored_replays",
+                        lambda model, reads, dt: [lambda *args, state=state: state for state, *_ in reads])
+    monkeypatch.setattr(torus, "_forward", exact_walk)
     monkeypatch.setattr(torus, "_warmed", lambda *args: PRINCIPAL_DIRECTION)
     monkeypatch.setattr(torus, "_separation", lambda *args: SimpleNamespace(sigma_hat=SEPARATION_RATE))
 
 
-def per_item_battery(n_omegas, seed):
-    """Items (a) to (c) of the battery at its defaults, one public call per
-    item, base point and time: their numbers per base point, and the
-    items' (name, passed, detail)."""
-    model, times, u0 = TorusExampleModel(), np.linspace(1.25, 10.0, 8).tolist(), np.array([1.0, 0.3])
+def per_item_battery(n_omegas, seed, dt=BATTERY_DT):
+    """Items (a) to (c) of the battery at its defaults but ``dt``, one
+    public call per item and base point: their numbers per base point, and
+    the items' (name, passed, detail)."""
+    model, u0 = TorusExampleModel(), np.array([1.0, 0.3])
+    every, warm_steps = max(1, round(1.25 / dt)), round(50.0 / dt)
     states = [DRIVER.initial(seed + k) for k in range(n_omegas)]
     ref = {"propagator_errors": [], "direction_errors": [], "sigma_estimates": []}
     for state in states:
+        track = forward_floquet(OdeCocycle(model, dt=dt, rtol=1e-10), state, u0, 8 * every * dt, record_every=every)
         errors = []
-        for t in times:
-            d_num, ls_num = integrate(model, state, u0, t, rtol=1e-10)
+        for t, d_num, ls_num in zip(track.times.tolist(), track.directions, np.add.accumulate(track.log_rho).tolist()):
             d_ex, ls_ex = model.apply(state, t, u0)
             errors.append(max(abs(ls_num - ls_ex) / max(1.0, abs(ls_ex)), float(np.linalg.norm(d_num - d_ex))))
         ref["propagator_errors"].append(max(errors))
-        w = warmup_direction(OdeCocycle(model, dt=BATTERY_DT, rtol=1e-10), state, 200)
+        w = warmup_direction(OdeCocycle(model, dt=dt, rtol=1e-10), state, warm_steps)
         ref["direction_errors"].append(float(np.linalg.norm(w - PRINCIPAL_DIRECTION)))
-        ref["sigma_estimates"].append(separation_estimate(OdeCocycle(model, dt=BATTERY_DT, rtol=1e-6), state,
-                                                          BATTERY_HORIZON, warmup=200).sigma_hat)
+        ref["sigma_estimates"].append(separation_estimate(OdeCocycle(model, dt=dt, rtol=1e-6), state,
+                                                          BATTERY_HORIZON, warmup=warm_steps).sigma_hat)
     worst, worst_dir = max(ref["propagator_errors"]), max(ref["direction_errors"])
     sigmas = ref["sigma_estimates"]
     ref["items"] = [
         ("propagator-agreement", worst <= 1e-8,
-         f"worst relative log-scale / direction error {worst:.3e} over {n_omegas} base points, t <= 10.0"),
+         f"worst relative log-scale / direction error {worst:.3e} over {n_omegas} base points, "
+         f"t <= {track.times[-1]:g}"),
         ("principal-direction", worst_dir <= 1e-6, f"worst |w - (1,1)/sqrt2| = {worst_dir:.3e} at warm-up time 50.0"),
         ("separation-rate", all(SIGMA_WINDOW[0] <= x <= SIGMA_WINDOW[1] for x in sigmas),
          f"sigma estimates {np.round(sigmas, 4).tolist()} vs window {SIGMA_WINDOW}")]
@@ -340,30 +350,32 @@ class TestValidationReport:
             with pytest.raises(ValueError, match="n_omegas"):
                 validate_against_closed_form(n_omegas=bad)
 
-    def test_propagator_item_is_one_batch(self, monkeypatch):
-        # the 8 x n_omegas (base point, time) pairs of item (a) make one
-        # DOP853 call; items (b) and (c) are stubbed so that only (a) steps
+    def test_battery_is_one_stream(self, monkeypatch):
+        # the battery enters DOP853 once, and its stream draws only the
+        # flow-map windows of its reads (members of identity blocks): four
+        # per base point, [-200, 40) of the warm-up read that runs on over
+        # item (a)'s steps and the three of the separation read
         from poscocycle import odes
 
-        calls = []
+        entries, blocks = [0], []
         dop853 = odes._dop853
 
         def counting(model, batches, ahead):
             def counted():
                 for states, chains, Y, rtol in batches:
-                    calls.append(len(chains))
+                    blocks.append(Y.shape[1:])
                     yield states, chains, Y, rtol
+            entries[0] += 1
             return dop853(model, counted(), ahead)
 
         monkeypatch.setattr(odes, "_dop853", counting)
-        stub_stored_reads(monkeypatch)
         rep = validate_against_closed_form(n_omegas=2, seed=0)
-        assert calls == [16]
+        assert entries == [1] and blocks == [(2, 2)] * 8
         assert len(rep.propagator_errors) == 2 and rep.passed
 
     def test_divergence_item_one_call_per_base_point(self, monkeypatch):
         # item (d) takes each base point's means at all its horizons in one
-        # call; items (b) and (c) are stubbed as above
+        # call; items (a) to (c) are stubbed, so that no map is built
         calls, kappa = [], TorusExampleModel.kappa_mean_exact
 
         def counted(self, state, horizon):
@@ -414,10 +426,10 @@ class TestValidationReport:
         assert SIGMA_WINDOW[0] <= est.sigma_hat <= SIGMA_WINDOW[1]
 
     def test_stored_reads_are_the_per_item_calls(self):
-        # at two base points the battery's items (b) and (c) read their
+        # at two base points the battery's items (a) to (c) read their
         # maps from one stream, and its numbers and item details are bit
-        # for bit those of one warmup_direction, separation_estimate and
-        # integrate call per item, base point and time
+        # for bit those of one forward_floquet, warmup_direction and
+        # separation_estimate call per item and base point
         rep, ref = validate_against_closed_form(n_omegas=2, seed=3), per_item_battery(n_omegas=2, seed=3)
         for name in ("propagator_errors", "direction_errors", "sigma_estimates"):
             assert bits(getattr(rep, name)) == bits(ref[name]), name
@@ -425,12 +437,12 @@ class TestValidationReport:
 
     @pytest.mark.parametrize("n_omegas", [1, 5])
     def test_battery_batch_steps(self, monkeypatch, n_omegas):
-        # the seed-0 battery takes 597 DOP853 batch steps at one base point:
-        # item (a) 246 as a batch of its own, items (b) and (c) 351 as one
-        # stream, against 345 and 346 as two; and 1519 at five.  The stream
-        # walks the reads' windows one read after another, a warm-up read
-        # and a separation read per base point, and keeps at most two
-        # windows per read walked and not yet stored
+        # the seed-0 battery takes 353 DOP853 batch steps at one base point
+        # and 713 at five, in one stream (597 and 1519 when item (a) was a
+        # batched integrate of its own).  The stream walks the reads'
+        # windows one read after another, a warm-up read that runs on over
+        # item (a)'s steps and a separation read per base point, and keeps
+        # at most two windows per read walked and not yet stored
         from poscocycle import estimators, odes
 
         steps, coefficient, windows, flow_maps = [0], odes._coefficient, estimators._windows, estimators.flow_maps
@@ -455,9 +467,41 @@ class TestValidationReport:
         monkeypatch.setattr(estimators, "_windows", walking)
         monkeypatch.setattr(estimators, "flow_maps", storing)
         assert validate_against_closed_form(n_omegas=n_omegas, seed=0).passed
-        assert steps[0] == {1: 597, 5: 1519}[n_omegas]
+        assert steps[0] == {1: 353, 5: 713}[n_omegas]
         reads = 2 * n_omegas
         assert walked == stored == [4 * n_omegas] and max(ahead) <= 2 * reads, (walked, stored, ahead)
+
+    def test_propagator_item_guards_the_integrator(self, monkeypatch):
+        # a field whose diagonal is off by a relative 1e-6 changes the
+        # growth of every flow map, not its directions: item (a) sees it,
+        # while the warm-up direction and the separation rate do not
+        piece_fields = TorusExampleModel.piece_fields
+
+        def skewed(self, states, t0s, t1s):
+            fields = piece_fields(self, states, t0s, t1s)
+
+            def off(pieces, taus):
+                out = fields(pieces, taus)
+                out[:, 0, 0] *= 1.0 + 1e-6
+                out[:, 1, 1] *= 1.0 + 1e-6
+                return out
+
+            return off
+
+        monkeypatch.setattr(TorusExampleModel, "piece_fields", skewed)
+        rep = validate_against_closed_form(n_omegas=1, seed=0)
+        assert {name: ok for name, ok, _ in rep.items[:3]} == {
+            "propagator-agreement": False, "principal-direction": True, "separation-rate": True}
+        assert 1e-6 <= rep.propagator_errors[0] <= 1e-5
+
+    def test_dt_that_does_not_divide_the_row_spacing(self):
+        # at dt 0.3 item (a) records every 4 steps: rows at 1.2, ..., 9.6,
+        # bit for bit one forward_floquet, and the detail names the last
+        rep, ref = validate_against_closed_form(n_omegas=1, seed=0, dt=0.3), per_item_battery(1, 0, dt=0.3)
+        for name in ("propagator_errors", "direction_errors", "sigma_estimates"):
+            assert bits(getattr(rep, name)) == bits(ref[name]), name
+        assert rep.items[:3] == ref["items"] and rep.passed
+        assert rep.items[0][2].endswith("t <= 9.6")
 
     def test_principal_direction_constant(self):
         assert np.allclose(PRINCIPAL_DIRECTION, np.array([1.0, 1.0]) / np.sqrt(2))

@@ -50,8 +50,9 @@ The "torus"
 rows time the DOP853 layer on the torus oracle's smooth pieces: a read of
 512 flow maps at the battery's dt = 0.25 from its first base point, in us
 per map, at rtol 1e-6 and 1e-10 (DOP853 integrates a chunk's maps as one
-batch), and the battery's propagator item at that base point: one batched
-``integrate`` over its eight horizons 1.25, ..., 10 at rtol 1e-10, in ms.
+batch), and "torus integrate x8": one batched ``integrate`` from that base
+point over the eight horizons 1.25, ..., 10 at rtol 1e-10, in ms; it times
+``integrate`` alone, since the battery walks its stored flow maps instead.
 "torus sep read" is the read of the battery's separation item at that base
 point, the maps of steps [-200, 400) at rtol 1e-6 through
 ``OdeCocycle.step_blocks``, in us per map and in DOP853 batch steps (the
