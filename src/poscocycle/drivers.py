@@ -51,6 +51,7 @@ _MASK64 = (1 << 64) - 1
 # index + 2^62, which stays below 2^63 for |index| < 2^62
 _CELL_TAG = _MASK64
 BLOCK_CELLS = 256  # cells per chunk of matrix maps, and the Markov checkpoint spacing
+_WRAP_EPS = 1e-12  # a torus coordinate this close below an integer is on it: its wrap is behind it
 
 
 def _prf(seed: int, purpose: int, index: int) -> np.random.Generator:
@@ -348,16 +349,15 @@ class TorusRotation:
     def coordinate_wrap_times(self, state: TorusState, t: float) -> tuple[list, list]:
         """The times tau in (0, t] where the first and where the second
         coordinate crosses an integer, each an ascending list.  A crossing
-        within 1e-12 past the start is the start's own position, not a crossing."""
+        within _WRAP_EPS past the start is the start's own position, not a crossing."""
         if t <= 0:
             return [], []
         w1, w2 = state.position
-        eps = 1e-12
         # the integers k, k + 1, ... below stop, each less w: the ceil(stop - k)
         # values of np.arange(k, stop) - w, formed as numpy forms them
-        k1, k2 = math.ceil(w1 + eps), math.ceil(w2 + eps)
-        t1 = [(k1 + i) - w1 for i in range(math.ceil(w1 + t + eps - k1))]
-        t2 = [((k2 + i) - w2) / self.rho for i in range(math.ceil(w2 + self.rho * t + eps - k2))]
+        k1, k2 = math.ceil(w1 + _WRAP_EPS), math.ceil(w2 + _WRAP_EPS)
+        t1 = [(k1 + i) - w1 for i in range(math.ceil(w1 + t + _WRAP_EPS - k1))]
+        t2 = [((k2 + i) - w2) / self.rho for i in range(math.ceil(w2 + self.rho * t + _WRAP_EPS - k2))]
         return [tau for tau in t1 if 0.0 < tau <= t], [tau for tau in t2 if 0.0 < tau <= t]
 
     def wrap_times(self, state: TorusState, t: float) -> np.ndarray:

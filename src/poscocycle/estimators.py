@@ -36,7 +36,7 @@ probes as columns and applies each step map to the block, so the warmed and
 the raw probe of an estimate share one pass, the pullbacks of depth d and
 2d share their last d steps (``pullback_convergence``), and the kappa route
 reads the directions of the tracked probe instead of walking its orbit
-again, a chunk of steps at a time (one ``piece_fields`` call and one ``einsum``).
+again, a chunk of steps at a time (one ``row_fields`` call and one ``einsum``).
 """
 
 from __future__ import annotations
@@ -754,9 +754,10 @@ def lambda1_via_kappa(cocycle: OdeCocycle, omega, directions, batches=8) -> Kapp
     [0, n dt] takes the coefficient just right of t_k and just left of
     t_(k+1), nu = 1e-9 dt off, so jumps at cell boundaries (grid cells
     should align with them) do not bias the integral.  A chunk of at most
-    BLOCK_CELLS steps takes these limits from one ``model.piece_fields``
-    call, each on a sliver piece of width 2 nu around its time, so no piece
-    holds a jump, and their quadratic forms as one ``einsum``.
+    BLOCK_CELLS steps takes these limits from one ``model.row_fields``
+    call, on the rows of sliver pieces of width 2 nu around their times
+    (``model.piece_rows``), so no piece holds a jump, and their quadratic
+    forms as one ``einsum``.
     """
     dt = cocycle.dt
     ws = np.asarray(directions, dtype=float)
@@ -769,9 +770,9 @@ def lambda1_via_kappa(cocycle: OdeCocycle, omega, directions, batches=8) -> Kapp
     for lo in range(0, n_steps, BLOCK_CELLS):
         k = min(BLOCK_CELLS, n_steps - lo)
         points = (dt * np.arange(k)[:, None] + [nu, dt - nu]).ravel()  # past the chunk's first base point
-        fields = cocycle.model.piece_fields([cocycle.advance(omega, lo)] * (2 * k), points - nu, points + nu)
+        rows = cocycle.model.piece_rows([cocycle.advance(omega, lo)] * (2 * k), points - nu, points + nu)
         w = np.stack([ws[lo:lo + k], ws[lo + 1:lo + k + 1]], axis=1).reshape(2 * k, -1)
-        kappas[lo:lo + k] = np.einsum("pi,pij,pj->p", w, fields(np.arange(2 * k), points), w).reshape(k, 2)
+        kappas[lo:lo + k] = np.einsum("pi,pij,pj->p", w, cocycle.model.row_fields(rows, points), w).reshape(k, 2)
     cell_integrals = 0.5 * (kappas[:, 0] + kappas[:, 1]) * dt
     total = float(cell_integrals.sum())
     # as on the growth-rate route, fewer steps than batches give no interval

@@ -21,22 +21,23 @@ batches in lockstep, each along its own chain of pieces with its own step
 size and its batch's rtol.  At most BLOCK_CELLS members are live; a
 waiting member takes the slot of one that finishes, so a batch's slow
 members step alongside the next batches', and at most ``ahead`` batches
-are in flight.  The coefficient of all smooth pieces of a batch comes from
-one ``OdeModel.piece_fields`` call, evaluated at the stage times of its
-live members at once.  ``propagate`` and ``integrate`` take one time or a
-1-D sequence of times, from one base point or from as many: every (base
-point, time) pair is a member of a stream of one batch, and a single time
-is the batch of one.
+are in flight.  A slot keeps its smooth piece's coefficient row
+(``OdeModel.piece_rows``), and a step evaluates the rows of all live
+slots at their stage times in one ``OdeModel.row_fields`` call.
+``propagate`` and ``integrate`` take one time or a 1-D sequence of times,
+from one base point or from as many: every (base point, time) pair is a
+member of a stream of one batch, and a single time is the batch of one.
 
 A piecewise-constant model keeps the last block of cells it drew: a user
 sampler's one cell, or the BLOCK_CELLS cells of one counter-addressed draw.
 
 ``flow_maps`` builds the one-step flow maps of a stream of windows, each a
 run of steps from its first base point at its own rtol, a window at a
-time: it asks for the breakpoints of the whole window and for
-``piece_matrix`` once per constant piece, and the steps inside one piece
-share its flow.  A model's ``piece_matrix`` must therefore hold on the
-whole piece it is asked about.  The steps left over, those across a
+time: it asks for the breakpoints of the whole window, for
+``piece_matrix`` once per constant piece and for the knots of the steps
+it propagates or doubts in one ``step_knots`` call, and the steps inside
+one piece share its flow.  A model's ``piece_matrix`` must therefore hold
+on the whole piece it is asked about.  The steps left over, those across a
 breakpoint or on a smooth piece, go through ``_dop853`` as the window's
 batch, bit for bit what ``propagate`` gives each alone, and the batches of
 all the windows are one stream, so a read's DOP853 cost does not depend
@@ -109,7 +110,7 @@ _E = np.array([
 _A_ROWS = [_A[i, :i] for i in range(_STAGES)]  # stage i's weights on the stages before it
 _C_COLUMN = _C[:, None]
 _EPS = float(np.finfo(float).eps)
-# ``flow_maps`` asks ``OdeModel.inner_breaks`` about a step whose end lies
+# ``flow_maps`` asks ``OdeModel.step_knots`` about a step whose end lies
 # within this share of dt of a breakpoint of its window
 _NEAR = 1e-6
 
@@ -121,11 +122,11 @@ _NEAR = 1e-6
 class OdeModel:
     """Coefficient family A(theta_t w) plus its discontinuity structure.
 
-    ``inner_breaks`` tells ``flow_maps`` which of a chunk's steps near a
-    breakpoint hold one inside: its answer must equal, bit for bit, whether
-    the step's own ``_knots`` hold more than its two ends, and the default
-    asks exactly that, step by step.  A model whose breakpoints have a
-    closed form may answer for the whole array at once."""
+    ``step_knots`` tells ``flow_maps`` the inner knots of a window's steps
+    in one call: its answer must equal, bit for bit, each step's own
+    ``_knots``, and the default asks exactly that, step by step.  A model
+    whose breakpoints have a closed form may answer for the whole array at
+    once, and may evaluate its ``piece_rows`` with array arithmetic."""
 
     def __init__(self, n: int):
         self.n = int(n)
@@ -138,28 +139,27 @@ class OdeModel:
         """Discontinuity times of the coefficient in (t0, t1); sorted."""
         return np.empty(0)
 
-    def inner_breaks(self, first, steps, dt) -> np.ndarray:
-        """For each j of the integer array ``steps``, whether the step of
-        ``dt`` from ``advance_steps(first, j, dt)`` holds a breakpoint that
-        ``_knots`` keeps, as a bool array.  ``flow_maps`` asks once per
-        chunk, about the steps it may take whole; this one loops."""
-        return np.array([len(_knots(self, advance_steps(first, j, dt), dt)) > 2 for j in steps.tolist()],
-                        dtype=bool)
+    def step_knots(self, first, steps, dt) -> list:
+        """For each j of the integer array ``steps``, the inner knots of the
+        step of ``dt`` from ``advance_steps(first, j, dt)`` as a list of
+        floats, bit for bit ``_knots(self, that base point, dt)[1:-1]``.
+        ``flow_maps`` asks once per window; this one loops."""
+        return [_knots(self, advance_steps(first, j, dt), dt)[1:-1] for j in steps.tolist()]
 
-    def piece_fields(self, states, t0s, t1s):
-        """The coefficient on the smooth pieces (t0s[p], t1s[p]) past the
-        base points states[p], as a callable f(pieces, taus) -> (len, N, N)
-        whose entry i is A at local time taus[i] on piece pieces[i] (both
-        arrays).  Entry i must depend on pieces[i] and taus[i] alone, every
-        operation elementwise, so a member of a batch gets bit for bit the
-        matrices it gets alone.  The kappa route asks for one-sided limits,
-        each on a sliver piece around its time.  This one stacks ``field``."""
-        field = self.field
+    def piece_rows(self, states, t0s, t1s):
+        """One row of ``row_fields`` parameters per smooth piece (t0s[p],
+        t1s[p]) past the base point states[p], along a first axis; the kappa
+        route asks about sliver pieces.  This one keeps the base points."""
+        return np.fromiter(states, dtype=object, count=len(states))
 
-        def fields(pieces, taus):
-            return np.stack([field(states[p], tau) for p, tau in zip(pieces.tolist(), taus.tolist())])
-
-        return fields
+    def row_fields(self, rows, taus):
+        """A at the local times ``taus`` on the pieces of ``rows``, broadcast
+        against taus' last axis, as (*shape, N, N).  Each entry must depend on
+        its own row and time alone, every operation elementwise, so a member
+        of a batch gets bit for bit what it gets alone.  This one stacks ``field``."""
+        rows, taus = np.broadcast_arrays(rows, taus)
+        out = np.stack([self.field(s, tau) for s, tau in zip(rows.ravel().tolist(), taus.ravel().tolist())])
+        return out.reshape(*taus.shape, self.n, self.n)
 
     def piece_matrix(self, state, t0: float, t1: float):
         """The coefficient on the piece (t0, t1) when it is constant there,
@@ -236,30 +236,29 @@ class PiecewiseConstantOdeModel(OdeModel):
         ts = ks - p
         return ts[(ts > t0) & (ts < t1)]
 
-    def inner_breaks(self, first, steps, dt):
-        # ``breakpoints(state, 0, dt)``, then ``_knots``' snap, elementwise on
-        # the positions that advance_steps names.  The edges kept are k0,
-        # k0 + 1, ... below ``stop``, and k0 lies more than ``snap`` past the
-        # position, so past ``_knots``' snap at 0 too: a step holds an inner
-        # edge iff it holds k0, one that holds several (dt > 1) included
+    def step_knots(self, first, steps, dt):
+        # ``breakpoints(state, 0, dt)`` and ``_knots``' snap, elementwise on the
+        # positions that advance_steps names: the edges k0, k0 + 1, ... below stop
         hi, lo = step_sums(first.pos, first.pos_lo, steps, dt)
         p = hi + lo
         snap = 8.0 * _EPS * np.maximum(1.0, np.abs(p) + abs(dt))
         k0, stop = np.floor(p + 0.0 + snap) + 1.0, np.ceil(p + dt - snap)
-        knot_snap = 8.0 * _EPS * max(1.0, dt)
-        ts = k0 - p
-        return (k0 < stop) & (ts > knot_snap) & (ts < dt - knot_snap)  # also inside (0, dt), as knot_snap > 0
+        i = np.arange(np.max(stop - k0, initial=0.0))
+        return _inner_knots((k0[:, None] + i) - p[:, None], i < (stop - k0)[:, None], dt)
 
-    def piece_fields(self, states, t0s, t1s):
+    def piece_rows(self, states, t0s, t1s):
         # a piece lies in the cell of its midpoint, ``advance(mid).index`` taken
-        # elementwise; a run of pieces in one cell reads the memo once
+        # elementwise, and its row is the cell's matrix; a run of pieces in
+        # one cell reads the memo once
         hi, lo = _two_sum(np.array([s.pos for s in states]), np.array([s.pos_lo for s in states]),
                           0.5 * (t0s + t1s))
         keys = list(zip([s.seed for s in states], np.floor(hi + lo).astype(np.int64).tolist()))
         starts = [p for p in range(len(keys)) if p == 0 or keys[p] != keys[p - 1]]
         mats = np.stack([self._matrix(states[p], keys[p][1]) for p in starts])
-        A = mats[np.repeat(np.arange(len(starts)), np.diff([*starts, len(keys)]))]
-        return lambda pieces, taus: A[pieces]
+        return mats[np.repeat(np.arange(len(starts)), np.diff([*starts, len(keys)]))]
+
+    def row_fields(self, rows, taus):
+        return np.broadcast_to(rows, (*np.broadcast_shapes(rows.shape[:-2], np.shape(taus)), self.n, self.n))
 
     def piece_matrix(self, state, t0, t1):
         return self.field(state, 0.5 * (t0 + t1))
@@ -324,15 +323,14 @@ def _underflow(t, t0, t1):
 
 class _Batch:
     """One batch of a ``_dop853`` stream: its rtol; per member a chain of
-    pieces, its smooth pieces numbered, and a first block; the coefficient
-    of all its smooth pieces from one ``piece_fields`` call; and per member
-    the next piece, the log scale of the pieces done, the result and the
-    counts."""
+    pieces, its smooth pieces numbered, and a first block; the rows of all
+    its smooth pieces from one ``piece_rows`` call; and per member the next
+    piece, the log scale of the pieces done, the result and the counts."""
 
     def __init__(self, model, states, chains, Y, rtol):
         smooth = [(j, a, b) for j, chain in enumerate(chains) for a, b, flow in chain if flow is None]
-        self.fields = model.piece_fields([states[j] for j, _, _ in smooth], np.array([a for _, a, _ in smooth]),
-                                         np.array([b for _, _, b in smooth])) if smooth else None
+        self.rows = model.piece_rows([states[j] for j, _, _ in smooth], np.array([a for _, a, _ in smooth]),
+                                     np.array([b for _, _, b in smooth])) if smooth else None
         numbers = iter(range(len(smooth)))
         self.chains = [[(a, b, flow, None if flow is not None else next(numbers)) for a, b, flow in chain]
                        for chain in chains]
@@ -346,16 +344,6 @@ class _Batch:
         return self.out, np.array(self.total, dtype=float), self.counts[0], self.counts[1]
 
 
-def _coefficient(parts, taus):
-    """The coefficient at the times ``taus`` (r, m) as (r, m, N, N), columns
-    s:e from one call per part (fields, s, e, pieces), ``pieces`` the
-    part's pieces tiled r times: a part is the members of one batch."""
-    r = len(taus)
-    As = [fields(pieces, taus[:, s:e].ravel()) for fields, s, e, pieces in parts]
-    As = [A.reshape(r, e - s, *A.shape[1:]) for A, (_, s, e, _) in zip(As, parts)]
-    return As[0] if len(As) == 1 else np.concatenate(As, axis=1)
-
-
 def _dop853(model, batches, ahead):
     """Adaptive DOP853 over a stream of batches, each (states, chains, Y,
     rtol) with Y (m, N, k), the same N and k throughout; yields each
@@ -366,25 +354,27 @@ def _dop853(model, batches, ahead):
     Member j of a batch evolves the (N, k) block Y[j] along ``chains[j]``,
     the pieces (a, b, flow) of local time past ``states[j]`` in order
     (``_pieces``).  A constant piece takes its exact ``flow``; a smooth one
-    takes adaptive steps, with the coefficient of a batch's smooth pieces
-    from one ``model.piece_fields`` call.  Every member keeps its own t, h,
-    accept/reject state, log scale and its batch's rtol; one that finishes
-    a piece starts its next on the next step, and one that finishes its
-    chain leaves.
+    takes adaptive steps, with the coefficient rows of a batch's smooth
+    pieces from one ``model.piece_rows`` call.  Every member keeps its own
+    t, h, accept/reject state, log scale and its batch's rtol; one that
+    finishes a piece starts its next on the next step, and one that
+    finishes its chain leaves.
 
     At most BLOCK_CELLS members are live, in slots, and step in lockstep;
     the members still stepping are a contiguous prefix of the slots and
     each step works on views of it.  Waiting members take the freed slots
-    in draw order, behind the live prefix, so the slots stay sorted by
-    batch and a step makes one ``fields`` call per live batch
-    (``_coefficient``).  The next batch is drawn once the last one drawn is
-    wholly admitted and fewer than ``ahead`` batches are drawn and not yet
-    yielded: a batch's slow members step alongside the next batches', and
-    at most ``ahead`` batches are in flight.  A member's rejected count
-    runs from the step that admitted it.  Its 12 stages are
-    contiguous, so the stacked matmuls make the BLAS calls that the member
-    alone makes, and its result depends neither on its batch nor on the
-    stream.  The step-size controller runs per member in Python floats.
+    in draw order, behind the live prefix.  A slot holds its piece's
+    coefficient row, so a step takes the stage matrices of all live
+    members, whatever their batches, from one ``model.row_fields`` call at
+    their (12, live) stage times, as ``first_h`` does at its two times.
+    The next batch is drawn once the last one drawn is wholly admitted and
+    fewer than ``ahead`` batches are drawn and not yet yielded: a batch's
+    slow members step alongside the next batches', and at most ``ahead``
+    batches are in flight.  A member's rejected count runs from the step
+    that admitted it.  Its 12 stages are contiguous, so the stacked matmuls
+    make the BLAS calls that the member alone makes, and its result depends
+    neither on its batch nor on the stream.  The step-size controller runs
+    per member in Python floats.
 
     Each component's error is weighed against 1e-12 + rtol times its size,
     rtol a per-slot column, so the weights are elementwise.  After every
@@ -397,13 +387,12 @@ def _dop853(model, batches, ahead):
     source, pending, more = iter(batches), deque(), True  # the batches drawn and not yet yielded
     yielded = cap = live = step = 0  # batches yielded, slots, live slots, steps taken
     # slot j holds member member[j] of batch owner[j], admitted at step
-    # since[j], on its smooth piece piece[j], and S[j] its scalars: first
-    # those a step updates (t, h, the piece's log scale, whether the last
-    # step was rejected, the accepted steps), then the piece's ends, the
-    # clamp bounds of field times, the underflow h, the end tolerance and
-    # its batch's rtol
-    Y = S = None
-    member = piece = owner = since = np.zeros(0, dtype=np.intp)
+    # since[j], R[j] its piece's row and S[j] its scalars: first those a step
+    # updates (t, h, the piece's log scale, whether the last step was
+    # rejected, the accepted steps), then the piece's ends, the clamp bounds
+    # of field times, the underflow h, the end tolerance and its batch's rtol
+    Y = S = R = None
+    member = owner = since = np.zeros(0, dtype=np.intp)
 
     def batch(j):
         return pending[owner[j] - yielded]
@@ -430,7 +419,7 @@ def _dop853(model, batches, ahead):
                 return False
             Y[j] = y / s0
             nu = 1e-12 * (b - a)
-            t[j], ls[j], rejected[j], piece[j] = a, math.log(s0), 0.0, p
+            t[j], ls[j], rejected[j], R[j] = a, math.log(s0), 0.0, bj.rows[p]
             t0[j], t1[j], lo[j], hi[j] = a, b, a + nu, b - nu
             min_h[j], tol[j] = 1e-14 * max(1.0, abs(a), abs(b)), 4.0 * _EPS * max(1.0, abs(b))
             if b - a > tol[j]:
@@ -444,17 +433,11 @@ def _dop853(model, batches, ahead):
         bj.out[i], bj.counts[:, i] = Y[j], (good, step - since[j] - good)
         bj.undone -= 1
 
-    def parts(sel, r):
-        """The ``_coefficient`` parts of the slots ``sel``, sorted by batch."""
-        owners, pieces = owner[sel], piece[sel]
-        cuts = [0, *(np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist(), len(owners)]
-        return [(pending[owners[s] - yielded].fields, s, e, np.tile(pieces[s:e], r)) for s, e in zip(cuts, cuts[1:])]
-
     def first_h(started):
         """Give the slots ``started``, which start a piece, their first h."""
         new = np.array(started)
         ends = np.stack([t0[new], 0.5 * (t0[new] + t1[new])])
-        A = _coefficient(parts(new, 2), np.minimum(np.maximum(ends, lo[new]), hi[new]))
+        A = model.row_fields(R[new], np.minimum(np.maximum(ends, lo[new]), hi[new]))
         norms = np.abs(A.reshape(-1, *A.shape[2:])).sum(axis=1).max(axis=1).reshape(2, -1).T.tolist()
         for j, (n0, n_mid) in zip(started, norms):
             span = t1[j] - t0[j]
@@ -475,7 +458,7 @@ def _dop853(model, batches, ahead):
                 finish(j)
         if not going.all():
             keep = np.flatnonzero(going)
-            for arr in (Y, S, member, piece, owner, since):
+            for arr in (Y, S, R, member, owner, since):
                 arr[:len(keep)] = arr[keep]
             started = np.searchsorted(keep, started).tolist()
             live = len(keep)
@@ -504,14 +487,18 @@ def _dop853(model, batches, ahead):
                 if got is None:
                     more = False
                     continue
-                pending.append(_Batch(model, *got))
-                if cap < min(BLOCK_CELLS, live + len(got[1])):  # room for all of it, up to BLOCK_CELLS slots
-                    cap, stale = min(BLOCK_CELLS, live + len(got[1])), True
+                got = _Batch(model, *got)
+                pending.append(got)
+                if R is None and got.rows is not None:  # the first rows drawn shape R
+                    R = np.empty((cap, *got.rows.shape[1:]), got.rows.dtype)
+                if cap < min(BLOCK_CELLS, live + len(got.chains)):  # room for all of it, up to BLOCK_CELLS slots
+                    cap, stale = min(BLOCK_CELLS, live + len(got.chains)), True
                     if Y is None:
-                        Y, S = np.empty((0, *np.shape(got[2])[1:])), np.zeros((0, 12))
-                    Y, S, member, piece, owner, since = (
+                        Y, S = np.empty((0, *np.shape(got.Y)[1:])), np.zeros((0, 12))
+                    Y, S, R, member, owner, since = (
+                        arr if arr is None else
                         np.concatenate([arr[:live], np.zeros((cap - live, *arr.shape[1:]), arr.dtype)])
-                        for arr in (Y, S, member, piece, owner, since))
+                        for arr in (Y, S, R, member, owner, since))
                     t, h, ls, rejected, accepted, t0, t1, lo, hi, min_h, tol, rtol = S.T
                     K = np.empty((cap, _STAGES, Y[0].size))
                     K4 = K.reshape(cap, _STAGES, *Y.shape[1:])
@@ -530,14 +517,13 @@ def _dop853(model, batches, ahead):
             return
         if stale:  # the views of the live slots, taken again after every change of them
             stale = False
-            y, Sl, tl, hl, lol, hil = Y[:live], S[:live], t[:live], h[:live], lo[:live], hi[:live]
+            y, Rl, Sl, tl, hl, lol, hil = Y[:live], R[:live], S[:live], t[:live], h[:live], lo[:live], hi[:live]
             hb, rb = hl[:, None, None], rtol[:live, None, None]
             comb3, combl, Kl = comb[:live], comb_flat[:live], K[:live]
             stages = list(zip(_A_ROWS[1:], [K[:live, :i] for i in range(1, _STAGES)],
                               [K4[:live, i] for i in range(1, _STAGES)]))
-            step_parts = parts(slice(0, live), _STAGES)
             n, k = y.shape[1:]
-        A = _coefficient(step_parts, np.minimum(np.maximum(tl + _C_COLUMN * hl, lol), hil))
+        A = model.row_fields(Rl, np.minimum(np.maximum(tl + _C_COLUMN * hl, lol), hil))
         np.matmul(A[0], y, out=K4[:live, 0])
         for Ai, (weights, before, Ki) in zip(A[1:], stages):
             np.matmul(weights, before, out=combl)
@@ -675,28 +661,30 @@ def _knots(model, omega, t):
     that rounding moved off a step end, and keeping it would split off a
     sliver piece that costs a flow of its own and moves nothing.
     """
+    return [0.0, *_inner_knots(np.asarray(model.breakpoints(omega, 0.0, t), dtype=float)[None], True, t)[0], float(t)]
+
+
+def _inner_knots(ts, keep, t):
+    """Per row of the candidate breakpoints ``ts`` (k, M) of steps of length
+    t, those where ``keep`` more than ``_knots``' snap inside (0, t), sorted
+    and without repeats: k lists of floats, each step's inner knots."""
     snap = 8.0 * _EPS * max(1.0, t)
-    end = t - snap
-    inner = [b for b in map(float, model.breakpoints(omega, 0.0, t)) if snap < b < end]
-    if len(inner) > 1 and not all(map(float.__lt__, inner, inner[1:])):  # unsorted or repeated
-        inner = sorted(set(inner))
-    return [0.0, *inner, float(t)]
+    ts = np.sort(np.where(keep & (ts > snap) & (ts < t - snap), ts, np.inf), axis=1)
+    ts[:, 1:][ts[:, 1:] == ts[:, :-1]] = np.inf  # a repeat
+    ts.sort(axis=1)
+    return [row[:n] for row, n in zip(ts.tolist(), (ts < np.inf).sum(axis=1).tolist())]
+
+
+def _chain(model, omega, knots):
+    """The pieces from ``omega`` between ``knots``, as (a, b, A): A is a copy
+    of ``model.piece_matrix`` (a model may refill it) or None."""
+    return [(a, b, None if (A := model.piece_matrix(omega, a, b)) is None else np.array(A, dtype=float))
+            for a, b in zip(knots, knots[1:])]
 
 
 def _pieces(model, omega, t):
-    """The pieces of [0, t] from ``omega`` between its ``_knots``, as
-    (a, b, A): A is a copy of ``model.piece_matrix`` when the coefficient
-    is constant on the piece (a model may refill the array it returns),
-    else None.  [0, 0] is one smooth sliver, which ``_dop853`` only
-    rescales."""
-    if t == 0:
-        return [(0.0, 0.0, None)]
-    knots = _knots(model, omega, t)
-    pieces = []
-    for a, b in zip(knots, knots[1:]):
-        A = model.piece_matrix(omega, a, b)
-        pieces.append((a, b, None if A is None else np.array(A, dtype=float)))
-    return pieces
+    """The ``_chain`` of [0, t] between its ``_knots``; [0, 0] is one smooth sliver, which ``_dop853`` rescales."""
+    return [(0.0, 0.0, None)] if t == 0 else _chain(model, omega, _knots(model, omega, t))
 
 
 def _with_flows(chains, pieces=()):
@@ -819,7 +807,7 @@ def _walk(model, first, k, dt):
     """One window of ``flow_maps``, walked: (maps, log_scales, todo,
     states, chains), the maps of the ``k`` steps from ``first`` filled but
     for the steps ``todo`` to propagate, their base points and their
-    ``_pieces`` chains with flows.
+    chains of pieces with flows.
 
     ``model.breakpoints`` is asked once for the window [0, k dt] from
     ``first``, and ``model.piece_matrix`` once per constant piece of it
@@ -828,10 +816,10 @@ def _walk(model, first, k, dt):
     is 1.  A step across a breakpoint, or on a smooth piece, is propagated.
     Rounding places the window's breakpoints and a step's own a few ulps
     apart, so the steps on a constant piece with an end within ``_NEAR`` dt
-    of a breakpoint or of the window's ends are judged by one
-    ``model.inner_breaks`` call after the walk, and those that hold a
-    breakpoint of their own are propagated too.  Only the propagated steps
-    get a base point.  One stacked ``_exact_flow`` call then gives the
+    of a breakpoint or of the window's ends are doubtful, and one
+    ``model.step_knots`` call after the walk gives the knots of the
+    propagated and doubtful steps: a doubtful step with a knot of its own
+    is propagated too.  Only the propagated steps get a base point.  One stacked ``_exact_flow`` call then gives the
     flows of the constant pieces and of the propagated steps' constant
     pieces, and the whole steps are filled by indexing.
     """
@@ -853,14 +841,7 @@ def _walk(model, first, k, dt):
     # (None on a smooth piece)
     piece = slot = None
     new, whole, slots = [], [], []  # the constant pieces; the whole steps and their slots
-    doubts = []  # the places in ``whole`` of the doubtful steps
-    todo, states, chains = [], [], []  # the steps to propagate, their base points and pieces
-
-    def propagated(j):
-        todo.append(j)
-        states.append(advance_steps(first, j, dt))
-        chains.append(_pieces(model, states[-1], dt))
-
+    doubts, todo = [], []  # the places in ``whole`` of the doubtful steps; the steps to propagate
     for j, i, cross, doubt in zip(range(k), pieces.tolist(), across.tolist(), doubtful.tolist()):
         if not cross and i != piece:
             piece, A = i, model.piece_matrix(first, float(edges[i]), float(edges[i + 1]))
@@ -868,19 +849,21 @@ def _walk(model, first, k, dt):
                 new.append((0.0, dt, np.array(A, dtype=float)))  # a model may refill A
             slot = None if A is None else len(new) - 1
         if cross or slot is None:
-            propagated(j)
+            todo.append(j)
         else:
             if doubt:
                 doubts.append(len(whole))
             whole.append(j)
             slots.append(slot)
-    if doubts:
-        split = np.asarray(doubts)[model.inner_breaks(first, np.asarray(whole)[doubts], dt)].tolist()
-        for d in split:
-            propagated(whole[d])
-        for d in reversed(split):
-            del whole[d], slots[d]
-    chains, (E, ls) = _with_flows(chains, new)
+    asked = todo + [whole[d] for d in doubts]
+    knots = model.step_knots(first, np.array(asked), dt) if asked else []
+    split = [(d, inner) for d, inner in zip(doubts, knots[len(todo):]) if inner]
+    knots[len(todo):], todo = [inner for _, inner in split], todo + [whole[d] for d, _ in split]
+    for d, _ in reversed(split):
+        del whole[d], slots[d]
+    states = [advance_steps(first, j, dt) for j in todo]
+    chains, (E, ls) = _with_flows([_chain(model, state, [0.0, *inner, float(dt)])
+                                   for state, inner in zip(states, knots)], new)
     if whole:
         maps[whole], log_scales[whole] = E[slots], np.array(ls)[slots]
     return maps, log_scales, todo, states, chains
@@ -1143,12 +1126,14 @@ class TypeKFlipModel(OdeModel):
     def breakpoints(self, state, t0, t1):
         return self.b_model.breakpoints(state, t0, t1)
 
-    def inner_breaks(self, first, steps, dt):
-        return self.b_model.inner_breaks(first, steps, dt)
+    def step_knots(self, first, steps, dt):
+        return self.b_model.step_knots(first, steps, dt)
 
-    def piece_fields(self, states, t0s, t1s):
-        inner = self.b_model.piece_fields(states, t0s, t1s)
-        return lambda pieces, taus: self._flipped(inner(pieces, taus))
+    def piece_rows(self, states, t0s, t1s):
+        return self.b_model.piece_rows(states, t0s, t1s)
+
+    def row_fields(self, rows, taus):
+        return self._flipped(self.b_model.row_fields(rows, taus))
 
     def piece_matrix(self, state, t0, t1):
         B = self.b_model.piece_matrix(state, t0, t1)

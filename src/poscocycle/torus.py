@@ -14,10 +14,10 @@ exp(t B), B = [[0, 1], [1, 0]], so everything of interest has a closed form:
 
 The bookkeeping around the integrator is plain float arithmetic where a
 step sees a few wraps (the field, the wrap times a step's breakpoints
-come from), and array arithmetic where it walks many: the coordinate sums
-of all smooth pieces of a DOP853 batch, and the exact integrals and means,
-whose wrap-free pieces are summed left to right by ``np.add.accumulate``,
-the order of a loop over them.  Each gives the bits of the one-state,
+come from), and array arithmetic where it walks many: the wraps inside
+the steps of a window, the coordinate sums of all smooth pieces of a
+DOP853 batch, and the exact integrals and means, whose wrap-free pieces
+are summed left to right by ``np.add.accumulate``, the order of a loop.  Each gives the bits of the one-state,
 one-piece-at-a-time forms.
 
 The validation battery runs the generic integrator and estimators against
@@ -34,11 +34,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drivers import TorusRotation, TorusState, _torus_point, _two_sum
+from .drivers import _WRAP_EPS, TorusRotation, TorusState, _torus_point, _two_sum, step_sums
 from .estimators import (DivergenceDiagnostic, OdeCocycle, _forward, _separation, _step_count, _warmed,
                          stored_replays)
 from .matrices import _count
-from .odes import OdeModel, _positive
+from .odes import OdeModel, _inner_knots, _positive
 
 # sandwich constant kappa = kappa* for the time-1 focusing of this flow
 FOCUSING_RATIO_BOUND = 1.0 / math.tanh(1.0)
@@ -77,23 +77,37 @@ class TorusExampleModel(OdeModel):
         ts = state.system.wrap_times(state, t1).tolist()
         return np.array([tau for tau in ts if t0 < tau < t1], dtype=float)
 
-    def piece_fields(self, states, t0s, t1s):
+    def step_knots(self, first, steps, dt):
+        # ``coordinate_wrap_times``, ``breakpoints`` and ``_knots``' snap of each
+        # step, elementwise on the times ``step_sums`` gives: coordinate w (a row
+        # per coordinate), moving at ``speed``, wraps at ((k + i) - w) / speed, i < n
+        hi, lo = step_sums(first.elapsed, first.elapsed_lo, steps, dt)
+        speed = np.array([[1.0], [first.system.rho]])
+        w = np.array(_torus_point(*first.anchor, first.system.rho, hi + lo))
+        k = np.ceil(w + _WRAP_EPS)
+        n = np.ceil(w + speed * dt + _WRAP_EPS - k)
+        i = np.arange(np.max(n, initial=0.0))
+        ts = ((k[..., None] + i) - w[..., None]) / speed[..., None]
+        return _inner_knots(np.concatenate(ts, axis=1), np.concatenate(i < n[..., None], axis=1), dt)
+
+    def piece_rows(self, states, t0s, t1s):
         # positions move linearly inside a wrap-free piece: the coordinate
         # sum is c + v (tau - mid) past the midpoint mid, v = 1 + rho, and c
-        # is ``sum(state.advance(mid).position)`` taken elementwise
+        # is ``sum(state.advance(mid).position)`` taken elementwise; a row
+        # is (c, v, mid)
         mids = 0.5 * (t0s + t1s)
         hi, lo, a1, a2, rho = np.array([(s.elapsed, s.elapsed_lo, *s.anchor, s.system.rho) for s in states]).T
         hi, lo = _two_sum(hi, lo, mids)
         w1, w2 = _torus_point(a1, a2, rho, hi + lo)
-        c, v = w1 + w2, 1.0 + rho
+        return np.stack([w1 + w2, 1.0 + rho, mids], axis=-1)
 
-        def fields(pieces, taus):
-            out = np.empty((len(taus), 2, 2))
-            out[:, 0, 0] = out[:, 1, 1] = -1.0 / (c[pieces] + v[pieces] * (taus - mids[pieces])) ** 2
-            out[:, 0, 1] = out[:, 1, 0] = 1.0
-            return out
-
-        return fields
+    def row_fields(self, rows, taus):
+        c, v, mid = rows[..., 0], rows[..., 1], rows[..., 2]
+        a = -1.0 / (c + v * (taus - mid)) ** 2
+        out = np.empty((*a.shape, 2, 2))
+        out[..., 0, 0] = out[..., 1, 1] = a
+        out[..., 0, 1] = out[..., 1, 0] = 1.0
+        return out
 
     # -- closed forms ------------------------------------------------------
 

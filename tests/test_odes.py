@@ -614,10 +614,19 @@ class TestDop853:
 
 
 def looping(model):
-    """``model`` answering ``inner_breaks`` by the ``OdeModel`` default,
+    """``model`` answering ``step_knots`` by the ``OdeModel`` default,
     one ``_knots`` call per step."""
-    model.inner_breaks = functools.partial(odes.OdeModel.inner_breaks, model)
+    model.step_knots = functools.partial(odes.OdeModel.step_knots, model)
     return model
+
+
+def knots_of_steps(model, first, steps, dt):
+    """Each step's own ``_knots`` less its ends, for ``step_knots``."""
+    return [odes._knots(model, advance_steps(first, j, dt), dt)[1:-1] for j in steps.tolist()]
+
+
+def knot_bits(knots):
+    return [np.array(k, dtype=float).view(np.int64).tolist() for k in knots]
 
 
 def assert_same_flow_maps(model, scalar, first, k, dt):
@@ -638,23 +647,40 @@ DTS = st.sampled_from([0.1, 1 / 3, 0.25, 1.0, 2.5])
 
 
 class TestInnerBreaks:
-    """A chunk's steps near a breakpoint are judged by one
-    ``OdeModel.inner_breaks`` call, which must give the bits of each step's
-    own ``_knots``; ``flow_maps`` through the array answer of a
-    piecewise-constant model is bit for bit ``flow_maps`` through the
-    looping default."""
+    """A window's propagated steps, and its steps near a breakpoint, get
+    their knots from one ``OdeModel.step_knots`` call, which must give the
+    bits of each step's own ``_knots``; ``flow_maps`` through the array
+    answer of a piecewise-constant model is bit for bit ``flow_maps``
+    through the looping default."""
 
     @settings(max_examples=300, deadline=None)
     @given(POSITIONS, st.sampled_from([0.0, 0.1, 1 / 3]), DTS,
-           st.lists(st.integers(-10**5, 10**5), min_size=1, max_size=20))
-    def test_array_answer_is_the_knots(self, pos, extra, dt, js):
+           st.lists(st.integers(-10**5, 10**5), min_size=1, max_size=20), st.booleans())
+    def test_array_answer_is_the_knots(self, pos, extra, dt, js, sampled):
         # ``extra`` leaves a rounding error in the compensated position;
-        # a run of 30 steps from the first j crosses a few cell edges
-        model = PiecewiseUniformOdeModel(3, -1.0, 0.5, 0.0, 1.0)
+        # a run of 30 steps from the first j crosses a few cell edges, and
+        # a step of dt > 1 holds several.  Both piecewise-constant models
+        model = (PiecewiseConstantOdeModel(3, cooperative_sampler(3, -1.0, 0.5, 0.0, 1.0)) if sampled
+                 else PiecewiseUniformOdeModel(3, -1.0, 0.5, 0.0, 1.0))
         first = cont_state(1).advance(pos).advance(extra)
         steps = np.concatenate([js, js[0] + np.arange(30)])
-        knots = [len(odes._knots(model, advance_steps(first, j, dt), dt)) > 2 for j in steps.tolist()]
-        assert model.inner_breaks(first, steps, dt).tolist() == knots
+        got = model.step_knots(first, steps, dt)
+        assert all(type(x) is float for knots in got for x in knots)
+        assert knot_bits(got) == knot_bits(knots_of_steps(model, first, steps, dt))
+
+    @pytest.mark.parametrize("dt", [0.1, 0.3, 1 / 3, 0.25, 1.0, 1.7, 2.5])
+    def test_array_answer_counts_the_edges(self, dt):
+        # from starts on, a few ulps off, near and off cell edges, a step of
+        # dt holds ceil(dt) - 1 or ceil(dt) edges: one on a step's end is
+        # not inside it
+        model = PiecewiseUniformOdeModel(3, -1.0, 0.5, 0.0, 1.0)
+        steps, counts = np.arange(-40, 40), set()
+        for pos in (0.0, 7.0, 7.0 + 4 * math.ulp(7.0), 7.0 - 3e-7, 0.37, -12.61):
+            first = cont_state(3).advance(pos)
+            ref = knots_of_steps(model, first, steps, dt)
+            assert knot_bits(model.step_knots(first, steps, dt)) == knot_bits(ref), (pos, dt)
+            counts |= set(map(len, ref))
+        assert counts == {math.ceil(dt) - 1, math.ceil(dt)}
 
     @settings(max_examples=60, deadline=None)
     @given(POSITIONS, DTS, st.integers(1, 60))
@@ -669,7 +695,7 @@ class TestInnerBreaks:
         # propagates it, as the looping default does
         model = PiecewiseUniformOdeModel(3, -1.0, 0.5, 0.0, 1.0)
         first = cont_state(2).advance(4.0 - 1e-10)
-        assert model.inner_breaks(first, np.arange(3), 0.1).tolist() == [True, False, False]
+        assert list(map(len, model.step_knots(first, np.arange(3), 0.1))) == [1, 0, 0]
         for dt in (0.1, 1.0, 2.5):
             assert_same_flow_maps(model, looping(PiecewiseUniformOdeModel(3, -1.0, 0.5, 0.0, 1.0)), first, 40, dt)
 
@@ -677,19 +703,61 @@ class TestInnerBreaks:
         # the flip's breakpoints are its inner model's, and so is its array
         # answer; its flow maps are those of the looping default
         b_model = PiecewiseConstantOdeModel(4, typek_sampler)
-        asked, answer = [], b_model.inner_breaks
+        asked, answer = [], b_model.step_knots
 
         def spied(first, steps, dt):
             asked.append(len(steps))
             return answer(first, steps, dt)
 
-        b_model.inner_breaks = spied
+        b_model.step_knots = spied
         model = TypeKFlipModel(b_model, 2)
         scalar = looping(TypeKFlipModel(PiecewiseConstantOdeModel(4, typek_sampler), 2))
         for pos in (0.0, 4.0 - 1e-10, 0.37):
             for dt in (0.1, 0.3, 2.5):
                 assert_same_flow_maps(model, scalar, cont_state(4).advance(pos), 50, dt)
         assert sum(asked) > 0
+
+
+# a model of every kind that serves coefficient rows, with the driver of its base points
+ROW_MODELS = {
+    "torus": (TorusExampleModel(), TorusRotation()),
+    "sampled": (PiecewiseConstantOdeModel(3, cooperative_sampler(3, -1.0, 0.5, 0.0, 1.0)), IidShift("continuous")),
+    "drawn": (PiecewiseUniformOdeModel(3, -1.0, 0.5, 0.0, 1.0), IidShift("continuous")),
+    "typek": (TypeKFlipModel(PiecewiseConstantOdeModel(4, typek_sampler), 2), IidShift("continuous")),
+    "callable": (CallableOdeModel(2, lambda state, t: [[-1.0, 1.0 + math.sin(state.pos + state.pos_lo + t) ** 2],
+                                                       [0.5, -0.5 - t]]), IidShift("continuous")),
+}
+
+
+class TestCoefficientRows:
+    """``piece_rows`` and ``row_fields`` are elementwise: a permuted subset
+    of the rows, at the (12, m) stage times of a DOP853 step or at one stage
+    alone, gives the bits of the full call, and so do the rows of that
+    subset's pieces asked for alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(ROW_MODELS)), st.integers(0, 2**16),
+           st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(0.0, 1.0), st.floats(1e-9, 0.5)),
+                    min_size=1, max_size=10), st.data())
+    def test_subsets_of_rows(self, kind, seed, specs, data):
+        model, driver = ROW_MODELS[kind]
+        states = [driver.initial(seed).advance(x) for x, _, _ in specs]
+        t0s = np.array([a for _, a, _ in specs])
+        t1s = t0s + np.array([h for _, _, h in specs])
+        taus = t0s + odes._C[:, None] * (t1s - t0s)
+        rows = model.piece_rows(states, t0s, t1s)
+        full = model.row_fields(rows, taus)
+        assert full.shape == (odes._STAGES, len(specs), model.n, model.n)
+        idx = data.draw(st.permutations(range(len(specs))))[:data.draw(st.integers(1, len(specs)))]
+        alone = model.piece_rows([states[i] for i in idx], t0s[idx], t1s[idx])
+
+        def same(a, b):
+            return np.array_equal(np.ascontiguousarray(a).view(np.int64), np.ascontiguousarray(b).view(np.int64))
+
+        assert same(model.row_fields(rows[idx], taus[:, idx]), full[:, idx])
+        assert same(model.row_fields(alone, taus[:, idx]), full[:, idx])
+        for stage in (0, 5, odes._STAGES - 1):
+            assert same(model.row_fields(rows[idx], taus[stage, idx]), full[stage, idx])
 
 
 class TestBatchedIntegrate:
@@ -796,19 +864,19 @@ class TestDop853Stream:
             batches.append((states, chains, rng.uniform(0.1, 1.0, (150, 2, 2)), 1e-6))
         assert any(len(chain) > 1 for _, chains, _, _ in batches for chain in chains)  # a wrap splits a chain
         live, results, draws = [], [], []
-        coefficient = odes._coefficient
+        row_fields = TorusExampleModel.row_fields
 
-        def counted(parts, taus):
+        def counted(self, rows, taus):
             if len(taus) == odes._STAGES:
                 live.append(taus.shape[1])
-            return coefficient(parts, taus)
+            return row_fields(self, rows, taus)
 
         def source():
             for batch in batches:
                 draws.append(len(results))  # the batches yielded when this one is drawn
                 yield batch
 
-        monkeypatch.setattr(odes, "_coefficient", counted)
+        monkeypatch.setattr(TorusExampleModel, "row_fields", counted)
         for result in odes._dop853(m, source(), 2):
             results.append(result)
         monkeypatch.undo()
@@ -835,18 +903,18 @@ class TestDop853Stream:
             chains = [odes._pieces(m, state, t) for state, t in zip(states, rng.uniform(0.05, 2.0, 60).tolist())]
             batches.append((states, chains, rng.uniform(0.1, 1.0, (60, 2, 2))))
         rtols, ahead = (1e-6, 1e-10), 4
-        steps, coefficient = [0], odes._coefficient
+        steps, row_fields = [0], TorusExampleModel.row_fields
 
-        def counted(parts, taus):
+        def counted(self, rows, taus):
             steps[0] += len(taus) == odes._STAGES
-            return coefficient(parts, taus)
+            return row_fields(self, rows, taus)
 
         def source(rtols, draws, delivered):
             for i, (batch, rtol) in enumerate((batch, rtol) for rtol in rtols for batch in batches):
                 draws.append(i + 1 - len(delivered))  # the batches drawn and not yet yielded, this one too
                 yield *batch, rtol
 
-        monkeypatch.setattr(odes, "_coefficient", counted)
+        monkeypatch.setattr(TorusExampleModel, "row_fields", counted)
         apart = []
         for rtol in rtols:
             steps[0], delivered = 0, []

@@ -1,4 +1,7 @@
+import inspect
 import math
+import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from poscocycle.drivers import TorusRotation, _two_sum
+from poscocycle import odes
+from poscocycle.drivers import TorusRotation, _two_sum, advance_steps
 from poscocycle.odes import integrate
 from poscocycle.estimators import OdeCocycle, forward_floquet, separation_estimate, warmup_direction
 from poscocycle.torus import (BATTERY_DT, BATTERY_HORIZON, FOCUSING_RATIO_BOUND, PRINCIPAL_DIRECTION,
@@ -66,6 +70,37 @@ def ref_a_integral(state, t):
     for start, end, c in pieces:
         total += 1.0 / (v * (c + v * (end - start))) - 1.0 / (v * c)
     return total
+
+
+def stage_calls(monkeypatch):
+    """A counter, in a list of one, of the ``TorusExampleModel.row_fields``
+    calls at the stage times of a DOP853 step, (12, live)."""
+    steps, row_fields = [0], TorusExampleModel.row_fields
+
+    def counted(self, rows, taus):
+        steps[0] += np.ndim(taus) == 2 and len(taus) == odes._STAGES
+        return row_fields(self, rows, taus)
+
+    monkeypatch.setattr(TorusExampleModel, "row_fields", counted)
+    return steps
+
+
+@contextmanager
+def traced_lines(fn, line):
+    """The runs of the source line ``line`` of ``fn`` while the block runs,
+    in a list of one, counted by a line trace of fn's frames."""
+    lines, first = inspect.getsourcelines(fn)
+    target, code, count = first + [x.strip() for x in lines].index(line), fn.__code__, [0]
+
+    def local(frame, event, arg):
+        count[0] += event == "line" and frame.f_lineno == target
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        yield count
+    finally:
+        sys.settrace(None)
 
 
 def stub_stored_reads(monkeypatch):
@@ -248,8 +283,8 @@ class TestBitForBit:
     @given(BASE_POINTS, st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 1.0), st.floats(1e-9, 0.5)),
                                  min_size=1, max_size=12))
     def test_piece_fields(self, base, specs):
-        # pieces (t0, t1) past base points near ``base``: the coordinate sum
-        # at each midpoint is sum(state.advance(mid).position)
+        # the rows of pieces (t0, t1) past base points near ``base``: the
+        # coordinate sum at each midpoint is sum(state.advance(mid).position)
         states = [base.advance(x) for x, _, _ in specs]
         t0s = np.array([a for _, a, _ in specs])
         t1s = t0s + np.array([h for _, _, h in specs])
@@ -259,9 +294,34 @@ class TestBitForBit:
         pieces = np.repeat(np.arange(len(specs)), 3)
         taus = (t0s[pieces] + np.tile([0.0, 0.5, 1.0], len(specs)) * (t1s - t0s)[pieces])
         expected = -1.0 / (c[pieces] + v[pieces] * (taus - mids[pieces])) ** 2
-        out = TorusExampleModel().piece_fields(states, t0s, t1s)(pieces, taus)
+        m = TorusExampleModel()
+        out = m.row_fields(m.piece_rows(states, t0s, t1s)[pieces], taus)
         assert bits(out[:, 0, 0]) == bits(expected) and bits(out[:, 1, 1]) == bits(expected)
         assert np.all(out[:, 0, 1] == 1.0) and np.all(out[:, 1, 0] == 1.0)
+
+    @pytest.mark.parametrize("dt", [0.25, 0.3, 1.0, 1.7, 2.5])
+    def test_step_knots(self, dt):
+        # the array answer is each step's own _knots, bit for bit, from base
+        # points on a wrap of either coordinate, a few ulps or half a step
+        # before one, and near the corner, where the first coordinate wraps
+        # just after the second (the coordinate sum is smallest there)
+        m, rng = TorusExampleModel(), np.random.default_rng(round(10 * dt))
+        steps = np.concatenate([np.arange(-3, 12), rng.integers(-10**4, 10**4, 10)])
+        counts = []
+        for rho in (None, 0.3):
+            for seed in range(3):
+                state = TorusRotation(rho).initial(seed).advance(float(rng.uniform(-100.0, 100.0)))
+                t1, t2 = state.system.coordinate_wrap_times(state, 400.0)
+                corner = t1[int(np.argmin([ref_position(ref_advance(state, tau))[1] for tau in t1]))]
+                for tau in (t1[0], t2[0], corner):
+                    for first in (state.advance(tau), state.advance(tau).advance(-3 * math.ulp(tau)),
+                                  state.advance(tau - 2e-13), state.advance(tau - 0.5 * dt)):
+                        got = m.step_knots(first, steps, dt)
+                        ref = [odes._knots(m, advance_steps(first, j, dt), dt)[1:-1] for j in steps.tolist()]
+                        assert all(type(x) is float for knots in got for x in knots)
+                        assert [bits(k) for k in got] == [bits(k) for k in ref], (first, dt)
+                        counts += map(len, ref)
+        assert set(counts) == {0.25: {0, 1, 2}, 0.3: {0, 1, 2}, 1.0: {0, 1, 2}, 1.7: {1, 2, 3}, 2.5: {2, 3, 4, 5}}[dt]
 
     @settings(max_examples=40, deadline=None)
     @given(BASE_POINTS, st.lists(TIMES, min_size=1, max_size=6))
@@ -408,18 +468,10 @@ class TestValidationReport:
     def test_separation_reads_are_one_stream(self, monkeypatch):
         # item (c) at seed 0 builds the maps of [-200, 400) once, as one
         # DOP853 stream over the chunks cut at -200, 56 and 312: 346 batch
-        # steps, each with one _coefficient call at its stage times.  Read
+        # steps, each with one row_fields call at its stage times.  Read
         # as one batch per chunk, [-200, 0), [0, 256) and [256, 400) took
         # 121, 344 and 136 steps, 601 in all, most with one member live
-        from poscocycle import odes
-
-        steps, coefficient = [0], odes._coefficient
-
-        def counted(parts, taus):
-            steps[0] += len(taus) == odes._STAGES
-            return coefficient(parts, taus)
-
-        monkeypatch.setattr(odes, "_coefficient", counted)
+        steps = stage_calls(monkeypatch)
         est = separation_estimate(OdeCocycle(TorusExampleModel(), dt=BATTERY_DT, rtol=1e-6), DRIVER.initial(0),
                                   BATTERY_HORIZON, warmup=round(50.0 / BATTERY_DT))
         assert steps[0] == 346
@@ -443,14 +495,10 @@ class TestValidationReport:
         # windows one read after another, a warm-up read that runs on over
         # item (a)'s steps and a separation read per base point, and keeps
         # at most two windows per read walked and not yet stored
-        from poscocycle import estimators, odes
+        from poscocycle import estimators
 
-        steps, coefficient, windows, flow_maps = [0], odes._coefficient, estimators._windows, estimators.flow_maps
+        steps, windows, flow_maps = stage_calls(monkeypatch), estimators._windows, estimators.flow_maps
         walked, stored, ahead = [0], [0], []
-
-        def counted(parts, taus):
-            steps[0] += len(taus) == odes._STAGES
-            return coefficient(parts, taus)
 
         def walking(*args):
             for window in windows(*args):
@@ -463,10 +511,14 @@ class TestValidationReport:
                 stored[0] += 1
                 yield chunk
 
-        monkeypatch.setattr(odes, "_coefficient", counted)
         monkeypatch.setattr(estimators, "_windows", walking)
         monkeypatch.setattr(estimators, "flow_maps", storing)
-        assert validate_against_closed_form(n_omegas=n_omegas, seed=0).passed
+        if n_omegas == 1:
+            assert validate_against_closed_form(n_omegas=n_omegas, seed=0).passed
+        else:  # and one row_fields call per batch step: the runs of _dop853's ``step += 1`` line
+            with traced_lines(odes._dop853, "step += 1") as runs:
+                assert validate_against_closed_form(n_omegas=n_omegas, seed=0).passed
+            assert runs[0] == steps[0]
         assert steps[0] == {1: 353, 5: 713}[n_omegas]
         reads = 2 * n_omegas
         assert walked == stored == [4 * n_omegas] and max(ahead) <= 2 * reads, (walked, stored, ahead)
@@ -475,20 +527,15 @@ class TestValidationReport:
         # a field whose diagonal is off by a relative 1e-6 changes the
         # growth of every flow map, not its directions: item (a) sees it,
         # while the warm-up direction and the separation rate do not
-        piece_fields = TorusExampleModel.piece_fields
+        row_fields = TorusExampleModel.row_fields
 
-        def skewed(self, states, t0s, t1s):
-            fields = piece_fields(self, states, t0s, t1s)
+        def skewed(self, rows, taus):
+            out = row_fields(self, rows, taus)
+            out[..., 0, 0] *= 1.0 + 1e-6
+            out[..., 1, 1] *= 1.0 + 1e-6
+            return out
 
-            def off(pieces, taus):
-                out = fields(pieces, taus)
-                out[:, 0, 0] *= 1.0 + 1e-6
-                out[:, 1, 1] *= 1.0 + 1e-6
-                return out
-
-            return off
-
-        monkeypatch.setattr(TorusExampleModel, "piece_fields", skewed)
+        monkeypatch.setattr(TorusExampleModel, "row_fields", skewed)
         rep = validate_against_closed_form(n_omegas=1, seed=0)
         assert {name: ok for name, ok, _ in rep.items[:3]} == {
             "propagator-agreement": False, "principal-direction": True, "separation-rate": True}

@@ -25,7 +25,7 @@ layer that a separation reading its maps afresh would pay twice where the
 store pays once, forward from the base point and backward to it, in us per
 map, on each of the two ODE models.  Those reads start at an integer
 position, where dt puts two step ends in ten within ``odes._NEAR`` dt of a
-cell edge, for ``OdeModel.inner_breaks`` to judge; "ode read off" and "ode
+cell edge, for ``OdeModel.step_knots`` to judge; "ode read off" and "ode
 read cfg off" read the two models from position 0.37, where no step end
 comes that near an edge, so each pair differs by what that judgement costs
 and by the one step a cell that crosses an edge there.  A chunk is walked
@@ -60,7 +60,8 @@ runs of ``_dop853``'s ``step += 1`` line, counted in an untimed traced
 read), which depend on where the chunk cuts fall unless the read is one
 DOP853 stream.  "torus battery" is one whole
 ``validate_against_closed_form(seed=0, n_omegas=1)``, the benchmark's
-torus pass, in ms and in DOP853 batch steps, counted as above; "torus
+torus pass, in ms, in DOP853 batch steps, counted as above, and in us per
+batch step (the whole pass's time over its batch steps); "torus
 battery x5" is the same at the CLI default of five base points, whose
 warm-up and separation reads are one stream, one read after another, with
 at most two windows per read in flight.  "torus kappa" is the
@@ -295,8 +296,9 @@ def main(argv=None):
         def battery(n_omegas=n_omegas):
             return validate_against_closed_form(seed=0, n_omegas=n_omegas)
 
-        best = best_of(battery)
-        print(f"{'torus battery' + label:<22} {1e3 * best:7.1f} ms     {batch_steps(battery)} batch steps")
+        best, steps = best_of(battery), batch_steps(battery)
+        print(f"{'torus battery' + label:<22} {1e3 * best:7.1f} ms     {steps} batch steps  "
+              f"{1e6 * best / steps:6.1f} us/step")
     try:  # one call with the sequence, or one per horizon where kappa_mean_exact takes one
         torus.kappa_mean_exact(omega, DIVERGENCE_HORIZONS)
         calls = [DIVERGENCE_HORIZONS]
